@@ -17,6 +17,7 @@ or usage, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -36,7 +37,7 @@ from .query import (
 )
 from .server import MissingApprovalError, RetrospectiveQueryError, TaskConfig
 from .sim import run_simulation
-from .sweep import SweepConfig, SweepRow, run_epsilon_sweep, summarize_sweep
+from .sweep import SweepRow, run_epsilon_sweep, summarize_sweep
 from .synth import generate_corpus
 from .windows import round_down_window
 
@@ -157,13 +158,7 @@ def _sweep_variant_worker(
     """Run one variant's full (epsilon, seed) grid; used by --jobs."""
     corpus = generate_corpus(config.corpus)
     window = round_down_window(config.corpus.start_time, config.task.alignment)
-    sweep = SweepConfig(
-        epsilons=config.sweep.epsilons,
-        seeds=config.sweep.seeds,
-        variants=(variant,),
-        quantile=config.sweep.quantile,
-        tau=config.sweep.tau,
-    )
+    sweep = dataclasses.replace(config.sweep, variants=(variant,))
     return run_epsilon_sweep(corpus, window, sweep)
 
 
@@ -171,22 +166,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_experiment(args)
     if args.variants:
         requested = tuple(v.strip() for v in args.variants.split(",") if v.strip())
-        sweep = SweepConfig(
-            epsilons=config.sweep.epsilons,
-            seeds=config.sweep.seeds,
-            variants=requested,
-            quantile=config.sweep.quantile,
-            tau=config.sweep.tau,
-        )
-        config = ExperimentConfig(
-            seed=config.seed,
-            out_dir=config.out_dir,
-            corpus=config.corpus,
-            fleet=config.fleet,
-            task=config.task,
-            mechanism=config.mechanism,
-            sweep=sweep,
-            device_floor=config.device_floor,
+        config = dataclasses.replace(
+            config, sweep=dataclasses.replace(config.sweep, variants=requested)
         )
     variants = config.sweep.variants
     if args.jobs > 1 and len(variants) > 1:

@@ -230,6 +230,15 @@ def _float(section: dict, key: str, default: float, where: str) -> float:
     return float(value)
 
 
+def _bool(section: dict, key: str, default: bool, where: str) -> bool:
+    if key not in section:
+        return default
+    value = section[key]
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}.{key}: expected true or false, got {value!r}")
+    return value
+
+
 def _str(section: dict, key: str, default: str, where: str) -> str:
     if key not in section:
         return default
@@ -425,7 +434,7 @@ def parse_config(data: dict | None) -> ExperimentConfig:
             clip_table=clip_table,
             scale_table=scale_table,
             tau=_float(mech_raw, "tau", 0.0, "mechanism"),
-            strict_tau=bool(mech_raw.get("strict_tau", False)),
+            strict_tau=_bool(mech_raw, "strict_tau", False, "mechanism"),
             budget_weights=budget_weights,
         )
     except ValueError as exc:

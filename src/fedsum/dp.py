@@ -21,7 +21,14 @@ add calibrated Laplace noise:
 Noise draws are keyed by (window, coordinate), so a fixed seed yields
 the same draw for the same coordinate no matter which variant asked, in
 which order, or at what epsilon — releases are reproducible and variant
-comparisons ride on common noise.
+comparisons ride on common noise.  A release draws the window's
+unit-scale Laplace block (:class:`UnitLaplace`) and multiplies it by
+each slice's scale, which equals drawing at that scale bit for bit; a
+sweep draws one block per seed and reuses it for every variant and
+budget.  Noise, descaling and thresholding run on one dense
+``(activity, metric, region, direction)`` array; the sparse
+:class:`IndexedHistogram` is only the aggregate that goes in and the
+release that comes out.
 
 Calibration uses the nearest-rank empirical quantile of per-device L1
 norms; scale calibration considers only devices active in the slice and
@@ -35,12 +42,15 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .model import (
     ExactHistogramSum,
     IndexedHistogram,
     InvalidParameterError,
     ScaleTable,
     Schema,
+    SchemaMismatchError,
 )
 from .rng import KeyedRng
 
@@ -55,6 +65,8 @@ __all__ = [
     "apply_threshold",
     "add_laplace_noise",
     "laplace_mechanism",
+    "UnitLaplace",
+    "release_noise",
     "ResolvedMechanism",
     "PreparedMechanism",
     "resolve_mechanism",
@@ -208,25 +220,21 @@ def calibrate_clip(
 
 
 def apply_threshold(
-    h: IndexedHistogram, tau: float, strict: bool = False
-) -> tuple[IndexedHistogram, int]:
-    """Drop entries below ``tau``; returns (kept, suppressed_count).
+    values: np.ndarray, tau: float, strict: bool = False
+) -> tuple[np.ndarray, int]:
+    """Zero the nonzero entries below ``tau``; returns (kept, suppressed_count).
 
-    ``tau == 0`` without ``strict`` is the identity; with ``strict`` it
-    removes negative entries.
+    ``values`` is a dense histogram array and ``kept`` a new one.  Only
+    nonzero entries count as suppressed.  ``tau == 0`` without
+    ``strict`` is the identity; with ``strict`` it removes negative
+    entries.
     """
     if tau < 0:
         raise InvalidParameterError("threshold tau must be >= 0")
     if tau == 0.0 and not strict:
-        return h.copy(), 0
-    kept = IndexedHistogram(h.schema)
-    suppressed = 0
-    for index, value in h.raw().items():
-        if value < tau:
-            suppressed += 1
-        else:
-            kept[index] = value
-    return kept, suppressed
+        return values.copy(), 0
+    dropped = (values != 0.0) & (values < tau)
+    return np.where(dropped, 0.0, values), int(np.count_nonzero(dropped))
 
 
 # Per-slice noise scales: one non-negative Laplace scale per
@@ -241,31 +249,67 @@ def uniform_noise_scales(schema: Schema, b: float) -> NoiseScales:
     )
 
 
+class UnitLaplace:
+    """Unit-scale Laplace draws of one (rng, window) over the full domain.
+
+    Entry ``(a, m, r, d)`` is ``rng.laplace(1.0, window_id, a, m, r, d)``.
+    An (activity, metric) slice is drawn the first time a release noises
+    it, so slices at scale 0 draw nothing.  Noise at any scale is that
+    scale times the unit draw, bit for bit, so one block serves every
+    variant and budget: a sweep keeps one per seed for the whole grid.
+    """
+
+    __slots__ = ("rng", "window_id", "values", "_drawn")
+
+    def __init__(self, rng: KeyedRng, window_id: str, schema: Schema) -> None:
+        self.rng = rng
+        self.window_id = window_id
+        self.values = np.zeros(schema.shape)
+        self._drawn = np.zeros(schema.shape[:2], dtype=bool)
+
+    def slices(self, needed: np.ndarray) -> np.ndarray:
+        """The block, with every slice of the (A, M) mask ``needed`` drawn."""
+        laplace, window_id = self.rng.laplace, self.window_id
+        _, _, num_regions, num_directions = self.values.shape
+        fresh = np.nonzero(needed & ~self._drawn)
+        for a, m in zip(fresh[0].tolist(), fresh[1].tolist()):
+            self.values[a, m] = [
+                [laplace(1.0, window_id, a, m, r, d) for d in range(num_directions)]
+                for r in range(num_regions)
+            ]
+        self._drawn |= needed
+        return self.values
+
+
+def release_noise(seed: int, window_id: str, schema: Schema) -> UnitLaplace:
+    """The unit draws that releases of ``window_id`` under ``seed`` use."""
+    return UnitLaplace(KeyedRng(seed, NOISE_NAMESPACE), window_id, schema)
+
+
 def add_laplace_noise(
-    h: IndexedHistogram,
+    values: np.ndarray,
     noise_scales: NoiseScales,
-    rng: KeyedRng,
-    window_id: str,
+    unit: UnitLaplace,
     observed_keys_only: bool = False,
-) -> IndexedHistogram:
+) -> np.ndarray:
     """Add per-coordinate Laplace noise with per-slice scales.
 
+    ``values`` is a dense histogram array; the result is a new one.
     Covers the *full* index domain by default, so empty partitions are
     noised too and the presence of a key reveals nothing.  The
-    ``observed_keys_only`` mode noises just the stored keys — NOT
+    ``observed_keys_only`` mode noises just the nonzero entries — NOT
     differentially private, debugging only.
     """
-    noised = IndexedHistogram(h.schema)
+    scales = np.asarray(noise_scales, dtype=np.float64)
+    if not np.all(np.isfinite(scales) & (scales >= 0.0)):
+        raise ValueError(f"laplace scales must be finite and >= 0, got {scales}")
+    needed = scales != 0.0
+    if not needed.any():
+        return values.copy()
+    noise = scales[:, :, None, None] * unit.slices(needed)
     if observed_keys_only:
-        for (a, m, r, d), value in h.items():
-            b = noise_scales[a][m]
-            noised[(a, m, r, d)] = value + rng.laplace(b, window_id, a, m, r, d)
-        return noised
-    for index in h.schema.iter_domain():
-        a, m, r, d = index
-        b = noise_scales[a][m]
-        noised[index] = h[index] + rng.laplace(b, window_id, a, m, r, d)
-    return noised
+        noise = np.where(values != 0.0, noise, 0.0)
+    return values + noise
 
 
 def laplace_mechanism(
@@ -284,8 +328,13 @@ def laplace_mechanism(
     if not epsilon > 0:
         raise InvalidParameterError("epsilon must be positive")
     b = 0.0 if math.isinf(epsilon) else sensitivity / epsilon
-    scales = uniform_noise_scales(h.schema, b)
-    return add_laplace_noise(h, scales, rng, window_id, observed_keys_only)
+    noised = add_laplace_noise(
+        h.to_dense(),
+        uniform_noise_scales(h.schema, b),
+        UnitLaplace(rng, window_id, h.schema),
+        observed_keys_only,
+    )
+    return IndexedHistogram.from_dense(h.schema, noised)
 
 
 # --------------------------------------------------------------------------
@@ -346,20 +395,42 @@ class ResolvedMechanism:
         window_id: str,
         seed: int,
         epsilon: float | None = None,
+        unit: UnitLaplace | None = None,
     ) -> NoisedRelease:
-        """Noise, descale, and threshold a summed aggregate for release."""
+        """Noise, descale, and threshold a summed aggregate for release.
+
+        The work runs on one dense array.  ``unit`` may hand in
+        :func:`release_noise` of ``(seed, window_id)`` from an earlier
+        release, so that releases sharing a seed draw it once; by
+        default it is drawn here.
+        """
         eps = self.epsilon if epsilon is None else epsilon
-        rng = KeyedRng(seed, NOISE_NAMESPACE)
-        noised = add_laplace_noise(
-            aggregate,
-            self.noise_scales(aggregate.schema, eps),
-            rng,
+        schema = aggregate.schema
+        if unit is None:
+            unit = release_noise(seed, window_id, schema)
+        elif (unit.rng.seed, unit.rng.namespace, unit.window_id) != (
+            seed,
+            NOISE_NAMESPACE,
             window_id,
+        ):
+            raise InvalidParameterError(
+                f"unit noise of seed {unit.rng.seed}, window "
+                f"{unit.window_id!r} cannot noise seed {seed}, window {window_id!r}"
+            )
+        values = add_laplace_noise(
+            aggregate.to_dense(),
+            self.noise_scales(schema, eps),
+            unit,
             self.observed_keys_only,
         )
         if self.variant == VARIANT_SCALED:
-            noised = noised.scale_by_table(self.scale_table, invert=True)
-        kept, suppressed = apply_threshold(noised, self.tau, self.strict_tau)
+            if self.scale_table.shape != schema.shape[:2]:
+                raise SchemaMismatchError(
+                    f"table shape {self.scale_table.shape} does not match "
+                    f"schema {schema.shape[:2]}"
+                )
+            values *= np.asarray(self.scale_table.rows())[:, :, None, None]
+        kept, suppressed = apply_threshold(values, self.tau, self.strict_tau)
         metadata = {
             "variant": self.variant,
             "epsilon": eps,
@@ -379,7 +450,7 @@ class ResolvedMechanism:
         }
         return NoisedRelease(
             window_id=window_id,
-            histogram=kept,
+            histogram=IndexedHistogram.from_dense(schema, kept),
             suppressed_partitions=suppressed,
             metadata=metadata,
         )
@@ -411,9 +482,15 @@ class PreparedMechanism:
         return self.resolved.transform_device(h)
 
     def release(
-        self, window_id: str, seed: int, epsilon: float | None = None
+        self,
+        window_id: str,
+        seed: int,
+        epsilon: float | None = None,
+        unit: UnitLaplace | None = None,
     ) -> NoisedRelease:
-        return self.resolved.finalize(self.prenoise, window_id, seed, epsilon)
+        return self.resolved.finalize(
+            self.prenoise, window_id, seed, epsilon, unit
+        )
 
 
 def _digest_or_none(table: ScaleTable | None) -> str | None:

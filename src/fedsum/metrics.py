@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import (
     METRIC_NUM_TRIPS,
     ExactHistogramSum,
@@ -27,6 +29,8 @@ from .windows import TimeWindow
 __all__ = [
     "exact_workload",
     "default_device_floor",
+    "ScoredCells",
+    "scored_cells",
     "weighted_relative_error",
     "per_user_mean_error",
     "ReachFunnel",
@@ -35,16 +39,24 @@ __all__ = [
 ]
 
 
-def exact_workload(corpus: Corpus, window: TimeWindow) -> IndexedHistogram:
+def exact_workload(
+    corpus: Corpus,
+    window: TimeWindow,
+    histograms: list[IndexedHistogram] | None = None,
+) -> IndexedHistogram:
     """Ground-truth grouped sums for one window (no bounding, no noise).
 
     Defined over per-device subtotals: each device's records accumulate
     in event order, then device subtotals are summed exactly per cell —
     the same two-level structure the live pipeline computes, so an
     unbounded, noiseless release matches this oracle bit for bit.
+    ``histograms`` may hand in ``corpus.device_histograms(window)``
+    when the caller already has them.
     """
+    if histograms is None:
+        histograms = corpus.device_histograms(window)
     acc = ExactHistogramSum(corpus.schema)
-    for h in corpus.device_histograms(window):
+    for h in histograms:
         acc.add(h)
     return acc.rounded()
 
@@ -67,11 +79,66 @@ def default_device_floor(num_devices: int) -> int:
     return max(20, int(0.002 * num_devices))
 
 
+@dataclass(frozen=True)
+class ScoredCells:
+    """What a weighted relative error scores, per metric.
+
+    For each metric: the eligible partitions' indices, their truth
+    values and weights, and the exactly rounded sum of the weights.  It
+    depends on (truth, device counts, floor) alone, so a sweep builds it
+    once and scores every release against it.
+    """
+
+    indices: tuple[list[tuple[int, int, int, int]], ...]
+    truth: tuple[np.ndarray, ...]
+    weights: tuple[np.ndarray, ...]
+    total_weights: tuple[float, ...]
+
+
+def scored_cells(
+    truth: IndexedHistogram,
+    device_counts: dict[tuple[int, int, int], int],
+    device_floor: int,
+) -> ScoredCells:
+    """The eligible partitions of :func:`weighted_relative_error`."""
+    if device_floor < 0:
+        raise InvalidParameterError("device floor must be >= 0")
+    # Region trip totals from the num-trips truth.
+    region_trips: dict[int, float] = {}
+    for (a, m, r, d), value in truth.raw().items():
+        if m == METRIC_NUM_TRIPS:
+            region_trips[r] = region_trips.get(r, 0.0) + value
+
+    indices, values, weights, totals = [], [], [], []
+    for metric in range(truth.schema.num_metrics):
+        metric_indices: list[tuple[int, int, int, int]] = []
+        metric_values: list[float] = []
+        metric_weights: list[float] = []
+        for (a, m, r, d), t in truth.raw().items():
+            if m != metric or t == 0.0:
+                continue
+            if device_counts.get((a, r, d), 0) < device_floor:
+                continue
+            n_partition = truth[(a, METRIC_NUM_TRIPS, r, d)]
+            n_region = region_trips.get(r, 0.0)
+            if n_region <= 0.0 or n_partition <= 0.0:
+                continue
+            metric_indices.append((a, m, r, d))
+            metric_values.append(t)
+            metric_weights.append(n_partition / n_region)
+        indices.append(metric_indices)
+        values.append(np.array(metric_values, dtype=np.float64))
+        weights.append(np.array(metric_weights, dtype=np.float64))
+        totals.append(math.fsum(metric_weights))
+    return ScoredCells(tuple(indices), tuple(values), tuple(weights), tuple(totals))
+
+
 def weighted_relative_error(
     truth: IndexedHistogram,
     estimate: IndexedHistogram,
     device_counts: dict[tuple[int, int, int], int],
     device_floor: int,
+    cells: ScoredCells | None = None,
 ) -> dict[int, float]:
     """Per-metric weighted relative error of ``estimate`` vs ``truth``.
 
@@ -83,38 +150,22 @@ def weighted_relative_error(
     re-normalized over the eligible set; a metric with no eligible
     partition yields NaN (undefined), never a fake zero.  A released
     partition the truth lacks (or vice versa) reads as estimate 0.
-    """
-    if device_floor < 0:
-        raise InvalidParameterError("device floor must be >= 0")
-    schema = truth.schema
-    # Region trip totals from the num-trips truth.
-    region_trips: dict[int, float] = {}
-    for (a, m, r, d), value in truth.raw().items():
-        if m == METRIC_NUM_TRIPS:
-            region_trips[r] = region_trips.get(r, 0.0) + value
 
+    ``cells`` may hand in :func:`scored_cells` of the same truth, counts
+    and floor, so that scoring many estimates computes it once.
+    """
+    if cells is None:
+        cells = scored_cells(truth, device_counts, device_floor)
+    released = estimate.raw()
     results: dict[int, float] = {}
-    for metric in range(schema.num_metrics):
-        weighted_errors: list[float] = []
-        weights: list[float] = []
-        for (a, m, r, d), t in truth.raw().items():
-            if m != metric or t == 0.0:
-                continue
-            if device_counts.get((a, r, d), 0) < device_floor:
-                continue
-            n_partition = truth[(a, METRIC_NUM_TRIPS, r, d)]
-            n_region = region_trips.get(r, 0.0)
-            if n_region <= 0.0 or n_partition <= 0.0:
-                continue
-            weight = n_partition / n_region
-            e = estimate[(a, m, r, d)]
-            weighted_errors.append(weight * abs(t - e) / abs(t))
-            weights.append(weight)
-        total_weight = math.fsum(weights)
+    for metric, total_weight in enumerate(cells.total_weights):
         if total_weight == 0.0:
             results[metric] = math.nan
-        else:
-            results[metric] = math.fsum(weighted_errors) / total_weight
+            continue
+        t = cells.truth[metric]
+        e = np.array([released.get(i, 0.0) for i in cells.indices[metric]])
+        terms = cells.weights[metric] * np.abs(t - e) / np.abs(t)
+        results[metric] = math.fsum(terms.tolist()) / total_weight
     return results
 
 

@@ -21,6 +21,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .exactsum import add_partial, merge_partials, round_partials
 
 __all__ = [
@@ -238,6 +240,31 @@ class IndexedHistogram:
     def raw(self) -> dict[Index, float]:
         """The underlying dict (nonzero entries, unordered). Do not mutate."""
         return self._d
+
+    def to_dense(self) -> np.ndarray:
+        """The histogram as a float64 array of the schema's shape."""
+        out = np.zeros(self.schema.shape)
+        if self._d:
+            index = np.array(list(self._d), dtype=np.intp)
+            out[tuple(index.T)] = list(self._d.values())
+        return out
+
+    @classmethod
+    def from_dense(cls, schema: Schema, values: np.ndarray) -> "IndexedHistogram":
+        """The nonzero entries of a schema-shaped array, in canonical order."""
+        if values.shape != schema.shape:
+            raise SchemaMismatchError(
+                f"array shape {values.shape} does not match schema {schema.shape}"
+            )
+        nonzero = np.nonzero(values)
+        h = cls(schema)
+        h._d = dict(
+            zip(
+                zip(*(axis.tolist() for axis in nonzero)),
+                values[nonzero].tolist(),
+            )
+        )
+        return h
 
     def copy(self) -> "IndexedHistogram":
         h = IndexedHistogram(self.schema)

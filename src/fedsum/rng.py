@@ -7,6 +7,12 @@ and on *what* is being drawn — never on how many draws happened before it
 or in what order code visited the coordinates.  Runs with the same seed
 are bit-identical by construction, and two mechanism variants that ask
 for the same coordinate's noise at the same scale receive the same value.
+
+Laplace noise at any finite scale b >= 0 is b times the unit-scale draw
+of the same index, bit for bit: both take the same rounded
+ln(1 - 2|u - 1/2|), round its product with b once, and carry the same
+sign.  So one block of unit draws serves every scale, and a release
+may draw it once and multiply.
 """
 
 from __future__ import annotations

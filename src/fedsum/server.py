@@ -31,7 +31,7 @@ from .aggcore import (
 )
 from .client import rows_to_histogram
 from .dp import NoisedRelease, ResolvedMechanism
-from .model import IndexedHistogram, Schema
+from .model import Schema
 from .query import (
     PRIVACY_TIME_UNIT,
     QuerySpec,
@@ -188,9 +188,6 @@ class FederatedServer:
         self.sessions: dict[str, _Session] = {}
         self.releases: dict[str, NoisedRelease | SuppressedRelease] = {}
         self.events: list[dict] = []
-        # Test instrumentation only: raw pre-noise aggregates per session,
-        # used by conservation checks.  Not part of any released artifact.
-        self.debug_final_aggregates: dict[str, IndexedHistogram] = {}
 
     # -- logging ---------------------------------------------------------
 
@@ -557,7 +554,6 @@ class FederatedServer:
         aggregate = rows_to_histogram(
             report.items(), task.spec, self.schema, expect_window_id=window.window_id
         )
-        self.debug_final_aggregates[key] = aggregate
         release = task.config.mechanism.finalize(
             aggregate, window.window_id, self.noise_seed
         )

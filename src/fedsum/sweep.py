@@ -5,8 +5,11 @@ A sweep fixes one window of data, prepares each mechanism variant once
 aggregate across a grid of privacy budgets and noise seeds.  Preparing
 once is sound because the pre-noise pipeline does not depend on the
 budget or the seed — only the final noise draw does — and it makes large
-grids cheap.  Every grid cell is bit-identical to running the whole
-mechanism from scratch with the same parameters.
+grids cheap.  For the same reason the sweep draws each seed's unit
+Laplace block once and reuses it for every variant and budget, and it
+computes the window's device histograms and the error's eligible cells
+once.  Every grid cell is bit-identical to running the whole mechanism
+from scratch with the same parameters.
 """
 
 from __future__ import annotations
@@ -14,8 +17,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dp import MechanismConfig, PreparedMechanism, VARIANTS, prepare_mechanism
-from .metrics import default_device_floor, exact_workload, weighted_relative_error
+from .dp import (
+    MechanismConfig,
+    PreparedMechanism,
+    VARIANTS,
+    prepare_mechanism,
+    release_noise,
+)
+from .metrics import (
+    default_device_floor,
+    exact_workload,
+    scored_cells,
+    weighted_relative_error,
+)
+from .model import IndexedHistogram
 from .synth import Corpus
 from .windows import TimeWindow
 
@@ -69,9 +84,15 @@ def prepare_variants(
     corpus: Corpus,
     window: TimeWindow,
     sweep: SweepConfig,
+    histograms: list[IndexedHistogram] | None = None,
 ) -> dict[str, PreparedMechanism]:
-    """Calibrate and pre-aggregate each requested variant once."""
-    histograms = corpus.device_histograms(window)
+    """Calibrate and pre-aggregate each requested variant once.
+
+    ``histograms`` may hand in ``corpus.device_histograms(window)`` when
+    the caller already has them.
+    """
+    if histograms is None:
+        histograms = corpus.device_histograms(window)
     prepared: dict[str, PreparedMechanism] = {}
     for variant in sweep.variants:
         config = MechanismConfig(
@@ -95,20 +116,28 @@ def run_epsilon_sweep(
     Rows come back in deterministic grid order: variants as configured,
     then budgets, then seeds.
     """
+    histograms = corpus.device_histograms(window)
     if prepared is None:
-        prepared = prepare_variants(corpus, window, sweep)
-    truth = exact_workload(corpus, window)
+        prepared = prepare_variants(corpus, window, sweep, histograms)
+    truth = exact_workload(corpus, window, histograms)
     counts = corpus.device_counts(window)
     floor = default_device_floor(corpus.num_devices)
+    cells = scored_cells(truth, counts, floor)
+    noise = {
+        seed: release_noise(seed, window.window_id, corpus.schema)
+        for seed in sweep.seeds
+    }
     names = corpus.schema.metric_names
     rows: list[SweepRow] = []
     for variant in sweep.variants:
         mech = prepared[variant]
         for epsilon in sweep.epsilons:
             for seed in sweep.seeds:
-                release = mech.release(window.window_id, seed, epsilon=epsilon)
+                release = mech.release(
+                    window.window_id, seed, epsilon=epsilon, unit=noise[seed]
+                )
                 wre = weighted_relative_error(
-                    truth, release.histogram, counts, floor
+                    truth, release.histogram, counts, floor, cells
                 )
                 rows.append(
                     SweepRow(
@@ -177,10 +206,15 @@ def grid_search_clip_quantile(
     The score is the mean over metrics and seeds of the weighted
     relative error; ties break toward the smaller quantile.
     """
-    truth = exact_workload(corpus, window)
+    histograms = corpus.device_histograms(window)
+    truth = exact_workload(corpus, window, histograms)
     counts = corpus.device_counts(window)
     floor = default_device_floor(corpus.num_devices)
-    histograms = corpus.device_histograms(window)
+    cells = scored_cells(truth, counts, floor)
+    noise = {
+        seed: release_noise(seed, window.window_id, corpus.schema)
+        for seed in seeds
+    }
     table = []
     best: tuple[float, float] | None = None
     for q in quantile_grid:
@@ -190,8 +224,10 @@ def grid_search_clip_quantile(
         mech = prepare_mechanism(config, histograms, corpus.schema)
         cell_errors: list[float] = []
         for seed in seeds:
-            release = mech.release(window.window_id, seed)
-            wre = weighted_relative_error(truth, release.histogram, counts, floor)
+            release = mech.release(window.window_id, seed, unit=noise[seed])
+            wre = weighted_relative_error(
+                truth, release.histogram, counts, floor, cells
+            )
             cell_errors.extend(v for v in wre.values() if not math.isnan(v))
         score = math.fsum(cell_errors) / len(cell_errors) if cell_errors else math.inf
         table.append({"quantile": q, "mean_error": score})

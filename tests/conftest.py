@@ -1,4 +1,4 @@
-"""Shared fixtures: schemas, synthetic corpora, and prepared mechanisms.
+"""Shared fixtures: schemas and synthetic corpora.
 
 The large fixtures are session-scoped because several end-to-end checks
 share the same fleet; everything here is deterministic, so sharing them
@@ -10,9 +10,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
-from fedsum.metrics import exact_workload
 from fedsum.model import Schema
-from fedsum.sweep import SweepConfig, prepare_variants
 from fedsum.synth import SyntheticCorpusConfig, generate_corpus
 from fedsum.windows import WindowAlignment, round_down_window
 
@@ -72,20 +70,3 @@ def corpus_10k():
 @pytest.fixture(scope="session")
 def week_one_10k(corpus_10k):
     return round_down_window(corpus_10k.config.start_time, WindowAlignment.WEEK)
-
-
-@pytest.fixture(scope="session")
-def prepared_10k(corpus_10k, week_one_10k):
-    """Each variant calibrated once on the 10k fleet's first week."""
-    sweep = SweepConfig(epsilons=(2.0,), seeds=(0,), quantile=0.95, tau=0.0)
-    return prepare_variants(corpus_10k, week_one_10k, sweep)
-
-
-@pytest.fixture(scope="session")
-def truth_10k(corpus_10k, week_one_10k):
-    return exact_workload(corpus_10k, week_one_10k)
-
-
-@pytest.fixture(scope="session")
-def counts_10k(corpus_10k, week_one_10k):
-    return corpus_10k.device_counts(week_one_10k)

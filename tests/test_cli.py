@@ -12,7 +12,7 @@ import pytest
 import yaml
 
 from fedsum.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
-from fedsum.config import parse_config
+from fedsum.config import parse_config, read_config_data
 from fedsum.metrics import exact_workload
 from fedsum.query import parse_and_validate, pretty_print
 from fedsum.synth import generate_corpus
@@ -276,6 +276,31 @@ def test_sweep_variant_filter_restricts_the_grid(tmp_path, capsys):
     results = read_csv_rows(out / "sweep" / "results.csv")
     assert len(results) - 1 == 12
     assert {row[0] for row in results[1:]} == {"joint_clipping"}
+
+
+def test_sweep_variant_filter_keeps_every_setting_in_the_snapshot(tmp_path, capsys):
+    out = tmp_path / "out"
+    table = tmp_path / "table.csv"
+    table.write_text(
+        "activity,metric,value\n"
+        + "".join(f"{a},{m},{1.0 + a + m}\n" for a in range(9) for m in range(3))
+    )
+    config_path = write_config(
+        tmp_path,
+        out,
+        sweep={"epsilons": ["inf", 2.0], "seeds": 2},
+        mechanism={"seed": 42, "scale_table": str(table), "clip_table": str(table)},
+    )
+    assert main(["sweep", "--config", config_path,
+                 "--variants", "joint_clipping"]) == EXIT_OK
+    written = yaml.safe_load((out / "sweep" / "sweep_config.yaml").read_text())
+    written.pop("target_mean_weighted_relative_error")
+    expected = parse_config(read_config_data(config_path)).snapshot()
+    expected["sweep"]["variants"] = ["joint_clipping"]
+    assert written == expected
+    assert written["mechanism"]["seed"] == 42
+    assert written["mechanism"]["scale_table"] == str(table)
+    assert written["mechanism"]["clip_table"] == str(table)
 
 
 def test_parallel_sweep_matches_the_serial_one(tmp_path, capsys):

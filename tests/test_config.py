@@ -98,6 +98,16 @@ def test_scalar_types_are_enforced():
         parse_config({"run": {"out": 3}})
 
 
+def test_strict_tau_must_be_a_boolean():
+    assert parse_config({}).mechanism.strict_tau is False
+    for value in (True, False):
+        config = parse_config({"mechanism": {"strict_tau": value}})
+        assert config.mechanism.strict_tau is value
+    for bad in ("false", "true", 0, 1, None):
+        with pytest.raises(ConfigError, match="mechanism.strict_tau"):
+            parse_config({"mechanism": {"strict_tau": bad}})
+
+
 def test_epsilon_accepts_inf_spellings():
     assert math.isinf(
         parse_config({"mechanism": {"epsilon": "inf"}}).mechanism.epsilon

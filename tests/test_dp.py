@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from fedsum.dp import (
@@ -13,6 +15,7 @@ from fedsum.dp import (
     VARIANT_JOINT,
     VARIANT_SCALED,
     VARIANT_SPLIT,
+    VARIANTS,
     apply_threshold,
     calibrate_clip,
     calibrate_scales,
@@ -22,6 +25,7 @@ from fedsum.dp import (
     mech_joint_clipping,
     nearest_rank_quantile,
     prepare_mechanism,
+    release_noise,
     resolve_mechanism,
     slice_l1_norms,
     uniform_noise_scales,
@@ -117,36 +121,42 @@ def threshold_fixture(cell_schema):
     )
 
 
+def threshold(h, tau, strict=False):
+    """apply_threshold on the histogram's dense array, read back sparse."""
+    kept, suppressed = apply_threshold(h.to_dense(), tau, strict)
+    return IndexedHistogram.from_dense(h.schema, kept), suppressed
+
+
 def test_threshold_drops_small_partitions(cell_schema):
-    kept, suppressed = apply_threshold(threshold_fixture(cell_schema), 3.0)
+    kept, suppressed = threshold(threshold_fixture(cell_schema), 3.0)
     assert suppressed == 1
     assert dict(kept.items()) == {(0, 0, 0, 0): 5.0, (0, 0, 0, 2): 10.0}
 
 
 def test_zero_threshold_is_the_identity(cell_schema):
-    original = threshold_fixture(cell_schema)
+    original = threshold_fixture(cell_schema).to_dense()
     kept, suppressed = apply_threshold(original, 0.0)
     assert suppressed == 0
-    assert kept == original
-    kept[(0, 0, 0, 0)] = 99.0  # a copy, not a view
-    assert original[(0, 0, 0, 0)] == 5.0
+    assert np.array_equal(kept, original)
+    kept[0, 0, 0, 0] = 99.0  # a copy, not a view
+    assert original[0, 0, 0, 0] == 5.0
 
 
 def test_strict_zero_threshold_drops_negatives(cell_schema):
-    kept, suppressed = apply_threshold(threshold_fixture(cell_schema), 0.0, strict=True)
+    kept, suppressed = threshold(threshold_fixture(cell_schema), 0.0, strict=True)
     assert suppressed == 1
     assert (0, 0, 0, 1) not in dict(kept.items())
 
 
 def test_threshold_can_empty_a_histogram(cell_schema):
-    kept, suppressed = apply_threshold(threshold_fixture(cell_schema), 100.0)
+    kept, suppressed = threshold(threshold_fixture(cell_schema), 100.0)
     assert len(kept) == 0
     assert suppressed == 3
 
 
 def test_negative_threshold_is_rejected(cell_schema):
     with pytest.raises(InvalidParameterError):
-        apply_threshold(threshold_fixture(cell_schema), -0.5)
+        apply_threshold(threshold_fixture(cell_schema).to_dense(), -0.5)
 
 
 # --- noise primitives ------------------------------------------------------------
@@ -210,6 +220,120 @@ def test_noise_draws_are_shared_across_epsilons(cell_schema):
     assert set(wide) == set(narrow)
     for index, value in wide.items():
         assert narrow[index] == value / 2.0  # power-of-two scales: exact
+
+
+# --- the dense release against a coordinate-by-coordinate reference ------------
+
+
+def reference_release(resolved, aggregate, window_id, seed, epsilon):
+    """(histogram, suppressed) built one coordinate at a time.
+
+    Noise is drawn at each slice's scale with ``KeyedRng.laplace``, then
+    descaled with ``scale_by_table(invert=True)`` and thresholded by a
+    loop over the stored entries.
+    """
+    schema = aggregate.schema
+    rng = KeyedRng(seed, "release-noise")
+    scales = resolved.noise_scales(schema, epsilon)
+    noised = IndexedHistogram(schema)
+    coordinates = (
+        [index for index, _ in aggregate.items()]
+        if resolved.observed_keys_only
+        else schema.iter_domain()
+    )
+    for a, m, r, d in coordinates:
+        noised[(a, m, r, d)] = aggregate[(a, m, r, d)] + rng.laplace(
+            scales[a][m], window_id, a, m, r, d
+        )
+    if resolved.variant == VARIANT_SCALED:
+        noised = noised.scale_by_table(resolved.scale_table, invert=True)
+    if resolved.tau == 0.0 and not resolved.strict_tau:
+        return noised, 0
+    kept = IndexedHistogram(schema)
+    suppressed = 0
+    for index, value in noised.raw().items():
+        if value < resolved.tau:
+            suppressed += 1
+        else:
+            kept[index] = value
+    return kept, suppressed
+
+
+REFERENCE_CASES = {
+    "plain": {},
+    "tau": {"tau": 30.0},
+    "strict_tau": {"strict_tau": True},
+    "observed_keys_only": {"observed_keys_only": True},
+    "infinite_epsilon": {"tau": 30.0},
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_release_equals_the_coordinate_by_coordinate_reference(
+    small_schema, variant, case
+):
+    devices = [
+        hist(
+            small_schema,
+            {
+                (i % 3, i % 2, i % 4, i % 3): 1.0 + 0.37 * i,
+                (2, 2, (i * 7) % 4, 1): 3.0 + 1.9 * (i % 5),
+            },
+        )
+        for i in range(40)
+    ]
+    prepared = prepare_mechanism(
+        MechanismConfig(variant=variant, epsilon=1.0, quantile=0.9),
+        devices,
+        small_schema,
+    )
+    resolved = dataclasses.replace(prepared.resolved, **REFERENCE_CASES[case])
+    epsilons = (math.inf,) if case == "infinite_epsilon" else (1.0, 0.25)
+    suppressed_total = 0
+    for seed in (0, 5):
+        unit = release_noise(seed, "w7", small_schema)
+        for epsilon in epsilons:
+            expected, suppressed = reference_release(
+                resolved, prepared.prenoise, "w7", seed, epsilon
+            )
+            for shared in (None, unit):
+                release = resolved.finalize(
+                    prepared.prenoise, "w7", seed, epsilon, unit=shared
+                )
+                assert release.histogram.serialize() == expected.serialize()
+                assert release.suppressed_partitions == suppressed
+            suppressed_total += suppressed
+    if resolved.tau > 0 or resolved.strict_tau:
+        assert suppressed_total > 0  # the threshold had something to drop
+
+
+def test_a_noise_free_release_draws_nothing(small_schema, monkeypatch):
+    draws = []
+    uniform = KeyedRng.uniform
+
+    def counted(self, *index):
+        draws.append(index)
+        return uniform(self, *index)
+
+    monkeypatch.setattr(KeyedRng, "uniform", counted)
+    config = MechanismConfig(variant=VARIANT_JOINT, epsilon=math.inf, clip=1.0)
+    prepared = prepare_mechanism(config, linear_devices(small_schema, 5), small_schema)
+    prepared.release("w0", 3)
+    assert draws == []
+    prepared.release("w0", 3, epsilon=1.0)
+    assert len(draws) == small_schema.domain_size  # one draw per coordinate
+
+
+def test_unit_noise_must_match_the_seed_and_window(cell_schema):
+    config = MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, clip=1.0)
+    prepared = prepare_mechanism(config, [], cell_schema)
+    prepared.release("w0", 3, unit=release_noise(3, "w0", cell_schema))
+    for seed, window_id in ((4, "w0"), (3, "w1")):
+        with pytest.raises(InvalidParameterError):
+            prepared.release(
+                "w0", 3, unit=release_noise(seed, window_id, cell_schema)
+            )
 
 
 # --- configured mechanisms -----------------------------------------------------

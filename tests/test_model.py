@@ -211,6 +211,28 @@ def test_clip_preserves_signs_and_ratios(h, bound):
         assert abs(left - right) <= 1e-12 * max(abs(left), abs(right), 1e-300)
 
 
+# --- dense arrays -----------------------------------------------------------------
+
+
+@given(histograms())
+def test_dense_round_trip_is_exact(h):
+    dense = h.to_dense()
+    assert dense.shape == h.schema.shape
+    back = IndexedHistogram.from_dense(h.schema, dense)
+    assert back == h
+    assert back.serialize() == h.serialize()
+
+
+def test_from_dense_drops_zeros_and_checks_the_shape(small_schema, cell_schema):
+    dense = build(small_schema, {(2, 1, 3, 2): -4.5}).to_dense()
+    dense[0, 0, 0, 0] = -0.0
+    assert IndexedHistogram.from_dense(small_schema, dense).items() == [
+        ((2, 1, 3, 2), -4.5)
+    ]
+    with pytest.raises(SchemaMismatchError):
+        IndexedHistogram.from_dense(cell_schema, dense)
+
+
 # --- scaling --------------------------------------------------------------------
 
 

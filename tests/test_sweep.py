@@ -6,7 +6,19 @@ import math
 
 import pytest
 
-from fedsum.dp import VARIANT_JOINT, VARIANT_SCALED, VARIANT_SPLIT, VARIANTS
+from fedsum.dp import (
+    VARIANT_JOINT,
+    VARIANT_SCALED,
+    VARIANT_SPLIT,
+    VARIANTS,
+    MechanismConfig,
+    prepare_mechanism,
+)
+from fedsum.metrics import (
+    default_device_floor,
+    exact_workload,
+    weighted_relative_error,
+)
 from fedsum.sweep import (
     DEFAULT_EPSILONS,
     SweepConfig,
@@ -102,6 +114,34 @@ def test_noiseless_budget_is_no_worse_on_average(corpus_300, week_one_300):
     assert mean_error(math.inf) <= mean_error(1.0)
     infinite = [r for r in rows if r.epsilon == math.inf]
     assert all(r.errors == infinite[0].errors for r in infinite)  # seed-free
+
+
+def test_every_cell_equals_a_from_scratch_release(corpus_300, week_one_300):
+    """The shared noise blocks, histograms and error cells change no bit."""
+    sweep = SweepConfig(
+        epsilons=(math.inf, 2.0, 0.5), seeds=(0, 1), quantile=0.9, tau=1.0
+    )
+    rows = run_epsilon_sweep(corpus_300, week_one_300, sweep)
+    schema = corpus_300.schema
+    histograms = corpus_300.device_histograms(week_one_300)
+    truth = exact_workload(corpus_300, week_one_300)
+    counts = corpus_300.device_counts(week_one_300)
+    floor = default_device_floor(corpus_300.num_devices)
+    assert len(rows) == 3 * 3 * 2
+    for row in rows:
+        config = MechanismConfig(
+            variant=row.variant,
+            epsilon=row.epsilon,
+            quantile=sweep.quantile,
+            tau=sweep.tau,
+        )
+        release = prepare_mechanism(config, histograms, schema).release(
+            week_one_300.window_id, row.seed
+        )
+        wre = weighted_relative_error(truth, release.histogram, counts, floor)
+        expected = {schema.metric_names[m]: wre[m] for m in sorted(wre)}
+        assert repr(row.errors) == repr(expected), (row.variant, row.epsilon)
+        assert row.suppressed_cells == release.suppressed_partitions
 
 
 # --- summaries -----------------------------------------------------------------------
