@@ -18,17 +18,11 @@ from .dp import (
     ResolvedMechanism,
     calibrate_clip,
     calibrate_scales,
-    laplace_mechanism,
-    mech_activity_metric_scaling,
-    mech_budget_split,
-    mech_joint_clipping,
     prepare_mechanism,
     resolve_mechanism,
 )
 from .metrics import (
-    ReachFunnel,
     default_device_floor,
-    device_reach,
     exact_workload,
     per_user_mean_error,
     weighted_relative_error,
@@ -51,7 +45,7 @@ from .query import (
     pretty_print,
     validate_split,
 )
-from .rng import KeyedRng, laplace_from_uniform, sample_laplace
+from .rng import KeyedRng, laplace_from_uniform
 from .server import FederatedServer, ServerConfig, SuppressedRelease, TaskConfig
 from .sim import FleetConfig, SimulationResult, run_simulation
 from .sweep import SweepConfig, run_epsilon_sweep, summarize_sweep
@@ -79,7 +73,6 @@ __all__ = [
     "PreparedMechanism",
     "QuerySpec",
     "QueryValidationError",
-    "ReachFunnel",
     "ResolvedMechanism",
     "ScaleTable",
     "Schema",
@@ -96,15 +89,10 @@ __all__ = [
     "calibrate_clip",
     "calibrate_scales",
     "default_device_floor",
-    "device_reach",
     "exact_workload",
     "generate_corpus",
     "laplace_from_uniform",
-    "laplace_mechanism",
     "load_config",
-    "mech_activity_metric_scaling",
-    "mech_budget_split",
-    "mech_joint_clipping",
     "parse_and_validate",
     "parse_config",
     "parse_query",
@@ -115,7 +103,6 @@ __all__ = [
     "round_down_window",
     "run_epsilon_sweep",
     "run_simulation",
-    "sample_laplace",
     "summarize_sweep",
     "validate_split",
     "weighted_relative_error",

@@ -164,6 +164,17 @@ def _sweep_variant_worker(
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_experiment(args)
+    # The sweep calibrates every variant on the window it scores; a
+    # configured table would be recorded in the snapshot but not used.
+    for key, table in (
+        ("scale_table", config.mechanism.scale_table),
+        ("clip_table", config.mechanism.clip_table),
+    ):
+        if table is not None:
+            raise ConfigError(
+                f"mechanism.{key} is not supported by sweep: each variant's "
+                "tables are calibrated on the swept window; remove the key"
+            )
     if args.variants:
         requested = tuple(v.strip() for v in args.variants.split(",") if v.strip())
         config = dataclasses.replace(

@@ -7,11 +7,10 @@ it and marks how far the device has already contributed.  Records expire
 from the cache on a time-to-live, and a per-(query, window) memo makes
 contribution exactly-once even across retries.
 
-``client_work`` implements the upload transform for the privacy
-mechanisms: every record's metric values are divided by their
-per-(activity, metric) scale factor as they are accumulated, and the
-finished histogram is clipped to an L1 budget before it leaves the
-device.
+``client_work`` sums a device's records into its raw window histogram.
+Bounding that histogram before it leaves the device (scaling and
+clipping) is the mechanism's job:
+:meth:`fedsum.dp.ResolvedMechanism.transform_device`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from .model import (
     METRIC_DURATION,
     METRIC_NUM_TRIPS,
     IndexedHistogram,
-    ScaleTable,
     Schema,
     TripRecord,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "execute_client_query",
     "histogram_to_rows",
     "rows_to_histogram",
-    "exactly_once_guard",
 ]
 
 
@@ -238,52 +235,24 @@ class DeviceState:
         """After an acknowledged exchange, the high watermark catches up."""
         self.high_watermark = self.low_watermark
 
-    def forget_before_deadline(self, query_id: str, live_window_ids: set[str]) -> None:
-        """Garbage-collect memo entries whose release deadline passed."""
-        done = self.contributed.get(query_id)
-        if done:
-            done &= live_window_ids
-
-
-def exactly_once_guard(device: DeviceState, query_id: str, window_id: str) -> bool:
-    """True when the device has not yet contributed to (query, window)."""
-    return window_id not in device.contributed.get(query_id, set())
-
 
 # --------------------------------------------------------------------------
-# Upload transforms
+# Upload histograms and rows
 
 
-def client_work(
-    records: Iterable[TripRecord],
-    scale_table: ScaleTable,
-    clip_bound: float,
-    schema: Schema,
-) -> IndexedHistogram:
-    """Scale-then-clip a device's records into its upload histogram.
+def client_work(records: Iterable[TripRecord], schema: Schema) -> IndexedHistogram:
+    """A device's raw (unscaled, unclipped) histogram of its records.
 
     Every record contributes 1 to its num-trips cell and its distance and
-    duration to theirs, each divided by the slice factor
-    ``scale_table[activity, metric]`` at accumulation time.  The finished
-    histogram is clipped so its L1 norm never exceeds ``clip_bound``,
-    which caps how much any one device can move the cross-device sum.
+    duration to theirs, summed in record order.
     """
     h = IndexedHistogram(schema)
     for record in records:
         a, r, d = record.activity, record.region, record.direction
-        h.increment(
-            (a, METRIC_NUM_TRIPS, r, d),
-            1.0 / scale_table.get(a, METRIC_NUM_TRIPS),
-        )
-        h.increment(
-            (a, METRIC_DISTANCE, r, d),
-            record.distance_km / scale_table.get(a, METRIC_DISTANCE),
-        )
-        h.increment(
-            (a, METRIC_DURATION, r, d),
-            record.duration_s / scale_table.get(a, METRIC_DURATION),
-        )
-    return h.clip(clip_bound)
+        h.increment((a, METRIC_NUM_TRIPS, r, d), 1.0)
+        h.increment((a, METRIC_DISTANCE, r, d), record.distance_km)
+        h.increment((a, METRIC_DURATION, r, d), record.duration_s)
+    return h
 
 
 def _record_key_part(record: TripRecord, column: str, window: TimeWindow) -> str:

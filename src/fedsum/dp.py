@@ -18,6 +18,13 @@ add calibrated Laplace noise:
   thresholding.  Fair sharing trades some error on the metric that
   dominates joint clipping for much lower error on the rest.
 
+Each device bounds its own contribution before it uploads, and one
+method does it for every variant: :meth:`ResolvedMechanism.transform_device`
+of the device's raw histogram.  The simulator's uploads, calibration
+sweeps and :func:`prepare_mechanism` all go through it, so a sweep scores
+exactly the pre-noise sum a deployment would release.  Joint and
+per-slice clipping share one L1 rescale loop in :mod:`fedsum.model`.
+
 Noise draws are keyed by (window, coordinate), so a fixed seed yields
 the same draw for the same coordinate no matter which variant asked, in
 which order, or at what epsilon — releases are reproducible and variant
@@ -64,16 +71,12 @@ __all__ = [
     "calibrate_clip",
     "apply_threshold",
     "add_laplace_noise",
-    "laplace_mechanism",
     "UnitLaplace",
     "release_noise",
     "ResolvedMechanism",
     "PreparedMechanism",
     "resolve_mechanism",
     "prepare_mechanism",
-    "mech_joint_clipping",
-    "mech_budget_split",
-    "mech_activity_metric_scaling",
 ]
 
 logger = logging.getLogger(__name__)
@@ -312,31 +315,6 @@ def add_laplace_noise(
     return values + noise
 
 
-def laplace_mechanism(
-    h: IndexedHistogram,
-    sensitivity: float,
-    epsilon: float,
-    rng: KeyedRng,
-    window_id: str,
-    observed_keys_only: bool = False,
-) -> IndexedHistogram:
-    """Uniform-scale Laplace mechanism: noise Lap(sensitivity/epsilon).
-
-    With infinite epsilon the noise scale is exactly zero and the input
-    comes back unchanged (explicit zero coordinates are normalized away).
-    """
-    if not epsilon > 0:
-        raise InvalidParameterError("epsilon must be positive")
-    b = 0.0 if math.isinf(epsilon) else sensitivity / epsilon
-    noised = add_laplace_noise(
-        h.to_dense(),
-        uniform_noise_scales(h.schema, b),
-        UnitLaplace(rng, window_id, h.schema),
-        observed_keys_only,
-    )
-    return IndexedHistogram.from_dense(h.schema, noised)
-
-
 # --------------------------------------------------------------------------
 # Mechanism pipeline
 #
@@ -364,10 +342,20 @@ class ResolvedMechanism:
     observed_keys_only: bool
 
     def transform_device(self, h: IndexedHistogram) -> IndexedHistogram:
-        """The bounded contribution one raw device histogram may add."""
-        return _transform_device(
-            h, self.variant, self.scale_table, self.clip, self.clip_table
-        )
+        """The bounded contribution one raw device histogram may add.
+
+        The only code that scales or clips a device contribution: budget
+        split clips each slice to its ``clip_table`` bound; the other
+        variants clip the whole histogram to ``clip``, after scaling
+        divides every entry by its slice factor.
+        """
+        if self.variant == VARIANT_SPLIT:
+            assert self.clip_table is not None
+            return h.clip_slices(self.clip_table)
+        assert self.clip is not None
+        if self.variant == VARIANT_SCALED:
+            h = h.scale_by_table(self.scale_table)
+        return h.clip(self.clip)
 
     def noise_scales(
         self, schema: Schema, epsilon: float | None = None
@@ -528,49 +516,6 @@ def _validate_weights(
         )
 
 
-def _clip_slices(
-    h: IndexedHistogram, clip_table: ScaleTable
-) -> IndexedHistogram:
-    """Clip each (activity, metric) slice independently to its bound.
-
-    Like :meth:`IndexedHistogram.clip`, rescaling repeats if rounding
-    leaves a slice marginally over its bound, so every output slice
-    satisfies its L1 bound exactly as floats.
-    """
-    slices: dict[tuple[int, int], dict[tuple[int, int, int, int], float]] = {}
-    for index, value in h.raw().items():
-        slices.setdefault((index[0], index[1]), {})[index] = value
-    out = IndexedHistogram(h.schema)
-    for (a, m), entries in slices.items():
-        bound = clip_table.get(a, m)
-        norm = math.fsum(abs(v) for v in entries.values())
-        while norm > bound:
-            factor = bound / norm
-            if factor >= 1.0:
-                factor = float.fromhex("0x1.fffffffffffffp-1")
-            entries = {k: v * factor for k, v in entries.items()}
-            norm = math.fsum(abs(v) for v in entries.values())
-        for index, value in entries.items():
-            out[index] = value
-    return out
-
-
-def _transform_device(
-    h: IndexedHistogram,
-    variant: str,
-    scale_table: ScaleTable,
-    clip: float | None,
-    clip_table: ScaleTable | None,
-) -> IndexedHistogram:
-    if variant == VARIANT_SPLIT:
-        assert clip_table is not None
-        return _clip_slices(h, clip_table)
-    if variant == VARIANT_SCALED:
-        h = h.scale_by_table(scale_table)
-    assert clip is not None
-    return h.clip(clip)
-
-
 def resolve_mechanism(
     config: MechanismConfig,
     proxy_histograms: Iterable[IndexedHistogram],
@@ -661,93 +606,4 @@ def prepare_mechanism(
         exact_aggregate=acc,
         prenoise=acc.rounded(),
         num_devices=len(histograms),
-    )
-
-
-# --------------------------------------------------------------------------
-# One-shot spellings
-
-
-def mech_joint_clipping(
-    device_histograms: Iterable[IndexedHistogram],
-    schema: Schema,
-    epsilon: float,
-    clip: float | None = None,
-    *,
-    seed: int = 0,
-    window_id: str = "w0",
-    quantile: float = 0.95,
-    tau: float = 0.0,
-    strict_tau: bool = False,
-    observed_keys_only: bool = False,
-) -> NoisedRelease:
-    config = MechanismConfig(
-        variant=VARIANT_JOINT,
-        epsilon=epsilon,
-        clip=clip,
-        quantile=quantile,
-        tau=tau,
-        strict_tau=strict_tau,
-        observed_keys_only=observed_keys_only,
-    )
-    return prepare_mechanism(config, device_histograms, schema).release(
-        window_id, seed
-    )
-
-
-def mech_budget_split(
-    device_histograms: Iterable[IndexedHistogram],
-    schema: Schema,
-    epsilon: float,
-    clip_table: ScaleTable | None = None,
-    *,
-    seed: int = 0,
-    window_id: str = "w0",
-    quantile: float = 0.95,
-    tau: float = 0.0,
-    strict_tau: bool = False,
-    budget_weights: tuple[tuple[float, ...], ...] | None = None,
-    observed_keys_only: bool = False,
-) -> NoisedRelease:
-    config = MechanismConfig(
-        variant=VARIANT_SPLIT,
-        epsilon=epsilon,
-        clip_table=clip_table,
-        quantile=quantile,
-        tau=tau,
-        strict_tau=strict_tau,
-        budget_weights=budget_weights,
-        observed_keys_only=observed_keys_only,
-    )
-    return prepare_mechanism(config, device_histograms, schema).release(
-        window_id, seed
-    )
-
-
-def mech_activity_metric_scaling(
-    device_histograms: Iterable[IndexedHistogram],
-    schema: Schema,
-    epsilon: float,
-    clip: float | None = None,
-    scale_table: ScaleTable | None = None,
-    *,
-    seed: int = 0,
-    window_id: str = "w0",
-    quantile: float = 0.95,
-    tau: float = 0.0,
-    strict_tau: bool = False,
-    observed_keys_only: bool = False,
-) -> NoisedRelease:
-    config = MechanismConfig(
-        variant=VARIANT_SCALED,
-        epsilon=epsilon,
-        clip=clip,
-        scale_table=scale_table,
-        quantile=quantile,
-        tau=tau,
-        strict_tau=strict_tau,
-        observed_keys_only=observed_keys_only,
-    )
-    return prepare_mechanism(config, device_histograms, schema).release(
-        window_id, seed
     )

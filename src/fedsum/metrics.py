@@ -4,9 +4,8 @@ The headline metric is the weighted relative error of a released
 histogram against the exact workload: per metric, partitions are
 weighted by their share of the region's trips, partitions with too few
 contributing devices or zero truth are excluded, and the weighted
-average is re-normalized over what remains.  Coverage is summarized by
-the device-reach funnel: of the fleet with the feature active, how many
-downloaded the task and how many successfully uploaded.
+average is re-normalized over what remains.  Coverage (the share of the
+fleet that uploaded) is computed by the simulator's evaluation.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .model import (
     ExactHistogramSum,
     IndexedHistogram,
     InvalidParameterError,
-    Schema,
 )
 from .synth import Corpus
 from .windows import TimeWindow
@@ -33,9 +31,6 @@ __all__ = [
     "scored_cells",
     "weighted_relative_error",
     "per_user_mean_error",
-    "ReachFunnel",
-    "device_reach",
-    "metric_slice",
 ]
 
 
@@ -59,15 +54,6 @@ def exact_workload(
     for h in histograms:
         acc.add(h)
     return acc.rounded()
-
-
-def metric_slice(h: IndexedHistogram, metric: int) -> IndexedHistogram:
-    """The sub-histogram of one metric (other entries dropped)."""
-    out = IndexedHistogram(h.schema)
-    for index, value in h.raw().items():
-        if index[1] == metric:
-            out[index] = value
-    return out
 
 
 def default_device_floor(num_devices: int) -> int:
@@ -196,42 +182,3 @@ def per_user_mean_error(
     if not terms:
         return math.nan
     return math.fsum(terms) / len(terms)
-
-
-@dataclass(frozen=True)
-class ReachFunnel:
-    """Device coverage for one window: fleet -> downloaded -> uploaded."""
-
-    feature_active: int
-    downloaded: int
-    uploaded: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.uploaded <= self.downloaded <= self.feature_active:
-            raise InvalidParameterError(
-                "reach funnel must satisfy uploaded <= downloaded <= active"
-            )
-
-    @property
-    def h(self) -> float:
-        """Successful-upload share of the feature-active fleet."""
-        if self.feature_active == 0:
-            return math.nan
-        return self.uploaded / self.feature_active
-
-
-def device_reach(
-    feature_active: int,
-    downloaded_devices: set[int],
-    uploaded_devices: set[int],
-) -> ReachFunnel:
-    """Build the funnel, checking containment of the stages."""
-    if not uploaded_devices <= downloaded_devices:
-        raise InvalidParameterError(
-            "devices cannot upload without downloading the task"
-        )
-    return ReachFunnel(
-        feature_active=feature_active,
-        downloaded=len(downloaded_devices),
-        uploaded=len(uploaded_devices),
-    )

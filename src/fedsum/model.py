@@ -2,11 +2,13 @@
 
 The whole pipeline speaks one value type: a sparse histogram indexed by
 ``(activity, metric, region, direction)``.  Devices build one per time
-window, the server sums them across devices, and the privacy layer clips,
-scales, and noises them.  Absent entries are semantically zero; storing an
-explicit zero and omitting the entry are equivalent under equality and
-every operation, and zeros are dropped when histograms are normalized or
-serialized.
+window, the server sums them across devices, and the privacy layer scales,
+clips, and noises them.  One L1 rescale loop (``_clip_l1``) bounds both a
+whole histogram (:meth:`IndexedHistogram.clip`) and each of its
+(activity, metric) slices (:meth:`IndexedHistogram.clip_slices`).  Absent
+entries are semantically zero; storing an explicit zero and omitting the
+entry are equivalent under equality and every operation, and zeros are
+dropped when histograms are normalized or serialized.
 
 Index order is always lexicographic on the tuple ``(a, m, r, d)``.  That
 canonical order makes iteration, serialization, and summation
@@ -39,11 +41,6 @@ __all__ = [
     "IndexedHistogram",
     "ScaleTable",
     "ExactHistogramSum",
-    "l1_norm",
-    "clip",
-    "hist_add",
-    "hist_sum",
-    "scale_by_table",
 ]
 
 # Travel directions relative to the device's home region.
@@ -183,6 +180,26 @@ _ENTRY = struct.Struct("<IIIId")
 _HEADER = struct.Struct("<I")
 
 
+def _clip_l1(entries: dict[Index, float], bound: float) -> dict[Index, float]:
+    """The L1 rescale loop: ``entries`` scaled to an L1 norm of at most ``bound``.
+
+    The norm is the exactly rounded sum of ``|v|``.  Entries inside the
+    bound come back as the same dict; otherwise every entry is multiplied
+    by ``bound / norm`` into a new dict.  If rounding leaves the norm a
+    few ulps above the bound, the loop rescales again, with the factor
+    nudged below one when ``bound / norm`` rounds to 1.0, so the result
+    always satisfies the bound as floats.
+    """
+    norm = math.fsum(map(abs, entries.values()))
+    while norm > bound:
+        factor = bound / norm
+        if factor >= 1.0:
+            factor = math.nextafter(1.0, 0.0)
+        entries = {k: v * factor for k, v in entries.items()}
+        norm = math.fsum(map(abs, entries.values()))
+    return entries
+
+
 class IndexedHistogram:
     """Sparse ``(activity, metric, region, direction) -> float64`` map."""
 
@@ -267,9 +284,7 @@ class IndexedHistogram:
         return h
 
     def copy(self) -> "IndexedHistogram":
-        h = IndexedHistogram(self.schema)
-        h._d = dict(self._d)
-        return h
+        return self._adopt(dict(self._d))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IndexedHistogram):
@@ -283,41 +298,30 @@ class IndexedHistogram:
 
     def l1_norm(self) -> float:
         """Sum of absolute entry values (exactly rounded)."""
-        partials: list[float] = []
-        for value in self._d.values():
-            add_partial(partials, abs(value))
-        return round_partials(partials)
+        return math.fsum(map(abs, self._d.values()))
 
     def clip(self, bound: float) -> "IndexedHistogram":
         """Scale entries so the L1 norm is at most ``bound``.
 
         Histograms already inside the bound are returned unchanged (a
-        copy), which makes clipping exactly idempotent.  The rescale loop
-        runs a second time in the rare case float rounding leaves the
-        scaled norm a few ulps above the bound, so the output *always*
-        satisfies ``l1_norm() <= bound``.
+        copy), which makes clipping exactly idempotent.
         """
         if not bound > 0:
             raise InvalidParameterError(f"clip bound must be positive, got {bound}")
-        result = self.copy()
-        norm = result.l1_norm()
-        while norm > bound:
-            factor = bound / norm
-            if factor >= 1.0:
-                # Rounding produced a no-op factor; nudge it below one so
-                # the norm strictly decreases and the loop terminates.
-                factor = float.fromhex("0x1.fffffffffffffp-1")
-            result._d = {k: v * factor for k, v in result._d.items()}
-            norm = result.l1_norm()
-        return result
+        clipped = _clip_l1(self._d, bound)
+        return self._adopt(dict(clipped) if clipped is self._d else clipped)
 
-    def add(self, other: "IndexedHistogram") -> "IndexedHistogram":
-        """Pointwise sum. Schemas must match."""
-        self._check_same_schema(other)
-        result = self.copy()
-        for index, value in other._d.items():
-            result.increment(index, value)
-        return result
+    def clip_slices(self, bounds: "ScaleTable") -> "IndexedHistogram":
+        """Clip each (activity, metric) slice to its own bound ``bounds[a, m]``."""
+        self._check_table(bounds)
+        slices: dict[tuple[int, int], dict[Index, float]] = {}
+        for index, value in self._d.items():
+            slices.setdefault(index[:2], {})[index] = value
+        rows = bounds.rows()
+        out: dict[Index, float] = {}
+        for (a, m), entries in slices.items():
+            out.update(_clip_l1(entries, rows[a][m]))
+        return self._adopt(out)
 
     def scale_by_table(
         self, table: "ScaleTable", invert: bool = False
@@ -327,22 +331,25 @@ class IndexedHistogram:
         With ``invert=True`` entries are multiplied instead, undoing a
         prior division by the same table.
         """
+        self._check_table(table)
+        rows = table.rows()
+        if invert:
+            return self._adopt(
+                {k: v * rows[k[0]][k[1]] for k, v in self._d.items()}
+            )
+        return self._adopt({k: v / rows[k[0]][k[1]] for k, v in self._d.items()})
+
+    def _adopt(self, entries: dict[Index, float]) -> "IndexedHistogram":
+        """A histogram of this schema that takes ``entries`` as its own."""
+        h = IndexedHistogram(self.schema)
+        h._d = entries
+        return h
+
+    def _check_table(self, table: "ScaleTable") -> None:
         if table.shape != (self.schema.num_activities, self.schema.num_metrics):
             raise SchemaMismatchError(
                 f"table shape {table.shape} does not match schema "
                 f"{self.schema.shape[:2]}"
-            )
-        result = IndexedHistogram(self.schema)
-        for index, value in self._d.items():
-            factor = table.get(index[0], index[1])
-            result._d[index] = value * factor if invert else value / factor
-        return result
-
-    def _check_same_schema(self, other: "IndexedHistogram") -> None:
-        if self.schema.shape != other.schema.shape:
-            raise SchemaMismatchError(
-                f"histogram schemas differ: {self.schema.shape} vs "
-                f"{other.schema.shape}"
             )
 
     # -- serialization -----------------------------------------------------
@@ -489,36 +496,3 @@ class ExactHistogramSum:
                 add_partial(partials, -x)
             h[index] = round_partials(partials)
         return h
-
-
-# -- free-function aliases -------------------------------------------------
-# The operations double as module-level functions so call sites that read
-# like formulas (clip(h, c), l1_norm(h)) stay natural.
-
-
-def l1_norm(h: IndexedHistogram) -> float:
-    return h.l1_norm()
-
-
-def clip(h: IndexedHistogram, bound: float) -> IndexedHistogram:
-    return h.clip(bound)
-
-
-def hist_add(a: IndexedHistogram, b: IndexedHistogram) -> IndexedHistogram:
-    return a.add(b)
-
-
-def hist_sum(
-    histograms: Iterable[IndexedHistogram], schema: Schema
-) -> IndexedHistogram:
-    """Exactly rounded sum of many histograms (order-independent)."""
-    acc = ExactHistogramSum(schema)
-    for h in histograms:
-        acc.add(h)
-    return acc.rounded()
-
-
-def scale_by_table(
-    h: IndexedHistogram, table: ScaleTable, invert: bool = False
-) -> IndexedHistogram:
-    return h.scale_by_table(table, invert)

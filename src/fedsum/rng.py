@@ -21,7 +21,7 @@ import math
 import struct
 from hashlib import blake2b
 
-__all__ = ["KeyedRng", "laplace_from_uniform", "sample_laplace"]
+__all__ = ["KeyedRng", "laplace_from_uniform"]
 
 _U64_INV = 2.0 ** -64
 
@@ -76,7 +76,10 @@ class KeyedRng:
     def uniform(self, *index: int | str) -> float:
         """Uniform draw in the open interval (0, 1) for this index."""
         x = int.from_bytes(self._digest(index), "little")
-        return (x + 0.5) * _U64_INV
+        u = (x + 0.5) * _U64_INV
+        # The top ~1,024 of the 2**64 digests round to 1.0; they map to the
+        # largest double below one instead.
+        return u if u < 1.0 else math.nextafter(1.0, 0.0)
 
     def laplace(self, scale: float, *index: int | str) -> float:
         """Laplace(0, scale) draw for this index; scale 0 gives 0.0."""
@@ -95,7 +98,3 @@ class KeyedRng:
         parts = self._digest(index)
         return blake2b(parts, key=self._key, digest_size=16).digest()
 
-
-def sample_laplace(scale: float, rng: KeyedRng, *index: int | str) -> float:
-    """Module-level spelling of :meth:`KeyedRng.laplace`."""
-    return rng.laplace(scale, *index)

@@ -1,12 +1,16 @@
 """Discrete-time fleet simulation driver.
 
 Advances a simulated clock in fixed ticks over the task horizon.  Each
-device wakes once per civil day at a stable (per-device) hour, ingests
+device has a stable (per-device) wake hour and wakes at the first tick
+at or after its next wake time, so at most once per tick and, with ticks
+of an hour or less, once per civil day at that hour.  Awake, it ingests
 its own new trip records, advances its watermarks, draws its condition
 flags, and — if the check-in policy allows — checks in, receives
-session-bound tokens, and uploads bounded histograms for every complete
-window it has not contributed to yet.  The server side (sessions,
-checkpoints, releases) runs through :class:`fedsum.server.FederatedServer`.
+session-bound tokens, and uploads a bounded histogram for every complete
+window it has not contributed to yet: the mechanism's
+``transform_device`` of the window's raw histogram.  The server side
+(sessions, checkpoints, releases) runs through
+:class:`fedsum.server.FederatedServer`.
 
 Condition draws are keyed by (device, day) alone, so fleets under
 different check-in policies experience identical conditions and coverage
@@ -28,19 +32,14 @@ from .client import (
     histogram_to_rows,
     policy_allows,
 )
-from .dp import (
-    VARIANT_SCALED,
-    VARIANT_SPLIT,
-    NoisedRelease,
-    ResolvedMechanism,
-)
+from .dp import NoisedRelease, ResolvedMechanism
 from .metrics import (
     default_device_floor,
     exact_workload,
     per_user_mean_error,
     weighted_relative_error,
 )
-from .model import IndexedHistogram, ScaleTable, Schema, TripRecord
+from .model import IndexedHistogram, Schema, TripRecord
 from .server import (
     FederatedServer,
     ServerConfig,
@@ -53,6 +52,9 @@ from .synth import Corpus
 from .windows import TimeWindow
 
 __all__ = ["FleetConfig", "SimulationResult", "build_device_upload", "run_simulation"]
+
+HOUR = 3600
+DAY = 86_400
 
 
 @dataclass(frozen=True)
@@ -92,27 +94,16 @@ def build_device_upload(
 ) -> IndexedHistogram:
     """One device's bounded upload histogram for one window.
 
-    Scaling happens record-by-record as values accumulate (each value is
-    divided by its slice factor on the way in), then the whole histogram
-    is clipped — jointly, or per slice for the budget-split variant.
+    The records' raw histogram, bounded by the mechanism's device
+    transform (scale, then clip), exactly as calibration and sweeps
+    bound it.
     """
-    if mechanism.variant == VARIANT_SPLIT:
-        raw = client_work(records, ScaleTable.identity(schema), math.inf, schema)
-        return mechanism.transform_device(raw)
-    table = (
-        mechanism.scale_table
-        if mechanism.variant == VARIANT_SCALED
-        else ScaleTable.identity(schema)
-    )
-    assert mechanism.clip is not None
-    return client_work(records, table, mechanism.clip, schema)
+    return mechanism.transform_device(client_work(records, schema))
 
 
-def _should_wake(now: int, wake_hour: int, last_wake_day: int) -> bool:
-    day = now // 86400
-    if day <= last_wake_day:
-        return False
-    return (now % 86400) // 3600 >= wake_hour
+def _next_wake(wake: int, now: int) -> int:
+    """The first daily recurrence of wake time ``wake`` after ``now``."""
+    return wake + ((now - wake) // DAY + 1) * DAY
 
 
 def run_simulation(
@@ -136,8 +127,9 @@ def run_simulation(
     fleet_rng = KeyedRng(seed, "fleet")
     devices: dict[int, DeviceState] = {}
     feed_index: dict[int, int] = {}
-    wake_hour: dict[int, int] = {}
-    last_wake_day: dict[int, int] = {}
+    # Each device's next wake time; it wakes at the first tick at or after it.
+    next_wake: dict[int, int] = {}
+    start_day = corpus.config.start_time - corpus.config.start_time % DAY
     tiers: dict[int, str] = {}
     for dev in corpus.devices:
         profile = (
@@ -150,8 +142,8 @@ def run_simulation(
         state.last_seen_now = corpus.config.start_time
         devices[dev.device_id] = state
         feed_index[dev.device_id] = 0
-        wake_hour[dev.device_id] = fleet_rng.randrange(24, "wake-hour", dev.device_id)
-        last_wake_day[dev.device_id] = -1
+        wake_hour = fleet_rng.randrange(24, "wake-hour", dev.device_id)
+        next_wake[dev.device_id] = start_day + wake_hour * HOUR
         tiers[dev.device_id] = dev.tier
 
     downloaded: dict[str, set[int]] = {w.window_id: set() for w in windows}
@@ -164,12 +156,13 @@ def run_simulation(
         server.maintenance(now)
         if on_tick is not None:
             on_tick(now, server)
-        day = now // 86400
+        day = now // DAY
         for device_id in sorted(devices):
-            state = devices[device_id]
-            if not _should_wake(now, wake_hour[device_id], last_wake_day[device_id]):
+            wake = next_wake[device_id]
+            if now < wake:
                 continue
-            last_wake_day[device_id] = day
+            next_wake[device_id] = _next_wake(wake, now)
+            state = devices[device_id]
             # New records arrive on the device as time passes them.
             source = corpus_devices[device_id].records
             i = feed_index[device_id]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .client import client_work
-from .model import IndexedHistogram, ScaleTable, Schema, TripRecord
+from .model import IndexedHistogram, Schema, TripRecord
 from .windows import TimeWindow
 
 __all__ = [
@@ -145,14 +145,11 @@ class Corpus:
         Devices with no trips in the window are skipped: they hold no
         data and would not upload.
         """
-        identity = ScaleTable.identity(self.schema)
         out = []
         for device in self.devices:
             records = self.records_in(device, window)
             if records:
-                out.append(
-                    client_work(records, identity, math.inf, self.schema)
-                )
+                out.append(client_work(records, self.schema))
         return out
 
     def device_counts(

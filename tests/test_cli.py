@@ -280,16 +280,11 @@ def test_sweep_variant_filter_restricts_the_grid(tmp_path, capsys):
 
 def test_sweep_variant_filter_keeps_every_setting_in_the_snapshot(tmp_path, capsys):
     out = tmp_path / "out"
-    table = tmp_path / "table.csv"
-    table.write_text(
-        "activity,metric,value\n"
-        + "".join(f"{a},{m},{1.0 + a + m}\n" for a in range(9) for m in range(3))
-    )
     config_path = write_config(
         tmp_path,
         out,
         sweep={"epsilons": ["inf", 2.0], "seeds": 2},
-        mechanism={"seed": 42, "scale_table": str(table), "clip_table": str(table)},
+        mechanism={"seed": 42, "tau": 0.5, "strict_tau": True},
     )
     assert main(["sweep", "--config", config_path,
                  "--variants", "joint_clipping"]) == EXIT_OK
@@ -299,8 +294,27 @@ def test_sweep_variant_filter_keeps_every_setting_in_the_snapshot(tmp_path, caps
     expected["sweep"]["variants"] = ["joint_clipping"]
     assert written == expected
     assert written["mechanism"]["seed"] == 42
-    assert written["mechanism"]["scale_table"] == str(table)
-    assert written["mechanism"]["clip_table"] == str(table)
+    assert written["mechanism"]["tau"] == 0.5
+    assert written["mechanism"]["strict_tau"] is True
+
+
+@pytest.mark.parametrize("key", ["scale_table", "clip_table"])
+def test_sweep_rejects_the_tables_it_would_not_use(tmp_path, capsys, key):
+    out = tmp_path / "out"
+    table = tmp_path / "table.csv"
+    table.write_text(
+        "activity,metric,value\n"
+        + "".join(f"{a},{m},{1.0 + a + m}\n" for a in range(9) for m in range(3))
+    )
+    config_path = write_config(
+        tmp_path,
+        out,
+        sweep={"epsilons": [2.0], "seeds": 1},
+        mechanism={key: str(table)},
+    )
+    assert main(["sweep", "--config", config_path]) == EXIT_CONFIG
+    assert f"mechanism.{key}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parallel_sweep_matches_the_serial_one(tmp_path, capsys):

@@ -17,13 +17,19 @@ from fedsum.client import (
     TIER_PROFILES,
     client_work,
     draw_flags,
-    exactly_once_guard,
     execute_client_query,
     histogram_to_rows,
     policy_allows,
     rows_to_histogram,
 )
-from fedsum.model import IndexedHistogram, ScaleTable, Schema, l1_norm
+from fedsum.dp import (
+    VARIANT_JOINT,
+    VARIANT_SCALED,
+    VARIANT_SPLIT,
+    MechanismConfig,
+    resolve_mechanism,
+)
+from fedsum.model import IndexedHistogram, ScaleTable, Schema
 from fedsum.query import parse_and_validate
 from fedsum.rng import KeyedRng
 from fedsum.windows import WindowAlignment, round_down_window, window_after
@@ -76,43 +82,47 @@ def week(k=0):
     return round_down_window(START + k * WEEK, WindowAlignment.WEEK)
 
 
-# --- client_work -------------------------------------------------------------
+def mechanism(schema, variant=VARIANT_JOINT, **parameters):
+    """A resolved mechanism with the given explicit bounds (nothing calibrated)."""
+    config = MechanismConfig(variant=variant, epsilon=1.0, **parameters)
+    return resolve_mechanism(config, [], schema)
+
+
+# --- client_work and the device transform -------------------------------------
 
 
 def test_single_trip_maps_to_three_cells():
     schema = wide_schema()
-    h = client_work(
-        [trip(a=2, r=5, d=0, km=10.0, s=600.0)],
-        ScaleTable.identity(schema),
-        1e6,
-        schema,
-    )
+    h = client_work([trip(a=2, r=5, d=0, km=10.0, s=600.0)], schema)
     assert h[(2, 0, 5, 0)] == 1.0
     assert h[(2, 1, 5, 0)] == 10.0
     assert h[(2, 2, 5, 0)] == 600.0
     assert len(h) == 3
 
 
-def test_scale_factor_divides_at_accumulation():
+def test_scaling_divides_each_summed_cell_by_its_slice_factor():
     schema = wide_schema()
     rows = [[1.0, 1.0, 1.0] for _ in range(3)]
-    rows[2][1] = 5.0  # distance factor for activity 2
-    h = client_work(
-        [trip(a=2, r=5, d=0, km=10.0, s=600.0)],
-        ScaleTable(rows),
-        1e6,
-        schema,
+    rows[2][1] = 3.0  # distance factor for activity 2
+    scaled = mechanism(
+        schema, VARIANT_SCALED, clip=1e6, scale_table=ScaleTable(rows)
     )
-    assert h[(2, 1, 5, 0)] == 2.0
-    assert h[(2, 0, 5, 0)] == 1.0
+    records = [
+        trip(a=2, r=5, d=0, km=0.1, s=600.0),
+        trip(a=2, r=5, d=0, km=0.2, s=600.0, t=START + 7200),
+    ]
+    h = scaled.transform_device(client_work(records, schema))
+    # The device sums first and scales the sum: (0.1 + 0.2) / 3, which
+    # differs from 0.1 / 3 + 0.2 / 3 in the last bit.
+    assert h[(2, 1, 5, 0)] == (0.1 + 0.2) / 3.0 != 0.1 / 3.0 + 0.2 / 3.0
+    assert h[(2, 0, 5, 0)] == 2.0
 
 
 def test_clip_halves_when_norm_is_twice_the_bound():
     schema = wide_schema()
-    records = [trip(a=0, r=0, km=3.0, s=6.0)]
-    raw = client_work(records, ScaleTable.identity(schema), 1e6, schema)
-    bound = l1_norm(raw) / 2.0
-    clipped = client_work(records, ScaleTable.identity(schema), bound, schema)
+    raw = client_work([trip(a=0, r=0, km=3.0, s=6.0)], schema)
+    bound = raw.l1_norm() / 2.0
+    clipped = mechanism(schema, clip=bound).transform_device(raw)
     for index, value in raw.items():
         assert clipped[index] == value / 2.0
 
@@ -130,13 +140,21 @@ def test_clip_halves_when_norm_is_twice_the_bound():
     ),
     st.floats(min_value=0.5, max_value=100.0),
 )
-def test_client_work_respects_the_contribution_bound(raw_trips, bound):
+def test_device_transform_respects_the_contribution_bound(raw_trips, bound):
     schema = wide_schema()
     records = [
         trip(a=a, r=r, d=d, km=km, s=s) for a, r, d, km, s in raw_trips
     ]
-    h = client_work(records, ScaleTable.identity(schema), bound, schema)
-    assert l1_norm(h) <= bound + 1e-9
+    raw = client_work(records, schema)
+    assert mechanism(schema, clip=bound).transform_device(raw).l1_norm() <= bound
+    bounds = ScaleTable([[bound * (1 + a + m) for m in range(3)] for a in range(3)])
+    split = mechanism(schema, VARIANT_SPLIT, clip_table=bounds).transform_device(raw)
+    for a in range(3):
+        for m in range(3):
+            norm = math.fsum(
+                abs(v) for (ia, im, _, _), v in split.items() if (ia, im) == (a, m)
+            )
+            assert norm <= bounds.get(a, m)
 
 
 # --- query execution ----------------------------------------------------------
@@ -270,18 +288,11 @@ def test_eligible_windows_exclude_current_and_contributed():
 
 def test_exactly_once_guard_is_per_query():
     dev = device()
-    assert exactly_once_guard(dev, "q", "2024-W20")
+    dev.advance_watermarks(START + WEEK + 60, WindowAlignment.WEEK, ttl=28 * 86400)
+    assert dev.eligible_windows("q", [week(0)]) == [week(0)]
     dev.mark_contributed("q", "2024-W20")
-    assert not exactly_once_guard(dev, "q", "2024-W20")
-    assert exactly_once_guard(dev, "other", "2024-W20")
-
-
-def test_memo_forgets_windows_past_their_deadline():
-    dev = device()
-    dev.mark_contributed("q", "2024-W20")
-    dev.mark_contributed("q", "2024-W21")
-    dev.forget_before_deadline("q", {"2024-W21"})
-    assert dev.contributed["q"] == {"2024-W21"}
+    assert dev.eligible_windows("q", [week(0)]) == []
+    assert dev.eligible_windows("other", [week(0)]) == [week(0)]
 
 
 def test_visible_records_filter_by_window():

@@ -19,10 +19,6 @@ from fedsum.dp import (
     apply_threshold,
     calibrate_clip,
     calibrate_scales,
-    laplace_mechanism,
-    mech_activity_metric_scaling,
-    mech_budget_split,
-    mech_joint_clipping,
     nearest_rank_quantile,
     prepare_mechanism,
     release_noise,
@@ -45,6 +41,12 @@ def hist(schema, entries):
     for index, value in entries.items():
         h[index] = value
     return h
+
+
+def release(devices, schema, seed=0, window_id="w0", **config):
+    """Prepare the configured mechanism on ``devices`` and release it once."""
+    prepared = prepare_mechanism(MechanismConfig(**config), devices, schema)
+    return prepared.release(window_id, seed)
 
 
 def linear_devices(schema, n=100):
@@ -164,28 +166,27 @@ def test_negative_threshold_is_rejected(cell_schema):
 
 def test_infinite_epsilon_adds_exactly_no_noise(small_schema):
     h = hist(small_schema, {(0, 1, 2, 0): 12.5, (2, 0, 3, 1): -4.0})
-    rng = KeyedRng(3, "release-noise")
-    out = laplace_mechanism(h, 1.0, math.inf, rng, "w0")
-    assert out == h
+    out = release([h], small_schema, seed=3, variant=VARIANT_JOINT,
+                  epsilon=math.inf, clip=math.inf)
+    assert out.histogram == h
 
 
 def test_huge_epsilon_is_near_the_identity(small_schema):
     h = hist(small_schema, {(0, 1, 2, 0): 12.5})
-    rng = KeyedRng(3, "release-noise")
-    out = laplace_mechanism(h, 1.0, 1e9, rng, "w0")
-    assert out[(0, 1, 2, 0)] == pytest.approx(12.5, abs=1e-6)
+    out = release([h], small_schema, seed=3, variant=VARIANT_JOINT,
+                  epsilon=1e9, clip=12.5)
+    assert out.histogram[(0, 1, 2, 0)] == pytest.approx(12.5, abs=1e-6)
 
 
 def test_full_domain_noise_covers_empty_cells(cell_schema):
-    rng = KeyedRng(1, "release-noise")
-    out = laplace_mechanism(IndexedHistogram(cell_schema), 1.0, 1.0, rng, "w0")
-    assert len(out) == 3  # every (direction) coordinate of the empty input
+    out = release([], cell_schema, seed=1, variant=VARIANT_JOINT,
+                  epsilon=1.0, clip=1.0)
+    assert len(out.histogram) == 3  # every (direction) coordinate of the empty input
 
 
 def test_epsilon_must_be_positive_for_noise(cell_schema):
-    rng = KeyedRng(1, "release-noise")
     with pytest.raises(InvalidParameterError):
-        laplace_mechanism(IndexedHistogram(cell_schema), 1.0, 0.0, rng, "w0")
+        MechanismConfig(variant=VARIANT_JOINT, epsilon=0.0, clip=1.0)
 
 
 def test_pure_noise_has_laplace_variance(cell_schema):
@@ -465,12 +466,11 @@ def test_epsilon_override_lands_in_the_metadata(cell_schema):
 
 
 def test_observed_keys_mode_is_loudly_not_private(cell_schema):
-    release = mech_joint_clipping(
-        [], cell_schema, epsilon=1.0, clip=1.0, observed_keys_only=True
-    )
-    assert release.metadata["dp"] is False
-    assert release.metadata["privacy_label"].startswith("NOT-DP")
-    assert len(release.histogram) == 0  # nothing stored, nothing noised
+    out = release([], cell_schema, variant=VARIANT_JOINT, epsilon=1.0, clip=1.0,
+                  observed_keys_only=True)
+    assert out.metadata["dp"] is False
+    assert out.metadata["privacy_label"].startswith("NOT-DP")
+    assert len(out.histogram) == 0  # nothing stored, nothing noised
 
 
 # --- variant semantics --------------------------------------------------------------
@@ -479,15 +479,16 @@ def test_observed_keys_mode_is_loudly_not_private(cell_schema):
 def test_scaling_variant_descales_after_noising(cell_schema):
     """With a power-of-two scale, pure noise comes back multiplied exactly."""
     factor = 4.0
-    scaled = mech_activity_metric_scaling(
+    scaled = release(
         [],
         cell_schema,
+        seed=5,
+        variant=VARIANT_SCALED,
         epsilon=1.0,
         clip=1.0,
         scale_table=ScaleTable([[factor]]),
-        seed=5,
     )
-    plain = mech_joint_clipping([], cell_schema, epsilon=1.0, clip=1.0, seed=5)
+    plain = release([], cell_schema, seed=5, variant=VARIANT_JOINT, epsilon=1.0, clip=1.0)
     for index, value in plain.histogram.items():
         assert scaled.histogram[index] == value * factor
 
@@ -516,24 +517,26 @@ def test_identity_scaling_degenerates_to_joint_clipping(small_schema):
         hist(small_schema, {(0, 0, 0, 0): 2.0 * i, (2, 1, 1, 2): 5.0})
         for i in range(30)
     ]
-    scaled = mech_activity_metric_scaling(
+    scaled = release(
         devices,
         small_schema,
+        seed=9,
+        variant=VARIANT_SCALED,
         epsilon=2.0,
         clip=3.0,
         scale_table=ScaleTable.identity(small_schema),
-        seed=9,
     )
-    joint = mech_joint_clipping(devices, small_schema, epsilon=2.0, clip=3.0, seed=9)
+    joint = release(devices, small_schema, seed=9, variant=VARIANT_JOINT, epsilon=2.0, clip=3.0)
     assert scaled.histogram.serialize() == joint.histogram.serialize()
 
 
 def test_single_slice_budget_split_degenerates_to_joint_clipping(cell_schema):
     devices = linear_devices(cell_schema, 30)
-    split = mech_budget_split(
-        devices, cell_schema, epsilon=2.0, clip_table=ScaleTable([[3.0]]), seed=9
+    split = release(
+        devices, cell_schema, seed=9, variant=VARIANT_SPLIT, epsilon=2.0,
+        clip_table=ScaleTable([[3.0]]),
     )
-    joint = mech_joint_clipping(devices, cell_schema, epsilon=2.0, clip=3.0, seed=9)
+    joint = release(devices, cell_schema, seed=9, variant=VARIANT_JOINT, epsilon=2.0, clip=3.0)
     assert split.histogram.serialize() == joint.histogram.serialize()
 
 
@@ -573,9 +576,10 @@ def test_power_of_two_scaling_round_trips_through_release(small_schema):
         hist(small_schema, {(0, 0, 0, 0): 0.7 * (i + 1), (1, 2, 2, 1): 3.1})
         for i in range(20)
     ]
-    release = mech_activity_metric_scaling(
+    out = release(
         devices,
         small_schema,
+        variant=VARIANT_SCALED,
         epsilon=math.inf,
         clip=math.inf,
         scale_table=ScaleTable(rows),
@@ -583,7 +587,7 @@ def test_power_of_two_scaling_round_trips_through_release(small_schema):
     exact = ExactHistogramSum(small_schema)
     for h in devices:
         exact.add(h)
-    assert release.histogram == exact.rounded()
+    assert out.histogram == exact.rounded()
 
 
 def test_calibration_happens_in_scaled_space(cell_schema):

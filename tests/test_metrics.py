@@ -7,11 +7,8 @@ import math
 import pytest
 
 from fedsum.metrics import (
-    ReachFunnel,
     default_device_floor,
-    device_reach,
     exact_workload,
-    metric_slice,
     per_user_mean_error,
     weighted_relative_error,
 )
@@ -71,12 +68,6 @@ def test_workload_is_additive_across_subfleets(week_one_300):
     for h in right.device_histograms(week_one_300):
         acc.add(h)
     assert exact_workload(combined, week_one_300) == acc.rounded()
-
-
-def test_metric_slice_keeps_one_metric(small_schema):
-    h = hist(small_schema, {(0, 0, 0, 0): 1.0, (0, 1, 0, 0): 2.0, (2, 1, 3, 2): 5.0})
-    sliced = metric_slice(h, 1)
-    assert dict(sliced.items()) == {(0, 1, 0, 0): 2.0, (2, 1, 3, 2): 5.0}
 
 
 # --- device floor ---------------------------------------------------------------
@@ -210,25 +201,3 @@ def test_missing_result_rows_read_as_zero():
 
 def test_empty_reference_is_nan():
     assert math.isnan(per_user_mean_error({}, {}, {}))
-
-
-# --- reach funnel -----------------------------------------------------------------
-
-
-def test_funnel_ratio():
-    assert ReachFunnel(10, 5, 2).h == pytest.approx(0.2)
-    assert ReachFunnel(10, 10, 10).h == 1.0
-    assert math.isnan(ReachFunnel(0, 0, 0).h)
-
-
-@pytest.mark.parametrize("stages", [(10, 11, 5), (10, 5, 6), (10, 5, -1)])
-def test_funnel_stages_must_nest(stages):
-    with pytest.raises(InvalidParameterError):
-        ReachFunnel(*stages)
-
-
-def test_device_reach_checks_containment():
-    funnel = device_reach(10, {1, 2, 3}, {2, 3})
-    assert (funnel.downloaded, funnel.uploaded) == (3, 2)
-    with pytest.raises(InvalidParameterError):
-        device_reach(10, {1, 2}, {3})

@@ -18,10 +18,6 @@ from fedsum.model import (
     Schema,
     SchemaMismatchError,
     TripRecord,
-    clip,
-    hist_add,
-    hist_sum,
-    l1_norm,
 )
 
 from helpers import trip
@@ -115,18 +111,18 @@ def test_out_of_domain_index_rejected(small_schema):
 
 
 def test_l1_norm_of_empty_is_zero(small_schema):
-    assert l1_norm(IndexedHistogram(small_schema)) == 0.0
+    assert IndexedHistogram(small_schema).l1_norm() == 0.0
 
 
 def test_l1_norm_sums_absolute_values(small_schema):
     h = build(small_schema, {(0, 0, 0, 0): 3.0, (1, 1, 1, 1): -4.0})
-    assert l1_norm(h) == 7.0
+    assert h.l1_norm() == 7.0
 
 
 def test_l1_norm_counts_unit_entries(small_schema):
     entries = {(a, 0, 0, 0): 1.0 for a in range(3)}
     entries.update({(a, 1, 1, 1): 1.0 for a in range(2)})
-    assert l1_norm(build(small_schema, entries)) == 5.0
+    assert build(small_schema, entries).l1_norm() == 5.0
 
 
 # --- clipping ------------------------------------------------------------------
@@ -134,26 +130,26 @@ def test_l1_norm_counts_unit_entries(small_schema):
 
 def test_clip_within_bound_is_unchanged(small_schema):
     h = build(small_schema, {(0, 0, 0, 0): 2.0})
-    assert clip(h, 5.0) == h
+    assert h.clip(5.0) == h
 
 
 def test_clip_rescales_to_bound_exactly(small_schema):
     h = build(small_schema, {(0, 0, 0, 0): 3.0, (1, 0, 0, 0): 4.0})
-    clipped = clip(h, 3.5)
+    clipped = h.clip(3.5)
     assert clipped[(0, 0, 0, 0)] == 1.5
     assert clipped[(1, 0, 0, 0)] == 2.0
-    assert l1_norm(clipped) == 3.5
+    assert clipped.l1_norm() == 3.5
 
 
 def test_clip_empty_histogram_is_noop(small_schema):
-    assert len(clip(IndexedHistogram(small_schema), 1.0)) == 0
+    assert len(IndexedHistogram(small_schema).clip(1.0)) == 0
 
 
 def test_clip_rejects_non_positive_bound(small_schema):
     h = build(small_schema, {(0, 0, 0, 0): 1.0})
     for bound in (0.0, -1.0):
         with pytest.raises(InvalidParameterError):
-            clip(h, bound)
+            h.clip(bound)
 
 
 small_values = st.floats(
@@ -185,19 +181,19 @@ def histograms(draw, max_entries=12):
 
 @given(histograms(), st.floats(min_value=1e-3, max_value=1e7))
 def test_clip_norm_never_exceeds_bound(h, bound):
-    clipped = clip(h, bound)
-    assert l1_norm(clipped) <= bound + 1e-9
+    clipped = h.clip(bound)
+    assert clipped.l1_norm() <= bound + 1e-9
 
 
 @given(histograms(), st.floats(min_value=1e-3, max_value=1e7))
 def test_clip_is_idempotent(h, bound):
-    once = clip(h, bound)
-    assert clip(once, bound) == once
+    once = h.clip(bound)
+    assert once.clip(bound) == once
 
 
 @given(histograms(), st.floats(min_value=1e-3, max_value=1e7))
 def test_clip_preserves_signs_and_ratios(h, bound):
-    clipped = clip(h, bound)
+    clipped = h.clip(bound)
     original = h.raw()
     for index, value in original.items():
         assert math.copysign(1.0, clipped[index]) == math.copysign(1.0, value) or (
@@ -209,6 +205,31 @@ def test_clip_preserves_signs_and_ratios(h, bound):
         left = clipped[i] * vj
         right = clipped[j] * vi
         assert abs(left - right) <= 1e-12 * max(abs(left), abs(right), 1e-300)
+
+
+@given(histograms(), st.floats(min_value=1e-3, max_value=1e7))
+def test_clip_slices_clips_each_slice_as_clip_would(h, bound):
+    schema = h.schema
+    table = ScaleTable(
+        [[bound * (1 + a + 2 * m) for m in range(3)] for a in range(3)]
+    )
+    clipped = h.clip_slices(table)
+    for a in range(3):
+        for m in range(3):
+            part = IndexedHistogram(
+                schema, {i: v for i, v in h.raw().items() if i[:2] == (a, m)}
+            )
+            alone = part.clip(table.get(a, m))
+            assert alone.l1_norm() <= table.get(a, m)
+            assert {i: v for i, v in clipped.raw().items() if i[:2] == (a, m)} == (
+                alone.raw()
+            )
+
+
+def test_clip_slices_table_must_match_the_schema(small_schema):
+    h = build(small_schema, {(0, 0, 0, 0): 1.0})
+    with pytest.raises(SchemaMismatchError):
+        h.clip_slices(ScaleTable([[1.0]]))
 
 
 # --- dense arrays -----------------------------------------------------------------
@@ -289,34 +310,40 @@ def test_scale_table_shape_must_match_schema(small_schema):
 # --- addition and exact sums ---------------------------------------------------
 
 
+def exact_sum(histograms, schema):
+    """Histogram addition as the pipeline does it: summed exactly, rounded once."""
+    acc = ExactHistogramSum(schema)
+    for h in histograms:
+        acc.add(h)
+    return acc.rounded()
+
+
 def test_hist_add_identity_and_accumulation(small_schema):
     empty = IndexedHistogram(small_schema)
     h = build(small_schema, {(0, 0, 0, 0): 1.0})
-    assert hist_add(h, empty) == h
-    two = hist_add(h, build(small_schema, {(0, 0, 0, 0): 2.0}))
+    assert exact_sum([h, empty], small_schema) == h
+    two = exact_sum([h, build(small_schema, {(0, 0, 0, 0): 2.0})], small_schema)
     assert two[(0, 0, 0, 0)] == 3.0
 
 
 def test_hist_add_different_schemas_rejected(small_schema, cell_schema):
-    a = IndexedHistogram(small_schema)
-    b = IndexedHistogram(cell_schema)
     with pytest.raises(SchemaMismatchError):
-        hist_add(a, b)
+        ExactHistogramSum(small_schema).add(IndexedHistogram(cell_schema))
 
 
 @given(histograms(), histograms())
 def test_hist_add_commutes(a, b):
-    assert hist_add(a, b) == hist_add(b, a)
+    assert exact_sum([a, b], a.schema) == exact_sum([b, a], a.schema)
 
 
 @given(st.lists(histograms(), min_size=1, max_size=6), st.randoms(use_true_random=False))
 def test_hist_sum_is_order_invariant(hs, rng):
     schema = hs[0].schema
-    reference = hist_sum(hs, schema)
+    reference = exact_sum(hs, schema)
     shuffled = list(hs)
     rng.shuffle(shuffled)
-    assert hist_sum(shuffled, schema) == reference
-    assert hist_sum(shuffled, schema).serialize() == reference.serialize()
+    assert exact_sum(shuffled, schema) == reference
+    assert exact_sum(shuffled, schema).serialize() == reference.serialize()
 
 
 @given(st.lists(histograms(), min_size=1, max_size=6), st.integers(0, 6))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedsum.rng import KeyedRng, laplace_from_uniform, sample_laplace
+from fedsum.rng import KeyedRng, laplace_from_uniform
 
 
 def test_median_uniform_maps_to_zero():
@@ -91,11 +91,35 @@ def test_token_bytes_are_128_bit_and_distinct():
     assert all(len(t) == 16 for t in tokens)
 
 
-def test_sample_laplace_delegates_to_keyed_rng():
-    rng = KeyedRng(3, "release-noise")
-    assert sample_laplace(2.5, rng, "w", 1) == KeyedRng(3, "release-noise").laplace(
-        2.5, "w", 1
-    )
+def fixed_digest_rng(x):
+    """A generator whose every draw hashes to the 64-bit digest ``x``."""
+
+    class FixedDigestRng(KeyedRng):
+        def _digest(self, index):
+            return x.to_bytes(8, "little")
+
+    return FixedDigestRng(0, "ns")
+
+
+def test_the_largest_digest_stays_below_one():
+    rng = fixed_digest_rng(2**64 - 1)
+    u = rng.uniform("u", 1)
+    assert u < 1.0
+    assert u == math.nextafter(1.0, 0.0)
+    assert math.isfinite(rng.laplace(1.0, "w", 1))
+    assert rng.randrange(24, "wake-hour", 1) == 23
+    for n in (1, 2, 3, 24, 1000, 2**40 + 1):
+        assert rng.randrange(n, "slot", 1) < n
+
+
+@pytest.mark.parametrize(
+    "x", [0, 1, 12_345, 2**63, 2**64 - 1025, 2**64 - 1024, 2**64 - 1]
+)
+def test_only_draws_that_round_to_one_are_moved(x):
+    plain = (x + 0.5) * 2.0**-64
+    expected = plain if plain < 1.0 else math.nextafter(1.0, 0.0)
+    assert fixed_digest_rng(x).uniform("u") == expected
+    assert (plain < 1.0) == (x < 2**64 - 1024)
 
 
 def test_empirical_moments_track_the_distribution():

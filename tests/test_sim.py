@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import math
 
+import pytest
+
 from fedsum.dp import (
     MechanismConfig,
     NoisedRelease,
     VARIANT_JOINT,
+    VARIANTS,
+    prepare_mechanism,
     resolve_mechanism,
 )
 from fedsum.metrics import exact_workload
+from fedsum.rng import KeyedRng
 from fedsum.server import SuppressedRelease, TaskConfig
 from fedsum.sim import FleetConfig, run_simulation
 from fedsum.synth import SyntheticCorpusConfig, generate_corpus
@@ -31,12 +36,15 @@ GROUP BY activity, region, direction, privacy_time_unit
 """
 
 
-def make_task(schema, epsilon=math.inf, clip=math.inf, min_contributions=1):
-    mechanism = resolve_mechanism(
-        MechanismConfig(variant=VARIANT_JOINT, epsilon=epsilon, clip=clip),
-        [],
-        schema,
-    )
+def make_task(
+    schema, epsilon=math.inf, clip=math.inf, min_contributions=1, mechanism=None
+):
+    if mechanism is None:
+        mechanism = resolve_mechanism(
+            MechanismConfig(variant=VARIANT_JOINT, epsilon=epsilon, clip=clip),
+            [],
+            schema,
+        )
     return TaskConfig(
         query_id="trips",
         query_text=FULL_QUERY,
@@ -64,6 +72,78 @@ def test_noiseless_run_reproduces_the_exact_workload(corpus_300, week_one_300):
         1 for d in corpus_300.devices if corpus_300.records_in(d, week_one_300)
     )
     assert len(result.uploaded["2024-W20"]) == active
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_noiseless_run_releases_what_the_prepared_mechanism_releases(
+    corpus_300, week_one_300, variant
+):
+    # At the median, half the devices are clipped (or scaled and clipped):
+    # the simulator's uploads must be bounded exactly as a sweep bounds them.
+    prepared = prepare_mechanism(
+        MechanismConfig(variant=variant, epsilon=math.inf, quantile=0.5),
+        corpus_300.device_histograms(week_one_300),
+        corpus_300.schema,
+    )
+    result = run_simulation(
+        corpus_300,
+        make_task(corpus_300.schema, mechanism=prepared.resolved),
+        FleetConfig(availability="always_on"),
+    )
+    release = result.releases["trips/2024-W20"]
+    assert isinstance(release, NoisedRelease)
+    expected = prepared.release("2024-W20", seed=0)
+    assert release.histogram.serialize() == expected.histogram.serialize()
+    assert release.histogram != exact_workload(corpus_300, week_one_300)
+
+
+def check_in_times(result):
+    times: dict[int, list[int]] = {}
+    for event in result.server.events:
+        if event["event"] == "check_in":
+            times.setdefault(event["device_id"], []).append(event["t"])
+    return times
+
+
+def test_hourly_ticks_wake_each_device_daily_at_its_own_hour(corpus_300):
+    result = run_simulation(
+        corpus_300,
+        make_task(corpus_300.schema),
+        FleetConfig(availability="always_on"),
+        seed=4,
+    )
+    start = corpus_300.config.start_time
+    assert start % 86_400 == 0
+    last = max(e["t"] for e in result.server.events if e["event"] == "check_in")
+    fleet_rng = KeyedRng(4, "fleet")
+    times = check_in_times(result)
+    assert set(times) == {d.device_id for d in corpus_300.devices}
+    for device_id, seen in times.items():
+        hour = fleet_rng.randrange(24, "wake-hour", device_id)
+        expected = range(start + hour * 3600, last + 1, 86_400)
+        assert seen == list(expected)[: len(seen)]
+        assert len(expected) - len(seen) <= 1
+
+
+def test_daily_ticks_upload_from_every_active_device(corpus_300, week_one_300):
+    result = run_simulation(
+        corpus_300,
+        make_task(corpus_300.schema),
+        FleetConfig(availability="always_on", tick_seconds=86_400),
+    )
+    active = {
+        d.device_id
+        for d in corpus_300.devices
+        if corpus_300.records_in(d, week_one_300)
+    }
+    assert result.uploaded["2024-W20"] == active
+    release = result.releases["trips/2024-W20"]
+    assert release.histogram == exact_workload(corpus_300, week_one_300)
+    # Every tick wakes every device: none waits for an hour the tick skips.
+    start = corpus_300.config.start_time
+    for seen in check_in_times(result).values():
+        assert seen[0] - start <= 86_400
+        assert all(b - a == 86_400 for a, b in zip(seen, seen[1:]))
 
 
 def test_uploads_nest_inside_downloads_and_the_fleet(corpus_300):

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import math
 import statistics
 
 import pytest
 
-from fedsum.model import DIRECTIONS, ScaleTable
+from fedsum.model import DIRECTIONS
 from fedsum.client import client_work
 from fedsum.synth import (
     ActivitySpec,
@@ -143,10 +142,7 @@ def test_histograms_cover_exactly_the_active_devices(corpus_300, week_one_300):
     ]
     assert len(histograms) == len(active)
     first = client_work(
-        corpus_300.records_in(active[0], week_one_300),
-        ScaleTable.identity(corpus_300.schema),
-        math.inf,
-        corpus_300.schema,
+        corpus_300.records_in(active[0], week_one_300), corpus_300.schema
     )
     assert histograms[0] == first
 
