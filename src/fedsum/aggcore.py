@@ -2,9 +2,10 @@
 
 A core holds the running grouped sums for one aggregation session: a map
 from string group key to one float64 accumulator per value column, plus a
-count of contributing updates.  Cores support exactly four operations —
-accumulate, merge, can_report, report — and report consumes the core, so
-per-device rows live only transiently while a window is collecting.
+count of contributing updates.  Cores support exactly three operations —
+accumulate, merge, report — and report consumes the core, so per-device
+rows live only transiently while a window is collecting.  Whether a
+window has enough contributions to release is the server's decision.
 
 Accumulators keep exact expansions (see :mod:`fedsum.exactsum`), so any
 way of sharding updates across cores and merging the partial cores yields
@@ -25,7 +26,6 @@ __all__ = [
     "AggCoreConfig",
     "ClientUpdate",
     "MalformedUpdateError",
-    "ReportBeforeThresholdError",
     "CoreConsumedError",
     "AggregationCore",
     "encode_payload",
@@ -44,27 +44,20 @@ class MalformedUpdateError(ValueError):
     """An update failed validation; the core state was not modified."""
 
 
-class ReportBeforeThresholdError(RuntimeError):
-    """report() was called before the contribution threshold was met."""
-
-
 class CoreConsumedError(RuntimeError):
     """An operation was attempted on a core that was already reported."""
 
 
 @dataclass(frozen=True)
 class AggCoreConfig:
-    """Static configuration of a core: columns and the report gate."""
+    """Static configuration of a core: its key and value columns."""
 
     key_columns: tuple[str, ...]
     value_columns: tuple[str, ...]
-    contribution_threshold: int = 1
 
     def __post_init__(self) -> None:
         if not self.value_columns:
             raise ValueError("at least one value column is required")
-        if self.contribution_threshold < 1:
-            raise ValueError("contribution threshold must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -157,23 +150,13 @@ class AggregationCore:
         self.contribution_count += other.contribution_count
         other._consume()
 
-    def can_report(self) -> bool:
-        self._check_live()
-        return self.contribution_count >= self.config.contribution_threshold
-
     def report(self) -> dict[str, tuple[float, ...]]:
         """Final grouped sums; consumes the core.
 
-        Raises :class:`ReportBeforeThresholdError` if the contribution
-        threshold has not been met.  Values are the correctly rounded
-        exact sums, keyed in insertion-independent (sorted) order.
+        Values are the correctly rounded exact sums, keyed in
+        insertion-independent (sorted) order.
         """
         self._check_live()
-        if self.contribution_count < self.config.contribution_threshold:
-            raise ReportBeforeThresholdError(
-                f"{self.contribution_count} contributions < threshold "
-                f"{self.config.contribution_threshold}"
-            )
         result = {
             key: tuple(round_partials(p) for p in self._state[key])
             for key in sorted(self._state)

@@ -23,7 +23,6 @@ import math
 import os
 import shutil
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .config import ConfigError, ExperimentConfig, parse_config, read_config_data
 from .dp import resolve_mechanism
@@ -37,7 +36,7 @@ from .query import (
 )
 from .server import MissingApprovalError, RetrospectiveQueryError, TaskConfig
 from .sim import run_simulation
-from .sweep import SweepRow, run_epsilon_sweep, summarize_sweep
+from .sweep import run_epsilon_sweep, summarize_sweep
 from .synth import generate_corpus
 from .windows import round_down_window
 
@@ -152,49 +151,30 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_variant_worker(
-    config: ExperimentConfig, variant: str
-) -> list[SweepRow]:
-    """Run one variant's full (epsilon, seed) grid; used by --jobs."""
-    corpus = generate_corpus(config.corpus)
-    window = round_down_window(config.corpus.start_time, config.task.alignment)
-    sweep = dataclasses.replace(config.sweep, variants=(variant,))
-    return run_epsilon_sweep(corpus, window, sweep)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_experiment(args)
     # The sweep calibrates every variant on the window it scores; a
-    # configured table would be recorded in the snapshot but not used.
-    for key, table in (
-        ("scale_table", config.mechanism.scale_table),
-        ("clip_table", config.mechanism.clip_table),
+    # configured bound would be recorded in the snapshot but not used.
+    mechanism = config.mechanism
+    for key, value in (
+        ("scale_table", mechanism.scale_table),
+        ("clip_table", mechanism.clip_table),
+        ("clip", mechanism.clip),
+        ("budget_weights", mechanism.budget_weights),
     ):
-        if table is not None:
+        if value is not None:
             raise ConfigError(
-                f"mechanism.{key} is not supported by sweep: each variant's "
-                "tables are calibrated on the swept window; remove the key"
+                f"mechanism.{key} is not supported by sweep: each variant is "
+                "calibrated on the swept window; remove the key"
             )
     if args.variants:
         requested = tuple(v.strip() for v in args.variants.split(",") if v.strip())
         config = dataclasses.replace(
             config, sweep=dataclasses.replace(config.sweep, variants=requested)
         )
-    variants = config.sweep.variants
-    if args.jobs > 1 and len(variants) > 1:
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(variants))) as pool:
-            futures = [
-                pool.submit(_sweep_variant_worker, config, v) for v in variants
-            ]
-            rows: list[SweepRow] = []
-            for future in futures:  # submission order == configured order
-                rows.extend(future.result())
-    else:
-        corpus = generate_corpus(config.corpus)
-        window = round_down_window(
-            config.corpus.start_time, config.task.alignment
-        )
-        rows = run_epsilon_sweep(corpus, window, config.sweep)
+    corpus = generate_corpus(config.corpus)
+    window = round_down_window(config.corpus.start_time, config.task.alignment)
+    rows = run_epsilon_sweep(corpus, window, config.sweep)
     summary = summarize_sweep(rows)
     out_dir = os.path.join(config.out_dir, "sweep")
     _write_atomically(
@@ -262,9 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--config", help="YAML experiment file")
     sweep.add_argument("--seed", type=int, help="override run seed")
     sweep.add_argument("--out", help="override output directory")
-    sweep.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers across variants"
-    )
     sweep.add_argument(
         "--variants",
         help="comma-separated variant subset (default: all configured)",

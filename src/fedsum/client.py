@@ -10,7 +10,10 @@ contribution exactly-once even across retries.
 ``client_work`` sums a device's records into its raw window histogram.
 Bounding that histogram before it leaves the device (scaling and
 clipping) is the mechanism's job:
-:meth:`fedsum.dp.ResolvedMechanism.transform_device`.
+:meth:`fedsum.dp.ResolvedMechanism.transform_device`.  The upload codec,
+``histogram_to_rows`` and its inverse ``rows_to_histogram``, renders a
+histogram as the client statement's grouped rows; outside
+:mod:`fedsum.aggcore` it is the only code that knows the row format.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ __all__ = [
     "draw_flags",
     "policy_allows",
     "client_work",
-    "execute_client_query",
     "histogram_to_rows",
     "rows_to_histogram",
 ]
@@ -253,55 +255,6 @@ def client_work(records: Iterable[TripRecord], schema: Schema) -> IndexedHistogr
         h.increment((a, METRIC_DISTANCE, r, d), record.distance_km)
         h.increment((a, METRIC_DURATION, r, d), record.duration_s)
     return h
-
-
-def _record_key_part(record: TripRecord, column: str, window: TimeWindow) -> str:
-    if column == "activity":
-        return str(record.activity)
-    if column == "region":
-        return str(record.region)
-    if column == "direction":
-        return str(record.direction)
-    if column == PRIVACY_TIME_UNIT:
-        return window.window_id
-    raise KeyError(f"unknown grouping column {column!r}")
-
-
-def _record_value(record: TripRecord, column: str) -> float:
-    if column == "trip_count":
-        return 1.0
-    if column == "trip_distance":
-        return record.distance_km
-    if column == "trip_duration":
-        return record.duration_s
-    raise KeyError(f"unknown numeric column {column!r}")
-
-
-def execute_client_query(
-    device: DeviceState,
-    spec: QuerySpec,
-    windows: Sequence[TimeWindow],
-) -> list[tuple[str, tuple[float, ...]]]:
-    """Run the client statement over the device cache for given windows.
-
-    Rows are grouped by the statement's GROUP BY columns (the privacy
-    time unit takes each window's id) and sums accumulate in record
-    order.  Output rows are sorted by key, ready for upload.
-    """
-    key_columns = spec.client.group_by
-    value_columns = spec.metric_columns
-    groups: dict[str, list[float]] = {}
-    for window in windows:
-        for record in device.visible_records(window):
-            parts = [_record_key_part(record, c, window) for c in key_columns]
-            key = KEY_SEPARATOR.join(parts)
-            cell = groups.get(key)
-            if cell is None:
-                cell = [0.0] * len(value_columns)
-                groups[key] = cell
-            for i, column in enumerate(value_columns):
-                cell[i] += _record_value(record, column)
-    return [(key, tuple(groups[key])) for key in sorted(groups)]
 
 
 def histogram_to_rows(

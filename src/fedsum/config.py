@@ -1,7 +1,7 @@
 """Experiment configuration: a YAML file describing one full run.
 
 The file is a mapping of sections — ``run``, ``corpus``, ``fleet``,
-``task``, ``mechanism``, ``sweep``, ``eval`` — all optional, each with
+``task``, ``mechanism``, ``sweep`` — all optional, each with
 typed keys and safe defaults.  Unknown sections or keys are hard errors
 so typos can't silently fall back to defaults.  ``load_config`` returns
 an :class:`ExperimentConfig` whose pieces plug straight into the corpus
@@ -93,7 +93,6 @@ class ExperimentConfig:
     scale_table_path: str | None = None
     clip_table_path: str | None = None
     sweep: SweepConfig = field(default_factory=SweepConfig)
-    device_floor: int | None = None
 
     def snapshot(self) -> dict:
         """A YAML-dumpable view of every effective setting.
@@ -161,11 +160,10 @@ class ExperimentConfig:
                 "quantile": self.sweep.quantile,
                 "tau": self.sweep.tau,
             },
-            "eval": {"device_floor": self.device_floor},
         }
 
 
-_SECTIONS = {"run", "corpus", "fleet", "task", "mechanism", "sweep", "eval"}
+_SECTIONS = {"run", "corpus", "fleet", "task", "mechanism", "sweep"}
 _KEYS = {
     "run": {"seed", "out"},
     "corpus": {"num_devices", "num_regions", "num_weeks", "start_time", "seed"},
@@ -194,7 +192,6 @@ _KEYS = {
         "seed",
     },
     "sweep": {"epsilons", "seeds", "variants", "quantile", "tau"},
-    "eval": {"device_floor"},
 }
 
 
@@ -467,11 +464,6 @@ def parse_config(data: dict | None) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
 
-    eval_raw = _section(data, "eval")
-    device_floor = eval_raw.get("device_floor")
-    if device_floor is not None:
-        device_floor = _require(device_floor, int, "eval.device_floor")
-
     return ExperimentConfig(
         seed=seed,
         out_dir=out_dir,
@@ -483,7 +475,6 @@ def parse_config(data: dict | None) -> ExperimentConfig:
         scale_table_path=scale_table_path,
         clip_table_path=clip_table_path,
         sweep=sweep,
-        device_floor=device_floor,
     )
 
 

@@ -99,10 +99,7 @@ class MechanismConfig:
     be calibrated from the device histograms at ``quantile``.  ``tau``
     suppresses released partitions below a magnitude floor; with
     ``tau == 0`` nothing is suppressed unless ``strict_tau`` is set, in
-    which case negative values are dropped.  ``observed_keys_only``
-    skips noising empty coordinates — faster, but NOT differentially
-    private; it exists for debugging only and is labeled as such in the
-    release metadata.
+    which case negative values are dropped.
     """
 
     variant: str
@@ -114,7 +111,6 @@ class MechanismConfig:
     tau: float = 0.0
     strict_tau: bool = False
     budget_weights: tuple[tuple[float, ...], ...] | None = None
-    observed_keys_only: bool = False
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -293,15 +289,12 @@ def add_laplace_noise(
     values: np.ndarray,
     noise_scales: NoiseScales,
     unit: UnitLaplace,
-    observed_keys_only: bool = False,
 ) -> np.ndarray:
     """Add per-coordinate Laplace noise with per-slice scales.
 
     ``values`` is a dense histogram array; the result is a new one.
-    Covers the *full* index domain by default, so empty partitions are
-    noised too and the presence of a key reveals nothing.  The
-    ``observed_keys_only`` mode noises just the nonzero entries — NOT
-    differentially private, debugging only.
+    Covers the *full* index domain, so empty partitions are noised too
+    and the presence of a key reveals nothing.
     """
     scales = np.asarray(noise_scales, dtype=np.float64)
     if not np.all(np.isfinite(scales) & (scales >= 0.0)):
@@ -309,10 +302,7 @@ def add_laplace_noise(
     needed = scales != 0.0
     if not needed.any():
         return values.copy()
-    noise = scales[:, :, None, None] * unit.slices(needed)
-    if observed_keys_only:
-        noise = np.where(values != 0.0, noise, 0.0)
-    return values + noise
+    return values + scales[:, :, None, None] * unit.slices(needed)
 
 
 # --------------------------------------------------------------------------
@@ -339,7 +329,6 @@ class ResolvedMechanism:
     tau: float
     strict_tau: bool
     budget_weights: tuple[tuple[float, ...], ...] | None
-    observed_keys_only: bool
 
     def transform_device(self, h: IndexedHistogram) -> IndexedHistogram:
         """The bounded contribution one raw device histogram may add.
@@ -406,10 +395,7 @@ class ResolvedMechanism:
                 f"{unit.window_id!r} cannot noise seed {seed}, window {window_id!r}"
             )
         values = add_laplace_noise(
-            aggregate.to_dense(),
-            self.noise_scales(schema, eps),
-            unit,
-            self.observed_keys_only,
+            aggregate.to_dense(), self.noise_scales(schema, eps), unit
         )
         if self.variant == VARIANT_SCALED:
             if self.scale_table.shape != schema.shape[:2]:
@@ -429,12 +415,8 @@ class ResolvedMechanism:
             "strict_tau": self.strict_tau,
             "seed": seed,
             "window_id": window_id,
-            "dp": not self.observed_keys_only,
-            "privacy_label": (
-                "NOT-DP: observed-keys-only debug mode"
-                if self.observed_keys_only
-                else f"laplace per-device-per-window, epsilon={eps}"
-            ),
+            "dp": True,
+            "privacy_label": f"laplace per-device-per-window, epsilon={eps}",
         }
         return NoisedRelease(
             window_id=window_id,
@@ -580,7 +562,6 @@ def resolve_mechanism(
         tau=config.tau,
         strict_tau=config.strict_tau,
         budget_weights=config.budget_weights,
-        observed_keys_only=config.observed_keys_only,
     )
 
 

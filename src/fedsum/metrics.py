@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -156,27 +157,33 @@ def weighted_relative_error(
 
 
 def per_user_mean_error(
-    result: dict[str, tuple[float, ...]],
-    reference: dict[str, tuple[float, ...]],
-    device_counts: dict[str, int],
+    truth: IndexedHistogram,
+    estimate: IndexedHistogram,
+    device_counts: dict[tuple[int, int, int], int],
+    metrics: Sequence[int],
 ) -> float:
     """Mean over partitions of relative error divided by device count.
 
-    Operates on grouped rows (key -> value vector) as the server reports
-    them.  Partitions with zero recorded contributors are excluded; the
-    per-partition error averages over the value columns.  Returns NaN if
-    nothing is eligible.
+    A partition (activity, region, direction) counts if the truth holds
+    one of ``metrics`` there and ``device_counts`` records a contributor
+    for it.  Its error is the mean over those metrics with nonzero truth
+    t of |t - e| / |t| (a missing estimate reads as 0), divided by its
+    device count.  Returns NaN if nothing is eligible.
     """
+    t, e = truth.raw(), estimate.raw()
+    wanted = set(metrics)
+    partitions = {(a, r, d) for (a, m, r, d) in t if m in wanted}
     terms: list[float] = []
-    for key, ref_values in reference.items():
-        count = device_counts.get(key, 0)
+    for a, r, d in partitions:
+        count = device_counts.get((a, r, d), 0)
         if count <= 0:
             continue
-        got = result.get(key, (0.0,) * len(ref_values))
         errors = []
-        for r, g in zip(ref_values, got):
-            if r != 0.0:
-                errors.append(abs(r - g) / abs(r))
+        for m in wanted:
+            reference = t.get((a, m, r, d), 0.0)
+            if reference != 0.0:
+                got = e.get((a, m, r, d), 0.0)
+                errors.append(abs(reference - got) / abs(reference))
         if errors:
             terms.append(math.fsum(errors) / len(errors) / count)
     if not terms:

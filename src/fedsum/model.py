@@ -185,17 +185,18 @@ def _clip_l1(entries: dict[Index, float], bound: float) -> dict[Index, float]:
 
     The norm is the exactly rounded sum of ``|v|``.  Entries inside the
     bound come back as the same dict; otherwise every entry is multiplied
-    by ``bound / norm`` into a new dict.  If rounding leaves the norm a
-    few ulps above the bound, the loop rescales again, with the factor
-    nudged below one when ``bound / norm`` rounds to 1.0, so the result
-    always satisfies the bound as floats.
+    by ``bound / norm`` into a new dict, and entries that underflow to
+    zero are dropped.  If rounding leaves the norm a few ulps above the
+    bound, the loop rescales again, with the factor nudged below one when
+    ``bound / norm`` rounds to 1.0, so the result always satisfies the
+    bound as floats.
     """
     norm = math.fsum(map(abs, entries.values()))
     while norm > bound:
         factor = bound / norm
         if factor >= 1.0:
             factor = math.nextafter(1.0, 0.0)
-        entries = {k: v * factor for k, v in entries.items()}
+        entries = {k: x for k, v in entries.items() if (x := v * factor)}
         norm = math.fsum(map(abs, entries.values()))
     return entries
 
@@ -329,15 +330,18 @@ class IndexedHistogram:
         """Divide each entry by its slice factor ``table[a, m]``.
 
         With ``invert=True`` entries are multiplied instead, undoing a
-        prior division by the same table.
+        prior division by the same table.  Entries that underflow to zero
+        are dropped.
         """
         self._check_table(table)
         rows = table.rows()
         if invert:
             return self._adopt(
-                {k: v * rows[k[0]][k[1]] for k, v in self._d.items()}
+                {k: x for k, v in self._d.items() if (x := v * rows[k[0]][k[1]])}
             )
-        return self._adopt({k: v / rows[k[0]][k[1]] for k, v in self._d.items()})
+        return self._adopt(
+            {k: x for k, v in self._d.items() if (x := v / rows[k[0]][k[1]])}
+        )
 
     def _adopt(self, entries: dict[Index, float]) -> "IndexedHistogram":
         """A histogram of this schema that takes ``entries`` as its own."""

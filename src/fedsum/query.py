@@ -18,8 +18,8 @@ Example::
 Keywords are case-insensitive.  ``parse_query`` produces the two
 statement ASTs or a :class:`ParseError` carrying 1-based line/column;
 ``validate_split`` applies the semantic rules and returns a
-:class:`QuerySpec`; ``to_agg_config`` translates the server half into the
-aggregation core's configuration.
+:class:`QuerySpec`; ``to_agg_config`` gives the configuration of the
+aggregation core that sums the uploaded client rows.
 """
 
 from __future__ import annotations
@@ -529,12 +529,13 @@ def pretty_print(spec: QuerySpec) -> str:
     return f"{_render_statement(spec.client)}\n\n{_render_statement(spec.server)}\n"
 
 
-def to_agg_config(
-    spec: QuerySpec, contribution_threshold: int = 1
-) -> AggCoreConfig:
-    """Aggregation core configuration for the server statement."""
+def to_agg_config(spec: QuerySpec) -> AggCoreConfig:
+    """Aggregation core configuration for the server statement.
+
+    The core sums the rows that uploads carry: keyed by the client's
+    group keys, one value per client sum column, in client order.
+    """
     return AggCoreConfig(
-        key_columns=spec.server_key_columns,
-        value_columns=spec.server_value_columns,
-        contribution_threshold=contribution_threshold,
+        key_columns=spec.client_key_columns,
+        value_columns=spec.client_value_columns,
     )

@@ -205,8 +205,10 @@ class FederatedServer:
         """Validate and install a task; windows start at registration or later.
 
         Tasks must carry two distinct sign-offs, parse and validate as a
-        split query, group by the full release key set, and must not
-        reach back into time before registration.
+        split query, and must not reach back into time before
+        registration.  Both statements must group by exactly the release
+        keys, and the server statement must sum each client column
+        exactly once: the release is one sum per uploaded cell.
         """
         if task.query_id in self.tasks:
             raise ValueError(f"task {task.query_id!r} already registered")
@@ -231,10 +233,19 @@ class FederatedServer:
                 f"{task.first_window_start}, before registration at {now}; "
                 f"historical data cannot be queried"
             )
-        if set(spec.client.group_by) != RELEASE_KEY_COLUMNS:
+        for stage, statement in (("client", spec.client), ("server", spec.server)):
+            if sorted(statement.group_by) != sorted(RELEASE_KEY_COLUMNS):
+                raise QueryValidationError(
+                    f"release pipeline requires grouping the {stage} statement "
+                    f"by exactly {sorted(RELEASE_KEY_COLUMNS)}; got "
+                    f"{sorted(statement.group_by)}"
+                )
+        summed = sorted(a.source for a in spec.server.aggregates)
+        if summed != sorted(spec.client_value_columns):
             raise QueryValidationError(
-                "release pipeline requires grouping by exactly "
-                f"{sorted(RELEASE_KEY_COLUMNS)}; got {sorted(spec.client.group_by)}"
+                "release pipeline requires the server statement to sum each "
+                f"client column exactly once: client columns "
+                f"{sorted(spec.client_value_columns)}, server sums {summed}"
             )
         windows = [first]
         for _ in range(task.num_windows - 1):
@@ -242,7 +253,7 @@ class FederatedServer:
         registered = RegisteredTask(
             config=task,
             spec=spec,
-            core_config=to_agg_config(spec, contribution_threshold=1),
+            core_config=to_agg_config(spec),
             windows=windows,
         )
         self.tasks[task.query_id] = registered

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
-from .aggcore import KEY_SEPARATOR, ClientUpdate
+from .aggcore import ClientUpdate
 from .client import (
+    METRIC_BY_COLUMN,
     TIER_PROFILES,
     DeviceState,
     client_work,
@@ -113,8 +113,6 @@ def run_simulation(
     server_config: ServerConfig | None = None,
     seed: int = 0,
     noise_seed: int | None = None,
-    policy_label: str | None = None,
-    on_tick: Callable[[int, FederatedServer], None] | None = None,
 ) -> SimulationResult:
     """Run the full pipeline over the task horizon and evaluate it."""
     schema = corpus.schema
@@ -154,8 +152,6 @@ def run_simulation(
     horizon_end = windows[-1].end + task.grace_period + 2 * fleet.tick_seconds
     for now in range(start, horizon_end + 1, fleet.tick_seconds):
         server.maintenance(now)
-        if on_tick is not None:
-            on_tick(now, server)
         day = now // DAY
         for device_id in sorted(devices):
             wake = next_wake[device_id]
@@ -228,7 +224,7 @@ def run_simulation(
         device_tiers=tiers,
         fleet_size=len(corpus.devices),
     )
-    _evaluate(result, corpus, spec, policy_label or fleet.policy)
+    _evaluate(result, corpus, spec, fleet.policy)
     return result
 
 
@@ -236,30 +232,19 @@ def _evaluate(
     result: SimulationResult,
     corpus: Corpus,
     spec,
-    policy_label: str,
+    policy: str,
 ) -> None:
     """Fill eval and reach rows from the finished run."""
     schema = corpus.schema
     floor = default_device_floor(corpus.num_devices)
+    metrics = [METRIC_BY_COLUMN[c] for c in spec.metric_columns]
     for window in result.task_windows:
         release = result.releases.get(f"{result.query_id}/{window.window_id}")
         if isinstance(release, NoisedRelease):
             truth = exact_workload(corpus, window)
             counts = corpus.device_counts(window)
             wre = weighted_relative_error(truth, release.histogram, counts, floor)
-            truth_rows = dict(histogram_to_rows(truth, window.window_id, spec))
-            release_rows = dict(
-                histogram_to_rows(release.histogram, window.window_id, spec)
-            )
-            positions = {c: i for i, c in enumerate(spec.client.group_by)}
-            key_counts: dict[str, int] = {}
-            for row_key in truth_rows:
-                parts = row_key.split(KEY_SEPARATOR)
-                a = int(parts[positions["activity"]])
-                r = int(parts[positions["region"]])
-                d = int(parts[positions["direction"]])
-                key_counts[row_key] = counts.get((a, r, d), 0)
-            pume = per_user_mean_error(release_rows, truth_rows, key_counts)
+            pume = per_user_mean_error(truth, release.histogram, counts, metrics)
             for metric in sorted(wre):
                 result.eval_rows.append(
                     {
@@ -277,7 +262,7 @@ def _evaluate(
             up = len(result.uploaded[window.window_id] & members)
             result.reach_rows.append(
                 {
-                    "policy": policy_label,
+                    "policy": policy,
                     "stratum": stratum,
                     "window_id": window.window_id,
                     "h": up / len(members) if members else math.nan,

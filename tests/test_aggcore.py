@@ -15,7 +15,6 @@ from fedsum.aggcore import (
     CoreConsumedError,
     KEY_SEPARATOR,
     MalformedUpdateError,
-    ReportBeforeThresholdError,
     decode_payload,
     encode_payload,
 )
@@ -34,11 +33,6 @@ def rows_for(device: int):
 
 
 # --- configuration -------------------------------------------------------------
-
-
-def test_threshold_below_one_is_rejected():
-    with pytest.raises(ValueError):
-        AggCoreConfig(key_columns=("k",), value_columns=("v",), contribution_threshold=0)
 
 
 def test_value_columns_are_required():
@@ -136,20 +130,7 @@ def test_split_accumulation_matches_sequential():
     assert left.serialize_state() == sequential.serialize_state()
 
 
-# --- report gate ------------------------------------------------------------------
-
-
-def test_report_gates_on_the_contribution_threshold():
-    config = AggCoreConfig(("k",), ("v",), contribution_threshold=1000)
-    core = AggregationCore(config)
-    for _ in range(999):
-        core.accumulate([("k", (1.0,))])
-    assert not core.can_report()
-    with pytest.raises(ReportBeforeThresholdError):
-        core.report()
-    core.accumulate([("k", (1.0,))])
-    assert core.can_report()
-    assert core.report() == {"k": (1000.0,)}
+# --- report ------------------------------------------------------------------------
 
 
 def test_report_consumes_the_core():
@@ -160,7 +141,6 @@ def test_report_consumes_the_core():
     for operation in (
         lambda: core.report(),
         lambda: core.accumulate(rows_for(1)),
-        lambda: core.can_report(),
         lambda: core.serialize_state(),
         lambda: core.merge(AggregationCore(CONFIG)),
     ):

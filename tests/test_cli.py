@@ -34,6 +34,7 @@ DIRECTION_NAMES = ("within", "outbound", "inbound")
 
 
 def write_config(tmp_path, out_dir, **overrides):
+    """An experiment file; ``overrides`` update sections, and None drops a key."""
     data = {
         "run": {"seed": 5, "out": str(out_dir)},
         "corpus": {"num_devices": 25, "num_regions": 3, "num_weeks": 1},
@@ -42,7 +43,8 @@ def write_config(tmp_path, out_dir, **overrides):
         "mechanism": {"variant": "joint_clipping", "epsilon": "inf", "clip": "inf"},
     }
     for section, fields in overrides.items():
-        data.setdefault(section, {}).update(fields)
+        merged = {**data.get(section, {}), **fields}
+        data[section] = {k: v for k, v in merged.items() if v is not None}
     path = tmp_path / "experiment.yaml"
     path.write_text(yaml.safe_dump(data))
     return str(path)
@@ -226,10 +228,12 @@ def test_unexpected_failures_exit_with_the_runtime_code(tmp_path, capsys):
 
 
 def sweep_config(tmp_path, out_dir):
+    # No mechanism.clip: the sweep calibrates each variant's bounds.
     return write_config(
         tmp_path,
         out_dir,
         sweep={"epsilons": ["inf", 2.0], "seeds": 2},
+        mechanism={"clip": None},
     )
 
 
@@ -284,7 +288,7 @@ def test_sweep_variant_filter_keeps_every_setting_in_the_snapshot(tmp_path, caps
         tmp_path,
         out,
         sweep={"epsilons": ["inf", 2.0], "seeds": 2},
-        mechanism={"seed": 42, "tau": 0.5, "strict_tau": True},
+        mechanism={"clip": None, "seed": 42, "tau": 0.5, "strict_tau": True},
     )
     assert main(["sweep", "--config", config_path,
                  "--variants", "joint_clipping"]) == EXIT_OK
@@ -298,7 +302,9 @@ def test_sweep_variant_filter_keeps_every_setting_in_the_snapshot(tmp_path, caps
     assert written["mechanism"]["strict_tau"] is True
 
 
-@pytest.mark.parametrize("key", ["scale_table", "clip_table"])
+@pytest.mark.parametrize(
+    "key", ["scale_table", "clip_table", "clip", "budget_weights"]
+)
 def test_sweep_rejects_the_tables_it_would_not_use(tmp_path, capsys, key):
     out = tmp_path / "out"
     table = tmp_path / "table.csv"
@@ -306,25 +312,13 @@ def test_sweep_rejects_the_tables_it_would_not_use(tmp_path, capsys, key):
         "activity,metric,value\n"
         + "".join(f"{a},{m},{1.0 + a + m}\n" for a in range(9) for m in range(3))
     )
+    value = {"clip": 5.0, "budget_weights": [[1 / 27] * 3] * 9}.get(key, str(table))
     config_path = write_config(
         tmp_path,
         out,
         sweep={"epsilons": [2.0], "seeds": 1},
-        mechanism={key: str(table)},
+        mechanism={"clip": None, key: value},
     )
     assert main(["sweep", "--config", config_path]) == EXIT_CONFIG
     assert f"mechanism.{key}" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_parallel_sweep_matches_the_serial_one(tmp_path, capsys):
-    serial_out = tmp_path / "serial"
-    parallel_out = tmp_path / "parallel"
-    config_path = sweep_config(tmp_path, serial_out)
-    assert main(["sweep", "--config", config_path, "--jobs", "1"]) == EXIT_OK
-    assert main(["sweep", "--config", config_path, "--jobs", "2",
-                 "--out", str(parallel_out)]) == EXIT_OK
-    for name in ("results.csv", "summary.csv"):
-        serial = (serial_out / "sweep" / name).read_bytes()
-        parallel = (parallel_out / "sweep" / name).read_bytes()
-        assert serial == parallel, name

@@ -17,7 +17,6 @@ from fedsum.client import (
     TIER_PROFILES,
     client_work,
     draw_flags,
-    execute_client_query,
     histogram_to_rows,
     policy_allows,
     rows_to_histogram,
@@ -36,14 +35,15 @@ from fedsum.windows import WindowAlignment, round_down_window, window_after
 
 from helpers import START, WEEK, trip
 
-REGION_QUERY = """\
-SELECT region, privacy_time_unit, SUM(trip_distance) AS user_trip_distance
+DISTANCE_QUERY = """\
+SELECT activity, region, direction, privacy_time_unit,
+       SUM(trip_distance) AS user_trip_distance
 FROM DeviceDataStream
-GROUP BY region, privacy_time_unit
+GROUP BY activity, region, direction, privacy_time_unit
 
-SELECT region, privacy_time_unit, SUM(user_trip_distance)
+SELECT activity, region, direction, privacy_time_unit, SUM(user_trip_distance)
 FROM UserResults
-GROUP BY region, privacy_time_unit
+GROUP BY activity, region, direction, privacy_time_unit
 """
 
 FULL_QUERY = """\
@@ -157,31 +157,40 @@ def test_device_transform_respects_the_contribution_bound(raw_trips, bound):
             assert norm <= bounds.get(a, m)
 
 
-# --- query execution ----------------------------------------------------------
+# --- query execution: the raw histogram through the upload codec --------------
+
+
+def upload_rows(dev, spec, windows):
+    """A device's upload rows for ``windows``, one window at a time."""
+    rows = []
+    for window in windows:
+        h = client_work(dev.visible_records(window), wide_schema())
+        rows += histogram_to_rows(h, window.window_id, spec)
+    return rows
 
 
 def test_trips_in_one_region_sum_their_distances():
-    spec = parse_and_validate(REGION_QUERY)
+    spec = parse_and_validate(DISTANCE_QUERY)
     dev = device([trip(r=7, km=3.0), trip(r=7, km=5.0, t=START + 7200)])
-    rows = execute_client_query(dev, spec, [week(0)])
+    rows = upload_rows(dev, spec, [week(0)])
     assert len(rows) == 1
     key, values = rows[0]
-    assert key.split("\x1f") == ["7", "2024-W20"]
+    assert key.split("\x1f") == ["0", "7", "0", "2024-W20"]
     assert values == (8.0,)
 
 
 def test_rows_span_windows_with_their_own_ids():
-    spec = parse_and_validate(REGION_QUERY)
+    spec = parse_and_validate(DISTANCE_QUERY)
     dev = device([trip(r=1, km=2.0), trip(r=1, km=4.0, t=START + WEEK + 60)])
-    rows = execute_client_query(dev, spec, [week(0), week(1)])
-    assert [key.split("\x1f")[1] for key, _ in rows] == ["2024-W20", "2024-W21"]
+    rows = upload_rows(dev, spec, [week(0), week(1)])
+    assert [key.split("\x1f")[3] for key, _ in rows] == ["2024-W20", "2024-W21"]
     assert [values for _, values in rows] == [(2.0,), (4.0,)]
 
 
 def test_no_visible_records_yields_no_rows():
-    spec = parse_and_validate(REGION_QUERY)
+    spec = parse_and_validate(DISTANCE_QUERY)
     dev = device([])
-    assert execute_client_query(dev, spec, [week(0)]) == []
+    assert upload_rows(dev, spec, [week(0)]) == []
 
 
 def test_rows_are_sorted_by_key():
@@ -189,7 +198,8 @@ def test_rows_are_sorted_by_key():
     dev = device(
         [trip(a=2, r=3, d=1), trip(a=0, r=0, d=0, t=START + 60)]
     )
-    rows = execute_client_query(dev, spec, [week(0)])
+    rows = upload_rows(dev, spec, [week(0)])
+    assert len(rows) == 2
     assert [key for key, _ in rows] == sorted(key for key, _ in rows)
 
 

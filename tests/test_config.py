@@ -53,7 +53,6 @@ def test_empty_input_yields_full_defaults():
     assert config.sweep.epsilons == DEFAULT_EPSILONS
     assert config.sweep.seeds == tuple(range(10))
     assert config.sweep.variants == VARIANTS
-    assert config.device_floor is None
     assert config.mechanism_seed is None
     assert parse_config(None) == config
 
@@ -244,10 +243,12 @@ def test_sweep_epsilons_accept_inf_and_reject_junk():
         parse_config({"sweep": {"variants": ["bogus"]}})
 
 
-def test_eval_floor_must_be_an_integer():
-    assert parse_config({"eval": {"device_floor": 40}}).device_floor == 40
-    with pytest.raises(ConfigError, match="eval.device_floor"):
-        parse_config({"eval": {"device_floor": 1.5}})
+def test_the_eval_section_is_gone():
+    # The error's device floor always follows the fleet size
+    # (metrics.default_device_floor); a configured floor would be ignored.
+    with pytest.raises(ConfigError, match=r"unknown section\(s\) \['eval'\]"):
+        parse_config({"eval": {"device_floor": 40}})
+    assert "eval" not in parse_config({}).snapshot()
 
 
 # --- snapshots and files ------------------------------------------------------------------
@@ -267,7 +268,6 @@ def test_snapshot_round_trips_through_the_parser(tmp_path):
                 "seed": 3,
             },
             "sweep": {"epsilons": ["inf", 1.0], "seeds": 2},
-            "eval": {"device_floor": 25},
         }
     )
     snapshot = original.snapshot()

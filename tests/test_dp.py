@@ -237,12 +237,7 @@ def reference_release(resolved, aggregate, window_id, seed, epsilon):
     rng = KeyedRng(seed, "release-noise")
     scales = resolved.noise_scales(schema, epsilon)
     noised = IndexedHistogram(schema)
-    coordinates = (
-        [index for index, _ in aggregate.items()]
-        if resolved.observed_keys_only
-        else schema.iter_domain()
-    )
-    for a, m, r, d in coordinates:
+    for a, m, r, d in schema.iter_domain():
         noised[(a, m, r, d)] = aggregate[(a, m, r, d)] + rng.laplace(
             scales[a][m], window_id, a, m, r, d
         )
@@ -264,7 +259,6 @@ REFERENCE_CASES = {
     "plain": {},
     "tau": {"tau": 30.0},
     "strict_tau": {"strict_tau": True},
-    "observed_keys_only": {"observed_keys_only": True},
     "infinite_epsilon": {"tau": 30.0},
 }
 
@@ -463,14 +457,6 @@ def test_epsilon_override_lands_in_the_metadata(cell_schema):
     assert release.metadata["dp"] is True
     assert release.metadata["clip_table_digest"] is None
     assert release.metadata["scale_table_digest"] is not None
-
-
-def test_observed_keys_mode_is_loudly_not_private(cell_schema):
-    out = release([], cell_schema, variant=VARIANT_JOINT, epsilon=1.0, clip=1.0,
-                  observed_keys_only=True)
-    assert out.metadata["dp"] is False
-    assert out.metadata["privacy_label"].startswith("NOT-DP")
-    assert len(out.histogram) == 0  # nothing stored, nothing noised
 
 
 # --- variant semantics --------------------------------------------------------------

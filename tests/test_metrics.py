@@ -167,37 +167,60 @@ def test_negative_floor_is_rejected(small_schema):
 
 # --- per-user mean error -------------------------------------------------------------
 
-
-def test_exact_rows_score_zero():
-    rows = {"k1": (10.0, 5.0), "k2": (3.0, 4.0)}
-    assert per_user_mean_error(rows, rows, {"k1": 1, "k2": 1}) == 0.0
+K1, K2 = (0, 0, 0), (1, 2, 1)
+K = K1
 
 
-def test_error_is_discounted_by_contributors():
-    reference = {"k": (10.0,)}
-    result = {"k": (9.0,)}
-    assert per_user_mean_error(result, reference, {"k": 1}) == pytest.approx(0.1)
-    assert per_user_mean_error(result, reference, {"k": 10}) == pytest.approx(0.01)
+def by_partition(schema, rows):
+    """A histogram from (activity, region, direction) -> one value per metric."""
+    h = IndexedHistogram(schema)
+    for (a, r, d), values in rows.items():
+        for m, value in enumerate(values):
+            h[(a, m, r, d)] = value
+    return h
 
 
-def test_partitions_average_evenly():
-    reference = {"k1": (10.0,), "k2": (10.0,)}
-    result = {"k1": (9.0,), "k2": (7.0,)}
-    counts = {"k1": 1, "k2": 1}
-    assert per_user_mean_error(result, reference, counts) == pytest.approx(0.2)
+def test_exact_rows_score_zero(small_schema):
+    h = by_partition(small_schema, {K1: (10.0, 5.0), K2: (3.0, 4.0)})
+    assert per_user_mean_error(h, h, {K1: 1, K2: 1}, [0, 1]) == 0.0
 
 
-def test_uncounted_partitions_are_excluded():
-    reference = {"k1": (10.0,), "k2": (10.0,)}
-    result = {"k1": (9.0,), "k2": (0.0,)}
-    assert per_user_mean_error(result, reference, {"k1": 1}) == pytest.approx(0.1)
-    assert math.isnan(per_user_mean_error(result, reference, {}))
+def test_error_is_discounted_by_contributors(small_schema):
+    reference = by_partition(small_schema, {K: (10.0,)})
+    result = by_partition(small_schema, {K: (9.0,)})
+    assert per_user_mean_error(reference, result, {K: 1}, [0]) == pytest.approx(0.1)
+    assert per_user_mean_error(reference, result, {K: 10}, [0]) == pytest.approx(0.01)
 
 
-def test_missing_result_rows_read_as_zero():
-    reference = {"k": (10.0, 0.0)}
-    assert per_user_mean_error({}, reference, {"k": 1}) == pytest.approx(1.0)
+def test_partitions_average_evenly(small_schema):
+    reference = by_partition(small_schema, {K1: (10.0,), K2: (10.0,)})
+    result = by_partition(small_schema, {K1: (9.0,), K2: (7.0,)})
+    counts = {K1: 1, K2: 1}
+    assert per_user_mean_error(reference, result, counts, [0]) == pytest.approx(0.2)
 
 
-def test_empty_reference_is_nan():
-    assert math.isnan(per_user_mean_error({}, {}, {}))
+def test_uncounted_partitions_are_excluded(small_schema):
+    reference = by_partition(small_schema, {K1: (10.0,), K2: (10.0,)})
+    result = by_partition(small_schema, {K1: (9.0,), K2: (0.0,)})
+    assert per_user_mean_error(reference, result, {K1: 1}, [0]) == pytest.approx(0.1)
+    assert math.isnan(per_user_mean_error(reference, result, {}, [0]))
+
+
+def test_missing_result_rows_read_as_zero(small_schema):
+    reference = by_partition(small_schema, {K: (10.0, 0.0)})
+    empty = IndexedHistogram(small_schema)
+    assert per_user_mean_error(reference, empty, {K: 1}, [0, 1]) == pytest.approx(1.0)
+
+
+def test_empty_reference_is_nan(small_schema):
+    empty = IndexedHistogram(small_schema)
+    assert math.isnan(per_user_mean_error(empty, empty, {}, [0, 1, 2]))
+
+
+def test_only_the_query_metrics_are_scored(small_schema):
+    reference = by_partition(small_schema, {K: (10.0, 0.0, 10.0)})
+    result = by_partition(small_schema, {K: (10.0, 3.0, 5.0)})
+    assert per_user_mean_error(reference, result, {K: 1}, [0]) == 0.0
+    assert per_user_mean_error(reference, result, {K: 1}, [0, 2]) == 0.25
+    # A partition the truth holds only outside the query's metrics is not scored.
+    assert math.isnan(per_user_mean_error(reference, result, {K: 1}, [1]))

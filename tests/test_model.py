@@ -152,6 +152,16 @@ def test_clip_rejects_non_positive_bound(small_schema):
             h.clip(bound)
 
 
+def test_clip_drops_entries_that_underflow_to_zero(small_schema):
+    h = build(small_schema, {(0, 0, 0, 0): 1e300, (0, 0, 1, 0): 5e-324})
+    expected = build(small_schema, {(0, 0, 0, 0): 1.0})
+    ones = ScaleTable([[1.0] * 3] * 3)
+    for clipped in (h.clip(1.0), h.clip_slices(ones)):
+        assert len(clipped) == 1
+        assert clipped == expected
+        assert clipped.serialize() == expected.serialize()
+
+
 small_values = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
@@ -275,6 +285,17 @@ def test_scale_invert_multiplies_back(small_schema):
     h = build(small_schema, {(0, 1, 1, 1): 3.0, (2, 2, 0, 0): -5.0})
     # Power-of-two factors divide and multiply without rounding.
     assert h.scale_by_table(table).scale_by_table(table, invert=True) == h
+
+
+def test_scaling_drops_entries_that_underflow_to_zero(small_schema):
+    h = build(small_schema, {(0, 0, 0, 0): 1e-30, (0, 1, 0, 0): 2.0})
+    kept = build(small_schema, {(0, 1, 0, 0): 2.0})
+    huge = ScaleTable([[1e300, 1, 1], [1, 1, 1], [1, 1, 1]])
+    tiny = ScaleTable([[1e-300, 1, 1], [1, 1, 1], [1, 1, 1]])
+    for scaled in (h.scale_by_table(huge), h.scale_by_table(tiny, invert=True)):
+        assert len(scaled) == 1
+        assert scaled == kept
+        assert scaled.serialize() == kept.serialize()
 
 
 @given(

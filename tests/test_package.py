@@ -1,9 +1,10 @@
-"""The package's public surface: every exported name exists."""
+"""The package's public surface and the boundaries between its modules."""
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +23,19 @@ def test_every_exported_name_resolves(name):
     missing = [entry for entry in exported if not hasattr(module, entry)]
     assert missing == []
     assert len(set(exported)) == len(exported)
+
+
+# The modules that may know how upload rows are keyed: the aggregation
+# core and the client's codec (histogram_to_rows / rows_to_histogram).
+ROW_FORMAT_MODULES = {"aggcore.py", "client.py"}
+
+
+def test_only_the_codec_knows_the_row_key_format():
+    needles = ("KEY_SEPARATOR", "\\x1f", "\\u001f", "\x1f")
+    offenders = []
+    for path in sorted(Path(fedsum.__file__).parent.glob("*.py")):
+        if path.name in ROW_FORMAT_MODULES:
+            continue
+        text = path.read_text(encoding="utf-8")
+        offenders += [(path.name, n) for n in needles if n in text]
+    assert offenders == []

@@ -182,15 +182,15 @@ def test_alias_may_equal_its_source():
 
 def test_to_agg_config_extracts_server_plan():
     spec = parse_and_validate(FULL_KEY)
-    config = to_agg_config(spec, contribution_threshold=1000)
+    config = to_agg_config(spec)
     assert config.key_columns == (
         "activity",
         "region",
         "direction",
         "privacy_time_unit",
     )
-    assert config.value_columns == ("total_n", "total_km")
-    assert config.contribution_threshold == 1000
+    # The core sums what uploads carry: the client's sum columns.
+    assert config.value_columns == ("n", "km")
 
 
 # --- structured fuzzing -------------------------------------------------------

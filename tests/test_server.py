@@ -133,7 +133,7 @@ def test_registration_builds_consecutive_windows():
     registered = server.register_task(make_task(s), now=START)
     assert [w.window_id for w in registered.windows] == ["2024-W20", "2024-W21"]
     assert registered.windows[0].end == registered.windows[1].start
-    assert registered.core_config.contribution_threshold == 1
+    assert registered.core_config.value_columns == ("n", "km", "sec")
     (event,) = events_named(server, "task_registered")
     assert event["windows"] == ["2024-W20", "2024-W21"]
 
@@ -175,6 +175,59 @@ def test_partial_key_queries_cannot_register():
         server.register_task(
             make_task(s, query_text=REGION_ONLY_QUERY), now=START
         )
+
+
+SERVER_STATEMENTS = {
+    "partial_key": """\
+SELECT region, privacy_time_unit, SUM(sec) AS ssec, SUM(n) AS sn
+FROM UserResults
+GROUP BY region, privacy_time_unit
+""",
+    "missing_sum": """\
+SELECT activity, region, direction, privacy_time_unit, SUM(sec) AS ssec, SUM(n) AS sn
+FROM UserResults
+GROUP BY activity, region, direction, privacy_time_unit
+""",
+    "repeated_sum": """\
+SELECT activity, region, direction, privacy_time_unit,
+       SUM(n) AS sn, SUM(n) AS sn2, SUM(km) AS skm, SUM(sec) AS ssec
+FROM UserResults
+GROUP BY activity, region, direction, privacy_time_unit
+""",
+}
+
+
+def with_server_statement(statement):
+    client = FULL_QUERY.split("\n\n")[0]
+    return f"{client}\n\n{statement}"
+
+
+@pytest.mark.parametrize("case", sorted(SERVER_STATEMENTS))
+def test_server_statements_the_release_cannot_honour_cannot_register(case):
+    server, s = make_server()
+    query = with_server_statement(SERVER_STATEMENTS[case])
+    with pytest.raises(QueryValidationError, match="server statement"):
+        server.register_task(make_task(s, query_text=query), now=START)
+    assert server.tasks == {}
+
+
+def test_server_sums_in_any_order_release_the_uploaded_columns():
+    server, s = make_server()
+    query = with_server_statement("""\
+SELECT privacy_time_unit, direction, region, activity,
+       SUM(sec) AS ssec, SUM(n) AS sn, SUM(km) AS skm
+FROM UserResults
+GROUP BY privacy_time_unit, direction, region, activity
+""")
+    registered = server.register_task(make_task(s, query_text=query), now=START)
+    assert registered.core_config.value_columns == ("n", "km", "sec")
+    total = ExactHistogramSum(s)
+    for device in range(3):
+        h = device_histogram(s, device)
+        upload(server, device, h, START + WEEK + 60)
+        total.add(h)
+    server.maintenance(START + WEEK + GRACE + 1)
+    assert server.releases["trips/2024-W20"].histogram == total.rounded()
 
 
 @pytest.mark.parametrize(

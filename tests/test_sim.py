@@ -14,7 +14,9 @@ from fedsum.dp import (
     prepare_mechanism,
     resolve_mechanism,
 )
+from fedsum.client import histogram_to_rows
 from fedsum.metrics import exact_workload
+from fedsum.query import parse_and_validate
 from fedsum.rng import KeyedRng
 from fedsum.server import SuppressedRelease, TaskConfig
 from fedsum.sim import FleetConfig, run_simulation
@@ -37,7 +39,12 @@ GROUP BY activity, region, direction, privacy_time_unit
 
 
 def make_task(
-    schema, epsilon=math.inf, clip=math.inf, min_contributions=1, mechanism=None
+    schema,
+    epsilon=math.inf,
+    clip=math.inf,
+    min_contributions=1,
+    mechanism=None,
+    query_text=FULL_QUERY,
 ):
     if mechanism is None:
         mechanism = resolve_mechanism(
@@ -47,7 +54,7 @@ def make_task(
         )
     return TaskConfig(
         query_id="trips",
-        query_text=FULL_QUERY,
+        query_text=query_text,
         window_alignment=WindowAlignment.WEEK,
         first_window_start=START,
         num_windows=1,
@@ -206,14 +213,72 @@ def test_reach_rows_stratify_the_fleet(corpus_300):
     assert all_row["h"] == len(result.uploaded["2024-W20"]) / result.fleet_size
 
 
-def test_policy_label_overrides_the_reach_rows(corpus_300):
-    result = run_simulation(
-        corpus_300,
-        make_task(corpus_300.schema),
-        FleetConfig(availability="always_on"),
-        policy_label="baseline",
+TRIPS_AND_DURATION_QUERY = """\
+SELECT activity, region, direction, privacy_time_unit,
+       SUM(trip_duration) AS sec, SUM(trip_count) AS n
+FROM DeviceDataStream
+GROUP BY activity, region, direction, privacy_time_unit
+
+SELECT activity, region, direction, privacy_time_unit,
+       SUM(n) AS sn, SUM(sec) AS ssec
+FROM UserResults
+GROUP BY activity, region, direction, privacy_time_unit
+"""
+
+
+def row_based_per_user_mean_error(truth, release, counts, window_id, spec):
+    """The per-user error as the simulator once computed it, on upload rows.
+
+    Both histograms go through the upload codec, each truth row's device
+    count is looked up by splitting its key, and the error averages over
+    the row's value columns.
+    """
+    truth_rows = dict(histogram_to_rows(truth, window_id, spec))
+    release_rows = dict(histogram_to_rows(release, window_id, spec))
+    positions = {c: i for i, c in enumerate(spec.client.group_by)}
+    terms = []
+    for key, reference in truth_rows.items():
+        parts = key.split("\x1f")
+        a, r, d = (int(parts[positions[c]]) for c in ("activity", "region", "direction"))
+        count = counts.get((a, r, d), 0)
+        if count <= 0:
+            continue
+        got = release_rows.get(key, (0.0,) * len(reference))
+        errors = [abs(t - e) / abs(t) for t, e in zip(reference, got) if t != 0.0]
+        if errors:
+            terms.append(math.fsum(errors) / len(errors) / count)
+    return math.fsum(terms) / len(terms) if terms else math.nan
+
+
+@pytest.mark.parametrize(
+    "query",
+    [FULL_QUERY, TRIPS_AND_DURATION_QUERY],
+    ids=["three_metrics", "trips_and_duration"],
+)
+def test_per_user_error_equals_the_row_based_formula_bit_for_bit(
+    corpus_300, week_one_300, query
+):
+    mechanism = resolve_mechanism(
+        MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, clip=500.0, tau=20.0),
+        [],
+        corpus_300.schema,
     )
-    assert {row["policy"] for row in result.reach_rows} == {"baseline"}
+    task = make_task(corpus_300.schema, mechanism=mechanism, query_text=query)
+    result = run_simulation(
+        corpus_300, task, FleetConfig(availability="always_on"), seed=3
+    )
+    release = result.releases["trips/2024-W20"]
+    assert release.suppressed_partitions > 0  # some partitions read as 0
+    expected = row_based_per_user_mean_error(
+        exact_workload(corpus_300, week_one_300),
+        release.histogram,
+        corpus_300.device_counts(week_one_300),
+        "2024-W20",
+        parse_and_validate(query),
+    )
+    assert math.isfinite(expected) and expected > 0.0
+    for row in result.eval_rows:
+        assert row["per_user_mean_error"].hex() == expected.hex()
 
 
 def test_noise_seed_changes_noise_but_not_participation(corpus_300):
