@@ -7,20 +7,21 @@ accumulate, merge, report — and report consumes the core, so per-device
 rows live only transiently while a window is collecting.  Whether a
 window has enough contributions to release is the server's decision.
 
-Accumulators keep exact expansions (see :mod:`fedsum.exactsum`), so any
-way of sharding updates across cores and merging the partial cores yields
-a bit-identical final state.  Malformed updates are rejected atomically:
-the state and count are untouched unless every row validates.
+The sums live in the package's one exact accumulator
+(:class:`fedsum.exactsum.ExactSum`), so any way of sharding updates across
+cores and merging the partial cores yields a bit-identical final state.
+Malformed updates are rejected atomically: the state and count are
+untouched unless every row validates.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import blake2b
 
-from .exactsum import add_partial, merge_partials, round_partials
+from .exactsum import ExactSum
 
 __all__ = [
     "AggCoreConfig",
@@ -76,13 +77,12 @@ class ClientUpdate:
 class AggregationCore:
     """Mergeable grouped-sum state for one session (or one shard of it)."""
 
-    __slots__ = ("config", "contribution_count", "_state", "_consumed")
+    __slots__ = ("config", "contribution_count", "_sum", "_consumed")
 
     def __init__(self, config: AggCoreConfig) -> None:
         self.config = config
         self.contribution_count = 0
-        # key -> list of expansions, one per value column
-        self._state: dict[str, list[list[float]]] = {}
+        self._sum = ExactSum(len(config.value_columns))
         self._consumed = False
 
     # -- operations ----------------------------------------------------
@@ -90,7 +90,9 @@ class AggregationCore:
     def accumulate(self, rows: Rows) -> None:
         """Add one device update (validated atomically, count +1)."""
         self._check_live()
-        ncols = len(self.config.value_columns)
+        if not isinstance(rows, (list, tuple)):
+            raise MalformedUpdateError(f"rows must be a list or tuple, got {rows!r}")
+        ncols = self._sum.width
         for row in rows:
             try:
                 key, values = row
@@ -98,39 +100,16 @@ class AggregationCore:
                 raise MalformedUpdateError(f"row is not a (key, values) pair: {row!r}")
             if not isinstance(key, str):
                 raise MalformedUpdateError(f"key must be a string, got {type(key).__name__}")
-            if len(values) != ncols:
+            if not isinstance(values, (list, tuple)) or len(values) != ncols:
                 raise MalformedUpdateError(
-                    f"row for key {key!r} has {len(values)} values; "
-                    f"expected {ncols}"
+                    f"row for key {key!r} must carry {ncols} values; got {values!r}"
                 )
             for v in values:
                 if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
                     raise MalformedUpdateError(
                         f"non-finite or non-numeric value {v!r} for key {key!r}"
                     )
-        state = self._state
-        for key, values in rows:
-            cell = state.get(key)
-            if cell is None:
-                state[key] = [[float(v)] for v in values]
-                continue
-            for i, v in enumerate(values):
-                partials = cell[i]
-                if len(partials) == 1:
-                    # Inlined two-sum fast path for the common case.
-                    x = float(v)
-                    y = partials[0]
-                    if abs(x) < abs(y):
-                        x, y = y, x
-                    hi = x + y
-                    lo = y - (hi - x)
-                    if lo:
-                        partials[0] = lo
-                        partials.append(hi)
-                    else:
-                        partials[0] = hi
-                else:
-                    add_partial(partials, float(v))
+        self._sum.add(rows)
         self.contribution_count += 1
 
     def merge(self, other: "AggregationCore") -> None:
@@ -139,14 +118,7 @@ class AggregationCore:
         other._check_live()
         if other.config != self.config:
             raise ValueError("cannot merge cores with different configs")
-        state = self._state
-        for key, other_cell in other._state.items():
-            cell = state.get(key)
-            if cell is None:
-                state[key] = [list(p) for p in other_cell]
-            else:
-                for mine, theirs in zip(cell, other_cell):
-                    merge_partials(mine, theirs)
+        self._sum.merge(other._sum)
         self.contribution_count += other.contribution_count
         other._consume()
 
@@ -157,10 +129,7 @@ class AggregationCore:
         insertion-independent (sorted) order.
         """
         self._check_live()
-        result = {
-            key: tuple(round_partials(p) for p in self._state[key])
-            for key in sorted(self._state)
-        }
+        result = dict(self._sum.report())
         self._consume()
         return result
 
@@ -176,13 +145,12 @@ class AggregationCore:
         """
         self._check_live()
         out = bytearray()
-        out += struct.pack("<I", len(self._state))
-        for key in sorted(self._state):
+        out += struct.pack("<I", len(self._sum))
+        for key, values in self._sum.report():
             kb = key.encode("utf-8")
             out += struct.pack("<I", len(kb))
             out += kb
-            for partials in self._state[key]:
-                out += struct.pack("<d", round_partials(partials))
+            out += struct.pack(f"<{len(values)}d", *values)
         out += struct.pack("<q", self.contribution_count)
         return bytes(out)
 
@@ -198,12 +166,12 @@ class AggregationCore:
             raise CoreConsumedError("aggregation core was already consumed")
 
     def _consume(self) -> None:
-        self._state = {}
+        self._sum = ExactSum(self._sum.width)
         self._consumed = True
 
     def __repr__(self) -> str:
         status = "consumed" if self._consumed else f"{self.contribution_count} contributions"
-        return f"AggregationCore({len(self._state)} keys, {status})"
+        return f"AggregationCore({len(self._sum)} keys, {status})"
 
 
 # --------------------------------------------------------------------------

@@ -55,6 +55,11 @@ def _load_experiment(args: argparse.Namespace) -> ExperimentConfig:
     defaults — the corpus seed follows the run seed unless pinned in the
     file — stay consistent.
     """
+    return parse_config(_experiment_data(args))
+
+
+def _experiment_data(args: argparse.Namespace) -> dict:
+    """The raw experiment mapping with the CLI overrides applied."""
     data = read_config_data(args.config) if args.config is not None else {}
     run = data.get("run") or {}
     if getattr(args, "seed", None) is not None:
@@ -63,7 +68,7 @@ def _load_experiment(args: argparse.Namespace) -> ExperimentConfig:
         run = {**run, "out": args.out}
     if run:
         data = {**data, "run": run}
-    return parse_config(data)
+    return data
 
 
 def _build_task(config: ExperimentConfig, corpus) -> TaskConfig:
@@ -152,21 +157,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_experiment(args)
-    # The sweep calibrates every variant on the window it scores; a
-    # configured bound would be recorded in the snapshot but not used.
-    mechanism = config.mechanism
-    for key, value in (
-        ("scale_table", mechanism.scale_table),
-        ("clip_table", mechanism.clip_table),
-        ("clip", mechanism.clip),
-        ("budget_weights", mechanism.budget_weights),
-    ):
-        if value is not None:
-            raise ConfigError(
-                f"mechanism.{key} is not supported by sweep: each variant is "
-                "calibrated on the swept window; remove the key"
-            )
+    data = _experiment_data(args)
+    # The sweep reads only its own section (it calibrates every variant on
+    # the swept window); a mechanism setting would be recorded, not used.
+    mechanism = data.get("mechanism") or {}
+    if isinstance(mechanism, dict) and mechanism:
+        keys = ", ".join(f"mechanism.{key}" for key in sorted(mechanism))
+        raise ConfigError(f"{keys}: not read by sweep, which reads the sweep section")
+    config = parse_config(data)
     if args.variants:
         requested = tuple(v.strip() for v in args.variants.split(",") if v.strip())
         config = dataclasses.replace(
@@ -176,11 +174,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     window = round_down_window(config.corpus.start_time, config.task.alignment)
     rows = run_epsilon_sweep(corpus, window, config.sweep)
     summary = summarize_sweep(rows)
+    snapshot = config.snapshot()
+    del snapshot["mechanism"]
     out_dir = os.path.join(config.out_dir, "sweep")
     _write_atomically(
         out_dir,
         "results.csv",
-        lambda tmp: write_sweep_outputs(rows, summary, tmp, config.snapshot()),
+        lambda tmp: write_sweep_outputs(rows, summary, tmp, snapshot),
     )
     for entry in summary:
         eps = entry["epsilon"]

@@ -30,7 +30,12 @@ from .model import (
     Schema,
     TripRecord,
 )
-from .query import PRIVACY_TIME_UNIT, QuerySpec
+from .query import (
+    PRIVACY_TIME_UNIT,
+    RELEASE_KEY_COLUMNS,
+    QuerySpec,
+    QueryValidationError,
+)
 from .rng import KeyedRng
 from .windows import TimeWindow, WindowAlignment, round_down_window
 
@@ -264,12 +269,16 @@ def histogram_to_rows(
 ) -> list[tuple[str, tuple[float, ...]]]:
     """Encode one window's histogram as upload rows for the query spec.
 
-    The query's group keys must cover activity, region, direction, and
-    the privacy time unit; each selected metric column becomes one slot
-    of the row value vector.  Metrics the query does not select are
-    dropped.
+    The client statement must group by exactly ``RELEASE_KEY_COLUMNS``,
+    so that no two cells share a row key.  Each selected metric column
+    becomes one slot of the row value vector; other metrics are dropped.
     """
     key_columns = spec.client.group_by
+    if sorted(key_columns) != sorted(RELEASE_KEY_COLUMNS):
+        raise QueryValidationError(
+            f"upload rows need the client statement grouped by exactly "
+            f"{sorted(RELEASE_KEY_COLUMNS)}; got {sorted(key_columns)}"
+        )
     metric_slot = {
         METRIC_BY_COLUMN[column]: i for i, column in enumerate(spec.metric_columns)
     }
@@ -287,10 +296,8 @@ def histogram_to_rows(
                 parts.append(str(r))
             elif column == "direction":
                 parts.append(str(d))
-            elif column == PRIVACY_TIME_UNIT:
+            else:  # the privacy time unit
                 parts.append(window_id)
-            else:
-                raise KeyError(f"unknown grouping column {column!r}")
         key = KEY_SEPARATOR.join(parts)
         cell = rows.get(key)
         if cell is None:

@@ -51,8 +51,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .exactsum import ExactSum
 from .model import (
-    ExactHistogramSum,
     IndexedHistogram,
     InvalidParameterError,
     ScaleTable,
@@ -428,28 +428,17 @@ class ResolvedMechanism:
 
 @dataclass
 class PreparedMechanism:
-    """A resolved mechanism plus its exact pre-noise aggregate."""
+    """A resolved mechanism plus its exact pre-noise aggregate.
+
+    ``exact_aggregate`` sums the transformed histograms' one-column rows
+    by index tuple; ``prenoise`` is its rounded report.
+    """
 
     resolved: ResolvedMechanism
     schema: Schema
-    exact_aggregate: ExactHistogramSum
+    exact_aggregate: ExactSum
     prenoise: IndexedHistogram
     num_devices: int
-
-    @property
-    def clip(self) -> float | None:
-        return self.resolved.clip
-
-    @property
-    def clip_table(self) -> ScaleTable | None:
-        return self.resolved.clip_table
-
-    @property
-    def scale_table(self) -> ScaleTable:
-        return self.resolved.scale_table
-
-    def transform_device(self, h: IndexedHistogram) -> IndexedHistogram:
-        return self.resolved.transform_device(h)
 
     def release(
         self,
@@ -578,13 +567,13 @@ def prepare_mechanism(
     """
     histograms = list(device_histograms)
     resolved = resolve_mechanism(config, histograms, schema)
-    acc = ExactHistogramSum(schema)
+    acc = ExactSum(1)
     for h in histograms:
-        acc.add(resolved.transform_device(h))
+        acc.add(resolved.transform_device(h).as_rows())
     return PreparedMechanism(
         resolved=resolved,
         schema=schema,
         exact_aggregate=acc,
-        prenoise=acc.rounded(),
+        prenoise=IndexedHistogram.from_rows(schema, acc.report()),
         num_devices=len(histograms),
     )

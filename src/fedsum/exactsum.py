@@ -1,4 +1,4 @@
-"""Error-free accumulation of float64 values.
+"""Error-free accumulation of float64 values: the package's one exact sum.
 
 Running sums are kept as lists of non-overlapping partials (Shewchuk's
 expansion representation, the same scheme ``math.fsum`` uses internally).
@@ -7,14 +7,19 @@ far, so accumulation is associative and commutative: any grouping of the
 same inputs yields the same exact value, and rounding that value to a
 single float64 at the end is deterministic.  This is what makes merged
 aggregates reproducible regardless of how work was batched or which order
-partial results arrived in.
+partial results arrived in.  :class:`ExactSum` is the package's only
+grouped exact sum: shard cores and partials key it by string, the prepared
+aggregate and the ground truth by histogram index.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Hashable, Iterable, Iterator, Sequence
 
-__all__ = ["add_partial", "merge_partials", "round_partials"]
+__all__ = ["ExactSum", "add_partial", "merge_partials", "round_partials"]
+
+Row = tuple[Hashable, Sequence[float]]
 
 
 def add_partial(partials: list[float], x: float) -> None:
@@ -50,3 +55,81 @@ def round_partials(partials: list[float]) -> float:
     if len(partials) == 1:
         return partials[0]
     return math.fsum(partials)
+
+
+class ExactSum:
+    """Grouped exact sums: per key, one expansion per value column.
+
+    Keys are hashable and mutually orderable.  Rows are ``(key, values)``
+    with ``width`` numbers each; callers validate them.
+    """
+
+    __slots__ = ("width", "_cells")
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self._cells: dict[Hashable, list[list[float]]] = {}
+
+    def add(self, rows: Iterable[Row]) -> None:
+        """Add every row of one update."""
+        cells = self._cells
+        for key, values in rows:
+            cell = cells.get(key)
+            if cell is None:
+                cells[key] = [[float(v)] for v in values]
+                continue
+            i = 0
+            for v in values:
+                partials = cell[i]
+                i += 1
+                if len(partials) == 1:
+                    # Two-sum, inlined for the common one-partial case.
+                    x = float(v)
+                    y = partials[0]
+                    if abs(x) < abs(y):
+                        x, y = y, x
+                    hi = x + y
+                    lo = y - (hi - x)
+                    if lo:
+                        partials[0] = lo
+                        partials.append(hi)
+                    else:
+                        partials[0] = hi
+                else:
+                    add_partial(partials, float(v))
+
+    def merge(self, other: "ExactSum") -> None:
+        """Fold ``other`` into this sum; ``other`` is left unchanged."""
+        if other.width != self.width:
+            raise ValueError(f"cannot merge width {other.width} into width {self.width}")
+        cells = self._cells
+        for key, theirs in other._cells.items():
+            mine = cells.get(key)
+            if mine is None:
+                cells[key] = [list(p) for p in theirs]
+            else:
+                for dst, src in zip(mine, theirs):
+                    merge_partials(dst, src)
+
+    def copy(self) -> "ExactSum":
+        clone = ExactSum(self.width)
+        clone.merge(self)
+        return clone
+
+    def report(self) -> Iterator[tuple[Hashable, tuple[float, ...]]]:
+        """Correctly rounded sums per key in sorted key order, made as read."""
+        cells = self._cells
+        return ((key, tuple(map(round_partials, cells[key]))) for key in sorted(cells))
+
+    def exact_diff(self, other: "ExactSum") -> Iterator[tuple[Hashable, tuple[float, ...]]]:
+        """The report of ``self - other``, over the keys of both."""
+        negated = ExactSum(other.width)
+        negated._cells = {
+            key: [[-x for x in p] for p in cell] for key, cell in other._cells.items()
+        }
+        diff = self.copy()
+        diff.merge(negated)
+        return diff.report()
+
+    def __len__(self) -> int:
+        return len(self._cells)

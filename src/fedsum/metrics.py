@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .exactsum import ExactSum
 from .model import (
     METRIC_NUM_TRIPS,
-    ExactHistogramSum,
     IndexedHistogram,
     InvalidParameterError,
 )
@@ -51,10 +51,10 @@ def exact_workload(
     """
     if histograms is None:
         histograms = corpus.device_histograms(window)
-    acc = ExactHistogramSum(corpus.schema)
+    acc = ExactSum(1)
     for h in histograms:
-        acc.add(h)
-    return acc.rounded()
+        acc.add(h.as_rows())
+    return IndexedHistogram.from_rows(corpus.schema, acc.report())
 
 
 def default_device_floor(num_devices: int) -> int:

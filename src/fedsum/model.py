@@ -3,9 +3,13 @@
 The whole pipeline speaks one value type: a sparse histogram indexed by
 ``(activity, metric, region, direction)``.  Devices build one per time
 window, the server sums them across devices, and the privacy layer scales,
-clips, and noises them.  One L1 rescale loop (``_clip_l1``) bounds both a
-whole histogram (:meth:`IndexedHistogram.clip`) and each of its
-(activity, metric) slices (:meth:`IndexedHistogram.clip_slices`).  Absent
+clips, and noises them.  Sums of histograms are exact and live in
+:class:`fedsum.exactsum.ExactSum`, which adds their one-column rows
+(:meth:`IndexedHistogram.as_rows`) and reports rows that
+:meth:`IndexedHistogram.from_rows` turns back into a histogram.  One L1
+rescale loop (``_clip_l1``) bounds both a whole histogram
+(:meth:`IndexedHistogram.clip`) and each of its (activity, metric)
+slices (:meth:`IndexedHistogram.clip_slices`).  Absent
 entries are semantically zero; storing an explicit zero and omitting the
 entry are equivalent under equality and every operation, and zeros are
 dropped when histograms are normalized or serialized.
@@ -20,12 +24,10 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-
-from .exactsum import add_partial, merge_partials, round_partials
 
 __all__ = [
     "DIRECTIONS",
@@ -40,7 +42,6 @@ __all__ = [
     "TripRecord",
     "IndexedHistogram",
     "ScaleTable",
-    "ExactHistogramSum",
 ]
 
 # Travel directions relative to the device's home region.
@@ -259,6 +260,15 @@ class IndexedHistogram:
         """The underlying dict (nonzero entries, unordered). Do not mutate."""
         return self._d
 
+    def as_rows(self) -> Iterator[tuple[Index, tuple[float]]]:
+        """Entries as the one-column rows ``(index, (value,))`` of an exact sum."""
+        return zip(self._d, zip(self._d.values()))
+
+    @classmethod
+    def from_rows(cls, schema: Schema, rows) -> "IndexedHistogram":
+        """The histogram of one-column rows; every index is checked."""
+        return cls(schema, ((index, value) for index, (value,) in rows))
+
     def to_dense(self) -> np.ndarray:
         """The histogram as a float64 array of the schema's shape."""
         out = np.zeros(self.schema.shape)
@@ -439,64 +449,3 @@ class ScaleTable:
             for v in row:
                 out += struct.pack("<d", v)
         return bytes(out)
-
-
-@dataclass
-class ExactHistogramSum:
-    """Accumulates histograms with error-free per-cell summation.
-
-    The running total per cell is an exact expansion, so the final rounded
-    histogram is identical for any ordering or grouping of the same
-    inputs.  ``exact_diff`` subtracts two accumulations without
-    intermediate rounding, which lets contribution-bound checks be
-    asserted with no float slack.
-    """
-
-    schema: Schema
-    _cells: dict[Index, list[float]] = field(default_factory=dict)
-
-    def add(self, h: IndexedHistogram) -> None:
-        if h.schema.shape != self.schema.shape:
-            raise SchemaMismatchError("schema mismatch in exact sum")
-        cells = self._cells
-        for index, value in h.raw().items():
-            partials = cells.get(index)
-            if partials is None:
-                cells[index] = [value]
-            else:
-                add_partial(partials, value)
-
-    def merge(self, other: "ExactHistogramSum") -> None:
-        if other.schema.shape != self.schema.shape:
-            raise SchemaMismatchError("schema mismatch in exact sum")
-        cells = self._cells
-        for index, partials in other._cells.items():
-            mine = cells.get(index)
-            if mine is None:
-                cells[index] = list(partials)
-            else:
-                merge_partials(mine, partials)
-
-    def copy(self) -> "ExactHistogramSum":
-        clone = ExactHistogramSum(self.schema)
-        clone._cells = {k: list(v) for k, v in self._cells.items()}
-        return clone
-
-    def rounded(self) -> IndexedHistogram:
-        """Correctly rounded float64 histogram of the exact totals."""
-        h = IndexedHistogram(self.schema)
-        for index, partials in self._cells.items():
-            h[index] = round_partials(partials)
-        return h
-
-    def exact_diff(self, other: "ExactHistogramSum") -> IndexedHistogram:
-        """``self - other`` computed exactly, rounded once per cell."""
-        if other.schema.shape != self.schema.shape:
-            raise SchemaMismatchError("schema mismatch in exact diff")
-        h = IndexedHistogram(self.schema)
-        for index in set(self._cells) | set(other._cells):
-            partials = list(self._cells.get(index, ()))
-            for x in other._cells.get(index, ()):
-                add_partial(partials, -x)
-            h[index] = round_partials(partials)
-        return h

@@ -32,6 +32,7 @@ from .aggcore import AggCoreConfig
 
 __all__ = [
     "PRIVACY_TIME_UNIT",
+    "RELEASE_KEY_COLUMNS",
     "StreamSchema",
     "DEFAULT_TRIPS_STREAM",
     "ParseError",
@@ -69,11 +70,14 @@ class StreamSchema:
         return self.key_columns | self.numeric_columns
 
 
+# The keys of a released histogram; client and server statements group by these.
+RELEASE_KEY_COLUMNS = frozenset(
+    {"activity", "region", "direction", PRIVACY_TIME_UNIT}
+)
+
 DEFAULT_TRIPS_STREAM = StreamSchema(
     name="DeviceDataStream",
-    key_columns=frozenset(
-        {"activity", "region", "direction", PRIVACY_TIME_UNIT}
-    ),
+    key_columns=RELEASE_KEY_COLUMNS,
     numeric_columns=frozenset({"trip_count", "trip_distance", "trip_duration"}),
 )
 

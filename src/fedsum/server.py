@@ -33,7 +33,7 @@ from .client import rows_to_histogram
 from .dp import NoisedRelease, ResolvedMechanism
 from .model import Schema
 from .query import (
-    PRIVACY_TIME_UNIT,
+    RELEASE_KEY_COLUMNS,
     QuerySpec,
     QueryValidationError,
     parse_and_validate,
@@ -54,10 +54,6 @@ __all__ = [
     "FederatedServer",
     "SuppressedRelease",
 ]
-
-RELEASE_KEY_COLUMNS = frozenset(
-    {"activity", "region", "direction", PRIVACY_TIME_UNIT}
-)
 
 
 class InvalidTokenError(PermissionError):
@@ -403,10 +399,9 @@ class FederatedServer:
             raise SessionClosedError(
                 f"session {key} stopped collecting at {session.deadline}"
             )
-        rows = list(update.rows)
         shard_index = session.uploads_accepted % len(session.shards)
         try:
-            session.shards[shard_index].accumulate(rows)
+            session.shards[shard_index].accumulate(update.rows)
         except MalformedUpdateError:
             self._log(
                 now,

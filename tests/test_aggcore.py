@@ -82,6 +82,11 @@ def test_malformed_update_is_atomic():
         [("k", ("9", 1.0))],
         [(7, (1.0, 2.0))],
         ["not-a-pair"],
+        [("k", 5.0)],
+        [("k", None)],
+        [("k", {1.0: 1.0, 2.0: 2.0})],
+        None,
+        (row for row in [("k", (1.0, 2.0))]),
     ],
 )
 def test_bad_rows_are_rejected(rows):

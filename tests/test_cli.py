@@ -227,14 +227,22 @@ def test_unexpected_failures_exit_with_the_runtime_code(tmp_path, capsys):
 # --- sweep ------------------------------------------------------------------------
 
 
-def sweep_config(tmp_path, out_dir):
-    # No mechanism.clip: the sweep calibrates each variant's bounds.
-    return write_config(
-        tmp_path,
-        out_dir,
-        sweep={"epsilons": ["inf", 2.0], "seeds": 2},
-        mechanism={"clip": None},
-    )
+def sweep_config(tmp_path, out_dir, sweep=None, mechanism=None):
+    """A sweep experiment without ``write_config``'s mechanism section.
+
+    The sweep reads only its own section and refuses any mechanism key;
+    ``mechanism`` writes a section holding exactly the keys given.
+    """
+    path = tmp_path / "experiment.yaml"
+    write_config(tmp_path, out_dir)
+    data = yaml.safe_load(path.read_text())
+    data["sweep"] = sweep or {"epsilons": ["inf", 2.0], "seeds": 2}
+    if mechanism is None:
+        del data["mechanism"]
+    else:
+        data["mechanism"] = mechanism
+    path.write_text(yaml.safe_dump(data))
+    return str(path)
 
 
 def read_csv_rows(path):
@@ -283,27 +291,44 @@ def test_sweep_variant_filter_restricts_the_grid(tmp_path, capsys):
 
 
 def test_sweep_variant_filter_keeps_every_setting_in_the_snapshot(tmp_path, capsys):
+    # The snapshot records every setting the sweep reads, with the
+    # variant filter applied, and no mechanism section: the sweep reads
+    # none.
     out = tmp_path / "out"
-    config_path = write_config(
+    config_path = sweep_config(
         tmp_path,
         out,
-        sweep={"epsilons": ["inf", 2.0], "seeds": 2},
-        mechanism={"clip": None, "seed": 42, "tau": 0.5, "strict_tau": True},
+        sweep={"epsilons": ["inf", 2.0], "seeds": 2, "quantile": 0.9, "tau": 0.5},
     )
     assert main(["sweep", "--config", config_path,
                  "--variants", "joint_clipping"]) == EXIT_OK
     written = yaml.safe_load((out / "sweep" / "sweep_config.yaml").read_text())
     written.pop("target_mean_weighted_relative_error")
     expected = parse_config(read_config_data(config_path)).snapshot()
+    del expected["mechanism"]
     expected["sweep"]["variants"] = ["joint_clipping"]
     assert written == expected
-    assert written["mechanism"]["seed"] == 42
-    assert written["mechanism"]["tau"] == 0.5
-    assert written["mechanism"]["strict_tau"] is True
+    assert "mechanism" not in written
+    assert written["sweep"]["quantile"] == 0.9
+    assert written["sweep"]["tau"] == 0.5
+
+
+SWEEP_IGNORED_SETTINGS = {
+    "clip": 5.0,
+    "budget_weights": [[1 / 27] * 3] * 9,
+    "variant": "joint_clipping",
+    "epsilon": 2.0,
+    "quantile": 0.9,
+    "tau": 0.5,
+    "strict_tau": True,
+    "seed": 42,
+}
 
 
 @pytest.mark.parametrize(
-    "key", ["scale_table", "clip_table", "clip", "budget_weights"]
+    "key",
+    ["scale_table", "clip_table", "clip", "budget_weights",
+     "variant", "epsilon", "quantile", "tau", "strict_tau", "seed"],
 )
 def test_sweep_rejects_the_tables_it_would_not_use(tmp_path, capsys, key):
     out = tmp_path / "out"
@@ -312,12 +337,12 @@ def test_sweep_rejects_the_tables_it_would_not_use(tmp_path, capsys, key):
         "activity,metric,value\n"
         + "".join(f"{a},{m},{1.0 + a + m}\n" for a in range(9) for m in range(3))
     )
-    value = {"clip": 5.0, "budget_weights": [[1 / 27] * 3] * 9}.get(key, str(table))
-    config_path = write_config(
+    value = SWEEP_IGNORED_SETTINGS.get(key, str(table))
+    config_path = sweep_config(
         tmp_path,
         out,
         sweep={"epsilons": [2.0], "seeds": 1},
-        mechanism={"clip": None, key: value},
+        mechanism={key: value},
     )
     assert main(["sweep", "--config", config_path]) == EXIT_CONFIG
     assert f"mechanism.{key}" in capsys.readouterr().err

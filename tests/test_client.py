@@ -29,7 +29,7 @@ from fedsum.dp import (
     resolve_mechanism,
 )
 from fedsum.model import IndexedHistogram, ScaleTable, Schema
-from fedsum.query import parse_and_validate
+from fedsum.query import QueryValidationError, parse_and_validate
 from fedsum.rng import KeyedRng
 from fedsum.windows import WindowAlignment, round_down_window, window_after
 
@@ -226,6 +226,28 @@ def test_rows_to_histogram_rejects_wrong_window():
     rows = histogram_to_rows(h, "2024-W20", spec)
     with pytest.raises(ValueError):
         rows_to_histogram(rows, spec, schema, expect_window_id="2024-W21")
+
+
+REGION_DISTANCE_QUERY = """\
+SELECT region, privacy_time_unit, SUM(trip_distance) AS km
+FROM DeviceDataStream
+GROUP BY region, privacy_time_unit
+
+SELECT region, privacy_time_unit, SUM(km) AS skm
+FROM UserResults
+GROUP BY region, privacy_time_unit
+"""
+
+
+def test_rows_need_every_release_key():
+    # Both cells share (region 3, window): with fewer keys than the
+    # release's, their rows would collide.
+    schema = wide_schema()
+    h = IndexedHistogram(schema, {(0, 1, 3, 0): 2.0, (1, 1, 3, 2): 5.0})
+    with pytest.raises(QueryValidationError, match="grouped by exactly"):
+        histogram_to_rows(h, "w", parse_and_validate(REGION_DISTANCE_QUERY))
+    rows = histogram_to_rows(h, "w", parse_and_validate(DISTANCE_QUERY))
+    assert math.fsum(values[0] for _, values in rows) == 7.0
 
 
 @given(

@@ -26,14 +26,22 @@ from fedsum.dp import (
     slice_l1_norms,
     uniform_noise_scales,
 )
+from fedsum.exactsum import ExactSum
 from fedsum.model import (
-    ExactHistogramSum,
     IndexedHistogram,
     InvalidParameterError,
     ScaleTable,
     Schema,
 )
 from fedsum.rng import KeyedRng
+
+
+def exact_sum(schema, histograms):
+    """The histograms summed exactly and rounded once per cell."""
+    total = ExactSum(1)
+    for h in histograms:
+        total.add(h.as_rows())
+    return IndexedHistogram.from_rows(schema, total.report())
 
 
 def hist(schema, entries):
@@ -441,10 +449,11 @@ def test_prepared_prenoise_is_the_exact_transformed_sum(small_schema):
     ]
     config = MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, clip=2.0)
     prepared = prepare_mechanism(config, devices, small_schema)
-    manual = ExactHistogramSum(small_schema)
-    for h in devices:
-        manual.add(prepared.resolved.transform_device(h))
-    assert prepared.prenoise == manual.rounded()
+    transformed = [prepared.resolved.transform_device(h) for h in devices]
+    assert prepared.prenoise == exact_sum(small_schema, transformed)
+    assert list(prepared.exact_aggregate.report()) == [
+        (index, (value,)) for index, value in prepared.prenoise.items()
+    ]
     assert prepared.num_devices == 40
 
 
@@ -570,10 +579,7 @@ def test_power_of_two_scaling_round_trips_through_release(small_schema):
         clip=math.inf,
         scale_table=ScaleTable(rows),
     )
-    exact = ExactHistogramSum(small_schema)
-    for h in devices:
-        exact.add(h)
-    assert out.histogram == exact.rounded()
+    assert out.histogram == exact_sum(small_schema, devices)
 
 
 def test_calibration_happens_in_scaled_space(cell_schema):

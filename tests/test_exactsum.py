@@ -1,14 +1,16 @@
-"""Error-free accumulation: expansions behave like exact real sums."""
+"""Error-free accumulation: expansions behave like exact real sums, and the
+grouped accumulator built on them sums per key and column exactly."""
 
 from __future__ import annotations
 
 import math
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedsum.exactsum import add_partial, merge_partials, round_partials
+from fedsum.exactsum import ExactSum, add_partial, merge_partials, round_partials
 
 # Bounded so that no intermediate or final sum can overflow float64.
 bounded_floats = st.floats(
@@ -98,3 +100,97 @@ def test_many_random_groupings_agree():
         for chunk in chunks:
             merge_partials(total, chunk)
         assert round_partials(total) == reference
+
+
+# --- ExactSum: grouped rows --------------------------------------------------------
+
+keyed_rows = st.lists(
+    st.tuples(st.sampled_from("abcde"), st.tuples(bounded_floats, bounded_floats)),
+    max_size=40,
+)
+
+
+def grouped(rows):
+    total = ExactSum(2)
+    total.add(rows)
+    return total
+
+
+def reference(rows):
+    """``math.fsum`` per key and column, in sorted key order."""
+    columns: dict[str, list[list[float]]] = {}
+    for key, values in rows:
+        cell = columns.setdefault(key, [[], []])
+        for column, v in zip(cell, values):
+            column.append(v)
+    return [
+        (key, tuple(math.fsum(column) for column in columns[key]))
+        for key in sorted(columns)
+    ]
+
+
+@given(keyed_rows)
+def test_rows_sum_per_key_and_column(rows):
+    assert list(grouped(rows).report()) == reference(rows)
+
+
+def test_report_is_rounded_once_and_sorted_by_key():
+    total = ExactSum(1)
+    total.add([("b", (1e16,)), ("a", (0.5,))])
+    total.add([("b", (1.0,)), ("b", (-1e16,))])
+    assert list(total.report()) == [("a", (0.5,)), ("b", (1.0,))]
+    assert len(total) == 2
+
+
+@given(keyed_rows, st.integers(0, 40), st.randoms(use_true_random=False))
+def test_merge_in_any_order_matches_sequential(rows, cut_at, rng):
+    cut = min(cut_at, len(rows))
+    parts = [grouped(rows[:cut]), grouped(rows[cut:]), ExactSum(2)]
+    rng.shuffle(parts)
+    merged = ExactSum(2)
+    for part in parts:
+        merged.merge(part)
+    assert list(merged.report()) == list(grouped(rows).report())
+
+
+def test_merge_leaves_the_other_sum_unchanged():
+    left, right = grouped([("a", (1.0, 2.0))]), grouped([("a", (0.25, 1e-20))])
+    left.merge(right)
+    left.add([("a", (1.0, 1.0))])
+    assert list(right.report()) == [("a", (0.25, 1e-20))]
+    assert list(left.report()) == [("a", (2.25, 3.0))]
+
+
+def test_copy_is_independent():
+    total = grouped([("a", (1.0, 2.0))])
+    clone = total.copy()
+    clone.add([("a", (1e-20, 1.0)), ("b", (3.0, 3.0))])
+    assert list(total.report()) == [("a", (1.0, 2.0))]
+    assert list(clone.report()) == [("a", (1.0, 3.0)), ("b", (3.0, 3.0))]
+
+
+@given(keyed_rows, keyed_rows)
+def test_exact_diff_recovers_the_added_rows(base, extra):
+    total = grouped(base)
+    plus = total.copy()
+    plus.add(extra)
+    recovered = list(plus.exact_diff(total))
+    assert [row for row in recovered if row[0] in dict(extra)] == reference(extra)
+    assert all(values == (0.0, 0.0) for key, values in recovered if key not in dict(extra))
+
+
+def test_exact_diff_covers_keys_missing_on_either_side():
+    left = grouped([("a", (1.0, 1.0)), ("b", (1e16, 2.0))])
+    right = grouped([("b", (-1.0, 2.0)), ("c", (4.0, 0.5))])
+    assert list(left.exact_diff(right)) == [
+        ("a", (1.0, 1.0)),
+        ("b", (1e16 + 1.0, 0.0)),
+        ("c", (-4.0, -0.5)),
+    ]
+
+
+def test_sums_of_different_widths_do_not_combine():
+    with pytest.raises(ValueError):
+        ExactSum(1).merge(ExactSum(2))
+    with pytest.raises(ValueError):
+        ExactSum(1).exact_diff(ExactSum(2))

@@ -12,7 +12,8 @@ from fedsum.metrics import (
     per_user_mean_error,
     weighted_relative_error,
 )
-from fedsum.model import ExactHistogramSum, IndexedHistogram, InvalidParameterError
+from fedsum.exactsum import ExactSum
+from fedsum.model import IndexedHistogram, InvalidParameterError
 from fedsum.synth import Corpus, DeviceRecords, SyntheticCorpusConfig, generate_corpus
 
 from helpers import naive_workload, trip
@@ -62,12 +63,13 @@ def test_workload_is_additive_across_subfleets(week_one_300):
         schema=left.schema,
         devices=left.devices + right.devices,
     )
-    acc = ExactHistogramSum(left.schema)
+    acc = ExactSum(1)
     for h in left.device_histograms(week_one_300):
-        acc.add(h)
+        acc.add(h.as_rows())
     for h in right.device_histograms(week_one_300):
-        acc.add(h)
-    assert exact_workload(combined, week_one_300) == acc.rounded()
+        acc.add(h.as_rows())
+    total = IndexedHistogram.from_rows(left.schema, acc.report())
+    assert exact_workload(combined, week_one_300) == total
 
 
 # --- device floor ---------------------------------------------------------------

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fedsum.exactsum import ExactSum
 from fedsum.model import (
     DIRECTIONS,
-    ExactHistogramSum,
     IndexedHistogram,
     InvalidParameterError,
     ScaleTable,
@@ -331,12 +331,16 @@ def test_scale_table_shape_must_match_schema(small_schema):
 # --- addition and exact sums ---------------------------------------------------
 
 
+def accumulate(histograms):
+    acc = ExactSum(1)
+    for h in histograms:
+        acc.add(h.as_rows())
+    return acc
+
+
 def exact_sum(histograms, schema):
     """Histogram addition as the pipeline does it: summed exactly, rounded once."""
-    acc = ExactHistogramSum(schema)
-    for h in histograms:
-        acc.add(h)
-    return acc.rounded()
+    return IndexedHistogram.from_rows(schema, accumulate(histograms).report())
 
 
 def test_hist_add_identity_and_accumulation(small_schema):
@@ -345,11 +349,6 @@ def test_hist_add_identity_and_accumulation(small_schema):
     assert exact_sum([h, empty], small_schema) == h
     two = exact_sum([h, build(small_schema, {(0, 0, 0, 0): 2.0})], small_schema)
     assert two[(0, 0, 0, 0)] == 3.0
-
-
-def test_hist_add_different_schemas_rejected(small_schema, cell_schema):
-    with pytest.raises(SchemaMismatchError):
-        ExactHistogramSum(small_schema).add(IndexedHistogram(cell_schema))
 
 
 @given(histograms(), histograms())
@@ -371,27 +370,25 @@ def test_hist_sum_is_order_invariant(hs, rng):
 def test_exact_sum_merge_matches_sequential(hs, cut_at):
     schema = hs[0].schema
     cut = min(cut_at, len(hs))
-    left = ExactHistogramSum(schema)
-    for h in hs[:cut]:
-        left.add(h)
-    right = ExactHistogramSum(schema)
-    for h in hs[cut:]:
-        right.add(h)
-    left.merge(right)
-    sequential = ExactHistogramSum(schema)
-    for h in hs:
-        sequential.add(h)
-    assert left.rounded().serialize() == sequential.rounded().serialize()
+    left = accumulate(hs[:cut])
+    left.merge(accumulate(hs[cut:]))
+    merged = IndexedHistogram.from_rows(schema, left.report())
+    assert merged.serialize() == exact_sum(hs, schema).serialize()
 
 
 @given(histograms(), histograms())
 def test_exact_diff_recovers_added_histogram(base, extra):
-    schema = base.schema
-    acc = ExactHistogramSum(schema)
-    acc.add(base)
+    acc = accumulate([base])
     plus = acc.copy()
-    plus.add(extra)
-    assert plus.exact_diff(acc) == extra
+    plus.add(extra.as_rows())
+    assert IndexedHistogram.from_rows(base.schema, plus.exact_diff(acc)) == extra
+    assert IndexedHistogram.from_rows(base.schema, acc.report()) == base
+
+
+def test_rounded_rows_outside_the_schema_are_rejected(small_schema, cell_schema):
+    wide = build(small_schema, {(2, 1, 3, 0): 1.5})
+    with pytest.raises(InvalidParameterError):
+        exact_sum([wide], cell_schema)
 
 
 # --- canonical serialization ------------------------------------------------------

@@ -39,3 +39,18 @@ def test_only_the_codec_knows_the_row_key_format():
         text = path.read_text(encoding="utf-8")
         offenders += [(path.name, n) for n in needles if n in text]
     assert offenders == []
+
+
+# The one module that may keep an exact-sum accumulator.
+EXACT_SUM_MODULE = "exactsum.py"
+
+
+def test_only_exactsum_keeps_an_exact_accumulator():
+    needles = ("add_partial", "merge_partials", "round_partials", "lo = y - (hi - x)")
+    offenders = []
+    for path in sorted(Path(fedsum.__file__).parent.glob("*.py")):
+        if path.name == EXACT_SUM_MODULE:
+            continue
+        text = path.read_text(encoding="utf-8")
+        offenders += [(path.name, n) for n in needles if n in text]
+    assert offenders == []

@@ -10,13 +10,13 @@ import pytest
 from fedsum.aggcore import ClientUpdate, MalformedUpdateError
 from fedsum.client import histogram_to_rows
 from fedsum.dp import MechanismConfig, VARIANT_JOINT, resolve_mechanism
-from fedsum.model import ExactHistogramSum, IndexedHistogram, Schema
-from fedsum.query import QueryValidationError, parse_and_validate
+from fedsum.exactsum import ExactSum
+from fedsum.model import IndexedHistogram, Schema
+from fedsum.query import RELEASE_KEY_COLUMNS, QueryValidationError, parse_and_validate
 from fedsum.server import (
     FederatedServer,
     InvalidTokenError,
     MissingApprovalError,
-    RELEASE_KEY_COLUMNS,
     RetrospectiveQueryError,
     ServerConfig,
     SessionClosedError,
@@ -110,6 +110,14 @@ def upload(server, device: int, h: IndexedHistogram, now: int) -> None:
     server.ingest_upload(
         ClientUpdate(a.query_id, a.window_id, a.token, tuple(rows)), now
     )
+
+
+def exact_sum(s, histograms) -> IndexedHistogram:
+    """The histograms summed exactly and rounded once per cell."""
+    total = ExactSum(1)
+    for h in histograms:
+        total.add(h.as_rows())
+    return IndexedHistogram.from_rows(s, total.report())
 
 
 def events_named(server, name):
@@ -221,13 +229,11 @@ GROUP BY privacy_time_unit, direction, region, activity
 """)
     registered = server.register_task(make_task(s, query_text=query), now=START)
     assert registered.core_config.value_columns == ("n", "km", "sec")
-    total = ExactHistogramSum(s)
     for device in range(3):
-        h = device_histogram(s, device)
-        upload(server, device, h, START + WEEK + 60)
-        total.add(h)
+        upload(server, device, device_histogram(s, device), START + WEEK + 60)
     server.maintenance(START + WEEK + GRACE + 1)
-    assert server.releases["trips/2024-W20"].histogram == total.rounded()
+    total = exact_sum(s, [device_histogram(s, device) for device in range(3)])
+    assert server.releases["trips/2024-W20"].histogram == total
 
 
 @pytest.mark.parametrize(
@@ -331,15 +337,31 @@ def test_upload_after_deadline_is_rejected_and_burns_the_token():
     assert events_named(server, "upload_rejected")[0]["reason"] == "session_closed"
 
 
-def test_malformed_upload_burns_the_token_but_not_the_state():
+MALFORMED_ROWS = {
+    "wrong_width": (("key", (1.0,)),),
+    "scalar_values": (("key", 5.0),),
+    "no_values": (("key", None),),
+    "no_rows": None,
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_ROWS))
+def test_malformed_upload_burns_the_token_but_not_the_state(case):
     server, s = make_server()
     server.register_task(make_task(s), now=START)
+    good = server.check_in(2, now=START + WEEK)[0]
+    upload_rows = tuple(histogram_to_rows(device_histogram(s, 2), good.window_id, SPEC))
+    server.ingest_upload(
+        ClientUpdate(good.query_id, good.window_id, good.token, upload_rows), START + WEEK
+    )
+    session = server.sessions[good.session_id]
+    before = [core.serialize_state() for core in session.shards]
     a = server.check_in(1, now=START + WEEK)[0]
-    bad = ClientUpdate(a.query_id, a.window_id, a.token, (("key", (1.0,)),))
+    bad = ClientUpdate(a.query_id, a.window_id, a.token, MALFORMED_ROWS[case])
     with pytest.raises(MalformedUpdateError):
         server.ingest_upload(bad, now=START + WEEK)
-    session = server.sessions[a.session_id]
-    assert session.uploads_accepted == 0
+    assert session.uploads_accepted == 1
+    assert [core.serialize_state() for core in session.shards] == before
     with pytest.raises(TokenReplayError):
         server.ingest_upload(bad, now=START + WEEK)
     assert events_named(server, "upload_rejected")[0]["reason"] == "malformed"
@@ -450,19 +472,14 @@ def test_contribution_gate_counts_devices():
 def test_noiseless_release_equals_the_exact_sum_of_uploads():
     server, s = make_server(num_shards=3, checkpoint_batch=4, rollup_interval=3600)
     server.register_task(make_task(s, num_windows=1), now=START)
-    exact = ExactHistogramSum(s)
     for device in range(25):
-        h = device_histogram(s, device)
-        exact.add(h)
-        upload(server, device, h, now=START + WEEK + device * 60)
+        upload(server, device, device_histogram(s, device), now=START + WEEK + device * 60)
     server.maintenance(now=START + WEEK + 3600 * 12)  # mid-flight rollup
     for device in range(25, 40):
-        h = device_histogram(s, device)
-        exact.add(h)
-        upload(server, device, h, now=START + WEEK + 3600 * 13)
+        upload(server, device, device_histogram(s, device), now=START + WEEK + 3600 * 13)
     server.maintenance(now=START + WEEK + GRACE + 1)
     release = server.releases["trips/2024-W20"]
-    assert release.histogram == exact.rounded()
+    assert release.histogram == exact_sum(s, [device_histogram(s, d) for d in range(40)])
     (event,) = events_named(server, "release")
     assert event["released_partitions"] == len(release.histogram)
     assert event["suppressed_partitions"] == 0
@@ -489,10 +506,7 @@ def test_crash_loses_at_most_the_in_flight_batch():
     assert lost == 1  # four of five already checkpointed
     server.maintenance(now=START + WEEK + GRACE + 1)
     release = server.releases["trips/2024-W20"]
-    exact = ExactHistogramSum(s)
-    for device in range(4):
-        exact.add(device_histogram(s, device))
-    assert release.histogram == exact.rounded()
+    assert release.histogram == exact_sum(s, [device_histogram(s, d) for d in range(4)])
     (crash,) = events_named(server, "crash_injected")
     assert crash["contributions_lost"] == 1
 

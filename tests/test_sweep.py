@@ -63,9 +63,9 @@ def test_each_variant_is_prepared_once(corpus_300, week_one_300):
     for variant, mech in prepared.items():
         assert mech.resolved.variant == variant
         assert mech.num_devices == active
-    assert prepared[VARIANT_SPLIT].clip is None
-    assert prepared[VARIANT_JOINT].clip is not None
-    assert prepared[VARIANT_SCALED].scale_table.get(0, 0) != 1.0
+    assert prepared[VARIANT_SPLIT].resolved.clip is None
+    assert prepared[VARIANT_JOINT].resolved.clip is not None
+    assert prepared[VARIANT_SCALED].resolved.scale_table.get(0, 0) != 1.0
 
 
 # --- the grid ---------------------------------------------------------------------
