@@ -3,9 +3,20 @@
 Each simulated device keeps a short-lived cache of its own trip records
 and two watermarks.  The low watermark is the start of the current civil
 window (data after it is still accumulating); the high watermark trails
-it and marks how far the device has already contributed.  Records expire
-from the cache on a time-to-live, and a per-(query, window) memo makes
-contribution exactly-once even across retries.
+it and marks how far the device has already contributed.  The cache is
+kept in event-time order (an older record than the newest cached one is
+refused), so expiring records on a time-to-live drops a prefix and a
+window's records are one slice, both found by bisection.  A
+per-(query, window) memo makes contribution exactly-once even across
+retries.
+
+On each wake, ``draw_flags`` decides whether the device may check in.
+It draws lazily, in the order the policy reads them: connectivity, then
+the battery level, then the policy's own flags, and stops at the first
+condition that fails.  Every condition's draw is keyed by (condition,
+device, civil day) alone, so the decision never depends on which draws
+were skipped, and two fleets under different policies see the same
+conditions.
 
 ``client_work`` sums a device's records into its raw window histogram.
 Bounding that histogram before it leaves the device (scaling and
@@ -18,7 +29,9 @@ histogram as the client statement's grouped rows; outside
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .aggcore import KEY_SEPARATOR
@@ -42,14 +55,13 @@ from .windows import TimeWindow, WindowAlignment, round_down_window
 __all__ = [
     "ClockRegressionError",
     "METRIC_BY_COLUMN",
-    "ConstraintFlags",
     "AvailabilityProfile",
     "TIER_PROFILES",
     "CHECKIN_POLICIES",
     "BATTERY_FLOOR",
     "DeviceState",
     "draw_flags",
-    "policy_allows",
+    "records_in_window",
     "client_work",
     "histogram_to_rows",
     "rows_to_histogram",
@@ -71,26 +83,19 @@ METRIC_BY_COLUMN = {
 # the configured policy.
 BATTERY_FLOOR = 0.30
 
-# Named check-in policies: which constraint flags must hold in addition
-# to connectivity and the battery floor.
-CHECKIN_POLICIES: dict[str, frozenset[str]] = {
-    "idle": frozenset({"idle"}),
-    "idle_wifi_charging": frozenset({"idle", "unmetered_network", "charging"}),
+# Named check-in policies: which constraint flags must hold, in the order
+# they are drawn, in addition to connectivity and the battery floor.
+CHECKIN_POLICIES: dict[str, tuple[str, ...]] = {
+    "idle": ("idle",),
+    "idle_wifi_charging": ("idle", "unmetered_network", "charging"),
 }
 
-
-@dataclass(frozen=True)
-class ConstraintFlags:
-    """Device condition snapshot for one check-in opportunity."""
-
-    idle: bool
-    unmetered_network: bool
-    charging: bool
-    connected: bool
-    battery_level: float
-
-    def flag(self, name: str) -> bool:
-        return bool(getattr(self, name))
+# Each constraint flag's draw key and the profile probability it holds with.
+_FLAG_DRAWS: dict[str, tuple[str, str]] = {
+    "idle": ("idle", "p_idle"),
+    "unmetered_network": ("unmetered", "p_unmetered"),
+    "charging": ("charging", "p_charging"),
+}
 
 
 @dataclass(frozen=True)
@@ -143,32 +148,45 @@ TIER_PROFILES: dict[str, AvailabilityProfile] = {
 
 
 def draw_flags(
-    rng: KeyedRng, profile: AvailabilityProfile, device_id: int, day: int
-) -> ConstraintFlags:
-    """Deterministic condition snapshot for (device, civil day).
+    rng: KeyedRng,
+    profile: AvailabilityProfile,
+    policy: str,
+    device_id: int,
+    day: int,
+) -> bool:
+    """Whether the device may check in under ``policy`` on this civil day.
 
-    Draws are keyed by what is being decided, never by the policy under
-    test, so two runs that differ only in check-in policy see identical
-    device conditions.
+    Draws the conditions the policy reads, in order: connected, then the
+    battery level against :data:`BATTERY_FLOOR`, then each of the
+    policy's flags; it stops at the first that fails.  Each draw is keyed
+    by what is being decided, never by the policy under test, so two runs
+    that differ only in check-in policy see identical device conditions.
     """
-    battery_span = profile.battery_high - profile.battery_low
-    return ConstraintFlags(
-        idle=rng.uniform("idle", device_id, day) < profile.p_idle,
-        unmetered_network=rng.uniform("unmetered", device_id, day)
-        < profile.p_unmetered,
-        charging=rng.uniform("charging", device_id, day) < profile.p_charging,
-        connected=rng.uniform("connected", device_id, day) < profile.p_connected,
-        battery_level=profile.battery_low
-        + battery_span * rng.uniform("battery", device_id, day),
-    )
-
-
-def policy_allows(flags: ConstraintFlags, policy: str) -> bool:
-    """Whether a device in this condition may check in under ``policy``."""
     required = CHECKIN_POLICIES[policy]
-    if not flags.connected or flags.battery_level < BATTERY_FLOOR:
+    if not rng.uniform("connected", device_id, day) < profile.p_connected:
         return False
-    return all(flags.flag(name) for name in required)
+    battery_span = profile.battery_high - profile.battery_low
+    battery_level = profile.battery_low + battery_span * rng.uniform(
+        "battery", device_id, day
+    )
+    if battery_level < BATTERY_FLOOR:
+        return False
+    for flag in required:
+        key, probability = _FLAG_DRAWS[flag]
+        if not rng.uniform(key, device_id, day) < getattr(profile, probability):
+            return False
+    return True
+
+
+_event_time = attrgetter("event_time")
+
+
+def records_in_window(
+    records: list[TripRecord], window: TimeWindow
+) -> list[TripRecord]:
+    """The slice of time-ordered ``records`` whose event time is in ``window``."""
+    lo = bisect_left(records, window.start, key=_event_time)
+    return records[lo : bisect_left(records, window.end, lo, key=_event_time)]
 
 
 @dataclass
@@ -184,6 +202,13 @@ class DeviceState:
     last_seen_now: int = 0
 
     def add_record(self, record: TripRecord) -> None:
+        """Cache a new record; records must arrive in event-time order."""
+        if self.records and record.event_time < self.records[-1].event_time:
+            raise ValueError(
+                f"device {self.device_id}: record at {record.event_time} is "
+                f"older than the newest cached one at "
+                f"{self.records[-1].event_time}"
+            )
         self.records.append(record)
 
     def advance_watermarks(
@@ -213,11 +238,11 @@ class DeviceState:
 
     def purge_expired(self, now: int, ttl: int) -> None:
         """Drop records whose age exceeds the cache time-to-live."""
-        self.records = [r for r in self.records if now - r.event_time <= ttl]
+        del self.records[: bisect_left(self.records, now - ttl, key=_event_time)]
 
     def visible_records(self, window: TimeWindow) -> list[TripRecord]:
         """Cached records inside one complete, not-yet-current window."""
-        return [r for r in self.records if window.contains(r.event_time)]
+        return records_in_window(self.records, window)
 
     def eligible_windows(
         self, query_id: str, candidate_windows: Sequence[TimeWindow]
@@ -251,14 +276,33 @@ def client_work(records: Iterable[TripRecord], schema: Schema) -> IndexedHistogr
     """A device's raw (unscaled, unclipped) histogram of its records.
 
     Every record contributes 1 to its num-trips cell and its distance and
-    duration to theirs, summed in record order.
+    duration to theirs, summed in record order; a cell whose sum is zero
+    is dropped, as :meth:`IndexedHistogram.increment` drops it.  Each
+    record's (activity, region, direction) is checked once against the
+    schema.
     """
+    num_activities, num_metrics, num_regions, num_directions = schema.shape
     h = IndexedHistogram(schema)
+    cells = h._d  # filled in place; every index is checked below
     for record in records:
         a, r, d = record.activity, record.region, record.direction
-        h.increment((a, METRIC_NUM_TRIPS, r, d), 1.0)
-        h.increment((a, METRIC_DISTANCE, r, d), record.distance_km)
-        h.increment((a, METRIC_DURATION, r, d), record.duration_s)
+        if not (
+            0 <= a < num_activities
+            and 0 <= r < num_regions
+            and 0 <= d < num_directions
+            and METRIC_DURATION < num_metrics
+        ):
+            schema.check_index((a, METRIC_DURATION, r, d))  # raises
+        for index, delta in (
+            ((a, METRIC_NUM_TRIPS, r, d), 1.0),
+            ((a, METRIC_DISTANCE, r, d), record.distance_km),
+            ((a, METRIC_DURATION, r, d), record.duration_s),
+        ):
+            value = cells.get(index, 0.0) + delta
+            if value == 0.0:
+                cells.pop(index, None)
+            else:
+                cells[index] = value
     return h
 
 

@@ -46,32 +46,63 @@ def laplace_from_uniform(u: float, scale: float) -> float:
     return -scale * math.copysign(1.0, t) * math.log1p(-2.0 * abs(t))
 
 
+_INT_PART = struct.Struct("<q")
+_LEN_PREFIX = struct.Struct("<I")
+
+# Bound on a generator's cache of encoded ``str`` index parts.  Draws reuse
+# a few strings ("idle", "upload-ok", window ids) millions of times; the
+# cache is emptied whenever it reaches the bound, so arbitrary strings
+# cannot grow it.
+_STR_PARTS_MAX = 4096
+
+
+def _encode_part(part: object) -> bytes:
+    """One index part's bytes: ``i`` + LE int64, or ``s`` + LE u32 length + UTF-8."""
+    if isinstance(part, bool):  # bool is an int; reject ambiguity
+        raise TypeError("index parts must be int or str, not bool")
+    if isinstance(part, int):
+        return b"i" + _INT_PART.pack(part)
+    if isinstance(part, str):
+        data = part.encode("utf-8")
+        return b"s" + _LEN_PREFIX.pack(len(data)) + data
+    raise TypeError(f"index parts must be int or str, got {type(part).__name__}")
+
+
 class KeyedRng:
     """Counter-based generator: one named stream per (seed, namespace)."""
 
-    __slots__ = ("seed", "namespace", "_key")
+    __slots__ = ("seed", "namespace", "_key", "_keyed", "_str_parts")
 
     def __init__(self, seed: int, namespace: str = "") -> None:
         self.seed = seed
         self.namespace = namespace
         material = struct.pack("<q", seed) + namespace.encode("utf-8")
         self._key = blake2b(material, digest_size=16).digest()
+        # Keying BLAKE2b costs a compression; every draw copies this state.
+        self._keyed = blake2b(key=self._key, digest_size=8)
+        self._str_parts: dict[str, bytes] = {}
 
     def _digest(self, index: tuple) -> bytes:
+        """``blake2b(encoded parts, key=_key, digest_size=8)`` of one index."""
+        cache = self._str_parts
         parts = []
         for part in index:
-            if isinstance(part, bool):  # bool is an int; reject ambiguity
-                raise TypeError("index parts must be int or str, not bool")
-            if isinstance(part, int):
-                parts.append(b"i" + struct.pack("<q", part))
-            elif isinstance(part, str):
-                data = part.encode("utf-8")
-                parts.append(b"s" + struct.pack("<I", len(data)) + data)
-            else:
-                raise TypeError(
-                    f"index parts must be int or str, got {type(part).__name__}"
-                )
-        return blake2b(b"".join(parts), key=self._key, digest_size=8).digest()
+            kind = type(part)
+            if kind is int:
+                parts.append(b"i" + _INT_PART.pack(part))
+            elif kind is str:
+                data = cache.get(part)
+                if data is None:
+                    data = _encode_part(part)
+                    if len(cache) >= _STR_PARTS_MAX:
+                        cache.clear()
+                    cache[part] = data
+                parts.append(data)
+            else:  # subclasses, bools and other types take the checked path
+                parts.append(_encode_part(part))
+        h = self._keyed.copy()
+        h.update(b"".join(parts))
+        return h.digest()
 
     def uniform(self, *index: int | str) -> float:
         """Uniform draw in the open interval (0, 1) for this index."""

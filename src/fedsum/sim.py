@@ -1,20 +1,29 @@
-"""Discrete-time fleet simulation driver.
+"""Event-driven fleet simulation driver.
 
 Advances a simulated clock in fixed ticks over the task horizon.  Each
 device has a stable (per-device) wake hour and wakes at the first tick
 at or after its next wake time, so at most once per tick and, with ticks
-of an hour or less, once per civil day at that hour.  Awake, it ingests
-its own new trip records, advances its watermarks, draws its condition
-flags, and — if the check-in policy allows — checks in, receives
-session-bound tokens, and uploads a bounded histogram for every complete
-window it has not contributed to yet: the mechanism's
-``transform_device`` of the window's raw histogram.  The server side
-(sessions, checkpoints, releases) runs through
-:class:`fedsum.server.FederatedServer`.
+of an hour or less, once per civil day at that hour.  A wake calendar
+maps each tick to the devices due then: a tick visits only those, in
+device-id order, and each wake files the device under the tick of its
+next wake.  The server's maintenance still runs on every tick.
 
-Condition draws are keyed by (device, day) alone, so fleets under
-different check-in policies experience identical conditions and coverage
-comparisons are apples-to-apples.
+Awake, a device ingests its own new trip records, advances its
+watermarks and draws its conditions (``client.draw_flags``: lazily, in
+the order the policy reads them, stopping at the first that fails).  If
+the check-in policy allows, it checks in, receives session-bound tokens,
+and uploads a bounded histogram for every complete window it has not
+contributed to yet: the mechanism's ``transform_device`` of the window's
+raw histogram.  The server side (sessions, checkpoints, releases) runs
+through :class:`fedsum.server.FederatedServer`.
+
+Condition draws are keyed by (condition, device, day) alone, so fleets
+under different check-in policies experience identical conditions and
+coverage comparisons are apples-to-apples.
+
+Evaluation builds each released window's device histograms once, derives
+the ground truth and the per-partition device counts from them, and
+frees them before the next window.
 """
 
 from __future__ import annotations
@@ -24,13 +33,13 @@ from dataclasses import dataclass, field
 
 from .aggcore import ClientUpdate
 from .client import (
+    CHECKIN_POLICIES,
     METRIC_BY_COLUMN,
     TIER_PROFILES,
     DeviceState,
     client_work,
     draw_flags,
     histogram_to_rows,
-    policy_allows,
 )
 from .dp import NoisedRelease, ResolvedMechanism
 from .metrics import (
@@ -67,6 +76,11 @@ class FleetConfig:
     availability: str = "tiered"  # "tiered" or "always_on"
 
     def __post_init__(self) -> None:
+        if self.policy not in CHECKIN_POLICIES:
+            raise ValueError(
+                f"unknown check-in policy {self.policy!r}; "
+                f"known: {sorted(CHECKIN_POLICIES)}"
+            )
         if self.tick_seconds < 1:
             raise ValueError("tick must be at least one second")
         if self.cache_ttl < 1:
@@ -122,12 +136,20 @@ def run_simulation(
     spec = registered.spec
     mechanism = task.mechanism
 
+    start = corpus.config.start_time
+    tick = fleet.tick_seconds
+
+    def first_tick_at_or_after(instant: int) -> int:
+        return start if instant <= start else start - (start - instant) // tick * tick
+
     fleet_rng = KeyedRng(seed, "fleet")
     devices: dict[int, DeviceState] = {}
     feed_index: dict[int, int] = {}
     # Each device's next wake time; it wakes at the first tick at or after it.
     next_wake: dict[int, int] = {}
-    start_day = corpus.config.start_time - corpus.config.start_time % DAY
+    # The wake calendar: tick -> ids of the devices that wake at that tick.
+    calendar: dict[int, list[int]] = {}
+    start_day = start - start % DAY
     tiers: dict[int, str] = {}
     for dev in corpus.devices:
         profile = (
@@ -141,23 +163,27 @@ def run_simulation(
         devices[dev.device_id] = state
         feed_index[dev.device_id] = 0
         wake_hour = fleet_rng.randrange(24, "wake-hour", dev.device_id)
-        next_wake[dev.device_id] = start_day + wake_hour * HOUR
+        wake = start_day + wake_hour * HOUR
+        next_wake[dev.device_id] = wake
+        calendar.setdefault(first_tick_at_or_after(wake), []).append(dev.device_id)
         tiers[dev.device_id] = dev.tier
 
     downloaded: dict[str, set[int]] = {w.window_id: set() for w in windows}
     uploaded: dict[str, set[int]] = {w.window_id: set() for w in windows}
     corpus_devices = {d.device_id: d for d in corpus.devices}
+    windows_by_id = {w.window_id: w for w in windows}
 
-    start = corpus.config.start_time
-    horizon_end = windows[-1].end + task.grace_period + 2 * fleet.tick_seconds
-    for now in range(start, horizon_end + 1, fleet.tick_seconds):
+    horizon_end = windows[-1].end + task.grace_period + 2 * tick
+    for now in range(start, horizon_end + 1, tick):
         server.maintenance(now)
+        due = calendar.pop(now, None)
+        if due is None:
+            continue
         day = now // DAY
-        for device_id in sorted(devices):
-            wake = next_wake[device_id]
-            if now < wake:
-                continue
-            next_wake[device_id] = _next_wake(wake, now)
+        for device_id in sorted(due):
+            wake = _next_wake(next_wake[device_id], now)
+            next_wake[device_id] = wake
+            calendar.setdefault(first_tick_at_or_after(wake), []).append(device_id)
             state = devices[device_id]
             # New records arrive on the device as time passes them.
             source = corpus_devices[device_id].records
@@ -167,8 +193,7 @@ def run_simulation(
                 i += 1
             feed_index[device_id] = i
             state.advance_watermarks(now, task.window_alignment, fleet.cache_ttl)
-            flags = draw_flags(fleet_rng, state.profile, device_id, day)
-            if not policy_allows(flags, fleet.policy):
+            if not draw_flags(fleet_rng, state.profile, fleet.policy, device_id, day):
                 continue
             assignments = server.check_in(device_id, now)
             eligible = {
@@ -181,9 +206,7 @@ def run_simulation(
             for assignment in assignments:
                 if assignment.window_id not in eligible:
                     continue
-                window = next(
-                    w for w in windows if w.window_id == assignment.window_id
-                )
+                window = windows_by_id[assignment.window_id]
                 records = state.visible_records(window)
                 if not records:
                     continue
@@ -212,7 +235,7 @@ def run_simulation(
                 acked_any = True
             if acked_any:
                 state.finish_exchange()
-    server.maintenance(horizon_end + fleet.tick_seconds)
+    server.maintenance(horizon_end + tick)
 
     result = SimulationResult(
         server=server,
@@ -228,6 +251,21 @@ def run_simulation(
     return result
 
 
+def _truth_and_counts(
+    corpus: Corpus, window: TimeWindow
+) -> tuple[IndexedHistogram, dict[tuple[int, int, int], int]]:
+    """One window's ground truth and device counts from one histogram pass.
+
+    The device histograms die on return, so evaluating the next window
+    never holds two windows' histograms at once.
+    """
+    histograms = corpus.device_histograms(window)
+    return (
+        exact_workload(corpus, window, histograms),
+        corpus.device_counts(window, histograms),
+    )
+
+
 def _evaluate(
     result: SimulationResult,
     corpus: Corpus,
@@ -241,8 +279,7 @@ def _evaluate(
     for window in result.task_windows:
         release = result.releases.get(f"{result.query_id}/{window.window_id}")
         if isinstance(release, NoisedRelease):
-            truth = exact_workload(corpus, window)
-            counts = corpus.device_counts(window)
+            truth, counts = _truth_and_counts(corpus, window)
             wre = weighted_relative_error(truth, release.histogram, counts, floor)
             pume = per_user_mean_error(truth, release.histogram, counts, metrics)
             for metric in sorted(wre):

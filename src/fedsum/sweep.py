@@ -120,7 +120,7 @@ def run_epsilon_sweep(
     if prepared is None:
         prepared = prepare_variants(corpus, window, sweep, histograms)
     truth = exact_workload(corpus, window, histograms)
-    counts = corpus.device_counts(window)
+    counts = corpus.device_counts(window, histograms)
     floor = default_device_floor(corpus.num_devices)
     cells = scored_cells(truth, counts, floor)
     noise = {
@@ -208,7 +208,7 @@ def grid_search_clip_quantile(
     """
     histograms = corpus.device_histograms(window)
     truth = exact_workload(corpus, window, histograms)
-    counts = corpus.device_counts(window)
+    counts = corpus.device_counts(window, histograms)
     floor = default_device_floor(corpus.num_devices)
     cells = scored_cells(truth, counts, floor)
     noise = {

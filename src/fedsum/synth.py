@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .client import client_work
-from .model import IndexedHistogram, Schema, TripRecord
+from .client import client_work, records_in_window
+from .model import METRIC_NUM_TRIPS, IndexedHistogram, Schema, TripRecord
 from .windows import TimeWindow
 
 __all__ = [
@@ -118,6 +118,8 @@ class SyntheticCorpusConfig:
 
 @dataclass
 class DeviceRecords:
+    """One device's trips, in event-time order."""
+
     device_id: int
     tier: str
     home_region: int
@@ -137,7 +139,7 @@ class Corpus:
     def records_in(
         self, device: DeviceRecords, window: TimeWindow
     ) -> list[TripRecord]:
-        return [r for r in device.records if window.contains(r.event_time)]
+        return records_in_window(device.records, window)
 
     def device_histograms(self, window: TimeWindow) -> list[IndexedHistogram]:
         """Raw (unscaled, unclipped) per-device histograms for a window.
@@ -153,16 +155,24 @@ class Corpus:
         return out
 
     def device_counts(
-        self, window: TimeWindow
+        self,
+        window: TimeWindow,
+        histograms: list[IndexedHistogram] | None = None,
     ) -> dict[tuple[int, int, int], int]:
-        """Devices contributing data per (activity, region, direction)."""
+        """Devices contributing data per (activity, region, direction).
+
+        A device holds a trip in a partition exactly when its raw
+        num-trips cell there is nonzero, so the counts come from the
+        window's device histograms.  ``histograms`` may hand in
+        ``device_histograms(window)`` when the caller already has them.
+        """
+        if histograms is None:
+            histograms = self.device_histograms(window)
         counts: dict[tuple[int, int, int], int] = {}
-        for device in self.devices:
-            seen: set[tuple[int, int, int]] = set()
-            for r in self.records_in(device, window):
-                seen.add((r.activity, r.region, r.direction))
-            for key in seen:
-                counts[key] = counts.get(key, 0) + 1
+        for h in histograms:
+            for a, m, r, d in h.raw():
+                if m == METRIC_NUM_TRIPS:
+                    counts[(a, r, d)] = counts.get((a, r, d), 0) + 1
         return counts
 
 

@@ -8,6 +8,7 @@ dates and month windows ``YYYY-MM``.  Instants are integer UTC seconds.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
@@ -62,12 +63,15 @@ def _to_seconds(dt: datetime) -> int:
     return int(dt.timestamp())
 
 
+@functools.lru_cache(maxsize=4096)
 def round_down_window(instant: int, alignment: WindowAlignment) -> TimeWindow:
     """The civil window containing ``instant`` under ``alignment``.
 
     Day and week windows have fixed spans (24h, 7d); month windows span
     the calendar month.  The mapping is idempotent: every instant inside
-    the returned window rounds down to the same window.
+    the returned window rounds down to the same window.  Results are
+    cached per (instant, alignment): a simulation asks for the same
+    clock tick once per waking device.
     """
     dt = _to_datetime(instant)
     if alignment is WindowAlignment.DAY:

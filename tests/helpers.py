@@ -338,3 +338,28 @@ def malformed_query_cases() -> list[tuple[str, str, type]]:
 
     assert len(cases) == 50, len(cases)
     return cases
+
+
+# Check-in policies and the battery floor, written out.
+POLICY_FLAGS = {
+    "idle": ("idle",),
+    "idle_wifi_charging": ("idle", "unmetered_network", "charging"),
+}
+BATTERY_FLOOR = 0.30
+
+
+def eager_check_in_allowed(rng, profile, policy, device_id, day) -> bool:
+    """A device-day's check-in verdict from all five condition draws."""
+    flags = {
+        "idle": rng.uniform("idle", device_id, day) < profile.p_idle,
+        "unmetered_network": rng.uniform("unmetered", device_id, day)
+        < profile.p_unmetered,
+        "charging": rng.uniform("charging", device_id, day) < profile.p_charging,
+    }
+    connected = rng.uniform("connected", device_id, day) < profile.p_connected
+    battery = profile.battery_low + (
+        profile.battery_high - profile.battery_low
+    ) * rng.uniform("battery", device_id, day)
+    if not connected or battery < BATTERY_FLOOR:
+        return False
+    return all(flags[name] for name in POLICY_FLAGS[policy])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -12,13 +13,11 @@ from fedsum.client import (
     BATTERY_FLOOR,
     CHECKIN_POLICIES,
     ClockRegressionError,
-    ConstraintFlags,
     DeviceState,
     TIER_PROFILES,
     client_work,
     draw_flags,
     histogram_to_rows,
-    policy_allows,
     rows_to_histogram,
 )
 from fedsum.dp import (
@@ -33,7 +32,7 @@ from fedsum.query import QueryValidationError, parse_and_validate
 from fedsum.rng import KeyedRng
 from fedsum.windows import WindowAlignment, round_down_window, window_after
 
-from helpers import START, WEEK, trip
+from helpers import START, WEEK, eager_check_in_allowed, trip
 
 DISTANCE_QUERY = """\
 SELECT activity, region, direction, privacy_time_unit,
@@ -195,8 +194,9 @@ def test_no_visible_records_yields_no_rows():
 
 def test_rows_are_sorted_by_key():
     spec = parse_and_validate(FULL_QUERY)
+    # The earlier trip has the larger key.
     dev = device(
-        [trip(a=2, r=3, d=1), trip(a=0, r=0, d=0, t=START + 60)]
+        [trip(a=2, r=3, d=1, t=START + 60), trip(a=0, r=0, d=0, t=START + 3600)]
     )
     rows = upload_rows(dev, spec, [week(0)])
     assert len(rows) == 2
@@ -309,6 +309,26 @@ def test_expired_records_are_purged():
     assert dev.records == []
 
 
+def test_purge_drops_exactly_the_expired_prefix():
+    old, tied, edge, new = (
+        trip(t=START + 10),
+        trip(t=START + 10, km=2.0),
+        trip(t=START + 100),
+        trip(t=START + 500),
+    )
+    dev = device([old, tied, edge, new])
+    dev.advance_watermarks(START + 100 + 3600, WindowAlignment.WEEK, ttl=3600)
+    assert dev.records == [edge, new]
+
+
+def test_records_must_arrive_in_time_order():
+    dev = device([trip(t=START + 100)])
+    dev.add_record(trip(t=START + 100, km=2.0))  # a tie keeps arrival order
+    with pytest.raises(ValueError, match="older than the newest"):
+        dev.add_record(trip(t=START + 99))
+    assert [r.event_time for r in dev.records] == [START + 100, START + 100]
+
+
 def test_eligible_windows_exclude_current_and_contributed():
     dev = device([trip()])
     windows = [week(0), week(1)]
@@ -338,60 +358,99 @@ def test_visible_records_filter_by_window():
 # --- constraint flags and policies ----------------------------------------------
 
 
-def flags(idle=True, unmetered=True, charging=True, connected=True, battery=1.0):
-    return ConstraintFlags(
-        idle=idle,
-        unmetered_network=unmetered,
-        charging=charging,
-        connected=connected,
-        battery_level=battery,
-    )
+class CountingRng(KeyedRng):
+    """A generator that records the first part of every draw's index."""
+
+    __slots__ = ("keys",)
+
+    def __init__(self, seed, namespace):
+        super().__init__(seed, namespace)
+        self.keys = []
+
+    def uniform(self, *index):
+        self.keys.append(index[0])
+        return super().uniform(*index)
+
+
+def profile_with(**changes):
+    return dataclasses.replace(TIER_PROFILES["always_on"], **changes)
 
 
 def test_policies_require_connectivity_and_battery():
+    rng = KeyedRng(0, "fleet")
     for policy in CHECKIN_POLICIES:
-        assert policy_allows(flags(), policy)
-        assert not policy_allows(flags(connected=False), policy)
-        assert not policy_allows(flags(battery=BATTERY_FLOOR - 0.01), policy)
-        assert policy_allows(flags(battery=BATTERY_FLOOR), policy)
+        for day in range(10):
+            assert draw_flags(rng, profile_with(), policy, 1, day)
+            assert not draw_flags(rng, profile_with(p_connected=0.0), policy, 1, day)
+            low = BATTERY_FLOOR - 0.01
+            drained = profile_with(battery_low=low, battery_high=low)
+            assert not draw_flags(rng, drained, policy, 1, day)
+            at_floor = profile_with(battery_low=BATTERY_FLOOR, battery_high=BATTERY_FLOOR)
+            assert draw_flags(rng, at_floor, policy, 1, day)
 
 
 def test_relaxed_policy_ignores_wifi_and_charging():
-    relaxed_only = flags(unmetered=False, charging=False)
-    assert policy_allows(relaxed_only, "idle")
-    assert not policy_allows(relaxed_only, "idle_wifi_charging")
-    assert not policy_allows(flags(idle=False), "idle")
+    rng = KeyedRng(0, "fleet")
+    relaxed_only = profile_with(p_unmetered=0.0, p_charging=0.0)
+    assert draw_flags(rng, relaxed_only, "idle", 1, 3)
+    assert not draw_flags(rng, relaxed_only, "idle_wifi_charging", 1, 3)
+    assert not draw_flags(rng, profile_with(p_idle=0.0), "idle", 1, 3)
 
 
 @given(
-    st.booleans(),
-    st.booleans(),
-    st.booleans(),
-    st.booleans(),
-    st.floats(min_value=0, max_value=1),
+    st.sampled_from(["high_end", "low_end"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**5),
 )
-def test_strict_policy_implies_relaxed_policy(idle, unmetered, charging, connected, battery):
-    f = flags(idle, unmetered, charging, connected, battery)
-    if policy_allows(f, "idle_wifi_charging"):
-        assert policy_allows(f, "idle")
+def test_strict_policy_implies_relaxed_policy(tier, device_id, day):
+    rng = KeyedRng(7, "fleet")
+    profile = TIER_PROFILES[tier]
+    if draw_flags(rng, profile, "idle_wifi_charging", device_id, day):
+        assert draw_flags(rng, profile, "idle", device_id, day)
 
 
 def test_flag_draws_are_deterministic_and_policy_free():
-    rng = KeyedRng(5, "fleet")
-    profile = TIER_PROFILES["high_end"]
-    first = draw_flags(rng, profile, device_id=3, day=7)
-    second = draw_flags(KeyedRng(5, "fleet"), profile, device_id=3, day=7)
-    assert first == second
-    other_day = draw_flags(rng, profile, device_id=3, day=8)
-    assert isinstance(other_day, ConstraintFlags)
+    profile = TIER_PROFILES["low_end"]
+    for policy in CHECKIN_POLICIES:
+        for device_id in range(40):
+            for day in range(5):
+                lazy = draw_flags(KeyedRng(5, "fleet"), profile, policy, device_id, day)
+                again = draw_flags(KeyedRng(5, "fleet"), profile, policy, device_id, day)
+                eager = eager_check_in_allowed(
+                    KeyedRng(5, "fleet"), profile, policy, device_id, day
+                )
+                assert lazy == again == eager
+
+
+def test_condition_draws_stop_at_the_first_failing_flag():
+    order = ["connected", "battery", "idle", "unmetered", "charging"]
+    assert CHECKIN_POLICIES["idle_wifi_charging"] == (
+        "idle",
+        "unmetered_network",
+        "charging",
+    )
+    cases = [
+        (profile_with(p_connected=0.0), order[:1], False),
+        (profile_with(battery_low=0.0, battery_high=0.0), order[:2], False),
+        (profile_with(p_idle=0.0), order[:3], False),
+        (profile_with(p_unmetered=0.0), order[:4], False),
+        (profile_with(p_charging=0.0), order, False),
+        (profile_with(), order, True),
+    ]
+    for profile, drawn, allowed in cases:
+        rng = CountingRng(2, "fleet")
+        assert draw_flags(rng, profile, "idle_wifi_charging", 4, 9) is allowed
+        assert rng.keys == drawn
+    rng = CountingRng(2, "fleet")
+    assert draw_flags(rng, profile_with(p_charging=0.0), "idle", 4, 9)
+    assert rng.keys == order[:3]
 
 
 def test_always_on_profile_is_never_blocked():
     rng = KeyedRng(0, "fleet")
     profile = TIER_PROFILES["always_on"]
     for day in range(20):
-        f = draw_flags(rng, profile, device_id=1, day=day)
-        assert policy_allows(f, "idle_wifi_charging")
+        assert draw_flags(rng, profile, "idle_wifi_charging", 1, day)
 
 
 def test_tier_profiles_express_the_availability_gap():

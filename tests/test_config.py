@@ -128,6 +128,8 @@ def test_invalid_bounds_are_wrapped_with_their_section():
         parse_config({"mechanism": {"epsilon": 2.0, "clip": "inf"}})
     with pytest.raises(ConfigError, match="availability"):
         parse_config({"fleet": {"availability": "sometimes"}})
+    with pytest.raises(ConfigError, match="fleet: unknown check-in policy"):
+        parse_config({"fleet": {"policy": "idle_or_wifi"}})
     with pytest.raises(ConfigError, match="alignment"):
         parse_config({"task": {"alignment": "fortnight"}})
     with pytest.raises(ConfigError, match="variant"):

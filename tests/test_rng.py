@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import struct
+from hashlib import blake2b
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fedsum import rng as rng_module
 from fedsum.rng import KeyedRng, laplace_from_uniform
 
 
@@ -141,3 +144,64 @@ def test_scale_parameter_scales_linearly():
     threex = [rng.laplace(3.0, "w", i) for i in range(100)]
     for b, t in zip(base, threex):
         assert t == pytest.approx(3.0 * b, rel=1e-12)
+
+
+class Int(int):
+    pass
+
+
+class Str(str):
+    pass
+
+
+def plain_digest(rng, index):
+    """The keyed hash of an index's encoded parts, with a fresh key each time."""
+    parts = []
+    for part in index:
+        if isinstance(part, int):
+            parts.append(b"i" + struct.pack("<q", part))
+        else:
+            data = part.encode("utf-8")
+            parts.append(b"s" + struct.pack("<I", len(data)) + data)
+    return blake2b(b"".join(parts), key=rng._key, digest_size=8).digest()
+
+
+INT64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+INDEX_PART = st.one_of(
+    INT64,
+    st.sampled_from([0, -1, 2**63 - 1, -(2**63)]),
+    st.text(),
+    st.sampled_from(["", "é", "\u65e5\u672c", "\U0001f600", "2024-W20"]),
+    INT64.map(Int),
+    st.text().map(Str),
+)
+
+
+@given(
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+    st.text(max_size=8),
+    st.lists(INDEX_PART, max_size=6),
+)
+def test_digest_equals_the_plain_keyed_hash(seed, namespace, index):
+    rng = KeyedRng(seed, namespace)
+    expected = plain_digest(rng, tuple(index))
+    assert rng._digest(tuple(index)) == expected
+    assert rng._digest(tuple(index)) == expected  # again, from the cache
+
+
+def test_subclass_parts_hash_as_their_values():
+    rng = KeyedRng(3, "ns")
+    assert rng.uniform(Str("idle"), Int(7)) == rng.uniform("idle", 7)
+    with pytest.raises(TypeError):
+        rng.uniform("idle", True)
+    with pytest.raises(TypeError):
+        rng.uniform(1.5)
+
+
+def test_string_part_cache_stays_bounded():
+    rng = KeyedRng(0, "ns")
+    bound = rng_module._STR_PARTS_MAX
+    for i in range(bound * 2 + 3):
+        part = f"part-{i}"
+        assert rng._digest((part,)) == plain_digest(rng, (part,))
+        assert len(rng._str_parts) <= bound

@@ -14,16 +14,27 @@ from fedsum.dp import (
     prepare_mechanism,
     resolve_mechanism,
 )
-from fedsum.client import histogram_to_rows
+from fedsum.aggcore import ClientUpdate
+from fedsum.client import (
+    CHECKIN_POLICIES,
+    TIER_PROFILES,
+    DeviceState,
+    histogram_to_rows,
+)
 from fedsum.metrics import exact_workload
 from fedsum.query import parse_and_validate
 from fedsum.rng import KeyedRng
-from fedsum.server import SuppressedRelease, TaskConfig
-from fedsum.sim import FleetConfig, run_simulation
+from fedsum.server import (
+    FederatedServer,
+    SessionClosedError,
+    SuppressedRelease,
+    TaskConfig,
+)
+from fedsum.sim import FleetConfig, build_device_upload, run_simulation
 from fedsum.synth import SyntheticCorpusConfig, generate_corpus
 from fedsum.windows import WindowAlignment
 
-from helpers import START
+from helpers import START, eager_check_in_allowed
 
 FULL_QUERY = """\
 SELECT activity, region, direction, privacy_time_unit,
@@ -301,3 +312,100 @@ def test_insufficient_fleets_release_a_marker_and_skip_eval(corpus_300):
     assert isinstance(result.releases["trips/2024-W20"], SuppressedRelease)
     assert result.eval_rows == []
     assert len(result.reach_rows) == 3
+
+
+# --- equivalence with the per-tick poll ----------------------------------------
+
+
+def polled_simulation(corpus, task, fleet, seed):
+    """The simulator's device loop as a per-tick poll of the whole fleet.
+
+    Every tick compares every device's next wake time with the clock, in
+    device-id order; conditions come from ``eager_check_in_allowed`` and a
+    window's records from a scan of the cache.  Returns the server.
+    """
+    server = FederatedServer(corpus.schema, None, seed=seed)
+    registered = server.register_task(task, now=corpus.config.start_time)
+    windows, spec = registered.windows, registered.spec
+    rng = KeyedRng(seed, "fleet")
+    start = corpus.config.start_time
+    start_day = start - start % 86_400
+    states, feed, next_wake = {}, {}, {}
+    for dev in corpus.devices:
+        state = DeviceState(device_id=dev.device_id, profile=TIER_PROFILES[dev.tier])
+        state.high_watermark = state.low_watermark = start
+        state.last_seen_now = start
+        states[dev.device_id] = state
+        feed[dev.device_id] = 0
+        hour = rng.randrange(24, "wake-hour", dev.device_id)
+        next_wake[dev.device_id] = start_day + hour * 3600
+    sources = {d.device_id: d.records for d in corpus.devices}
+    horizon_end = windows[-1].end + task.grace_period + 2 * fleet.tick_seconds
+    for now in range(start, horizon_end + 1, fleet.tick_seconds):
+        server.maintenance(now)
+        day = now // 86_400
+        for device_id in sorted(states):
+            wake = next_wake[device_id]
+            if now < wake:
+                continue
+            next_wake[device_id] = wake + ((now - wake) // 86_400 + 1) * 86_400
+            state = states[device_id]
+            source, i = sources[device_id], feed[device_id]
+            while i < len(source) and source[i].event_time <= now:
+                state.add_record(source[i])
+                i += 1
+            feed[device_id] = i
+            state.advance_watermarks(now, task.window_alignment, fleet.cache_ttl)
+            if not eager_check_in_allowed(rng, state.profile, fleet.policy, device_id, day):
+                continue
+            assignments = server.check_in(device_id, now)
+            eligible = {w.window_id for w in state.eligible_windows(task.query_id, windows)}
+            acked_any = False
+            for assignment in assignments:
+                if assignment.window_id not in eligible:
+                    continue
+                window = next(w for w in windows if w.window_id == assignment.window_id)
+                records = [r for r in state.records if window.contains(r.event_time)]
+                if not records:
+                    continue
+                ok = rng.uniform("upload-ok", device_id, day, assignment.window_id)
+                if not ok < state.profile.p_upload_ok:
+                    continue
+                histogram = build_device_upload(records, task.mechanism, corpus.schema)
+                update = ClientUpdate(
+                    query_id=task.query_id,
+                    window_id=window.window_id,
+                    token=assignment.token,
+                    rows=tuple(histogram_to_rows(histogram, window.window_id, spec)),
+                )
+                try:
+                    server.ingest_upload(update, now)
+                except SessionClosedError:
+                    continue
+                state.mark_contributed(task.query_id, window.window_id)
+                acked_any = True
+            if acked_any:
+                state.finish_exchange()
+    server.maintenance(horizon_end + fleet.tick_seconds)
+    return server
+
+
+@pytest.mark.parametrize("policy", sorted(CHECKIN_POLICIES))
+@pytest.mark.parametrize("tick_seconds", [900, 3600, 5 * 3600, 2 * 86_400])
+def test_wake_calendar_and_lazy_draws_match_the_per_tick_poll(
+    corpus_300, tick_seconds, policy
+):
+    task = make_task(corpus_300.schema, epsilon=2.0, clip=1000.0)
+    fleet = FleetConfig(
+        policy=policy, tick_seconds=tick_seconds, cache_ttl=5 * 86_400
+    )
+    result = run_simulation(corpus_300, task, fleet, seed=6)
+    reference = polled_simulation(corpus_300, task, fleet, seed=6)
+    lines = list(result.server.event_log_lines())
+    assert sum('"upload_accepted"' in line for line in lines) > 0
+    assert lines == list(reference.event_log_lines())
+    assert result.releases.keys() == reference.releases.keys()
+    for key, release in reference.releases.items():
+        assert isinstance(release, NoisedRelease)
+        got = result.releases[key].histogram.serialize()
+        assert got == release.histogram.serialize()
