@@ -30,7 +30,6 @@ from .metrics import (
 from .model import (
     IndexedHistogram,
     InvalidParameterError,
-    ScaleTable,
     Schema,
     SchemaMismatchError,
     TripRecord,
@@ -74,7 +73,6 @@ __all__ = [
     "QuerySpec",
     "QueryValidationError",
     "ResolvedMechanism",
-    "ScaleTable",
     "Schema",
     "SchemaMismatchError",
     "ServerConfig",

@@ -1,13 +1,12 @@
 """Device-side behavior: local caching, windowing, and bounded uploads.
 
 Each simulated device keeps a short-lived cache of its own trip records
-and two watermarks.  The low watermark is the start of the current civil
-window (data after it is still accumulating); the high watermark trails
-it and marks how far the device has already contributed.  The cache is
-kept in event-time order (an older record than the newest cached one is
-refused), so expiring records on a time-to-live drops a prefix and a
-window's records are one slice, both found by bisection.  A
-per-(query, window) memo makes contribution exactly-once even across
+and a low watermark: the start of the current civil window (data after
+it is still accumulating).  The cache is kept in event-time order (an
+older record than the newest cached one is refused), so expiring records
+on a time-to-live drops a prefix and a window's records are one slice,
+both found by bisection.  A per-(query, window) memo records what the
+device has contributed and makes contribution exactly-once even across
 retries.
 
 On each wake, ``draw_flags`` decides whether the device may check in.
@@ -191,12 +190,11 @@ def records_in_window(
 
 @dataclass
 class DeviceState:
-    """One device's cache, watermarks, and contribution memo."""
+    """One device's cache, low watermark, and contribution memo."""
 
     device_id: int
     profile: AvailabilityProfile
     records: list[TripRecord] = field(default_factory=list)
-    high_watermark: int = 0
     low_watermark: int = 0
     contributed: dict[str, set[str]] = field(default_factory=dict)
     last_seen_now: int = 0
@@ -216,9 +214,8 @@ class DeviceState:
     ) -> None:
         """Move the low watermark to the current window start; purge TTL.
 
-        The high watermark never moves here — it only advances when an
-        upload is acknowledged.  A backwards clock raises
-        :class:`ClockRegressionError` and changes nothing.
+        A backwards clock raises :class:`ClockRegressionError` and changes
+        nothing.
         """
         if now < self.last_seen_now:
             raise ClockRegressionError(
@@ -229,11 +226,6 @@ class DeviceState:
         window_start = round_down_window(now, alignment).start
         if window_start > self.low_watermark:
             self.low_watermark = window_start
-        if self.high_watermark > self.low_watermark:
-            raise ClockRegressionError(
-                f"device {self.device_id}: high watermark "
-                f"{self.high_watermark} ahead of low {self.low_watermark}"
-            )
         self.purge_expired(now, ttl)
 
     def purge_expired(self, now: int, ttl: int) -> None:
@@ -262,10 +254,6 @@ class DeviceState:
 
     def mark_contributed(self, query_id: str, window_id: str) -> None:
         self.contributed.setdefault(query_id, set()).add(window_id)
-
-    def finish_exchange(self) -> None:
-        """After an acknowledged exchange, the high watermark catches up."""
-        self.high_watermark = self.low_watermark
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Any
 import yaml
 
 from .dp import MechanismConfig, VARIANT_SCALED, VARIANTS
-from .model import ScaleTable
+from .model import InvalidParameterError, Table, as_table
 from .sim import FleetConfig
 from .sweep import DEFAULT_EPSILONS, SweepConfig
 from .synth import DEFAULT_START_TIME, SyntheticCorpusConfig
@@ -252,7 +252,32 @@ def _epsilon(value: Any, where: str) -> float:
     return float(value)
 
 
-def _load_table_csv(path: str, what: str, shape: tuple[int, int]) -> ScaleTable:
+def _seed(value: Any, where: str, signed: bool = False) -> int:
+    """A seed the generators can key by: in [-2**63, 2**63) if ``signed``,
+    else in [0, 2**63)."""
+    value = _require(value, int, where)
+    low = -(2**63) if signed else 0
+    if not low <= value < 2**63:
+        span = "[-2**63, 2**63)" if signed else "[0, 2**63)"
+        raise ConfigError(f"{where}: expected a seed in {span}, got {value}")
+    return value
+
+
+def _table(rows: Any, what: str, shape: tuple[int, int]) -> Table:
+    """``rows`` as a stored table of ``shape`` (activity x metric)."""
+    try:
+        table = as_table(rows, what)
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    if (len(table), len(table[0])) != shape:
+        raise ConfigError(
+            f"{what} must be {shape[0]}x{shape[1]} (activity x metric), "
+            f"got {len(table)}x{len(table[0])}"
+        )
+    return table
+
+
+def _load_table_csv(path: str, what: str, shape: tuple[int, int]) -> Table:
     """Read a per-(activity, metric) table from a CSV of a,m,value rows.
 
     A header row is permitted.  Every cell of the ``shape`` domain must
@@ -299,10 +324,7 @@ def _load_table_csv(path: str, what: str, shape: tuple[int, int]) -> ScaleTable:
             f"{what}: {path!r} is missing cell(s) {missing[:5]}"
             + ("…" if len(missing) > 5 else "")
         )
-    try:
-        return ScaleTable(values)
-    except ValueError as exc:
-        raise ConfigError(f"{what}: {path!r}: {exc}") from exc
+    return _table(values, f"{what} {path!r}", shape)
 
 
 def parse_config(data: dict | None) -> ExperimentConfig:
@@ -316,17 +338,18 @@ def parse_config(data: dict | None) -> ExperimentConfig:
         raise ConfigError(f"unknown section(s) {sorted(unknown)}")
 
     run = _section(data, "run")
-    seed = _int(run, "seed", 0, "run")
+    seed = _seed(run.get("seed", 0), "run.seed")
     out_dir = _str(run, "out", "out", "run")
 
     corpus_raw = _section(data, "corpus")
+    corpus_seed = _seed(corpus_raw.get("seed", seed), "corpus.seed")
     try:
         corpus = SyntheticCorpusConfig(
             num_devices=_int(corpus_raw, "num_devices", 2000, "corpus"),
             num_regions=_int(corpus_raw, "num_regions", 50, "corpus"),
             num_weeks=_int(corpus_raw, "num_weeks", 3, "corpus"),
             start_time=_int(corpus_raw, "start_time", DEFAULT_START_TIME, "corpus"),
-            seed=_int(corpus_raw, "seed", seed, "corpus"),
+            seed=corpus_seed,
         )
     except ValueError as exc:
         raise ConfigError(f"corpus: {exc}") from exc
@@ -415,13 +438,17 @@ def parse_config(data: dict | None) -> ExperimentConfig:
             raise ConfigError(
                 "mechanism.budget_weights must be a nested list (activity x metric)"
             )
-        budget_weights = tuple(
-            tuple(_epsilon(v, "mechanism.budget_weights") for v in row)
-            for row in budget_weights
+        budget_weights = _table(
+            [
+                [_epsilon(v, "mechanism.budget_weights") for v in row]
+                for row in budget_weights
+            ],
+            "mechanism.budget_weights",
+            table_shape,
         )
     mechanism_seed = None
     if "seed" in mech_raw:
-        mechanism_seed = _require(mech_raw["seed"], int, "mechanism.seed")
+        mechanism_seed = _seed(mech_raw["seed"], "mechanism.seed", signed=True)
     try:
         mechanism = MechanismConfig(
             variant=variant,
@@ -448,6 +475,7 @@ def parse_config(data: dict | None) -> ExperimentConfig:
         isinstance(s, int) and not isinstance(s, bool) for s in seeds
     ):
         raise ConfigError("sweep.seeds must be a list of integers or a count")
+    seeds = [_seed(s, "sweep.seeds", signed=True) for s in seeds]
     variants = sweep_raw.get("variants", list(VARIANTS))
     if not isinstance(variants, list) or not variants:
         raise ConfigError("sweep.variants must be a non-empty list")

@@ -37,15 +37,27 @@ budget.  Noise, descaling and thresholding run on one dense
 :class:`IndexedHistogram` is only the aggregate that goes in and the
 release that comes out.
 
+A :class:`MechanismConfig` is validated completely when it is built:
+each parameter belongs to its variant, and its per-(activity, metric)
+tables are stored as tuples of floats (:data:`fedsum.model.Table`), every
+entry finite and positive, budget weights summing to 1.
+:func:`resolve_mechanism` then only fills calibration gaps and checks
+table shapes against the schema.  Per-release math reads the stored
+tables into ``(A, M)`` arrays: the noise scales, and the descale factors
+of :attr:`ResolvedMechanism.scale_table`, which is the identity for the
+variants that do not scale, so every release descales the same way.
+
 Calibration uses the nearest-rank empirical quantile of per-device L1
 norms; scale calibration considers only devices active in the slice and
-falls back to 1.0 for slices nobody touched.
+falls back to 1.0 for slices nobody touched.  Budget split's slice clip
+bounds and scaling's scale factors are the same calibration.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -55,9 +67,10 @@ from .exactsum import ExactSum
 from .model import (
     IndexedHistogram,
     InvalidParameterError,
-    ScaleTable,
     Schema,
-    SchemaMismatchError,
+    Table,
+    as_table,
+    check_table_shape,
 )
 from .rng import KeyedRng
 
@@ -90,14 +103,26 @@ VARIANTS = (VARIANT_JOINT, VARIANT_SPLIT, VARIANT_SCALED)
 # coordinates at equal scales receive equal draws under one seed.
 NOISE_NAMESPACE = "release-noise"
 
+# The variants each optional mechanism parameter applies to.
+_PARAMETER_VARIANTS = {
+    "clip": (VARIANT_JOINT, VARIANT_SCALED),
+    "clip_table": (VARIANT_SPLIT,),
+    "scale_table": (VARIANT_SCALED,),
+    "budget_weights": (VARIANT_SPLIT,),
+}
+
 
 @dataclass(frozen=True)
 class MechanismConfig:
-    """Parameters of one private release mechanism.
+    """Parameters of one private release mechanism, validated when built.
 
     ``clip``, ``clip_table``, and ``scale_table`` may be left ``None`` to
-    be calibrated from the device histograms at ``quantile``.  ``tau``
-    suppresses released partitions below a magnitude floor; with
+    be calibrated from the device histograms at ``quantile``.  Each
+    parameter belongs to its variant: ``clip`` to joint clipping and
+    scaling, ``clip_table`` and ``budget_weights`` to budget split,
+    ``scale_table`` to scaling.  Tables are stored as float tuples with
+    every entry finite and positive; budget weights must also sum to 1.
+    ``tau`` suppresses released partitions below a magnitude floor; with
     ``tau == 0`` nothing is suppressed unless ``strict_tau`` is set, in
     which case negative values are dropped.
     """
@@ -106,11 +131,11 @@ class MechanismConfig:
     epsilon: float
     quantile: float = 0.95
     clip: float | None = None
-    clip_table: ScaleTable | None = None
-    scale_table: ScaleTable | None = None
+    clip_table: Table | None = None
+    scale_table: Table | None = None
     tau: float = 0.0
     strict_tau: bool = False
-    budget_weights: tuple[tuple[float, ...], ...] | None = None
+    budget_weights: Table | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -124,14 +149,33 @@ class MechanismConfig:
             raise InvalidParameterError("quantile must be in (0, 1]")
         if self.clip is not None and not self.clip > 0:
             raise InvalidParameterError("clip bound must be positive")
-        if self.tau < 0:
+        if not self.tau >= 0:
             raise InvalidParameterError("threshold tau must be >= 0")
-        if math.isinf(self.epsilon):
-            return
-        if self.clip is not None and math.isinf(self.clip):
+        if (
+            self.clip is not None
+            and math.isinf(self.clip)
+            and not math.isinf(self.epsilon)
+        ):
             raise InvalidParameterError(
                 "infinite clip bound requires infinite epsilon"
             )
+        for name, variants in _PARAMETER_VARIANTS.items():
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if self.variant not in variants:
+                raise InvalidParameterError(
+                    f"{name} applies only to "
+                    + " and ".join(repr(v) for v in variants)
+                )
+            if name != "clip":
+                object.__setattr__(self, name, as_table(value, name))
+        if self.budget_weights is not None:
+            total = math.fsum(w for row in self.budget_weights for w in row)
+            if abs(total - 1.0) > 1e-6:
+                raise InvalidParameterError(
+                    f"budget_weights must sum to 1, got {total}"
+                )
 
 
 @dataclass(frozen=True)
@@ -170,7 +214,7 @@ def slice_l1_norms(h: IndexedHistogram) -> dict[tuple[int, int], float]:
 
 def calibrate_scales(
     histograms: Iterable[IndexedHistogram], schema: Schema, q: float = 0.95
-) -> ScaleTable:
+) -> Table:
     """Per-slice scale factors: the q-quantile of active devices' norms.
 
     For each (activity, metric), collect the slice L1 norm of every
@@ -198,8 +242,8 @@ def calibrate_scales(
                     m,
                 )
                 row.append(1.0)
-        rows.append(row)
-    return ScaleTable(rows)
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def calibrate_clip(
@@ -234,18 +278,6 @@ def apply_threshold(
         return values.copy(), 0
     dropped = (values != 0.0) & (values < tau)
     return np.where(dropped, 0.0, values), int(np.count_nonzero(dropped))
-
-
-# Per-slice noise scales: one non-negative Laplace scale per
-# (activity, metric); zero means "no noise" and skips the draw entirely.
-NoiseScales = tuple[tuple[float, ...], ...]
-
-
-def uniform_noise_scales(schema: Schema, b: float) -> NoiseScales:
-    return tuple(
-        tuple(b for _ in range(schema.num_metrics))
-        for _ in range(schema.num_activities)
-    )
 
 
 class UnitLaplace:
@@ -287,16 +319,17 @@ def release_noise(seed: int, window_id: str, schema: Schema) -> UnitLaplace:
 
 def add_laplace_noise(
     values: np.ndarray,
-    noise_scales: NoiseScales,
+    scales: np.ndarray,
     unit: UnitLaplace,
 ) -> np.ndarray:
     """Add per-coordinate Laplace noise with per-slice scales.
 
     ``values`` is a dense histogram array; the result is a new one.
-    Covers the *full* index domain, so empty partitions are noised too
-    and the presence of a key reveals nothing.
+    ``scales`` holds one Laplace scale per (activity, metric); a zero
+    scale means no noise and skips the draw.  Covers the *full* index
+    domain, so empty partitions are noised too and the presence of a key
+    reveals nothing.
     """
-    scales = np.asarray(noise_scales, dtype=np.float64)
     if not np.all(np.isfinite(scales) & (scales >= 0.0)):
         raise ValueError(f"laplace scales must be finite and >= 0, got {scales}")
     needed = scales != 0.0
@@ -319,16 +352,20 @@ def add_laplace_noise(
 
 @dataclass(frozen=True)
 class ResolvedMechanism:
-    """A mechanism with all calibrated parameters filled in."""
+    """A mechanism with all calibrated parameters filled in.
+
+    ``scale_table`` is the identity for the variants that do not scale,
+    so every release descales by it.
+    """
 
     variant: str
     epsilon: float
-    scale_table: ScaleTable
+    scale_table: Table
     clip: float | None
-    clip_table: ScaleTable | None
+    clip_table: Table | None
     tau: float
     strict_tau: bool
-    budget_weights: tuple[tuple[float, ...], ...] | None
+    budget_weights: Table | None
 
     def transform_device(self, h: IndexedHistogram) -> IndexedHistogram:
         """The bounded contribution one raw device histogram may add.
@@ -348,23 +385,24 @@ class ResolvedMechanism:
 
     def noise_scales(
         self, schema: Schema, epsilon: float | None = None
-    ) -> NoiseScales:
-        """Per-slice Laplace scales at ``epsilon`` (default: configured)."""
+    ) -> np.ndarray:
+        """Per-slice Laplace scales at ``epsilon`` (default: configured).
+
+        An ``(activity, metric)`` float64 array.
+        """
         eps = self.epsilon if epsilon is None else epsilon
+        shape = schema.shape[:2]
         if math.isinf(eps):
-            return uniform_noise_scales(schema, 0.0)
+            return np.zeros(shape)
         if self.variant == VARIANT_SPLIT:
             assert self.clip_table is not None
-            weights = self.budget_weights or _uniform_weights(schema)
-            return tuple(
-                tuple(
-                    self.clip_table.get(a, m) / (eps * weights[a][m])
-                    for m in range(schema.num_metrics)
-                )
-                for a in range(schema.num_activities)
-            )
+            if self.budget_weights is None:
+                weights = np.full(shape, 1.0 / (shape[0] * shape[1]))
+            else:
+                weights = np.asarray(self.budget_weights)
+            return np.asarray(self.clip_table) / (eps * weights)
         assert self.clip is not None
-        return uniform_noise_scales(schema, self.clip / eps)
+        return np.full(shape, self.clip / eps)
 
     def finalize(
         self,
@@ -376,7 +414,9 @@ class ResolvedMechanism:
     ) -> NoisedRelease:
         """Noise, descale, and threshold a summed aggregate for release.
 
-        The work runs on one dense array.  ``unit`` may hand in
+        The work runs on one dense array.  Descaling multiplies by
+        ``scale_table``, which leaves the values of the non-scaling
+        variants unchanged (``x * 1.0 == x``).  ``unit`` may hand in
         :func:`release_noise` of ``(seed, window_id)`` from an earlier
         release, so that releases sharing a seed draw it once; by
         default it is drawn here.
@@ -397,13 +437,7 @@ class ResolvedMechanism:
         values = add_laplace_noise(
             aggregate.to_dense(), self.noise_scales(schema, eps), unit
         )
-        if self.variant == VARIANT_SCALED:
-            if self.scale_table.shape != schema.shape[:2]:
-                raise SchemaMismatchError(
-                    f"table shape {self.scale_table.shape} does not match "
-                    f"schema {schema.shape[:2]}"
-                )
-            values *= np.asarray(self.scale_table.rows())[:, :, None, None]
+        values *= np.asarray(self.scale_table)[:, :, None, None]
         kept, suppressed = apply_threshold(values, self.tau, self.strict_tau)
         metadata = {
             "variant": self.variant,
@@ -452,39 +486,15 @@ class PreparedMechanism:
         )
 
 
-def _digest_or_none(table: ScaleTable | None) -> str | None:
+def _digest_or_none(table: Table | None) -> str | None:
+    """BLAKE2b of the table's ``<II`` shape, then each entry as ``<d``."""
     if table is None:
         return None
     from hashlib import blake2b
 
-    return blake2b(table.serialize(), digest_size=8).hexdigest()
-
-
-def _uniform_weights(schema: Schema) -> tuple[tuple[float, ...], ...]:
-    share = 1.0 / (schema.num_activities * schema.num_metrics)
-    return tuple(
-        tuple(share for _ in range(schema.num_metrics))
-        for _ in range(schema.num_activities)
-    )
-
-
-def _validate_weights(
-    weights: tuple[tuple[float, ...], ...], schema: Schema
-) -> None:
-    if len(weights) != schema.num_activities or any(
-        len(row) != schema.num_metrics for row in weights
-    ):
-        raise InvalidParameterError(
-            "budget weights must have one entry per (activity, metric)"
-        )
-    flat = [w for row in weights for w in row]
-    if any(not w > 0 for w in flat):
-        raise InvalidParameterError("budget weights must be positive")
-    total = math.fsum(flat)
-    if abs(total - 1.0) > 1e-6:
-        raise InvalidParameterError(
-            f"budget weights must sum to 1, got {total}"
-        )
+    entries = [v for row in table for v in row]
+    data = struct.pack(f"<II{len(entries)}d", len(table), len(table[0]), *entries)
+    return blake2b(data, digest_size=8).hexdigest()
 
 
 def resolve_mechanism(
@@ -494,15 +504,19 @@ def resolve_mechanism(
 ) -> ResolvedMechanism:
     """Fill calibration gaps in ``config`` from proxy device histograms.
 
-    Parameters given explicitly are kept; missing scale tables and clip
-    bounds are calibrated at the configured quantile.  The proxy sample
-    plays the role of pre-launch calibration data.
+    Parameters given explicitly are kept, once their table shapes are
+    checked against ``schema``; missing scale tables and clip bounds are
+    calibrated at the configured quantile.  The proxy sample plays the
+    role of pre-launch calibration data.
     """
     histograms = (
         proxy_histograms
         if isinstance(proxy_histograms, list)
         else list(proxy_histograms)
     )
+    for table in (config.scale_table, config.clip_table, config.budget_weights):
+        if table is not None:
+            check_table_shape(table, schema)
     scale_table = config.scale_table
     clip = config.clip
     clip_table = config.clip_table
@@ -510,37 +524,15 @@ def resolve_mechanism(
     if config.variant == VARIANT_SCALED:
         if scale_table is None:
             scale_table = calibrate_scales(histograms, schema, config.quantile)
-    else:
-        if scale_table is not None:
-            raise InvalidParameterError(
-                f"scale_table applies only to {VARIANT_SCALED!r}"
-            )
-        scale_table = ScaleTable.identity(schema)
-
-    if config.variant == VARIANT_SPLIT:
-        if clip is not None:
-            raise InvalidParameterError(
-                f"{VARIANT_SPLIT!r} uses clip_table, not a joint clip bound"
-            )
-        if clip_table is None:
-            clip_table = calibrate_scales(histograms, schema, config.quantile)
-        if config.budget_weights is not None:
-            _validate_weights(config.budget_weights, schema)
-    else:
-        if clip_table is not None:
-            raise InvalidParameterError(
-                f"clip_table applies only to {VARIANT_SPLIT!r}"
-            )
-        if config.budget_weights is not None:
-            raise InvalidParameterError(
-                f"budget_weights apply only to {VARIANT_SPLIT!r}"
-            )
         if clip is None:
-            if config.variant == VARIANT_SCALED:
-                scaled = [h.scale_by_table(scale_table) for h in histograms]
-                clip = calibrate_clip(scaled, config.quantile)
-            else:
-                clip = calibrate_clip(histograms, config.quantile)
+            scaled = [h.scale_by_table(scale_table) for h in histograms]
+            clip = calibrate_clip(scaled, config.quantile)
+    else:
+        scale_table = ((1.0,) * schema.num_metrics,) * schema.num_activities
+    if config.variant == VARIANT_SPLIT and clip_table is None:
+        clip_table = calibrate_scales(histograms, schema, config.quantile)
+    if config.variant == VARIANT_JOINT and clip is None:
+        clip = calibrate_clip(histograms, config.quantile)
 
     return ResolvedMechanism(
         variant=config.variant,

@@ -1,4 +1,4 @@
-"""Core data model: trip records, indexed histograms, and scale tables.
+"""Core data model: trip records, indexed histograms, and per-slice tables.
 
 The whole pipeline speaks one value type: a sparse histogram indexed by
 ``(activity, metric, region, direction)``.  Devices build one per time
@@ -18,6 +18,12 @@ Index order is always lexicographic on the tuple ``(a, m, r, d)``.  That
 canonical order makes iteration, serialization, and summation
 deterministic, so equal inputs produce bit-identical outputs no matter how
 the work was scheduled.
+
+A per-(activity, metric) table — scale factors, slice clip bounds, budget
+shares — is a :data:`Table`: a tuple of A rows of M positive floats, made
+by :func:`as_table`.  Stored tables are tuples so that a frozen config
+holding one compares and hashes by value; per-release math reads them
+into ``(A, M)`` float64 arrays with ``np.asarray``.
 """
 
 from __future__ import annotations
@@ -41,7 +47,9 @@ __all__ = [
     "Schema",
     "TripRecord",
     "IndexedHistogram",
-    "ScaleTable",
+    "Table",
+    "as_table",
+    "check_table_shape",
 ]
 
 # Travel directions relative to the device's home region.
@@ -110,11 +118,6 @@ class Schema:
             self.num_directions,
         )
 
-    @property
-    def domain_size(self) -> int:
-        a, m, r, d = self.shape
-        return a * m * r * d
-
     def valid_index(self, index: tuple[int, int, int, int]) -> bool:
         a, m, r, d = index
         sa, sm, sr, sd = self.shape
@@ -126,14 +129,35 @@ class Schema:
                 f"index {index} outside schema shape {self.shape}"
             )
 
-    def iter_domain(self) -> Iterator[tuple[int, int, int, int]]:
-        """All index tuples in canonical (lexicographic) order."""
-        sa, sm, sr, sd = self.shape
-        for a in range(sa):
-            for m in range(sm):
-                for r in range(sr):
-                    for d in range(sd):
-                        yield (a, m, r, d)
+
+# A per-(activity, metric) table: A rows of M floats.
+Table = tuple[tuple[float, ...], ...]
+
+
+def as_table(values: Iterable[Iterable[float]], name: str = "table") -> Table:
+    """``values`` as a stored :data:`Table` of float tuples.
+
+    The table must be rectangular and non-empty, and every entry finite
+    and positive; ``name`` labels the error otherwise.
+    """
+    table = tuple(tuple(float(v) for v in row) for row in values)
+    if not table or not table[0] or any(len(row) != len(table[0]) for row in table):
+        raise InvalidParameterError(f"{name} must be a non-empty rectangular table")
+    bad = [v for row in table for v in row if not 0 < v < math.inf]
+    if bad:
+        raise InvalidParameterError(
+            f"{name} entries must be finite and positive, got {bad[0]}"
+        )
+    return table
+
+
+def check_table_shape(table: Table, schema: Schema) -> None:
+    """Refuse a table that is not one row per activity, one entry per metric."""
+    shape = (len(table), len(table[0]) if table else 0)
+    if shape != schema.shape[:2]:
+        raise SchemaMismatchError(
+            f"table shape {shape} does not match schema {schema.shape[:2]}"
+        )
 
 
 @dataclass(frozen=True)
@@ -322,35 +346,25 @@ class IndexedHistogram:
         clipped = _clip_l1(self._d, bound)
         return self._adopt(dict(clipped) if clipped is self._d else clipped)
 
-    def clip_slices(self, bounds: "ScaleTable") -> "IndexedHistogram":
-        """Clip each (activity, metric) slice to its own bound ``bounds[a, m]``."""
-        self._check_table(bounds)
+    def clip_slices(self, bounds: Table) -> "IndexedHistogram":
+        """Clip each (activity, metric) slice to its own bound ``bounds[a][m]``."""
+        check_table_shape(bounds, self.schema)
         slices: dict[tuple[int, int], dict[Index, float]] = {}
         for index, value in self._d.items():
             slices.setdefault(index[:2], {})[index] = value
-        rows = bounds.rows()
         out: dict[Index, float] = {}
         for (a, m), entries in slices.items():
-            out.update(_clip_l1(entries, rows[a][m]))
+            out.update(_clip_l1(entries, bounds[a][m]))
         return self._adopt(out)
 
-    def scale_by_table(
-        self, table: "ScaleTable", invert: bool = False
-    ) -> "IndexedHistogram":
-        """Divide each entry by its slice factor ``table[a, m]``.
+    def scale_by_table(self, table: Table) -> "IndexedHistogram":
+        """Divide each entry by its slice factor ``table[a][m]``.
 
-        With ``invert=True`` entries are multiplied instead, undoing a
-        prior division by the same table.  Entries that underflow to zero
-        are dropped.
+        Entries that underflow to zero are dropped.
         """
-        self._check_table(table)
-        rows = table.rows()
-        if invert:
-            return self._adopt(
-                {k: x for k, v in self._d.items() if (x := v * rows[k[0]][k[1]])}
-            )
+        check_table_shape(table, self.schema)
         return self._adopt(
-            {k: x for k, v in self._d.items() if (x := v / rows[k[0]][k[1]])}
+            {k: x for k, v in self._d.items() if (x := v / table[k[0]][k[1]])}
         )
 
     def _adopt(self, entries: dict[Index, float]) -> "IndexedHistogram":
@@ -358,13 +372,6 @@ class IndexedHistogram:
         h = IndexedHistogram(self.schema)
         h._d = entries
         return h
-
-    def _check_table(self, table: "ScaleTable") -> None:
-        if table.shape != (self.schema.num_activities, self.schema.num_metrics):
-            raise SchemaMismatchError(
-                f"table shape {table.shape} does not match schema "
-                f"{self.schema.shape[:2]}"
-            )
 
     # -- serialization -----------------------------------------------------
 
@@ -378,74 +385,4 @@ class IndexedHistogram:
         out = bytearray(_HEADER.pack(len(items)))
         for (a, m, r, d), value in items:
             out += _ENTRY.pack(a, m, r, d, value)
-        return bytes(out)
-
-    @classmethod
-    def deserialize(cls, data: bytes, schema: Schema) -> "IndexedHistogram":
-        (count,) = _HEADER.unpack_from(data, 0)
-        expected = _HEADER.size + count * _ENTRY.size
-        if len(data) != expected:
-            raise InvalidParameterError(
-                f"serialized histogram length {len(data)} != {expected}"
-            )
-        h = cls(schema)
-        offset = _HEADER.size
-        for _ in range(count):
-            a, m, r, d, value = _ENTRY.unpack_from(data, offset)
-            offset += _ENTRY.size
-            h[(a, m, r, d)] = value
-        return h
-
-
-class ScaleTable:
-    """Dense positive per-(activity, metric) factors."""
-
-    __slots__ = ("num_activities", "num_metrics", "_values")
-
-    def __init__(self, values: Iterable[Iterable[float]]) -> None:
-        rows = [tuple(float(v) for v in row) for row in values]
-        if not rows or not rows[0]:
-            raise InvalidParameterError("scale table must be non-empty")
-        width = len(rows[0])
-        if any(len(row) != width for row in rows):
-            raise InvalidParameterError("scale table rows must be equal length")
-        for row in rows:
-            for v in row:
-                if not v > 0:
-                    raise InvalidParameterError(
-                        f"scale factors must be positive, got {v}"
-                    )
-        self.num_activities = len(rows)
-        self.num_metrics = width
-        self._values = tuple(rows)
-
-    @classmethod
-    def identity(cls, schema: Schema) -> "ScaleTable":
-        return cls(
-            [[1.0] * schema.num_metrics for _ in range(schema.num_activities)]
-        )
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.num_activities, self.num_metrics)
-
-    def get(self, activity: int, metric: int) -> float:
-        return self._values[activity][metric]
-
-    def rows(self) -> tuple[tuple[float, ...], ...]:
-        return self._values
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScaleTable):
-            return NotImplemented
-        return self._values == other._values
-
-    def __repr__(self) -> str:
-        return f"ScaleTable({self.num_activities}x{self.num_metrics})"
-
-    def serialize(self) -> bytes:
-        out = bytearray(struct.pack("<II", self.num_activities, self.num_metrics))
-        for row in self._values:
-            for v in row:
-                out += struct.pack("<d", v)
         return bytes(out)

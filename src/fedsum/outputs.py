@@ -140,12 +140,8 @@ def write_run_outputs(
             "epsilon": mechanism.epsilon,
             "clip": mechanism.clip,
             "tau": mechanism.tau,
-            "scale_table": [list(row) for row in mechanism.scale_table.rows()]
-            if mechanism.scale_table is not None
-            else None,
-            "clip_table": [list(row) for row in mechanism.clip_table.rows()]
-            if mechanism.clip_table is not None
-            else None,
+            "scale_table": mechanism.scale_table,
+            "clip_table": mechanism.clip_table,
         }
     )
     with open(

@@ -251,10 +251,6 @@ class QuerySpec:
         return tuple(a.alias for a in self.client.aggregates)
 
     @property
-    def server_value_columns(self) -> tuple[str, ...]:
-        return tuple(a.alias for a in self.server.aggregates)
-
-    @property
     def metric_columns(self) -> tuple[str, ...]:
         return tuple(a.source for a in self.client.aggregates)
 

@@ -9,7 +9,7 @@ device-id order, and each wake files the device under the tick of its
 next wake.  The server's maintenance still runs on every tick.
 
 Awake, a device ingests its own new trip records, advances its
-watermarks and draws its conditions (``client.draw_flags``: lazily, in
+low watermark and draws its conditions (``client.draw_flags``: lazily, in
 the order the policy reads them, stopping at the first that fails).  If
 the check-in policy allows, it checks in, receives session-bound tokens,
 and uploads a bounded histogram for every complete window it has not
@@ -158,7 +158,7 @@ def run_simulation(
             else TIER_PROFILES[dev.tier]
         )
         state = DeviceState(device_id=dev.device_id, profile=profile)
-        state.high_watermark = state.low_watermark = corpus.config.start_time
+        state.low_watermark = corpus.config.start_time
         state.last_seen_now = corpus.config.start_time
         devices[dev.device_id] = state
         feed_index[dev.device_id] = 0
@@ -202,7 +202,6 @@ def run_simulation(
             }
             for assignment in assignments:
                 downloaded[assignment.window_id].add(device_id)
-            acked_any = False
             for assignment in assignments:
                 if assignment.window_id not in eligible:
                     continue
@@ -232,9 +231,6 @@ def run_simulation(
                     continue
                 state.mark_contributed(task.query_id, window.window_id)
                 uploaded[window.window_id].add(device_id)
-                acked_any = True
-            if acked_any:
-                state.finish_exchange()
     server.maintenance(horizon_end + tick)
 
     result = SimulationResult(

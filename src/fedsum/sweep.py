@@ -18,9 +18,12 @@ import math
 from dataclasses import dataclass, field
 
 from .dp import (
+    VARIANT_SCALED,
+    VARIANT_SPLIT,
+    VARIANTS,
     MechanismConfig,
     PreparedMechanism,
-    VARIANTS,
+    calibrate_scales,
     prepare_mechanism,
     release_noise,
 )
@@ -88,17 +91,24 @@ def prepare_variants(
 ) -> dict[str, PreparedMechanism]:
     """Calibrate and pre-aggregate each requested variant once.
 
-    ``histograms`` may hand in ``corpus.device_histograms(window)`` when
-    the caller already has them.
+    Budget split's slice clip bounds and scaling's scale factors are the
+    same calibration of the window, so it runs once and both variants
+    receive it.  ``histograms`` may hand in
+    ``corpus.device_histograms(window)`` when the caller already has them.
     """
     if histograms is None:
         histograms = corpus.device_histograms(window)
+    table = None
+    if {VARIANT_SPLIT, VARIANT_SCALED} & set(sweep.variants):
+        table = calibrate_scales(histograms, corpus.schema, sweep.quantile)
     prepared: dict[str, PreparedMechanism] = {}
     for variant in sweep.variants:
         config = MechanismConfig(
             variant=variant,
             epsilon=sweep.epsilons[0],
             quantile=sweep.quantile,
+            clip_table=table if variant == VARIANT_SPLIT else None,
+            scale_table=table if variant == VARIANT_SCALED else None,
             tau=sweep.tau,
         )
         prepared[variant] = prepare_mechanism(config, histograms, corpus.schema)

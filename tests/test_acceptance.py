@@ -32,7 +32,7 @@ from fedsum.dp import (
     slice_l1_norms,
 )
 from fedsum.metrics import exact_workload
-from fedsum.model import IndexedHistogram, ScaleTable, Schema
+from fedsum.model import IndexedHistogram, Schema
 from fedsum.query import parse_and_validate
 from fedsum.rng import KeyedRng, laplace_from_uniform
 from fedsum.server import (
@@ -232,7 +232,7 @@ def test_ac02_contribution_bound_holds_on_adjacent_corpora(
     for extra in extras:
         diff = adjacent_difference(prepared, extra)
         for (a, m), norm in slice_l1_norms(diff).items():
-            assert norm <= prepared.resolved.clip_table.get(a, m) + 1e-9
+            assert norm <= prepared.resolved.clip_table[a][m] + 1e-9
     assert time.perf_counter() - started < 60.0
 
 
@@ -403,7 +403,7 @@ def test_ac07_degenerate_parameters_reproduce_joint_clipping(cell_schema):
         )
         for i in range(25)
     ]
-    identity = ScaleTable([[1.0, 1.0], [1.0, 1.0]])
+    identity = ((1.0, 1.0), (1.0, 1.0))
     scaled = prepare_mechanism(
         MechanismConfig(
             variant=VARIANT_SCALED, epsilon=2.0, clip=3.0, scale_table=identity
@@ -427,7 +427,7 @@ def test_ac07_degenerate_parameters_reproduce_joint_clipping(cell_schema):
     ]
     split = prepare_mechanism(
         MechanismConfig(
-            variant=VARIANT_SPLIT, epsilon=2.0, clip_table=ScaleTable([[3.0]])
+            variant=VARIANT_SPLIT, epsilon=2.0, clip_table=((3.0,),)
         ),
         cell_devices,
         cell_schema,

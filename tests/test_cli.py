@@ -224,6 +224,58 @@ def test_unexpected_failures_exit_with_the_runtime_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def table_csv(tmp_path, last="9.0"):
+    """A 9x3 table CSV whose last cell holds ``last``."""
+    path = tmp_path / f"table-{last}.csv"
+    cells = [f"{a},{m},{1.0 + a + m}" for a in range(9) for m in range(3)]
+    path.write_text("\n".join(cells[:-1] + [f"8,2,{last}"]) + "\n")
+    return str(path)
+
+
+BAD_RUN_CONFIGS = {
+    "scale_table_inf": (
+        {"variant": "activity_metric_scaling", "epsilon": 2.0, "clip": None,
+         "scale_table": "inf"},
+        [],
+    ),
+    "clip_table_inf": (
+        {"variant": "budget_split", "epsilon": 2.0, "clip": None,
+         "clip_table": "inf"},
+        [],
+    ),
+    "joint_scale_table": ({"scale_table": "9.0"}, []),
+    "split_clip": ({"variant": "budget_split", "epsilon": 2.0, "clip": 5.0}, []),
+    "joint_budget_weights": ({"budget_weights": [[1 / 27] * 3] * 9}, []),
+    "split_1x1_budget_weights": (
+        {"variant": "budget_split", "epsilon": 2.0, "clip": None,
+         "budget_weights": [[1.0]]},
+        [],
+    ),
+    "mechanism_seed": ({"seed": 2**63}, []),
+    "seed_too_large": ({}, ["--seed", str(2**63)]),
+    "seed_negative": ({}, ["--seed", "-5"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUN_CONFIGS))
+def test_bad_mechanisms_and_seeds_fail_before_any_work(
+    tmp_path, capsys, monkeypatch, case
+):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("generate_corpus ran on a bad config")
+
+    monkeypatch.setattr("fedsum.cli.generate_corpus", no_corpus)
+    mechanism, argv = BAD_RUN_CONFIGS[case]
+    for key in ("scale_table", "clip_table"):
+        if key in mechanism:
+            mechanism = {**mechanism, key: table_csv(tmp_path, mechanism[key])}
+    out = tmp_path / "out"
+    config_path = write_config(tmp_path, out, mechanism=mechanism)
+    assert main(["run", "--config", config_path, *argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not out.exists()
+
+
 # --- sweep ------------------------------------------------------------------------
 
 

@@ -27,7 +27,7 @@ from fedsum.dp import (
     MechanismConfig,
     resolve_mechanism,
 )
-from fedsum.model import IndexedHistogram, ScaleTable, Schema
+from fedsum.model import IndexedHistogram, Schema
 from fedsum.query import QueryValidationError, parse_and_validate
 from fedsum.rng import KeyedRng
 from fedsum.windows import WindowAlignment, round_down_window, window_after
@@ -72,7 +72,7 @@ def device(records=(), tier="always_on"):
     state = DeviceState(device_id=1, profile=TIER_PROFILES[tier])
     for record in records:
         state.add_record(record)
-    state.high_watermark = state.low_watermark = START
+    state.low_watermark = START
     state.last_seen_now = START
     return state
 
@@ -104,7 +104,7 @@ def test_scaling_divides_each_summed_cell_by_its_slice_factor():
     rows = [[1.0, 1.0, 1.0] for _ in range(3)]
     rows[2][1] = 3.0  # distance factor for activity 2
     scaled = mechanism(
-        schema, VARIANT_SCALED, clip=1e6, scale_table=ScaleTable(rows)
+        schema, VARIANT_SCALED, clip=1e6, scale_table=rows
     )
     records = [
         trip(a=2, r=5, d=0, km=0.1, s=600.0),
@@ -146,14 +146,14 @@ def test_device_transform_respects_the_contribution_bound(raw_trips, bound):
     ]
     raw = client_work(records, schema)
     assert mechanism(schema, clip=bound).transform_device(raw).l1_norm() <= bound
-    bounds = ScaleTable([[bound * (1 + a + m) for m in range(3)] for a in range(3)])
+    bounds = tuple(tuple(bound * (1 + a + m) for m in range(3)) for a in range(3))
     split = mechanism(schema, VARIANT_SPLIT, clip_table=bounds).transform_device(raw)
     for a in range(3):
         for m in range(3):
             norm = math.fsum(
                 abs(v) for (ia, im, _, _), v in split.items() if (ia, im) == (a, m)
             )
-            assert norm <= bounds.get(a, m)
+            assert norm <= bounds[a][m]
 
 
 # --- query execution: the raw histogram through the upload codec --------------
@@ -290,14 +290,6 @@ def test_clock_regression_is_detected():
     dev.advance_watermarks(START + 7200, WindowAlignment.WEEK, ttl=WEEK)
     with pytest.raises(ClockRegressionError):
         dev.advance_watermarks(START + 3600, WindowAlignment.WEEK, ttl=WEEK)
-
-
-def test_high_watermark_only_advances_on_acknowledgement():
-    dev = device()
-    dev.advance_watermarks(START + WEEK + 60, WindowAlignment.WEEK, ttl=28 * 86400)
-    assert dev.high_watermark == START
-    dev.finish_exchange()
-    assert dev.high_watermark == dev.low_watermark == START + WEEK
 
 
 def test_expired_records_are_purged():

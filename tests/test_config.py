@@ -14,7 +14,7 @@ from fedsum.config import (
     parse_config,
     read_config_data,
 )
-from fedsum.dp import VARIANT_JOINT, VARIANT_SCALED, VARIANTS
+from fedsum.dp import VARIANT_JOINT, VARIANT_SCALED, VARIANT_SPLIT, VARIANTS
 from fedsum.query import parse_and_validate
 from fedsum.sweep import DEFAULT_EPSILONS
 from fedsum.synth import DEFAULT_START_TIME
@@ -162,7 +162,7 @@ def test_scale_table_csv_loads_fully(tmp_path):
         {"mechanism": {"variant": VARIANT_SCALED, "scale_table": path}}
     )
     assert config.mechanism.scale_table is not None
-    assert config.mechanism.scale_table.get(2, 1) == 4.0
+    assert config.mechanism.scale_table[2][1] == 4.0
     assert config.scale_table_path == path
 
 
@@ -171,7 +171,7 @@ def test_headerless_table_csv_loads(tmp_path):
     config = parse_config(
         {"mechanism": {"variant": VARIANT_SCALED, "scale_table": path}}
     )
-    assert config.mechanism.scale_table.get(0, 0) == 1.0
+    assert config.mechanism.scale_table[0][0] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -193,6 +193,33 @@ def test_bad_table_csvs_name_the_file_and_line(tmp_path, mutate, match):
     assert path in str(excinfo.value)
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "-1.0"])
+@pytest.mark.parametrize(
+    "variant,key", [(VARIANT_SCALED, "scale_table"), (VARIANT_SPLIT, "clip_table")]
+)
+def test_table_entries_must_be_finite_and_positive(tmp_path, variant, key, value):
+    rows = [f"{a},{m},{1.0 + a + m}" for a in range(9) for m in range(3)]
+    path = full_table_csv(tmp_path, rows=rows[:-1] + [f"8,2,{value}"])
+    with pytest.raises(ConfigError, match="finite and positive") as excinfo:
+        parse_config({"mechanism": {"variant": variant, key: path}})
+    assert path in str(excinfo.value)
+
+
+def test_parameters_of_another_variant_are_refused(tmp_path):
+    path = full_table_csv(tmp_path)
+    weights = [[1.0 / 27.0] * 3 for _ in range(9)]
+    for mechanism in (
+        {"variant": VARIANT_JOINT, "scale_table": path},
+        {"variant": VARIANT_JOINT, "clip_table": path},
+        {"variant": VARIANT_JOINT, "budget_weights": weights},
+        {"variant": VARIANT_SPLIT, "clip": 5.0},
+        {"variant": VARIANT_SPLIT, "scale_table": path},
+        {"variant": VARIANT_SCALED, "clip_table": path},
+    ):
+        with pytest.raises(ConfigError, match="applies only to"):
+            parse_config({"mechanism": mechanism})
+
+
 def test_unreadable_table_path_is_reported(tmp_path):
     path = str(tmp_path / "nope.csv")
     with pytest.raises(ConfigError, match="cannot read"):
@@ -211,6 +238,19 @@ def test_budget_weights_parse_as_nested_lists():
         parse_config(
             {"mechanism": {"variant": "budget_split", "budget_weights": [0.5]}}
         )
+    for bad, match in (
+        ([[1.0]], "9x3"),
+        (weights[:-1], "9x3"),
+        ([row[:2] for row in weights], "9x3"),
+        (weights[:-1] + [[1.0 / 27.0] * 2], "rectangular"),
+        ([], "rectangular"),
+        (weights[:-1] + [[1.0 / 27.0, 1.0 / 27.0, "inf"]], "finite and positive"),
+        ([[1.0 / 9.0] * 3 for _ in range(9)], "sum to 1"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(
+                {"mechanism": {"variant": "budget_split", "budget_weights": bad}}
+            )
 
 
 def test_mechanism_seed_is_separate_from_the_run_seed():
@@ -219,6 +259,44 @@ def test_mechanism_seed_is_separate_from_the_run_seed():
     assert config.mechanism_seed == 9
     with pytest.raises(ConfigError, match="mechanism.seed"):
         parse_config({"mechanism": {"seed": "nine"}})
+
+
+SEED_LIMIT = 2**63
+
+
+@pytest.mark.parametrize(
+    "data,where",
+    [
+        ({"run": {"seed": -5}}, "run.seed"),
+        ({"run": {"seed": SEED_LIMIT}}, "run.seed"),
+        ({"run": {"seed": 1}, "corpus": {"seed": -1}}, "corpus.seed"),
+        ({"corpus": {"seed": SEED_LIMIT}}, "corpus.seed"),
+        ({"mechanism": {"seed": SEED_LIMIT}}, "mechanism.seed"),
+        ({"mechanism": {"seed": -SEED_LIMIT - 1}}, "mechanism.seed"),
+        ({"sweep": {"seeds": [0, SEED_LIMIT]}}, "sweep.seeds"),
+        ({"sweep": {"seeds": [-SEED_LIMIT - 1]}}, "sweep.seeds"),
+    ],
+)
+def test_seeds_out_of_range_are_refused(data, where):
+    with pytest.raises(ConfigError, match=where):
+        parse_config(data)
+
+
+def test_seeds_at_the_range_ends_are_accepted():
+    config = parse_config(
+        {
+            "run": {"seed": SEED_LIMIT - 1},
+            "corpus": {"seed": 0},
+            "mechanism": {"seed": -SEED_LIMIT},
+            "sweep": {"seeds": [-SEED_LIMIT, SEED_LIMIT - 1]},
+        }
+    )
+    assert config.seed == SEED_LIMIT - 1
+    assert parse_config({"run": {"seed": SEED_LIMIT - 1}}).corpus.seed == (
+        SEED_LIMIT - 1
+    )
+    assert config.mechanism_seed == -SEED_LIMIT
+    assert config.sweep.seeds == (-SEED_LIMIT, SEED_LIMIT - 1)
 
 
 # --- sweep section ---------------------------------------------------------------------

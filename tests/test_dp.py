@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import math
 import statistics
+import struct
+from hashlib import blake2b
 
 import numpy as np
 import pytest
@@ -24,14 +27,13 @@ from fedsum.dp import (
     release_noise,
     resolve_mechanism,
     slice_l1_norms,
-    uniform_noise_scales,
 )
 from fedsum.exactsum import ExactSum
 from fedsum.model import (
     IndexedHistogram,
     InvalidParameterError,
-    ScaleTable,
     Schema,
+    SchemaMismatchError,
 )
 from fedsum.rng import KeyedRng
 
@@ -95,7 +97,7 @@ def test_slice_norms_split_by_activity_and_metric(small_schema):
 
 def test_calibrated_scales_hit_the_quantile(cell_schema):
     table = calibrate_scales(linear_devices(cell_schema), cell_schema, 0.95)
-    assert table.get(0, 0) == 95.0
+    assert table[0][0] == 95.0
 
 
 def test_empty_slices_fall_back_to_unit_scale(caplog):
@@ -109,7 +111,7 @@ def test_empty_slices_fall_back_to_unit_scale(caplog):
     devices = [hist(schema, {(0, 0, 0, 0): 2.0})]
     with caplog.at_level(logging.WARNING, logger="fedsum.dp"):
         table = calibrate_scales(devices, schema, 0.95)
-    assert table.get(0, 1) == 1.0
+    assert table[0][1] == 1.0
     assert any("metric=1" in message for message in caplog.messages)
 
 
@@ -238,19 +240,20 @@ def reference_release(resolved, aggregate, window_id, seed, epsilon):
     """(histogram, suppressed) built one coordinate at a time.
 
     Noise is drawn at each slice's scale with ``KeyedRng.laplace``, then
-    descaled with ``scale_by_table(invert=True)`` and thresholded by a
-    loop over the stored entries.
+    multiplied by the slice's entry of the scale table (the identity for
+    the variants that do not scale) and thresholded by a loop over the
+    stored entries.
     """
     schema = aggregate.schema
     rng = KeyedRng(seed, "release-noise")
     scales = resolved.noise_scales(schema, epsilon)
+    table = resolved.scale_table
     noised = IndexedHistogram(schema)
-    for a, m, r, d in schema.iter_domain():
-        noised[(a, m, r, d)] = aggregate[(a, m, r, d)] + rng.laplace(
+    for a, m, r, d in itertools.product(*map(range, schema.shape)):
+        value = aggregate[(a, m, r, d)] + rng.laplace(
             scales[a][m], window_id, a, m, r, d
         )
-    if resolved.variant == VARIANT_SCALED:
-        noised = noised.scale_by_table(resolved.scale_table, invert=True)
+        noised[(a, m, r, d)] = value * table[a][m]
     if resolved.tau == 0.0 and not resolved.strict_tau:
         return noised, 0
     kept = IndexedHistogram(schema)
@@ -325,7 +328,7 @@ def test_a_noise_free_release_draws_nothing(small_schema, monkeypatch):
     prepared.release("w0", 3)
     assert draws == []
     prepared.release("w0", 3, epsilon=1.0)
-    assert len(draws) == small_schema.domain_size  # one draw per coordinate
+    assert len(draws) == math.prod(small_schema.shape)  # one per coordinate
 
 
 def test_unit_noise_must_match_the_seed_and_window(cell_schema):
@@ -353,6 +356,7 @@ def test_config_validation_matrix(cell_schema):
         {"quantile": 1.0001},
         {"clip": 0.0},
         {"tau": -1.0},
+        {"tau": math.nan},
         {"clip": math.inf},  # finite budget cannot excuse an unbounded norm
     ):
         with pytest.raises(InvalidParameterError):
@@ -361,19 +365,61 @@ def test_config_validation_matrix(cell_schema):
 
 
 def test_parameters_are_tied_to_their_variant(cell_schema):
-    table = ScaleTable.identity(cell_schema)
+    table = ((1.0,),)
     cases = [
-        MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, scale_table=table),
-        MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, clip_table=table),
-        MechanismConfig(
-            variant=VARIANT_JOINT, epsilon=1.0, budget_weights=((1.0,),)
-        ),
-        MechanismConfig(variant=VARIANT_SPLIT, epsilon=1.0, clip=1.0),
-        MechanismConfig(variant=VARIANT_SPLIT, epsilon=1.0, scale_table=table),
+        dict(variant=VARIANT_JOINT, scale_table=table),
+        dict(variant=VARIANT_JOINT, clip_table=table),
+        dict(variant=VARIANT_JOINT, budget_weights=((1.0,),)),
+        dict(variant=VARIANT_SPLIT, clip=1.0),
+        dict(variant=VARIANT_SPLIT, scale_table=table),
     ]
-    for config in cases:
-        with pytest.raises(InvalidParameterError):
-            resolve_mechanism(config, linear_devices(cell_schema, 3), cell_schema)
+    for case in cases:
+        with pytest.raises(InvalidParameterError, match="applies only to"):
+            MechanismConfig(epsilon=1.0, **case)
+
+
+BAD_TABLES = {
+    "ragged": ((1.0, 1.0), (1.0,)),
+    "empty": (),
+    "empty_row": ((),),
+    "zero": ((1.0, 0.0),),
+    "negative": ((1.0, -2.0),),
+    "nan": ((1.0, math.nan),),
+    "inf": ((1.0, math.inf),),
+    "-inf": ((1.0, -math.inf),),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TABLES))
+@pytest.mark.parametrize(
+    "variant,key",
+    [
+        (VARIANT_SCALED, "scale_table"),
+        (VARIANT_SPLIT, "clip_table"),
+        (VARIANT_SPLIT, "budget_weights"),
+    ],
+)
+def test_tables_are_checked_when_the_config_is_built(variant, key, case):
+    with pytest.raises(InvalidParameterError, match=key):
+        MechanismConfig(variant=variant, epsilon=1.0, **{key: BAD_TABLES[case]})
+
+
+def test_tables_are_stored_as_float_tuples():
+    config = MechanismConfig(
+        variant=VARIANT_SPLIT,
+        epsilon=1.0,
+        clip_table=[[1, 2], [3, 4]],
+        budget_weights=np.full((2, 2), 0.25),
+    )
+    assert config.clip_table == ((1.0, 2.0), (3.0, 4.0))
+    assert config.budget_weights == ((0.25, 0.25), (0.25, 0.25))
+    assert all(
+        type(v) is float
+        for table in (config.clip_table, config.budget_weights)
+        for row in table
+        for v in row
+    )
+    assert hash(config) == hash(dataclasses.replace(config))
 
 
 def test_budget_weights_must_be_a_distribution(small_schema):
@@ -385,24 +431,22 @@ def test_budget_weights_must_be_a_distribution(small_schema):
         linear_devices(small_schema, 3),
         small_schema,
     )
-    bad_weights = [
-        ((0.5, 0.5),),  # wrong shape
-        tuple(tuple(0.0 for _ in range(3)) for _ in range(3)),  # not positive
-        tuple(tuple(1.0 for _ in range(3)) for _ in range(3)),  # sums to 9
-    ]
-    for weights in bad_weights:
+    not_positive = tuple(tuple(0.0 for _ in range(3)) for _ in range(3))
+    sums_to_nine = tuple(tuple(1.0 for _ in range(3)) for _ in range(3))
+    for weights in (not_positive, sums_to_nine):
         with pytest.raises(InvalidParameterError):
-            resolve_mechanism(
-                MechanismConfig(
-                    variant=VARIANT_SPLIT, epsilon=1.0, budget_weights=weights
-                ),
-                linear_devices(small_schema, 3),
-                small_schema,
+            MechanismConfig(
+                variant=VARIANT_SPLIT, epsilon=1.0, budget_weights=weights
             )
+    wrong_shape = MechanismConfig(
+        variant=VARIANT_SPLIT, epsilon=1.0, budget_weights=((0.5, 0.5),)
+    )
+    with pytest.raises(SchemaMismatchError):
+        resolve_mechanism(wrong_shape, linear_devices(small_schema, 3), small_schema)
 
 
 def test_split_noise_scales_divide_the_budget_uniformly(small_schema):
-    table = ScaleTable([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0], [1.0, 1.0, 1.0]])
+    table = ((1.0, 2.0, 4.0), (8.0, 16.0, 32.0), (1.0, 1.0, 1.0))
     resolved = resolve_mechanism(
         MechanismConfig(variant=VARIANT_SPLIT, epsilon=2.0, clip_table=table),
         [],
@@ -411,7 +455,7 @@ def test_split_noise_scales_divide_the_budget_uniformly(small_schema):
     scales = resolved.noise_scales(small_schema)
     for a in range(3):
         for m in range(3):
-            assert scales[a][m] == table.get(a, m) * 9 / 2.0
+            assert scales[a][m] == table[a][m] * 9 / 2.0
 
 
 def test_custom_weights_shift_noise_between_slices(cell_schema):
@@ -419,13 +463,13 @@ def test_custom_weights_shift_noise_between_slices(cell_schema):
         MechanismConfig(
             variant=VARIANT_SPLIT,
             epsilon=1.0,
-            clip_table=ScaleTable([[3.0]]),
+            clip_table=((3.0,),),
             budget_weights=((1.0,),),
         ),
         [],
         cell_schema,
     )
-    assert resolved.noise_scales(cell_schema) == ((3.0,),)
+    assert resolved.noise_scales(cell_schema).tolist() == [[3.0]]
 
 
 def test_joint_noise_scale_is_clip_over_epsilon(small_schema):
@@ -434,11 +478,9 @@ def test_joint_noise_scale_is_clip_over_epsilon(small_schema):
         [],
         small_schema,
     )
-    assert resolved.noise_scales(small_schema) == uniform_noise_scales(
-        small_schema, 2.5
-    )
-    assert resolved.noise_scales(small_schema, epsilon=math.inf) == (
-        uniform_noise_scales(small_schema, 0.0)
+    assert resolved.noise_scales(small_schema).tolist() == [[2.5] * 3] * 3
+    assert resolved.noise_scales(small_schema, epsilon=math.inf).tolist() == (
+        [[0.0] * 3] * 3
     )
 
 
@@ -468,6 +510,33 @@ def test_epsilon_override_lands_in_the_metadata(cell_schema):
     assert release.metadata["scale_table_digest"] is not None
 
 
+def test_table_digests_keep_their_byte_layout(small_schema):
+    """BLAKE2b of the ``<II`` shape, then every entry as ``<d``, row-major."""
+
+    def digest(table):
+        data = struct.pack("<II", len(table), len(table[0]))
+        data += b"".join(struct.pack("<d", v) for row in table for v in row)
+        return blake2b(data, digest_size=8).hexdigest()
+
+    table = ((0.5, 2.0, 3.25), (1e-3, 7.0, 1e300), (1.0, 1.0, 4.0))
+    split = prepare_mechanism(
+        MechanismConfig(variant=VARIANT_SPLIT, epsilon=1.0, clip_table=table),
+        [],
+        small_schema,
+    ).release("w0", 0)
+    assert split.metadata["clip_table_digest"] == digest(table)
+    assert split.metadata["scale_table_digest"] == digest(((1.0,) * 3,) * 3)
+    scaled = prepare_mechanism(
+        MechanismConfig(
+            variant=VARIANT_SCALED, epsilon=1.0, clip=1.0, scale_table=table
+        ),
+        [],
+        small_schema,
+    ).release("w0", 0)
+    assert scaled.metadata["scale_table_digest"] == digest(table)
+    assert scaled.metadata["clip_table_digest"] is None
+
+
 # --- variant semantics --------------------------------------------------------------
 
 
@@ -481,7 +550,7 @@ def test_scaling_variant_descales_after_noising(cell_schema):
         variant=VARIANT_SCALED,
         epsilon=1.0,
         clip=1.0,
-        scale_table=ScaleTable([[factor]]),
+        scale_table=((factor,),),
     )
     plain = release([], cell_schema, seed=5, variant=VARIANT_JOINT, epsilon=1.0, clip=1.0)
     for index, value in plain.histogram.items():
@@ -494,7 +563,7 @@ def test_descaled_noise_variance_matches_the_scale(cell_schema):
         variant=VARIANT_SCALED,
         epsilon=1.0,
         clip=1.0,
-        scale_table=ScaleTable([[factor]]),
+        scale_table=((factor,),),
     )
     prepared = prepare_mechanism(config, [], cell_schema)
     samples = [
@@ -519,7 +588,7 @@ def test_identity_scaling_degenerates_to_joint_clipping(small_schema):
         variant=VARIANT_SCALED,
         epsilon=2.0,
         clip=3.0,
-        scale_table=ScaleTable.identity(small_schema),
+        scale_table=((1.0,) * 3,) * 3,
     )
     joint = release(devices, small_schema, seed=9, variant=VARIANT_JOINT, epsilon=2.0, clip=3.0)
     assert scaled.histogram.serialize() == joint.histogram.serialize()
@@ -529,7 +598,7 @@ def test_single_slice_budget_split_degenerates_to_joint_clipping(cell_schema):
     devices = linear_devices(cell_schema, 30)
     split = release(
         devices, cell_schema, seed=9, variant=VARIANT_SPLIT, epsilon=2.0,
-        clip_table=ScaleTable([[3.0]]),
+        clip_table=((3.0,),),
     )
     joint = release(devices, cell_schema, seed=9, variant=VARIANT_JOINT, epsilon=2.0, clip=3.0)
     assert split.histogram.serialize() == joint.histogram.serialize()
@@ -543,7 +612,7 @@ def test_split_clips_each_slice_independently(small_schema):
     table_rows = [[2.0, 1e9, 1e9], [1e9, 1e9, 1e9], [1e9, 1e9, 1e9]]
     resolved = resolve_mechanism(
         MechanismConfig(
-            variant=VARIANT_SPLIT, epsilon=1.0, clip_table=ScaleTable(table_rows)
+            variant=VARIANT_SPLIT, epsilon=1.0, clip_table=table_rows
         ),
         [device],
         small_schema,
@@ -577,7 +646,7 @@ def test_power_of_two_scaling_round_trips_through_release(small_schema):
         variant=VARIANT_SCALED,
         epsilon=math.inf,
         clip=math.inf,
-        scale_table=ScaleTable(rows),
+        scale_table=rows,
     )
     assert out.histogram == exact_sum(small_schema, devices)
 
@@ -585,7 +654,7 @@ def test_power_of_two_scaling_round_trips_through_release(small_schema):
 def test_calibration_happens_in_scaled_space(cell_schema):
     """A missing joint clip for the scaling variant bounds scaled norms."""
     devices = linear_devices(cell_schema, 100)
-    table = ScaleTable([[2.0]])
+    table = ((2.0,),)
     resolved = resolve_mechanism(
         MechanismConfig(variant=VARIANT_SCALED, epsilon=1.0, scale_table=table),
         devices,

@@ -333,7 +333,7 @@ def polled_simulation(corpus, task, fleet, seed):
     states, feed, next_wake = {}, {}, {}
     for dev in corpus.devices:
         state = DeviceState(device_id=dev.device_id, profile=TIER_PROFILES[dev.tier])
-        state.high_watermark = state.low_watermark = start
+        state.low_watermark = start
         state.last_seen_now = start
         states[dev.device_id] = state
         feed[dev.device_id] = 0
@@ -360,7 +360,6 @@ def polled_simulation(corpus, task, fleet, seed):
                 continue
             assignments = server.check_in(device_id, now)
             eligible = {w.window_id for w in state.eligible_windows(task.query_id, windows)}
-            acked_any = False
             for assignment in assignments:
                 if assignment.window_id not in eligible:
                     continue
@@ -383,9 +382,6 @@ def polled_simulation(corpus, task, fleet, seed):
                 except SessionClosedError:
                     continue
                 state.mark_contributed(task.query_id, window.window_id)
-                acked_any = True
-            if acked_any:
-                state.finish_exchange()
     server.maintenance(horizon_end + fleet.tick_seconds)
     return server
 

@@ -65,7 +65,40 @@ def test_each_variant_is_prepared_once(corpus_300, week_one_300):
         assert mech.num_devices == active
     assert prepared[VARIANT_SPLIT].resolved.clip is None
     assert prepared[VARIANT_JOINT].resolved.clip is not None
-    assert prepared[VARIANT_SCALED].resolved.scale_table.get(0, 0) != 1.0
+    assert prepared[VARIANT_SCALED].resolved.scale_table[0][0] != 1.0
+
+
+@pytest.mark.parametrize(
+    "variants,calls",
+    [
+        (VARIANTS, 1),
+        ((VARIANT_SPLIT,), 1),
+        ((VARIANT_SCALED,), 1),
+        ((VARIANT_JOINT,), 0),
+    ],
+)
+def test_one_calibration_serves_split_and_scaling(
+    corpus_300, week_one_300, monkeypatch, variants, calls
+):
+    import fedsum.dp
+    import fedsum.sweep
+
+    calibrate = fedsum.dp.calibrate_scales
+    tables = []
+
+    def counted(*args, **kwargs):
+        tables.append(calibrate(*args, **kwargs))
+        return tables[-1]
+
+    for module in (fedsum.dp, fedsum.sweep):
+        monkeypatch.setattr(module, "calibrate_scales", counted)
+    sweep = SweepConfig(epsilons=(2.0,), seeds=(0,), variants=variants)
+    prepared = prepare_variants(corpus_300, week_one_300, sweep)
+    assert len(tables) == calls
+    if VARIANT_SPLIT in prepared:
+        assert prepared[VARIANT_SPLIT].resolved.clip_table == tables[0]
+    if VARIANT_SCALED in prepared:
+        assert prepared[VARIANT_SCALED].resolved.scale_table == tables[0]
 
 
 # --- the grid ---------------------------------------------------------------------
