@@ -72,6 +72,10 @@ class SweepConfig:
         unknown = set(self.variants) - set(VARIANTS)
         if unknown:
             raise ValueError(f"unknown variants: {sorted(unknown)}")
+        if not 0 < self.quantile <= 1:
+            raise ValueError("quantile must be in (0, 1]")
+        if not self.tau >= 0:
+            raise ValueError("threshold tau must be >= 0")
 
 
 @dataclass(frozen=True)

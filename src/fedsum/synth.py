@@ -7,6 +7,17 @@ home-region distribution.  Every device draws from its own generator
 seeded by ``(corpus_seed, device_id)``, so the corpus is byte-for-byte
 reproducible and unchanged by generation order or fleet slicing.
 
+Each device's generator is drawn in a fixed order, which
+``tests/test_synth.py`` pins by digest: its tier, then its home region;
+then per activity, in roster order, a participation draw and, if it
+takes part, its rate multiplier; then per week a Poisson trip count
+followed by that week's trips, each drawing its event time, direction,
+distance and duration jitter in that order.  A categorical draw (home
+region, direction) is one uniform looked up in a CDF computed once per
+corpus, exactly as ``Generator.choice`` would draw it.  Trips are then
+sorted stably by event time.  A change to this order changes the
+corpus and must be documented here.
+
 The magnitude spread across activities and metrics is the point: trip
 counts are O(1), distances O(1)-O(1000) km, durations O(100)-O(10000) s.
 Per-slice scaling pays off on trip counts and distances; durations
@@ -17,12 +28,20 @@ spends nearly its whole budget on them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from .client import client_work, records_in_window
-from .model import METRIC_NUM_TRIPS, IndexedHistogram, Schema, TripRecord
+from .model import (
+    DIRECTIONS,
+    METRIC_NUM_TRIPS,
+    IndexedHistogram,
+    Schema,
+    TripRecord,
+)
 from .windows import TimeWindow
 
 __all__ = [
@@ -101,7 +120,13 @@ class SyntheticCorpusConfig:
     def __post_init__(self) -> None:
         if self.num_devices < 1 or self.num_regions < 1 or self.num_weeks < 1:
             raise ValueError("corpus dimensions must be positive")
-        if abs(math.fsum(self.direction_mix) - 1.0) > 1e-9:
+        mix = self.direction_mix
+        if len(mix) != len(DIRECTIONS) or not all(0 <= p < math.inf for p in mix):
+            raise ValueError(
+                f"direction mix must be {len(DIRECTIONS)} finite, non-negative "
+                f"shares, got {mix}"
+            )
+        if abs(math.fsum(mix) - 1.0) > 1e-9:
             raise ValueError("direction mix must sum to 1")
 
     @property
@@ -136,11 +161,6 @@ class Corpus:
     def num_devices(self) -> int:
         return len(self.devices)
 
-    def records_in(
-        self, device: DeviceRecords, window: TimeWindow
-    ) -> list[TripRecord]:
-        return records_in_window(device.records, window)
-
     def device_histograms(self, window: TimeWindow) -> list[IndexedHistogram]:
         """Raw (unscaled, unclipped) per-device histograms for a window.
 
@@ -149,7 +169,7 @@ class Corpus:
         """
         out = []
         for device in self.devices:
-            records = self.records_in(device, window)
+            records = records_in_window(device.records, window)
             if records:
                 out.append(client_work(records, self.schema))
         return out
@@ -182,66 +202,64 @@ def _zipf_probabilities(n: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+def choice_cdf(p: np.ndarray) -> list[float]:
+    """The CDF that ``Generator.choice`` draws from, computed as it does.
+
+    ``bisect_right(choice_cdf(p), gen.random())`` draws what
+    ``gen.choice(len(p), p=p)`` draws, from the same single double of
+    ``gen``'s stream, without re-checking ``p`` on every draw.
+    """
+    if not (np.isfinite(p).all() and (p >= 0).all()):
+        raise ValueError(f"probabilities must be finite and non-negative: {p}")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def generate_corpus(config: SyntheticCorpusConfig) -> Corpus:
     """Generate the full fleet deterministically from the config seed."""
     schema = config.schema()
-    region_probs = _zipf_probabilities(
-        config.num_regions, config.region_zipf_exponent
+    region_cdf = choice_cdf(
+        _zipf_probabilities(config.num_regions, config.region_zipf_exponent)
     )
-    direction_probs = np.asarray(config.direction_mix, dtype=np.float64)
+    direction_cdf = choice_cdf(np.asarray(config.direction_mix, dtype=np.float64))
     rate_mean_correction = -0.5 * config.rate_sigma ** 2
     devices = []
     for device_id in range(config.num_devices):
         gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([config.seed, device_id]))
         )
-        tier = "high_end" if gen.random() < config.high_end_share else "low_end"
-        home_region = int(gen.choice(config.num_regions, p=region_probs))
-        device = DeviceRecords(device_id, tier, home_region)
-        rows: list[tuple[int, int, int, float, float]] = []
+        random, lognormal = gen.random, gen.lognormal
+        tier = "high_end" if random() < config.high_end_share else "low_end"
+        home_region = bisect_right(region_cdf, random())
+        records: list[TripRecord] = []
         for activity_index, spec in enumerate(config.activities):
-            if gen.random() >= spec.participation:
+            if random() >= spec.participation:
                 continue
-            rate_multiplier = gen.lognormal(
+            mean_trips = spec.weekly_rate * lognormal(
                 rate_mean_correction, config.rate_sigma
             )
-            mean_trips = spec.weekly_rate * rate_multiplier
             for week in range(config.num_weeks):
                 week_start = config.start_time + week * SECONDS_PER_WEEK
-                n_trips = int(gen.poisson(mean_trips))
-                for _ in range(n_trips):
-                    event_time = week_start + int(
-                        gen.random() * SECONDS_PER_WEEK
+                for _ in range(gen.poisson(mean_trips)):
+                    event_time = week_start + int(random() * SECONDS_PER_WEEK)
+                    direction = bisect_right(direction_cdf, random())
+                    distance = lognormal(
+                        spec.distance_log_mean, spec.distance_log_sigma
                     )
-                    direction = int(gen.choice(3, p=direction_probs))
-                    distance = float(
-                        gen.lognormal(
-                            spec.distance_log_mean, spec.distance_log_sigma
+                    jitter = lognormal(0.0, config.duration_jitter_sigma)
+                    records.append(
+                        TripRecord(
+                            device_id,
+                            event_time,
+                            activity_index,
+                            home_region,
+                            direction,
+                            distance,
+                            distance / spec.speed_kmh * 3600.0 * jitter,
                         )
                     )
-                    jitter = float(
-                        gen.lognormal(0.0, config.duration_jitter_sigma)
-                    )
-                    duration = distance / spec.speed_kmh * 3600.0 * jitter
-                    rows.append(
-                        (event_time, activity_index, direction, distance, duration)
-                    )
-        # Stable order: by event time, ties broken by generation sequence.
-        rows_sorted = sorted(
-            range(len(rows)), key=lambda i: (rows[i][0], i)
-        )
-        for i in rows_sorted:
-            event_time, activity_index, direction, distance, duration = rows[i]
-            device.records.append(
-                TripRecord(
-                    device_id=device_id,
-                    event_time=event_time,
-                    activity=activity_index,
-                    region=home_region,
-                    direction=direction,
-                    distance_km=distance,
-                    duration_s=duration,
-                )
-            )
-        devices.append(device)
+        # Stable sort: ties in event time keep their generation order.
+        records.sort(key=attrgetter("event_time"))
+        devices.append(DeviceRecords(device_id, tier, home_region, records))
     return Corpus(config=config, schema=schema, devices=devices)

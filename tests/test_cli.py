@@ -297,6 +297,29 @@ def sweep_config(tmp_path, out_dir, sweep=None, mechanism=None):
     return str(path)
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [{"quantile": 1.5}, {"quantile": 0.0}, {"tau": -1.0}],
+    ids=["quantile_above_one", "quantile_zero", "tau_negative"],
+)
+def test_bad_sweep_settings_fail_before_any_work(
+    tmp_path, capsys, monkeypatch, setting
+):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("generate_corpus ran on a bad config")
+
+    monkeypatch.setattr("fedsum.cli.generate_corpus", no_corpus)
+    out = tmp_path / "out"
+    config_path = sweep_config(
+        tmp_path, out, sweep={"epsilons": [2.0], "seeds": 1, **setting}
+    )
+    assert main(["sweep", "--config", config_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: sweep:")
+    assert next(iter(setting)) in err
+    assert not out.exists()
+
+
 def read_csv_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))

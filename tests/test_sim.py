@@ -20,6 +20,7 @@ from fedsum.client import (
     TIER_PROFILES,
     DeviceState,
     histogram_to_rows,
+    records_in_window,
 )
 from fedsum.metrics import exact_workload
 from fedsum.query import parse_and_validate
@@ -87,7 +88,9 @@ def test_noiseless_run_reproduces_the_exact_workload(corpus_300, week_one_300):
     assert isinstance(release, NoisedRelease)
     assert release.histogram == exact_workload(corpus_300, week_one_300)
     active = sum(
-        1 for d in corpus_300.devices if corpus_300.records_in(d, week_one_300)
+        1
+        for d in corpus_300.devices
+        if records_in_window(d.records, week_one_300)
     )
     assert len(result.uploaded["2024-W20"]) == active
 
@@ -152,7 +155,7 @@ def test_daily_ticks_upload_from_every_active_device(corpus_300, week_one_300):
     active = {
         d.device_id
         for d in corpus_300.devices
-        if corpus_300.records_in(d, week_one_300)
+        if records_in_window(d.records, week_one_300)
     }
     assert result.uploaded["2024-W20"] == active
     release = result.releases["trips/2024-W20"]

@@ -46,6 +46,11 @@ def test_grid_must_be_non_empty():
         {"epsilons": (0.0,)},
         {"epsilons": (-1.0,)},
         {"variants": ("bogus",)},
+        {"quantile": 1.5},
+        {"quantile": 0.0},
+        {"quantile": math.nan},
+        {"tau": -1.0},
+        {"tau": math.nan},
     ):
         with pytest.raises(ValueError):
             SweepConfig(**bad)
