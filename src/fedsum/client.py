@@ -1,13 +1,15 @@
 """Device-side behavior: local caching, windowing, and bounded uploads.
 
-Each simulated device keeps a short-lived cache of its own trip records
-and a low watermark: the start of the current civil window (data after
-it is still accumulating).  The cache is kept in event-time order (an
-older record than the newest cached one is refused), so expiring records
-on a time-to-live drops a prefix and a window's records are one slice,
-both found by bisection.  A per-(query, window) memo records what the
-device has contributed and makes contribution exactly-once even across
-retries.
+Each simulated device keeps a short-lived cache of its own trips and a
+low watermark: the start of the current civil window (data after it is
+still accumulating).  The cache is a row range ``[lo, hi)`` of the
+device's rows in the corpus columns, which are in event-time order; no
+trip is copied into it.  As the device's clock advances, trips up to the
+clock arrive (``hi`` moves), trips older than the time-to-live expire
+(``lo`` moves), and a window's trips are a sub-range: each is one
+bisection on the event times.  A per-(query, window) memo records what
+the device has contributed and makes contribution exactly-once even
+across retries.
 
 On each wake, ``draw_flags`` decides whether the device may check in.
 It draws lazily, in the order the policy reads them: connectivity, then
@@ -17,9 +19,10 @@ device, civil day) alone, so the decision never depends on which draws
 were skipped, and two fleets under different policies see the same
 conditions.
 
-``client_work`` sums a device's records into its raw window histogram.
-Bounding that histogram before it leaves the device (scaling and
-clipping) is the mechanism's job:
+``client_work`` sums a device's trips, given as columns, into its raw
+window histogram; a list of :class:`fedsum.model.TripRecord` is first
+transposed into columns.  Bounding that histogram before it leaves the
+device (scaling and clipping) is the mechanism's job:
 :meth:`fedsum.dp.ResolvedMechanism.transform_device`.  The upload codec,
 ``histogram_to_rows`` and its inverse ``rows_to_histogram``, renders a
 histogram as the client statement's grouped rows; outside
@@ -28,10 +31,9 @@ histogram as the client statement's grouped rows; outside
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .aggcore import KEY_SEPARATOR
 from .model import (
@@ -40,6 +42,7 @@ from .model import (
     METRIC_NUM_TRIPS,
     IndexedHistogram,
     Schema,
+    TripColumns,
     TripRecord,
 )
 from .query import (
@@ -51,6 +54,9 @@ from .query import (
 from .rng import KeyedRng
 from .windows import TimeWindow, WindowAlignment, round_down_window
 
+if TYPE_CHECKING:
+    from .synth import Corpus
+
 __all__ = [
     "ClockRegressionError",
     "METRIC_BY_COLUMN",
@@ -60,7 +66,6 @@ __all__ = [
     "BATTERY_FLOOR",
     "DeviceState",
     "draw_flags",
-    "records_in_window",
     "client_work",
     "histogram_to_rows",
     "rows_to_histogram",
@@ -177,45 +182,38 @@ def draw_flags(
     return True
 
 
-_event_time = attrgetter("event_time")
-
-
-def records_in_window(
-    records: list[TripRecord], window: TimeWindow
-) -> list[TripRecord]:
-    """The slice of time-ordered ``records`` whose event time is in ``window``."""
-    lo = bisect_left(records, window.start, key=_event_time)
-    return records[lo : bisect_left(records, window.end, lo, key=_event_time)]
-
-
 @dataclass
 class DeviceState:
-    """One device's cache, low watermark, and contribution memo."""
+    """One device's cache, low watermark, and contribution memo.
+
+    The cache is the row range ``[lo, hi)`` of ``corpus``'s trip columns,
+    inside the device's own rows, which end at ``end``.  It starts empty,
+    at the device's first row.
+    """
 
     device_id: int
     profile: AvailabilityProfile
-    records: list[TripRecord] = field(default_factory=list)
+    corpus: Corpus = field(repr=False)
     low_watermark: int = 0
     contributed: dict[str, set[str]] = field(default_factory=dict)
     last_seen_now: int = 0
+    lo: int = field(init=False)
+    hi: int = field(init=False)
+    end: int = field(init=False)
 
-    def add_record(self, record: TripRecord) -> None:
-        """Cache a new record; records must arrive in event-time order."""
-        if self.records and record.event_time < self.records[-1].event_time:
-            raise ValueError(
-                f"device {self.device_id}: record at {record.event_time} is "
-                f"older than the newest cached one at "
-                f"{self.records[-1].event_time}"
-            )
-        self.records.append(record)
+    def __post_init__(self) -> None:
+        self.lo, self.end = self.corpus.rows(self.device_id)
+        self.hi = self.lo
 
     def advance_watermarks(
         self, now: int, alignment: WindowAlignment, ttl: int
     ) -> None:
-        """Move the low watermark to the current window start; purge TTL.
+        """Move the device's clock to ``now``.
 
-        A backwards clock raises :class:`ClockRegressionError` and changes
-        nothing.
+        Trips whose event time ``now`` has reached arrive in the cache,
+        the low watermark moves to the current window start, and trips
+        older than ``ttl`` expire.  A backwards clock raises
+        :class:`ClockRegressionError` and changes nothing.
         """
         if now < self.last_seen_now:
             raise ClockRegressionError(
@@ -223,18 +221,22 @@ class DeviceState:
                 f"{self.last_seen_now} to {now}"
             )
         self.last_seen_now = now
+        self.hi = bisect_right(self.corpus.event_time, now, self.hi, self.end)
         window_start = round_down_window(now, alignment).start
         if window_start > self.low_watermark:
             self.low_watermark = window_start
         self.purge_expired(now, ttl)
 
     def purge_expired(self, now: int, ttl: int) -> None:
-        """Drop records whose age exceeds the cache time-to-live."""
-        del self.records[: bisect_left(self.records, now - ttl, key=_event_time)]
+        """Drop cached trips whose age exceeds the cache time-to-live."""
+        self.lo = bisect_left(self.corpus.event_time, now - ttl, self.lo, self.hi)
 
-    def visible_records(self, window: TimeWindow) -> list[TripRecord]:
-        """Cached records inside one complete, not-yet-current window."""
-        return records_in_window(self.records, window)
+    def visible_records(self, window: TimeWindow) -> TripColumns:
+        """Cached trips inside one complete, not-yet-current window."""
+        times = self.corpus.event_time
+        lo = bisect_left(times, window.start, self.lo, self.hi)
+        hi = bisect_left(times, window.end, lo, self.hi)
+        return self.corpus.trips(self.device_id, lo, hi)
 
     def eligible_windows(
         self, query_id: str, candidate_windows: Sequence[TimeWindow]
@@ -260,20 +262,29 @@ class DeviceState:
 # Upload histograms and rows
 
 
-def client_work(records: Iterable[TripRecord], schema: Schema) -> IndexedHistogram:
-    """A device's raw (unscaled, unclipped) histogram of its records.
+def client_work(
+    trips: TripColumns | Iterable[TripRecord], schema: Schema
+) -> IndexedHistogram:
+    """A device's raw (unscaled, unclipped) histogram of its trips.
 
-    Every record contributes 1 to its num-trips cell and its distance and
-    duration to theirs, summed in record order; a cell whose sum is zero
+    Every trip contributes 1 to its num-trips cell and its distance and
+    duration to theirs, summed in trip order; a cell whose sum is zero
     is dropped, as :meth:`IndexedHistogram.increment` drops it.  Each
-    record's (activity, region, direction) is checked once against the
-    schema.
+    trip's (activity, region, direction) is checked once against the
+    schema.  Records are transposed into columns first.
     """
+    if not isinstance(trips, TripColumns):
+        trips = TripColumns.from_records(trips)
     num_activities, num_metrics, num_regions, num_directions = schema.shape
     h = IndexedHistogram(schema)
     cells = h._d  # filled in place; every index is checked below
-    for record in records:
-        a, r, d = record.activity, record.region, record.direction
+    for a, r, d, distance, duration in zip(
+        trips.activity,
+        trips.region,
+        trips.direction,
+        trips.distance_km,
+        trips.duration_s,
+    ):
         if not (
             0 <= a < num_activities
             and 0 <= r < num_regions
@@ -283,8 +294,8 @@ def client_work(records: Iterable[TripRecord], schema: Schema) -> IndexedHistogr
             schema.check_index((a, METRIC_DURATION, r, d))  # raises
         for index, delta in (
             ((a, METRIC_NUM_TRIPS, r, d), 1.0),
-            ((a, METRIC_DISTANCE, r, d), record.distance_km),
-            ((a, METRIC_DURATION, r, d), record.duration_s),
+            ((a, METRIC_DISTANCE, r, d), distance),
+            ((a, METRIC_DURATION, r, d), duration),
         ):
             value = cells.get(index, 0.0) + delta
             if value == 0.0:

@@ -22,7 +22,7 @@ from .model import InvalidParameterError, Table, as_table
 from .sim import FleetConfig
 from .sweep import DEFAULT_EPSILONS, SweepConfig
 from .synth import DEFAULT_START_TIME, SyntheticCorpusConfig
-from .windows import WindowAlignment
+from .windows import WindowAlignment, round_down_window
 
 __all__ = [
     "ConfigError",
@@ -393,6 +393,18 @@ def parse_config(data: dict | None) -> ExperimentConfig:
             ) from exc
     else:
         query_text = _str(task_raw, "query", DEFAULT_QUERY_TEXT, "task")
+    try:
+        first_window = round_down_window(corpus.start_time, alignment)
+    except (OverflowError, OSError, ValueError) as exc:
+        raise ConfigError(f"corpus.start_time: {exc}") from exc
+    if first_window.start != corpus.start_time:
+        # The server takes the task at the corpus start; a first window
+        # that began earlier would reach back into the past.
+        raise ConfigError(
+            f"corpus.start_time {corpus.start_time} is not on a task.alignment "
+            f"({alignment_name}) boundary: its window starts at "
+            f"{first_window.start}, so the first window would be retrospective"
+        )
     task = TaskSection(
         query_id=_str(task_raw, "query_id", "trips-weekly", "task"),
         query_text=query_text,

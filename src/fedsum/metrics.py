@@ -16,13 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .exactsum import ExactSum
 from .model import (
     METRIC_NUM_TRIPS,
     IndexedHistogram,
     InvalidParameterError,
 )
-from .synth import Corpus
+from .synth import Corpus, DeviceSubtotals
 from .windows import TimeWindow
 
 __all__ = [
@@ -38,23 +37,42 @@ __all__ = [
 def exact_workload(
     corpus: Corpus,
     window: TimeWindow,
-    histograms: list[IndexedHistogram] | None = None,
+    subtotals: DeviceSubtotals | None = None,
 ) -> IndexedHistogram:
     """Ground-truth grouped sums for one window (no bounding, no noise).
 
-    Defined over per-device subtotals: each device's records accumulate
-    in event order, then device subtotals are summed exactly per cell —
-    the same two-level structure the live pipeline computes, so an
-    unbounded, noiseless release matches this oracle bit for bit.
-    ``histograms`` may hand in ``corpus.device_histograms(window)``
-    when the caller already has them.
+    Defined over per-device subtotals: each device's trips accumulate in
+    event order, then the device subtotals of each cell are summed
+    exactly by one ``math.fsum``, which rounds correctly as
+    :class:`fedsum.exactsum.ExactSum` does.  That is the two-level
+    structure the live pipeline computes, so an unbounded, noiseless
+    release matches this oracle bit for bit.  ``subtotals`` may hand in
+    ``corpus.window_subtotals(window)`` when the caller already has them.
     """
-    if histograms is None:
-        histograms = corpus.device_histograms(window)
-    acc = ExactSum(1)
-    for h in histograms:
-        acc.add(h.as_rows())
-    return IndexedHistogram.from_rows(corpus.schema, acc.report())
+    if subtotals is None:
+        subtotals = corpus.window_subtotals(window)
+    _, _, num_regions, num_directions = corpus.schema.shape
+    partition = (
+        subtotals.activity * num_regions + subtotals.region
+    ) * num_directions + subtotals.direction
+    order = np.argsort(partition)
+    partition = partition[order]
+    starts = np.flatnonzero(np.diff(partition, prepend=-1))
+    bounds = [*starts.tolist(), len(partition)]
+    indices = list(
+        zip(
+            subtotals.activity[order][starts].tolist(),
+            subtotals.region[order][starts].tolist(),
+            subtotals.direction[order][starts].tolist(),
+        )
+    )
+    cells = []
+    for metric, sums in enumerate(subtotals.sums.T):
+        sums = sums[order].tolist()
+        for (a, r, d), lo, hi in zip(indices, bounds, bounds[1:]):
+            cells.append(((a, metric, r, d), math.fsum(sums[lo:hi])))
+    # In canonical (sorted) index order, as ExactSum reports them.
+    return IndexedHistogram(corpus.schema, sorted(cells))
 
 
 def default_device_floor(num_devices: int) -> int:

@@ -1,4 +1,4 @@
-"""Core data model: trip records, indexed histograms, and per-slice tables.
+"""Core data model: trips, indexed histograms, and per-slice tables.
 
 The whole pipeline speaks one value type: a sparse histogram indexed by
 ``(activity, metric, region, direction)``.  Devices build one per time
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "SchemaMismatchError",
     "Schema",
     "TripRecord",
+    "TripColumns",
     "IndexedHistogram",
     "Table",
     "as_table",
@@ -167,8 +168,8 @@ class TripRecord:
     ``event_time`` is UTC seconds since the epoch.  ``direction`` indexes
     :data:`DIRECTIONS`.  The three reported metrics derive from a record
     as: num_trips = 1, distance = ``distance_km``, duration =
-    ``duration_s``.  Slotted, because a corpus holds hundreds of
-    thousands of them: 88 bytes each, not 184.
+    ``duration_s``.  The corpus stores trips as columns; records are built
+    from them only at the edges (``Corpus.devices``).
     """
 
     device_id: int
@@ -198,6 +199,36 @@ class TripRecord:
             raise InvalidParameterError(
                 "trip metrics must be finite and non-negative"
             )
+
+
+@dataclass(frozen=True, slots=True)
+class TripColumns:
+    """Trips as parallel columns, row ``i`` of each column being trip ``i``.
+
+    This is what a device sums into its window histogram.  The simulator
+    hands in slices of the corpus columns; a list of :class:`TripRecord`
+    is transposed into columns by :meth:`from_records`.  ``len`` is the
+    number of trips.
+    """
+
+    activity: Sequence[int]
+    region: Sequence[int]
+    direction: Sequence[int]
+    distance_km: Sequence[float]
+    duration_s: Sequence[float]
+
+    def __len__(self) -> int:
+        return len(self.activity)
+
+    @classmethod
+    def from_records(cls, records: Iterable[TripRecord]) -> "TripColumns":
+        rows = [
+            (r.activity, r.region, r.direction, r.distance_km, r.duration_s)
+            for r in records
+        ]
+        if not rows:
+            return cls((), (), (), (), ())
+        return cls(*zip(*rows))
 
 
 Index = tuple[int, int, int, int]

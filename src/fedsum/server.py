@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Any
+from typing import Any, Iterator
 
 from .aggcore import (
     AggCoreConfig,
@@ -192,8 +192,9 @@ class FederatedServer:
         entry.update(fields)
         self.events.append(entry)
 
-    def event_log_lines(self) -> list[str]:
-        return [json.dumps(e, sort_keys=True) for e in self.events]
+    def event_log_lines(self) -> Iterator[str]:
+        """Each event as one line of canonical JSON, made as it is read."""
+        return (json.dumps(e, sort_keys=True) for e in self.events)
 
     # -- task registration -------------------------------------------------
 

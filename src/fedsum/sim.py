@@ -8,22 +8,25 @@ maps each tick to the devices due then: a tick visits only those, in
 device-id order, and each wake files the device under the tick of its
 next wake.  The server's maintenance still runs on every tick.
 
-Awake, a device ingests its own new trip records, advances its
-low watermark and draws its conditions (``client.draw_flags``: lazily, in
-the order the policy reads them, stopping at the first that fails).  If
-the check-in policy allows, it checks in, receives session-bound tokens,
-and uploads a bounded histogram for every complete window it has not
-contributed to yet: the mechanism's ``transform_device`` of the window's
-raw histogram.  The server side (sessions, checkpoints, releases) runs
+Awake, a device advances its clock: its own new trips arrive in its
+cache, a row range of the corpus columns (see :mod:`fedsum.client`),
+its low watermark moves and expired trips leave.  It then draws its
+conditions (``client.draw_flags``: lazily, in the order the policy
+reads them, stopping at the first that fails).  If the check-in policy
+allows, it checks in, receives session-bound tokens, and uploads a
+bounded histogram for every complete window it has not contributed to
+yet: the mechanism's ``transform_device`` of the window's raw
+histogram.  The server side (sessions, checkpoints, releases) runs
 through :class:`fedsum.server.FederatedServer`.
 
 Condition draws are keyed by (condition, device, day) alone, so fleets
 under different check-in policies experience identical conditions and
 coverage comparisons are apples-to-apples.
 
-Evaluation builds each released window's device histograms once, derives
-the ground truth and the per-partition device counts from them, and
-frees them before the next window.
+Evaluation makes one pass over each released window's trip columns
+(``Corpus.window_subtotals``) and derives the ground truth and the
+per-partition device counts from it.  No trip record is built: neither
+the corpus nor any device cache holds one.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .metrics import (
     per_user_mean_error,
     weighted_relative_error,
 )
-from .model import IndexedHistogram, Schema, TripRecord
+from .model import IndexedHistogram, Schema, TripColumns, TripRecord
 from .server import (
     FederatedServer,
     ServerConfig,
@@ -102,17 +105,17 @@ class SimulationResult:
 
 
 def build_device_upload(
-    records: list[TripRecord],
+    trips: TripColumns | list[TripRecord],
     mechanism: ResolvedMechanism,
     schema: Schema,
 ) -> IndexedHistogram:
     """One device's bounded upload histogram for one window.
 
-    The records' raw histogram, bounded by the mechanism's device
+    The trips' raw histogram, bounded by the mechanism's device
     transform (scale, then clip), exactly as calibration and sweeps
     bound it.
     """
-    return mechanism.transform_device(client_work(records, schema))
+    return mechanism.transform_device(client_work(trips, schema))
 
 
 def _next_wake(wake: int, now: int) -> int:
@@ -144,33 +147,28 @@ def run_simulation(
 
     fleet_rng = KeyedRng(seed, "fleet")
     devices: dict[int, DeviceState] = {}
-    feed_index: dict[int, int] = {}
     # Each device's next wake time; it wakes at the first tick at or after it.
     next_wake: dict[int, int] = {}
     # The wake calendar: tick -> ids of the devices that wake at that tick.
     calendar: dict[int, list[int]] = {}
     start_day = start - start % DAY
-    tiers: dict[int, str] = {}
-    for dev in corpus.devices:
+    for device_id, tier in enumerate(corpus.tiers):
         profile = (
             TIER_PROFILES["always_on"]
             if fleet.availability == "always_on"
-            else TIER_PROFILES[dev.tier]
+            else TIER_PROFILES[tier]
         )
-        state = DeviceState(device_id=dev.device_id, profile=profile)
+        state = DeviceState(device_id=device_id, profile=profile, corpus=corpus)
         state.low_watermark = corpus.config.start_time
         state.last_seen_now = corpus.config.start_time
-        devices[dev.device_id] = state
-        feed_index[dev.device_id] = 0
-        wake_hour = fleet_rng.randrange(24, "wake-hour", dev.device_id)
+        devices[device_id] = state
+        wake_hour = fleet_rng.randrange(24, "wake-hour", device_id)
         wake = start_day + wake_hour * HOUR
-        next_wake[dev.device_id] = wake
-        calendar.setdefault(first_tick_at_or_after(wake), []).append(dev.device_id)
-        tiers[dev.device_id] = dev.tier
+        next_wake[device_id] = wake
+        calendar.setdefault(first_tick_at_or_after(wake), []).append(device_id)
 
     downloaded: dict[str, set[int]] = {w.window_id: set() for w in windows}
     uploaded: dict[str, set[int]] = {w.window_id: set() for w in windows}
-    corpus_devices = {d.device_id: d for d in corpus.devices}
     windows_by_id = {w.window_id: w for w in windows}
 
     horizon_end = windows[-1].end + task.grace_period + 2 * tick
@@ -185,13 +183,6 @@ def run_simulation(
             next_wake[device_id] = wake
             calendar.setdefault(first_tick_at_or_after(wake), []).append(device_id)
             state = devices[device_id]
-            # New records arrive on the device as time passes them.
-            source = corpus_devices[device_id].records
-            i = feed_index[device_id]
-            while i < len(source) and source[i].event_time <= now:
-                state.add_record(source[i])
-                i += 1
-            feed_index[device_id] = i
             state.advance_watermarks(now, task.window_alignment, fleet.cache_ttl)
             if not draw_flags(fleet_rng, state.profile, fleet.policy, device_id, day):
                 continue
@@ -206,8 +197,8 @@ def run_simulation(
                 if assignment.window_id not in eligible:
                     continue
                 window = windows_by_id[assignment.window_id]
-                records = state.visible_records(window)
-                if not records:
+                trips = state.visible_records(window)
+                if not trips:
                     continue
                 upload_ok = (
                     fleet_rng.uniform(
@@ -217,7 +208,7 @@ def run_simulation(
                 )
                 if not upload_ok:
                     continue
-                histogram = build_device_upload(records, mechanism, schema)
+                histogram = build_device_upload(trips, mechanism, schema)
                 rows = histogram_to_rows(histogram, window.window_id, spec)
                 update = ClientUpdate(
                     query_id=task.query_id,
@@ -240,26 +231,11 @@ def run_simulation(
         releases=dict(server.releases),
         downloaded=downloaded,
         uploaded=uploaded,
-        device_tiers=tiers,
-        fleet_size=len(corpus.devices),
+        device_tiers=dict(enumerate(corpus.tiers)),
+        fleet_size=corpus.num_devices,
     )
     _evaluate(result, corpus, spec, fleet.policy)
     return result
-
-
-def _truth_and_counts(
-    corpus: Corpus, window: TimeWindow
-) -> tuple[IndexedHistogram, dict[tuple[int, int, int], int]]:
-    """One window's ground truth and device counts from one histogram pass.
-
-    The device histograms die on return, so evaluating the next window
-    never holds two windows' histograms at once.
-    """
-    histograms = corpus.device_histograms(window)
-    return (
-        exact_workload(corpus, window, histograms),
-        corpus.device_counts(window, histograms),
-    )
 
 
 def _evaluate(
@@ -275,7 +251,9 @@ def _evaluate(
     for window in result.task_windows:
         release = result.releases.get(f"{result.query_id}/{window.window_id}")
         if isinstance(release, NoisedRelease):
-            truth, counts = _truth_and_counts(corpus, window)
+            subtotals = corpus.window_subtotals(window)
+            truth = exact_workload(corpus, window, subtotals)
+            counts = corpus.device_counts(window, subtotals)
             wre = weighted_relative_error(truth, release.histogram, counts, floor)
             pume = per_user_mean_error(truth, release.histogram, counts, metrics)
             for metric in sorted(wre):

@@ -6,10 +6,12 @@ aggregate across a grid of privacy budgets and noise seeds.  Preparing
 once is sound because the pre-noise pipeline does not depend on the
 budget or the seed — only the final noise draw does — and it makes large
 grids cheap.  For the same reason the sweep draws each seed's unit
-Laplace block once and reuses it for every variant and budget, and it
-computes the window's device histograms and the error's eligible cells
-once.  Every grid cell is bit-identical to running the whole mechanism
-from scratch with the same parameters.
+Laplace block once and reuses it for every variant and budget.  It makes
+one pass over the window's trips (``Corpus.window_subtotals``), which
+gives the device histograms, the ground truth and the device counts, and
+it computes the error's eligible cells once.  Every grid cell is
+bit-identical to running the whole mechanism from scratch with the same
+parameters.
 """
 
 from __future__ import annotations
@@ -130,11 +132,13 @@ def run_epsilon_sweep(
     Rows come back in deterministic grid order: variants as configured,
     then budgets, then seeds.
     """
-    histograms = corpus.device_histograms(window)
+    subtotals = corpus.window_subtotals(window)
     if prepared is None:
-        prepared = prepare_variants(corpus, window, sweep, histograms)
-    truth = exact_workload(corpus, window, histograms)
-    counts = corpus.device_counts(window, histograms)
+        prepared = prepare_variants(
+            corpus, window, sweep, corpus.device_histograms(window, subtotals)
+        )
+    truth = exact_workload(corpus, window, subtotals)
+    counts = corpus.device_counts(window, subtotals)
     floor = default_device_floor(corpus.num_devices)
     cells = scored_cells(truth, counts, floor)
     noise = {
@@ -220,9 +224,10 @@ def grid_search_clip_quantile(
     The score is the mean over metrics and seeds of the weighted
     relative error; ties break toward the smaller quantile.
     """
-    histograms = corpus.device_histograms(window)
-    truth = exact_workload(corpus, window, histograms)
-    counts = corpus.device_counts(window, histograms)
+    subtotals = corpus.window_subtotals(window)
+    histograms = corpus.device_histograms(window, subtotals)
+    truth = exact_workload(corpus, window, subtotals)
+    counts = corpus.device_counts(window, subtotals)
     floor = default_device_floor(corpus.num_devices)
     cells = scored_cells(truth, counts, floor)
     noise = {

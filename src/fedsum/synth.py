@@ -1,4 +1,4 @@
-"""Synthetic trip corpus generation.
+"""Synthetic trip corpus generation and the fleet's columnar trip store.
 
 Builds a deterministic fleet of devices with heterogeneous travel
 behavior: common short activities (walking, driving) through rare
@@ -18,6 +18,19 @@ corpus, exactly as ``Generator.choice`` would draw it.  Trips are then
 sorted stably by event time.  A change to this order changes the
 corpus and must be documented here.
 
+The :class:`Corpus` stores no object per trip.  The fleet's trips are
+five parallel unboxed columns (``event_time``, ``activity``,
+``direction``, ``distance_km``, ``duration_s``) whose rows are sorted
+stably by (device, event time); ``offsets`` delimits each device's rows,
+and tier and home region are per device.  The simulator's device caches
+are row ranges of these columns.  One pass over a window's rows
+(:meth:`Corpus.window_subtotals`, one ``np.bincount`` per metric) gives
+every device's per-partition subtotals, bit for bit the sums
+``client.client_work`` makes in event order; calibration's device
+histograms, the device counts and the ground truth
+(``metrics.exact_workload``) are all read off it.  :class:`TripRecord`
+objects are built only at the edge, by :attr:`Corpus.devices`.
+
 The magnitude spread across activities and metrics is the point: trip
 counts are O(1), distances O(1)-O(1000) km, durations O(100)-O(10000) s.
 Per-slice scaling pays off on trip counts and distances; durations
@@ -28,18 +41,23 @@ spends nearly its whole budget on them.
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from operator import attrgetter
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .client import client_work, records_in_window
 from .model import (
+    DEFAULT_METRIC_NAMES,
     DIRECTIONS,
+    METRIC_DISTANCE,
+    METRIC_DURATION,
     METRIC_NUM_TRIPS,
     IndexedHistogram,
     Schema,
+    TripColumns,
     TripRecord,
 )
 from .windows import TimeWindow
@@ -49,6 +67,7 @@ __all__ = [
     "DEFAULT_ACTIVITIES",
     "SyntheticCorpusConfig",
     "DeviceRecords",
+    "DeviceSubtotals",
     "Corpus",
     "generate_corpus",
 ]
@@ -141,59 +160,295 @@ class SyntheticCorpusConfig:
         )
 
 
+# Typecodes of the trip columns.  A code means the same C type to
+# ``array.array`` and to numpy, so ``np.frombuffer(column, column.typecode)``
+# views a column without a copy.  Directions fit a byte; activities are
+# never narrowed below a C int, and home regions are 64-bit, whatever the
+# config's roster or region count.
+_COLUMN_TYPES = {
+    "event_time": "q",
+    "activity": "i",
+    "direction": "b",
+    "distance_km": "d",
+    "duration_s": "d",
+}
+
+
 @dataclass
 class DeviceRecords:
-    """One device's trips, in event-time order."""
+    """One device's trips as records, in event-time order.
+
+    The record-level view of a device, used only at the edges: building a
+    corpus from records (:meth:`Corpus.from_devices`) and reading one
+    back (:attr:`Corpus.devices`).
+    """
 
     device_id: int
     tier: str
     home_region: int
-    records: list[TripRecord] = field(default_factory=list)
+    records: list[TripRecord]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class DeviceSubtotals:
+    """One window's raw per-device histograms, one row per partition.
+
+    Row ``k`` is a partition ``(activity[k], region[k], direction[k])``
+    in which device ``device[k]`` has a trip in the window; rows are
+    sorted by device.  ``sums[k, m]`` is what ``client.client_work`` adds
+    up in that partition's metric-``m`` cell: 1 per trip for num-trips,
+    the distance or the duration for the others, in event-time order.
+    ``made_at[k, m]`` is the position, among the window's trips in
+    corpus row order, of the trip that first makes that cell nonzero:
+    ``client_work`` inserts a device's cells in the order of these
+    positions, then of metrics.
+    """
+
+    device: np.ndarray
+    activity: np.ndarray
+    region: np.ndarray
+    direction: np.ndarray
+    sums: np.ndarray
+    made_at: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class Corpus:
+    """A fleet's trips as columns, rows sorted by (device, event time).
+
+    Device ``i`` has id ``i``.  Its trips are rows ``offsets[i]`` to
+    ``offsets[i + 1]`` of the five trip columns, in event-time order with
+    ties in generation order.  ``tiers`` and ``home_regions`` hold one
+    entry per device; every trip of a device is in its home region.
+    """
+
     config: SyntheticCorpusConfig
     schema: Schema
-    devices: list[DeviceRecords]
+    tiers: tuple[str, ...]
+    home_regions: array
+    offsets: array
+    event_time: array
+    activity: array
+    direction: array
+    distance_km: array
+    duration_s: array
 
     @property
     def num_devices(self) -> int:
-        return len(self.devices)
+        return len(self.tiers)
 
-    def device_histograms(self, window: TimeWindow) -> list[IndexedHistogram]:
+    def rows(self, device_id: int) -> tuple[int, int]:
+        """The device's row range ``[lo, hi)`` in the trip columns."""
+        return self.offsets[device_id], self.offsets[device_id + 1]
+
+    def trips(self, device_id: int, lo: int, hi: int) -> TripColumns:
+        """Rows ``[lo, hi)`` of one device's trips, as ``client_work`` reads them."""
+        return TripColumns(
+            self.activity[lo:hi],
+            [self.home_regions[device_id]] * (hi - lo),
+            self.direction[lo:hi],
+            self.distance_km[lo:hi],
+            self.duration_s[lo:hi],
+        )
+
+    @property
+    def devices(self) -> Sequence[DeviceRecords]:
+        """Every device with its trips as :class:`TripRecord` objects.
+
+        A device's records are built when it is read, and the corpus
+        keeps none of them.
+        """
+        return _DeviceRecordsView(self)
+
+    @classmethod
+    def from_devices(
+        cls,
+        config: SyntheticCorpusConfig,
+        schema: Schema,
+        devices: Iterable[DeviceRecords],
+    ) -> "Corpus":
+        """The corpus of the given devices, numbered by position.
+
+        The ``i``-th device gets id ``i``, whatever its ``device_id``.
+        Its records must be valid for ``schema``, in its home region and
+        in event-time order (ties keep their given order), and the schema
+        must hold the three trip metrics, or this raises ``ValueError``.
+        """
+        if schema.num_metrics != len(DEFAULT_METRIC_NAMES):
+            raise ValueError("a trip corpus needs the three trip metrics")
+        columns = {name: array(code) for name, code in _COLUMN_TYPES.items()}
+        tiers, home_regions, offsets = [], array("q"), array("q", [0])
+        for position, device in enumerate(devices):
+            last = None
+            for record in device.records:
+                record.validate(schema)
+                if record.region != device.home_region:
+                    raise ValueError(
+                        f"device {position}: a trip in region {record.region} "
+                        f"is outside its home region {device.home_region}"
+                    )
+                if last is not None and record.event_time < last:
+                    raise ValueError(
+                        f"device {position}: trip at {record.event_time} is "
+                        f"older than the one before it at {last}"
+                    )
+                last = record.event_time
+                for name, column in columns.items():
+                    column.append(getattr(record, name))
+            tiers.append(device.tier)
+            home_regions.append(device.home_region)
+            offsets.append(len(columns["event_time"]))
+        return cls(config, schema, tuple(tiers), home_regions, offsets, **columns)
+
+    def _view(self, name: str) -> np.ndarray:
+        """One column as a numpy array, without a copy."""
+        column = getattr(self, name)
+        return np.frombuffer(column, dtype=column.typecode)
+
+    def window_subtotals(self, window: TimeWindow) -> DeviceSubtotals:
+        """Every device's per-partition trip sums for a window, in one pass.
+
+        A device's partitions are its (activity, direction) pairs in its
+        home region.  One ``np.bincount`` per metric over the window's
+        rows, indexed by (device, partition), adds each device's trips in
+        row order, which is event-time order.  These are the additions
+        ``client_work`` makes, so every subtotal matches it bit for bit.
+        Devices without a trip in the window have no rows.
+        """
+        num_activities, num_metrics, _, num_directions = self.schema.shape
+        times = self._view("event_time")
+        rows = np.flatnonzero((times >= window.start) & (times < window.end))
+        device = np.searchsorted(self._view("offsets"), rows, side="right") - 1
+        group = (
+            device * num_activities + self._view("activity")[rows]
+        ) * num_directions + self._view("direction")[rows]
+        keys, first, inverse = np.unique(group, return_index=True, return_inverse=True)
+        sums = np.empty((len(keys), num_metrics))
+        made_at = np.empty((len(keys), num_metrics), dtype=np.int64)
+        sums[:, METRIC_NUM_TRIPS] = np.bincount(inverse, minlength=len(keys))
+        made_at[:, METRIC_NUM_TRIPS] = first
+        for metric, name in (
+            (METRIC_DISTANCE, "distance_km"),
+            (METRIC_DURATION, "duration_s"),
+        ):
+            values = self._view(name)[rows]
+            sums[:, metric] = np.bincount(inverse, weights=values, minlength=len(keys))
+            made_at[:, metric] = _first_nonzero(inverse, values, first)
+        device = keys // (num_activities * num_directions)
+        return DeviceSubtotals(
+            device=device,
+            activity=keys // num_directions % num_activities,
+            region=self._view("home_regions")[device],
+            direction=keys % num_directions,
+            sums=sums,
+            made_at=made_at,
+        )
+
+    def device_histograms(
+        self, window: TimeWindow, subtotals: DeviceSubtotals | None = None
+    ) -> list[IndexedHistogram]:
         """Raw (unscaled, unclipped) per-device histograms for a window.
 
-        Devices with no trips in the window are skipped: they hold no
-        data and would not upload.
+        Each equals ``client_work`` of the device's trips in the window,
+        the order of its cells included.  Devices with no trips in the
+        window are skipped: they hold no data and would not upload.
+        ``subtotals`` may hand in ``window_subtotals(window)`` when the
+        caller already has them.
         """
+        if subtotals is None:
+            subtotals = self.window_subtotals(window)
+        num_metrics = self.schema.num_metrics
+        # The nonzero (partition, metric) cells, flattened, in the order
+        # client_work inserts them: by the trip that first makes a cell
+        # nonzero, then by metric.
+        cells = np.flatnonzero(subtotals.sums)
+        made_at = subtotals.made_at.ravel()[cells]
+        cells = cells[np.argsort(made_at * num_metrics + cells % num_metrics)]
+        partition, metric = np.divmod(cells, num_metrics)
+        index = list(
+            zip(
+                subtotals.activity[partition].tolist(),
+                metric.tolist(),
+                subtotals.region[partition].tolist(),
+                subtotals.direction[partition].tolist(),
+            )
+        )
+        values = subtotals.sums.ravel()[cells].tolist()
+        device = subtotals.device[partition]
+        starts = np.flatnonzero(np.diff(device, prepend=-1))
+        bounds = [*starts.tolist(), len(values)]
         out = []
-        for device in self.devices:
-            records = records_in_window(device.records, window)
-            if records:
-                out.append(client_work(records, self.schema))
+        for lo, hi in zip(bounds, bounds[1:]):
+            h = IndexedHistogram(self.schema)
+            h._d = dict(zip(index[lo:hi], values[lo:hi]))  # checked on entry
+            out.append(h)
         return out
 
     def device_counts(
-        self,
-        window: TimeWindow,
-        histograms: list[IndexedHistogram] | None = None,
+        self, window: TimeWindow, subtotals: DeviceSubtotals | None = None
     ) -> dict[tuple[int, int, int], int]:
         """Devices contributing data per (activity, region, direction).
 
-        A device holds a trip in a partition exactly when its raw
-        num-trips cell there is nonzero, so the counts come from the
-        window's device histograms.  ``histograms`` may hand in
-        ``device_histograms(window)`` when the caller already has them.
+        Each row of the window's subtotals is one device holding a trip in
+        one partition.  ``subtotals`` may hand in
+        ``window_subtotals(window)`` when the caller already has them.
         """
-        if histograms is None:
-            histograms = self.device_histograms(window)
+        if subtotals is None:
+            subtotals = self.window_subtotals(window)
         counts: dict[tuple[int, int, int], int] = {}
-        for h in histograms:
-            for a, m, r, d in h.raw():
-                if m == METRIC_NUM_TRIPS:
-                    counts[(a, r, d)] = counts.get((a, r, d), 0) + 1
+        for partition in zip(
+            subtotals.activity.tolist(),
+            subtotals.region.tolist(),
+            subtotals.direction.tolist(),
+        ):
+            counts[partition] = counts.get(partition, 0) + 1
         return counts
+
+
+class _DeviceRecordsView(Sequence):
+    """The devices of a corpus as :class:`DeviceRecords`, built on access."""
+
+    __slots__ = ("_corpus",)
+
+    def __init__(self, corpus: Corpus) -> None:
+        self._corpus = corpus
+
+    def __len__(self) -> int:
+        return self._corpus.num_devices
+
+    def __getitem__(self, device_id: int) -> DeviceRecords:
+        corpus = self._corpus
+        device_id = range(corpus.num_devices)[device_id]
+        region = corpus.home_regions[device_id]
+        lo, hi = corpus.rows(device_id)
+        records = [
+            TripRecord(device_id, t, a, region, d, km, s)
+            for t, a, d, km, s in zip(
+                corpus.event_time[lo:hi],
+                corpus.activity[lo:hi],
+                corpus.direction[lo:hi],
+                corpus.distance_km[lo:hi],
+                corpus.duration_s[lo:hi],
+            )
+        ]
+        return DeviceRecords(device_id, corpus.tiers[device_id], region, records)
+
+
+def _first_nonzero(
+    inverse: np.ndarray, values: np.ndarray, first: np.ndarray
+) -> np.ndarray:
+    """Per group, the position of its first nonzero value.
+
+    ``inverse`` maps each position to its group and ``first`` holds each
+    group's first position, which a group of zeros alone keeps.
+    """
+    nonzero = np.flatnonzero(values)
+    if len(nonzero) == len(values):
+        return first
+    made_at = first.copy()
+    groups, at = np.unique(inverse[nonzero], return_index=True)
+    made_at[groups] = nonzero[at]
+    return made_at
 
 
 def _zipf_probabilities(n: int, exponent: float) -> np.ndarray:
@@ -224,15 +479,20 @@ def generate_corpus(config: SyntheticCorpusConfig) -> Corpus:
     )
     direction_cdf = choice_cdf(np.asarray(config.direction_mix, dtype=np.float64))
     rate_mean_correction = -0.5 * config.rate_sigma ** 2
-    devices = []
+    columns = {name: array(code) for name, code in _COLUMN_TYPES.items()}
+    add_time = columns["event_time"].append
+    add_activity = columns["activity"].append
+    add_direction = columns["direction"].append
+    add_distance = columns["distance_km"].append
+    add_duration = columns["duration_s"].append
+    tiers, home_regions, offsets = [], array("q"), array("q", [0])
     for device_id in range(config.num_devices):
         gen = np.random.Generator(
             np.random.PCG64(np.random.SeedSequence([config.seed, device_id]))
         )
         random, lognormal = gen.random, gen.lognormal
-        tier = "high_end" if random() < config.high_end_share else "low_end"
-        home_region = bisect_right(region_cdf, random())
-        records: list[TripRecord] = []
+        tiers.append("high_end" if random() < config.high_end_share else "low_end")
+        home_regions.append(bisect_right(region_cdf, random()))
         for activity_index, spec in enumerate(config.activities):
             if random() >= spec.participation:
                 continue
@@ -242,24 +502,22 @@ def generate_corpus(config: SyntheticCorpusConfig) -> Corpus:
             for week in range(config.num_weeks):
                 week_start = config.start_time + week * SECONDS_PER_WEEK
                 for _ in range(gen.poisson(mean_trips)):
-                    event_time = week_start + int(random() * SECONDS_PER_WEEK)
-                    direction = bisect_right(direction_cdf, random())
+                    add_time(week_start + int(random() * SECONDS_PER_WEEK))
+                    add_activity(activity_index)
+                    add_direction(bisect_right(direction_cdf, random()))
                     distance = lognormal(
                         spec.distance_log_mean, spec.distance_log_sigma
                     )
                     jitter = lognormal(0.0, config.duration_jitter_sigma)
-                    records.append(
-                        TripRecord(
-                            device_id,
-                            event_time,
-                            activity_index,
-                            home_region,
-                            direction,
-                            distance,
-                            distance / spec.speed_kmh * 3600.0 * jitter,
-                        )
-                    )
-        # Stable sort: ties in event time keep their generation order.
-        records.sort(key=attrgetter("event_time"))
-        devices.append(DeviceRecords(device_id, tier, home_region, records))
-    return Corpus(config=config, schema=schema, devices=devices)
+                    add_distance(distance)
+                    add_duration(distance / spec.speed_kmh * 3600.0 * jitter)
+        offsets.append(len(columns["event_time"]))
+    # Stable sort by (device, event time): ties keep their generation order.
+    device = np.repeat(
+        np.arange(config.num_devices), np.diff(np.frombuffer(offsets, dtype=np.int64))
+    )
+    order = np.lexsort((np.frombuffer(columns["event_time"], dtype=np.int64), device))
+    for name, column in columns.items():
+        sorted_column = np.frombuffer(column, dtype=column.typecode)[order]
+        columns[name] = array(column.typecode, sorted_column.tobytes())
+    return Corpus(config, schema, tuple(tiers), home_regions, offsets, **columns)

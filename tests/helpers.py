@@ -70,6 +70,28 @@ def naive_grouped_sums(updates):
     return out
 
 
+def active_devices(corpus, window) -> set[int]:
+    """Ids of the devices holding a record inside ``window``."""
+    return {
+        device.device_id
+        for device in corpus.devices
+        if any(window.contains(r.event_time) for r in device.records)
+    }
+
+
+def naive_device_counts(corpus, window) -> dict[tuple[int, int, int], int]:
+    """Devices holding a record in ``window``, per (activity, region, direction)."""
+    counts: dict[tuple[int, int, int], int] = {}
+    for device in corpus.devices:
+        for key in {
+            (r.activity, r.region, r.direction)
+            for r in device.records
+            if window.contains(r.event_time)
+        }:
+            counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def naive_workload(corpus, window) -> dict[tuple[int, int, int, int], float]:
     """Two-level grouped sums straight off the records.
 

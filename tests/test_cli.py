@@ -195,6 +195,37 @@ def test_run_rejects_backfill_tasks_before_writing_anything(tmp_path, capsys):
     assert not os.path.exists(str(out) + ".partial")
 
 
+@pytest.mark.parametrize(
+    "command, alignment",
+    [("run", "week"), ("run", "day"), ("sweep", "week")],
+)
+def test_a_start_off_the_window_grid_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, command, alignment
+):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("generate_corpus ran on a bad config")
+
+    monkeypatch.setattr("fedsum.cli.generate_corpus", no_corpus)
+    out = tmp_path / "out"
+    # Noon on Monday 2024-05-13: inside a week and a day, on neither's boundary.
+    config_path = write_config(
+        tmp_path,
+        out,
+        corpus={"num_devices": 30, "start_time": 1_715_601_600},
+        task={"alignment": alignment},
+    )
+    if command == "sweep":
+        data = yaml.safe_load(open(config_path))
+        del data["mechanism"]
+        with open(config_path, "w") as fh:
+            yaml.safe_dump(data, fh)
+    assert main([command, "--config", config_path]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: corpus.start_time 1715601600")
+    assert f"({alignment}) boundary" in err and "retrospective" in err
+    assert not out.exists()
+
+
 def test_run_seed_override_changes_the_data(tmp_path, capsys):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"

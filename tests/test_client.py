@@ -30,6 +30,7 @@ from fedsum.dp import (
 from fedsum.model import IndexedHistogram, Schema
 from fedsum.query import QueryValidationError, parse_and_validate
 from fedsum.rng import KeyedRng
+from fedsum.synth import Corpus, DeviceRecords, SyntheticCorpusConfig
 from fedsum.windows import WindowAlignment, round_down_window, window_after
 
 from helpers import START, WEEK, eager_check_in_allowed, trip
@@ -69,12 +70,25 @@ def wide_schema():
 
 
 def device(records=(), tier="always_on"):
-    state = DeviceState(device_id=1, profile=TIER_PROFILES[tier])
-    for record in records:
-        state.add_record(record)
+    """Device 0 of a one-device corpus, every one of its trips already cached."""
+    home = records[0].region if records else 0
+    corpus = Corpus.from_devices(
+        SyntheticCorpusConfig(num_devices=1),
+        wide_schema(),
+        [DeviceRecords(0, tier, home, list(records))],
+    )
+    state = DeviceState(device_id=0, profile=TIER_PROFILES[tier], corpus=corpus)
+    state.hi = state.end
     state.low_watermark = START
     state.last_seen_now = START
     return state
+
+
+def cached(dev):
+    """The trips in the device's cache, as records, oldest first."""
+    first, _ = dev.corpus.rows(dev.device_id)
+    records = dev.corpus.devices[dev.device_id].records
+    return records[dev.lo - first : dev.hi - first]
 
 
 def week(k=0):
@@ -196,7 +210,7 @@ def test_rows_are_sorted_by_key():
     spec = parse_and_validate(FULL_QUERY)
     # The earlier trip has the larger key.
     dev = device(
-        [trip(a=2, r=3, d=1, t=START + 60), trip(a=0, r=0, d=0, t=START + 3600)]
+        [trip(a=2, r=3, d=1, t=START + 60), trip(a=0, r=3, d=0, t=START + 3600)]
     )
     rows = upload_rows(dev, spec, [week(0)])
     assert len(rows) == 2
@@ -296,9 +310,9 @@ def test_expired_records_are_purged():
     keep = trip(t=START + 3600)
     dev = device([keep])
     dev.advance_watermarks(START + 2 * 3600, WindowAlignment.WEEK, ttl=3600)
-    assert dev.records == [keep]  # age exactly equal to ttl survives
+    assert cached(dev) == [keep]  # age exactly equal to ttl survives
     dev.advance_watermarks(START + 3 * 3600, WindowAlignment.WEEK, ttl=3600)
-    assert dev.records == []
+    assert cached(dev) == []
 
 
 def test_purge_drops_exactly_the_expired_prefix():
@@ -310,15 +324,27 @@ def test_purge_drops_exactly_the_expired_prefix():
     )
     dev = device([old, tied, edge, new])
     dev.advance_watermarks(START + 100 + 3600, WindowAlignment.WEEK, ttl=3600)
-    assert dev.records == [edge, new]
+    assert cached(dev) == [edge, new]
+
+
+def test_trips_arrive_as_the_clock_reaches_them():
+    early, tied = trip(t=START + 10), trip(t=START + 10, km=2.0)
+    late = trip(t=START + 500)
+    dev = device([early, tied, late])
+    dev.hi = dev.lo  # nothing has arrived yet
+    dev.advance_watermarks(START + 9, WindowAlignment.WEEK, ttl=3600)
+    assert cached(dev) == []
+    dev.advance_watermarks(START + 10, WindowAlignment.WEEK, ttl=3600)
+    assert cached(dev) == [early, tied]
+    dev.advance_watermarks(START + 500, WindowAlignment.WEEK, ttl=3600)
+    assert cached(dev) == [early, tied, late]
 
 
 def test_records_must_arrive_in_time_order():
-    dev = device([trip(t=START + 100)])
-    dev.add_record(trip(t=START + 100, km=2.0))  # a tie keeps arrival order
-    with pytest.raises(ValueError, match="older than the newest"):
-        dev.add_record(trip(t=START + 99))
-    assert [r.event_time for r in dev.records] == [START + 100, START + 100]
+    dev = device([trip(t=START + 100), trip(t=START + 100, km=2.0)])
+    assert [r.distance_km for r in cached(dev)] == [1.0, 2.0]  # a tie keeps its order
+    with pytest.raises(ValueError, match="older than the one before it"):
+        device([trip(t=START + 100), trip(t=START + 99)])
 
 
 def test_eligible_windows_exclude_current_and_contributed():
@@ -340,11 +366,13 @@ def test_exactly_once_guard_is_per_query():
 
 
 def test_visible_records_filter_by_window():
-    inside = trip(t=START + 10)
-    outside = trip(t=START + WEEK + 10)
-    dev = device([inside, outside])
-    assert dev.visible_records(week(0)) == [inside]
-    assert dev.visible_records(week(1)) == [outside]
+    first, last = trip(t=START, km=1.0), trip(t=START + WEEK - 1, km=2.0)
+    outside = trip(t=START + WEEK, km=3.0)
+    dev = device([first, last, outside])
+    assert list(dev.visible_records(week(0)).distance_km) == [1.0, 2.0]
+    assert list(dev.visible_records(week(1)).distance_km) == [3.0]
+    dev.advance_watermarks(START + 5, WindowAlignment.WEEK, ttl=4)  # `first` expires
+    assert list(dev.visible_records(week(0)).distance_km) == [2.0]
 
 
 # --- constraint flags and policies ----------------------------------------------

@@ -16,7 +16,9 @@ from fedsum.exactsum import ExactSum
 from fedsum.model import IndexedHistogram, InvalidParameterError
 from fedsum.synth import Corpus, DeviceRecords, SyntheticCorpusConfig, generate_corpus
 
-from helpers import naive_workload, trip
+from fedsum.windows import WindowAlignment, round_down_window, window_after
+
+from helpers import naive_device_counts, naive_workload, trip
 
 
 def hist(schema, entries):
@@ -28,11 +30,13 @@ def hist(schema, entries):
 
 def tiny_corpus(schema, records_by_device):
     devices = [
-        DeviceRecords(device_id, "high_end", 0, list(records))
+        DeviceRecords(
+            device_id, "high_end", records[0].region if records else 0, list(records)
+        )
         for device_id, records in enumerate(records_by_device)
     ]
     config = SyntheticCorpusConfig(num_devices=max(len(devices), 1))
-    return Corpus(config=config, schema=schema, devices=devices)
+    return Corpus.from_devices(config, schema, devices)
 
 
 # --- exact workload ------------------------------------------------------------
@@ -55,13 +59,29 @@ def test_workload_agrees_with_an_independent_oracle(corpus_300, week_one_300):
     assert dict(workload.items()) == naive_workload(corpus_300, week_one_300)
 
 
+@pytest.mark.parametrize("alignment", [WindowAlignment.WEEK, WindowAlignment.DAY])
+def test_truth_and_counts_match_the_oracles_in_every_window(
+    corpus_300, alignment
+):
+    window = round_down_window(corpus_300.config.start_time, alignment)
+    checked = 0
+    while window.start < corpus_300.config.end_time:
+        subtotals = corpus_300.window_subtotals(window)
+        truth = exact_workload(corpus_300, window, subtotals)
+        assert dict(truth.items()) == naive_workload(corpus_300, window)
+        assert list(truth.raw()) == sorted(truth.raw())  # canonical order
+        counts = corpus_300.device_counts(window, subtotals)
+        assert counts == naive_device_counts(corpus_300, window)
+        checked += bool(counts)
+        window = window_after(window, alignment)
+    assert checked == {WindowAlignment.WEEK: 1, WindowAlignment.DAY: 7}[alignment]
+
+
 def test_workload_is_additive_across_subfleets(week_one_300):
     left = generate_corpus(SyntheticCorpusConfig(num_devices=40, num_regions=6, seed=1))
     right = generate_corpus(SyntheticCorpusConfig(num_devices=25, num_regions=6, seed=2))
-    combined = Corpus(
-        config=left.config,
-        schema=left.schema,
-        devices=left.devices + right.devices,
+    combined = Corpus.from_devices(
+        left.config, left.schema, [*left.devices, *right.devices]
     )
     acc = ExactSum(1)
     for h in left.device_histograms(week_one_300):

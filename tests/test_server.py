@@ -519,6 +519,8 @@ def test_event_log_lines_are_canonical_json():
     server.register_task(make_task(s), now=START)
     upload(server, 1, device_histogram(s, 1), now=START + WEEK)
     lines = server.event_log_lines()
+    assert iter(lines) is lines  # made one line at a time, never all at once
+    lines = list(lines)
     assert len(lines) == len(server.events)
     for line in lines:
         entry = json.loads(line)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import math
 
 import pytest
@@ -20,9 +21,9 @@ from fedsum.client import (
     TIER_PROFILES,
     DeviceState,
     histogram_to_rows,
-    records_in_window,
 )
 from fedsum.metrics import exact_workload
+from fedsum.model import TripRecord
 from fedsum.query import parse_and_validate
 from fedsum.rng import KeyedRng
 from fedsum.server import (
@@ -35,7 +36,7 @@ from fedsum.sim import FleetConfig, build_device_upload, run_simulation
 from fedsum.synth import SyntheticCorpusConfig, generate_corpus
 from fedsum.windows import WindowAlignment
 
-from helpers import START, eager_check_in_allowed
+from helpers import START, active_devices, eager_check_in_allowed
 
 FULL_QUERY = """\
 SELECT activity, region, direction, privacy_time_unit,
@@ -87,12 +88,8 @@ def test_noiseless_run_reproduces_the_exact_workload(corpus_300, week_one_300):
     release = result.releases["trips/2024-W20"]
     assert isinstance(release, NoisedRelease)
     assert release.histogram == exact_workload(corpus_300, week_one_300)
-    active = sum(
-        1
-        for d in corpus_300.devices
-        if records_in_window(d.records, week_one_300)
-    )
-    assert len(result.uploaded["2024-W20"]) == active
+    active = active_devices(corpus_300, week_one_300)
+    assert len(result.uploaded["2024-W20"]) == len(active)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -126,6 +123,38 @@ def check_in_times(result):
     return times
 
 
+def live_trip_records() -> int:
+    gc.collect()
+    return sum(isinstance(o, TripRecord) for o in gc.get_objects())
+
+
+def test_no_trip_record_exists_during_the_simulation(monkeypatch):
+    # Device caches are row ranges of the corpus columns and evaluation
+    # reads the columns too, so the run neither builds nor holds a record.
+    before = live_trip_records()  # whatever other tests left behind
+    corpus = generate_corpus(
+        SyntheticCorpusConfig(num_devices=60, num_regions=4, num_weeks=1, seed=2)
+    )
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("a TripRecord was built during the simulation")
+
+    during = []
+
+    def counting_upload(*args, **kwargs):
+        if not during:
+            during.append(live_trip_records())
+        return build_device_upload(*args, **kwargs)
+
+    monkeypatch.setattr(TripRecord, "__init__", no_record)
+    monkeypatch.setattr("fedsum.sim.build_device_upload", counting_upload)
+    result = run_simulation(
+        corpus, make_task(corpus.schema), FleetConfig(availability="always_on")
+    )
+    assert during == [before]
+    assert result.uploaded["2024-W20"] and result.eval_rows
+
+
 def test_hourly_ticks_wake_each_device_daily_at_its_own_hour(corpus_300):
     result = run_simulation(
         corpus_300,
@@ -152,11 +181,7 @@ def test_daily_ticks_upload_from_every_active_device(corpus_300, week_one_300):
         make_task(corpus_300.schema),
         FleetConfig(availability="always_on", tick_seconds=86_400),
     )
-    active = {
-        d.device_id
-        for d in corpus_300.devices
-        if records_in_window(d.records, week_one_300)
-    }
+    active = active_devices(corpus_300, week_one_300)
     assert result.uploaded["2024-W20"] == active
     release = result.releases["trips/2024-W20"]
     assert release.histogram == exact_workload(corpus_300, week_one_300)
@@ -324,8 +349,9 @@ def polled_simulation(corpus, task, fleet, seed):
     """The simulator's device loop as a per-tick poll of the whole fleet.
 
     Every tick compares every device's next wake time with the clock, in
-    device-id order; conditions come from ``eager_check_in_allowed`` and a
-    window's records from a scan of the cache.  Returns the server.
+    device-id order; conditions come from ``eager_check_in_allowed``.  Each
+    device caches its records in a list, expires them by a scan, and finds
+    a window's records by a scan of the cache.  Returns the server.
     """
     server = FederatedServer(corpus.schema, None, seed=seed)
     registered = server.register_task(task, now=corpus.config.start_time)
@@ -333,16 +359,20 @@ def polled_simulation(corpus, task, fleet, seed):
     rng = KeyedRng(seed, "fleet")
     start = corpus.config.start_time
     start_day = start - start % 86_400
-    states, feed, next_wake = {}, {}, {}
+    states, caches, feed, next_wake = {}, {}, {}, {}
+    sources = {}
     for dev in corpus.devices:
-        state = DeviceState(device_id=dev.device_id, profile=TIER_PROFILES[dev.tier])
+        state = DeviceState(
+            device_id=dev.device_id, profile=TIER_PROFILES[dev.tier], corpus=corpus
+        )
         state.low_watermark = start
         state.last_seen_now = start
         states[dev.device_id] = state
+        caches[dev.device_id] = []
         feed[dev.device_id] = 0
+        sources[dev.device_id] = dev.records
         hour = rng.randrange(24, "wake-hour", dev.device_id)
         next_wake[dev.device_id] = start_day + hour * 3600
-    sources = {d.device_id: d.records for d in corpus.devices}
     horizon_end = windows[-1].end + task.grace_period + 2 * fleet.tick_seconds
     for now in range(start, horizon_end + 1, fleet.tick_seconds):
         server.maintenance(now)
@@ -355,9 +385,12 @@ def polled_simulation(corpus, task, fleet, seed):
             state = states[device_id]
             source, i = sources[device_id], feed[device_id]
             while i < len(source) and source[i].event_time <= now:
-                state.add_record(source[i])
+                caches[device_id].append(source[i])
                 i += 1
             feed[device_id] = i
+            caches[device_id] = [
+                r for r in caches[device_id] if now - r.event_time <= fleet.cache_ttl
+            ]
             state.advance_watermarks(now, task.window_alignment, fleet.cache_ttl)
             if not eager_check_in_allowed(rng, state.profile, fleet.policy, device_id, day):
                 continue
@@ -367,7 +400,7 @@ def polled_simulation(corpus, task, fleet, seed):
                 if assignment.window_id not in eligible:
                     continue
                 window = next(w for w in windows if w.window_id == assignment.window_id)
-                records = [r for r in state.records if window.contains(r.event_time)]
+                records = [r for r in caches[device_id] if window.contains(r.event_time)]
                 if not records:
                     continue
                 ok = rng.uniform("upload-ok", device_id, day, assignment.window_id)

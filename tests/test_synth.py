@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import statistics
@@ -12,18 +13,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsum.model import DIRECTIONS
-from fedsum.client import client_work, records_in_window
+from fedsum.client import TIER_PROFILES, DeviceState, client_work
+from fedsum.metrics import exact_workload
+from fedsum.model import DIRECTIONS, Schema
 from fedsum.synth import (
     ActivitySpec,
+    Corpus,
     DEFAULT_ACTIVITIES,
+    DeviceRecords,
     SyntheticCorpusConfig,
     choice_cdf,
     generate_corpus,
 )
-from fedsum.windows import WindowAlignment, round_down_window
+from fedsum.windows import TimeWindow, WindowAlignment, round_down_window
 
-from helpers import START, WEEK
+from helpers import START, WEEK, naive_device_counts, naive_workload, trip
 
 WALKING, FLYING = 0, 7
 
@@ -129,43 +133,50 @@ def test_device_tiers_split_roughly_in_half(corpus_10k):
 
 
 def test_window_slicing_honors_half_open_bounds(corpus_300):
-    window = round_down_window(START, WindowAlignment.WEEK)
+    windows = [
+        round_down_window(START, WindowAlignment.WEEK),
+        round_down_window(START + WEEK, WindowAlignment.WEEK),
+    ]
+    total = 0
     for device in corpus_300.devices:
-        sliced = records_in_window(device.records, window)
-        assert all(window.start <= r.event_time < window.end for r in sliced)
-    next_window = round_down_window(START + WEEK, WindowAlignment.WEEK)
-    total = sum(
-        len(records_in_window(d.records, w))
-        for d in corpus_300.devices
-        for w in (window, next_window)
-    )
+        state = DeviceState(
+            device_id=device.device_id,
+            profile=TIER_PROFILES[device.tier],
+            corpus=corpus_300,
+        )
+        state.advance_watermarks(
+            corpus_300.config.end_time, WindowAlignment.WEEK, ttl=4 * WEEK
+        )
+        for window in windows:
+            inside = [
+                r for r in device.records if window.start <= r.event_time < window.end
+            ]
+            trips = state.visible_records(window)
+            assert list(trips.distance_km) == [r.distance_km for r in inside]
+            total += len(trips)
     assert total == sum(len(d.records) for d in corpus_300.devices)
+
+
+def in_window(records, window):
+    return [r for r in records if window.contains(r.event_time)]
 
 
 def test_histograms_cover_exactly_the_active_devices(corpus_300, week_one_300):
     histograms = corpus_300.device_histograms(week_one_300)
-    active = [
-        d
+    expected = [
+        client_work(in_window(d.records, week_one_300), corpus_300.schema)
         for d in corpus_300.devices
-        if records_in_window(d.records, week_one_300)
+        if in_window(d.records, week_one_300)
     ]
-    assert len(histograms) == len(active)
-    first = client_work(
-        records_in_window(active[0].records, week_one_300), corpus_300.schema
-    )
-    assert histograms[0] == first
+    assert len(histograms) == len(expected) < corpus_300.num_devices
+    # Equal cell by cell, bit for bit, and in the same insertion order,
+    # which calibration's slice norms add in.
+    for got, want in zip(histograms, expected):
+        assert list(got.raw().items()) == list(want.raw().items())
 
 
 def test_device_counts_match_a_brute_force_scan(corpus_300, week_one_300):
-    expected: dict[tuple[int, int, int], int] = {}
-    for device in corpus_300.devices:
-        seen = {
-            (r.activity, r.region, r.direction)
-            for r in device.records
-            if week_one_300.contains(r.event_time)
-        }
-        for key in seen:
-            expected[key] = expected.get(key, 0) + 1
+    expected = naive_device_counts(corpus_300, week_one_300)
     assert corpus_300.device_counts(week_one_300) == expected
 
 
@@ -244,3 +255,107 @@ def test_corpus_is_pinned_bit_for_bit(config, digest):
     # Recorded from the per-trip ``Generator.choice`` generator; any
     # change to the draw order in the module docstring moves them.
     assert corpus_digest(generate_corpus(config)) == digest
+
+
+# --- the columnar store --------------------------------------------------------
+
+WIDE_REGIONS = Schema(
+    num_activities=3,
+    num_regions=300,
+    activity_names=("a", "b", "c"),
+)
+SUBNORMAL = 5e-324
+WINDOW = TimeWindow(START + 1, START + 4, "w")
+
+metric_values = st.one_of(
+    st.just(0.0),
+    st.just(SUBNORMAL),
+    st.floats(min_value=0.0, max_value=1e4),
+)
+device_streams = st.tuples(
+    st.sampled_from([0, 7, 127, 128, 255, 256, 299]),
+    st.lists(
+        st.tuples(
+            st.integers(0, 5),  # few distinct event times: many ties
+            st.integers(0, 2),
+            st.integers(0, 2),
+            metric_values,
+            metric_values,
+        ),
+        max_size=12,
+    ),
+)
+
+
+def store_of(streams) -> Corpus:
+    """A corpus holding each (home region, trips) stream as one device."""
+    devices = []
+    for device_id, (home, trips) in enumerate(streams):
+        records = [
+            trip(device_id, START + dt, a, home, d, km, s)
+            for dt, a, d, km, s in sorted(trips, key=lambda row: row[0])
+        ]
+        devices.append(DeviceRecords(device_id, "low_end", home, records))
+    return Corpus.from_devices(SyntheticCorpusConfig(), WIDE_REGIONS, devices)
+
+
+def bits(histogram):
+    return [(index, value.hex()) for index, value in histogram.raw().items()]
+
+
+@settings(max_examples=200)
+@given(st.lists(device_streams, min_size=1, max_size=5))
+def test_column_subtotals_equal_client_work_bit_for_bit(streams):
+    corpus = store_of(streams)
+    subtotals = corpus.window_subtotals(WINDOW)
+    expected = []
+    for device in corpus.devices:
+        records = in_window(device.records, WINDOW)
+        if records:
+            expected.append(bits(client_work(records, corpus.schema)))
+    assert [bits(h) for h in corpus.device_histograms(WINDOW, subtotals)] == expected
+    truth = exact_workload(corpus, WINDOW, subtotals)
+    assert dict(truth.items()) == naive_workload(corpus, WINDOW)
+    counts = corpus.device_counts(WINDOW, subtotals)
+    assert counts == naive_device_counts(corpus, WINDOW)
+
+
+def tracked_objects(root) -> int:
+    """Collector-tracked objects reachable from ``root``."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or not gc.is_tracked(obj):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+def test_the_corpus_holds_no_tracked_object_per_trip():
+    small, large = (
+        generate_corpus(SyntheticCorpusConfig(num_devices=50, num_weeks=weeks, seed=8))
+        for weeks in (1, 6)
+    )
+    gc.collect()  # untracks tuples of atoms, such as the tiers
+    assert len(large.event_time) > 5 * len(small.event_time) > 0
+    assert tracked_objects(large) == tracked_objects(small)
+
+
+def test_records_are_built_only_when_read(corpus_300):
+    device = corpus_300.devices[-1]
+    assert device.device_id == corpus_300.num_devices - 1
+    assert device.records is not corpus_300.devices[-1].records
+    assert [r.event_time for r in device.records] == list(
+        corpus_300.event_time[slice(*corpus_300.rows(device.device_id))]
+    )
+
+
+def test_from_devices_refuses_what_a_corpus_cannot_hold(cell_schema):
+    config = SyntheticCorpusConfig()
+    with pytest.raises(ValueError, match="home region"):
+        Corpus.from_devices(
+            config, WIDE_REGIONS, [DeviceRecords(0, "low_end", 1, [trip(r=2)])]
+        )
+    with pytest.raises(ValueError, match="three trip metrics"):
+        Corpus.from_devices(config, cell_schema, [])
