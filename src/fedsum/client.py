@@ -20,12 +20,14 @@ were skipped, and two fleets under different policies see the same
 conditions.
 
 ``client_work`` sums a device's trips, given as columns, into its raw
-window histogram; a list of :class:`fedsum.model.TripRecord` is first
-transposed into columns.  Bounding that histogram before it leaves the
-device (scaling and clipping) is the mechanism's job:
-:meth:`fedsum.dp.ResolvedMechanism.transform_device`.  The upload codec,
-``histogram_to_rows`` and its inverse ``rows_to_histogram``, renders a
-histogram as the client statement's grouped rows; outside
+window histogram: a one-device block of partition rows
+(:class:`fedsum.model.DeviceSubtotals`); a list of
+:class:`fedsum.model.TripRecord` is first transposed into columns.
+Bounding that block before it leaves the device (scaling and clipping)
+is the mechanism's job: :meth:`fedsum.dp.ResolvedMechanism.transform_devices`,
+the same transform a sweep runs on a whole window's block.  The upload
+codec, ``histogram_to_rows`` and its inverse ``rows_to_histogram``,
+renders a histogram as the client statement's grouped rows; outside
 :mod:`fedsum.aggcore` it is the only code that knows the row format.
 """
 
@@ -35,11 +37,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+import numpy as np
+
 from .aggcore import KEY_SEPARATOR
 from .model import (
     METRIC_DISTANCE,
     METRIC_DURATION,
     METRIC_NUM_TRIPS,
+    DeviceSubtotals,
     IndexedHistogram,
     Schema,
     TripColumns,
@@ -264,45 +269,49 @@ class DeviceState:
 
 def client_work(
     trips: TripColumns | Iterable[TripRecord], schema: Schema
-) -> IndexedHistogram:
+) -> DeviceSubtotals:
     """A device's raw (unscaled, unclipped) histogram of its trips.
 
-    Every trip contributes 1 to its num-trips cell and its distance and
-    duration to theirs, summed in trip order; a cell whose sum is zero
-    is dropped, as :meth:`IndexedHistogram.increment` drops it.  Each
-    trip's (activity, region, direction) is checked once against the
-    schema.  Records are transposed into columns first.
+    A one-device block (:class:`fedsum.model.DeviceSubtotals`, device 0)
+    with a row per (activity, region, direction) partition: every trip
+    contributes 1 to its num-trips cell and its distance and duration to
+    theirs, summed in trip order; the partition's first trip made its
+    cells.  Each partition is checked against the schema once.  Records
+    are transposed into columns first.
     """
     if not isinstance(trips, TripColumns):
         trips = TripColumns.from_records(trips)
     num_activities, num_metrics, num_regions, num_directions = schema.shape
-    h = IndexedHistogram(schema)
-    cells = h._d  # filled in place; every index is checked below
-    for a, r, d, distance, duration in zip(
-        trips.activity,
-        trips.region,
-        trips.direction,
-        trips.distance_km,
-        trips.duration_s,
+    # partition -> its cells' sums, then the position of its first trip
+    partitions: dict[tuple[int, int, int], list] = {}
+    columns = (trips.activity, trips.region, trips.direction)
+    for position, (a, r, d, distance, duration) in enumerate(
+        zip(*columns, trips.distance_km, trips.duration_s)
     ):
-        if not (
-            0 <= a < num_activities
-            and 0 <= r < num_regions
-            and 0 <= d < num_directions
-            and METRIC_DURATION < num_metrics
-        ):
-            schema.check_index((a, METRIC_DURATION, r, d))  # raises
-        for index, delta in (
-            ((a, METRIC_NUM_TRIPS, r, d), 1.0),
-            ((a, METRIC_DISTANCE, r, d), distance),
-            ((a, METRIC_DURATION, r, d), duration),
-        ):
-            value = cells.get(index, 0.0) + delta
-            if value == 0.0:
-                cells.pop(index, None)
-            else:
-                cells[index] = value
-    return h
+        row = partitions.get((a, r, d))
+        if row is None:
+            if not (
+                0 <= a < num_activities
+                and 0 <= r < num_regions
+                and 0 <= d < num_directions
+                and METRIC_DURATION < num_metrics
+            ):
+                schema.check_index((a, METRIC_DURATION, r, d))  # raises
+            row = partitions[a, r, d] = [0.0] * num_metrics + [position]
+        row[METRIC_NUM_TRIPS] += 1.0
+        row[METRIC_DISTANCE] += distance
+        row[METRIC_DURATION] += duration
+    flat = [v for key in sorted(partitions) for v in (*key, *partitions[key])]
+    rows = np.array(flat, dtype=np.float64).reshape(len(partitions), 4 + num_metrics)
+    activity, region, direction = rows[:, :3].T.astype(np.int64)
+    return DeviceSubtotals(
+        np.zeros(len(partitions), dtype=np.int64),
+        activity,
+        region,
+        direction,
+        rows[:, 3:-1],
+        rows[:, -1].astype(np.int64),
+    )
 
 
 def histogram_to_rows(

@@ -19,11 +19,13 @@ add calibrated Laplace noise:
   dominates joint clipping for much lower error on the rest.
 
 Each device bounds its own contribution before it uploads, and one
-method does it for every variant: :meth:`ResolvedMechanism.transform_device`
-of the device's raw histogram.  The simulator's uploads, calibration
-sweeps and :func:`prepare_mechanism` all go through it, so a sweep scores
-exactly the pre-noise sum a deployment would release.  Joint and
-per-slice clipping share one L1 rescale loop in :mod:`fedsum.model`.
+method does it for every variant: :meth:`ResolvedMechanism.transform_devices`
+of a block of raw device histograms (:class:`fedsum.model.DeviceSubtotals`),
+one L1 rescale loop over groups of the block's cells.  The simulator's
+uploads run it on a one-device block; :func:`prepare_mechanism` runs it
+on a window's block and sums the bounded rows per cell, so a sweep
+scores exactly the pre-noise sum a deployment would release.  No other
+module scales or clips a device contribution.
 
 Noise draws are keyed by (window, coordinate), so a fixed seed yields
 the same draw for the same coordinate no matter which variant asked, in
@@ -35,7 +37,8 @@ sweep draws one block per seed and reuses it for every variant and
 budget.  Noise, descaling and thresholding run on one dense
 ``(activity, metric, region, direction)`` array; the sparse
 :class:`IndexedHistogram` is only the aggregate that goes in and the
-release that comes out.
+release that comes out.  A release at epsilon = inf adds no noise, and
+its metadata labels it exact and not differentially private.
 
 A :class:`MechanismConfig` is validated completely when it is built:
 each parameter belongs to its variant, and its per-(activity, metric)
@@ -47,9 +50,10 @@ tables into ``(A, M)`` arrays: the noise scales, and the descale factors
 of :attr:`ResolvedMechanism.scale_table`, which is the identity for the
 variants that do not scale, so every release descales the same way.
 
-Calibration uses the nearest-rank empirical quantile of per-device L1
-norms; scale calibration considers only devices active in the slice and
-falls back to 1.0 for slices nobody touched.  Budget split's slice clip
+Calibration uses the nearest-rank empirical quantile of the proxy
+block's nonzero per-device (or per-(device, slice)) L1 norms; scale
+calibration falls back to 1.0 for a slice nobody touched, and a proxy
+with no active device cannot be calibrated.  Budget split's slice clip
 bounds and scaling's scale factors are the same calibration.
 """
 
@@ -59,12 +63,13 @@ import logging
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
-from .exactsum import ExactSum
 from .model import (
+    DeviceSubtotals,
     IndexedHistogram,
     InvalidParameterError,
     Schema,
@@ -79,7 +84,6 @@ __all__ = [
     "MechanismConfig",
     "NoisedRelease",
     "nearest_rank_quantile",
-    "slice_l1_norms",
     "calibrate_scales",
     "calibrate_clip",
     "apply_threshold",
@@ -203,59 +207,122 @@ def nearest_rank_quantile(values: Sequence[float], q: float) -> float:
     return ordered[rank - 1]
 
 
-def slice_l1_norms(h: IndexedHistogram) -> dict[tuple[int, int], float]:
-    """L1 norm of each (activity, metric) slice of one histogram."""
-    norms: dict[tuple[int, int], float] = {}
-    for (a, m, _r, _d), value in h.raw().items():
-        key = (a, m)
-        norms[key] = norms.get(key, 0.0) + abs(value)
-    return norms
-
-
 def calibrate_scales(
-    histograms: Iterable[IndexedHistogram], schema: Schema, q: float = 0.95
+    devices: DeviceSubtotals, schema: Schema, q: float = 0.95
 ) -> Table:
     """Per-slice scale factors: the q-quantile of active devices' norms.
 
-    For each (activity, metric), collect the slice L1 norm of every
-    device whose slice is nonzero and take the nearest-rank q-quantile.
-    Slices with no active device fall back to a factor of 1.0 (logged),
-    so scaling stays well-defined over the whole table.
+    A device's norm in an (activity, metric) slice adds ``|v|`` over its
+    cells of the slice in the order it made them (``made_at``).  A slice
+    with no active device falls back to 1.0 (logged); a block with no
+    active device at all raises :class:`InvalidParameterError`.
     """
-    per_slice: dict[tuple[int, int], list[float]] = {}
-    for h in histograms:
-        for key, norm in slice_l1_norms(h).items():
-            if norm > 0.0:
-                per_slice.setdefault(key, []).append(norm)
-    rows = []
-    for a in range(schema.num_activities):
-        row = []
-        for m in range(schema.num_metrics):
-            norms = per_slice.get((a, m))
-            if norms:
-                row.append(nearest_rank_quantile(norms, q))
-            else:
-                logger.warning(
-                    "no device active in slice (activity=%d, metric=%d); "
-                    "scale falls back to 1.0",
-                    a,
-                    m,
-                )
-                row.append(1.0)
-        rows.append(tuple(row))
-    return tuple(rows)
+    num_activities, num_metrics = schema.shape[:2]
+    row, metric = np.nonzero(devices.sums)
+    made = np.argsort(devices.made_at[row], kind="stable")  # then by metric
+    row, metric = row[made], metric[made]
+    partition = devices.device[row] * num_activities + devices.activity[row]
+    keys, inverse = np.unique(partition * num_metrics + metric, return_inverse=True)
+    # bincount adds each group's weights one at a time, in cell order.
+    norms = np.bincount(inverse, weights=np.abs(devices.sums[row, metric]))
+    active = norms > 0.0
+    if not active.any():
+        raise InvalidParameterError(
+            "cannot calibrate per-slice tables: no device has any data"
+        )
+    slices, norms = keys[active] % (num_activities * num_metrics), norms[active]
+    table = [1.0] * (num_activities * num_metrics)
+    for index in range(len(table)):
+        slice_norms = norms[slices == index].tolist()
+        if slice_norms:
+            table[index] = nearest_rank_quantile(slice_norms, q)
+        else:
+            logger.warning(
+                "no device active in slice (activity=%d, metric=%d); "
+                "scale falls back to 1.0",
+                *divmod(index, num_metrics),
+            )
+    return tuple(
+        tuple(table[a * num_metrics : (a + 1) * num_metrics])
+        for a in range(num_activities)
+    )
 
 
-def calibrate_clip(
-    histograms: Iterable[IndexedHistogram], q: float = 0.95
-) -> float:
+def calibrate_clip(devices: DeviceSubtotals, q: float = 0.95) -> float:
     """Joint clip bound: q-quantile of nonzero per-device L1 norms."""
-    norms = [norm for norm in (h.l1_norm() for h in histograms) if norm > 0.0]
+    cells = devices.sums.ravel().tolist()
+    groups = _cell_groups(devices, per_slice=False)
+    norms = [n for g, _ in groups if (n := math.fsum(map(abs, cells[g]))) > 0.0]
     if not norms:
         raise InvalidParameterError(
             "cannot calibrate a clip bound: no device has any data"
         )
     return nearest_rank_quantile(norms, q)
+
+
+# --------------------------------------------------------------------------
+# The device transform: one L1 rescale loop over groups of a block's cells
+
+
+def _cell_groups(devices: DeviceSubtotals, per_slice: bool) -> list[tuple[slice, int]]:
+    """The groups of cells a clip bounds, as slices of the block's row-major
+    cells with their slice index: each device's (index 0), or each (device,
+    activity, metric)'s (``activity * M + metric``), whose rows are a run.
+    """
+    width = devices.sums.shape[1]  # cells per row, one per metric
+    key = devices.device.tolist()
+    if per_slice:
+        activity = devices.activity.tolist()
+        key = list(zip(key, activity))
+    starts = [i for i in range(len(key)) if not i or key[i] != key[i - 1]]
+    runs = zip(starts, [*starts[1:], len(key)])
+    if not per_slice:
+        return [(slice(lo * width, hi * width), 0) for lo, hi in runs]
+    return [
+        (slice(lo * width + m, hi * width, width), activity[lo] * width + m)
+        for lo, hi in runs
+        for m in range(width)
+    ]
+
+
+def _clip_l1(
+    cells: list[float], groups: list[tuple[slice, int]], bounds: list[float]
+) -> bool:
+    """Rescale each group of ``cells`` in place to an L1 norm within its bound.
+
+    The bound is ``bounds`` at the group's slice index; the norm is the
+    exactly rounded sum of ``|v|``.  A group inside its bound is left as
+    it is, so clipping is idempotent.  Otherwise its cells are multiplied
+    by ``bound / norm``, again while rounding leaves the norm above the
+    bound, with the factor nudged below one should it round to 1.0.
+    Cells that underflow become zero, which is no entry.  Returns whether
+    any cell changed.
+    """
+    if not min(bounds) > 0.0:
+        raise InvalidParameterError(f"clip bounds must be positive, got {bounds}")
+    changed = False
+    for group, index in groups:
+        bound, entries = bounds[index], cells[group]
+        norm = math.fsum(map(abs, entries))
+        if not norm > bound:
+            continue
+        while norm > bound:
+            factor = bound / norm
+            if factor >= 1.0:
+                factor = math.nextafter(1.0, 0.0)
+            entries = [v * factor for v in entries]
+            norm = math.fsum(map(abs, entries))
+        cells[group] = entries
+        changed = True
+    return changed
+
+
+def _scaled(
+    devices: DeviceSubtotals, table: np.ndarray, schema: Schema
+) -> DeviceSubtotals:
+    """Every cell divided by its slice factor ``table[a, m]``."""
+    check_table_shape(table, schema)
+    return devices._replace(sums=devices.sums / table[devices.activity])
 
 
 # --------------------------------------------------------------------------
@@ -367,21 +434,39 @@ class ResolvedMechanism:
     strict_tau: bool
     budget_weights: Table | None
 
-    def transform_device(self, h: IndexedHistogram) -> IndexedHistogram:
-        """The bounded contribution one raw device histogram may add.
+    def transform_devices(
+        self, devices: DeviceSubtotals, schema: Schema
+    ) -> DeviceSubtotals:
+        """The bounded contributions of a block of raw device histograms.
 
         The only code that scales or clips a device contribution: budget
-        split clips each slice to its ``clip_table`` bound; the other
-        variants clip the whole histogram to ``clip``, after scaling
-        divides every entry by its slice factor.
+        split clips each (device, slice) to its ``clip_table`` bound; the
+        other variants clip each device to ``clip``, after scaling divides
+        every cell by its slice factor.  Each device is bounded on its
+        own, so a one-device block gives that device's rows of a window.
         """
-        if self.variant == VARIANT_SPLIT:
-            assert self.clip_table is not None
-            return h.clip_slices(self.clip_table)
-        assert self.clip is not None
         if self.variant == VARIANT_SCALED:
-            h = h.scale_by_table(self.scale_table)
-        return h.clip(self.clip)
+            devices = _scaled(devices, self._scale_divisors, schema)
+        return self._clipped(devices, schema)
+
+    @cached_property
+    def _scale_divisors(self) -> np.ndarray:
+        return np.asarray(self.scale_table)
+
+    def _clipped(self, devices: DeviceSubtotals, schema: Schema) -> DeviceSubtotals:
+        """``devices``, already scaled, clipped as the variant clips."""
+        per_slice = self.variant == VARIANT_SPLIT
+        if per_slice:
+            assert self.clip_table is not None
+            check_table_shape(self.clip_table, schema)
+            bounds = [bound for row in self.clip_table for bound in row]
+        else:
+            assert self.clip is not None
+            bounds = [self.clip]
+        cells = devices.sums.ravel().tolist()
+        if not _clip_l1(cells, _cell_groups(devices, per_slice), bounds):
+            return devices
+        return devices._replace(sums=np.array(cells).reshape(devices.sums.shape))
 
     def noise_scales(
         self, schema: Schema, epsilon: float | None = None
@@ -419,7 +504,9 @@ class ResolvedMechanism:
         variants unchanged (``x * 1.0 == x``).  ``unit`` may hand in
         :func:`release_noise` of ``(seed, window_id)`` from an earlier
         release, so that releases sharing a seed draw it once; by
-        default it is drawn here.
+        default it is drawn here.  A release whose noise scales are all 0
+        (epsilon = inf) is the exact aggregate, and its metadata says so:
+        ``dp`` is False and the label names no epsilon.
         """
         eps = self.epsilon if epsilon is None else epsilon
         schema = aggregate.schema
@@ -434,9 +521,9 @@ class ResolvedMechanism:
                 f"unit noise of seed {unit.rng.seed}, window "
                 f"{unit.window_id!r} cannot noise seed {seed}, window {window_id!r}"
             )
-        values = add_laplace_noise(
-            aggregate.to_dense(), self.noise_scales(schema, eps), unit
-        )
+        scales = self.noise_scales(schema, eps)
+        noised = bool(scales.any())
+        values = add_laplace_noise(aggregate.to_dense(), scales, unit)
         values *= np.asarray(self.scale_table)[:, :, None, None]
         kept, suppressed = apply_threshold(values, self.tau, self.strict_tau)
         metadata = {
@@ -449,8 +536,12 @@ class ResolvedMechanism:
             "strict_tau": self.strict_tau,
             "seed": seed,
             "window_id": window_id,
-            "dp": True,
-            "privacy_label": f"laplace per-device-per-window, epsilon={eps}",
+            "dp": noised,
+            "privacy_label": (
+                f"laplace per-device-per-window, epsilon={eps}"
+                if noised
+                else "no noise added: exact, not differentially private"
+            ),
         }
         return NoisedRelease(
             window_id=window_id,
@@ -464,13 +555,11 @@ class ResolvedMechanism:
 class PreparedMechanism:
     """A resolved mechanism plus its exact pre-noise aggregate.
 
-    ``exact_aggregate`` sums the transformed histograms' one-column rows
-    by index tuple; ``prenoise`` is its rounded report.
+    ``prenoise`` is the cell sums of the window's bounded device block.
     """
 
     resolved: ResolvedMechanism
     schema: Schema
-    exact_aggregate: ExactSum
     prenoise: IndexedHistogram
     num_devices: int
 
@@ -498,43 +587,47 @@ def _digest_or_none(table: Table | None) -> str | None:
 
 
 def resolve_mechanism(
-    config: MechanismConfig,
-    proxy_histograms: Iterable[IndexedHistogram],
-    schema: Schema,
+    config: MechanismConfig, proxy: DeviceSubtotals | Sequence, schema: Schema
 ) -> ResolvedMechanism:
-    """Fill calibration gaps in ``config`` from proxy device histograms.
+    """Fill calibration gaps in ``config`` from a block of proxy devices.
 
     Parameters given explicitly are kept, once their table shapes are
     checked against ``schema``; missing scale tables and clip bounds are
-    calibrated at the configured quantile.  The proxy sample plays the
-    role of pre-launch calibration data.
+    calibrated at the configured quantile.  The proxy block plays the
+    role of pre-launch calibration data; an empty sequence stands for no
+    device, which serves when nothing needs calibrating.
     """
-    histograms = (
-        proxy_histograms
-        if isinstance(proxy_histograms, list)
-        else list(proxy_histograms)
-    )
+    return _resolve(config, proxy, schema)[0]
+
+
+def _resolve(
+    config: MechanismConfig, proxy: DeviceSubtotals | Sequence, schema: Schema
+) -> tuple[ResolvedMechanism, DeviceSubtotals]:
+    """:func:`resolve_mechanism`, and the proxy block in its scaled space.
+
+    The scaling variant divides the proxy by its scale table once, for
+    the clip calibration and for :func:`prepare_mechanism`'s transform.
+    """
+    if not isinstance(proxy, DeviceSubtotals):
+        if len(proxy):
+            raise TypeError("proxy devices must come as one DeviceSubtotals block")
+        rows, cells = np.zeros(0, dtype=np.int64), np.zeros((0, schema.num_metrics))
+        proxy = DeviceSubtotals(rows, rows, rows, rows, cells, rows)
     for table in (config.scale_table, config.clip_table, config.budget_weights):
         if table is not None:
             check_table_shape(table, schema)
-    scale_table = config.scale_table
-    clip = config.clip
-    clip_table = config.clip_table
-
-    if config.variant == VARIANT_SCALED:
-        if scale_table is None:
-            scale_table = calibrate_scales(histograms, schema, config.quantile)
-        if clip is None:
-            scaled = [h.scale_by_table(scale_table) for h in histograms]
-            clip = calibrate_clip(scaled, config.quantile)
-    else:
+    scale_table, clip_table, clip = config.scale_table, config.clip_table, config.clip
+    if config.variant != VARIANT_SCALED:
         scale_table = ((1.0,) * schema.num_metrics,) * schema.num_activities
+    elif scale_table is None:
+        scale_table = calibrate_scales(proxy, schema, config.quantile)
     if config.variant == VARIANT_SPLIT and clip_table is None:
-        clip_table = calibrate_scales(histograms, schema, config.quantile)
-    if config.variant == VARIANT_JOINT and clip is None:
-        clip = calibrate_clip(histograms, config.quantile)
-
-    return ResolvedMechanism(
+        clip_table = calibrate_scales(proxy, schema, config.quantile)
+    if config.variant == VARIANT_SCALED:
+        proxy = _scaled(proxy, np.asarray(scale_table), schema)
+    if config.variant != VARIANT_SPLIT and clip is None:
+        clip = calibrate_clip(proxy, config.quantile)
+    resolved = ResolvedMechanism(
         variant=config.variant,
         epsilon=config.epsilon,
         scale_table=scale_table,
@@ -544,28 +637,24 @@ def resolve_mechanism(
         strict_tau=config.strict_tau,
         budget_weights=config.budget_weights,
     )
+    return resolved, proxy
 
 
 def prepare_mechanism(
-    config: MechanismConfig,
-    device_histograms: Iterable[IndexedHistogram],
-    schema: Schema,
+    config: MechanismConfig, devices: DeviceSubtotals | Sequence, schema: Schema
 ) -> PreparedMechanism:
     """Resolve parameters and build the exact pre-noise aggregate.
 
-    ``device_histograms`` are raw (unscaled, unclipped) per-device
-    histograms for one window.  Calibration, when requested, uses these
-    same histograms as the proxy sample.
+    ``devices`` is one window's block of raw (unscaled, unclipped) device
+    histograms, or an empty sequence for none, and the proxy sample of
+    any calibration.  The block is bounded by the device transform and
+    summed once per cell.
     """
-    histograms = list(device_histograms)
-    resolved = resolve_mechanism(config, histograms, schema)
-    acc = ExactSum(1)
-    for h in histograms:
-        acc.add(resolved.transform_device(h).as_rows())
+    resolved, scaled = _resolve(config, devices, schema)
+    bounded = resolved._clipped(scaled, schema)
     return PreparedMechanism(
         resolved=resolved,
         schema=schema,
-        exact_aggregate=acc,
-        prenoise=IndexedHistogram.from_rows(schema, acc.report()),
-        num_devices=len(histograms),
+        prenoise=bounded.cell_sums(schema),
+        num_devices=len(np.unique(bounded.device)),
     )

@@ -8,8 +8,10 @@ same inputs yields the same exact value, and rounding that value to a
 single float64 at the end is deterministic.  This is what makes merged
 aggregates reproducible regardless of how work was batched or which order
 partial results arrived in.  :class:`ExactSum` is the package's only
-grouped exact sum: shard cores and partials key it by string, the prepared
-aggregate and the ground truth by histogram index.
+running exact accumulator: shard cores and partials key it by string.  A
+device block's one-shot sums (the prepared pre-noise aggregate and the
+ground truth) round the same way with one ``math.fsum`` per cell
+(:meth:`fedsum.model.DeviceSubtotals.cell_sums`).
 """
 
 from __future__ import annotations

@@ -18,10 +18,11 @@ import numpy as np
 
 from .model import (
     METRIC_NUM_TRIPS,
+    DeviceSubtotals,
     IndexedHistogram,
     InvalidParameterError,
 )
-from .synth import Corpus, DeviceSubtotals
+from .synth import Corpus
 from .windows import TimeWindow
 
 __all__ = [
@@ -41,38 +42,16 @@ def exact_workload(
 ) -> IndexedHistogram:
     """Ground-truth grouped sums for one window (no bounding, no noise).
 
-    Defined over per-device subtotals: each device's trips accumulate in
-    event order, then the device subtotals of each cell are summed
-    exactly by one ``math.fsum``, which rounds correctly as
-    :class:`fedsum.exactsum.ExactSum` does.  That is the two-level
-    structure the live pipeline computes, so an unbounded, noiseless
-    release matches this oracle bit for bit.  ``subtotals`` may hand in
-    ``corpus.window_subtotals(window)`` when the caller already has them.
+    Each device's trips accumulate in event order, then each cell's device
+    subtotals are summed exactly: :meth:`DeviceSubtotals.cell_sums` of the
+    window's raw block, the sum ``prepare_mechanism`` makes of the bounded
+    one.  That is the two-level structure the live pipeline computes, so
+    an unbounded, noiseless release matches this oracle bit for bit.
+    ``subtotals`` may hand in ``corpus.device_histograms(window)``.
     """
     if subtotals is None:
-        subtotals = corpus.window_subtotals(window)
-    _, _, num_regions, num_directions = corpus.schema.shape
-    partition = (
-        subtotals.activity * num_regions + subtotals.region
-    ) * num_directions + subtotals.direction
-    order = np.argsort(partition)
-    partition = partition[order]
-    starts = np.flatnonzero(np.diff(partition, prepend=-1))
-    bounds = [*starts.tolist(), len(partition)]
-    indices = list(
-        zip(
-            subtotals.activity[order][starts].tolist(),
-            subtotals.region[order][starts].tolist(),
-            subtotals.direction[order][starts].tolist(),
-        )
-    )
-    cells = []
-    for metric, sums in enumerate(subtotals.sums.T):
-        sums = sums[order].tolist()
-        for (a, r, d), lo, hi in zip(indices, bounds, bounds[1:]):
-            cells.append(((a, metric, r, d), math.fsum(sums[lo:hi])))
-    # In canonical (sorted) index order, as ExactSum reports them.
-    return IndexedHistogram(corpus.schema, sorted(cells))
+        subtotals = corpus.device_histograms(window)
+    return subtotals.cell_sums(corpus.schema)
 
 
 def default_device_floor(num_devices: int) -> int:

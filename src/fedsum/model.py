@@ -1,18 +1,19 @@
-"""Core data model: trips, indexed histograms, and per-slice tables.
+"""Core data model: trips, device blocks, indexed histograms, and per-slice tables.
 
-The whole pipeline speaks one value type: a sparse histogram indexed by
-``(activity, metric, region, direction)``.  Devices build one per time
-window, the server sums them across devices, and the privacy layer scales,
-clips, and noises them.  Sums of histograms are exact and live in
-:class:`fedsum.exactsum.ExactSum`, which adds their one-column rows
-(:meth:`IndexedHistogram.as_rows`) and reports rows that
-:meth:`IndexedHistogram.from_rows` turns back into a histogram.  One L1
-rescale loop (``_clip_l1``) bounds both a whole histogram
-(:meth:`IndexedHistogram.clip`) and each of its (activity, metric)
-slices (:meth:`IndexedHistogram.clip_slices`).  Absent
-entries are semantically zero; storing an explicit zero and omitting the
-entry are equivalent under equality and every operation, and zeros are
-dropped when histograms are normalized or serialized.
+The pipeline speaks two value types.  A :class:`DeviceSubtotals` block
+holds raw or bounded per-device histograms as partition rows: a window
+of the fleet, or one device's upload before it leaves the device.  The
+device transform (:meth:`fedsum.dp.ResolvedMechanism.transform_devices`)
+bounds a block; :meth:`DeviceSubtotals.cell_sums` sums its rows per
+cell, exactly: a device's histogram, a window's pre-noise sum or truth.
+
+The other type is the sparse histogram indexed by ``(activity, metric,
+region, direction)``, :class:`IndexedHistogram`: what a device uploads,
+what the server sums (exactly, in :class:`fedsum.exactsum.ExactSum`) and
+what a release publishes.  Absent entries are semantically zero; storing
+an explicit zero and omitting the entry are equivalent under equality and
+every operation, and zeros are dropped when histograms are normalized or
+serialized.
 
 Index order is always lexicographic on the tuple ``(a, m, r, d)``.  That
 canonical order makes iteration, serialization, and summation
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +48,7 @@ __all__ = [
     "Schema",
     "TripRecord",
     "TripColumns",
+    "DeviceSubtotals",
     "IndexedHistogram",
     "Table",
     "as_table",
@@ -154,7 +156,7 @@ def as_table(values: Iterable[Iterable[float]], name: str = "table") -> Table:
 
 def check_table_shape(table: Table, schema: Schema) -> None:
     """Refuse a table that is not one row per activity, one entry per metric."""
-    shape = (len(table), len(table[0]) if table else 0)
+    shape = (len(table), len(table[0]) if len(table) else 0)
     if shape != schema.shape[:2]:
         raise SchemaMismatchError(
             f"table shape {shape} does not match schema {schema.shape[:2]}"
@@ -237,27 +239,6 @@ _ENTRY = struct.Struct("<IIIId")
 _HEADER = struct.Struct("<I")
 
 
-def _clip_l1(entries: dict[Index, float], bound: float) -> dict[Index, float]:
-    """The L1 rescale loop: ``entries`` scaled to an L1 norm of at most ``bound``.
-
-    The norm is the exactly rounded sum of ``|v|``.  Entries inside the
-    bound come back as the same dict; otherwise every entry is multiplied
-    by ``bound / norm`` into a new dict, and entries that underflow to
-    zero are dropped.  If rounding leaves the norm a few ulps above the
-    bound, the loop rescales again, with the factor nudged below one when
-    ``bound / norm`` rounds to 1.0, so the result always satisfies the
-    bound as floats.
-    """
-    norm = math.fsum(map(abs, entries.values()))
-    while norm > bound:
-        factor = bound / norm
-        if factor >= 1.0:
-            factor = math.nextafter(1.0, 0.0)
-        entries = {k: x for k, v in entries.items() if (x := v * factor)}
-        norm = math.fsum(map(abs, entries.values()))
-    return entries
-
-
 class IndexedHistogram:
     """Sparse ``(activity, metric, region, direction) -> float64`` map."""
 
@@ -316,15 +297,6 @@ class IndexedHistogram:
         """The underlying dict (nonzero entries, unordered). Do not mutate."""
         return self._d
 
-    def as_rows(self) -> Iterator[tuple[Index, tuple[float]]]:
-        """Entries as the one-column rows ``(index, (value,))`` of an exact sum."""
-        return zip(self._d, zip(self._d.values()))
-
-    @classmethod
-    def from_rows(cls, schema: Schema, rows) -> "IndexedHistogram":
-        """The histogram of one-column rows; every index is checked."""
-        return cls(schema, ((index, value) for index, (value,) in rows))
-
     def to_dense(self) -> np.ndarray:
         """The histogram as a float64 array of the schema's shape."""
         out = np.zeros(self.schema.shape)
@@ -351,7 +323,9 @@ class IndexedHistogram:
         return h
 
     def copy(self) -> "IndexedHistogram":
-        return self._adopt(dict(self._d))
+        h = IndexedHistogram(self.schema)
+        h._d = dict(self._d)
+        return h
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IndexedHistogram):
@@ -367,44 +341,6 @@ class IndexedHistogram:
         """Sum of absolute entry values (exactly rounded)."""
         return math.fsum(map(abs, self._d.values()))
 
-    def clip(self, bound: float) -> "IndexedHistogram":
-        """Scale entries so the L1 norm is at most ``bound``.
-
-        Histograms already inside the bound are returned unchanged (a
-        copy), which makes clipping exactly idempotent.
-        """
-        if not bound > 0:
-            raise InvalidParameterError(f"clip bound must be positive, got {bound}")
-        clipped = _clip_l1(self._d, bound)
-        return self._adopt(dict(clipped) if clipped is self._d else clipped)
-
-    def clip_slices(self, bounds: Table) -> "IndexedHistogram":
-        """Clip each (activity, metric) slice to its own bound ``bounds[a][m]``."""
-        check_table_shape(bounds, self.schema)
-        slices: dict[tuple[int, int], dict[Index, float]] = {}
-        for index, value in self._d.items():
-            slices.setdefault(index[:2], {})[index] = value
-        out: dict[Index, float] = {}
-        for (a, m), entries in slices.items():
-            out.update(_clip_l1(entries, bounds[a][m]))
-        return self._adopt(out)
-
-    def scale_by_table(self, table: Table) -> "IndexedHistogram":
-        """Divide each entry by its slice factor ``table[a][m]``.
-
-        Entries that underflow to zero are dropped.
-        """
-        check_table_shape(table, self.schema)
-        return self._adopt(
-            {k: x for k, v in self._d.items() if (x := v / table[k[0]][k[1]])}
-        )
-
-    def _adopt(self, entries: dict[Index, float]) -> "IndexedHistogram":
-        """A histogram of this schema that takes ``entries`` as its own."""
-        h = IndexedHistogram(self.schema)
-        h._d = entries
-        return h
-
     # -- serialization -----------------------------------------------------
 
     def serialize(self) -> bytes:
@@ -418,3 +354,65 @@ class IndexedHistogram:
         for (a, m, r, d), value in items:
             out += _ENTRY.pack(a, m, r, d, value)
         return bytes(out)
+
+
+class DeviceSubtotals(NamedTuple):
+    """Per-device histograms as partition rows: one block of arrays.
+
+    Row ``k`` is a partition ``(activity[k], region[k], direction[k])``
+    in which device ``device[k]`` has a trip; rows are sorted by device,
+    then partition.  ``sums[k, m]`` is the device's metric-``m`` cell of
+    that partition, zero for a cell the device does not hold.  Raw, it is
+    what ``client.client_work`` adds up: 1 per trip for num-trips, the
+    distance or the duration for the others, in event-time order.
+    ``made_at[k]`` is the position, among the block's trips in input
+    order, of the partition's first trip: a device made its cells in the
+    order of these positions, then of metrics.  ``_replace`` swaps a
+    column.
+    """
+
+    device: np.ndarray
+    activity: np.ndarray
+    region: np.ndarray
+    direction: np.ndarray
+    sums: np.ndarray
+    made_at: np.ndarray
+
+    def cell_sums(self, schema: Schema) -> "IndexedHistogram":
+        """Each cell summed over the block's rows, exactly rounded.
+
+        One ``math.fsum`` per cell, which rounds as
+        :class:`fedsum.exactsum.ExactSum` does.  Of a window's block these
+        are its grouped sums, in canonical order; of one device's block,
+        whose rows are distinct partitions, nothing is added and the
+        device's histogram comes in row order.  Zero cells are dropped.
+        """
+        h = IndexedHistogram(schema)  # every index below is in its domain
+        if not len(self.device) or self.device[0] == self.device[-1]:  # one device
+            columns = (self.activity, self.region, self.direction, self.sums)
+            rows = zip(*(column.tolist() for column in columns))
+            h._d = {
+                (a, m, r, d): value
+                for a, r, d, values in rows
+                for m, value in enumerate(values)
+                if value
+            }
+            return h
+        _, _, num_regions, num_directions = schema.shape
+        partition = (
+            self.activity * num_regions + self.region
+        ) * num_directions + self.direction
+        order = np.argsort(partition, kind="stable")
+        starts = np.flatnonzero(np.diff(partition[order], prepend=-1))
+        bounds = [*starts.tolist(), len(order)]
+        first = order[starts]
+        partitions = (self.activity, self.region, self.direction)
+        indices = list(zip(*(column[first].tolist() for column in partitions)))
+        cells = []
+        for m in range(self.sums.shape[1]):
+            column = self.sums[order, m].tolist()  # one metric's floats at a time
+            for (a, r, d), lo, hi in zip(indices, bounds, bounds[1:]):
+                if total := math.fsum(column[lo:hi]):
+                    cells.append(((a, m, r, d), total))
+        h._d = dict(sorted(cells))
+        return h

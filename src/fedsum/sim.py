@@ -15,18 +15,20 @@ conditions (``client.draw_flags``: lazily, in the order the policy
 reads them, stopping at the first that fails).  If the check-in policy
 allows, it checks in, receives session-bound tokens, and uploads a
 bounded histogram for every complete window it has not contributed to
-yet: the mechanism's ``transform_device`` of the window's raw
-histogram.  The server side (sessions, checkpoints, releases) runs
-through :class:`fedsum.server.FederatedServer`.
+yet: the mechanism's ``transform_devices`` of the one-device block of
+the window's trips (``client_work``), the same transform a sweep runs
+on a whole window's block, read out as a histogram.  The server side
+(sessions, checkpoints, releases) runs through
+:class:`fedsum.server.FederatedServer`.
 
 Condition draws are keyed by (condition, device, day) alone, so fleets
 under different check-in policies experience identical conditions and
 coverage comparisons are apples-to-apples.
 
 Evaluation makes one pass over each released window's trip columns
-(``Corpus.window_subtotals``) and derives the ground truth and the
-per-partition device counts from it.  No trip record is built: neither
-the corpus nor any device cache holds one.
+(``Corpus.device_histograms``) and derives the ground truth and the
+per-partition device counts from its block.  No trip record is built:
+neither the corpus nor any device cache holds one.
 """
 
 from __future__ import annotations
@@ -111,11 +113,12 @@ def build_device_upload(
 ) -> IndexedHistogram:
     """One device's bounded upload histogram for one window.
 
-    The trips' raw histogram, bounded by the mechanism's device
-    transform (scale, then clip), exactly as calibration and sweeps
-    bound it.
+    The trips' raw one-device block, bounded by the mechanism's device
+    transform (scale, then clip) exactly as a sweep bounds a window's
+    block, then read out as a histogram at the upload edge.
     """
-    return mechanism.transform_device(client_work(trips, schema))
+    bounded = mechanism.transform_devices(client_work(trips, schema), schema)
+    return bounded.cell_sums(schema)
 
 
 def _next_wake(wake: int, now: int) -> int:
@@ -251,9 +254,10 @@ def _evaluate(
     for window in result.task_windows:
         release = result.releases.get(f"{result.query_id}/{window.window_id}")
         if isinstance(release, NoisedRelease):
-            subtotals = corpus.window_subtotals(window)
+            subtotals = corpus.device_histograms(window)
             truth = exact_workload(corpus, window, subtotals)
             counts = corpus.device_counts(window, subtotals)
+            del subtotals  # freed before the next window's pass
             wre = weighted_relative_error(truth, release.histogram, counts, floor)
             pume = per_user_mean_error(truth, release.histogram, counts, metrics)
             for metric in sorted(wre):

@@ -7,9 +7,10 @@ once is sound because the pre-noise pipeline does not depend on the
 budget or the seed — only the final noise draw does — and it makes large
 grids cheap.  For the same reason the sweep draws each seed's unit
 Laplace block once and reuses it for every variant and budget.  It makes
-one pass over the window's trips (``Corpus.window_subtotals``), which
-gives the device histograms, the ground truth and the device counts, and
-it computes the error's eligible cells once.  Every grid cell is
+one pass over the window's trips (``Corpus.device_histograms``), whose
+block of device histograms gives the calibration, every variant's
+pre-noise sum, the ground truth and the device counts, and it computes
+the error's eligible cells once.  Every grid cell is
 bit-identical to running the whole mechanism from scratch with the same
 parameters.
 """
@@ -35,7 +36,7 @@ from .metrics import (
     scored_cells,
     weighted_relative_error,
 )
-from .model import IndexedHistogram
+from .model import DeviceSubtotals
 from .synth import Corpus
 from .windows import TimeWindow
 
@@ -93,20 +94,20 @@ def prepare_variants(
     corpus: Corpus,
     window: TimeWindow,
     sweep: SweepConfig,
-    histograms: list[IndexedHistogram] | None = None,
+    subtotals: DeviceSubtotals | None = None,
 ) -> dict[str, PreparedMechanism]:
     """Calibrate and pre-aggregate each requested variant once.
 
     Budget split's slice clip bounds and scaling's scale factors are the
     same calibration of the window, so it runs once and both variants
-    receive it.  ``histograms`` may hand in
-    ``corpus.device_histograms(window)`` when the caller already has them.
+    receive it.  ``subtotals`` may hand in
+    ``corpus.device_histograms(window)`` when the caller already has it.
     """
-    if histograms is None:
-        histograms = corpus.device_histograms(window)
+    if subtotals is None:
+        subtotals = corpus.device_histograms(window)
     table = None
     if {VARIANT_SPLIT, VARIANT_SCALED} & set(sweep.variants):
-        table = calibrate_scales(histograms, corpus.schema, sweep.quantile)
+        table = calibrate_scales(subtotals, corpus.schema, sweep.quantile)
     prepared: dict[str, PreparedMechanism] = {}
     for variant in sweep.variants:
         config = MechanismConfig(
@@ -117,7 +118,7 @@ def prepare_variants(
             scale_table=table if variant == VARIANT_SCALED else None,
             tau=sweep.tau,
         )
-        prepared[variant] = prepare_mechanism(config, histograms, corpus.schema)
+        prepared[variant] = prepare_mechanism(config, subtotals, corpus.schema)
     return prepared
 
 
@@ -132,11 +133,9 @@ def run_epsilon_sweep(
     Rows come back in deterministic grid order: variants as configured,
     then budgets, then seeds.
     """
-    subtotals = corpus.window_subtotals(window)
+    subtotals = corpus.device_histograms(window)
     if prepared is None:
-        prepared = prepare_variants(
-            corpus, window, sweep, corpus.device_histograms(window, subtotals)
-        )
+        prepared = prepare_variants(corpus, window, sweep, subtotals)
     truth = exact_workload(corpus, window, subtotals)
     counts = corpus.device_counts(window, subtotals)
     floor = default_device_floor(corpus.num_devices)
@@ -224,8 +223,7 @@ def grid_search_clip_quantile(
     The score is the mean over metrics and seeds of the weighted
     relative error; ties break toward the smaller quantile.
     """
-    subtotals = corpus.window_subtotals(window)
-    histograms = corpus.device_histograms(window, subtotals)
+    subtotals = corpus.device_histograms(window)
     truth = exact_workload(corpus, window, subtotals)
     counts = corpus.device_counts(window, subtotals)
     floor = default_device_floor(corpus.num_devices)
@@ -240,7 +238,7 @@ def grid_search_clip_quantile(
         config = MechanismConfig(
             variant=variant, epsilon=epsilon, quantile=q, tau=tau
         )
-        mech = prepare_mechanism(config, histograms, corpus.schema)
+        mech = prepare_mechanism(config, subtotals, corpus.schema)
         cell_errors: list[float] = []
         for seed in seeds:
             release = mech.release(window.window_id, seed, unit=noise[seed])

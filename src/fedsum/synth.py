@@ -24,11 +24,12 @@ five parallel unboxed columns (``event_time``, ``activity``,
 stably by (device, event time); ``offsets`` delimits each device's rows,
 and tier and home region are per device.  The simulator's device caches
 are row ranges of these columns.  One pass over a window's rows
-(:meth:`Corpus.window_subtotals`, one ``np.bincount`` per metric) gives
-every device's per-partition subtotals, bit for bit the sums
-``client.client_work`` makes in event order; calibration's device
-histograms, the device counts and the ground truth
-(``metrics.exact_workload``) are all read off it.  :class:`TripRecord`
+(:meth:`Corpus.device_histograms`, one ``np.bincount`` per metric) gives
+every device's raw window histogram as one block of partition rows
+(:class:`fedsum.model.DeviceSubtotals`), bit for bit the sums
+``client.client_work`` makes in event order.  Calibration, the sweep's
+pre-noise sums, the device counts and the ground truth
+(``metrics.exact_workload``) all read that block.  :class:`TripRecord`
 objects are built only at the edge, by :attr:`Corpus.devices`.
 
 The magnitude spread across activities and metrics is the point: trip
@@ -55,7 +56,7 @@ from .model import (
     METRIC_DISTANCE,
     METRIC_DURATION,
     METRIC_NUM_TRIPS,
-    IndexedHistogram,
+    DeviceSubtotals,
     Schema,
     TripColumns,
     TripRecord,
@@ -67,7 +68,6 @@ __all__ = [
     "DEFAULT_ACTIVITIES",
     "SyntheticCorpusConfig",
     "DeviceRecords",
-    "DeviceSubtotals",
     "Corpus",
     "generate_corpus",
 ]
@@ -190,29 +190,6 @@ class DeviceRecords:
 
 
 @dataclass(frozen=True, eq=False)
-class DeviceSubtotals:
-    """One window's raw per-device histograms, one row per partition.
-
-    Row ``k`` is a partition ``(activity[k], region[k], direction[k])``
-    in which device ``device[k]`` has a trip in the window; rows are
-    sorted by device.  ``sums[k, m]`` is what ``client.client_work`` adds
-    up in that partition's metric-``m`` cell: 1 per trip for num-trips,
-    the distance or the duration for the others, in event-time order.
-    ``made_at[k, m]`` is the position, among the window's trips in
-    corpus row order, of the trip that first makes that cell nonzero:
-    ``client_work`` inserts a device's cells in the order of these
-    positions, then of metrics.
-    """
-
-    device: np.ndarray
-    activity: np.ndarray
-    region: np.ndarray
-    direction: np.ndarray
-    sums: np.ndarray
-    made_at: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class Corpus:
     """A fleet's trips as columns, rows sorted by (device, event time).
 
@@ -305,15 +282,15 @@ class Corpus:
         column = getattr(self, name)
         return np.frombuffer(column, dtype=column.typecode)
 
-    def window_subtotals(self, window: TimeWindow) -> DeviceSubtotals:
-        """Every device's per-partition trip sums for a window, in one pass.
+    def device_histograms(self, window: TimeWindow) -> DeviceSubtotals:
+        """Every device's raw (unscaled, unclipped) histogram for a window.
 
-        A device's partitions are its (activity, direction) pairs in its
-        home region.  One ``np.bincount`` per metric over the window's
-        rows, indexed by (device, partition), adds each device's trips in
-        row order, which is event-time order.  These are the additions
-        ``client_work`` makes, so every subtotal matches it bit for bit.
-        Devices without a trip in the window have no rows.
+        One block of partition rows, a device's partitions being its
+        (activity, direction) pairs in its home region.  One
+        ``np.bincount`` per metric, indexed by (device, partition), adds
+        each device's trips in event-time order, so its rows equal
+        ``client_work`` of its trips in the window bit for bit, ``made_at``
+        order included.  A device without a trip in the window has no rows.
         """
         num_activities, num_metrics, _, num_directions = self.schema.shape
         times = self._view("event_time")
@@ -324,16 +301,13 @@ class Corpus:
         ) * num_directions + self._view("direction")[rows]
         keys, first, inverse = np.unique(group, return_index=True, return_inverse=True)
         sums = np.empty((len(keys), num_metrics))
-        made_at = np.empty((len(keys), num_metrics), dtype=np.int64)
         sums[:, METRIC_NUM_TRIPS] = np.bincount(inverse, minlength=len(keys))
-        made_at[:, METRIC_NUM_TRIPS] = first
         for metric, name in (
             (METRIC_DISTANCE, "distance_km"),
             (METRIC_DURATION, "duration_s"),
         ):
             values = self._view(name)[rows]
             sums[:, metric] = np.bincount(inverse, weights=values, minlength=len(keys))
-            made_at[:, metric] = _first_nonzero(inverse, values, first)
         device = keys // (num_activities * num_directions)
         return DeviceSubtotals(
             device=device,
@@ -341,60 +315,20 @@ class Corpus:
             region=self._view("home_regions")[device],
             direction=keys % num_directions,
             sums=sums,
-            made_at=made_at,
+            made_at=first,
         )
-
-    def device_histograms(
-        self, window: TimeWindow, subtotals: DeviceSubtotals | None = None
-    ) -> list[IndexedHistogram]:
-        """Raw (unscaled, unclipped) per-device histograms for a window.
-
-        Each equals ``client_work`` of the device's trips in the window,
-        the order of its cells included.  Devices with no trips in the
-        window are skipped: they hold no data and would not upload.
-        ``subtotals`` may hand in ``window_subtotals(window)`` when the
-        caller already has them.
-        """
-        if subtotals is None:
-            subtotals = self.window_subtotals(window)
-        num_metrics = self.schema.num_metrics
-        # The nonzero (partition, metric) cells, flattened, in the order
-        # client_work inserts them: by the trip that first makes a cell
-        # nonzero, then by metric.
-        cells = np.flatnonzero(subtotals.sums)
-        made_at = subtotals.made_at.ravel()[cells]
-        cells = cells[np.argsort(made_at * num_metrics + cells % num_metrics)]
-        partition, metric = np.divmod(cells, num_metrics)
-        index = list(
-            zip(
-                subtotals.activity[partition].tolist(),
-                metric.tolist(),
-                subtotals.region[partition].tolist(),
-                subtotals.direction[partition].tolist(),
-            )
-        )
-        values = subtotals.sums.ravel()[cells].tolist()
-        device = subtotals.device[partition]
-        starts = np.flatnonzero(np.diff(device, prepend=-1))
-        bounds = [*starts.tolist(), len(values)]
-        out = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            h = IndexedHistogram(self.schema)
-            h._d = dict(zip(index[lo:hi], values[lo:hi]))  # checked on entry
-            out.append(h)
-        return out
 
     def device_counts(
         self, window: TimeWindow, subtotals: DeviceSubtotals | None = None
     ) -> dict[tuple[int, int, int], int]:
         """Devices contributing data per (activity, region, direction).
 
-        Each row of the window's subtotals is one device holding a trip in
+        Each row of the window's block is one device holding a trip in
         one partition.  ``subtotals`` may hand in
-        ``window_subtotals(window)`` when the caller already has them.
+        ``device_histograms(window)`` when the caller already has it.
         """
         if subtotals is None:
-            subtotals = self.window_subtotals(window)
+            subtotals = self.device_histograms(window)
         counts: dict[tuple[int, int, int], int] = {}
         for partition in zip(
             subtotals.activity.tolist(),
@@ -432,23 +366,6 @@ class _DeviceRecordsView(Sequence):
             )
         ]
         return DeviceRecords(device_id, corpus.tiers[device_id], region, records)
-
-
-def _first_nonzero(
-    inverse: np.ndarray, values: np.ndarray, first: np.ndarray
-) -> np.ndarray:
-    """Per group, the position of its first nonzero value.
-
-    ``inverse`` maps each position to its group and ``first`` holds each
-    group's first position, which a group of zeros alone keeps.
-    """
-    nonzero = np.flatnonzero(values)
-    if len(nonzero) == len(values):
-        return first
-    made_at = first.copy()
-    groups, at = np.unique(inverse[nonzero], return_index=True)
-    made_at[groups] = nonzero[at]
-    return made_at
 
 
 def _zipf_probabilities(n: int, exponent: float) -> np.ndarray:

@@ -29,8 +29,8 @@ from fedsum.dp import (
     VARIANT_SPLIT,
     VARIANTS,
     prepare_mechanism,
-    slice_l1_norms,
 )
+from fedsum.exactsum import ExactSum
 from fedsum.metrics import exact_workload
 from fedsum.model import IndexedHistogram, Schema
 from fedsum.query import parse_and_validate
@@ -49,6 +49,7 @@ from fedsum.sweep import SweepConfig, prepare_variants, run_epsilon_sweep
 from fedsum.synth import SyntheticCorpusConfig, generate_corpus
 from fedsum.windows import WindowAlignment, round_down_window
 
+from blocks import block_of, concat, devices_of, renumbered, rows_of
 from helpers import START, WEEK, malformed_query_cases
 
 FULL_QUERY = """\
@@ -190,12 +191,40 @@ def test_ac01_noiseless_pipeline_reproduces_exact_sums():
 # --- 2: one extra device-window moves the pre-noise aggregate by at most the bound
 
 
-def adjacent_difference(prepared, extra):
-    """Exact pre-noise aggregate with one more device, minus the aggregate."""
-    augmented = prepared.exact_aggregate.copy()
-    augmented.add(prepared.resolved.transform_device(extra).as_rows())
-    diff = augmented.exact_diff(prepared.exact_aggregate)
-    return IndexedHistogram.from_rows(prepared.schema, diff)
+def bounded_sum(prepared, devices):
+    """The exact sum of the devices' bounded cells, by histogram index."""
+    bounded = prepared.resolved.transform_devices(devices, prepared.schema)
+    total = ExactSum(1)
+    for a, r, d, sums in zip(
+        bounded.activity.tolist(),
+        bounded.region.tolist(),
+        bounded.direction.tolist(),
+        bounded.sums.tolist(),
+    ):
+        total.add(((a, m, r, d), (v,)) for m, v in enumerate(sums) if v)
+    return total
+
+
+def adjacent_difference(prepared, base, base_sum, extra):
+    """Exact pre-noise aggregate with one more device, minus the aggregate.
+
+    The augmented window is bounded as a whole by the mechanism the base
+    calibrated, and both sums are exact, so the difference is exact.
+    """
+    newcomer = renumbered(extra, max(devices_of(base)) + 1)
+    augmented = bounded_sum(prepared, concat(base, newcomer))
+    diff = augmented.exact_diff(base_sum)
+    return IndexedHistogram(
+        prepared.schema, ((index, value) for index, (value,) in diff)
+    )
+
+
+def slice_norms(h):
+    """Exactly rounded L1 norm of each (activity, metric) slice."""
+    parts: dict[tuple[int, int], list[float]] = {}
+    for (a, m, _, _), value in h.items():
+        parts.setdefault((a, m), []).append(abs(value))
+    return {key: math.fsum(values) for key, values in parts.items()}
 
 
 def test_ac02_contribution_bound_holds_on_adjacent_corpora(
@@ -203,35 +232,44 @@ def test_ac02_contribution_bound_holds_on_adjacent_corpora(
 ):
     started = time.perf_counter()
     schema = corpus_300.schema
-    base_hists = corpus_300.device_histograms(week_one_300)
+    base = corpus_300.device_histograms(week_one_300)
     extra_corpus = generate_corpus(
         SyntheticCorpusConfig(
             num_devices=120, num_regions=8, num_weeks=1, seed=77
         )
     )
-    extras = extra_corpus.device_histograms(week_one_300)[:100]
+    extra_block = extra_corpus.device_histograms(week_one_300)
+    extras = [
+        rows_of(extra_block, extra_block.device == device)
+        for device in devices_of(extra_block)[:100]
+    ]
     assert len(extras) == 100
 
     for variant in (VARIANT_JOINT, VARIANT_SCALED):
         prepared = prepare_mechanism(
             MechanismConfig(variant=variant, epsilon=2.0),
-            base_hists,
+            base,
             schema,
         )
+        base_sum = bounded_sum(prepared, base)
+        assert IndexedHistogram(
+            schema, ((index, value) for index, (value,) in base_sum.report())
+        ) == prepared.prenoise
         bound = prepared.resolved.clip + 1e-9
         for extra in extras:
-            diff = adjacent_difference(prepared, extra)
+            diff = adjacent_difference(prepared, base, base_sum, extra)
             l1 = math.fsum(abs(v) for _, v in diff.items())
             assert l1 <= bound
 
     prepared = prepare_mechanism(
         MechanismConfig(variant=VARIANT_SPLIT, epsilon=2.0),
-        base_hists,
+        base,
         schema,
     )
+    base_sum = bounded_sum(prepared, base)
     for extra in extras:
-        diff = adjacent_difference(prepared, extra)
-        for (a, m), norm in slice_l1_norms(diff).items():
+        diff = adjacent_difference(prepared, base, base_sum, extra)
+        for (a, m), norm in slice_norms(diff).items():
             assert norm <= prepared.resolved.clip_table[a][m] + 1e-9
     assert time.perf_counter() - started < 60.0
 
@@ -244,7 +282,7 @@ def test_ac03_output_ratio_bounded_by_exp_epsilon_on_adjacent_inputs(
 ):
     started = time.perf_counter()
     config = MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, clip=1.0)
-    one_device = [hist(cell_schema, {(0, 0, 0, 0): 1.0})]
+    one_device = block_of(cell_schema, [hist(cell_schema, {(0, 0, 0, 0): 1.0})])
     with_device = prepare_mechanism(config, one_device, cell_schema)
     without_device = prepare_mechanism(config, [], cell_schema)
     window_id = "2024-W20"
@@ -393,16 +431,19 @@ def test_ac07_degenerate_parameters_reproduce_joint_clipping(cell_schema):
         metric_names=("m0", "m1"),
         activity_names=("a0", "a1"),
     )
-    devices = [
-        hist(
-            schema,
-            {
-                (i % 2, 0, i % 3, 0): 1.0 + i,
-                (i % 2, 1, (i + 1) % 3, i % 3): 0.5 * i,
-            },
-        )
-        for i in range(25)
-    ]
+    devices = block_of(
+        schema,
+        [
+            hist(
+                schema,
+                {
+                    (i % 2, 0, i % 3, 0): 1.0 + i,
+                    (i % 2, 1, (i + 1) % 3, i % 3): 0.5 * i,
+                },
+            )
+            for i in range(25)
+        ],
+    )
     identity = ((1.0, 1.0), (1.0, 1.0))
     scaled = prepare_mechanism(
         MechanismConfig(
@@ -422,9 +463,10 @@ def test_ac07_degenerate_parameters_reproduce_joint_clipping(cell_schema):
         assert dict(a.histogram.items()) == dict(b.histogram.items())
         assert a.suppressed_partitions == b.suppressed_partitions
 
-    cell_devices = [
-        hist(cell_schema, {(0, 0, 0, 0): float(i + 1)}) for i in range(30)
-    ]
+    cell_devices = block_of(
+        cell_schema,
+        [hist(cell_schema, {(0, 0, 0, 0): float(i + 1)}) for i in range(30)],
+    )
     split = prepare_mechanism(
         MechanismConfig(
             variant=VARIANT_SPLIT, epsilon=2.0, clip_table=((3.0,),)
@@ -664,16 +706,19 @@ def test_ac10_minimum_counts_and_magnitude_floors_suppress_output(cell_schema):
         metric_names=("m0", "m1"),
         activity_names=("a0", "a1"),
     )
-    devices = [
-        hist(
-            two_by_two,
-            {
-                (0, 0, i % 2, 0): 200.0 + i,
-                (1, 1, i % 2, 1): 0.25 + 0.01 * i,
-            },
-        )
-        for i in range(40)
-    ]
+    devices = block_of(
+        two_by_two,
+        [
+            hist(
+                two_by_two,
+                {
+                    (0, 0, i % 2, 0): 200.0 + i,
+                    (1, 1, i % 2, 1): 0.25 + 0.01 * i,
+                },
+            )
+            for i in range(40)
+        ],
+    )
     tau = 3.0
     prepared = prepare_mechanism(
         MechanismConfig(variant=VARIANT_SCALED, epsilon=0.7, tau=tau),

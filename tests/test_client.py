@@ -101,12 +101,27 @@ def mechanism(schema, variant=VARIANT_JOINT, **parameters):
     return resolve_mechanism(config, [], schema)
 
 
+def histogram(trips, schema):
+    """The device's raw histogram: its one-device block, read out."""
+    return client_work(trips, schema).cell_sums(schema)
+
+
+def bounded(resolved, trips, schema):
+    """The device's upload: its block through the device transform, read out."""
+    return resolved.transform_devices(client_work(trips, schema), schema).cell_sums(
+        schema
+    )
+
+
 # --- client_work and the device transform -------------------------------------
 
 
 def test_single_trip_maps_to_three_cells():
     schema = wide_schema()
-    h = client_work([trip(a=2, r=5, d=0, km=10.0, s=600.0)], schema)
+    block = client_work([trip(a=2, r=5, d=0, km=10.0, s=600.0)], schema)
+    assert block.device.tolist() == [0]
+    assert block.made_at.tolist() == [0]
+    h = block.cell_sums(schema)
     assert h[(2, 0, 5, 0)] == 1.0
     assert h[(2, 1, 5, 0)] == 10.0
     assert h[(2, 2, 5, 0)] == 600.0
@@ -124,7 +139,7 @@ def test_scaling_divides_each_summed_cell_by_its_slice_factor():
         trip(a=2, r=5, d=0, km=0.1, s=600.0),
         trip(a=2, r=5, d=0, km=0.2, s=600.0, t=START + 7200),
     ]
-    h = scaled.transform_device(client_work(records, schema))
+    h = bounded(scaled, records, schema)
     # The device sums first and scales the sum: (0.1 + 0.2) / 3, which
     # differs from 0.1 / 3 + 0.2 / 3 in the last bit.
     assert h[(2, 1, 5, 0)] == (0.1 + 0.2) / 3.0 != 0.1 / 3.0 + 0.2 / 3.0
@@ -133,9 +148,10 @@ def test_scaling_divides_each_summed_cell_by_its_slice_factor():
 
 def test_clip_halves_when_norm_is_twice_the_bound():
     schema = wide_schema()
-    raw = client_work([trip(a=0, r=0, km=3.0, s=6.0)], schema)
+    records = [trip(a=0, r=0, km=3.0, s=6.0)]
+    raw = histogram(records, schema)
     bound = raw.l1_norm() / 2.0
-    clipped = mechanism(schema, clip=bound).transform_device(raw)
+    clipped = bounded(mechanism(schema, clip=bound), records, schema)
     for index, value in raw.items():
         assert clipped[index] == value / 2.0
 
@@ -158,10 +174,9 @@ def test_device_transform_respects_the_contribution_bound(raw_trips, bound):
     records = [
         trip(a=a, r=r, d=d, km=km, s=s) for a, r, d, km, s in raw_trips
     ]
-    raw = client_work(records, schema)
-    assert mechanism(schema, clip=bound).transform_device(raw).l1_norm() <= bound
+    assert bounded(mechanism(schema, clip=bound), records, schema).l1_norm() <= bound
     bounds = tuple(tuple(bound * (1 + a + m) for m in range(3)) for a in range(3))
-    split = mechanism(schema, VARIANT_SPLIT, clip_table=bounds).transform_device(raw)
+    split = bounded(mechanism(schema, VARIANT_SPLIT, clip_table=bounds), records, schema)
     for a in range(3):
         for m in range(3):
             norm = math.fsum(
@@ -177,7 +192,7 @@ def upload_rows(dev, spec, windows):
     """A device's upload rows for ``windows``, one window at a time."""
     rows = []
     for window in windows:
-        h = client_work(dev.visible_records(window), wide_schema())
+        h = histogram(dev.visible_records(window), wide_schema())
         rows += histogram_to_rows(h, window.window_id, spec)
     return rows
 

@@ -26,9 +26,7 @@ from fedsum.dp import (
     prepare_mechanism,
     release_noise,
     resolve_mechanism,
-    slice_l1_norms,
 )
-from fedsum.exactsum import ExactSum
 from fedsum.model import (
     IndexedHistogram,
     InvalidParameterError,
@@ -37,13 +35,7 @@ from fedsum.model import (
 )
 from fedsum.rng import KeyedRng
 
-
-def exact_sum(schema, histograms):
-    """The histograms summed exactly and rounded once per cell."""
-    total = ExactSum(1)
-    for h in histograms:
-        total.add(h.as_rows())
-    return IndexedHistogram.from_rows(schema, total.report())
+from blocks import block_of, exact_sum, histograms_of
 
 
 def hist(schema, entries):
@@ -54,16 +46,26 @@ def hist(schema, entries):
 
 
 def release(devices, schema, seed=0, window_id="w0", **config):
-    """Prepare the configured mechanism on ``devices`` and release it once."""
-    prepared = prepare_mechanism(MechanismConfig(**config), devices, schema)
+    """Prepare the configured mechanism on histograms ``devices``; release once."""
+    prepared = prepare_mechanism(
+        MechanismConfig(**config), block_of(schema, devices), schema
+    )
     return prepared.release(window_id, seed)
 
 
 def linear_devices(schema, n=100):
-    """Device i holds the single value i+1 in the first cell."""
-    return [
-        hist(schema, {(0, 0, 0, 0): float(i + 1)}) for i in range(n)
-    ]
+    """A block in which device i holds the single value i+1 in the first cell."""
+    return block_of(
+        schema, [hist(schema, {(0, 0, 0, 0): float(i + 1)}) for i in range(n)]
+    )
+
+
+def transform(resolved, h):
+    """One device's histogram through the device transform, read back."""
+    (bounded,) = histograms_of(
+        resolved.transform_devices(block_of(h.schema, [h]), h.schema), h.schema
+    )
+    return bounded
 
 
 # --- quantiles and calibration ---------------------------------------------
@@ -92,7 +94,23 @@ def test_slice_norms_split_by_activity_and_metric(small_schema):
         small_schema,
         {(0, 0, 0, 0): 3.0, (0, 0, 1, 2): -4.0, (1, 2, 0, 0): 5.0},
     )
-    assert slice_l1_norms(h) == {(0, 0): 7.0, (1, 2): 5.0}
+    table = calibrate_scales(block_of(small_schema, [h]), small_schema, 1.0)
+    assert table[0][0] == 7.0
+    assert table[1][2] == 5.0
+    assert sum(v == 1.0 for row in table for v in row) == 7  # untouched slices
+
+
+def test_slice_norms_add_in_the_order_the_device_made_its_cells(cell_schema):
+    """(0.1 + 0.2) + 0.3 and (0.3 + 0.2) + 0.1 differ in the last bit."""
+    made = [0.1, 0.2, 0.3]
+    norms = []
+    for values in (made, made[::-1]):
+        h = IndexedHistogram(cell_schema)
+        for d, value in zip((2, 0, 1), values):
+            h[(0, 0, 0, d)] = value
+        norms.append(calibrate_scales(block_of(cell_schema, [h]), cell_schema, 1.0))
+    assert norms == [((0.1 + 0.2 + 0.3,),), ((0.3 + 0.2 + 0.1,),)]
+    assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
 
 
 def test_calibrated_scales_hit_the_quantile(cell_schema):
@@ -108,7 +126,7 @@ def test_empty_slices_fall_back_to_unit_scale(caplog):
         metric_names=("m0", "m1"),
         activity_names=("a",),
     )
-    devices = [hist(schema, {(0, 0, 0, 0): 2.0})]
+    devices = block_of(schema, [hist(schema, {(0, 0, 0, 0): 2.0})])
     with caplog.at_level(logging.WARNING, logger="fedsum.dp"):
         table = calibrate_scales(devices, schema, 0.95)
     assert table[0][1] == 1.0
@@ -121,7 +139,7 @@ def test_calibrated_clip_hits_the_quantile(cell_schema):
 
 def test_clip_calibration_needs_active_devices(cell_schema):
     with pytest.raises(InvalidParameterError):
-        calibrate_clip([IndexedHistogram(cell_schema)] * 5)
+        calibrate_clip(block_of(cell_schema, [IndexedHistogram(cell_schema)] * 5))
 
 
 # --- thresholding -------------------------------------------------------------
@@ -291,7 +309,7 @@ def test_release_equals_the_coordinate_by_coordinate_reference(
     ]
     prepared = prepare_mechanism(
         MechanismConfig(variant=variant, epsilon=1.0, quantile=0.9),
-        devices,
+        block_of(small_schema, devices),
         small_schema,
     )
     resolved = dataclasses.replace(prepared.resolved, **REFERENCE_CASES[case])
@@ -490,12 +508,14 @@ def test_prepared_prenoise_is_the_exact_transformed_sum(small_schema):
         for i in range(40)
     ]
     config = MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, clip=2.0)
-    prepared = prepare_mechanism(config, devices, small_schema)
-    transformed = [prepared.resolved.transform_device(h) for h in devices]
+    block = block_of(small_schema, devices)
+    prepared = prepare_mechanism(config, block, small_schema)
+    transformed = histograms_of(
+        prepared.resolved.transform_devices(block, small_schema), small_schema
+    )
+    assert transformed != devices  # some devices were clipped
     assert prepared.prenoise == exact_sum(small_schema, transformed)
-    assert list(prepared.exact_aggregate.report()) == [
-        (index, (value,)) for index, value in prepared.prenoise.items()
-    ]
+    assert list(prepared.prenoise.raw()) == sorted(prepared.prenoise.raw())
     assert prepared.num_devices == 40
 
 
@@ -508,6 +528,41 @@ def test_epsilon_override_lands_in_the_metadata(cell_schema):
     assert release.metadata["dp"] is True
     assert release.metadata["clip_table_digest"] is None
     assert release.metadata["scale_table_digest"] is not None
+
+
+def test_only_a_noised_release_is_labelled_dp(cell_schema):
+    config = MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, clip=1.0)
+    prepared = prepare_mechanism(config, linear_devices(cell_schema, 5), cell_schema)
+    exact = prepared.release("w0", 0, epsilon=math.inf)
+    assert exact.histogram == prepared.prenoise  # no noise was added
+    assert exact.metadata["dp"] is False
+    assert "epsilon" not in exact.metadata["privacy_label"]
+    assert "not differentially private" in exact.metadata["privacy_label"]
+    noised = prepared.release("w0", 0, epsilon=2.0)
+    assert noised.histogram != prepared.prenoise
+    assert noised.metadata["dp"] is True
+    assert noised.metadata["privacy_label"] == (
+        "laplace per-device-per-window, epsilon=2.0"
+    )
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(variant=VARIANT_JOINT),
+        dict(variant=VARIANT_SPLIT),
+        dict(variant=VARIANT_SCALED),
+        dict(variant=VARIANT_SCALED, clip=1.0),
+    ],
+    ids=["joint", "split", "scaled", "scaled_with_clip"],
+)
+def test_calibration_refuses_a_proxy_with_no_active_device(small_schema, config):
+    idle = block_of(small_schema, [IndexedHistogram(small_schema)] * 3)
+    for proxy in ([], idle):
+        with pytest.raises(InvalidParameterError, match="no device has any data"):
+            resolve_mechanism(
+                MechanismConfig(epsilon=1.0, **config), proxy, small_schema
+            )
 
 
 def test_table_digests_keep_their_byte_layout(small_schema):
@@ -595,7 +650,7 @@ def test_identity_scaling_degenerates_to_joint_clipping(small_schema):
 
 
 def test_single_slice_budget_split_degenerates_to_joint_clipping(cell_schema):
-    devices = linear_devices(cell_schema, 30)
+    devices = [hist(cell_schema, {(0, 0, 0, 0): float(i + 1)}) for i in range(30)]
     split = release(
         devices, cell_schema, seed=9, variant=VARIANT_SPLIT, epsilon=2.0,
         clip_table=((3.0,),),
@@ -614,10 +669,10 @@ def test_split_clips_each_slice_independently(small_schema):
         MechanismConfig(
             variant=VARIANT_SPLIT, epsilon=1.0, clip_table=table_rows
         ),
-        [device],
+        block_of(small_schema, [device]),
         small_schema,
     )
-    bounded = resolved.transform_device(device)
+    bounded = transform(resolved, device)
     assert bounded[(0, 0, 0, 0)] == 2.0  # clipped to its slice bound
     assert bounded[(1, 1, 0, 0)] == 1.0  # untouched slice
 
@@ -626,10 +681,10 @@ def test_joint_transform_preserves_direction_within_budget(small_schema):
     device = hist(small_schema, {(0, 0, 0, 0): 6.0, (0, 1, 0, 0): -2.0})
     resolved = resolve_mechanism(
         MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, clip=4.0),
-        [device],
+        block_of(small_schema, [device]),
         small_schema,
     )
-    bounded = resolved.transform_device(device)
+    bounded = transform(resolved, device)
     assert bounded[(0, 0, 0, 0)] == 3.0
     assert bounded[(0, 1, 0, 0)] == -1.0
 

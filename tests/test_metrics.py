@@ -12,12 +12,12 @@ from fedsum.metrics import (
     per_user_mean_error,
     weighted_relative_error,
 )
-from fedsum.exactsum import ExactSum
 from fedsum.model import IndexedHistogram, InvalidParameterError
 from fedsum.synth import Corpus, DeviceRecords, SyntheticCorpusConfig, generate_corpus
 
 from fedsum.windows import WindowAlignment, round_down_window, window_after
 
+from blocks import exact_sum, histograms_of
 from helpers import naive_device_counts, naive_workload, trip
 
 
@@ -66,7 +66,7 @@ def test_truth_and_counts_match_the_oracles_in_every_window(
     window = round_down_window(corpus_300.config.start_time, alignment)
     checked = 0
     while window.start < corpus_300.config.end_time:
-        subtotals = corpus_300.window_subtotals(window)
+        subtotals = corpus_300.device_histograms(window)
         truth = exact_workload(corpus_300, window, subtotals)
         assert dict(truth.items()) == naive_workload(corpus_300, window)
         assert list(truth.raw()) == sorted(truth.raw())  # canonical order
@@ -83,12 +83,12 @@ def test_workload_is_additive_across_subfleets(week_one_300):
     combined = Corpus.from_devices(
         left.config, left.schema, [*left.devices, *right.devices]
     )
-    acc = ExactSum(1)
-    for h in left.device_histograms(week_one_300):
-        acc.add(h.as_rows())
-    for h in right.device_histograms(week_one_300):
-        acc.add(h.as_rows())
-    total = IndexedHistogram.from_rows(left.schema, acc.report())
+    histograms = [
+        h
+        for corpus in (left, right)
+        for h in histograms_of(corpus.device_histograms(week_one_300), corpus.schema)
+    ]
+    total = exact_sum(left.schema, histograms)
     assert exact_workload(combined, week_one_300) == total
 
 

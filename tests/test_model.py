@@ -1,7 +1,13 @@
-"""Index domain, histograms, clipping, scaling, and canonical bytes."""
+"""Index domain, histograms, the device transform, and canonical bytes.
+
+The clipping and scaling cases run one histogram through the mechanism's
+array transform (``ResolvedMechanism.transform_devices``) as a
+one-device block.
+"""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 
@@ -10,6 +16,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fedsum.dp import (
+    VARIANT_JOINT,
+    VARIANT_SCALED,
+    VARIANT_SPLIT,
+    MechanismConfig,
+    resolve_mechanism,
+)
 from fedsum.exactsum import ExactSum
 from fedsum.model import (
     DIRECTIONS,
@@ -21,6 +34,7 @@ from fedsum.model import (
     as_table,
 )
 
+from blocks import block_of, histograms_of
 from helpers import trip
 
 
@@ -118,41 +132,115 @@ def test_l1_norm_counts_unit_entries(small_schema):
     assert build(small_schema, entries).l1_norm() == 5.0
 
 
-# --- clipping ------------------------------------------------------------------
+# --- clipping: the device transform of one histogram -------------------------
+
+
+def mechanism(schema, **config):
+    """A resolved mechanism with explicit bounds (nothing calibrated)."""
+    return resolve_mechanism(MechanismConfig(**config), [], schema)
+
+
+def transformed(h, resolved):
+    """``h`` as one device's block, bounded by ``resolved``, read back."""
+    bounded = resolved.transform_devices(block_of(h.schema, [h]), h.schema)
+    out = histograms_of(bounded, h.schema)
+    return out[0] if out else IndexedHistogram(h.schema)
+
+
+def clip(h, bound):
+    """Joint clipping of one device to the L1 ``bound``."""
+    return transformed(h, mechanism(h.schema, variant=VARIANT_JOINT, epsilon=1.0, clip=bound))
+
+
+def clip_slices(h, table):
+    """Budget split's clip of each (activity, metric) slice to ``table[a][m]``."""
+    resolved = mechanism(h.schema, variant=VARIANT_SPLIT, epsilon=1.0, clip_table=table)
+    return transformed(h, resolved)
+
+
+def scale_by_table(h, table):
+    """The scaling variant's division by ``table``, with no clip."""
+    resolved = mechanism(
+        h.schema,
+        variant=VARIANT_SCALED,
+        epsilon=math.inf,
+        clip=math.inf,
+        scale_table=table,
+    )
+    return transformed(h, resolved)
 
 
 def test_clip_within_bound_is_unchanged(small_schema):
     h = build(small_schema, {(0, 0, 0, 0): 2.0})
-    assert h.clip(5.0) == h
+    assert clip(h, 5.0) == h
 
 
 def test_clip_rescales_to_bound_exactly(small_schema):
     h = build(small_schema, {(0, 0, 0, 0): 3.0, (1, 0, 0, 0): 4.0})
-    clipped = h.clip(3.5)
+    clipped = clip(h, 3.5)
     assert clipped[(0, 0, 0, 0)] == 1.5
     assert clipped[(1, 0, 0, 0)] == 2.0
     assert clipped.l1_norm() == 3.5
 
 
 def test_clip_empty_histogram_is_noop(small_schema):
-    assert len(IndexedHistogram(small_schema).clip(1.0)) == 0
+    assert len(clip(IndexedHistogram(small_schema), 1.0)) == 0
 
 
 def test_clip_rejects_non_positive_bound(small_schema):
     h = build(small_schema, {(0, 0, 0, 0): 1.0})
+    resolved = mechanism(small_schema, variant=VARIANT_JOINT, epsilon=1.0, clip=1.0)
     for bound in (0.0, -1.0):
         with pytest.raises(InvalidParameterError):
-            h.clip(bound)
+            clip(h, bound)
+        with pytest.raises(InvalidParameterError):
+            transformed(h, dataclasses.replace(resolved, clip=bound))
 
 
 def test_clip_drops_entries_that_underflow_to_zero(small_schema):
     h = build(small_schema, {(0, 0, 0, 0): 1e300, (0, 0, 1, 0): 5e-324})
     expected = build(small_schema, {(0, 0, 0, 0): 1.0})
     ones = ((1.0,) * 3,) * 3
-    for clipped in (h.clip(1.0), h.clip_slices(ones)):
+    for clipped in (clip(h, 1.0), clip_slices(h, ones)):
         assert len(clipped) == 1
         assert clipped == expected
         assert clipped.serialize() == expected.serialize()
+
+
+def test_clip_one_ulp_above_the_bound_shrinks_by_the_least_factor(small_schema):
+    """The smallest shrink is ``nextafter(1.0, 0.0)``, the loop's nudge.
+
+    A norm one ulp above the bound gives ``bound / norm`` equal to the
+    largest float below one, the factor the loop falls back to should a
+    quotient ever round up to 1.0; one pass of it lands on the bound.
+    """
+    bound = math.nextafter(2.0, 0.0)
+    h = build(small_schema, {(0, 0, 0, 0): 1.0, (1, 0, 0, 0): 1.0})
+    clipped = clip(h, bound)
+    assert dict(clipped.items()) == {
+        (0, 0, 0, 0): math.nextafter(1.0, 0.0),
+        (1, 0, 0, 0): math.nextafter(1.0, 0.0),
+    }
+    assert clipped.l1_norm() == bound
+
+
+def test_clip_rescales_again_when_rounding_leaves_the_norm_above_the_bound(
+    small_schema,
+):
+    values = [5.735118360739901, 8.042424105565017, 0.7247575366883223]
+    bound = 1.0306341665197747
+    factor = bound / math.fsum(values)
+    assert math.fsum(v * factor for v in values) > bound  # one pass falls short
+    h = build(small_schema, {(a, 0, 0, 0): v for a, v in enumerate(values)})
+    clipped = clip(h, bound)
+    assert clipped.l1_norm() <= bound
+    assert [clipped[(a, 0, 0, 0)] for a in range(3)] != [v * factor for v in values]
+
+
+def test_infinite_bound_leaves_the_histogram_as_it_is(small_schema):
+    h = build(small_schema, {(0, 0, 0, 0): 1e300, (2, 1, 3, 2): -4.5})
+    resolved = mechanism(small_schema, variant=VARIANT_JOINT, epsilon=math.inf, clip=math.inf)
+    assert transformed(h, resolved).serialize() == h.serialize()
 
 
 small_values = st.floats(
@@ -184,19 +272,19 @@ def histograms(draw, max_entries=12):
 
 @given(histograms(), st.floats(min_value=1e-3, max_value=1e7))
 def test_clip_norm_never_exceeds_bound(h, bound):
-    clipped = h.clip(bound)
+    clipped = clip(h, bound)
     assert clipped.l1_norm() <= bound + 1e-9
 
 
 @given(histograms(), st.floats(min_value=1e-3, max_value=1e7))
 def test_clip_is_idempotent(h, bound):
-    once = h.clip(bound)
-    assert once.clip(bound) == once
+    once = clip(h, bound)
+    assert clip(once, bound) == once
 
 
 @given(histograms(), st.floats(min_value=1e-3, max_value=1e7))
 def test_clip_preserves_signs_and_ratios(h, bound):
-    clipped = h.clip(bound)
+    clipped = clip(h, bound)
     original = h.raw()
     for index, value in original.items():
         assert math.copysign(1.0, clipped[index]) == math.copysign(1.0, value) or (
@@ -216,13 +304,13 @@ def test_clip_slices_clips_each_slice_as_clip_would(h, bound):
     table = as_table(
         [[bound * (1 + a + 2 * m) for m in range(3)] for a in range(3)]
     )
-    clipped = h.clip_slices(table)
+    clipped = clip_slices(h, table)
     for a in range(3):
         for m in range(3):
             part = IndexedHistogram(
                 schema, {i: v for i, v in h.raw().items() if i[:2] == (a, m)}
             )
-            alone = part.clip(table[a][m])
+            alone = clip(part, table[a][m])
             assert alone.l1_norm() <= table[a][m]
             assert {i: v for i, v in clipped.raw().items() if i[:2] == (a, m)} == (
                 alone.raw()
@@ -232,7 +320,11 @@ def test_clip_slices_clips_each_slice_as_clip_would(h, bound):
 def test_clip_slices_table_must_match_the_schema(small_schema):
     h = build(small_schema, {(0, 0, 0, 0): 1.0})
     with pytest.raises(SchemaMismatchError):
-        h.clip_slices(((1.0,),))
+        clip_slices(h, ((1.0,),))
+    ones = ((1.0,) * 3,) * 3
+    resolved = mechanism(small_schema, variant=VARIANT_SPLIT, epsilon=1.0, clip_table=ones)
+    with pytest.raises(SchemaMismatchError):
+        transformed(h, dataclasses.replace(resolved, clip_table=((1.0,),)))
 
 
 # --- dense arrays -----------------------------------------------------------------
@@ -269,28 +361,28 @@ def descale(h, table):
 def test_scale_table_identity(small_schema):
     table = ((1.0,) * 3,) * 3
     h = build(small_schema, {(1, 2, 3, 0): 7.0})
-    assert h.scale_by_table(table) == h
+    assert scale_by_table(h, table) == h
     assert descale(h, table) == h
 
 
 def test_scale_divides_by_slice_factor(small_schema):
     table = as_table([[1, 5, 1], [1, 1, 1], [1, 1, 1]])
     h = build(small_schema, {(0, 1, 2, 0): 10.0})
-    assert h.scale_by_table(table)[(0, 1, 2, 0)] == 2.0
+    assert scale_by_table(h, table)[(0, 1, 2, 0)] == 2.0
 
 
 def test_scale_invert_multiplies_back(small_schema):
     table = as_table([[2, 4, 8], [1, 1, 1], [16, 32, 64]])
     h = build(small_schema, {(0, 1, 1, 1): 3.0, (2, 2, 0, 0): -5.0})
     # Power-of-two factors divide and multiply without rounding.
-    assert descale(h.scale_by_table(table), table) == h
+    assert descale(scale_by_table(h, table), table) == h
 
 
 def test_scaling_drops_entries_that_underflow_to_zero(small_schema):
     h = build(small_schema, {(0, 0, 0, 0): 1e-30, (0, 1, 0, 0): 2.0})
     kept = build(small_schema, {(0, 1, 0, 0): 2.0})
     huge = as_table([[1e300, 1, 1], [1, 1, 1], [1, 1, 1]])
-    scaled = h.scale_by_table(huge)
+    scaled = scale_by_table(h, huge)
     assert len(scaled) == 1
     assert scaled == kept
     assert scaled.serialize() == kept.serialize()
@@ -306,7 +398,7 @@ def test_scaling_drops_entries_that_underflow_to_zero(small_schema):
 )
 def test_scale_round_trip_close(h, factors):
     table = as_table([factors[0:3], factors[3:6], factors[6:9]])
-    back = descale(h.scale_by_table(table), table)
+    back = descale(scale_by_table(h, table), table)
     for index, value in h.raw().items():
         assert back[index] == pytest.approx(value, rel=1e-12)
 
@@ -324,22 +416,42 @@ def test_scale_table_shape_must_match_schema(small_schema):
     table = ((1.0,),)
     h = build(small_schema, {(0, 0, 0, 0): 1.0})
     with pytest.raises(SchemaMismatchError):
-        h.scale_by_table(table)
+        scale_by_table(h, table)
+    identity = ((1.0,) * 3,) * 3
+    resolved = mechanism(
+        small_schema,
+        variant=VARIANT_SCALED,
+        epsilon=math.inf,
+        clip=math.inf,
+        scale_table=identity,
+    )
+    with pytest.raises(SchemaMismatchError):
+        transformed(h, dataclasses.replace(resolved, scale_table=table))
 
 
 # --- addition and exact sums ---------------------------------------------------
 
 
+def as_rows(h):
+    """The histogram's entries as the one-column rows of an exact sum."""
+    return [(index, (value,)) for index, value in h.raw().items()]
+
+
+def from_rows(schema, rows):
+    """The histogram of one-column rows; every index is checked."""
+    return IndexedHistogram(schema, ((index, value) for index, (value,) in rows))
+
+
 def accumulate(histograms):
     acc = ExactSum(1)
     for h in histograms:
-        acc.add(h.as_rows())
+        acc.add(as_rows(h))
     return acc
 
 
 def exact_sum(histograms, schema):
     """Histogram addition as the pipeline does it: summed exactly, rounded once."""
-    return IndexedHistogram.from_rows(schema, accumulate(histograms).report())
+    return from_rows(schema, accumulate(histograms).report())
 
 
 def test_hist_add_identity_and_accumulation(small_schema):
@@ -371,7 +483,7 @@ def test_exact_sum_merge_matches_sequential(hs, cut_at):
     cut = min(cut_at, len(hs))
     left = accumulate(hs[:cut])
     left.merge(accumulate(hs[cut:]))
-    merged = IndexedHistogram.from_rows(schema, left.report())
+    merged = from_rows(schema, left.report())
     assert merged.serialize() == exact_sum(hs, schema).serialize()
 
 
@@ -379,9 +491,9 @@ def test_exact_sum_merge_matches_sequential(hs, cut_at):
 def test_exact_diff_recovers_added_histogram(base, extra):
     acc = accumulate([base])
     plus = acc.copy()
-    plus.add(extra.as_rows())
-    assert IndexedHistogram.from_rows(base.schema, plus.exact_diff(acc)) == extra
-    assert IndexedHistogram.from_rows(base.schema, acc.report()) == base
+    plus.add(as_rows(extra))
+    assert from_rows(base.schema, plus.exact_diff(acc)) == extra
+    assert from_rows(base.schema, acc.report()) == base
 
 
 def test_rounded_rows_outside_the_schema_are_rejected(small_schema, cell_schema):

@@ -54,3 +54,24 @@ def test_only_exactsum_keeps_an_exact_accumulator():
         text = path.read_text(encoding="utf-8")
         offenders += [(path.name, n) for n in needles if n in text]
     assert offenders == []
+
+
+# The one module that may scale or clip a device contribution: the
+# mechanism's device transform.
+DEVICE_TRANSFORM_MODULE = "dp.py"
+
+
+def test_only_dp_scales_or_clips_a_device_contribution():
+    needles = (
+        "factor = math.nextafter(1.0",  # the clip loop's nudge
+        "bound / norm",
+        "scale_by_table",
+        "clip_slices",
+    )
+    offenders = []
+    for path in sorted(Path(fedsum.__file__).parent.glob("*.py")):
+        if path.name == DEVICE_TRANSFORM_MODULE:
+            continue
+        text = path.read_text(encoding="utf-8")
+        offenders += [(path.name, n) for n in needles if n in text]
+    assert offenders == []

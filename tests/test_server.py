@@ -10,7 +10,6 @@ import pytest
 from fedsum.aggcore import ClientUpdate, MalformedUpdateError
 from fedsum.client import histogram_to_rows
 from fedsum.dp import MechanismConfig, VARIANT_JOINT, resolve_mechanism
-from fedsum.exactsum import ExactSum
 from fedsum.model import IndexedHistogram, Schema
 from fedsum.query import RELEASE_KEY_COLUMNS, QueryValidationError, parse_and_validate
 from fedsum.server import (
@@ -26,6 +25,7 @@ from fedsum.server import (
 )
 from fedsum.windows import WindowAlignment
 
+from blocks import exact_sum
 from helpers import START, WEEK
 
 FULL_QUERY = """\
@@ -112,12 +112,6 @@ def upload(server, device: int, h: IndexedHistogram, now: int) -> None:
     )
 
 
-def exact_sum(s, histograms) -> IndexedHistogram:
-    """The histograms summed exactly and rounded once per cell."""
-    total = ExactSum(1)
-    for h in histograms:
-        total.add(h.as_rows())
-    return IndexedHistogram.from_rows(s, total.report())
 
 
 def events_named(server, name):

@@ -36,6 +36,7 @@ from fedsum.sim import FleetConfig, build_device_upload, run_simulation
 from fedsum.synth import SyntheticCorpusConfig, generate_corpus
 from fedsum.windows import WindowAlignment
 
+from blocks import devices_of, histograms_of
 from helpers import START, active_devices, eager_check_in_allowed
 
 FULL_QUERY = """\
@@ -287,6 +288,46 @@ def row_based_per_user_mean_error(truth, release, counts, window_id, spec):
         if errors:
             terms.append(math.fsum(errors) / len(errors) / count)
     return math.fsum(terms) / len(terms) if terms else math.nan
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_uploads_are_the_rows_of_the_bounded_window_block(
+    corpus_300, week_one_300, variant
+):
+    """The simulator and the sweep bound every device with one transform."""
+    schema = corpus_300.schema
+    block = corpus_300.device_histograms(week_one_300)
+    prepared = prepare_mechanism(
+        MechanismConfig(variant=variant, epsilon=math.inf, quantile=0.5),
+        block,
+        schema,
+    )
+    bounded = prepared.resolved.transform_devices(block, schema)
+    raw = histograms_of(block, schema)
+    uploads = []
+    for device, expected in zip(devices_of(block), histograms_of(bounded, schema)):
+        records = [
+            r
+            for r in corpus_300.devices[device].records
+            if week_one_300.contains(r.event_time)
+        ]
+        upload = build_device_upload(records, prepared.resolved, schema)
+        assert upload.serialize() == expected.serialize(), device
+        uploads.append(upload)
+    assert len(uploads) == len(active_devices(corpus_300, week_one_300))
+    assert sum(u != h for u, h in zip(uploads, raw)) > len(uploads) // 3  # bounded
+    # The pre-noise sum is one math.fsum per cell of those uploads.
+    cells: dict[tuple[int, int, int, int], list[float]] = {}
+    for upload in uploads:
+        for index, value in upload.items():
+            cells.setdefault(index, []).append(value)
+    expected = {
+        index: total for index, values in sorted(cells.items())
+        if (total := math.fsum(values))
+    }
+    assert [(i, v.hex()) for i, v in prepared.prenoise.items()] == [
+        (i, v.hex()) for i, v in expected.items()
+    ]
 
 
 @pytest.mark.parametrize(

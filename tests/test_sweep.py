@@ -30,6 +30,8 @@ from fedsum.sweep import (
     summarize_sweep,
 )
 
+from blocks import devices_of
+
 
 def small_sweep():
     return SweepConfig(epsilons=(math.inf, 2.0), seeds=(0, 1, 2), quantile=0.95)
@@ -64,7 +66,7 @@ def test_grid_must_be_non_empty():
 def test_each_variant_is_prepared_once(corpus_300, week_one_300):
     prepared = prepare_variants(corpus_300, week_one_300, small_sweep())
     assert set(prepared) == set(VARIANTS)
-    active = len(corpus_300.device_histograms(week_one_300))
+    active = len(devices_of(corpus_300.device_histograms(week_one_300)))
     for variant, mech in prepared.items():
         assert mech.resolved.variant == variant
         assert mech.num_devices == active
@@ -161,7 +163,7 @@ def test_every_cell_equals_a_from_scratch_release(corpus_300, week_one_300):
     )
     rows = run_epsilon_sweep(corpus_300, week_one_300, sweep)
     schema = corpus_300.schema
-    histograms = corpus_300.device_histograms(week_one_300)
+    block = corpus_300.device_histograms(week_one_300)
     truth = exact_workload(corpus_300, week_one_300)
     counts = corpus_300.device_counts(week_one_300)
     floor = default_device_floor(corpus_300.num_devices)
@@ -173,7 +175,7 @@ def test_every_cell_equals_a_from_scratch_release(corpus_300, week_one_300):
             quantile=sweep.quantile,
             tau=sweep.tau,
         )
-        release = prepare_mechanism(config, histograms, schema).release(
+        release = prepare_mechanism(config, block, schema).release(
             week_one_300.window_id, row.seed
         )
         wre = weighted_relative_error(truth, release.histogram, counts, floor)

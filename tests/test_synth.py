@@ -27,6 +27,7 @@ from fedsum.synth import (
 )
 from fedsum.windows import TimeWindow, WindowAlignment, round_down_window
 
+from blocks import cell_order, devices_of, rows_of
 from helpers import START, WEEK, naive_device_counts, naive_workload, trip
 
 WALKING, FLYING = 0, 7
@@ -161,18 +162,41 @@ def in_window(records, window):
     return [r for r in records if window.contains(r.event_time)]
 
 
-def test_histograms_cover_exactly_the_active_devices(corpus_300, week_one_300):
-    histograms = corpus_300.device_histograms(week_one_300)
-    expected = [
-        client_work(in_window(d.records, week_one_300), corpus_300.schema)
-        for d in corpus_300.devices
-        if in_window(d.records, week_one_300)
+def rows_bits(block):
+    """Each row's partition and its sums' bits, in row order."""
+    return [
+        (a, r, d, [v.hex() for v in sums])
+        for a, r, d, sums in zip(
+            block.activity.tolist(),
+            block.region.tolist(),
+            block.direction.tolist(),
+            block.sums.tolist(),
+        )
     ]
-    assert len(histograms) == len(expected) < corpus_300.num_devices
-    # Equal cell by cell, bit for bit, and in the same insertion order,
-    # which calibration's slice norms add in.
-    for got, want in zip(histograms, expected):
-        assert list(got.raw().items()) == list(want.raw().items())
+
+
+def per_device(block):
+    """Each device's rows (bits) and cell order, by device id."""
+    return {
+        device: rows_bits(rows_of(block, block.device == device))
+        for device in devices_of(block)
+    }, cell_order(block)
+
+
+def test_histograms_cover_exactly_the_active_devices(corpus_300, week_one_300):
+    block = corpus_300.device_histograms(week_one_300)
+    active = [
+        d for d in corpus_300.devices if in_window(d.records, week_one_300)
+    ]
+    assert devices_of(block) == [d.device_id for d in active]
+    assert len(active) < corpus_300.num_devices
+    rows, order = per_device(block)
+    # Equal row by row, bit for bit, and made in the same order, which
+    # calibration's slice norms add in.
+    for device, cells in zip(active, order):
+        expected = client_work(in_window(device.records, week_one_300), corpus_300.schema)
+        assert rows[device.device_id] == rows_bits(expected)
+        assert cells == cell_order(expected)[0]
 
 
 def test_device_counts_match_a_brute_force_scan(corpus_300, week_one_300):
@@ -299,21 +323,21 @@ def store_of(streams) -> Corpus:
     return Corpus.from_devices(SyntheticCorpusConfig(), WIDE_REGIONS, devices)
 
 
-def bits(histogram):
-    return [(index, value.hex()) for index, value in histogram.raw().items()]
-
-
 @settings(max_examples=200)
 @given(st.lists(device_streams, min_size=1, max_size=5))
 def test_column_subtotals_equal_client_work_bit_for_bit(streams):
     corpus = store_of(streams)
-    subtotals = corpus.window_subtotals(WINDOW)
-    expected = []
+    subtotals = corpus.device_histograms(WINDOW)
+    rows, order = per_device(subtotals)
+    expected_rows, expected_order = {}, []
     for device in corpus.devices:
         records = in_window(device.records, WINDOW)
         if records:
-            expected.append(bits(client_work(records, corpus.schema)))
-    assert [bits(h) for h in corpus.device_histograms(WINDOW, subtotals)] == expected
+            block = client_work(records, corpus.schema)
+            expected_rows[device.device_id] = rows_bits(block)
+            expected_order += cell_order(block)
+    assert rows == expected_rows
+    assert order == expected_order
     truth = exact_workload(corpus, WINDOW, subtotals)
     assert dict(truth.items()) == naive_workload(corpus, WINDOW)
     counts = corpus.device_counts(WINDOW, subtotals)
