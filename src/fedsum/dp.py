@@ -34,11 +34,14 @@ comparisons ride on common noise.  A release draws the window's
 unit-scale Laplace block (:class:`UnitLaplace`) and multiplies it by
 each slice's scale, which equals drawing at that scale bit for bit; a
 sweep draws one block per seed and reuses it for every variant and
-budget.  Noise, descaling and thresholding run on one dense
-``(activity, metric, region, direction)`` array; the sparse
-:class:`IndexedHistogram` is only the aggregate that goes in and the
-release that comes out.  A release at epsilon = inf adds no noise, and
-its metadata labels it exact and not differentially private.
+budget.  A release is dense from end to end: the summed aggregate goes
+in as one ``(activity, metric, region, direction)`` array (a prepared
+mechanism converts its pre-noise sum once), noise, descaling and
+thresholding run on it, and the release keeps the result.  Its sparse
+:class:`IndexedHistogram` is built on first read, where an artifact or
+an event needs it; a sweep scores the dense array and builds none.  A
+release at epsilon = inf adds no noise, and its metadata labels it exact
+and not differentially private.
 
 A :class:`MechanismConfig` is validated completely when it is built:
 each parameter belongs to its variant, and its per-(activity, metric)
@@ -62,8 +65,9 @@ from __future__ import annotations
 import logging
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from hashlib import blake2b
 from typing import Sequence
 
 import numpy as np
@@ -73,6 +77,7 @@ from .model import (
     IndexedHistogram,
     InvalidParameterError,
     Schema,
+    SchemaMismatchError,
     Table,
     as_table,
     check_table_shape,
@@ -182,14 +187,35 @@ class MechanismConfig:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisedRelease:
-    """One window's private release plus its provenance metadata."""
+    """One window's private release plus its provenance metadata.
+
+    ``values`` is the kept dense ``(activity, metric, region, direction)``
+    array, read-only; :attr:`histogram`, its nonzero entries, is built on
+    first read.  Releases are equal when their windows, suppressed counts
+    and entries are: metadata is not compared.
+    """
 
     window_id: str
-    histogram: IndexedHistogram
+    schema: Schema
+    values: np.ndarray
     suppressed_partitions: int
-    metadata: dict = field(compare=False)
+    metadata: dict
+
+    @cached_property
+    def histogram(self) -> IndexedHistogram:
+        """The released entries as a sparse histogram, for artifacts and events."""
+        return IndexedHistogram.from_dense(self.schema, self.values)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, NoisedRelease):
+            return NotImplemented
+        return (
+            self.window_id == other.window_id
+            and self.suppressed_partitions == other.suppressed_partitions
+            and np.array_equal(self.values, other.values)
+        )
 
 
 # --------------------------------------------------------------------------
@@ -250,9 +276,12 @@ def calibrate_scales(
 
 def calibrate_clip(devices: DeviceSubtotals, q: float = 0.95) -> float:
     """Joint clip bound: q-quantile of nonzero per-device L1 norms."""
-    cells = devices.sums.ravel().tolist()
-    groups = _cell_groups(devices, per_slice=False)
-    norms = [n for g, _ in groups if (n := math.fsum(map(abs, cells[g]))) > 0.0]
+    cells, edges, _ = _cell_groups(devices, per_slice=False)
+    norms = [
+        norm
+        for lo, hi in zip(edges, edges[1:])
+        if (norm := math.fsum(map(abs, cells[lo:hi]))) > 0.0
+    ]
     if not norms:
         raise InvalidParameterError(
             "cannot calibrate a clip bound: no device has any data"
@@ -264,45 +293,56 @@ def calibrate_clip(devices: DeviceSubtotals, q: float = 0.95) -> float:
 # The device transform: one L1 rescale loop over groups of a block's cells
 
 
-def _cell_groups(devices: DeviceSubtotals, per_slice: bool) -> list[tuple[slice, int]]:
-    """The groups of cells a clip bounds, as slices of the block's row-major
-    cells with their slice index: each device's (index 0), or each (device,
-    activity, metric)'s (``activity * M + metric``), whose rows are a run.
+def _cell_groups(
+    devices: DeviceSubtotals, per_slice: bool
+) -> tuple[list[float], list[int], list[int]]:
+    """The block's cells as one flat list in which each group a clip bounds
+    is a run: the cells, the runs' edges (group ``k`` is
+    ``cells[edges[k]:edges[k + 1]]``) and each group's slice index.
+
+    Per device (index 0) the cells are row-major.  Per (device, activity,
+    metric) (index ``activity * M + metric``) they are metric-major, one
+    metric's column after another, so a (device, activity)'s rows are a
+    run in each column.  Within a group, cells keep the block's row order.
     """
-    width = devices.sums.shape[1]  # cells per row, one per metric
-    key = devices.device.tolist()
-    if per_slice:
-        activity = devices.activity.tolist()
-        key = list(zip(key, activity))
-    starts = [i for i in range(len(key)) if not i or key[i] != key[i - 1]]
-    runs = zip(starts, [*starts[1:], len(key)])
+    size, width = devices.sums.shape  # a row per partition, a cell per metric
+    cells = (devices.sums.T if per_slice else devices.sums).ravel().tolist()
+    if size and devices.device[0] == devices.device[-1]:  # one device: an upload
+        if not per_slice:
+            return cells, [0, size * width], [0]
+        key = devices.activity.tolist()
+        starts = [i for i in range(size) if not i or key[i] != key[i - 1]]
+    else:
+        change = devices.device[1:] != devices.device[:-1]
+        if per_slice:
+            change |= devices.activity[1:] != devices.activity[:-1]
+        starts = np.flatnonzero(np.concatenate(([size > 0], change))).tolist()
     if not per_slice:
-        return [(slice(lo * width, hi * width), 0) for lo, hi in runs]
-    return [
-        (slice(lo * width + m, hi * width, width), activity[lo] * width + m)
-        for lo, hi in runs
-        for m in range(width)
-    ]
+        return cells, [lo * width for lo in starts] + [size * width], [0] * len(starts)
+    activity = devices.activity[starts].tolist()
+    edges = [m * size + lo for m in range(width) for lo in starts]
+    index = [a * width + m for m in range(width) for a in activity]
+    return cells, edges + [size * width], index
 
 
 def _clip_l1(
-    cells: list[float], groups: list[tuple[slice, int]], bounds: list[float]
+    cells: list[float], edges: list[int], index: list[int], bounds: list[float]
 ) -> bool:
     """Rescale each group of ``cells`` in place to an L1 norm within its bound.
 
-    The bound is ``bounds`` at the group's slice index; the norm is the
-    exactly rounded sum of ``|v|``.  A group inside its bound is left as
-    it is, so clipping is idempotent.  Otherwise its cells are multiplied
-    by ``bound / norm``, again while rounding leaves the norm above the
-    bound, with the factor nudged below one should it round to 1.0.
-    Cells that underflow become zero, which is no entry.  Returns whether
-    any cell changed.
+    Group ``k`` is ``cells[edges[k]:edges[k + 1]]`` and its bound is
+    ``bounds[index[k]]``; the norm is the exactly rounded sum of ``|v|``.
+    A group inside its bound is left as it is, so clipping is idempotent.
+    Otherwise its cells are multiplied by ``bound / norm``, again while
+    rounding leaves the norm above the bound, with the factor nudged
+    below one should it round to 1.0.  Cells that underflow become zero,
+    which is no entry.  Returns whether any cell changed.
     """
     if not min(bounds) > 0.0:
         raise InvalidParameterError(f"clip bounds must be positive, got {bounds}")
     changed = False
-    for group, index in groups:
-        bound, entries = bounds[index], cells[group]
+    for lo, hi, slice_index in zip(edges, edges[1:], index):
+        bound, entries = bounds[slice_index], cells[lo:hi]
         norm = math.fsum(map(abs, entries))
         if not norm > bound:
             continue
@@ -312,7 +352,7 @@ def _clip_l1(
                 factor = math.nextafter(1.0, 0.0)
             entries = [v * factor for v in entries]
             norm = math.fsum(map(abs, entries))
-        cells[group] = entries
+        cells[lo:hi] = entries
         changed = True
     return changed
 
@@ -413,7 +453,7 @@ def add_laplace_noise(
 # resolved form is what ships to devices (scale and clip parameters) and
 # what the server uses at release time (noise scales, descaling,
 # thresholding).  PreparedMechanism additionally carries the exact
-# pre-noise aggregate so parameter sweeps can reuse it across many
+# pre-noise aggregate, dense, so parameter sweeps can reuse it across many
 # (epsilon, seed) cells.
 
 
@@ -463,10 +503,13 @@ class ResolvedMechanism:
         else:
             assert self.clip is not None
             bounds = [self.clip]
-        cells = devices.sums.ravel().tolist()
-        if not _clip_l1(cells, _cell_groups(devices, per_slice), bounds):
+        cells, edges, index = _cell_groups(devices, per_slice)
+        if not _clip_l1(cells, edges, index, bounds):
             return devices
-        return devices._replace(sums=np.array(cells).reshape(devices.sums.shape))
+        size, width = devices.sums.shape
+        if per_slice:  # the cells are metric-major
+            return devices._replace(sums=np.array(cells).reshape(width, size).T.copy())
+        return devices._replace(sums=np.array(cells).reshape(size, width))
 
     def noise_scales(
         self, schema: Schema, epsilon: float | None = None
@@ -491,7 +534,8 @@ class ResolvedMechanism:
 
     def finalize(
         self,
-        aggregate: IndexedHistogram,
+        schema: Schema,
+        aggregate: np.ndarray,
         window_id: str,
         seed: int,
         epsilon: float | None = None,
@@ -499,8 +543,9 @@ class ResolvedMechanism:
     ) -> NoisedRelease:
         """Noise, descale, and threshold a summed aggregate for release.
 
-        The work runs on one dense array.  Descaling multiplies by
-        ``scale_table``, which leaves the values of the non-scaling
+        ``aggregate`` is the dense ``schema``-shaped array of the summed
+        cells; the release keeps its dense result.  Descaling multiplies
+        by ``scale_table``, which leaves the values of the non-scaling
         variants unchanged (``x * 1.0 == x``).  ``unit`` may hand in
         :func:`release_noise` of ``(seed, window_id)`` from an earlier
         release, so that releases sharing a seed draw it once; by
@@ -508,8 +553,9 @@ class ResolvedMechanism:
         (epsilon = inf) is the exact aggregate, and its metadata says so:
         ``dp`` is False and the label names no epsilon.
         """
+        if aggregate.shape != schema.shape:
+            raise SchemaMismatchError(f"aggregate shape {aggregate.shape} is not {schema.shape}")
         eps = self.epsilon if epsilon is None else epsilon
-        schema = aggregate.schema
         if unit is None:
             unit = release_noise(seed, window_id, schema)
         elif (unit.rng.seed, unit.rng.namespace, unit.window_id) != (
@@ -523,15 +569,15 @@ class ResolvedMechanism:
             )
         scales = self.noise_scales(schema, eps)
         noised = bool(scales.any())
-        values = add_laplace_noise(aggregate.to_dense(), scales, unit)
-        values *= np.asarray(self.scale_table)[:, :, None, None]
+        values = add_laplace_noise(aggregate, scales, unit)
+        values *= self._scale_divisors[:, :, None, None]
         kept, suppressed = apply_threshold(values, self.tau, self.strict_tau)
+        kept.flags.writeable = False
         metadata = {
             "variant": self.variant,
             "epsilon": eps,
             "clip": self.clip,
-            "clip_table_digest": _digest_or_none(self.clip_table),
-            "scale_table_digest": _digest_or_none(self.scale_table),
+            **self._table_digests,
             "tau": self.tau,
             "strict_tau": self.strict_tau,
             "seed": seed,
@@ -543,24 +589,35 @@ class ResolvedMechanism:
                 else "no noise added: exact, not differentially private"
             ),
         }
-        return NoisedRelease(
-            window_id=window_id,
-            histogram=IndexedHistogram.from_dense(schema, kept),
-            suppressed_partitions=suppressed,
-            metadata=metadata,
-        )
+        return NoisedRelease(window_id, schema, kept, suppressed, metadata)
+
+    @cached_property
+    def _table_digests(self) -> dict[str, str | None]:
+        """Release metadata: per table, BLAKE2b of its ``<II`` shape, then
+        each entry as ``<d``; ``None`` for no table."""
+        digests: dict[str, str | None] = {}
+        for name in ("clip_table", "scale_table"):
+            table = getattr(self, name)
+            if table is None:
+                digests[f"{name}_digest"] = None
+                continue
+            entries = [v for row in table for v in row]
+            data = struct.pack(f"<II{len(entries)}d", len(table), len(table[0]), *entries)
+            digests[f"{name}_digest"] = blake2b(data, digest_size=8).hexdigest()
+        return digests
 
 
 @dataclass
 class PreparedMechanism:
     """A resolved mechanism plus its exact pre-noise aggregate.
 
-    ``prenoise`` is the cell sums of the window's bounded device block.
+    ``prenoise`` is the cell sums of the window's bounded device block,
+    as the dense ``schema``-shaped array that every release noises.
     """
 
     resolved: ResolvedMechanism
     schema: Schema
-    prenoise: IndexedHistogram
+    prenoise: np.ndarray
     num_devices: int
 
     def release(
@@ -571,19 +628,8 @@ class PreparedMechanism:
         unit: UnitLaplace | None = None,
     ) -> NoisedRelease:
         return self.resolved.finalize(
-            self.prenoise, window_id, seed, epsilon, unit
+            self.schema, self.prenoise, window_id, seed, epsilon, unit
         )
-
-
-def _digest_or_none(table: Table | None) -> str | None:
-    """BLAKE2b of the table's ``<II`` shape, then each entry as ``<d``."""
-    if table is None:
-        return None
-    from hashlib import blake2b
-
-    entries = [v for row in table for v in row]
-    data = struct.pack(f"<II{len(entries)}d", len(table), len(table[0]), *entries)
-    return blake2b(data, digest_size=8).hexdigest()
 
 
 def resolve_mechanism(
@@ -652,9 +698,11 @@ def prepare_mechanism(
     """
     resolved, scaled = _resolve(config, devices, schema)
     bounded = resolved._clipped(scaled, schema)
+    prenoise = bounded.cell_sums(schema).to_dense()
+    prenoise.flags.writeable = False
     return PreparedMechanism(
         resolved=resolved,
         schema=schema,
-        prenoise=bounded.cell_sums(schema),
+        prenoise=prenoise,
         num_devices=len(np.unique(bounded.device)),
     )

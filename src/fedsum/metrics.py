@@ -21,6 +21,7 @@ from .model import (
     DeviceSubtotals,
     IndexedHistogram,
     InvalidParameterError,
+    SchemaMismatchError,
 )
 from .synth import Corpus
 from .windows import TimeWindow
@@ -67,13 +68,15 @@ def default_device_floor(num_devices: int) -> int:
 class ScoredCells:
     """What a weighted relative error scores, per metric.
 
-    For each metric: the eligible partitions' indices, their truth
-    values and weights, and the exactly rounded sum of the weights.  It
-    depends on (truth, device counts, floor) alone, so a sweep builds it
-    once and scores every release against it.
+    For each metric: the eligible partitions' cells as flat ``np.intp``
+    indices into the schema-shaped array (row-major over ``(activity,
+    metric, region, direction)``), their truth values and weights, and
+    the exactly rounded sum of the weights.  It depends on (truth, device
+    counts, floor) alone, so a sweep builds it once and scores every
+    release against it.
     """
 
-    indices: tuple[list[tuple[int, int, int, int]], ...]
+    indices: tuple[np.ndarray, ...]
     truth: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
     total_weights: tuple[float, ...]
@@ -110,7 +113,8 @@ def scored_cells(
             metric_indices.append((a, m, r, d))
             metric_values.append(t)
             metric_weights.append(n_partition / n_region)
-        indices.append(metric_indices)
+        positions = np.array(metric_indices, dtype=np.intp).reshape(-1, 4).T
+        indices.append(np.ravel_multi_index(positions, truth.schema.shape))
         values.append(np.array(metric_values, dtype=np.float64))
         weights.append(np.array(metric_weights, dtype=np.float64))
         totals.append(math.fsum(metric_weights))
@@ -119,35 +123,40 @@ def scored_cells(
 
 def weighted_relative_error(
     truth: IndexedHistogram,
-    estimate: IndexedHistogram,
+    estimate: np.ndarray,
     device_counts: dict[tuple[int, int, int], int],
     device_floor: int,
     cells: ScoredCells | None = None,
 ) -> dict[int, float]:
     """Per-metric weighted relative error of ``estimate`` vs ``truth``.
 
-    For each metric, a partition (activity, region, direction) with
-    truth t and estimate e contributes relative error |t - e| / |t|,
-    weighted by its share of the region's trips (num-trips truth).
-    Partitions are eligible only if at least ``device_floor`` devices
-    contributed data and the truth value is nonzero.  Weights are
-    re-normalized over the eligible set; a metric with no eligible
-    partition yields NaN (undefined), never a fake zero.  A released
-    partition the truth lacks (or vice versa) reads as estimate 0.
+    ``estimate`` is a dense array of the truth's schema shape, such as a
+    release's ``values``; each metric's eligible cells are gathered from
+    it at their flat indices.  For each metric, a partition (activity,
+    region, direction) with truth t and estimate e contributes relative
+    error |t - e| / |t|, weighted by its share of the region's trips
+    (num-trips truth).  Partitions are eligible only if at least
+    ``device_floor`` devices contributed data and the truth value is
+    nonzero.  Weights are re-normalized over the eligible set; a metric
+    with no eligible partition yields NaN (undefined), never a fake zero.
+    A cell the release does not hold is 0 in the array and scores as 0;
+    a cell only the release holds is not scored.
 
     ``cells`` may hand in :func:`scored_cells` of the same truth, counts
     and floor, so that scoring many estimates computes it once.
     """
+    if estimate.shape != truth.schema.shape:
+        raise SchemaMismatchError(f"estimate shape {estimate.shape} is not {truth.schema.shape}")
     if cells is None:
         cells = scored_cells(truth, device_counts, device_floor)
-    released = estimate.raw()
+    released = estimate.ravel()
     results: dict[int, float] = {}
     for metric, total_weight in enumerate(cells.total_weights):
         if total_weight == 0.0:
             results[metric] = math.nan
             continue
         t = cells.truth[metric]
-        e = np.array([released.get(i, 0.0) for i in cells.indices[metric]])
+        e = released[cells.indices[metric]]
         terms = cells.weights[metric] * np.abs(t - e) / np.abs(t)
         results[metric] = math.fsum(terms.tolist()) / total_weight
     return results

@@ -7,9 +7,9 @@ cores, full shards checkpoint into level-0 partial aggregates, periodic
 roll-ups fold those into a level-1 partial, and when the simulated clock
 passes the window's end plus the grace period the session seals, merges
 every live partial, gates on the minimum contribution count, and hands
-the summed histogram to the privacy mechanism for release.  Data that
-arrives after the deadline is discarded, and expired partials are
-dropped (and logged) rather than released.
+the summed histogram, as one dense array, to the privacy mechanism for
+release.  Data that arrives after the deadline is discarded, and expired
+partials are dropped (and logged) rather than released.
 
 Every externally visible action appends a structured event to the
 server's log; events carry digests and counts, never row values.
@@ -562,7 +562,7 @@ class FederatedServer:
             report.items(), task.spec, self.schema, expect_window_id=window.window_id
         )
         release = task.config.mechanism.finalize(
-            aggregate, window.window_id, self.noise_seed
+            self.schema, aggregate.to_dense(), window.window_id, self.noise_seed
         )
         session.state = "released"
         self.releases[key] = release

@@ -258,7 +258,7 @@ def _evaluate(
             truth = exact_workload(corpus, window, subtotals)
             counts = corpus.device_counts(window, subtotals)
             del subtotals  # freed before the next window's pass
-            wre = weighted_relative_error(truth, release.histogram, counts, floor)
+            wre = weighted_relative_error(truth, release.values, counts, floor)
             pume = per_user_mean_error(truth, release.histogram, counts, metrics)
             for metric in sorted(wre):
                 result.eval_rows.append(

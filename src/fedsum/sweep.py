@@ -10,9 +10,11 @@ Laplace block once and reuses it for every variant and budget.  It makes
 one pass over the window's trips (``Corpus.device_histograms``), whose
 block of device histograms gives the calibration, every variant's
 pre-noise sum, the ground truth and the device counts, and it computes
-the error's eligible cells once.  Every grid cell is
-bit-identical to running the whole mechanism from scratch with the same
-parameters.
+the error's eligible cells once.  Releases stay dense: each grid cell
+noises, thresholds and scores one array (the error gathers the
+release's ``values`` at the eligible cells' flat indices), so the sweep
+builds no sparse histogram per cell.  Every grid cell is bit-identical
+to running the whole mechanism from scratch with the same parameters.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def run_epsilon_sweep(
                     window.window_id, seed, epsilon=epsilon, unit=noise[seed]
                 )
                 wre = weighted_relative_error(
-                    truth, release.histogram, counts, floor, cells
+                    truth, release.values, counts, floor, cells
                 )
                 rows.append(
                     SweepRow(
@@ -243,7 +245,7 @@ def grid_search_clip_quantile(
         for seed in seeds:
             release = mech.release(window.window_id, seed, unit=noise[seed])
             wre = weighted_relative_error(
-                truth, release.histogram, counts, floor, cells
+                truth, release.values, counts, floor, cells
             )
             cell_errors.extend(v for v in wre.values() if not math.isnan(v))
         score = math.fsum(cell_errors) / len(cell_errors) if cell_errors else math.inf

@@ -121,6 +121,42 @@ def naive_workload(corpus, window) -> dict[tuple[int, int, int, int], float]:
     }
 
 
+def sparse_weighted_relative_error(
+    truth, estimate, device_counts, device_floor
+) -> dict[int, float]:
+    """Weighted relative error over sparse histograms, one dict lookup a cell.
+
+    The scorer before releases stayed dense: region trip totals added in
+    the truth's entry order, each eligible cell's term
+    ``weight * |t - e| / |t|`` with a cell the estimate lacks read as 0,
+    and ``math.fsum`` of the terms over ``math.fsum`` of the weights; a
+    metric with no eligible partition is NaN.
+    """
+    t, e = truth.raw(), estimate.raw()
+    region_trips: dict[int, float] = {}
+    for (a, m, r, d), value in t.items():
+        if m == METRIC_NUM_TRIPS:
+            region_trips[r] = region_trips.get(r, 0.0) + value
+    results = {}
+    for metric in range(truth.schema.num_metrics):
+        weights, terms = [], []
+        for (a, m, r, d), value in t.items():
+            if m != metric or value == 0.0:
+                continue
+            if device_counts.get((a, r, d), 0) < device_floor:
+                continue
+            n_partition = t.get((a, METRIC_NUM_TRIPS, r, d), 0.0)
+            n_region = region_trips.get(r, 0.0)
+            if n_region <= 0.0 or n_partition <= 0.0:
+                continue
+            weight = n_partition / n_region
+            weights.append(weight)
+            terms.append(weight * abs(value - e.get((a, m, r, d), 0.0)) / abs(value))
+        total = math.fsum(weights)
+        results[metric] = math.fsum(terms) / total if total != 0.0 else math.nan
+    return results
+
+
 # ---------------------------------------------------------------------------
 # Malformed split queries, each annotated with the class that must reject it.
 

@@ -155,7 +155,8 @@ def dominant_metrics(mech):
     """
     schema = mech.schema
     per_metric = [[] for _ in range(schema.num_metrics)]
-    for (_a, m, _r, _d), value in mech.prenoise.raw().items():
+    prenoise = IndexedHistogram.from_dense(schema, mech.prenoise)
+    for (_a, m, _r, _d), value in prenoise.raw().items():
         per_metric[m].append(abs(value))
     mass = [math.fsum(values) for values in per_metric]
     total = math.fsum(mass)
@@ -254,7 +255,7 @@ def test_ac02_contribution_bound_holds_on_adjacent_corpora(
         base_sum = bounded_sum(prepared, base)
         assert IndexedHistogram(
             schema, ((index, value) for index, (value,) in base_sum.report())
-        ) == prepared.prenoise
+        ) == IndexedHistogram.from_dense(schema, prepared.prenoise)
         bound = prepared.resolved.clip + 1e-9
         for extra in extras:
             diff = adjacent_difference(prepared, base, base_sum, extra)

@@ -13,6 +13,7 @@ from hashlib import blake2b
 import numpy as np
 import pytest
 
+from fedsum import dp
 from fedsum.dp import (
     MechanismConfig,
     VARIANT_JOINT,
@@ -35,7 +36,7 @@ from fedsum.model import (
 )
 from fedsum.rng import KeyedRng
 
-from blocks import block_of, exact_sum, histograms_of
+from blocks import block_of, devices_of, exact_sum, histograms_of, rows_of
 
 
 def hist(schema, entries):
@@ -140,6 +141,49 @@ def test_calibrated_clip_hits_the_quantile(cell_schema):
 def test_clip_calibration_needs_active_devices(cell_schema):
     with pytest.raises(InvalidParameterError):
         calibrate_clip(block_of(cell_schema, [IndexedHistogram(cell_schema)] * 5))
+
+
+def scanned_cell_groups(devices, per_slice):
+    """The clip groups found by a scan over each row's key, one row at a time."""
+    width = devices.sums.shape[1]
+    key = devices.device.tolist()
+    activity = devices.activity.tolist()
+    if per_slice:
+        key = list(zip(key, activity))
+    starts = [i for i in range(len(key)) if not i or key[i] != key[i - 1]]
+    runs = list(zip(starts, [*starts[1:], len(key)]))
+    if not per_slice:
+        return [(slice(lo * width, hi * width), 0) for lo, hi in runs]
+    return [
+        (slice(lo * width + m, hi * width, width), activity[lo] * width + m)
+        for lo, hi in runs
+        for m in range(width)
+    ]
+
+
+def positioned_cell_groups(devices, per_slice):
+    """``dp._cell_groups`` as (row-major cell positions, slice index) per group."""
+    size, width = devices.sums.shape
+    cells, edges, index = dp._cell_groups(devices, per_slice)
+    if per_slice:  # metric-major: position p is row p % size, metric p // size
+        position = [p % size * width + p // size for p in range(size * width)]
+    else:
+        position = list(range(size * width))
+    row_major = devices.sums.ravel().tolist()
+    assert cells == [row_major[p] for p in position]
+    return [(position[lo:hi], i) for lo, hi, i in zip(edges, edges[1:], index)]
+
+
+@pytest.mark.parametrize("per_slice", [False, True], ids=["per_device", "per_slice"])
+def test_clip_groups_equal_a_scan_of_the_row_keys(corpus_300, week_one_300, per_slice):
+    window = corpus_300.device_histograms(week_one_300)
+    uploads = [rows_of(window, window.device == d) for d in devices_of(window)[:50]]
+    assert max(len(np.unique(u.activity)) for u in uploads) > 1
+    for block in (window, rows_of(window, window.device < 0), *uploads):
+        positions = list(range(block.sums.size))
+        assert sorted(positioned_cell_groups(block, per_slice)) == sorted(
+            (positions[group], i) for group, i in scanned_cell_groups(block, per_slice)
+        )  # the groups are disjoint, so their order does not matter
 
 
 # --- thresholding -------------------------------------------------------------
@@ -315,15 +359,16 @@ def test_release_equals_the_coordinate_by_coordinate_reference(
     resolved = dataclasses.replace(prepared.resolved, **REFERENCE_CASES[case])
     epsilons = (math.inf,) if case == "infinite_epsilon" else (1.0, 0.25)
     suppressed_total = 0
+    prenoise = IndexedHistogram.from_dense(small_schema, prepared.prenoise)
     for seed in (0, 5):
         unit = release_noise(seed, "w7", small_schema)
         for epsilon in epsilons:
             expected, suppressed = reference_release(
-                resolved, prepared.prenoise, "w7", seed, epsilon
+                resolved, prenoise, "w7", seed, epsilon
             )
             for shared in (None, unit):
                 release = resolved.finalize(
-                    prepared.prenoise, "w7", seed, epsilon, unit=shared
+                    small_schema, prepared.prenoise, "w7", seed, epsilon, unit=shared
                 )
                 assert release.histogram.serialize() == expected.serialize()
                 assert release.suppressed_partitions == suppressed
@@ -510,12 +555,14 @@ def test_prepared_prenoise_is_the_exact_transformed_sum(small_schema):
     config = MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, clip=2.0)
     block = block_of(small_schema, devices)
     prepared = prepare_mechanism(config, block, small_schema)
-    transformed = histograms_of(
-        prepared.resolved.transform_devices(block, small_schema), small_schema
-    )
+    bounded = prepared.resolved.transform_devices(block, small_schema)
+    transformed = histograms_of(bounded, small_schema)
     assert transformed != devices  # some devices were clipped
-    assert prepared.prenoise == exact_sum(small_schema, transformed)
-    assert list(prepared.prenoise.raw()) == sorted(prepared.prenoise.raw())
+    prenoise = IndexedHistogram.from_dense(small_schema, prepared.prenoise)
+    assert prenoise == exact_sum(small_schema, transformed)
+    sums = bounded.cell_sums(small_schema)
+    assert list(sums.raw()) == sorted(sums.raw())
+    assert np.array_equal(prepared.prenoise, sums.to_dense())
     assert prepared.num_devices == 40
 
 
@@ -534,12 +581,12 @@ def test_only_a_noised_release_is_labelled_dp(cell_schema):
     config = MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, clip=1.0)
     prepared = prepare_mechanism(config, linear_devices(cell_schema, 5), cell_schema)
     exact = prepared.release("w0", 0, epsilon=math.inf)
-    assert exact.histogram == prepared.prenoise  # no noise was added
+    assert np.array_equal(exact.values, prepared.prenoise)  # no noise was added
     assert exact.metadata["dp"] is False
     assert "epsilon" not in exact.metadata["privacy_label"]
     assert "not differentially private" in exact.metadata["privacy_label"]
     noised = prepared.release("w0", 0, epsilon=2.0)
-    assert noised.histogram != prepared.prenoise
+    assert not np.array_equal(noised.values, prepared.prenoise)
     assert noised.metadata["dp"] is True
     assert noised.metadata["privacy_label"] == (
         "laplace per-device-per-window, epsilon=2.0"
@@ -590,6 +637,65 @@ def test_table_digests_keep_their_byte_layout(small_schema):
     ).release("w0", 0)
     assert scaled.metadata["scale_table_digest"] == digest(table)
     assert scaled.metadata["clip_table_digest"] is None
+
+
+def test_table_digests_are_computed_once_per_mechanism(small_schema, monkeypatch):
+    digests = []
+
+    def counted(data, **kwargs):
+        digests.append(data)
+        return blake2b(data, **kwargs)
+
+    monkeypatch.setattr(dp, "blake2b", counted)
+    table = ((0.5, 2.0, 3.25), (1e-3, 7.0, 1e300), (1.0, 1.0, 4.0))
+    prepared = prepare_mechanism(
+        MechanismConfig(variant=VARIANT_SPLIT, epsilon=1.0, clip_table=table),
+        [],
+        small_schema,
+    )
+    releases = [prepared.release("w0", seed) for seed in range(3)]
+    assert len(digests) == 2  # one per table, not one per release
+    assert len({r.metadata["clip_table_digest"] for r in releases}) == 1
+
+
+# --- the release record ---------------------------------------------------------------
+
+
+def test_a_release_reads_its_dense_values_as_a_histogram(small_schema):
+    devices = block_of(
+        small_schema,
+        [hist(small_schema, {(i % 3, 1, i % 4, 2): 1.0 + i}) for i in range(30)],
+    )
+    config = MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, clip=4.0, tau=2.0)
+    prepared = prepare_mechanism(config, devices, small_schema)
+    release = prepared.release("w0", 3)
+    assert release.suppressed_partitions > 0
+    assert not release.values.flags.writeable
+    expected = IndexedHistogram.from_dense(small_schema, release.values)
+    assert release.histogram is release.histogram  # built once, on first read
+    assert release.histogram == expected
+    assert release.histogram.serialize() == expected.serialize()
+    assert release == prepared.release("w0", 3)
+    assert release != prepared.release("w0", 4)
+    assert release != prepared.release("w1", 3)
+    assert release != dataclasses.replace(
+        release, suppressed_partitions=release.suppressed_partitions + 1
+    )
+    exact = prepared.release("w0", 3, epsilon=math.inf)
+    assert exact.histogram == IndexedHistogram.from_dense(
+        small_schema, prepared.prenoise
+    )
+    assert exact.metadata["dp"] is False
+    # Metadata is provenance, not content: exact releases of two seeds are equal.
+    assert exact == prepared.release("w0", 4, epsilon=math.inf)
+
+
+def test_a_release_refuses_an_aggregate_of_another_shape(small_schema, cell_schema):
+    resolved = resolve_mechanism(
+        MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, clip=1.0), [], cell_schema
+    )
+    with pytest.raises(SchemaMismatchError):
+        resolved.finalize(cell_schema, np.zeros(small_schema.shape), "w0", 0)
 
 
 # --- variant semantics --------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fedsum.metrics import (
     default_device_floor,
@@ -12,13 +16,23 @@ from fedsum.metrics import (
     per_user_mean_error,
     weighted_relative_error,
 )
-from fedsum.model import IndexedHistogram, InvalidParameterError
+from fedsum.model import (
+    IndexedHistogram,
+    InvalidParameterError,
+    Schema,
+    SchemaMismatchError,
+)
 from fedsum.synth import Corpus, DeviceRecords, SyntheticCorpusConfig, generate_corpus
 
 from fedsum.windows import WindowAlignment, round_down_window, window_after
 
 from blocks import exact_sum, histograms_of
-from helpers import naive_device_counts, naive_workload, trip
+from helpers import (
+    naive_device_counts,
+    naive_workload,
+    sparse_weighted_relative_error,
+    trip,
+)
 
 
 def hist(schema, entries):
@@ -115,7 +129,7 @@ def test_identical_release_scores_zero(small_schema):
         small_schema,
         {(0, 0, 0, 0): 50.0, (0, 1, 0, 0): 120.0, (0, 2, 0, 0): 900.0},
     )
-    errors = weighted_relative_error(truth, truth.copy(), counts_for(truth), 1)
+    errors = weighted_relative_error(truth, truth.to_dense(), counts_for(truth), 1)
     assert errors[0] == errors[1] == errors[2] == 0.0
 
 
@@ -132,7 +146,7 @@ def test_uniform_inflation_scores_its_factor(small_schema):
     estimate = IndexedHistogram(small_schema)
     for index, value in truth.items():
         estimate[index] = value * 1.03
-    errors = weighted_relative_error(truth, estimate, counts_for(truth), 1)
+    errors = weighted_relative_error(truth, estimate.to_dense(), counts_for(truth), 1)
     assert errors[0] == pytest.approx(0.03)
     assert errors[1] == pytest.approx(0.03)
     assert math.isnan(errors[2])  # no duration truth anywhere
@@ -150,7 +164,7 @@ def test_partitions_weigh_in_by_trip_share(small_schema):
     )
     estimate = truth.copy()
     estimate[(1, 1, 0, 0)] = 40.0
-    errors = weighted_relative_error(truth, estimate, counts_for(truth), 1)
+    errors = weighted_relative_error(truth, estimate.to_dense(), counts_for(truth), 1)
     assert errors[1] == pytest.approx(0.9 * 0.0 + 0.1 * 0.2)
 
 
@@ -162,29 +176,100 @@ def test_sparse_partitions_are_excluded_by_the_floor(small_schema):
     estimate = truth.copy()
     estimate[(1, 1, 0, 0)] = 40.0
     counts = {(0, 0, 0): 100, (1, 0, 0): 3}
-    errors = weighted_relative_error(truth, estimate, counts, 20)
+    errors = weighted_relative_error(truth, estimate.to_dense(), counts, 20)
     assert errors[1] == 0.0  # the mis-estimated partition fell below the floor
-    errors_all = weighted_relative_error(truth, estimate, counts, 1)
+    errors_all = weighted_relative_error(truth, estimate.to_dense(), counts, 1)
     assert errors_all[1] == pytest.approx(0.02)
 
 
 def test_missing_release_partitions_read_as_zero(small_schema):
     truth = hist(small_schema, {(0, 0, 0, 0): 10.0, (0, 1, 0, 0): 70.0})
     estimate = hist(small_schema, {(0, 0, 0, 0): 10.0})
-    errors = weighted_relative_error(truth, estimate, counts_for(truth), 1)
+    errors = weighted_relative_error(truth, estimate.to_dense(), counts_for(truth), 1)
     assert errors[1] == pytest.approx(1.0)
 
 
 def test_no_eligible_partition_is_nan_not_zero(small_schema):
     truth = hist(small_schema, {(0, 0, 0, 0): 10.0})
-    errors = weighted_relative_error(truth, truth.copy(), {}, 20)
+    errors = weighted_relative_error(truth, truth.to_dense(), {}, 20)
     assert all(math.isnan(errors[m]) for m in range(3))
 
 
 def test_negative_floor_is_rejected(small_schema):
     truth = hist(small_schema, {(0, 0, 0, 0): 10.0})
     with pytest.raises(InvalidParameterError):
-        weighted_relative_error(truth, truth.copy(), {}, -1)
+        weighted_relative_error(truth, truth.to_dense(), {}, -1)
+
+
+SCORED = Schema(
+    num_activities=2,
+    num_metrics=3,
+    num_regions=2,
+    metric_names=("num_trips", "distance_km", "duration_s"),
+    activity_names=("stroll", "drive"),
+)
+SCORED_CELLS = list(itertools.product(*map(range, SCORED.shape)))
+SCORED_PARTITIONS = sorted({(a, r, d) for a, _m, r, d in SCORED_CELLS})
+magnitudes = st.one_of(
+    st.integers(1, 40).map(float),
+    st.floats(1e-3, 1e4),
+    st.floats(-1e4, -1e-3),
+)
+
+
+@st.composite
+def scoring_inputs(draw):
+    """(truth cells, estimate cells, device counts, floor) over ``SCORED``.
+
+    Per cell the estimate equals the truth, lacks the cell, holds -0.0 or
+    holds another value; one of the non-trip metrics may have no truth.
+    """
+    truth = draw(st.dictionaries(st.sampled_from(SCORED_CELLS), magnitudes, max_size=24))
+    empty_metric = draw(st.sampled_from([None, 1, 2]))
+    truth = {i: v for i, v in truth.items() if i[1] != empty_metric}
+    estimate = {}
+    for index in SCORED_CELLS:
+        kind = draw(st.sampled_from(["same", "lacks", "negative_zero", "other"]))
+        if kind == "same" and index in truth:
+            estimate[index] = truth[index]
+        elif kind == "negative_zero":
+            estimate[index] = -0.0
+        elif kind == "other":
+            estimate[index] = draw(magnitudes)
+    counts = draw(st.dictionaries(st.sampled_from(SCORED_PARTITIONS), st.integers(0, 5)))
+    return truth, estimate, counts, draw(st.integers(0, 4))
+
+
+@given(scoring_inputs())
+@example(
+    (
+        {(0, 0, 0, 0): 4.0, (0, 1, 0, 0): 2.0, (1, 0, 0, 1): 1.0, (1, 1, 0, 1): 5.0},
+        {(0, 1, 0, 0): -0.0, (0, 0, 0, 0): 4.0, (1, 1, 1, 2): 3.0},
+        {(0, 0, 0): 2, (1, 0, 1): 1},
+        1,
+    )
+)
+def test_dense_scorer_matches_the_sparse_reference_bit_for_bit(case):
+    """A -0.0 estimate, a lacking cell, an estimate-only cell and an empty
+    metric (NaN) score as the dict-based scorer scores them."""
+    truth_cells, estimate_cells, counts, floor = case
+    truth = IndexedHistogram(SCORED, truth_cells)
+    values = np.zeros(SCORED.shape)
+    for index, value in estimate_cells.items():
+        values[index] = value
+    got = weighted_relative_error(truth, values, counts, floor)
+    expected = sparse_weighted_relative_error(
+        truth, IndexedHistogram.from_dense(SCORED, values), counts, floor
+    )
+    assert {m: v.hex() for m, v in got.items()} == {
+        m: v.hex() for m, v in expected.items()
+    }
+
+
+def test_an_estimate_of_another_shape_is_refused(small_schema):
+    truth = hist(small_schema, {(0, 0, 0, 0): 10.0})
+    with pytest.raises(SchemaMismatchError):
+        weighted_relative_error(truth, np.zeros(SCORED.shape), {}, 0)
 
 
 # --- per-user mean error -------------------------------------------------------------

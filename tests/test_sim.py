@@ -23,7 +23,7 @@ from fedsum.client import (
     histogram_to_rows,
 )
 from fedsum.metrics import exact_workload
-from fedsum.model import TripRecord
+from fedsum.model import IndexedHistogram, TripRecord
 from fedsum.query import parse_and_validate
 from fedsum.rng import KeyedRng
 from fedsum.server import (
@@ -325,7 +325,8 @@ def test_uploads_are_the_rows_of_the_bounded_window_block(
         index: total for index, values in sorted(cells.items())
         if (total := math.fsum(values))
     }
-    assert [(i, v.hex()) for i, v in prepared.prenoise.items()] == [
+    prenoise = IndexedHistogram.from_dense(schema, prepared.prenoise)
+    assert [(i, v.hex()) for i, v in prenoise.items()] == [
         (i, v.hex()) for i, v in expected.items()
     ]
 

@@ -14,11 +14,8 @@ from fedsum.dp import (
     MechanismConfig,
     prepare_mechanism,
 )
-from fedsum.metrics import (
-    default_device_floor,
-    exact_workload,
-    weighted_relative_error,
-)
+from fedsum.metrics import default_device_floor, exact_workload
+from fedsum.model import IndexedHistogram
 from fedsum.sweep import (
     DEFAULT_EPSILONS,
     SweepConfig,
@@ -31,6 +28,7 @@ from fedsum.sweep import (
 )
 
 from blocks import devices_of
+from helpers import sparse_weighted_relative_error
 
 
 def small_sweep():
@@ -178,10 +176,37 @@ def test_every_cell_equals_a_from_scratch_release(corpus_300, week_one_300):
         release = prepare_mechanism(config, block, schema).release(
             week_one_300.window_id, row.seed
         )
-        wre = weighted_relative_error(truth, release.histogram, counts, floor)
+        wre = sparse_weighted_relative_error(truth, release.histogram, counts, floor)
         expected = {schema.metric_names[m]: wre[m] for m in sorted(wre)}
         assert repr(row.errors) == repr(expected), (row.variant, row.epsilon)
         assert row.suppressed_cells == release.suppressed_partitions
+
+
+def test_the_sweep_builds_no_histogram_per_grid_cell(
+    corpus_300, week_one_300, monkeypatch
+):
+    built = []
+    init, from_dense = IndexedHistogram.__init__, IndexedHistogram.from_dense.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built.append("init")
+        init(self, *args, **kwargs)
+
+    def counted_from_dense(cls, schema, values):
+        built.append("from_dense")
+        return from_dense(cls, schema, values)
+
+    monkeypatch.setattr(IndexedHistogram, "__init__", counted_init)
+    monkeypatch.setattr(IndexedHistogram, "from_dense", classmethod(counted_from_dense))
+    per_grid = []
+    for epsilons, seeds in (((1.0,), (0, 1)), ((0.5, 1.0, 2.0, 4.0), tuple(range(5)))):
+        built.clear()
+        rows = run_epsilon_sweep(
+            corpus_300, week_one_300, SweepConfig(epsilons=epsilons, seeds=seeds)
+        )
+        assert len(rows) == len(VARIANTS) * len(epsilons) * len(seeds)
+        per_grid.append(len(built))
+    assert per_grid[0] == per_grid[1]
 
 
 # --- summaries -----------------------------------------------------------------------
