@@ -26,9 +26,11 @@ window histogram: a one-device block of partition rows
 Bounding that block before it leaves the device (scaling and clipping)
 is the mechanism's job: :meth:`fedsum.dp.ResolvedMechanism.transform_devices`,
 the same transform a sweep runs on a whole window's block.  The upload
-codec, ``histogram_to_rows`` and its inverse ``rows_to_histogram``,
-renders a histogram as the client statement's grouped rows; outside
-:mod:`fedsum.aggcore` it is the only code that knows the row format.
+codec is ``histogram_to_rows``, which renders the bounded block's rows
+as the client statement's grouped rows, and its inverse
+``rows_to_histogram``, which adds rows into one dense array of cell
+sums; outside :mod:`fedsum.aggcore` it is the only code that knows the
+row format.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from .model import (
     METRIC_DURATION,
     METRIC_NUM_TRIPS,
     DeviceSubtotals,
-    IndexedHistogram,
     Schema,
     TripColumns,
     TripRecord,
@@ -264,7 +265,7 @@ class DeviceState:
 
 
 # --------------------------------------------------------------------------
-# Upload histograms and rows
+# Upload blocks and rows
 
 
 def client_work(
@@ -315,15 +316,18 @@ def client_work(
 
 
 def histogram_to_rows(
-    h: IndexedHistogram,
+    block: DeviceSubtotals,
     window_id: str,
     spec: QuerySpec,
 ) -> list[tuple[str, tuple[float, ...]]]:
-    """Encode one window's histogram as upload rows for the query spec.
+    """Encode one device's bounded window block as upload rows for the query.
 
-    The client statement must group by exactly ``RELEASE_KEY_COLUMNS``,
-    so that no two cells share a row key.  Each selected metric column
-    becomes one slot of the row value vector; other metrics are dropped.
+    One row per partition of the one-device ``block``, keyed by the
+    client statement's group-by columns; its values are the partition's
+    cells in ``spec.metric_columns`` order, a zero written as ``+0.0``.
+    A row whose selected values are all zero is dropped, and rows are
+    sorted by key.  The client statement must group by exactly
+    ``RELEASE_KEY_COLUMNS``, so that no two partitions share a row key.
     """
     key_columns = spec.client.group_by
     if sorted(key_columns) != sorted(RELEASE_KEY_COLUMNS):
@@ -331,32 +335,23 @@ def histogram_to_rows(
             f"upload rows need the client statement grouped by exactly "
             f"{sorted(RELEASE_KEY_COLUMNS)}; got {sorted(key_columns)}"
         )
-    metric_slot = {
-        METRIC_BY_COLUMN[column]: i for i, column in enumerate(spec.metric_columns)
-    }
-    width = len(spec.metric_columns)
-    rows: dict[str, list[float]] = {}
-    for (a, m, r, d), value in h.items():
-        slot = metric_slot.get(m)
-        if slot is None:
-            continue
-        parts = []
-        for column in key_columns:
-            if column == "activity":
-                parts.append(str(a))
-            elif column == "region":
-                parts.append(str(r))
-            elif column == "direction":
-                parts.append(str(d))
-            else:  # the privacy time unit
-                parts.append(window_id)
-        key = KEY_SEPARATOR.join(parts)
-        cell = rows.get(key)
-        if cell is None:
-            cell = [0.0] * width
-            rows[key] = cell
-        cell[slot] = value
-    return [(key, tuple(rows[key])) for key in sorted(rows)]
+    size = len(block.device)
+    if size and block.device[0] != block.device[-1]:
+        raise ValueError("upload rows encode one device's block")
+    columns = {"activity": block.activity, "region": block.region, "direction": block.direction}
+    keys = [
+        [window_id] * size if column == PRIVACY_TIME_UNIT else map(str, columns[column].tolist())
+        for column in key_columns
+    ]
+    metrics = [METRIC_BY_COLUMN[column] for column in spec.metric_columns]
+    values = block.sums[:, metrics].tolist()
+    rows = [
+        (KEY_SEPARATOR.join(key), tuple([v or 0.0 for v in cells]))
+        for *key, cells in zip(*keys, values)
+        if any(cells)
+    ]
+    rows.sort()
+    return rows
 
 
 def rows_to_histogram(
@@ -364,16 +359,17 @@ def rows_to_histogram(
     spec: QuerySpec,
     schema: Schema,
     expect_window_id: str | None = None,
-) -> IndexedHistogram:
-    """Decode grouped rows (upload or report) back into a histogram.
+) -> np.ndarray:
+    """Decode grouped rows (upload or report) into their dense cell sums.
 
-    Inverse of :func:`histogram_to_rows` for full-index queries.  If
+    The inverse of :func:`histogram_to_rows`: a float64 array of the
+    schema's shape, each nonzero value added to its cell.  If
     ``expect_window_id`` is given, rows for any other window raise.
     """
     key_columns = spec.client.group_by
     positions = {column: i for i, column in enumerate(key_columns)}
     metric_of_slot = [METRIC_BY_COLUMN[c] for c in spec.metric_columns]
-    h = IndexedHistogram(schema)
+    out = np.zeros(schema.shape)
     for key, values in rows:
         parts = key.split(KEY_SEPARATOR)
         if len(parts) != len(key_columns):
@@ -388,5 +384,7 @@ def rows_to_histogram(
             )
         for slot, value in enumerate(values):
             if value != 0.0:
-                h.increment((a, metric_of_slot[slot], r, d), value)
-    return h
+                index = (a, metric_of_slot[slot], r, d)
+                schema.check_index(index)
+                out[index] += value
+    return out

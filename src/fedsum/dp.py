@@ -36,8 +36,8 @@ each slice's scale, which equals drawing at that scale bit for bit; a
 sweep draws one block per seed and reuses it for every variant and
 budget.  A release is dense from end to end: the summed aggregate goes
 in as one ``(activity, metric, region, direction)`` array (a prepared
-mechanism converts its pre-noise sum once), noise, descaling and
-thresholding run on it, and the release keeps the result.  Its sparse
+mechanism's pre-noise sum, or the server's decoded report), noise,
+descaling and thresholding run on it, and the release keeps the result.  Its sparse
 :class:`IndexedHistogram` is built on first read, where an artifact or
 an event needs it; a sweep scores the dense array and builds none.  A
 release at epsilon = inf adds no noise, and its metadata labels it exact
@@ -698,7 +698,7 @@ def prepare_mechanism(
     """
     resolved, scaled = _resolve(config, devices, schema)
     bounded = resolved._clipped(scaled, schema)
-    prenoise = bounded.cell_sums(schema).to_dense()
+    prenoise = bounded.cell_sums(schema)
     prenoise.flags.writeable = False
     return PreparedMechanism(
         resolved=resolved,

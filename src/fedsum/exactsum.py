@@ -8,9 +8,11 @@ same inputs yields the same exact value, and rounding that value to a
 single float64 at the end is deterministic.  This is what makes merged
 aggregates reproducible regardless of how work was batched or which order
 partial results arrived in.  :class:`ExactSum` is the package's only
-running exact accumulator: shard cores and partials key it by string.  A
-device block's one-shot sums (the prepared pre-noise aggregate and the
-ground truth) round the same way with one ``math.fsum`` per cell
+running exact accumulator: shard cores and partials key it by string,
+and the server decodes a session's rounded report into one dense array
+of cell sums.  A device block's one-shot sums (the prepared pre-noise
+aggregate and the ground truth) round the same way, one ``math.fsum``
+per cell, into the same kind of array
 (:meth:`fedsum.model.DeviceSubtotals.cell_sums`).
 """
 

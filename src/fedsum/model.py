@@ -1,19 +1,19 @@
-"""Core data model: trips, device blocks, indexed histograms, and per-slice tables.
+"""Core data model: trips, device blocks, released histograms, and per-slice tables.
 
 The pipeline speaks two value types.  A :class:`DeviceSubtotals` block
 holds raw or bounded per-device histograms as partition rows: a window
-of the fleet, or one device's upload before it leaves the device.  The
-device transform (:meth:`fedsum.dp.ResolvedMechanism.transform_devices`)
-bounds a block; :meth:`DeviceSubtotals.cell_sums` sums its rows per
-cell, exactly: a device's histogram, a window's pre-noise sum or truth.
+of the fleet, or one device's window before it leaves the device, whose
+bounded rows are what it uploads.  The device transform
+(:meth:`fedsum.dp.ResolvedMechanism.transform_devices`) bounds a block;
+:meth:`DeviceSubtotals.cell_sums` sums its rows per cell, exactly, into
+one dense float64 array indexed by ``(activity, metric, region,
+direction)``.  Such an array is a window's cell sums at every layer: the
+ground truth, the pre-noise sum, the server's summed aggregate, a
+release's values and every score.
 
-The other type is the sparse histogram indexed by ``(activity, metric,
-region, direction)``, :class:`IndexedHistogram`: what a device uploads,
-what the server sums (exactly, in :class:`fedsum.exactsum.ExactSum`) and
-what a release publishes.  Absent entries are semantically zero; storing
-an explicit zero and omitting the entry are equivalent under equality and
-every operation, and zeros are dropped when histograms are normalized or
-serialized.
+The other type is the sparse histogram, :class:`IndexedHistogram`: a
+release's nonzero entries, as its artifacts and events read and
+serialize them.  Absent entries are zero, and zeros are dropped.
 
 Index order is always lexicographic on the tuple ``(a, m, r, d)``.  That
 canonical order makes iteration, serialization, and summation
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -240,7 +240,11 @@ _HEADER = struct.Struct("<I")
 
 
 class IndexedHistogram:
-    """Sparse ``(activity, metric, region, direction) -> float64`` map."""
+    """Sparse ``(activity, metric, region, direction) -> float64`` map.
+
+    A release's nonzero entries (``NoisedRelease.histogram``), as its
+    artifacts and events read them.
+    """
 
     __slots__ = ("schema", "_d")
 
@@ -271,39 +275,12 @@ class IndexedHistogram:
         else:
             self._d[index] = float(value)
 
-    def increment(self, index: Index, delta: float) -> None:
-        """Add ``delta`` to one cell (plain float addition)."""
-        self.schema.check_index(index)
-        value = self._d.get(index, 0.0) + delta
-        if value == 0.0:
-            self._d.pop(index, None)
-        else:
-            self._d[index] = value
-
-    def __contains__(self, index: Index) -> bool:
-        return index in self._d
-
     def __len__(self) -> int:
         return len(self._d)
-
-    def __iter__(self) -> Iterator[Index]:
-        return iter(sorted(self._d))
 
     def items(self) -> list[tuple[Index, float]]:
         """Entries in canonical index order."""
         return sorted(self._d.items())
-
-    def raw(self) -> dict[Index, float]:
-        """The underlying dict (nonzero entries, unordered). Do not mutate."""
-        return self._d
-
-    def to_dense(self) -> np.ndarray:
-        """The histogram as a float64 array of the schema's shape."""
-        out = np.zeros(self.schema.shape)
-        if self._d:
-            index = np.array(list(self._d), dtype=np.intp)
-            out[tuple(index.T)] = list(self._d.values())
-        return out
 
     @classmethod
     def from_dense(cls, schema: Schema, values: np.ndarray) -> "IndexedHistogram":
@@ -322,11 +299,6 @@ class IndexedHistogram:
         )
         return h
 
-    def copy(self) -> "IndexedHistogram":
-        h = IndexedHistogram(self.schema)
-        h._d = dict(self._d)
-        return h
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IndexedHistogram):
             return NotImplemented
@@ -334,12 +306,6 @@ class IndexedHistogram:
 
     def __repr__(self) -> str:
         return f"IndexedHistogram({len(self._d)} entries)"
-
-    # -- algebra -----------------------------------------------------------
-
-    def l1_norm(self) -> float:
-        """Sum of absolute entry values (exactly rounded)."""
-        return math.fsum(map(abs, self._d.values()))
 
     # -- serialization -----------------------------------------------------
 
@@ -378,41 +344,30 @@ class DeviceSubtotals(NamedTuple):
     sums: np.ndarray
     made_at: np.ndarray
 
-    def cell_sums(self, schema: Schema) -> "IndexedHistogram":
+    def cell_sums(self, schema: Schema) -> np.ndarray:
         """Each cell summed over the block's rows, exactly rounded.
 
-        One ``math.fsum`` per cell, which rounds as
-        :class:`fedsum.exactsum.ExactSum` does.  Of a window's block these
-        are its grouped sums, in canonical order; of one device's block,
-        whose rows are distinct partitions, nothing is added and the
-        device's histogram comes in row order.  Zero cells are dropped.
+        A float64 array of the schema's shape: one ``math.fsum`` per cell
+        some row holds, which rounds as :class:`fedsum.exactsum.ExactSum`
+        does.  Only nonzero totals are written, so an empty cell is
+        ``+0.0``.  Of a window's block these are its grouped sums: the
+        ground truth, or the pre-noise sum once the block is bounded.
         """
-        h = IndexedHistogram(schema)  # every index below is in its domain
-        if not len(self.device) or self.device[0] == self.device[-1]:  # one device
-            columns = (self.activity, self.region, self.direction, self.sums)
-            rows = zip(*(column.tolist() for column in columns))
-            h._d = {
-                (a, m, r, d): value
-                for a, r, d, values in rows
-                for m, value in enumerate(values)
-                if value
-            }
-            return h
-        _, _, num_regions, num_directions = schema.shape
+        num_activities, num_metrics, num_regions, num_directions = schema.shape
         partition = (
             self.activity * num_regions + self.region
         ) * num_directions + self.direction
         order = np.argsort(partition, kind="stable")
         starts = np.flatnonzero(np.diff(partition[order], prepend=-1))
         bounds = [*starts.tolist(), len(order)]
-        first = order[starts]
-        partitions = (self.activity, self.region, self.direction)
-        indices = list(zip(*(column[first].tolist() for column in partitions)))
-        cells = []
-        for m in range(self.sums.shape[1]):
+        # Each partition's activity and (region, direction) place.
+        activity, place = np.divmod(partition[order[starts]], num_regions * num_directions)
+        out = np.zeros((num_activities, num_metrics, num_regions * num_directions))
+        for m in range(num_metrics):
             column = self.sums[order, m].tolist()  # one metric's floats at a time
-            for (a, r, d), lo, hi in zip(indices, bounds, bounds[1:]):
-                if total := math.fsum(column[lo:hi]):
-                    cells.append(((a, m, r, d), total))
-        h._d = dict(sorted(cells))
-        return h
+            totals = np.array(
+                [math.fsum(column[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            )
+            nonzero = totals != 0.0
+            out[activity[nonzero], m, place[nonzero]] = totals[nonzero]
+        return out.reshape(schema.shape)

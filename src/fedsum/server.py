@@ -6,10 +6,13 @@ session on the least-loaded backend node: uploads accumulate into shard
 cores, full shards checkpoint into level-0 partial aggregates, periodic
 roll-ups fold those into a level-1 partial, and when the simulated clock
 passes the window's end plus the grace period the session seals, merges
-every live partial, gates on the minimum contribution count, and hands
-the summed histogram, as one dense array, to the privacy mechanism for
-release.  Data that arrives after the deadline is discarded, and expired
-partials are dropped (and logged) rather than released.
+every live partial, gates on the minimum contribution count, decodes the
+merged report into one dense ``(activity, metric, region, direction)``
+array of cell sums, and hands that array to the privacy mechanism for
+release.  The release's sparse histogram is built only for its event
+(the released-partition count and digest).  Data that arrives after the
+deadline is discarded, and expired partials are dropped (and logged)
+rather than released.
 
 Every externally visible action appends a structured event to the
 server's log; events carry digests and counts, never row values.
@@ -528,7 +531,8 @@ class FederatedServer:
 
         Runs strictly after ``window.end + grace_period``.  All in-flight
         shards checkpoint, live partials merge into the final aggregate,
-        and the contribution gate decides between a noised release and an
+        and the contribution gate decides between a noised release of its
+        dense cell sums (``rows_to_histogram`` of the merged report) and an
         explicit suppression marker.  Late uploads after this point are
         rejected with :class:`SessionClosedError`.
         """
@@ -562,7 +566,7 @@ class FederatedServer:
             report.items(), task.spec, self.schema, expect_window_id=window.window_id
         )
         release = task.config.mechanism.finalize(
-            self.schema, aggregate.to_dense(), window.window_id, self.noise_seed
+            self.schema, aggregate, window.window_id, self.noise_seed
         )
         session.state = "released"
         self.releases[key] = release
@@ -577,26 +581,3 @@ class FederatedServer:
                 release.histogram.serialize(), digest_size=8
             ).hexdigest(),
         )
-
-    # -- fault injection (test mode) ---------------------------------------
-
-    def inject_crash(self, query_id: str, window_id: str, now: int) -> int:
-        """Simulate a node crash losing the currently filling shard.
-
-        At most one in-flight batch disappears; checkpointed partials
-        survive.  Returns the number of contributions lost.
-        """
-        key = self._session_key(query_id, window_id)
-        session = self.sessions[key]
-        shard_index = session.uploads_accepted % len(session.shards)
-        lost = session.shards[shard_index].contribution_count
-        task = self.tasks[query_id]
-        session.shards[shard_index] = AggregationCore(task.core_config)
-        self._log(
-            now,
-            "crash_injected",
-            session_id=key,
-            node=session.node,
-            contributions_lost=lost,
-        )
-        return lost

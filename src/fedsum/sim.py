@@ -17,7 +17,7 @@ allows, it checks in, receives session-bound tokens, and uploads a
 bounded histogram for every complete window it has not contributed to
 yet: the mechanism's ``transform_devices`` of the one-device block of
 the window's trips (``client_work``), the same transform a sweep runs
-on a whole window's block, read out as a histogram.  The server side
+on a whole window's block, whose rows the upload encodes.  The server side
 (sessions, checkpoints, releases) runs through
 :class:`fedsum.server.FederatedServer`.
 
@@ -26,8 +26,9 @@ under different check-in policies experience identical conditions and
 coverage comparisons are apples-to-apples.
 
 Evaluation makes one pass over each released window's trip columns
-(``Corpus.device_histograms``) and derives the ground truth and the
-per-partition device counts from its block.  No trip record is built:
+(``Corpus.device_histograms``) and derives the dense ground truth and the
+per-partition device counts from its block; it scores the release's dense
+values against them.  No trip record is built:
 neither the corpus nor any device cache holds one.
 """
 
@@ -53,7 +54,7 @@ from .metrics import (
     per_user_mean_error,
     weighted_relative_error,
 )
-from .model import IndexedHistogram, Schema, TripColumns, TripRecord
+from .model import DeviceSubtotals, Schema, TripColumns, TripRecord
 from .server import (
     FederatedServer,
     ServerConfig,
@@ -110,15 +111,14 @@ def build_device_upload(
     trips: TripColumns | list[TripRecord],
     mechanism: ResolvedMechanism,
     schema: Schema,
-) -> IndexedHistogram:
-    """One device's bounded upload histogram for one window.
+) -> DeviceSubtotals:
+    """One device's bounded window block, whose rows it uploads.
 
     The trips' raw one-device block, bounded by the mechanism's device
     transform (scale, then clip) exactly as a sweep bounds a window's
-    block, then read out as a histogram at the upload edge.
+    block; ``histogram_to_rows`` encodes it.
     """
-    bounded = mechanism.transform_devices(client_work(trips, schema), schema)
-    return bounded.cell_sums(schema)
+    return mechanism.transform_devices(client_work(trips, schema), schema)
 
 
 def _next_wake(wake: int, now: int) -> int:
@@ -211,8 +211,8 @@ def run_simulation(
                 )
                 if not upload_ok:
                     continue
-                histogram = build_device_upload(trips, mechanism, schema)
-                rows = histogram_to_rows(histogram, window.window_id, spec)
+                block = build_device_upload(trips, mechanism, schema)
+                rows = histogram_to_rows(block, window.window_id, spec)
                 update = ClientUpdate(
                     query_id=task.query_id,
                     window_id=window.window_id,
@@ -259,7 +259,7 @@ def _evaluate(
             counts = corpus.device_counts(window, subtotals)
             del subtotals  # freed before the next window's pass
             wre = weighted_relative_error(truth, release.values, counts, floor)
-            pume = per_user_mean_error(truth, release.histogram, counts, metrics)
+            pume = per_user_mean_error(truth, release.values, counts, metrics)
             for metric in sorted(wre):
                 result.eval_rows.append(
                     {

@@ -9,11 +9,11 @@ grids cheap.  For the same reason the sweep draws each seed's unit
 Laplace block once and reuses it for every variant and budget.  It makes
 one pass over the window's trips (``Corpus.device_histograms``), whose
 block of device histograms gives the calibration, every variant's
-pre-noise sum, the ground truth and the device counts, and it computes
-the error's eligible cells once.  Releases stay dense: each grid cell
+pre-noise sum, the ground truth and the device counts (dense arrays
+all), and it computes the error's eligible cells once.  Each grid cell
 noises, thresholds and scores one array (the error gathers the
 release's ``values`` at the eligible cells' flat indices), so the sweep
-builds no sparse histogram per cell.  Every grid cell is bit-identical
+builds no sparse histogram.  Every grid cell is bit-identical
 to running the whole mechanism from scratch with the same parameters.
 """
 

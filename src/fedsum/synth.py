@@ -320,23 +320,22 @@ class Corpus:
 
     def device_counts(
         self, window: TimeWindow, subtotals: DeviceSubtotals | None = None
-    ) -> dict[tuple[int, int, int], int]:
+    ) -> np.ndarray:
         """Devices contributing data per (activity, region, direction).
 
-        Each row of the window's block is one device holding a trip in
-        one partition.  ``subtotals`` may hand in
-        ``device_histograms(window)`` when the caller already has it.
+        An int64 array of that shape.  Each row of the window's block is
+        one device holding a trip in one partition, so the counts are one
+        ``np.bincount`` over the rows' partitions.  ``subtotals`` may hand
+        in ``device_histograms(window)`` when the caller already has it.
         """
         if subtotals is None:
             subtotals = self.device_histograms(window)
-        counts: dict[tuple[int, int, int], int] = {}
-        for partition in zip(
-            subtotals.activity.tolist(),
-            subtotals.region.tolist(),
-            subtotals.direction.tolist(),
-        ):
-            counts[partition] = counts.get(partition, 0) + 1
-        return counts
+        num_activities, _, num_regions, num_directions = self.schema.shape
+        partition = (
+            subtotals.activity * num_regions + subtotals.region
+        ) * num_directions + subtotals.direction
+        counts = np.bincount(partition, minlength=num_activities * num_regions * num_directions)
+        return counts.reshape(num_activities, num_regions, num_directions)
 
 
 class _DeviceRecordsView(Sequence):

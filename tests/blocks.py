@@ -3,10 +3,14 @@
 A :class:`fedsum.model.DeviceSubtotals` block is what calibration, the
 device transform and the pre-noise sum take.  Unit tests state devices as
 hand-written histograms; these helpers turn them into a block and read
-blocks back per device, with plain loops.
+blocks back per device, with plain loops.  Cell sums, truths and device
+counts are dense arrays; ``dense_of``, ``sparse_of`` and ``counts_of``
+convert between them and the dicts tests write by hand.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,15 +21,16 @@ from fedsum.model import DeviceSubtotals, IndexedHistogram
 def block_of(schema, histograms) -> DeviceSubtotals:
     """One block holding ``histograms[i]`` as device ``i``'s rows.
 
+    Each histogram is a dict of cells or an :class:`IndexedHistogram`.
     A device's partitions are made in the order its histogram first holds
-    them, which calibration's slice norms add in.  An empty histogram has
-    no rows.
+    them (a dict's insertion order, a histogram's canonical order), which
+    calibration's slice norms add in.  An empty histogram has no rows.
     """
     num_metrics = schema.num_metrics
     rows: dict[tuple[int, int, int, int], list] = {}
     position = 0
     for device, h in enumerate(histograms):
-        for (a, m, r, d), value in h.raw().items():
+        for (a, m, r, d), value in h.items():
             row = rows.setdefault((device, a, r, d), [0.0] * num_metrics + [position])
             row[m] = value
             position += 1
@@ -101,7 +106,37 @@ def exact_sum(schema, histograms) -> IndexedHistogram:
     """The histograms summed exactly and rounded once per cell (ExactSum)."""
     total = ExactSum(1)
     for h in histograms:
-        total.add((index, (value,)) for index, value in h.raw().items())
+        total.add((index, (value,)) for index, value in h.items())
     return IndexedHistogram(
         schema, ((index, value) for index, (value,) in total.report())
     )
+
+
+def dense_of(schema, cells) -> np.ndarray:
+    """The schema-shaped array holding ``cells`` (a dict or histogram)."""
+    out = np.zeros(schema.shape)
+    for index, value in cells.items():
+        out[index] = value
+    return out
+
+
+def sparse_of(values: np.ndarray) -> dict[tuple[int, int, int, int], float]:
+    """An array's nonzero cells, in canonical order."""
+    return {
+        tuple(index): value
+        for index, value in zip(np.argwhere(values).tolist(), values[values != 0].tolist())
+    }
+
+
+def counts_of(schema, counts) -> np.ndarray:
+    """The ``(activity, region, direction)`` array of a dict of device counts."""
+    num_activities, _, num_regions, num_directions = schema.shape
+    out = np.zeros((num_activities, num_regions, num_directions), dtype=np.int64)
+    for partition, count in counts.items():
+        out[partition] = count
+    return out
+
+
+def l1_norm(cells) -> float:
+    """The exactly rounded sum of ``|v|`` over a dict's or histogram's cells."""
+    return math.fsum(abs(value) for _, value in cells.items())

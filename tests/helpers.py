@@ -121,40 +121,128 @@ def naive_workload(corpus, window) -> dict[tuple[int, int, int, int], float]:
     }
 
 
+# The client stream's summable columns and the metric each one sums.
+METRIC_OF_COLUMN = {"trip_count": 0, "trip_distance": 1, "trip_duration": 2}
+
+
+def reference_upload_rows(block, window_id, spec):
+    """Upload rows by way of a sparse histogram: the encoder before uploads
+    encoded the bounded block's rows.
+
+    The one-device block is read out as ``{(a, m, r, d): value}``,
+    dropping zero cells; then, in canonical cell order, each selected
+    metric's value goes to its slot of its partition's row (a slot with
+    no cell stays 0.0), and rows are sorted by key.
+    """
+    cells = {}
+    columns = (block.activity, block.region, block.direction, block.sums)
+    for a, r, d, values in zip(*(column.tolist() for column in columns)):
+        for m, value in enumerate(values):
+            if value:
+                cells[(a, m, r, d)] = value
+    slot_of = {METRIC_OF_COLUMN[c]: i for i, c in enumerate(spec.metric_columns)}
+    rows: dict[str, list[float]] = {}
+    for (a, m, r, d), value in sorted(cells.items()):
+        if m not in slot_of:
+            continue
+        names = {"activity": str(a), "region": str(r), "direction": str(d)}
+        key = "\x1f".join(names.get(c, window_id) for c in spec.client.group_by)
+        rows.setdefault(key, [0.0] * len(slot_of))[slot_of[m]] = value
+    return [(key, tuple(rows[key])) for key in sorted(rows)]
+
+
+def sparse_scored_cells(truth, device_counts, device_floor, shape):
+    """The eligible cells of the weighted relative error, from dicts.
+
+    ``truth`` maps ``(a, m, r, d)`` to its nonzero value in entry order
+    and ``device_counts`` maps ``(a, r, d)`` to a count.  Region trip
+    totals add in the truth's entry order.  Per metric: the eligible
+    cells' flat indices into ``shape``, truth values and weights, and the
+    ``math.fsum`` of the weights.
+    """
+    region_trips: dict[int, float] = {}
+    for (a, m, r, d), value in truth.items():
+        if m == METRIC_NUM_TRIPS:
+            region_trips[r] = region_trips.get(r, 0.0) + value
+    out = []
+    for metric in range(shape[1]):
+        indices, values, weights = [], [], []
+        for (a, m, r, d), value in truth.items():
+            if m != metric or value == 0.0:
+                continue
+            if device_counts.get((a, r, d), 0) < device_floor:
+                continue
+            n_partition = truth.get((a, METRIC_NUM_TRIPS, r, d), 0.0)
+            n_region = region_trips.get(r, 0.0)
+            if n_region <= 0.0 or n_partition <= 0.0:
+                continue
+            indices.append(((a * shape[1] + m) * shape[2] + r) * shape[3] + d)
+            values.append(value)
+            weights.append(n_partition / n_region)
+        out.append((indices, values, weights, math.fsum(weights)))
+    return out
+
+
 def sparse_weighted_relative_error(
-    truth, estimate, device_counts, device_floor
+    truth, estimate, device_counts, device_floor, num_metrics
 ) -> dict[int, float]:
-    """Weighted relative error over sparse histograms, one dict lookup a cell.
+    """Weighted relative error over sparse dicts, one dict lookup a cell.
 
     The scorer before releases stayed dense: region trip totals added in
     the truth's entry order, each eligible cell's term
     ``weight * |t - e| / |t|`` with a cell the estimate lacks read as 0,
     and ``math.fsum`` of the terms over ``math.fsum`` of the weights; a
-    metric with no eligible partition is NaN.
+    metric with no eligible partition is NaN.  ``truth`` and ``estimate``
+    map ``(a, m, r, d)`` to values, ``device_counts`` ``(a, r, d)`` to
+    counts; metrics ``0 .. num_metrics - 1`` are scored.
     """
-    t, e = truth.raw(), estimate.raw()
     region_trips: dict[int, float] = {}
-    for (a, m, r, d), value in t.items():
+    for (a, m, r, d), value in truth.items():
         if m == METRIC_NUM_TRIPS:
             region_trips[r] = region_trips.get(r, 0.0) + value
     results = {}
-    for metric in range(truth.schema.num_metrics):
+    for metric in range(num_metrics):
         weights, terms = [], []
-        for (a, m, r, d), value in t.items():
+        for (a, m, r, d), value in truth.items():
             if m != metric or value == 0.0:
                 continue
             if device_counts.get((a, r, d), 0) < device_floor:
                 continue
-            n_partition = t.get((a, METRIC_NUM_TRIPS, r, d), 0.0)
+            n_partition = truth.get((a, METRIC_NUM_TRIPS, r, d), 0.0)
             n_region = region_trips.get(r, 0.0)
             if n_region <= 0.0 or n_partition <= 0.0:
                 continue
             weight = n_partition / n_region
             weights.append(weight)
-            terms.append(weight * abs(value - e.get((a, m, r, d), 0.0)) / abs(value))
+            terms.append(weight * abs(value - estimate.get((a, m, r, d), 0.0)) / abs(value))
         total = math.fsum(weights)
         results[metric] = math.fsum(terms) / total if total != 0.0 else math.nan
     return results
+
+
+def sparse_per_user_mean_error(truth, estimate, device_counts, metrics) -> float:
+    """Per-user mean error over sparse dicts, a partition at a time.
+
+    A partition counts if the truth holds one of ``metrics`` there and
+    ``device_counts`` records a contributor; its error is the mean of
+    ``|t - e| / |t|`` over those metrics with nonzero truth (a missing
+    estimate reads as 0), over its device count.  NaN if none counts.
+    """
+    wanted = set(metrics)
+    partitions = {(a, r, d) for (a, m, r, d), v in truth.items() if m in wanted and v}
+    terms = []
+    for a, r, d in partitions:
+        count = device_counts.get((a, r, d), 0)
+        if count <= 0:
+            continue
+        errors = []
+        for m in wanted:
+            reference = truth.get((a, m, r, d), 0.0)
+            if reference != 0.0:
+                got = estimate.get((a, m, r, d), 0.0)
+                errors.append(abs(reference - got) / abs(reference))
+        terms.append(math.fsum(errors) / len(errors) / count)
+    return math.fsum(terms) / len(terms) if terms else math.nan
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from fedsum.sweep import SweepConfig, prepare_variants, run_epsilon_sweep
 from fedsum.synth import SyntheticCorpusConfig, generate_corpus
 from fedsum.windows import WindowAlignment, round_down_window
 
-from blocks import block_of, concat, devices_of, renumbered, rows_of
+from blocks import block_of, concat, devices_of, renumbered, rows_of, sparse_of
 from helpers import START, WEEK, malformed_query_cases
 
 FULL_QUERY = """\
@@ -156,7 +156,7 @@ def dominant_metrics(mech):
     schema = mech.schema
     per_metric = [[] for _ in range(schema.num_metrics)]
     prenoise = IndexedHistogram.from_dense(schema, mech.prenoise)
-    for (_a, m, _r, _d), value in prenoise.raw().items():
+    for (_a, m, _r, _d), value in prenoise.items():
         per_metric[m].append(abs(value))
     mass = [math.fsum(values) for values in per_metric]
     total = math.fsum(mass)
@@ -184,7 +184,7 @@ def test_ac01_noiseless_pipeline_reproduces_exact_sums():
     for window in result.task_windows:
         release = result.releases[f"trips/{window.window_id}"]
         truth = exact_workload(corpus, window)
-        assert dict(release.histogram.items()) == dict(truth.items())
+        assert dict(release.histogram.items()) == sparse_of(truth)
         assert release.suppressed_partitions == 0
     assert time.perf_counter() - started < 30.0
 
@@ -573,7 +573,7 @@ def test_ac09_fuzzed_traces_match_the_replay_oracle():
 
     def try_upload(assignment, h):
         nonlocal accepted
-        rows = histogram_to_rows(h, assignment.window_id, spec)
+        rows = histogram_to_rows(block_of(schema, [h]), assignment.window_id, spec)
         update = ClientUpdate(
             assignment.query_id,
             assignment.window_id,
@@ -614,7 +614,7 @@ def test_ac09_fuzzed_traces_match_the_replay_oracle():
                 continue
             assignment = hoarded.pop()
             late_attempts += 1
-            rows = histogram_to_rows(random_histogram(), window_id, spec)
+            rows = histogram_to_rows(block_of(schema, [random_histogram()]), window_id, spec)
             with pytest.raises((SessionClosedError, InvalidTokenError)):
                 server.ingest_upload(
                     ClientUpdate(
@@ -684,7 +684,7 @@ def test_ac10_minimum_counts_and_magnitude_floors_suppress_output(cell_schema):
     for device in range(2):
         assignment = server.check_in(device, now)[0]
         rows = histogram_to_rows(
-            hist(schema, {(0, 0, 0, 0): 1.0}), assignment.window_id, spec
+            block_of(schema, [{(0, 0, 0, 0): 1.0}]), assignment.window_id, spec
         )
         server.ingest_upload(
             ClientUpdate(

@@ -18,6 +18,8 @@ from fedsum.query import parse_and_validate, pretty_print
 from fedsum.synth import generate_corpus
 from fedsum.windows import round_down_window
 
+from blocks import sparse_of
+
 FULL_QUERY = """\
 SELECT activity, region, direction, privacy_time_unit,
        SUM(trip_count) AS n, SUM(trip_distance) AS km, SUM(trip_duration) AS sec
@@ -141,7 +143,7 @@ def test_run_writes_noiseless_artifacts_matching_the_exact_sums(tmp_path, capsys
     config = parse_config(yaml.safe_load(open(config_path)))
     corpus = generate_corpus(config.corpus)
     window = round_down_window(config.corpus.start_time, config.task.alignment)
-    truth = dict(exact_workload(corpus, window).items())
+    truth = sparse_of(exact_workload(corpus, window))
 
     released = read_release_csv(out / "releases" / "2024-W20.csv", corpus.schema)
     assert released == truth  # exact equality, no tolerance

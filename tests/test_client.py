@@ -6,7 +6,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fedsum.client import (
@@ -33,7 +33,8 @@ from fedsum.rng import KeyedRng
 from fedsum.synth import Corpus, DeviceRecords, SyntheticCorpusConfig
 from fedsum.windows import WindowAlignment, round_down_window, window_after
 
-from helpers import START, WEEK, eager_check_in_allowed, trip
+from blocks import block_of, l1_norm, sparse_of
+from helpers import START, WEEK, eager_check_in_allowed, reference_upload_rows, trip
 
 DISTANCE_QUERY = """\
 SELECT activity, region, direction, privacy_time_unit,
@@ -102,15 +103,14 @@ def mechanism(schema, variant=VARIANT_JOINT, **parameters):
 
 
 def histogram(trips, schema):
-    """The device's raw histogram: its one-device block, read out."""
-    return client_work(trips, schema).cell_sums(schema)
+    """The device's raw histogram: its one-device block's cells."""
+    return IndexedHistogram.from_dense(schema, client_work(trips, schema).cell_sums(schema))
 
 
 def bounded(resolved, trips, schema):
     """The device's upload: its block through the device transform, read out."""
-    return resolved.transform_devices(client_work(trips, schema), schema).cell_sums(
-        schema
-    )
+    block = resolved.transform_devices(client_work(trips, schema), schema)
+    return IndexedHistogram.from_dense(schema, block.cell_sums(schema))
 
 
 # --- client_work and the device transform -------------------------------------
@@ -121,11 +121,8 @@ def test_single_trip_maps_to_three_cells():
     block = client_work([trip(a=2, r=5, d=0, km=10.0, s=600.0)], schema)
     assert block.device.tolist() == [0]
     assert block.made_at.tolist() == [0]
-    h = block.cell_sums(schema)
-    assert h[(2, 0, 5, 0)] == 1.0
-    assert h[(2, 1, 5, 0)] == 10.0
-    assert h[(2, 2, 5, 0)] == 600.0
-    assert len(h) == 3
+    h = sparse_of(block.cell_sums(schema))
+    assert h == {(2, 0, 5, 0): 1.0, (2, 1, 5, 0): 10.0, (2, 2, 5, 0): 600.0}
 
 
 def test_scaling_divides_each_summed_cell_by_its_slice_factor():
@@ -150,7 +147,7 @@ def test_clip_halves_when_norm_is_twice_the_bound():
     schema = wide_schema()
     records = [trip(a=0, r=0, km=3.0, s=6.0)]
     raw = histogram(records, schema)
-    bound = raw.l1_norm() / 2.0
+    bound = l1_norm(raw) / 2.0
     clipped = bounded(mechanism(schema, clip=bound), records, schema)
     for index, value in raw.items():
         assert clipped[index] == value / 2.0
@@ -174,7 +171,7 @@ def test_device_transform_respects_the_contribution_bound(raw_trips, bound):
     records = [
         trip(a=a, r=r, d=d, km=km, s=s) for a, r, d, km, s in raw_trips
     ]
-    assert bounded(mechanism(schema, clip=bound), records, schema).l1_norm() <= bound
+    assert l1_norm(bounded(mechanism(schema, clip=bound), records, schema)) <= bound
     bounds = tuple(tuple(bound * (1 + a + m) for m in range(3)) for a in range(3))
     split = bounded(mechanism(schema, VARIANT_SPLIT, clip_table=bounds), records, schema)
     for a in range(3):
@@ -185,15 +182,15 @@ def test_device_transform_respects_the_contribution_bound(raw_trips, bound):
             assert norm <= bounds[a][m]
 
 
-# --- query execution: the raw histogram through the upload codec --------------
+# --- query execution: the raw block through the upload codec ------------------
 
 
 def upload_rows(dev, spec, windows):
     """A device's upload rows for ``windows``, one window at a time."""
     rows = []
     for window in windows:
-        h = histogram(dev.visible_records(window), wide_schema())
-        rows += histogram_to_rows(h, window.window_id, spec)
+        block = client_work(dev.visible_records(window), wide_schema())
+        rows += histogram_to_rows(block, window.window_id, spec)
     return rows
 
 
@@ -232,27 +229,23 @@ def test_rows_are_sorted_by_key():
     assert [key for key, _ in rows] == sorted(key for key, _ in rows)
 
 
-# --- row <-> histogram conversion ---------------------------------------------
+# --- block -> rows -> dense cell sums -------------------------------------------
 
 
 def test_histogram_rows_round_trip():
     schema = wide_schema()
     spec = parse_and_validate(FULL_QUERY)
-    h = IndexedHistogram(schema)
-    h[(0, 0, 1, 2)] = 4.0
-    h[(2, 1, 8, 0)] = 2.5
-    h[(2, 2, 8, 0)] = 11.0
-    rows = histogram_to_rows(h, "2024-W20", spec)
+    cells = {(0, 0, 1, 2): 4.0, (2, 1, 8, 0): 2.5, (2, 2, 8, 0): 11.0}
+    rows = histogram_to_rows(block_of(schema, [cells]), "2024-W20", spec)
     back = rows_to_histogram(rows, spec, schema, expect_window_id="2024-W20")
-    assert back == h
+    assert back.shape == schema.shape
+    assert sparse_of(back) == cells
 
 
 def test_rows_to_histogram_rejects_wrong_window():
     schema = wide_schema()
     spec = parse_and_validate(FULL_QUERY)
-    h = IndexedHistogram(schema)
-    h[(0, 0, 0, 0)] = 1.0
-    rows = histogram_to_rows(h, "2024-W20", spec)
+    rows = histogram_to_rows(block_of(schema, [{(0, 0, 0, 0): 1.0}]), "2024-W20", spec)
     with pytest.raises(ValueError):
         rows_to_histogram(rows, spec, schema, expect_window_id="2024-W21")
 
@@ -272,10 +265,10 @@ def test_rows_need_every_release_key():
     # Both cells share (region 3, window): with fewer keys than the
     # release's, their rows would collide.
     schema = wide_schema()
-    h = IndexedHistogram(schema, {(0, 1, 3, 0): 2.0, (1, 1, 3, 2): 5.0})
+    block = block_of(schema, [{(0, 1, 3, 0): 2.0, (1, 1, 3, 2): 5.0}])
     with pytest.raises(QueryValidationError, match="grouped by exactly"):
-        histogram_to_rows(h, "w", parse_and_validate(REGION_DISTANCE_QUERY))
-    rows = histogram_to_rows(h, "w", parse_and_validate(DISTANCE_QUERY))
+        histogram_to_rows(block, "w", parse_and_validate(REGION_DISTANCE_QUERY))
+    rows = histogram_to_rows(block, "w", parse_and_validate(DISTANCE_QUERY))
     assert math.fsum(values[0] for _, values in rows) == 7.0
 
 
@@ -296,11 +289,104 @@ def test_rows_need_every_release_key():
 def test_round_trip_holds_for_any_histogram(entries):
     schema = wide_schema()
     spec = parse_and_validate(FULL_QUERY)
-    h = IndexedHistogram(schema)
-    for index, value in entries.items():
-        h[index] = value
-    rows = histogram_to_rows(h, "w", spec)
-    assert rows_to_histogram(rows, spec, schema, expect_window_id="w") == h
+    rows = histogram_to_rows(block_of(schema, [entries]), "w", spec)
+    back = rows_to_histogram(rows, spec, schema, expect_window_id="w")
+    assert sparse_of(back) == dict(sorted(entries.items()))
+
+
+def test_rows_encode_one_device():
+    schema = wide_schema()
+    block = block_of(schema, [{(0, 0, 0, 0): 1.0}, {(0, 0, 0, 0): 2.0}])
+    with pytest.raises(ValueError, match="one device"):
+        histogram_to_rows(block, "w", parse_and_validate(FULL_QUERY))
+
+
+# A client statement whose keys and sums come in another order.
+REORDERED_QUERY = """\
+SELECT direction, privacy_time_unit, region, activity,
+       SUM(trip_duration) AS sec, SUM(trip_count) AS n
+FROM DeviceDataStream
+GROUP BY direction, privacy_time_unit, region, activity
+
+SELECT direction, privacy_time_unit, region, activity, SUM(sec), SUM(n)
+FROM UserResults
+GROUP BY direction, privacy_time_unit, region, activity
+"""
+
+ENCODED_QUERIES = {
+    "full": FULL_QUERY,
+    "distance": DISTANCE_QUERY,
+    "reordered": REORDERED_QUERY,
+}
+
+
+def hex_rows(rows):
+    return [(key, [value.hex() for value in values]) for key, values in rows]
+
+
+def one_device_block(partitions, sums):
+    """Device 0's block: one row per (activity, region, direction), zeros kept."""
+    cells = {
+        (a, m, r, d): value
+        for (a, r, d), row in zip(partitions, sums)
+        for m, value in enumerate(row)
+    }
+    return block_of(wide_schema(), [cells])
+
+
+CELL = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300]),
+    st.floats(min_value=0.0, max_value=1e6),
+)
+
+
+@pytest.mark.parametrize("query", sorted(ENCODED_QUERIES))
+@given(
+    partitions=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 8), st.integers(0, 2)),
+        unique=True,
+        max_size=8,
+    ).map(sorted),
+    data=st.data(),
+    clip=st.one_of(st.none(), st.floats(min_value=1e-3, max_value=1e4)),
+)
+@example(  # a clip underflow to zero and a row of zeros in the query's metrics
+    partitions=[(0, 0, 0), (1, 4, 2)],
+    data=None,
+    clip=1.0,
+)
+def test_block_rows_equal_the_histogram_encoder_bit_for_bit(query, partitions, data, clip):
+    """Rows rendered from the bounded block equal the old encoder's, which
+    read the block out as a sparse histogram first (``tests/helpers.py``):
+    same keys, same row set, every value equal by ``float.hex``."""
+    schema = wide_schema()
+    spec = parse_and_validate(ENCODED_QUERIES[query])
+    if data is None:
+        sums = [[1e300, 5e-324, 0.0], [1.0, 0.0, 0.0]]
+    else:
+        sums = [[data.draw(CELL) for _ in range(3)] for _ in partitions]
+    block = one_device_block(partitions, sums)
+    if clip is not None:
+        block = mechanism(schema, clip=clip).transform_devices(block, schema)
+    expected = reference_upload_rows(block, "2024-W20", spec)
+    assert hex_rows(histogram_to_rows(block, "2024-W20", spec)) == hex_rows(expected)
+
+
+def test_zeros_are_written_as_positive_and_all_zero_rows_are_dropped():
+    schema = wide_schema()
+    # (0, 0, 0): 5e-324 underflows to 0 when clipped; (1, 4, 2) holds no distance.
+    block = one_device_block([(0, 0, 0), (1, 4, 2)], [[1e300, 5e-324, -0.0], [1.0, 0.0, 9.0]])
+    block = mechanism(schema, clip=1.0).transform_devices(block, schema)
+    assert block.sums[0, 1] == 0.0 and math.copysign(1.0, block.sums[0, 2]) == -1.0
+    trips, _, duration = block.sums[1].tolist()
+    full = histogram_to_rows(block, "w", parse_and_validate(FULL_QUERY))
+    assert hex_rows(full) == [
+        ("0\x1f0\x1f0\x1fw", [block.sums[0, 0].hex(), (0.0).hex(), (0.0).hex()]),
+        ("1\x1f4\x1f2\x1fw", [trips.hex(), (0.0).hex(), duration.hex()]),
+    ]
+    assert histogram_to_rows(block, "w", parse_and_validate(DISTANCE_QUERY)) == []
+    reordered = histogram_to_rows(block, "w", parse_and_validate(REORDERED_QUERY))
+    assert [key for key, _ in reordered] == ["0\x1fw\x1f0\x1f0", "2\x1fw\x1f4\x1f1"]
 
 
 # --- watermarks, TTL, and the memo ---------------------------------------------

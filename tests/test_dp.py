@@ -36,7 +36,7 @@ from fedsum.model import (
 )
 from fedsum.rng import KeyedRng
 
-from blocks import block_of, devices_of, exact_sum, histograms_of, rows_of
+from blocks import block_of, dense_of, devices_of, exact_sum, histograms_of, rows_of
 
 
 def hist(schema, entries):
@@ -106,9 +106,7 @@ def test_slice_norms_add_in_the_order_the_device_made_its_cells(cell_schema):
     made = [0.1, 0.2, 0.3]
     norms = []
     for values in (made, made[::-1]):
-        h = IndexedHistogram(cell_schema)
-        for d, value in zip((2, 0, 1), values):
-            h[(0, 0, 0, d)] = value
+        h = {(0, 0, 0, d): value for d, value in zip((2, 0, 1), values)}  # made in this order
         norms.append(calibrate_scales(block_of(cell_schema, [h]), cell_schema, 1.0))
     assert norms == [((0.1 + 0.2 + 0.3,),), ((0.3 + 0.2 + 0.1,),)]
     assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
@@ -197,7 +195,7 @@ def threshold_fixture(cell_schema):
 
 def threshold(h, tau, strict=False):
     """apply_threshold on the histogram's dense array, read back sparse."""
-    kept, suppressed = apply_threshold(h.to_dense(), tau, strict)
+    kept, suppressed = apply_threshold(dense_of(h.schema, h), tau, strict)
     return IndexedHistogram.from_dense(h.schema, kept), suppressed
 
 
@@ -208,7 +206,7 @@ def test_threshold_drops_small_partitions(cell_schema):
 
 
 def test_zero_threshold_is_the_identity(cell_schema):
-    original = threshold_fixture(cell_schema).to_dense()
+    original = dense_of(cell_schema, threshold_fixture(cell_schema))
     kept, suppressed = apply_threshold(original, 0.0)
     assert suppressed == 0
     assert np.array_equal(kept, original)
@@ -230,7 +228,7 @@ def test_threshold_can_empty_a_histogram(cell_schema):
 
 def test_negative_threshold_is_rejected(cell_schema):
     with pytest.raises(InvalidParameterError):
-        apply_threshold(threshold_fixture(cell_schema).to_dense(), -0.5)
+        apply_threshold(dense_of(cell_schema, threshold_fixture(cell_schema)), -0.5)
 
 
 # --- noise primitives ------------------------------------------------------------
@@ -320,7 +318,7 @@ def reference_release(resolved, aggregate, window_id, seed, epsilon):
         return noised, 0
     kept = IndexedHistogram(schema)
     suppressed = 0
-    for index, value in noised.raw().items():
+    for index, value in noised.items():
         if value < resolved.tau:
             suppressed += 1
         else:
@@ -561,8 +559,8 @@ def test_prepared_prenoise_is_the_exact_transformed_sum(small_schema):
     prenoise = IndexedHistogram.from_dense(small_schema, prepared.prenoise)
     assert prenoise == exact_sum(small_schema, transformed)
     sums = bounded.cell_sums(small_schema)
-    assert list(sums.raw()) == sorted(sums.raw())
-    assert np.array_equal(prepared.prenoise, sums.to_dense())
+    assert sums.shape == small_schema.shape
+    assert np.array_equal(prepared.prenoise, sums)
     assert prepared.num_devices == 40
 
 

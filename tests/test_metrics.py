@@ -14,6 +14,7 @@ from fedsum.metrics import (
     default_device_floor,
     exact_workload,
     per_user_mean_error,
+    scored_cells,
     weighted_relative_error,
 )
 from fedsum.model import (
@@ -26,20 +27,20 @@ from fedsum.synth import Corpus, DeviceRecords, SyntheticCorpusConfig, generate_
 
 from fedsum.windows import WindowAlignment, round_down_window, window_after
 
-from blocks import exact_sum, histograms_of
+from blocks import counts_of, dense_of, exact_sum, histograms_of, sparse_of
 from helpers import (
     naive_device_counts,
     naive_workload,
+    sparse_per_user_mean_error,
+    sparse_scored_cells,
     sparse_weighted_relative_error,
     trip,
 )
 
 
 def hist(schema, entries):
-    h = IndexedHistogram(schema)
-    for index, value in entries.items():
-        h[index] = value
-    return h
+    """The dense array of hand-written cells."""
+    return dense_of(schema, entries)
 
 
 def tiny_corpus(schema, records_by_device):
@@ -61,7 +62,8 @@ def test_one_trip_fills_three_cells(small_schema, week_one_300):
         small_schema, [[trip(a=1, r=2, d=0, km=4.5, s=300.0)]]
     )
     workload = exact_workload(corpus, week_one_300)
-    assert dict(workload.items()) == {
+    assert workload.shape == small_schema.shape
+    assert sparse_of(workload) == {
         (1, 0, 2, 0): 1.0,
         (1, 1, 2, 0): 4.5,
         (1, 2, 2, 0): 300.0,
@@ -70,7 +72,7 @@ def test_one_trip_fills_three_cells(small_schema, week_one_300):
 
 def test_workload_agrees_with_an_independent_oracle(corpus_300, week_one_300):
     workload = exact_workload(corpus_300, week_one_300)
-    assert dict(workload.items()) == naive_workload(corpus_300, week_one_300)
+    assert sparse_of(workload) == naive_workload(corpus_300, week_one_300)
 
 
 @pytest.mark.parametrize("alignment", [WindowAlignment.WEEK, WindowAlignment.DAY])
@@ -82,11 +84,12 @@ def test_truth_and_counts_match_the_oracles_in_every_window(
     while window.start < corpus_300.config.end_time:
         subtotals = corpus_300.device_histograms(window)
         truth = exact_workload(corpus_300, window, subtotals)
-        assert dict(truth.items()) == naive_workload(corpus_300, window)
-        assert list(truth.raw()) == sorted(truth.raw())  # canonical order
+        assert truth.shape == corpus_300.schema.shape
+        assert sparse_of(truth) == naive_workload(corpus_300, window)
         counts = corpus_300.device_counts(window, subtotals)
-        assert counts == naive_device_counts(corpus_300, window)
-        checked += bool(counts)
+        expected = counts_of(corpus_300.schema, naive_device_counts(corpus_300, window))
+        assert counts.dtype == np.int64 and np.array_equal(counts, expected)
+        checked += bool(counts.any())
         window = window_after(window, alignment)
     assert checked == {WindowAlignment.WEEK: 1, WindowAlignment.DAY: 7}[alignment]
 
@@ -103,7 +106,8 @@ def test_workload_is_additive_across_subfleets(week_one_300):
         for h in histograms_of(corpus.device_histograms(week_one_300), corpus.schema)
     ]
     total = exact_sum(left.schema, histograms)
-    assert exact_workload(combined, week_one_300) == total
+    workload = exact_workload(combined, week_one_300)
+    assert IndexedHistogram.from_dense(left.schema, workload) == total
 
 
 # --- device floor ---------------------------------------------------------------
@@ -121,7 +125,8 @@ def test_device_floor_scales_with_the_fleet(fleet, floor):
 
 
 def counts_for(truth, value=100):
-    return {(a, r, d): value for (a, _m, r, d) in truth.raw()}
+    """``value`` devices in every partition the truth holds."""
+    return np.where((truth != 0.0).any(axis=1), value, 0)
 
 
 def test_identical_release_scores_zero(small_schema):
@@ -129,7 +134,7 @@ def test_identical_release_scores_zero(small_schema):
         small_schema,
         {(0, 0, 0, 0): 50.0, (0, 1, 0, 0): 120.0, (0, 2, 0, 0): 900.0},
     )
-    errors = weighted_relative_error(truth, truth.to_dense(), counts_for(truth), 1)
+    errors = weighted_relative_error(truth, truth, counts_for(truth), 1)
     assert errors[0] == errors[1] == errors[2] == 0.0
 
 
@@ -143,10 +148,8 @@ def test_uniform_inflation_scores_its_factor(small_schema):
             (1, 1, 1, 2): 40.0,
         },
     )
-    estimate = IndexedHistogram(small_schema)
-    for index, value in truth.items():
-        estimate[index] = value * 1.03
-    errors = weighted_relative_error(truth, estimate.to_dense(), counts_for(truth), 1)
+    estimate = truth * 1.03
+    errors = weighted_relative_error(truth, estimate, counts_for(truth), 1)
     assert errors[0] == pytest.approx(0.03)
     assert errors[1] == pytest.approx(0.03)
     assert math.isnan(errors[2])  # no duration truth anywhere
@@ -164,7 +167,7 @@ def test_partitions_weigh_in_by_trip_share(small_schema):
     )
     estimate = truth.copy()
     estimate[(1, 1, 0, 0)] = 40.0
-    errors = weighted_relative_error(truth, estimate.to_dense(), counts_for(truth), 1)
+    errors = weighted_relative_error(truth, estimate, counts_for(truth), 1)
     assert errors[1] == pytest.approx(0.9 * 0.0 + 0.1 * 0.2)
 
 
@@ -175,30 +178,30 @@ def test_sparse_partitions_are_excluded_by_the_floor(small_schema):
     )
     estimate = truth.copy()
     estimate[(1, 1, 0, 0)] = 40.0
-    counts = {(0, 0, 0): 100, (1, 0, 0): 3}
-    errors = weighted_relative_error(truth, estimate.to_dense(), counts, 20)
+    counts = counts_of(small_schema, {(0, 0, 0): 100, (1, 0, 0): 3})
+    errors = weighted_relative_error(truth, estimate, counts, 20)
     assert errors[1] == 0.0  # the mis-estimated partition fell below the floor
-    errors_all = weighted_relative_error(truth, estimate.to_dense(), counts, 1)
+    errors_all = weighted_relative_error(truth, estimate, counts, 1)
     assert errors_all[1] == pytest.approx(0.02)
 
 
 def test_missing_release_partitions_read_as_zero(small_schema):
     truth = hist(small_schema, {(0, 0, 0, 0): 10.0, (0, 1, 0, 0): 70.0})
     estimate = hist(small_schema, {(0, 0, 0, 0): 10.0})
-    errors = weighted_relative_error(truth, estimate.to_dense(), counts_for(truth), 1)
+    errors = weighted_relative_error(truth, estimate, counts_for(truth), 1)
     assert errors[1] == pytest.approx(1.0)
 
 
 def test_no_eligible_partition_is_nan_not_zero(small_schema):
     truth = hist(small_schema, {(0, 0, 0, 0): 10.0})
-    errors = weighted_relative_error(truth, truth.to_dense(), {}, 20)
+    errors = weighted_relative_error(truth, truth, counts_of(small_schema, {}), 20)
     assert all(math.isnan(errors[m]) for m in range(3))
 
 
 def test_negative_floor_is_rejected(small_schema):
     truth = hist(small_schema, {(0, 0, 0, 0): 10.0})
     with pytest.raises(InvalidParameterError):
-        weighted_relative_error(truth, truth.to_dense(), {}, -1)
+        weighted_relative_error(truth, truth, counts_of(small_schema, {}), -1)
 
 
 SCORED = Schema(
@@ -252,24 +255,62 @@ def scoring_inputs(draw):
 def test_dense_scorer_matches_the_sparse_reference_bit_for_bit(case):
     """A -0.0 estimate, a lacking cell, an estimate-only cell and an empty
     metric (NaN) score as the dict-based scorer scores them."""
-    truth_cells, estimate_cells, counts, floor = case
-    truth = IndexedHistogram(SCORED, truth_cells)
-    values = np.zeros(SCORED.shape)
-    for index, value in estimate_cells.items():
-        values[index] = value
-    got = weighted_relative_error(truth, values, counts, floor)
+    truth, values, counts, floor = dense_case(case)
+    got = weighted_relative_error(truth, values, counts_of(SCORED, case[2]), floor)
     expected = sparse_weighted_relative_error(
-        truth, IndexedHistogram.from_dense(SCORED, values), counts, floor
+        sparse_of(truth), sparse_of(values), case[2], floor, SCORED.num_metrics
     )
     assert {m: v.hex() for m, v in got.items()} == {
         m: v.hex() for m, v in expected.items()
     }
 
 
+def dense_case(case):
+    """(truth, estimate, device counts, floor) of a scoring case, dense."""
+    truth_cells, estimate_cells, counts, floor = case
+    estimate = np.zeros(SCORED.shape)
+    for index, value in estimate_cells.items():
+        estimate[index] = value
+    return dense_of(SCORED, truth_cells), estimate, counts_of(SCORED, counts), floor
+
+
+@given(scoring_inputs())
+@example(  # region 0's trip total is 2**53 in index order, 2**53 + 2 in another
+    (
+        {(0, 0, 0, 0): 1.0, (0, 0, 0, 1): 2.0**53, (1, 0, 0, 0): 1.0, (1, 1, 0, 0): 5.0},
+        {},
+        {(0, 0, 0): 1, (0, 0, 1): 1, (1, 0, 0): 1},
+        1,
+    )
+)
+def test_dense_scored_cells_match_the_sparse_reference_bit_for_bit(case):
+    """Region trip totals add in index order, cells keep index order, and
+    indices, truth values, weights and total weights are equal bit for bit
+    to the dict-based selection's."""
+    truth, _, counts, floor = dense_case(case)
+    cells = scored_cells(truth, counts, floor)
+    expected = sparse_scored_cells(sparse_of(truth), case[2], floor, SCORED.shape)
+    for metric, (indices, values, weights, total) in enumerate(expected):
+        assert cells.indices[metric].tolist() == indices
+        assert [v.hex() for v in cells.truth[metric].tolist()] == [v.hex() for v in values]
+        assert [w.hex() for w in cells.weights[metric].tolist()] == [w.hex() for w in weights]
+        assert cells.total_weights[metric].hex() == total.hex()
+
+
+@given(scoring_inputs(), st.sampled_from([[0], [1, 2], [0, 1, 2], [2, 0, 2]]))
+def test_dense_per_user_error_matches_the_sparse_reference_bit_for_bit(case, metrics):
+    truth, estimate, counts, _ = dense_case(case)
+    got = per_user_mean_error(truth, estimate, counts, metrics)
+    expected = sparse_per_user_mean_error(
+        sparse_of(truth), sparse_of(estimate), case[2], metrics
+    )
+    assert got.hex() == expected.hex()
+
+
 def test_an_estimate_of_another_shape_is_refused(small_schema):
     truth = hist(small_schema, {(0, 0, 0, 0): 10.0})
     with pytest.raises(SchemaMismatchError):
-        weighted_relative_error(truth, np.zeros(SCORED.shape), {}, 0)
+        weighted_relative_error(truth, np.zeros(SCORED.shape), counts_of(small_schema, {}), 0)
 
 
 # --- per-user mean error -------------------------------------------------------------
@@ -279,55 +320,62 @@ K = K1
 
 
 def by_partition(schema, rows):
-    """A histogram from (activity, region, direction) -> one value per metric."""
-    h = IndexedHistogram(schema)
-    for (a, r, d), values in rows.items():
-        for m, value in enumerate(values):
-            h[(a, m, r, d)] = value
-    return h
+    """A dense array from (activity, region, direction) -> one value per metric."""
+    return dense_of(
+        schema,
+        {
+            (a, m, r, d): value
+            for (a, r, d), values in rows.items()
+            for m, value in enumerate(values)
+        },
+    )
+
+
+def per_user(schema, reference, result, counts, metrics):
+    return per_user_mean_error(reference, result, counts_of(schema, counts), metrics)
 
 
 def test_exact_rows_score_zero(small_schema):
     h = by_partition(small_schema, {K1: (10.0, 5.0), K2: (3.0, 4.0)})
-    assert per_user_mean_error(h, h, {K1: 1, K2: 1}, [0, 1]) == 0.0
+    assert per_user(small_schema, h, h, {K1: 1, K2: 1}, [0, 1]) == 0.0
 
 
 def test_error_is_discounted_by_contributors(small_schema):
     reference = by_partition(small_schema, {K: (10.0,)})
     result = by_partition(small_schema, {K: (9.0,)})
-    assert per_user_mean_error(reference, result, {K: 1}, [0]) == pytest.approx(0.1)
-    assert per_user_mean_error(reference, result, {K: 10}, [0]) == pytest.approx(0.01)
+    assert per_user(small_schema, reference, result, {K: 1}, [0]) == pytest.approx(0.1)
+    assert per_user(small_schema, reference, result, {K: 10}, [0]) == pytest.approx(0.01)
 
 
 def test_partitions_average_evenly(small_schema):
     reference = by_partition(small_schema, {K1: (10.0,), K2: (10.0,)})
     result = by_partition(small_schema, {K1: (9.0,), K2: (7.0,)})
     counts = {K1: 1, K2: 1}
-    assert per_user_mean_error(reference, result, counts, [0]) == pytest.approx(0.2)
+    assert per_user(small_schema, reference, result, counts, [0]) == pytest.approx(0.2)
 
 
 def test_uncounted_partitions_are_excluded(small_schema):
     reference = by_partition(small_schema, {K1: (10.0,), K2: (10.0,)})
     result = by_partition(small_schema, {K1: (9.0,), K2: (0.0,)})
-    assert per_user_mean_error(reference, result, {K1: 1}, [0]) == pytest.approx(0.1)
-    assert math.isnan(per_user_mean_error(reference, result, {}, [0]))
+    assert per_user(small_schema, reference, result, {K1: 1}, [0]) == pytest.approx(0.1)
+    assert math.isnan(per_user(small_schema, reference, result, {}, [0]))
 
 
 def test_missing_result_rows_read_as_zero(small_schema):
     reference = by_partition(small_schema, {K: (10.0, 0.0)})
-    empty = IndexedHistogram(small_schema)
-    assert per_user_mean_error(reference, empty, {K: 1}, [0, 1]) == pytest.approx(1.0)
+    empty = np.zeros(small_schema.shape)
+    assert per_user(small_schema, reference, empty, {K: 1}, [0, 1]) == pytest.approx(1.0)
 
 
 def test_empty_reference_is_nan(small_schema):
-    empty = IndexedHistogram(small_schema)
-    assert math.isnan(per_user_mean_error(empty, empty, {}, [0, 1, 2]))
+    empty = np.zeros(small_schema.shape)
+    assert math.isnan(per_user(small_schema, empty, empty, {}, [0, 1, 2]))
 
 
 def test_only_the_query_metrics_are_scored(small_schema):
     reference = by_partition(small_schema, {K: (10.0, 0.0, 10.0)})
     result = by_partition(small_schema, {K: (10.0, 3.0, 5.0)})
-    assert per_user_mean_error(reference, result, {K: 1}, [0]) == 0.0
-    assert per_user_mean_error(reference, result, {K: 1}, [0, 2]) == 0.25
+    assert per_user(small_schema, reference, result, {K: 1}, [0]) == 0.0
+    assert per_user(small_schema, reference, result, {K: 1}, [0, 2]) == 0.25
     # A partition the truth holds only outside the query's metrics is not scored.
-    assert math.isnan(per_user_mean_error(reference, result, {K: 1}, [1]))
+    assert math.isnan(per_user(small_schema, reference, result, {K: 1}, [1]))

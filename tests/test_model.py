@@ -21,6 +21,7 @@ from fedsum.dp import (
     VARIANT_SCALED,
     VARIANT_SPLIT,
     MechanismConfig,
+    calibrate_clip,
     resolve_mechanism,
 )
 from fedsum.exactsum import ExactSum
@@ -34,7 +35,7 @@ from fedsum.model import (
     as_table,
 )
 
-from blocks import block_of, histograms_of
+from blocks import block_of, dense_of, histograms_of, l1_norm
 from helpers import trip
 
 
@@ -96,9 +97,9 @@ def build(schema, entries):
 def test_zero_entries_are_dropped(small_schema):
     h = IndexedHistogram(small_schema)
     h[(0, 0, 0, 0)] = 1.5
-    assert (0, 0, 0, 0) in h
+    assert h.items() == [((0, 0, 0, 0), 1.5)]
     h[(0, 0, 0, 0)] = 0.0
-    assert (0, 0, 0, 0) not in h
+    assert h.items() == []
     assert len(h) == 0
     assert h[(0, 0, 0, 0)] == 0.0  # absent reads as zero
 
@@ -114,22 +115,32 @@ def test_out_of_domain_index_rejected(small_schema):
         h[(0, 0, 9, 0)] = 1.0
 
 
-# --- L1 norm ------------------------------------------------------------------
+# --- L1 norm: a device's norm, as calibration reads it off a block -------------
+
+
+def device_norm(h):
+    """The L1 norm of ``h`` as one device of a block: the only device's
+    norm is the largest (quantile 1) of the block's active norms."""
+    return calibrate_clip(block_of(h.schema, [h]), 1.0)
 
 
 def test_l1_norm_of_empty_is_zero(small_schema):
-    assert IndexedHistogram(small_schema).l1_norm() == 0.0
+    # A zero norm is no active device: with it, the median norm is still 2.
+    devices = [IndexedHistogram(small_schema), build(small_schema, {(0, 0, 0, 0): 2.0})]
+    assert calibrate_clip(block_of(small_schema, devices), 0.5) == 2.0
+    with pytest.raises(InvalidParameterError, match="no device has any data"):
+        device_norm(IndexedHistogram(small_schema))
 
 
 def test_l1_norm_sums_absolute_values(small_schema):
     h = build(small_schema, {(0, 0, 0, 0): 3.0, (1, 1, 1, 1): -4.0})
-    assert h.l1_norm() == 7.0
+    assert device_norm(h) == 7.0
 
 
 def test_l1_norm_counts_unit_entries(small_schema):
     entries = {(a, 0, 0, 0): 1.0 for a in range(3)}
     entries.update({(a, 1, 1, 1): 1.0 for a in range(2)})
-    assert build(small_schema, entries).l1_norm() == 5.0
+    assert device_norm(build(small_schema, entries)) == 5.0
 
 
 # --- clipping: the device transform of one histogram -------------------------
@@ -180,7 +191,7 @@ def test_clip_rescales_to_bound_exactly(small_schema):
     clipped = clip(h, 3.5)
     assert clipped[(0, 0, 0, 0)] == 1.5
     assert clipped[(1, 0, 0, 0)] == 2.0
-    assert clipped.l1_norm() == 3.5
+    assert l1_norm(clipped) == 3.5
 
 
 def test_clip_empty_histogram_is_noop(small_schema):
@@ -221,7 +232,7 @@ def test_clip_one_ulp_above_the_bound_shrinks_by_the_least_factor(small_schema):
         (0, 0, 0, 0): math.nextafter(1.0, 0.0),
         (1, 0, 0, 0): math.nextafter(1.0, 0.0),
     }
-    assert clipped.l1_norm() == bound
+    assert l1_norm(clipped) == bound
 
 
 def test_clip_rescales_again_when_rounding_leaves_the_norm_above_the_bound(
@@ -233,7 +244,7 @@ def test_clip_rescales_again_when_rounding_leaves_the_norm_above_the_bound(
     assert math.fsum(v * factor for v in values) > bound  # one pass falls short
     h = build(small_schema, {(a, 0, 0, 0): v for a, v in enumerate(values)})
     clipped = clip(h, bound)
-    assert clipped.l1_norm() <= bound
+    assert l1_norm(clipped) <= bound
     assert [clipped[(a, 0, 0, 0)] for a in range(3)] != [v * factor for v in values]
 
 
@@ -273,7 +284,7 @@ def histograms(draw, max_entries=12):
 @given(histograms(), st.floats(min_value=1e-3, max_value=1e7))
 def test_clip_norm_never_exceeds_bound(h, bound):
     clipped = clip(h, bound)
-    assert clipped.l1_norm() <= bound + 1e-9
+    assert l1_norm(clipped) <= bound + 1e-9
 
 
 @given(histograms(), st.floats(min_value=1e-3, max_value=1e7))
@@ -285,7 +296,7 @@ def test_clip_is_idempotent(h, bound):
 @given(histograms(), st.floats(min_value=1e-3, max_value=1e7))
 def test_clip_preserves_signs_and_ratios(h, bound):
     clipped = clip(h, bound)
-    original = h.raw()
+    original = dict(h.items())
     for index, value in original.items():
         assert math.copysign(1.0, clipped[index]) == math.copysign(1.0, value) or (
             clipped[index] == 0.0 and abs(value) < 1e-300
@@ -308,12 +319,12 @@ def test_clip_slices_clips_each_slice_as_clip_would(h, bound):
     for a in range(3):
         for m in range(3):
             part = IndexedHistogram(
-                schema, {i: v for i, v in h.raw().items() if i[:2] == (a, m)}
+                schema, {i: v for i, v in h.items() if i[:2] == (a, m)}
             )
             alone = clip(part, table[a][m])
-            assert alone.l1_norm() <= table[a][m]
-            assert {i: v for i, v in clipped.raw().items() if i[:2] == (a, m)} == (
-                alone.raw()
+            assert l1_norm(alone) <= table[a][m]
+            assert {i: v for i, v in clipped.items() if i[:2] == (a, m)} == (
+                dict(alone.items())
             )
 
 
@@ -332,7 +343,7 @@ def test_clip_slices_table_must_match_the_schema(small_schema):
 
 @given(histograms())
 def test_dense_round_trip_is_exact(h):
-    dense = h.to_dense()
+    dense = dense_of(h.schema, h)
     assert dense.shape == h.schema.shape
     back = IndexedHistogram.from_dense(h.schema, dense)
     assert back == h
@@ -340,7 +351,7 @@ def test_dense_round_trip_is_exact(h):
 
 
 def test_from_dense_drops_zeros_and_checks_the_shape(small_schema, cell_schema):
-    dense = build(small_schema, {(2, 1, 3, 2): -4.5}).to_dense()
+    dense = dense_of(small_schema, {(2, 1, 3, 2): -4.5})
     dense[0, 0, 0, 0] = -0.0
     assert IndexedHistogram.from_dense(small_schema, dense).items() == [
         ((2, 1, 3, 2), -4.5)
@@ -355,7 +366,7 @@ def test_from_dense_drops_zeros_and_checks_the_shape(small_schema, cell_schema):
 def descale(h, table):
     """Multiply back by ``table`` as a release does: on the dense array."""
     factors = np.asarray(table)[:, :, None, None]
-    return IndexedHistogram.from_dense(h.schema, h.to_dense() * factors)
+    return IndexedHistogram.from_dense(h.schema, dense_of(h.schema, h) * factors)
 
 
 def test_scale_table_identity(small_schema):
@@ -399,7 +410,7 @@ def test_scaling_drops_entries_that_underflow_to_zero(small_schema):
 def test_scale_round_trip_close(h, factors):
     table = as_table([factors[0:3], factors[3:6], factors[6:9]])
     back = descale(scale_by_table(h, table), table)
-    for index, value in h.raw().items():
+    for index, value in h.items():
         assert back[index] == pytest.approx(value, rel=1e-12)
 
 
@@ -434,7 +445,7 @@ def test_scale_table_shape_must_match_schema(small_schema):
 
 def as_rows(h):
     """The histogram's entries as the one-column rows of an exact sum."""
-    return [(index, (value,)) for index, value in h.raw().items()]
+    return [(index, (value,)) for index, value in h.items()]
 
 
 def from_rows(schema, rows):

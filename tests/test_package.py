@@ -75,3 +75,18 @@ def test_only_dp_scales_or_clips_a_device_contribution():
         text = path.read_text(encoding="utf-8")
         offenders += [(path.name, n) for n in needles if n in text]
     assert offenders == []
+
+
+# The modules that may name the sparse histogram: the model defines it,
+# a release (dp) builds it as its artifact view, and the package exports it.
+SPARSE_HISTOGRAM_MODULES = {"model.py", "dp.py", "__init__.py"}
+
+
+def test_only_model_and_dp_name_the_sparse_histogram():
+    offenders = []
+    for path in sorted(Path(fedsum.__file__).parent.glob("*.py")):
+        if path.name in SPARSE_HISTOGRAM_MODULES:
+            continue
+        if "IndexedHistogram" in path.read_text(encoding="utf-8"):
+            offenders.append(path.name)
+    assert offenders == []

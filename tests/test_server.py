@@ -25,7 +25,7 @@ from fedsum.server import (
 )
 from fedsum.windows import WindowAlignment
 
-from blocks import exact_sum
+from blocks import block_of, exact_sum
 from helpers import START, WEEK
 
 FULL_QUERY = """\
@@ -106,7 +106,7 @@ def upload(server, device: int, h: IndexedHistogram, now: int) -> None:
     assignments = server.check_in(device, now)
     assert assignments, f"no open window at {now}"
     a = assignments[0]
-    rows = histogram_to_rows(h, a.window_id, SPEC)
+    rows = histogram_to_rows(block_of(server.schema, [h]), a.window_id, SPEC)
     server.ingest_upload(
         ClientUpdate(a.query_id, a.window_id, a.token, tuple(rows)), now
     )
@@ -308,7 +308,7 @@ def test_token_replay_is_rejected():
     server, s = make_server()
     server.register_task(make_task(s), now=START)
     a = server.check_in(1, now=START + WEEK)[0]
-    rows = tuple(histogram_to_rows(device_histogram(s, 1), a.window_id, SPEC))
+    rows = tuple(histogram_to_rows(block_of(s, [device_histogram(s, 1)]), a.window_id, SPEC))
     update = ClientUpdate(a.query_id, a.window_id, a.token, rows)
     server.ingest_upload(update, now=START + WEEK)
     with pytest.raises(TokenReplayError):
@@ -321,7 +321,7 @@ def test_upload_after_deadline_is_rejected_and_burns_the_token():
     server, s = make_server()
     server.register_task(make_task(s), now=START)
     a = server.check_in(1, now=START + WEEK + GRACE)[0]
-    rows = tuple(histogram_to_rows(device_histogram(s, 1), a.window_id, SPEC))
+    rows = tuple(histogram_to_rows(block_of(s, [device_histogram(s, 1)]), a.window_id, SPEC))
     update = ClientUpdate(a.query_id, a.window_id, a.token, rows)
     late = START + WEEK + GRACE + 1
     with pytest.raises(SessionClosedError):
@@ -344,7 +344,9 @@ def test_malformed_upload_burns_the_token_but_not_the_state(case):
     server, s = make_server()
     server.register_task(make_task(s), now=START)
     good = server.check_in(2, now=START + WEEK)[0]
-    upload_rows = tuple(histogram_to_rows(device_histogram(s, 2), good.window_id, SPEC))
+    upload_rows = tuple(
+        histogram_to_rows(block_of(s, [device_histogram(s, 2)]), good.window_id, SPEC)
+    )
     server.ingest_upload(
         ClientUpdate(good.query_id, good.window_id, good.token, upload_rows), START + WEEK
     )
@@ -367,7 +369,7 @@ def test_upload_after_release_is_rejected():
     deadline = START + WEEK + GRACE
     a = server.check_in(1, now=deadline)[0]
     server.maintenance(now=deadline + 1)
-    rows = tuple(histogram_to_rows(device_histogram(s, 1), a.window_id, SPEC))
+    rows = tuple(histogram_to_rows(block_of(s, [device_histogram(s, 1)]), a.window_id, SPEC))
     with pytest.raises(SessionClosedError):
         server.ingest_upload(
             ClientUpdate(a.query_id, a.window_id, a.token, rows), now=deadline + 1
@@ -488,21 +490,22 @@ def test_released_sessions_stop_handing_out_tokens():
     assert server.check_in(2, now=START + WEEK + GRACE + 2) == []
 
 
-# --- fault injection -----------------------------------------------------------
+# --- checkpoints -------------------------------------------------------------------
 
 
-def test_crash_loses_at_most_the_in_flight_batch():
+def test_full_shards_checkpoint_and_the_release_sums_every_upload():
     server, s = make_server(num_shards=1, checkpoint_batch=2)
     server.register_task(make_task(s, num_windows=1), now=START)
     for device in range(5):
         upload(server, device, device_histogram(s, device), now=START + WEEK)
-    lost = server.inject_crash("trips", "2024-W20", now=START + WEEK + 60)
-    assert lost == 1  # four of five already checkpointed
+    # Two full batches checkpointed; the fifth upload is still in flight.
+    checkpoints = events_named(server, "checkpoint")
+    assert [e["contributions"] for e in checkpoints] == [2, 2]
     server.maintenance(now=START + WEEK + GRACE + 1)
     release = server.releases["trips/2024-W20"]
-    assert release.histogram == exact_sum(s, [device_histogram(s, d) for d in range(4)])
-    (crash,) = events_named(server, "crash_injected")
-    assert crash["contributions_lost"] == 1
+    assert release.histogram == exact_sum(s, [device_histogram(s, d) for d in range(5)])
+    # Sealing checkpoints the in-flight shard too.
+    assert [e["contributions"] for e in events_named(server, "checkpoint")] == [2, 2, 1]
 
 
 # --- event log --------------------------------------------------------------------

@@ -36,8 +36,13 @@ from fedsum.sim import FleetConfig, build_device_upload, run_simulation
 from fedsum.synth import SyntheticCorpusConfig, generate_corpus
 from fedsum.windows import WindowAlignment
 
-from blocks import devices_of, histograms_of
-from helpers import START, active_devices, eager_check_in_allowed
+from blocks import block_of, devices_of, histograms_of, rows_of, sparse_of
+from helpers import START, active_devices, eager_check_in_allowed, naive_device_counts
+
+
+def exact_release(corpus, window):
+    """The exact workload's nonzero cells, as a release publishes them."""
+    return IndexedHistogram.from_dense(corpus.schema, exact_workload(corpus, window))
 
 FULL_QUERY = """\
 SELECT activity, region, direction, privacy_time_unit,
@@ -88,7 +93,7 @@ def test_noiseless_run_reproduces_the_exact_workload(corpus_300, week_one_300):
     )
     release = result.releases["trips/2024-W20"]
     assert isinstance(release, NoisedRelease)
-    assert release.histogram == exact_workload(corpus_300, week_one_300)
+    assert release.histogram == exact_release(corpus_300, week_one_300)
     active = active_devices(corpus_300, week_one_300)
     assert len(result.uploaded["2024-W20"]) == len(active)
 
@@ -113,7 +118,7 @@ def test_noiseless_run_releases_what_the_prepared_mechanism_releases(
     assert isinstance(release, NoisedRelease)
     expected = prepared.release("2024-W20", seed=0)
     assert release.histogram.serialize() == expected.histogram.serialize()
-    assert release.histogram != exact_workload(corpus_300, week_one_300)
+    assert release.histogram != exact_release(corpus_300, week_one_300)
 
 
 def check_in_times(result):
@@ -156,6 +161,28 @@ def test_no_trip_record_exists_during_the_simulation(monkeypatch):
     assert result.uploaded["2024-W20"] and result.eval_rows
 
 
+def test_a_run_builds_one_sparse_histogram_per_released_window(corpus_300, monkeypatch):
+    # Uploads encode blocks, the server sums into a dense array and
+    # evaluation scores dense values: only each release's artifact view
+    # (``NoisedRelease.histogram``, read by its event) is sparse.
+    built = []
+    init = IndexedHistogram.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(IndexedHistogram, "__init__", counted_init)
+    result = run_simulation(
+        corpus_300,
+        make_task(corpus_300.schema, epsilon=2.0, clip=1000.0),
+        FleetConfig(availability="always_on"),
+    )
+    released = [r for r in result.releases.values() if isinstance(r, NoisedRelease)]
+    assert released and result.eval_rows
+    assert len(built) == len(released)
+
+
 def test_hourly_ticks_wake_each_device_daily_at_its_own_hour(corpus_300):
     result = run_simulation(
         corpus_300,
@@ -185,7 +212,7 @@ def test_daily_ticks_upload_from_every_active_device(corpus_300, week_one_300):
     active = active_devices(corpus_300, week_one_300)
     assert result.uploaded["2024-W20"] == active
     release = result.releases["trips/2024-W20"]
-    assert release.histogram == exact_workload(corpus_300, week_one_300)
+    assert release.histogram == exact_release(corpus_300, week_one_300)
     # Every tick wakes every device: none waits for an hour the tick skips.
     start = corpus_300.config.start_time
     for seen in check_in_times(result).values():
@@ -266,15 +293,15 @@ GROUP BY activity, region, direction, privacy_time_unit
 """
 
 
-def row_based_per_user_mean_error(truth, release, counts, window_id, spec):
+def row_based_per_user_mean_error(schema, truth, release, counts, window_id, spec):
     """The per-user error as the simulator once computed it, on upload rows.
 
-    Both histograms go through the upload codec, each truth row's device
-    count is looked up by splitting its key, and the error averages over
-    the row's value columns.
+    Both histograms, as the rows of one block each, go through the upload
+    codec, each truth row's device count is looked up by splitting its
+    key, and the error averages over the row's value columns.
     """
-    truth_rows = dict(histogram_to_rows(truth, window_id, spec))
-    release_rows = dict(histogram_to_rows(release, window_id, spec))
+    truth_rows = dict(histogram_to_rows(block_of(schema, [truth]), window_id, spec))
+    release_rows = dict(histogram_to_rows(block_of(schema, [release]), window_id, spec))
     positions = {c: i for i, c in enumerate(spec.client.group_by)}
     terms = []
     for key, reference in truth_rows.items():
@@ -311,7 +338,11 @@ def test_uploads_are_the_rows_of_the_bounded_window_block(
             for r in corpus_300.devices[device].records
             if week_one_300.contains(r.event_time)
         ]
-        upload = build_device_upload(records, prepared.resolved, schema)
+        upload_block = build_device_upload(records, prepared.resolved, schema)
+        rows = rows_of(bounded, bounded.device == device)
+        for column in ("activity", "region", "direction", "sums"):
+            assert getattr(upload_block, column).tolist() == getattr(rows, column).tolist()
+        (upload,) = histograms_of(upload_block, schema)
         assert upload.serialize() == expected.serialize(), device
         uploads.append(upload)
     assert len(uploads) == len(active_devices(corpus_300, week_one_300))
@@ -351,9 +382,10 @@ def test_per_user_error_equals_the_row_based_formula_bit_for_bit(
     release = result.releases["trips/2024-W20"]
     assert release.suppressed_partitions > 0  # some partitions read as 0
     expected = row_based_per_user_mean_error(
-        exact_workload(corpus_300, week_one_300),
+        corpus_300.schema,
+        sparse_of(exact_workload(corpus_300, week_one_300)),
         release.histogram,
-        corpus_300.device_counts(week_one_300),
+        naive_device_counts(corpus_300, week_one_300),
         "2024-W20",
         parse_and_validate(query),
     )
@@ -448,12 +480,12 @@ def polled_simulation(corpus, task, fleet, seed):
                 ok = rng.uniform("upload-ok", device_id, day, assignment.window_id)
                 if not ok < state.profile.p_upload_ok:
                     continue
-                histogram = build_device_upload(records, task.mechanism, corpus.schema)
+                block = build_device_upload(records, task.mechanism, corpus.schema)
                 update = ClientUpdate(
                     query_id=task.query_id,
                     window_id=window.window_id,
                     token=assignment.token,
-                    rows=tuple(histogram_to_rows(histogram, window.window_id, spec)),
+                    rows=tuple(histogram_to_rows(block, window.window_id, spec)),
                 )
                 try:
                     server.ingest_upload(update, now)
