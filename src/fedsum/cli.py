@@ -10,6 +10,10 @@ Subcommands:
 * ``validate-query`` — parse and validate a split query, printing its
   canonical form.
 
+``--seed``, ``--out`` and ``--variants`` override ``run.seed``,
+``run.out`` and ``sweep.variants``: each is written into the file's
+mapping before it is parsed, so it is read and checked like that key.
+
 Exit codes: 0 success, 1 query/validation failure, 2 bad configuration
 or usage, 3 runtime failure.
 """
@@ -17,7 +21,6 @@ or usage, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -48,26 +51,28 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-def _load_experiment(args: argparse.Namespace) -> ExperimentConfig:
-    """Load the experiment file (if any) with CLI overrides applied.
-
-    Overrides land in the raw mapping before validation, so dependent
-    defaults — the corpus seed follows the run seed unless pinned in the
-    file — stay consistent.
-    """
-    return parse_config(_experiment_data(args))
-
-
 def _experiment_data(args: argparse.Namespace) -> dict:
-    """The raw experiment mapping with the CLI overrides applied."""
+    """The raw experiment mapping with the CLI overrides applied.
+
+    Overrides land in the raw mapping before validation, so they are read
+    and checked like the file's own keys, and dependent defaults — the
+    corpus seed follows the run seed unless pinned in the file — stay
+    consistent.
+    """
     data = read_config_data(args.config) if args.config is not None else {}
-    run = data.get("run") or {}
-    if getattr(args, "seed", None) is not None:
-        run = {**run, "seed": args.seed}
-    if getattr(args, "out", None) is not None:
-        run = {**run, "out": args.out}
-    if run:
-        data = {**data, "run": run}
+    variants = getattr(args, "variants", None)
+    overrides = {
+        ("run", "seed"): args.seed,
+        ("run", "out"): args.out,
+        ("sweep", "variants"): (
+            [v.strip() for v in variants.split(",") if v.strip()] if variants else None
+        ),
+    }
+    for (section, key), value in overrides.items():
+        raw = data.get(section) or {}
+        # A section that is not a mapping is left for parse_config to refuse.
+        if value is not None and isinstance(raw, dict):
+            data = {**data, section: {**raw, key: value}}
     return data
 
 
@@ -128,7 +133,7 @@ def _write_atomically(out_dir: str, sentinel: str, write) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _load_experiment(args)
+    config = parse_config(_experiment_data(args))
     corpus = generate_corpus(config.corpus)
     task = _build_task(config, corpus)
     result = run_simulation(
@@ -165,11 +170,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         keys = ", ".join(f"mechanism.{key}" for key in sorted(mechanism))
         raise ConfigError(f"{keys}: not read by sweep, which reads the sweep section")
     config = parse_config(data)
-    if args.variants:
-        requested = tuple(v.strip() for v in args.variants.split(",") if v.strip())
-        config = dataclasses.replace(
-            config, sweep=dataclasses.replace(config.sweep, variants=requested)
-        )
     corpus = generate_corpus(config.corpus)
     window = round_down_window(config.corpus.start_time, config.task.alignment)
     rows = run_epsilon_sweep(corpus, window, config.sweep)
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", help="override output directory")
     sweep.add_argument(
         "--variants",
-        help="comma-separated variant subset (default: all configured)",
+        help="override sweep.variants with a comma-separated list",
     )
     sweep.set_defaults(func=cmd_sweep)
 

@@ -29,8 +29,11 @@ the same transform a sweep runs on a whole window's block.  The upload
 codec is ``histogram_to_rows``, which renders the bounded block's rows
 as the client statement's grouped rows, and its inverse
 ``rows_to_histogram``, which adds rows into one dense array of cell
-sums; outside :mod:`fedsum.aggcore` it is the only code that knows the
-row format.
+sums.  ``row_keys`` lists one window's valid row keys: the server
+refuses an upload under any other key, and the decoder reads its
+partitions from the same table, so every row the server accepted
+decodes.  Outside :mod:`fedsum.aggcore` the codec is the only code that
+knows the row format.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ __all__ = [
     "draw_flags",
     "client_work",
     "histogram_to_rows",
+    "row_keys",
     "rows_to_histogram",
 ]
 
@@ -315,6 +319,18 @@ def client_work(
     )
 
 
+def _key_columns(spec: QuerySpec) -> tuple[str, ...]:
+    """The client statement's group-by columns, which must be exactly the
+    release keys, so that no two partitions share a row key."""
+    key_columns = spec.client.group_by
+    if sorted(key_columns) != sorted(RELEASE_KEY_COLUMNS):
+        raise QueryValidationError(
+            f"upload rows need the client statement grouped by exactly "
+            f"{sorted(RELEASE_KEY_COLUMNS)}; got {sorted(key_columns)}"
+        )
+    return key_columns
+
+
 def histogram_to_rows(
     block: DeviceSubtotals,
     window_id: str,
@@ -327,14 +343,9 @@ def histogram_to_rows(
     cells in ``spec.metric_columns`` order, a zero written as ``+0.0``.
     A row whose selected values are all zero is dropped, and rows are
     sorted by key.  The client statement must group by exactly
-    ``RELEASE_KEY_COLUMNS``, so that no two partitions share a row key.
+    ``RELEASE_KEY_COLUMNS``.
     """
-    key_columns = spec.client.group_by
-    if sorted(key_columns) != sorted(RELEASE_KEY_COLUMNS):
-        raise QueryValidationError(
-            f"upload rows need the client statement grouped by exactly "
-            f"{sorted(RELEASE_KEY_COLUMNS)}; got {sorted(key_columns)}"
-        )
+    key_columns = _key_columns(spec)
     size = len(block.device)
     if size and block.device[0] != block.device[-1]:
         raise ValueError("upload rows encode one device's block")
@@ -354,37 +365,44 @@ def histogram_to_rows(
     return rows
 
 
+def row_keys(
+    spec: QuerySpec, schema: Schema, window_id: str
+) -> dict[str, tuple[int, int, int]]:
+    """Every row key of ``window_id``, mapped to its partition.
+
+    The keys are exactly those :func:`histogram_to_rows` can write for
+    the window: one per ``(activity, region, direction)`` of ``schema``.
+    Any other key (a wrong part count, a part that is not the integer
+    the encoder writes, an index outside the schema, another window's
+    id) is not a row key.
+    """
+    # The key of partition (a, r, d) is template.format(a, r, d, window_id).
+    slot = {"activity": "{0}", "region": "{1}", "direction": "{2}", PRIVACY_TIME_UNIT: "{3}"}
+    template = KEY_SEPARATOR.join(slot[column] for column in _key_columns(spec))
+    shape = (schema.num_activities, schema.num_regions, schema.num_directions)
+    return {template.format(a, r, d, window_id): (a, r, d) for a, r, d in np.ndindex(shape)}
+
+
 def rows_to_histogram(
     rows: Iterable[tuple[str, Sequence[float]]],
     spec: QuerySpec,
     schema: Schema,
-    expect_window_id: str | None = None,
+    keys: dict[str, tuple[int, int, int]],
 ) -> np.ndarray:
-    """Decode grouped rows (upload or report) into their dense cell sums.
+    """Decode one window's grouped rows (upload or report) into dense cell sums.
 
     The inverse of :func:`histogram_to_rows`: a float64 array of the
-    schema's shape, each nonzero value added to its cell.  If
-    ``expect_window_id`` is given, rows for any other window raise.
+    schema's shape, each nonzero value added to its cell.  ``keys`` is
+    the window's :func:`row_keys`; a row under any other key raises.
     """
-    key_columns = spec.client.group_by
-    positions = {column: i for i, column in enumerate(key_columns)}
     metric_of_slot = [METRIC_BY_COLUMN[c] for c in spec.metric_columns]
     out = np.zeros(schema.shape)
     for key, values in rows:
-        parts = key.split(KEY_SEPARATOR)
-        if len(parts) != len(key_columns):
-            raise ValueError(f"key {key!r} has {len(parts)} parts; expected {len(key_columns)}")
-        a = int(parts[positions["activity"]])
-        r = int(parts[positions["region"]])
-        d = int(parts[positions["direction"]])
-        window_id = parts[positions[PRIVACY_TIME_UNIT]]
-        if expect_window_id is not None and window_id != expect_window_id:
-            raise ValueError(
-                f"row for window {window_id!r}; expected {expect_window_id!r}"
-            )
+        try:
+            a, r, d = keys[key]
+        except KeyError:
+            raise ValueError(f"{key!r} is not a row key of this window") from None
         for slot, value in enumerate(values):
             if value != 0.0:
-                index = (a, metric_of_slot[slot], r, d)
-                schema.check_index(index)
-                out[index] += value
+                out[a, metric_of_slot[slot], r, d] += value
     return out

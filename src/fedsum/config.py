@@ -1,27 +1,35 @@
 """Experiment configuration: a YAML file describing one full run.
 
 The file is a mapping of sections — ``run``, ``corpus``, ``fleet``,
-``task``, ``mechanism``, ``sweep`` — all optional, each with
-typed keys and safe defaults.  Unknown sections or keys are hard errors
-so typos can't silently fall back to defaults.  ``load_config`` returns
-an :class:`ExperimentConfig` whose pieces plug straight into the corpus
-generator, the fleet driver, and the mechanism resolver.
+``task``, ``mechanism``, ``sweep`` — all optional.  One key table,
+``_KEYS``, declares every key: the field of :class:`ExperimentConfig`
+it sets and how its value is read from YAML and written back.  The
+unknown-key check, :func:`parse_config` and
+:meth:`ExperimentConfig.snapshot` all walk it, so unknown sections or
+keys are hard errors (a typo can't silently fall back to a default),
+and a key left out keeps ``ExperimentConfig()``'s value.  Each range and
+enum check lives in the dataclass that holds the value.  ``load_config``
+returns an :class:`ExperimentConfig` whose pieces plug straight into the
+corpus generator, the fleet driver, and the mechanism resolver.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple
 
 import yaml
 
-from .dp import MechanismConfig, VARIANT_SCALED, VARIANTS
+from .dp import MechanismConfig, VARIANT_SCALED
 from .model import InvalidParameterError, Table, as_table
 from .sim import FleetConfig
-from .sweep import DEFAULT_EPSILONS, SweepConfig
-from .synth import DEFAULT_START_TIME, SyntheticCorpusConfig
+from .sweep import SweepConfig
+from .synth import SyntheticCorpusConfig
 from .windows import WindowAlignment, round_down_window
 
 __all__ = [
@@ -79,9 +87,17 @@ class TaskSection:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Every setting of one experiment; the defaults are the file's defaults.
+
+    Built by :func:`parse_config` or directly; either way the seeds must
+    fit the generators and the corpus must start on a window boundary.
+    """
+
     seed: int = 0
     out_dir: str = "out"
-    corpus: SyntheticCorpusConfig = field(default_factory=SyntheticCorpusConfig)
+    corpus: SyntheticCorpusConfig = field(
+        default_factory=lambda: SyntheticCorpusConfig(num_devices=2000, num_weeks=3)
+    )
     fleet: FleetConfig = field(default_factory=FleetConfig)
     task: TaskSection = field(default_factory=TaskSection)
     mechanism: MechanismConfig = field(
@@ -94,173 +110,193 @@ class ExperimentConfig:
     clip_table_path: str | None = None
     sweep: SweepConfig = field(default_factory=SweepConfig)
 
+    def __post_init__(self) -> None:
+        # Seeds are keyed as 64-bit integers; the run and corpus seeds are
+        # also non-negative.
+        seeds = [("run.seed", self.seed, 0), ("corpus.seed", self.corpus.seed, 0)]
+        if self.mechanism_seed is not None:
+            seeds.append(("mechanism.seed", self.mechanism_seed, -(2**63)))
+        seeds += [("sweep.seeds", seed, -(2**63)) for seed in self.sweep.seeds]
+        for where, seed, low in seeds:
+            if not low <= seed < 2**63:
+                span = "[0, 2**63)" if low == 0 else "[-2**63, 2**63)"
+                raise ConfigError(f"{where}: expected a seed in {span}, got {seed}")
+        start, alignment = self.corpus.start_time, self.task.alignment
+        try:
+            first_window = round_down_window(start, alignment)
+        except (OverflowError, OSError, ValueError) as exc:
+            raise ConfigError(f"corpus.start_time: {exc}") from exc
+        if first_window.start != start:
+            # The server takes the task at the corpus start; a first window
+            # that began earlier would reach back into the past.
+            raise ConfigError(
+                f"corpus.start_time {start} is not on a task.alignment "
+                f"({alignment.name.lower()}) boundary: its window starts at "
+                f"{first_window.start}, so the first window would be retrospective"
+            )
+
     def snapshot(self) -> dict:
         """A YAML-dumpable view of every effective setting.
 
         Feeding this mapping back through :func:`parse_config` (file
-        paths permitting) reproduces the same configuration.
+        paths permitting) reproduces the same configuration.  A setting
+        left unset (``None``) is left out.
         """
-        eps = self.mechanism.epsilon
-        clip = self.mechanism.clip
-        task: dict = {
-            "query_id": self.task.query_id,
-            "alignment": self.task.alignment.value,
-            "num_windows": self.task.num_windows,
-            "grace_period": self.task.grace_period,
-            "min_contributions": self.task.min_contributions,
-            "submitted_by": self.task.submitted_by,
-            "approved_by": self.task.approved_by,
+        snapshot = {
+            section: {
+                name: key.write(value)
+                for name, key in keys.items()
+                if (value := attrgetter(key.field)(self)) is not None
+            }
+            for section, keys in _KEYS.items()
         }
         if self.task.query_file is not None:
-            task["query_file"] = self.task.query_file
-        else:
-            task["query"] = self.task.query_text
-        mechanism: dict = {
-            "variant": self.mechanism.variant,
-            "epsilon": "inf" if math.isinf(eps) else eps,
-            "quantile": self.mechanism.quantile,
-            "tau": self.mechanism.tau,
-            "strict_tau": self.mechanism.strict_tau,
-        }
-        if clip is not None:
-            mechanism["clip"] = "inf" if math.isinf(clip) else clip
-        if self.scale_table_path is not None:
-            mechanism["scale_table"] = self.scale_table_path
-        if self.clip_table_path is not None:
-            mechanism["clip_table"] = self.clip_table_path
-        if self.mechanism.budget_weights is not None:
-            mechanism["budget_weights"] = [
-                list(row) for row in self.mechanism.budget_weights
-            ]
-        if self.mechanism_seed is not None:
-            mechanism["seed"] = self.mechanism_seed
-        return {
-            "run": {"seed": self.seed, "out": self.out_dir},
-            "corpus": {
-                "num_devices": self.corpus.num_devices,
-                "num_regions": self.corpus.num_regions,
-                "num_weeks": self.corpus.num_weeks,
-                "start_time": self.corpus.start_time,
-                "seed": self.corpus.seed,
-            },
-            "fleet": {
-                "policy": self.fleet.policy,
-                "availability": self.fleet.availability,
-                "tick_seconds": self.fleet.tick_seconds,
-                "cache_ttl": self.fleet.cache_ttl,
-            },
-            "task": task,
-            "mechanism": mechanism,
-            "sweep": {
-                "epsilons": [
-                    "inf" if math.isinf(e) else e for e in self.sweep.epsilons
-                ],
-                "seeds": list(self.sweep.seeds),
-                "variants": list(self.sweep.variants),
-                "quantile": self.sweep.quantile,
-                "tau": self.sweep.tau,
-            },
-        }
+            del snapshot["task"]["query"]  # the file holds the text
+        return snapshot
 
 
-_SECTIONS = {"run", "corpus", "fleet", "task", "mechanism", "sweep"}
-_KEYS = {
-    "run": {"seed", "out"},
-    "corpus": {"num_devices", "num_regions", "num_weeks", "start_time", "seed"},
-    "fleet": {"policy", "availability", "tick_seconds", "cache_ttl"},
-    "task": {
-        "query_id",
-        "query",
-        "query_file",
-        "alignment",
-        "num_windows",
-        "grace_period",
-        "min_contributions",
-        "submitted_by",
-        "approved_by",
-    },
-    "mechanism": {
-        "variant",
-        "epsilon",
-        "quantile",
-        "clip",
-        "clip_table",
-        "scale_table",
-        "budget_weights",
-        "tau",
-        "strict_tau",
-        "seed",
-    },
-    "sweep": {"epsilons", "seeds", "variants", "quantile", "tau"},
-}
+def _typed(kind: type) -> Callable[[Any, str], Any]:
+    def read(value: Any, where: str) -> Any:
+        # bool is an int subclass; reject it where a number is expected.
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+        return value
+
+    return read
 
 
-def _section(data: dict, name: str) -> dict:
-    raw = data.get(name) or {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"section {name!r} must be a mapping")
-    unknown = set(raw) - _KEYS[name]
-    if unknown:
-        raise ConfigError(f"{name}: unknown key(s) {sorted(unknown)}")
-    return raw
+_int, _str = _typed(int), _typed(str)
 
 
-def _require(value: Any, kind: type, where: str) -> Any:
-    # bool is an int subclass; reject it where a number is expected.
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
-    return value
+def _optional(read: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    """``read``, except that null leaves the setting unset."""
+    return lambda value, where: None if value is None else read(value, where)
 
 
-def _int(section: dict, key: str, default: int, where: str) -> int:
-    if key not in section:
-        return default
-    return _require(section[key], int, f"{where}.{key}")
-
-
-def _float(section: dict, key: str, default: float, where: str) -> float:
-    if key not in section:
-        return default
-    value = section[key]
+def _float(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected number, got {value!r}")
+        raise ConfigError(f"{where}: expected number, got {value!r}")
     return float(value)
 
 
-def _bool(section: dict, key: str, default: bool, where: str) -> bool:
-    if key not in section:
-        return default
-    value = section[key]
+def _bool(value: Any, where: str) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}: expected true or false, got {value!r}")
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
     return value
 
 
-def _str(section: dict, key: str, default: str, where: str) -> str:
-    if key not in section:
-        return default
-    return _require(section[key], str, f"{where}.{key}")
-
-
-def _epsilon(value: Any, where: str) -> float:
+def _budget(value: Any, where: str) -> float:
+    """A number, or ``inf`` spelled as a string."""
     if isinstance(value, str):
         if value.strip().lower() in {"inf", "infinity"}:
             return math.inf
         raise ConfigError(f"{where}: expected a number or 'inf', got {value!r}")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: expected a number or 'inf', got {value!r}")
-    return float(value)
+    return _float(value, where)
 
 
-def _seed(value: Any, where: str, signed: bool = False) -> int:
-    """A seed the generators can key by: in [-2**63, 2**63) if ``signed``,
-    else in [0, 2**63)."""
-    value = _require(value, int, where)
-    low = -(2**63) if signed else 0
-    if not low <= value < 2**63:
-        span = "[-2**63, 2**63)" if signed else "[0, 2**63)"
-        raise ConfigError(f"{where}: expected a seed in {span}, got {value}")
-    return value
+def _budget_text(value: float) -> float | str:
+    return "inf" if math.isinf(value) else value
+
+
+def _list(item: Callable[[Any, str], Any]) -> Callable[[Any, str], tuple]:
+    def read(value: Any, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where}: expected a list, got {value!r}")
+        return tuple(item(v, where) for v in value)
+
+    return read
+
+
+def _seeds(value: Any, where: str) -> tuple[int, ...]:
+    """A list of seeds, or a count ``n`` meaning seeds ``0..n-1``."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return tuple(range(value))
+    return _list(_int)(value, where)
+
+
+def _alignment(value: Any, where: str) -> WindowAlignment:
+    name = _str(value, where)
+    try:
+        return WindowAlignment.parse(name)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _weights(value: Any, where: str) -> list[list[float]]:
+    """Nested lists of budgets; their shape is checked against the corpus."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ConfigError(f"{where} must be a nested list (activity x metric)")
+    return [[_budget(v, where) for v in row] for row in value]
+
+
+class _Key(NamedTuple):
+    """One YAML key: the config field it sets and how its value is read
+    from the file and written back.  ``field`` names an attribute of
+    :class:`ExperimentConfig`, dotted for one of its parts' fields."""
+
+    field: str
+    read: Callable[[Any, str], Any]
+    write: Callable[[Any], Any] = lambda value: value
+
+
+# The experiment file: every section, every key, and the field it sets.
+# Unknown keys, the typed reads and ``snapshot`` all come from here; every
+# default is ``ExperimentConfig()``'s.
+_KEYS: dict[str, dict[str, _Key]] = {
+    "run": {
+        "seed": _Key("seed", _int),
+        "out": _Key("out_dir", _str),
+    },
+    "corpus": {
+        "num_devices": _Key("corpus.num_devices", _int),
+        "num_regions": _Key("corpus.num_regions", _int),
+        "num_weeks": _Key("corpus.num_weeks", _int),
+        "start_time": _Key("corpus.start_time", _int),
+        "seed": _Key("corpus.seed", _int),
+    },
+    "fleet": {
+        "policy": _Key("fleet.policy", _str),
+        "availability": _Key("fleet.availability", _str),
+        "tick_seconds": _Key("fleet.tick_seconds", _int),
+        "cache_ttl": _Key("fleet.cache_ttl", _int),
+    },
+    "task": {
+        "query_id": _Key("task.query_id", _str),
+        "query": _Key("task.query_text", _str),
+        "query_file": _Key("task.query_file", _optional(_str)),
+        "alignment": _Key("task.alignment", _alignment, lambda a: a.value),
+        "num_windows": _Key("task.num_windows", _int),
+        "grace_period": _Key("task.grace_period", _int),
+        "min_contributions": _Key("task.min_contributions", _int),
+        "submitted_by": _Key("task.submitted_by", _str),
+        "approved_by": _Key("task.approved_by", _str),
+    },
+    "mechanism": {
+        "variant": _Key("mechanism.variant", _str),
+        "epsilon": _Key("mechanism.epsilon", _budget, _budget_text),
+        "quantile": _Key("mechanism.quantile", _float),
+        "clip": _Key("mechanism.clip", _budget, _budget_text),
+        "clip_table": _Key("clip_table_path", _optional(_str)),
+        "scale_table": _Key("scale_table_path", _optional(_str)),
+        "budget_weights": _Key(
+            "mechanism.budget_weights",
+            _optional(_weights),
+            lambda t: [list(row) for row in t],
+        ),
+        "tau": _Key("mechanism.tau", _float),
+        "strict_tau": _Key("mechanism.strict_tau", _bool),
+        "seed": _Key("mechanism_seed", _int),
+    },
+    "sweep": {
+        "epsilons": _Key(
+            "sweep.epsilons", _list(_budget), lambda t: [_budget_text(e) for e in t]
+        ),
+        "seeds": _Key("sweep.seeds", _seeds, list),
+        "variants": _Key("sweep.variants", _list(_str), list),
+        "quantile": _Key("sweep.quantile", _float),
+        "tau": _Key("sweep.tau", _float),
+    },
+}
 
 
 def _table(rows: Any, what: str, shape: tuple[int, int]) -> Table:
@@ -328,194 +364,74 @@ def _load_table_csv(path: str, what: str, shape: tuple[int, int]) -> Table:
 
 
 def parse_config(data: dict | None) -> ExperimentConfig:
-    """Build an :class:`ExperimentConfig` from a parsed YAML mapping."""
+    """Build an :class:`ExperimentConfig` from a parsed YAML mapping.
+
+    Each key is read by its entry in the key table; a key left out keeps
+    ``ExperimentConfig()``'s value.  The values are checked by the
+    dataclasses that hold them, whose errors come back as
+    :class:`ConfigError` naming the section.
+    """
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a mapping")
-    unknown = set(data) - _SECTIONS
+    unknown = set(data) - set(_KEYS)
     if unknown:
-        raise ConfigError(f"unknown section(s) {sorted(unknown)}")
+        raise ConfigError(f"unknown section(s) {sorted(unknown, key=str)}")
+    # The typed values per part of the config ("" for its own fields).
+    values: dict[str, dict[str, Any]] = defaultdict(dict)
+    for section, keys in _KEYS.items():
+        raw = data.get(section) or {}
+        if not isinstance(raw, dict):
+            raise ConfigError(f"section {section!r} must be a mapping")
+        unknown = set(raw) - set(keys)
+        if unknown:
+            raise ConfigError(f"{section}: unknown key(s) {sorted(unknown, key=str)}")
+        for name, value in raw.items():
+            part, _, attr = keys[name].field.rpartition(".")
+            values[part][attr] = keys[name].read(value, f"{section}.{name}")
 
-    run = _section(data, "run")
-    seed = _seed(run.get("seed", 0), "run.seed")
-    out_dir = _str(run, "out", "out", "run")
-
-    corpus_raw = _section(data, "corpus")
-    corpus_seed = _seed(corpus_raw.get("seed", seed), "corpus.seed")
-    try:
-        corpus = SyntheticCorpusConfig(
-            num_devices=_int(corpus_raw, "num_devices", 2000, "corpus"),
-            num_regions=_int(corpus_raw, "num_regions", 50, "corpus"),
-            num_weeks=_int(corpus_raw, "num_weeks", 3, "corpus"),
-            start_time=_int(corpus_raw, "start_time", DEFAULT_START_TIME, "corpus"),
-            seed=corpus_seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"corpus: {exc}") from exc
-
-    fleet_raw = _section(data, "fleet")
-    policy = _str(fleet_raw, "policy", "idle", "fleet")
-    availability = _str(fleet_raw, "availability", "tiered", "fleet")
-    if availability not in {"tiered", "always_on"}:
-        raise ConfigError(
-            f"fleet.availability must be 'tiered' or 'always_on', got {availability!r}"
-        )
-    try:
-        fleet = FleetConfig(
-            policy=policy,
-            availability=availability,
-            tick_seconds=_int(fleet_raw, "tick_seconds", 3600, "fleet"),
-            cache_ttl=_int(fleet_raw, "cache_ttl", 28 * 86400, "fleet"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"fleet: {exc}") from exc
-
-    task_raw = _section(data, "task")
-    alignment_name = _str(
-        task_raw, "alignment", WindowAlignment.WEEK.value, "task"
-    )
-    try:
-        alignment = WindowAlignment.parse(alignment_name)
-    except ValueError as exc:
-        raise ConfigError(f"task.alignment: {exc}") from exc
-    query_file = task_raw.get("query_file")
+    # The keys that are more than a field: the corpus seed follows the run
+    # seed, the query may come from a file, and the tables from CSVs.
+    top, task, mechanism = values[""], values["task"], values["mechanism"]
+    if "seed" in top:
+        values["corpus"].setdefault("seed", top["seed"])
+    query_file = task.get("query_file")
     if query_file is not None:
-        query_file = _require(query_file, str, "task.query_file")
-        if "query" in task_raw:
+        if "query_text" in task:
             raise ConfigError("task: give either 'query' or 'query_file', not both")
         try:
             with open(query_file, "r", encoding="utf-8") as fh:
-                query_text = fh.read()
+                task["query_text"] = fh.read()
         except OSError as exc:
             raise ConfigError(
                 f"task.query_file: cannot read {query_file!r}: {exc}"
             ) from exc
-    else:
-        query_text = _str(task_raw, "query", DEFAULT_QUERY_TEXT, "task")
-    try:
-        first_window = round_down_window(corpus.start_time, alignment)
-    except (OverflowError, OSError, ValueError) as exc:
-        raise ConfigError(f"corpus.start_time: {exc}") from exc
-    if first_window.start != corpus.start_time:
-        # The server takes the task at the corpus start; a first window
-        # that began earlier would reach back into the past.
-        raise ConfigError(
-            f"corpus.start_time {corpus.start_time} is not on a task.alignment "
-            f"({alignment_name}) boundary: its window starts at "
-            f"{first_window.start}, so the first window would be retrospective"
-        )
-    task = TaskSection(
-        query_id=_str(task_raw, "query_id", "trips-weekly", "task"),
-        query_text=query_text,
-        query_file=query_file,
-        alignment=alignment,
-        num_windows=_int(task_raw, "num_windows", 2, "task"),
-        grace_period=_int(task_raw, "grace_period", 2 * 86400, "task"),
-        min_contributions=_int(task_raw, "min_contributions", 20, "task"),
-        submitted_by=_str(task_raw, "submitted_by", "analyst@example.org", "task"),
-        approved_by=_str(task_raw, "approved_by", "reviewer@example.org", "task"),
-    )
-
-    mech_raw = _section(data, "mechanism")
-    variant = _str(mech_raw, "variant", VARIANT_SCALED, "mechanism")
-    if variant not in VARIANTS:
-        raise ConfigError(
-            f"mechanism.variant must be one of {sorted(VARIANTS)}, got {variant!r}"
-        )
-    epsilon = _epsilon(mech_raw.get("epsilon", 2.0), "mechanism.epsilon")
-    table_shape = (len(corpus.activities), 3)
-    clip = None
-    if "clip" in mech_raw:
-        clip = _epsilon(mech_raw["clip"], "mechanism.clip")
-    scale_table_path = mech_raw.get("scale_table")
-    scale_table = None
-    if scale_table_path is not None:
-        scale_table_path = _require(scale_table_path, str, "mechanism.scale_table")
-        scale_table = _load_table_csv(
-            scale_table_path, "mechanism.scale_table", table_shape
-        )
-    clip_table_path = mech_raw.get("clip_table")
-    clip_table = None
-    if clip_table_path is not None:
-        clip_table_path = _require(clip_table_path, str, "mechanism.clip_table")
-        clip_table = _load_table_csv(
-            clip_table_path, "mechanism.clip_table", table_shape
-        )
-    budget_weights = mech_raw.get("budget_weights")
-    if budget_weights is not None:
-        if not isinstance(budget_weights, list) or not all(
-            isinstance(row, list) for row in budget_weights
-        ):
-            raise ConfigError(
-                "mechanism.budget_weights must be a nested list (activity x metric)"
+    defaults = ExperimentConfig()
+    parts = {"corpus": _build("corpus", defaults.corpus, values["corpus"])}
+    table_shape = parts["corpus"].schema().shape[:2]
+    for name in ("scale_table", "clip_table"):
+        if top.get(f"{name}_path") is not None:
+            mechanism[name] = _load_table_csv(
+                top[f"{name}_path"], f"mechanism.{name}", table_shape
             )
-        budget_weights = _table(
-            [
-                [_epsilon(v, "mechanism.budget_weights") for v in row]
-                for row in budget_weights
-            ],
-            "mechanism.budget_weights",
-            table_shape,
+    if mechanism.get("budget_weights") is not None:
+        mechanism["budget_weights"] = _table(
+            mechanism["budget_weights"], "mechanism.budget_weights", table_shape
         )
-    mechanism_seed = None
-    if "seed" in mech_raw:
-        mechanism_seed = _seed(mech_raw["seed"], "mechanism.seed", signed=True)
-    try:
-        mechanism = MechanismConfig(
-            variant=variant,
-            epsilon=epsilon,
-            quantile=_float(mech_raw, "quantile", 0.95, "mechanism"),
-            clip=clip,
-            clip_table=clip_table,
-            scale_table=scale_table,
-            tau=_float(mech_raw, "tau", 0.0, "mechanism"),
-            strict_tau=_bool(mech_raw, "strict_tau", False, "mechanism"),
-            budget_weights=budget_weights,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"mechanism: {exc}") from exc
+    for part in ("fleet", "task", "mechanism", "sweep"):
+        parts[part] = _build(part, getattr(defaults, part), values[part])
+    return ExperimentConfig(**parts, **top)
 
-    sweep_raw = _section(data, "sweep")
-    epsilons = sweep_raw.get("epsilons", list(DEFAULT_EPSILONS))
-    if not isinstance(epsilons, list) or not epsilons:
-        raise ConfigError("sweep.epsilons must be a non-empty list")
-    seeds = sweep_raw.get("seeds", list(range(10)))
-    if isinstance(seeds, int) and not isinstance(seeds, bool):
-        seeds = list(range(seeds))
-    if not isinstance(seeds, list) or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in seeds
-    ):
-        raise ConfigError("sweep.seeds must be a list of integers or a count")
-    seeds = [_seed(s, "sweep.seeds", signed=True) for s in seeds]
-    variants = sweep_raw.get("variants", list(VARIANTS))
-    if not isinstance(variants, list) or not variants:
-        raise ConfigError("sweep.variants must be a non-empty list")
-    try:
-        sweep = SweepConfig(
-            epsilons=tuple(
-                _epsilon(e, "sweep.epsilons") for e in epsilons
-            ),
-            seeds=tuple(seeds),
-            variants=tuple(variants),
-            quantile=_float(sweep_raw, "quantile", 0.95, "sweep"),
-            tau=_float(sweep_raw, "tau", 0.0, "sweep"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
 
-    return ExperimentConfig(
-        seed=seed,
-        out_dir=out_dir,
-        corpus=corpus,
-        fleet=fleet,
-        task=task,
-        mechanism=mechanism,
-        mechanism_seed=mechanism_seed,
-        scale_table_path=scale_table_path,
-        clip_table_path=clip_table_path,
-        sweep=sweep,
-    )
+def _build(section: str, default: Any, fields: dict[str, Any]) -> Any:
+    """``default`` with ``fields`` replaced, checked by its class."""
+    try:
+        return dataclasses.replace(default, **fields)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def read_config_data(path: str) -> dict:

@@ -618,7 +618,6 @@ class PreparedMechanism:
     resolved: ResolvedMechanism
     schema: Schema
     prenoise: np.ndarray
-    num_devices: int
 
     def release(
         self,
@@ -704,5 +703,4 @@ def prepare_mechanism(
         resolved=resolved,
         schema=schema,
         prenoise=prenoise,
-        num_devices=len(np.unique(bounded.device)),
     )

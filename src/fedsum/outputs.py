@@ -15,7 +15,7 @@ import os
 import yaml
 
 from .dp import NoisedRelease, ResolvedMechanism
-from .model import Schema
+from .model import DIRECTIONS, Schema
 from .server import SuppressedRelease
 from .sim import SimulationResult
 from .sweep import SweepRow, TARGET_MEAN_ERROR
@@ -53,7 +53,6 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _release_rows(release: NoisedRelease, schema: Schema) -> list[list]:
-    direction_names = ("within", "outbound", "inbound")
     rows = []
     for (a, m, r, d), value in release.histogram.items():
         rows.append(
@@ -61,7 +60,7 @@ def _release_rows(release: NoisedRelease, schema: Schema) -> list[list]:
                 schema.activity_names[a],
                 schema.metric_names[m],
                 r,
-                direction_names[d],
+                DIRECTIONS[d],
                 _fmt(value),
             ]
         )

@@ -32,7 +32,7 @@ from .aggcore import (
     ClientUpdate,
     MalformedUpdateError,
 )
-from .client import rows_to_histogram
+from .client import row_keys, rows_to_histogram
 from .dp import NoisedRelease, ResolvedMechanism
 from .model import Schema
 from .query import (
@@ -161,9 +161,28 @@ class _Session:
     shards: list[AggregationCore] = field(default_factory=list)
     partials: list[PartialAggregate] = field(default_factory=list)
     tokens: dict[str, dict] = field(default_factory=dict)
+    # The window's valid row keys (client.row_keys), built once per session.
+    row_keys: dict[str, tuple[int, int, int]] = field(default_factory=dict)
     uploads_accepted: int = 0
     checkpoints_made: int = 0
     last_rollup: int = 0
+
+
+def _check_row_keys(rows: Any, keys: dict[str, tuple[int, int, int]]) -> None:
+    """Refuse rows under a key that is not one of the window's row keys.
+
+    One lookup per row.  Rows that are not (key, values) pairs are left
+    for the aggregation core to refuse.
+    """
+    try:
+        for key, _ in rows:
+            if key not in keys:
+                break
+        else:
+            return  # every key is the window's
+    except (TypeError, ValueError):
+        return
+    raise MalformedUpdateError(f"{key!r} is not a row key of this window")
 
 
 class FederatedServer:
@@ -298,6 +317,7 @@ class FederatedServer:
                     for _ in range(self.config.num_shards)
                 ],
                 last_rollup=now,
+                row_keys=row_keys(task.spec, self.schema, window.window_id),
             )
             self.sessions[key] = session
             self._log(
@@ -405,6 +425,7 @@ class FederatedServer:
             )
         shard_index = session.uploads_accepted % len(session.shards)
         try:
+            _check_row_keys(update.rows, session.row_keys)
             session.shards[shard_index].accumulate(update.rows)
         except MalformedUpdateError:
             self._log(
@@ -563,7 +584,7 @@ class FederatedServer:
         assert final_core is not None and session is not None
         report = final_core.report()
         aggregate = rows_to_histogram(
-            report.items(), task.spec, self.schema, expect_window_id=window.window_id
+            report.items(), task.spec, self.schema, session.row_keys
         )
         release = task.config.mechanism.finalize(
             self.schema, aggregate, window.window_id, self.noise_seed

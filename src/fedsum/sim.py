@@ -82,6 +82,12 @@ class FleetConfig:
     availability: str = "tiered"  # "tiered" or "always_on"
 
     def __post_init__(self) -> None:
+        availabilities = ("always_on", "tiered")
+        if self.availability not in availabilities:
+            raise ValueError(
+                f"unknown availability {self.availability!r}; "
+                f"known: {list(availabilities)}"
+            )
         if self.policy not in CHECKIN_POLICIES:
             raise ValueError(
                 f"unknown check-in policy {self.policy!r}; "

@@ -69,8 +69,9 @@ class SweepConfig:
     tau: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.epsilons or not self.seeds or not self.variants:
-            raise ValueError("sweep grid must be non-empty")
+        for name in ("epsilons", "seeds", "variants"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
         for eps in self.epsilons:
             if not eps > 0:
                 raise ValueError(f"epsilon must be positive, got {eps}")

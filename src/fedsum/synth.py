@@ -148,10 +148,6 @@ class SyntheticCorpusConfig:
         if abs(math.fsum(mix) - 1.0) > 1e-9:
             raise ValueError("direction mix must sum to 1")
 
-    @property
-    def end_time(self) -> int:
-        return self.start_time + self.num_weeks * SECONDS_PER_WEEK
-
     def schema(self) -> Schema:
         return Schema(
             num_activities=len(self.activities),

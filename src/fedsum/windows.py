@@ -47,9 +47,6 @@ class TimeWindow:
                 f"window {self.window_id!r} must end after it starts"
             )
 
-    def contains(self, instant: int) -> bool:
-        return self.start <= instant < self.end
-
     @property
     def duration(self) -> int:
         return self.end - self.start

@@ -75,7 +75,7 @@ def active_devices(corpus, window) -> set[int]:
     return {
         device.device_id
         for device in corpus.devices
-        if any(window.contains(r.event_time) for r in device.records)
+        if any(window.start <= r.event_time < window.end for r in device.records)
     }
 
 
@@ -86,7 +86,7 @@ def naive_device_counts(corpus, window) -> dict[tuple[int, int, int], int]:
         for key in {
             (r.activity, r.region, r.direction)
             for r in device.records
-            if window.contains(r.event_time)
+            if window.start <= r.event_time < window.end
         }:
             counts[key] = counts.get(key, 0) + 1
     return counts

@@ -398,6 +398,21 @@ def test_sweep_variant_filter_restricts_the_grid(tmp_path, capsys):
     assert {row[0] for row in results[1:]} == {"joint_clipping"}
 
 
+@pytest.mark.parametrize("variants", ["bogus", ",", "joint_clipping,bogus"])
+def test_a_bad_variant_filter_fails_before_any_work(
+    tmp_path, capsys, monkeypatch, variants
+):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("generate_corpus ran on a bad config")
+
+    monkeypatch.setattr("fedsum.cli.generate_corpus", no_corpus)
+    out = tmp_path / "out"
+    config_path = sweep_config(tmp_path, out)
+    assert main(["sweep", "--config", config_path, "--variants", variants]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("configuration error: sweep:")
+    assert not out.exists()
+
+
 def test_sweep_variant_filter_keeps_every_setting_in_the_snapshot(tmp_path, capsys):
     # The snapshot records every setting the sweep reads, with the
     # variant filter applied, and no mechanism section: the sweep reads

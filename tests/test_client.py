@@ -18,6 +18,7 @@ from fedsum.client import (
     client_work,
     draw_flags,
     histogram_to_rows,
+    row_keys,
     rows_to_histogram,
 )
 from fedsum.dp import (
@@ -237,7 +238,7 @@ def test_histogram_rows_round_trip():
     spec = parse_and_validate(FULL_QUERY)
     cells = {(0, 0, 1, 2): 4.0, (2, 1, 8, 0): 2.5, (2, 2, 8, 0): 11.0}
     rows = histogram_to_rows(block_of(schema, [cells]), "2024-W20", spec)
-    back = rows_to_histogram(rows, spec, schema, expect_window_id="2024-W20")
+    back = rows_to_histogram(rows, spec, schema, row_keys(spec, schema, "2024-W20"))
     assert back.shape == schema.shape
     assert sparse_of(back) == cells
 
@@ -247,7 +248,7 @@ def test_rows_to_histogram_rejects_wrong_window():
     spec = parse_and_validate(FULL_QUERY)
     rows = histogram_to_rows(block_of(schema, [{(0, 0, 0, 0): 1.0}]), "2024-W20", spec)
     with pytest.raises(ValueError):
-        rows_to_histogram(rows, spec, schema, expect_window_id="2024-W21")
+        rows_to_histogram(rows, spec, schema, row_keys(spec, schema, "2024-W21"))
 
 
 REGION_DISTANCE_QUERY = """\
@@ -290,7 +291,7 @@ def test_round_trip_holds_for_any_histogram(entries):
     schema = wide_schema()
     spec = parse_and_validate(FULL_QUERY)
     rows = histogram_to_rows(block_of(schema, [entries]), "w", spec)
-    back = rows_to_histogram(rows, spec, schema, expect_window_id="w")
+    back = rows_to_histogram(rows, spec, schema, row_keys(spec, schema, "w"))
     assert sparse_of(back) == dict(sorted(entries.items()))
 
 

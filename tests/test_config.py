@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 import yaml
 
 from fedsum.config import (
+    _KEYS,
     ConfigError,
     DEFAULT_QUERY_TEXT,
+    ExperimentConfig,
     load_config,
     parse_config,
     read_config_data,
@@ -55,6 +59,7 @@ def test_empty_input_yields_full_defaults():
     assert config.sweep.variants == VARIANTS
     assert config.mechanism_seed is None
     assert parse_config(None) == config
+    assert config == ExperimentConfig()
 
 
 def test_default_query_text_is_a_valid_split_query():
@@ -82,6 +87,11 @@ def test_unknown_sections_and_keys_are_rejected():
         parse_config({"corpse": {}})
     with pytest.raises(ConfigError, match="corpus: unknown key"):
         parse_config({"corpus": {"devices": 10}})
+    # YAML keys need not be strings; a mix of types is still reported.
+    with pytest.raises(ConfigError, match=r"unknown section\(s\) \[1, 'a'\]"):
+        parse_config({1: {}, "a": {}})
+    with pytest.raises(ConfigError, match=r"run: unknown key\(s\) \[1, 'a'\]"):
+        parse_config({"run": {1: 2, "a": 3}})
     with pytest.raises(ConfigError, match="must be a mapping"):
         parse_config({"run": [1, 2]})
 
@@ -355,6 +365,115 @@ def test_snapshot_round_trips_through_the_parser(tmp_path):
     assert parse_config(snapshot) == original
     assert snapshot["mechanism"]["epsilon"] == "inf"
     assert snapshot["sweep"]["epsilons"] == ["inf", 1.0]
+
+
+def every_key(tmp_path, variant):
+    """An experiment file setting every key ``variant`` accepts.
+
+    Budget split takes the query from a file and both of its tables;
+    scaling takes the inline query, infinite budgets and its scale table.
+    Between them the two files set every key of the key table.
+    """
+    query_file = tmp_path / "query.sql"
+    query_file.write_text(DEFAULT_QUERY_TEXT.replace("total_trips", "trips"))
+    weights = [[1.0 / 27.0] * 3 for _ in range(9)]
+    split = {
+        "variant": VARIANT_SPLIT,
+        "epsilon": 1.5,
+        "clip_table": full_table_csv(tmp_path, "clip.csv"),
+        "budget_weights": weights,
+    }
+    scaled = {
+        "variant": VARIANT_SCALED,
+        "epsilon": "inf",
+        "clip": "inf",
+        "scale_table": full_table_csv(tmp_path, "scale.csv"),
+    }
+    return {
+        "run": {"seed": 11, "out": str(tmp_path / "artifacts")},
+        "corpus": {
+            "num_devices": 50,
+            "num_regions": 4,
+            "num_weeks": 1,
+            "start_time": DEFAULT_START_TIME + 7 * 86400,
+            "seed": 12,
+        },
+        "fleet": {
+            "policy": "idle_wifi_charging",
+            "availability": "always_on",
+            "tick_seconds": 600,
+            "cache_ttl": 86400,
+        },
+        "task": {
+            "query_id": "every-key",
+            "alignment": "day",
+            "num_windows": 3,
+            "grace_period": 3600,
+            "min_contributions": 4,
+            "submitted_by": "a@example.org",
+            "approved_by": "b@example.org",
+            **(
+                {"query_file": str(query_file)}
+                if variant == VARIANT_SPLIT
+                else {"query": query_file.read_text()}
+            ),
+        },
+        "mechanism": {
+            **(split if variant == VARIANT_SPLIT else scaled),
+            "quantile": 0.9,
+            "tau": 0.5,
+            "strict_tau": True,
+            "seed": -7,
+        },
+        "sweep": {
+            "epsilons": ["inf", 0.5],
+            "seeds": [3, -(2**63)],
+            "variants": [VARIANT_JOINT],
+            "quantile": 0.8,
+            "tau": 0.25,
+        },
+    }
+
+
+@pytest.mark.parametrize("variant", [VARIANT_SPLIT, VARIANT_SCALED])
+def test_a_snapshot_of_every_key_parses_back_to_the_same_config(tmp_path, variant):
+    data = every_key(tmp_path, variant)
+    config = parse_config(data)
+    snapshot = config.snapshot()
+    assert {s: set(keys) for s, keys in snapshot.items()} == {
+        s: set(keys) for s, keys in data.items()
+    }
+    assert yaml.safe_load(yaml.safe_dump(snapshot)) == snapshot  # plain data only
+    assert parse_config(snapshot) == config
+
+
+def test_the_two_every_key_files_set_every_key(tmp_path):
+    set_keys = {
+        (section, key)
+        for variant in (VARIANT_SPLIT, VARIANT_SCALED)
+        for section, keys in every_key(tmp_path, variant).items()
+        for key in keys
+    }
+    assert set_keys == {(s, k) for s, keys in _KEYS.items() for k in keys}
+
+
+def readme_config_keys() -> set[tuple[str, str]]:
+    """The (section, key) pairs of the README's config-file table."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    table = text.split("## The config file", 1)[1].split("\n\n|", 1)[1]
+    pairs, section = set(), None
+    for line in ("|" + table).split("\n\n", 1)[0].splitlines()[2:]:
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        section = cells[0].strip("`") or section
+        key = re.fullmatch(r"`(\w+)`", cells[1])
+        assert key is not None, f"one key per README row: {line}"
+        pairs.add((section, key.group(1)))
+    return pairs
+
+
+def test_the_readme_names_exactly_the_accepted_keys():
+    assert readme_config_keys() == {(s, k) for s, keys in _KEYS.items() for k in keys}
 
 
 def test_config_files_load_and_fail_loudly(tmp_path):

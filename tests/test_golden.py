@@ -30,17 +30,32 @@ RUN_ARTIFACTS = {
     "events.jsonl": (
         "2680ca4efc6744c0d8cd5321ae2ec29a95fb28e813d3609ee1ab50496f583c90"
     ),
+    "resolved_config.yaml": (
+        "35c24cc68003f8d0e8b4404e5927497cc4bebc7f4803205c2b598d7cf575d906"
+    ),
     "run_summary.json": (
         "b62a74bf7b975aa3c8f1e40f43ccd9d67124108c01cfe1dc6ada64fc1370933f"
     ),
 }
-SWEEP_RESULTS = "27dffd3482e94abdeee655416f7bbea3f12e9471de8084145fb5987643d5ca65"
+SWEEP_RESULTS = {
+    "results.csv": (
+        "27dffd3482e94abdeee655416f7bbea3f12e9471de8084145fb5987643d5ca65"
+    ),
+    "sweep_config.yaml": (
+        "0cf7d315784713983f33d7073efd2a9039abf62115357413ef711fd26891de0b"
+    ),
+}
 
 
-def experiment(tmp_path, out_dir, **sections) -> str:
-    """A 300-device experiment file over two weekly windows."""
+def experiment(tmp_path, monkeypatch, **sections) -> str:
+    """A 300-device experiment file over two weekly windows.
+
+    The run writes to ``out`` under ``tmp_path``, given as a relative path
+    so the recorded settings (``run.out``) are the same bytes on every run.
+    """
+    monkeypatch.chdir(tmp_path)
     data = {
-        "run": {"seed": 3, "out": str(out_dir)},
+        "run": {"seed": 3, "out": "out"},
         "corpus": {"num_devices": 300, "num_regions": 8, "num_weeks": 2},
         "task": {"num_windows": 2, "min_contributions": 5},
         **sections,
@@ -54,10 +69,10 @@ def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_run_artifacts_are_pinned(tmp_path, capsys):
-    out = tmp_path / "run"
+def test_run_artifacts_are_pinned(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
     config = experiment(
-        tmp_path, out, mechanism={"variant": "activity_metric_scaling", "epsilon": 2.0}
+        tmp_path, monkeypatch, mechanism={"variant": "activity_metric_scaling", "epsilon": 2.0}
     )
     assert main(["run", "--config", config]) == EXIT_OK
     assert sorted(p.name for p in (out / "releases").iterdir()) == [
@@ -68,10 +83,11 @@ def test_run_artifacts_are_pinned(tmp_path, capsys):
     assert got == RUN_ARTIFACTS
 
 
-def test_sweep_results_are_pinned(tmp_path, capsys):
-    out = tmp_path / "sweep"
+def test_sweep_results_are_pinned(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
     config = experiment(
-        tmp_path, out, sweep={"epsilons": [0.5, 2.0, "inf"], "seeds": 3}
+        tmp_path, monkeypatch, sweep={"epsilons": [0.5, 2.0, "inf"], "seeds": 3}
     )
     assert main(["sweep", "--config", config]) == EXIT_OK
-    assert sha256(out / "sweep" / "results.csv") == SWEEP_RESULTS
+    got = {name: sha256(out / "sweep" / name) for name in SWEEP_RESULTS}
+    assert got == SWEEP_RESULTS

@@ -79,9 +79,10 @@ def test_workload_agrees_with_an_independent_oracle(corpus_300, week_one_300):
 def test_truth_and_counts_match_the_oracles_in_every_window(
     corpus_300, alignment
 ):
-    window = round_down_window(corpus_300.config.start_time, alignment)
+    config = corpus_300.config
+    window = round_down_window(config.start_time, alignment)
     checked = 0
-    while window.start < corpus_300.config.end_time:
+    while window.start < config.start_time + config.num_weeks * 7 * 86400:
         subtotals = corpus_300.device_histograms(window)
         truth = exact_workload(corpus_300, window, subtotals)
         assert truth.shape == corpus_300.schema.shape

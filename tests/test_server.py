@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from fedsum.aggcore import ClientUpdate, MalformedUpdateError
+from fedsum.aggcore import KEY_SEPARATOR, ClientUpdate, MalformedUpdateError
 from fedsum.client import histogram_to_rows
 from fedsum.dp import MechanismConfig, VARIANT_JOINT, resolve_mechanism
 from fedsum.model import IndexedHistogram, Schema
@@ -361,6 +361,47 @@ def test_malformed_upload_burns_the_token_but_not_the_state(case):
     with pytest.raises(TokenReplayError):
         server.ingest_upload(bad, now=START + WEEK)
     assert events_named(server, "upload_rejected")[0]["reason"] == "malformed"
+
+
+# Each defect rewrites the parts of a valid key (activity, region,
+# direction, window) into a key the codec cannot decode into a partition.
+MALFORMED_KEYS = {
+    "too_few_parts": lambda parts: parts[:-1],
+    "too_many_parts": lambda parts: parts + ["0"],
+    "non_integer_part": lambda parts: ["one"] + parts[1:],
+    "index_outside_schema": lambda parts: [parts[0], "4"] + parts[2:],
+    "negative_index": lambda parts: ["-1"] + parts[1:],
+    "other_window": lambda parts: parts[:-1] + ["2024-W21"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_KEYS))
+def test_a_malformed_key_is_rejected_and_the_window_releases_the_rest(case):
+    server, s = make_server(num_shards=2)
+    server.register_task(make_task(s, num_windows=1), now=START)
+    now = START + WEEK
+    for device in range(3):
+        upload(server, device, device_histogram(s, device), now)
+    a = server.check_in(3, now)[0]
+    rows = histogram_to_rows(block_of(s, [device_histogram(s, 3)]), a.window_id, SPEC)
+    key, values = rows[0]
+    bad_key = KEY_SEPARATOR.join(MALFORMED_KEYS[case](key.split(KEY_SEPARATOR)))
+    bad = ClientUpdate(a.query_id, a.window_id, a.token, ((bad_key, values), *rows[1:]))
+    session = server.sessions[a.session_id]
+    before = [core.serialize_state() for core in session.shards]
+    with pytest.raises(MalformedUpdateError):
+        server.ingest_upload(bad, now)
+    assert [core.serialize_state() for core in session.shards] == before
+    assert events_named(server, "upload_rejected")[0]["reason"] == "malformed"
+    with pytest.raises(TokenReplayError):
+        server.ingest_upload(bad, now)
+    for device in range(4, 6):
+        upload(server, device, device_histogram(s, device), now)
+    server.maintenance(now=START + WEEK + GRACE + 1)
+    release = server.releases["trips/2024-W20"]
+    good = [device_histogram(s, d) for d in (0, 1, 2, 4, 5)]
+    assert release.histogram == exact_sum(s, good)
+    assert events_named(server, "release_suppressed") == []
 
 
 def test_upload_after_release_is_rejected():

@@ -85,6 +85,12 @@ def make_task(
     )
 
 
+def test_fleet_config_refuses_an_unknown_availability():
+    # A misspelt availability would otherwise simulate the tiered fleet.
+    with pytest.raises(ValueError, match="availability 'alwayson'"):
+        FleetConfig(availability="alwayson")
+
+
 def test_noiseless_run_reproduces_the_exact_workload(corpus_300, week_one_300):
     result = run_simulation(
         corpus_300,
@@ -336,7 +342,7 @@ def test_uploads_are_the_rows_of_the_bounded_window_block(
         records = [
             r
             for r in corpus_300.devices[device].records
-            if week_one_300.contains(r.event_time)
+            if week_one_300.start <= r.event_time < week_one_300.end
         ]
         upload_block = build_device_upload(records, prepared.resolved, schema)
         rows = rows_of(bounded, bounded.device == device)
@@ -474,7 +480,9 @@ def polled_simulation(corpus, task, fleet, seed):
                 if assignment.window_id not in eligible:
                     continue
                 window = next(w for w in windows if w.window_id == assignment.window_id)
-                records = [r for r in caches[device_id] if window.contains(r.event_time)]
+                records = [
+                    r for r in caches[device_id] if window.start <= r.event_time < window.end
+                ]
                 if not records:
                     continue
                 ok = rng.uniform("upload-ok", device_id, day, assignment.window_id)

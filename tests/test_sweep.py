@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from fedsum.dp import (
@@ -64,10 +65,13 @@ def test_grid_must_be_non_empty():
 def test_each_variant_is_prepared_once(corpus_300, week_one_300):
     prepared = prepare_variants(corpus_300, week_one_300, small_sweep())
     assert set(prepared) == set(VARIANTS)
-    active = len(devices_of(corpus_300.device_histograms(week_one_300)))
+    block = corpus_300.device_histograms(week_one_300)
+    active = len(devices_of(block))
     for variant, mech in prepared.items():
         assert mech.resolved.variant == variant
-        assert mech.num_devices == active
+        bounded = mech.resolved.transform_devices(block, corpus_300.schema)
+        assert len(np.unique(bounded.device)) == active
+        assert np.array_equal(mech.prenoise, bounded.cell_sums(corpus_300.schema))
     assert prepared[VARIANT_SPLIT].resolved.clip is None
     assert prepared[VARIANT_JOINT].resolved.clip is not None
     assert prepared[VARIANT_SCALED].resolved.scale_table[0][0] != 1.0
