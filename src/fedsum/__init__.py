@@ -22,10 +22,11 @@ from .dp import (
     resolve_mechanism,
 )
 from .metrics import (
-    default_device_floor,
+    WindowTruth,
     exact_workload,
     per_user_mean_error,
     weighted_relative_error,
+    window_truth,
 )
 from .model import (
     IndexedHistogram,
@@ -84,9 +85,9 @@ __all__ = [
     "TimeWindow",
     "TripRecord",
     "WindowAlignment",
+    "WindowTruth",
     "calibrate_clip",
     "calibrate_scales",
-    "default_device_floor",
     "exact_workload",
     "generate_corpus",
     "laplace_from_uniform",
@@ -105,5 +106,6 @@ __all__ = [
     "validate_split",
     "weighted_relative_error",
     "window_after",
+    "window_truth",
     "__version__",
 ]

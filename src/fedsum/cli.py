@@ -134,6 +134,7 @@ def _write_atomically(out_dir: str, sentinel: str, write) -> None:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(_experiment_data(args))
+    parse_and_validate(config.task.query_text)  # before any work
     corpus = generate_corpus(config.corpus)
     task = _build_task(config, corpus)
     result = run_simulation(

@@ -54,12 +54,7 @@ from .model import (
     TripColumns,
     TripRecord,
 )
-from .query import (
-    PRIVACY_TIME_UNIT,
-    RELEASE_KEY_COLUMNS,
-    QuerySpec,
-    QueryValidationError,
-)
+from .query import PRIVACY_TIME_UNIT, QuerySpec
 from .rng import KeyedRng
 from .windows import TimeWindow, WindowAlignment, round_down_window
 
@@ -319,18 +314,6 @@ def client_work(
     )
 
 
-def _key_columns(spec: QuerySpec) -> tuple[str, ...]:
-    """The client statement's group-by columns, which must be exactly the
-    release keys, so that no two partitions share a row key."""
-    key_columns = spec.client.group_by
-    if sorted(key_columns) != sorted(RELEASE_KEY_COLUMNS):
-        raise QueryValidationError(
-            f"upload rows need the client statement grouped by exactly "
-            f"{sorted(RELEASE_KEY_COLUMNS)}; got {sorted(key_columns)}"
-        )
-    return key_columns
-
-
 def histogram_to_rows(
     block: DeviceSubtotals,
     window_id: str,
@@ -342,17 +325,16 @@ def histogram_to_rows(
     client statement's group-by columns; its values are the partition's
     cells in ``spec.metric_columns`` order, a zero written as ``+0.0``.
     A row whose selected values are all zero is dropped, and rows are
-    sorted by key.  The client statement must group by exactly
-    ``RELEASE_KEY_COLUMNS``.
+    sorted by key.  The keys are the client statement's group-by
+    columns, which validation holds to exactly ``RELEASE_KEY_COLUMNS``.
     """
-    key_columns = _key_columns(spec)
     size = len(block.device)
     if size and block.device[0] != block.device[-1]:
         raise ValueError("upload rows encode one device's block")
     columns = {"activity": block.activity, "region": block.region, "direction": block.direction}
     keys = [
         [window_id] * size if column == PRIVACY_TIME_UNIT else map(str, columns[column].tolist())
-        for column in key_columns
+        for column in spec.client.group_by
     ]
     metrics = [METRIC_BY_COLUMN[column] for column in spec.metric_columns]
     values = block.sums[:, metrics].tolist()
@@ -378,7 +360,7 @@ def row_keys(
     """
     # The key of partition (a, r, d) is template.format(a, r, d, window_id).
     slot = {"activity": "{0}", "region": "{1}", "direction": "{2}", PRIVACY_TIME_UNIT: "{3}"}
-    template = KEY_SEPARATOR.join(slot[column] for column in _key_columns(spec))
+    template = KEY_SEPARATOR.join(slot[column] for column in spec.client.group_by)
     shape = (schema.num_activities, schema.num_regions, schema.num_directions)
     return {template.format(a, r, d, window_id): (a, r, d) for a, r, d in np.ndindex(shape)}
 

@@ -487,14 +487,6 @@ class ResolvedMechanism:
         """
         if self.variant == VARIANT_SCALED:
             devices = _scaled(devices, self._scale_divisors, schema)
-        return self._clipped(devices, schema)
-
-    @cached_property
-    def _scale_divisors(self) -> np.ndarray:
-        return np.asarray(self.scale_table)
-
-    def _clipped(self, devices: DeviceSubtotals, schema: Schema) -> DeviceSubtotals:
-        """``devices``, already scaled, clipped as the variant clips."""
         per_slice = self.variant == VARIANT_SPLIT
         if per_slice:
             assert self.clip_table is not None
@@ -510,6 +502,10 @@ class ResolvedMechanism:
         if per_slice:  # the cells are metric-major
             return devices._replace(sums=np.array(cells).reshape(width, size).T.copy())
         return devices._replace(sums=np.array(cells).reshape(size, width))
+
+    @cached_property
+    def _scale_divisors(self) -> np.ndarray:
+        return np.asarray(self.scale_table)
 
     def noise_scales(
         self, schema: Schema, epsilon: float | None = None
@@ -631,6 +627,16 @@ class PreparedMechanism:
         )
 
 
+def _as_block(devices: DeviceSubtotals | Sequence, schema: Schema) -> DeviceSubtotals:
+    """``devices`` as a block: an empty sequence stands for no device."""
+    if isinstance(devices, DeviceSubtotals):
+        return devices
+    if len(devices):
+        raise TypeError("proxy devices must come as one DeviceSubtotals block")
+    rows, cells = np.zeros(0, dtype=np.int64), np.zeros((0, schema.num_metrics))
+    return DeviceSubtotals(rows, rows, rows, rows, cells, rows)
+
+
 def resolve_mechanism(
     config: MechanismConfig, proxy: DeviceSubtotals | Sequence, schema: Schema
 ) -> ResolvedMechanism:
@@ -638,26 +644,12 @@ def resolve_mechanism(
 
     Parameters given explicitly are kept, once their table shapes are
     checked against ``schema``; missing scale tables and clip bounds are
-    calibrated at the configured quantile.  The proxy block plays the
+    calibrated at the configured quantile, the scaling variant's clip on
+    the proxy divided by its scale table.  The proxy block plays the
     role of pre-launch calibration data; an empty sequence stands for no
     device, which serves when nothing needs calibrating.
     """
-    return _resolve(config, proxy, schema)[0]
-
-
-def _resolve(
-    config: MechanismConfig, proxy: DeviceSubtotals | Sequence, schema: Schema
-) -> tuple[ResolvedMechanism, DeviceSubtotals]:
-    """:func:`resolve_mechanism`, and the proxy block in its scaled space.
-
-    The scaling variant divides the proxy by its scale table once, for
-    the clip calibration and for :func:`prepare_mechanism`'s transform.
-    """
-    if not isinstance(proxy, DeviceSubtotals):
-        if len(proxy):
-            raise TypeError("proxy devices must come as one DeviceSubtotals block")
-        rows, cells = np.zeros(0, dtype=np.int64), np.zeros((0, schema.num_metrics))
-        proxy = DeviceSubtotals(rows, rows, rows, rows, cells, rows)
+    proxy = _as_block(proxy, schema)
     for table in (config.scale_table, config.clip_table, config.budget_weights):
         if table is not None:
             check_table_shape(table, schema)
@@ -668,11 +660,11 @@ def _resolve(
         scale_table = calibrate_scales(proxy, schema, config.quantile)
     if config.variant == VARIANT_SPLIT and clip_table is None:
         clip_table = calibrate_scales(proxy, schema, config.quantile)
-    if config.variant == VARIANT_SCALED:
-        proxy = _scaled(proxy, np.asarray(scale_table), schema)
     if config.variant != VARIANT_SPLIT and clip is None:
+        if config.variant == VARIANT_SCALED:
+            proxy = _scaled(proxy, np.asarray(scale_table), schema)
         clip = calibrate_clip(proxy, config.quantile)
-    resolved = ResolvedMechanism(
+    return ResolvedMechanism(
         variant=config.variant,
         epsilon=config.epsilon,
         scale_table=scale_table,
@@ -682,7 +674,6 @@ def _resolve(
         strict_tau=config.strict_tau,
         budget_weights=config.budget_weights,
     )
-    return resolved, proxy
 
 
 def prepare_mechanism(
@@ -692,15 +683,11 @@ def prepare_mechanism(
 
     ``devices`` is one window's block of raw (unscaled, unclipped) device
     histograms, or an empty sequence for none, and the proxy sample of
-    any calibration.  The block is bounded by the device transform and
-    summed once per cell.
+    any calibration.  The mechanism is resolved on it, the block is
+    bounded by the device transform and summed once per cell.
     """
-    resolved, scaled = _resolve(config, devices, schema)
-    bounded = resolved._clipped(scaled, schema)
-    prenoise = bounded.cell_sums(schema)
+    devices = _as_block(devices, schema)
+    resolved = resolve_mechanism(config, devices, schema)
+    prenoise = resolved.transform_devices(devices, schema).cell_sums(schema)
     prenoise.flags.writeable = False
-    return PreparedMechanism(
-        resolved=resolved,
-        schema=schema,
-        prenoise=prenoise,
-    )
+    return PreparedMechanism(resolved=resolved, schema=schema, prenoise=prenoise)

@@ -11,9 +11,9 @@ partial results arrived in.  :class:`ExactSum` is the package's only
 running exact accumulator: shard cores and partials key it by string,
 and the server decodes a session's rounded report into one dense array
 of cell sums.  A device block's one-shot sums (the prepared pre-noise
-aggregate and the ground truth) round the same way, one ``math.fsum``
-per cell, into the same kind of array
-(:meth:`fedsum.model.DeviceSubtotals.cell_sums`).
+aggregate and a window truth's workload, ``metrics.exact_workload``)
+round the same way, one ``math.fsum`` per cell, into the same kind of
+array (:meth:`fedsum.model.DeviceSubtotals.cell_sums`).
 """
 
 from __future__ import annotations

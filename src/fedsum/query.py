@@ -5,15 +5,19 @@ separated by a blank line.  The first statement runs on each device over
 its local trip stream; the second runs on the server over the per-device
 results.  Only grouped sums are expressible: the server can never receive
 a raw per-device column, and every query must group by the privacy time
-unit column so each release covers exactly one time window.
+unit column so each release covers exactly one time window.  A release
+is one sum per uploaded cell, so both statements group by exactly the
+release keys (``RELEASE_KEY_COLUMNS``) and the server statement sums
+each client column exactly once.  Every query the validator accepts can
+be run.
 
 Example::
 
-    SELECT region, privacy_time_unit, SUM(trip_distance) AS user_trip_distance
-    FROM DeviceDataStream GROUP BY region, privacy_time_unit
+    SELECT activity, region, direction, privacy_time_unit, SUM(trip_distance) AS km
+    FROM DeviceDataStream GROUP BY activity, region, direction, privacy_time_unit
 
-    SELECT region, privacy_time_unit, SUM(user_trip_distance)
-    FROM UserResults GROUP BY region, privacy_time_unit;
+    SELECT activity, region, direction, privacy_time_unit, SUM(km)
+    FROM UserResults GROUP BY activity, region, direction, privacy_time_unit;
 
 Keywords are case-insensitive.  ``parse_query`` produces the two
 statement ASTs or a :class:`ParseError` carrying 1-based line/column;
@@ -418,7 +422,11 @@ def validate_split(
     server: Statement,
     stream: StreamSchema = DEFAULT_TRIPS_STREAM,
 ) -> QuerySpec:
-    """Apply the split-query rules; the server may only see grouped sums."""
+    """Apply the split-query rules; the server may only see grouped sums.
+
+    The release's rules come last, so a query that breaks an earlier
+    rule keeps that rule's error class.
+    """
     _check_statement_shape(client, "client")
     _check_statement_shape(server, "server")
 
@@ -495,6 +503,21 @@ def validate_split(
     if PRIVACY_TIME_UNIT not in server.group_by:
         raise MissingPrivacyTimeUnitError(
             f"server statement must group by {PRIVACY_TIME_UNIT!r}"
+        )
+
+    # The release is one sum per uploaded cell: each row one partition of
+    # one window, each value one client column, summed once.
+    for stage, statement in (("client", client), ("server", server)):
+        if sorted(statement.group_by) != sorted(RELEASE_KEY_COLUMNS):
+            raise QueryValidationError(
+                f"release pipeline requires grouping the {stage} statement by exactly "
+                f"{sorted(RELEASE_KEY_COLUMNS)}; got {sorted(statement.group_by)}"
+            )
+    summed = sorted(a.source for a in server.aggregates)
+    if summed != sorted(client_values):
+        raise QueryValidationError(
+            "release pipeline requires the server statement to sum each client column "
+            f"exactly once: client columns {sorted(client_values)}, server sums {summed}"
         )
 
     return QuerySpec(client=client, server=server, stream=stream)

@@ -35,13 +35,7 @@ from .aggcore import (
 from .client import row_keys, rows_to_histogram
 from .dp import NoisedRelease, ResolvedMechanism
 from .model import Schema
-from .query import (
-    RELEASE_KEY_COLUMNS,
-    QuerySpec,
-    QueryValidationError,
-    parse_and_validate,
-    to_agg_config,
-)
+from .query import QuerySpec, parse_and_validate, to_agg_config
 from .rng import KeyedRng
 from .windows import TimeWindow, WindowAlignment, round_down_window, window_after
 
@@ -161,7 +155,8 @@ class _Session:
     shards: list[AggregationCore] = field(default_factory=list)
     partials: list[PartialAggregate] = field(default_factory=list)
     tokens: dict[str, dict] = field(default_factory=dict)
-    # The window's valid row keys (client.row_keys), built once per session.
+    # The window's valid row keys (client.row_keys), built once per session
+    # and dropped when it seals.
     row_keys: dict[str, tuple[int, int, int]] = field(default_factory=dict)
     uploads_accepted: int = 0
     checkpoints_made: int = 0
@@ -224,10 +219,8 @@ class FederatedServer:
         """Validate and install a task; windows start at registration or later.
 
         Tasks must carry two distinct sign-offs, parse and validate as a
-        split query, and must not reach back into time before
-        registration.  Both statements must group by exactly the release
-        keys, and the server statement must sum each client column
-        exactly once: the release is one sum per uploaded cell.
+        split query (whose rules make the release one sum per uploaded
+        cell), and must not reach back into time before registration.
         """
         if task.query_id in self.tasks:
             raise ValueError(f"task {task.query_id!r} already registered")
@@ -251,20 +244,6 @@ class FederatedServer:
                 f"retrospective window: first window starts at "
                 f"{task.first_window_start}, before registration at {now}; "
                 f"historical data cannot be queried"
-            )
-        for stage, statement in (("client", spec.client), ("server", spec.server)):
-            if sorted(statement.group_by) != sorted(RELEASE_KEY_COLUMNS):
-                raise QueryValidationError(
-                    f"release pipeline requires grouping the {stage} statement "
-                    f"by exactly {sorted(RELEASE_KEY_COLUMNS)}; got "
-                    f"{sorted(statement.group_by)}"
-                )
-        summed = sorted(a.source for a in spec.server.aggregates)
-        if summed != sorted(spec.client_value_columns):
-            raise QueryValidationError(
-                "release pipeline requires the server statement to sum each "
-                f"client column exactly once: client columns "
-                f"{sorted(spec.client_value_columns)}, server sums {summed}"
             )
         windows = [first]
         for _ in range(task.num_windows - 1):
@@ -554,8 +533,9 @@ class FederatedServer:
         shards checkpoint, live partials merge into the final aggregate,
         and the contribution gate decides between a noised release of its
         dense cell sums (``rows_to_histogram`` of the merged report) and an
-        explicit suppression marker.  Late uploads after this point are
-        rejected with :class:`SessionClosedError`.
+        explicit suppression marker.  The session's row-key table is
+        dropped either way.  Late uploads after this point are rejected
+        with :class:`SessionClosedError`.
         """
         key = self._session_key(task.config.query_id, window.window_id)
         session = self.sessions.get(key)
@@ -572,6 +552,7 @@ class FederatedServer:
         if count < max(task.config.min_contributions, 1):
             if session is not None:
                 session.state = "suppressed"
+                session.row_keys.clear()
             self.releases[key] = SuppressedRelease(window_id=window.window_id)
             self._log(
                 now,
@@ -586,6 +567,7 @@ class FederatedServer:
         aggregate = rows_to_histogram(
             report.items(), task.spec, self.schema, session.row_keys
         )
+        session.row_keys.clear()  # a sealed session decodes no more rows
         release = task.config.mechanism.finalize(
             self.schema, aggregate, window.window_id, self.noise_seed
         )

@@ -26,9 +26,10 @@ under different check-in policies experience identical conditions and
 coverage comparisons are apples-to-apples.
 
 Evaluation makes one pass over each released window's trip columns
-(``Corpus.device_histograms``) and derives the dense ground truth and the
-per-partition device counts from its block; it scores the release's dense
-values against them.  No trip record is built:
+(``Corpus.device_histograms``) and builds the window's truth from its
+block (``metrics.window_truth``: the dense ground truth, the
+per-partition device counts and the eligible cells); both errors score
+the release's dense values against it.  No trip record is built:
 neither the corpus nor any device cache holds one.
 """
 
@@ -48,12 +49,7 @@ from .client import (
     histogram_to_rows,
 )
 from .dp import NoisedRelease, ResolvedMechanism
-from .metrics import (
-    default_device_floor,
-    exact_workload,
-    per_user_mean_error,
-    weighted_relative_error,
-)
+from .metrics import per_user_mean_error, weighted_relative_error, window_truth
 from .model import DeviceSubtotals, Schema, TripColumns, TripRecord
 from .server import (
     FederatedServer,
@@ -255,17 +251,17 @@ def _evaluate(
 ) -> None:
     """Fill eval and reach rows from the finished run."""
     schema = corpus.schema
-    floor = default_device_floor(corpus.num_devices)
     metrics = [METRIC_BY_COLUMN[c] for c in spec.metric_columns]
+    strata: dict[str, set[int]] = {"all": set(result.device_tiers)}
+    for device_id, tier in result.device_tiers.items():
+        strata.setdefault(tier, set()).add(device_id)
     for window in result.task_windows:
         release = result.releases.get(f"{result.query_id}/{window.window_id}")
         if isinstance(release, NoisedRelease):
-            subtotals = corpus.device_histograms(window)
-            truth = exact_workload(corpus, window, subtotals)
-            counts = corpus.device_counts(window, subtotals)
-            del subtotals  # freed before the next window's pass
-            wre = weighted_relative_error(truth, release.values, counts, floor)
-            pume = per_user_mean_error(truth, release.values, counts, metrics)
+            # The block is freed as the truth is built, before the next pass.
+            truth = window_truth(corpus, corpus.device_histograms(window))
+            wre = weighted_relative_error(truth, release.values)
+            pume = per_user_mean_error(truth, release.values, metrics)
             for metric in sorted(wre):
                 result.eval_rows.append(
                     {
@@ -275,9 +271,6 @@ def _evaluate(
                         "per_user_mean_error": pume,
                     }
                 )
-        strata: dict[str, set[int]] = {"all": set(result.device_tiers)}
-        for device_id, tier in result.device_tiers.items():
-            strata.setdefault(tier, set()).add(device_id)
         for stratum in sorted(strata):
             members = strata[stratum]
             up = len(result.uploaded[window.window_id] & members)

@@ -8,13 +8,16 @@ budget or the seed — only the final noise draw does — and it makes large
 grids cheap.  For the same reason the sweep draws each seed's unit
 Laplace block once and reuses it for every variant and budget.  It makes
 one pass over the window's trips (``Corpus.device_histograms``), whose
-block of device histograms gives the calibration, every variant's
-pre-noise sum, the ground truth and the device counts (dense arrays
-all), and it computes the error's eligible cells once.  Each grid cell
-noises, thresholds and scores one array (the error gathers the
-release's ``values`` at the eligible cells' flat indices), so the sweep
-builds no sparse histogram.  Every grid cell is bit-identical
-to running the whole mechanism from scratch with the same parameters.
+raw block gives the calibration, every variant's pre-noise sum
+(:func:`prepare_variants`) and the window's truth
+(``metrics.window_truth``); the block is freed before the grid.  Each
+grid cell noises, thresholds and scores one array against that truth
+(the error gathers the release's ``values`` at the truth's eligible
+cells' flat indices), so the sweep builds no sparse histogram.  Every
+grid cell is bit-identical to running the whole mechanism from scratch
+with the same parameters.  The quantile search
+(:func:`grid_search_clip_quantile`) is one single-variant,
+single-budget sweep per calibration quantile.
 """
 
 from __future__ import annotations
@@ -32,13 +35,8 @@ from .dp import (
     prepare_mechanism,
     release_noise,
 )
-from .metrics import (
-    default_device_floor,
-    exact_workload,
-    scored_cells,
-    weighted_relative_error,
-)
-from .model import DeviceSubtotals
+from .metrics import weighted_relative_error, window_truth
+from .model import DeviceSubtotals, Schema
 from .synth import Corpus
 from .windows import TimeWindow
 
@@ -94,23 +92,17 @@ class SweepRow:
 
 
 def prepare_variants(
-    corpus: Corpus,
-    window: TimeWindow,
-    sweep: SweepConfig,
-    subtotals: DeviceSubtotals | None = None,
+    block: DeviceSubtotals, schema: Schema, sweep: SweepConfig
 ) -> dict[str, PreparedMechanism]:
     """Calibrate and pre-aggregate each requested variant once.
 
+    ``block`` is the window's raw block (``Corpus.device_histograms``).
     Budget split's slice clip bounds and scaling's scale factors are the
-    same calibration of the window, so it runs once and both variants
-    receive it.  ``subtotals`` may hand in
-    ``corpus.device_histograms(window)`` when the caller already has it.
+    same calibration of it, so it runs once and both variants receive it.
     """
-    if subtotals is None:
-        subtotals = corpus.device_histograms(window)
     table = None
     if {VARIANT_SPLIT, VARIANT_SCALED} & set(sweep.variants):
-        table = calibrate_scales(subtotals, corpus.schema, sweep.quantile)
+        table = calibrate_scales(block, schema, sweep.quantile)
     prepared: dict[str, PreparedMechanism] = {}
     for variant in sweep.variants:
         config = MechanismConfig(
@@ -121,28 +113,22 @@ def prepare_variants(
             scale_table=table if variant == VARIANT_SCALED else None,
             tau=sweep.tau,
         )
-        prepared[variant] = prepare_mechanism(config, subtotals, corpus.schema)
+        prepared[variant] = prepare_mechanism(config, block, schema)
     return prepared
 
 
 def run_epsilon_sweep(
-    corpus: Corpus,
-    window: TimeWindow,
-    sweep: SweepConfig,
-    prepared: dict[str, PreparedMechanism] | None = None,
+    corpus: Corpus, window: TimeWindow, sweep: SweepConfig
 ) -> list[SweepRow]:
     """Evaluate every (variant, epsilon, seed) cell of the grid.
 
     Rows come back in deterministic grid order: variants as configured,
     then budgets, then seeds.
     """
-    subtotals = corpus.device_histograms(window)
-    if prepared is None:
-        prepared = prepare_variants(corpus, window, sweep, subtotals)
-    truth = exact_workload(corpus, window, subtotals)
-    counts = corpus.device_counts(window, subtotals)
-    floor = default_device_floor(corpus.num_devices)
-    cells = scored_cells(truth, counts, floor)
+    block = corpus.device_histograms(window)
+    prepared = prepare_variants(block, corpus.schema, sweep)
+    truth = window_truth(corpus, block)
+    del block  # freed before the grid
     noise = {
         seed: release_noise(seed, window.window_id, corpus.schema)
         for seed in sweep.seeds
@@ -156,9 +142,7 @@ def run_epsilon_sweep(
                 release = mech.release(
                     window.window_id, seed, epsilon=epsilon, unit=noise[seed]
                 )
-                wre = weighted_relative_error(
-                    truth, release.values, counts, floor, cells
-                )
+                wre = weighted_relative_error(truth, release.values)
                 rows.append(
                     SweepRow(
                         variant=variant,
@@ -222,34 +206,20 @@ def grid_search_clip_quantile(
 ) -> tuple[float, list[dict]]:
     """Pick the calibration quantile minimizing mean error at one budget.
 
-    Returns the winning quantile and one summary dict per grid point.
-    The score is the mean over metrics and seeds of the weighted
-    relative error; ties break toward the smaller quantile.
+    Each quantile is one :func:`run_epsilon_sweep` of the variant at the
+    budget.  Returns the winning quantile and one summary dict per grid
+    point.  The score is the mean over metrics and seeds of the weighted
+    relative error (NaN cells left out); ties break toward the earlier
+    quantile.
     """
-    subtotals = corpus.device_histograms(window)
-    truth = exact_workload(corpus, window, subtotals)
-    counts = corpus.device_counts(window, subtotals)
-    floor = default_device_floor(corpus.num_devices)
-    cells = scored_cells(truth, counts, floor)
-    noise = {
-        seed: release_noise(seed, window.window_id, corpus.schema)
-        for seed in seeds
-    }
     table = []
     best: tuple[float, float] | None = None
     for q in quantile_grid:
-        config = MechanismConfig(
-            variant=variant, epsilon=epsilon, quantile=q, tau=tau
+        rows = run_epsilon_sweep(
+            corpus, window, SweepConfig((epsilon,), seeds, (variant,), q, tau)
         )
-        mech = prepare_mechanism(config, subtotals, corpus.schema)
-        cell_errors: list[float] = []
-        for seed in seeds:
-            release = mech.release(window.window_id, seed, unit=noise[seed])
-            wre = weighted_relative_error(
-                truth, release.values, counts, floor, cells
-            )
-            cell_errors.extend(v for v in wre.values() if not math.isnan(v))
-        score = math.fsum(cell_errors) / len(cell_errors) if cell_errors else math.inf
+        errors = [v for row in rows for v in row.errors.values() if not math.isnan(v)]
+        score = math.fsum(errors) / len(errors) if errors else math.inf
         table.append({"quantile": q, "mean_error": score})
         if best is None or score < best[1]:
             best = (q, score)

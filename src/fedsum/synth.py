@@ -28,9 +28,10 @@ are row ranges of these columns.  One pass over a window's rows
 every device's raw window histogram as one block of partition rows
 (:class:`fedsum.model.DeviceSubtotals`), bit for bit the sums
 ``client.client_work`` makes in event order.  Calibration, the sweep's
-pre-noise sums, the device counts and the ground truth
-(``metrics.exact_workload``) all read that block.  :class:`TripRecord`
-objects are built only at the edge, by :attr:`Corpus.devices`.
+pre-noise sums and the window's truth (``metrics.window_truth``: the
+exact workload and :meth:`Corpus.device_counts`) all read that block,
+and take it as an argument.  :class:`TripRecord` objects are built only
+at the edge, by :attr:`Corpus.devices`.
 
 The magnitude spread across activities and metrics is the point: trip
 counts are O(1), distances O(1)-O(1000) km, durations O(100)-O(10000) s.
@@ -314,22 +315,18 @@ class Corpus:
             made_at=first,
         )
 
-    def device_counts(
-        self, window: TimeWindow, subtotals: DeviceSubtotals | None = None
-    ) -> np.ndarray:
+    def device_counts(self, block: DeviceSubtotals) -> np.ndarray:
         """Devices contributing data per (activity, region, direction).
 
-        An int64 array of that shape.  Each row of the window's block is
-        one device holding a trip in one partition, so the counts are one
-        ``np.bincount`` over the rows' partitions.  ``subtotals`` may hand
-        in ``device_histograms(window)`` when the caller already has it.
+        An int64 array of that shape.  ``block`` is a window's raw block
+        (:meth:`device_histograms`); each of its rows is one device
+        holding a trip in one partition, so the counts are one
+        ``np.bincount`` over the rows' partitions.
         """
-        if subtotals is None:
-            subtotals = self.device_histograms(window)
         num_activities, _, num_regions, num_directions = self.schema.shape
         partition = (
-            subtotals.activity * num_regions + subtotals.region
-        ) * num_directions + subtotals.direction
+            block.activity * num_regions + block.region
+        ) * num_directions + block.direction
         counts = np.bincount(partition, minlength=num_activities * num_regions * num_directions)
         return counts.reshape(num_activities, num_regions, num_directions)
 

@@ -64,14 +64,14 @@ FROM UserResults
 GROUP BY activity, region, direction, privacy_time_unit
 """
 
-REGION_QUERY = """\
-SELECT region, privacy_time_unit, SUM(trip_distance) AS km
+DISTANCE_QUERY = """\
+SELECT activity, region, direction, privacy_time_unit, SUM(trip_distance) AS km
 FROM DeviceDataStream
-GROUP BY region, privacy_time_unit
+GROUP BY activity, region, direction, privacy_time_unit
 
-SELECT region, privacy_time_unit, SUM(km) AS skm
+SELECT activity, region, direction, privacy_time_unit, SUM(km) AS skm
 FROM UserResults
-GROUP BY region, privacy_time_unit
+GROUP BY activity, region, direction, privacy_time_unit
 """
 
 DAY = 86_400
@@ -119,20 +119,16 @@ _sweep_elapsed = {}
 @pytest.fixture(scope="module")
 def grid_prepared(corpus_10k, week_one_10k):
     """Each variant calibrated once at the grid's quantile and tau."""
-    started = time.perf_counter()
-    prepared = prepare_variants(corpus_10k, week_one_10k, GRID)
-    _sweep_elapsed["prepare"] = time.perf_counter() - started
-    return prepared
+    block = corpus_10k.device_histograms(week_one_10k)
+    return prepare_variants(block, corpus_10k.schema, GRID)
 
 
 @pytest.fixture(scope="module")
-def grid_rows(corpus_10k, week_one_10k, grid_prepared):
+def grid_rows(corpus_10k, week_one_10k):
     """One shared (variant x epsilon x seed) error grid on the big corpus."""
     started = time.perf_counter()
-    rows = run_epsilon_sweep(corpus_10k, week_one_10k, GRID, grid_prepared)
-    _sweep_elapsed["seconds"] = (
-        _sweep_elapsed["prepare"] + time.perf_counter() - started
-    )
+    rows = run_epsilon_sweep(corpus_10k, week_one_10k, GRID)
+    _sweep_elapsed["seconds"] = time.perf_counter() - started
     return rows
 
 
@@ -183,7 +179,7 @@ def test_ac01_noiseless_pipeline_reproduces_exact_sums():
     assert len(result.task_windows) == 2
     for window in result.task_windows:
         release = result.releases[f"trips/{window.window_id}"]
-        truth = exact_workload(corpus, window)
+        truth = exact_workload(corpus, corpus.device_histograms(window))
         assert dict(release.histogram.items()) == sparse_of(truth)
         assert release.suppressed_partitions == 0
     assert time.perf_counter() - started < 30.0
@@ -793,7 +789,7 @@ def test_ac12_malformed_queries_are_all_rejected_with_typed_errors():
         "trip_distance",
         "trip_duration",
     )
-    assert parse_and_validate(REGION_QUERY).metric_columns == (
+    assert parse_and_validate(DISTANCE_QUERY).metric_columns == (
         "trip_distance",
     )
 

@@ -126,6 +126,44 @@ def test_validate_query_unreadable_file_is_a_config_error(tmp_path, capsys):
     assert "error: cannot read" in capsys.readouterr().err
 
 
+# Queries the parser accepts that no release can honour: grouped by fewer
+# than the release keys (rows of two partitions would share a key), or
+# summing a client column twice.
+UNRELEASABLE_QUERIES = {
+    "sub_key": """\
+SELECT region, privacy_time_unit, SUM(trip_distance) AS user_trip_distance
+FROM DeviceDataStream GROUP BY region, privacy_time_unit
+
+SELECT region, privacy_time_unit, SUM(user_trip_distance)
+FROM UserResults GROUP BY region, privacy_time_unit;
+""",
+    "repeated_sum": FULL_QUERY.replace("SUM(n) AS sn,", "SUM(n) AS sn, SUM(n) AS sn2,"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRELEASABLE_QUERIES))
+def test_validate_query_refuses_what_run_cannot_release(capsys, case):
+    assert main(["validate-query", "--query", UNRELEASABLE_QUERIES[case]]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("invalid query [QueryValidationError]: release pipeline requires")
+
+
+@pytest.mark.parametrize("case", sorted(UNRELEASABLE_QUERIES))
+def test_run_refuses_an_unreleasable_query_before_any_work(
+    tmp_path, capsys, monkeypatch, case
+):
+    def no_corpus(*args, **kwargs):
+        raise AssertionError("generate_corpus ran on a bad query")
+
+    monkeypatch.setattr("fedsum.cli.generate_corpus", no_corpus)
+    out = tmp_path / "out"
+    config_path = write_config(tmp_path, out, task={"query": UNRELEASABLE_QUERIES[case]})
+    assert main(["run", "--config", config_path]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("invalid query [QueryValidationError]: release pipeline requires")
+    assert not out.exists()
+
+
 # --- run --------------------------------------------------------------------------
 
 
@@ -143,7 +181,7 @@ def test_run_writes_noiseless_artifacts_matching_the_exact_sums(tmp_path, capsys
     config = parse_config(yaml.safe_load(open(config_path)))
     corpus = generate_corpus(config.corpus)
     window = round_down_window(config.corpus.start_time, config.task.alignment)
-    truth = sparse_of(exact_workload(corpus, window))
+    truth = sparse_of(exact_workload(corpus, corpus.device_histograms(window)))
 
     released = read_release_csv(out / "releases" / "2024-W20.csv", corpus.schema)
     assert released == truth  # exact equality, no tolerance

@@ -264,11 +264,11 @@ GROUP BY region, privacy_time_unit
 
 def test_rows_need_every_release_key():
     # Both cells share (region 3, window): with fewer keys than the
-    # release's, their rows would collide.
+    # release's, their rows would collide, so no such query validates.
     schema = wide_schema()
     block = block_of(schema, [{(0, 1, 3, 0): 2.0, (1, 1, 3, 2): 5.0}])
-    with pytest.raises(QueryValidationError, match="grouped by exactly"):
-        histogram_to_rows(block, "w", parse_and_validate(REGION_DISTANCE_QUERY))
+    with pytest.raises(QueryValidationError, match="grouping the client statement by exactly"):
+        parse_and_validate(REGION_DISTANCE_QUERY)
     rows = histogram_to_rows(block, "w", parse_and_validate(DISTANCE_QUERY))
     assert math.fsum(values[0] for _, values in rows) == 7.0
 

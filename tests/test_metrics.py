@@ -11,11 +11,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fedsum.metrics import (
+    WindowTruth,
     default_device_floor,
     exact_workload,
     per_user_mean_error,
-    scored_cells,
     weighted_relative_error,
+    window_truth,
 )
 from fedsum.model import (
     IndexedHistogram,
@@ -61,7 +62,7 @@ def test_one_trip_fills_three_cells(small_schema, week_one_300):
     corpus = tiny_corpus(
         small_schema, [[trip(a=1, r=2, d=0, km=4.5, s=300.0)]]
     )
-    workload = exact_workload(corpus, week_one_300)
+    workload = exact_workload(corpus, corpus.device_histograms(week_one_300))
     assert workload.shape == small_schema.shape
     assert sparse_of(workload) == {
         (1, 0, 2, 0): 1.0,
@@ -71,7 +72,7 @@ def test_one_trip_fills_three_cells(small_schema, week_one_300):
 
 
 def test_workload_agrees_with_an_independent_oracle(corpus_300, week_one_300):
-    workload = exact_workload(corpus_300, week_one_300)
+    workload = exact_workload(corpus_300, corpus_300.device_histograms(week_one_300))
     assert sparse_of(workload) == naive_workload(corpus_300, week_one_300)
 
 
@@ -83,16 +84,36 @@ def test_truth_and_counts_match_the_oracles_in_every_window(
     window = round_down_window(config.start_time, alignment)
     checked = 0
     while window.start < config.start_time + config.num_weeks * 7 * 86400:
-        subtotals = corpus_300.device_histograms(window)
-        truth = exact_workload(corpus_300, window, subtotals)
+        block = corpus_300.device_histograms(window)
+        truth = exact_workload(corpus_300, block)
         assert truth.shape == corpus_300.schema.shape
         assert sparse_of(truth) == naive_workload(corpus_300, window)
-        counts = corpus_300.device_counts(window, subtotals)
+        counts = corpus_300.device_counts(block)
         expected = counts_of(corpus_300.schema, naive_device_counts(corpus_300, window))
         assert counts.dtype == np.int64 and np.array_equal(counts, expected)
         checked += bool(counts.any())
         window = window_after(window, alignment)
     assert checked == {WindowAlignment.WEEK: 1, WindowAlignment.DAY: 7}[alignment]
+
+
+def test_a_window_truth_holds_the_workload_counts_and_cells_at_the_fleet_floor(
+    corpus_300, week_one_300
+):
+    block = corpus_300.device_histograms(week_one_300)
+    truth = window_truth(corpus_300, block)
+    assert sparse_of(truth.workload) == naive_workload(corpus_300, week_one_300)
+    counts = naive_device_counts(corpus_300, week_one_300)
+    assert np.array_equal(truth.device_counts, counts_of(corpus_300.schema, counts))
+    floor = default_device_floor(corpus_300.num_devices)
+    expected = sparse_scored_cells(
+        sparse_of(truth.workload), counts, floor, corpus_300.schema.shape
+    )
+    for metric, (indices, values, weights, total) in enumerate(expected):
+        assert truth.cell_indices[metric].tolist() == indices
+        assert truth.cell_truth[metric].tolist() == values
+        assert truth.cell_weights[metric].tolist() == weights
+        assert truth.total_weights[metric] == total
+    assert any(truth.total_weights)
 
 
 def test_workload_is_additive_across_subfleets(week_one_300):
@@ -107,7 +128,7 @@ def test_workload_is_additive_across_subfleets(week_one_300):
         for h in histograms_of(corpus.device_histograms(week_one_300), corpus.schema)
     ]
     total = exact_sum(left.schema, histograms)
-    workload = exact_workload(combined, week_one_300)
+    workload = exact_workload(combined, combined.device_histograms(week_one_300))
     assert IndexedHistogram.from_dense(left.schema, workload) == total
 
 
@@ -135,7 +156,7 @@ def test_identical_release_scores_zero(small_schema):
         small_schema,
         {(0, 0, 0, 0): 50.0, (0, 1, 0, 0): 120.0, (0, 2, 0, 0): 900.0},
     )
-    errors = weighted_relative_error(truth, truth, counts_for(truth), 1)
+    errors = weighted_relative_error(WindowTruth.from_arrays(truth, counts_for(truth), 1), truth)
     assert errors[0] == errors[1] == errors[2] == 0.0
 
 
@@ -150,7 +171,9 @@ def test_uniform_inflation_scores_its_factor(small_schema):
         },
     )
     estimate = truth * 1.03
-    errors = weighted_relative_error(truth, estimate, counts_for(truth), 1)
+    errors = weighted_relative_error(
+        WindowTruth.from_arrays(truth, counts_for(truth), 1), estimate
+    )
     assert errors[0] == pytest.approx(0.03)
     assert errors[1] == pytest.approx(0.03)
     assert math.isnan(errors[2])  # no duration truth anywhere
@@ -168,7 +191,9 @@ def test_partitions_weigh_in_by_trip_share(small_schema):
     )
     estimate = truth.copy()
     estimate[(1, 1, 0, 0)] = 40.0
-    errors = weighted_relative_error(truth, estimate, counts_for(truth), 1)
+    errors = weighted_relative_error(
+        WindowTruth.from_arrays(truth, counts_for(truth), 1), estimate
+    )
     assert errors[1] == pytest.approx(0.9 * 0.0 + 0.1 * 0.2)
 
 
@@ -180,29 +205,33 @@ def test_sparse_partitions_are_excluded_by_the_floor(small_schema):
     estimate = truth.copy()
     estimate[(1, 1, 0, 0)] = 40.0
     counts = counts_of(small_schema, {(0, 0, 0): 100, (1, 0, 0): 3})
-    errors = weighted_relative_error(truth, estimate, counts, 20)
+    errors = weighted_relative_error(WindowTruth.from_arrays(truth, counts, 20), estimate)
     assert errors[1] == 0.0  # the mis-estimated partition fell below the floor
-    errors_all = weighted_relative_error(truth, estimate, counts, 1)
+    errors_all = weighted_relative_error(WindowTruth.from_arrays(truth, counts, 1), estimate)
     assert errors_all[1] == pytest.approx(0.02)
 
 
 def test_missing_release_partitions_read_as_zero(small_schema):
     truth = hist(small_schema, {(0, 0, 0, 0): 10.0, (0, 1, 0, 0): 70.0})
     estimate = hist(small_schema, {(0, 0, 0, 0): 10.0})
-    errors = weighted_relative_error(truth, estimate, counts_for(truth), 1)
+    errors = weighted_relative_error(
+        WindowTruth.from_arrays(truth, counts_for(truth), 1), estimate
+    )
     assert errors[1] == pytest.approx(1.0)
 
 
 def test_no_eligible_partition_is_nan_not_zero(small_schema):
     truth = hist(small_schema, {(0, 0, 0, 0): 10.0})
-    errors = weighted_relative_error(truth, truth, counts_of(small_schema, {}), 20)
+    errors = weighted_relative_error(
+        WindowTruth.from_arrays(truth, counts_of(small_schema, {}), 20), truth
+    )
     assert all(math.isnan(errors[m]) for m in range(3))
 
 
 def test_negative_floor_is_rejected(small_schema):
     truth = hist(small_schema, {(0, 0, 0, 0): 10.0})
     with pytest.raises(InvalidParameterError):
-        weighted_relative_error(truth, truth, counts_of(small_schema, {}), -1)
+        WindowTruth.from_arrays(truth, counts_of(small_schema, {}), -1)
 
 
 SCORED = Schema(
@@ -257,7 +286,9 @@ def test_dense_scorer_matches_the_sparse_reference_bit_for_bit(case):
     """A -0.0 estimate, a lacking cell, an estimate-only cell and an empty
     metric (NaN) score as the dict-based scorer scores them."""
     truth, values, counts, floor = dense_case(case)
-    got = weighted_relative_error(truth, values, counts_of(SCORED, case[2]), floor)
+    got = weighted_relative_error(
+        WindowTruth.from_arrays(truth, counts_of(SCORED, case[2]), floor), values
+    )
     expected = sparse_weighted_relative_error(
         sparse_of(truth), sparse_of(values), case[2], floor, SCORED.num_metrics
     )
@@ -289,19 +320,21 @@ def test_dense_scored_cells_match_the_sparse_reference_bit_for_bit(case):
     indices, truth values, weights and total weights are equal bit for bit
     to the dict-based selection's."""
     truth, _, counts, floor = dense_case(case)
-    cells = scored_cells(truth, counts, floor)
+    cells = WindowTruth.from_arrays(truth, counts, floor)
     expected = sparse_scored_cells(sparse_of(truth), case[2], floor, SCORED.shape)
     for metric, (indices, values, weights, total) in enumerate(expected):
-        assert cells.indices[metric].tolist() == indices
-        assert [v.hex() for v in cells.truth[metric].tolist()] == [v.hex() for v in values]
-        assert [w.hex() for w in cells.weights[metric].tolist()] == [w.hex() for w in weights]
+        assert cells.cell_indices[metric].tolist() == indices
+        assert [v.hex() for v in cells.cell_truth[metric].tolist()] == [v.hex() for v in values]
+        assert [w.hex() for w in cells.cell_weights[metric].tolist()] == [
+            w.hex() for w in weights
+        ]
         assert cells.total_weights[metric].hex() == total.hex()
 
 
 @given(scoring_inputs(), st.sampled_from([[0], [1, 2], [0, 1, 2], [2, 0, 2]]))
 def test_dense_per_user_error_matches_the_sparse_reference_bit_for_bit(case, metrics):
     truth, estimate, counts, _ = dense_case(case)
-    got = per_user_mean_error(truth, estimate, counts, metrics)
+    got = per_user_mean_error(WindowTruth.from_arrays(truth, counts, 0), estimate, metrics)
     expected = sparse_per_user_mean_error(
         sparse_of(truth), sparse_of(estimate), case[2], metrics
     )
@@ -311,7 +344,9 @@ def test_dense_per_user_error_matches_the_sparse_reference_bit_for_bit(case, met
 def test_an_estimate_of_another_shape_is_refused(small_schema):
     truth = hist(small_schema, {(0, 0, 0, 0): 10.0})
     with pytest.raises(SchemaMismatchError):
-        weighted_relative_error(truth, np.zeros(SCORED.shape), counts_of(small_schema, {}), 0)
+        weighted_relative_error(
+            WindowTruth.from_arrays(truth, counts_of(small_schema, {}), 0), np.zeros(SCORED.shape)
+        )
 
 
 # --- per-user mean error -------------------------------------------------------------
@@ -333,7 +368,8 @@ def by_partition(schema, rows):
 
 
 def per_user(schema, reference, result, counts, metrics):
-    return per_user_mean_error(reference, result, counts_of(schema, counts), metrics)
+    truth = WindowTruth.from_arrays(reference, counts_of(schema, counts), 0)
+    return per_user_mean_error(truth, result, metrics)
 
 
 def test_exact_rows_score_zero(small_schema):

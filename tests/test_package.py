@@ -90,3 +90,24 @@ def test_only_model_and_dp_name_the_sparse_histogram():
         if "IndexedHistogram" in path.read_text(encoding="utf-8"):
             offenders.append(path.name)
     assert offenders == []
+
+
+# The one module that decides what a release is scored on: the device
+# floor and the eligible cells of a window's truth (metrics.WindowTruth).
+SCORING_MODULE = "metrics.py"
+
+
+def test_only_metrics_decides_what_a_release_is_scored_on():
+    needles = (
+        "default_device_floor(",
+        "ravel_multi_index(",  # the eligible cells' flat indices
+        "region_trips",  # the weights' denominators
+        "WindowTruth(",  # a truth built other than by its builders
+    )
+    offenders = []
+    for path in sorted(Path(fedsum.__file__).parent.glob("*.py")):
+        if path.name == SCORING_MODULE:
+            continue
+        text = path.read_text(encoding="utf-8")
+        offenders += [(path.name, n) for n in needles if n in text]
+    assert offenders == []

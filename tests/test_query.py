@@ -24,14 +24,17 @@ from fedsum.query import (
 from helpers import malformed_query_cases
 
 EXAMPLE = """\
-SELECT region, privacy_time_unit, SUM(trip_distance) AS user_trip_distance
+SELECT activity, region, direction, privacy_time_unit,
+       SUM(trip_distance) AS user_trip_distance
 FROM DeviceDataStream
-GROUP BY region, privacy_time_unit
+GROUP BY activity, region, direction, privacy_time_unit
 
-SELECT region, privacy_time_unit, SUM(user_trip_distance)
+SELECT activity, region, direction, privacy_time_unit, SUM(user_trip_distance)
 FROM UserResults
-GROUP BY region, privacy_time_unit;
+GROUP BY activity, region, direction, privacy_time_unit;
 """
+
+KEYS = ("activity", "region", "direction", "privacy_time_unit")
 
 FULL_KEY = """\
 SELECT activity, region, direction, privacy_time_unit,
@@ -48,28 +51,28 @@ GROUP BY activity, region, direction, privacy_time_unit
 
 def test_example_query_plan():
     spec = parse_and_validate(EXAMPLE)
-    assert spec.client_key_columns == ("region", "privacy_time_unit")
+    assert spec.client_key_columns == KEYS
     assert spec.metric_columns == ("trip_distance",)
     assert [a.alias for a in spec.client.aggregates] == ["user_trip_distance"]
     assert spec.server.table == "UserResults"
     assert spec.client.table == "DeviceDataStream"
     # Without AS, the server output column keeps the source name.
     assert [a.alias for a in spec.server.aggregates] == ["user_trip_distance"]
-    assert spec.server_key_columns == ("region", "privacy_time_unit")
+    assert spec.server_key_columns == KEYS
 
 
 def test_keywords_are_case_insensitive_identifiers_are_not():
     lowered = EXAMPLE.replace("SELECT", "select").replace("FROM", "from")
     lowered = lowered.replace("GROUP BY", "group by").replace(" AS ", " as ")
     spec = parse_and_validate(lowered)
-    assert spec.client_key_columns == ("region", "privacy_time_unit")
+    assert spec.client_key_columns == KEYS
     with pytest.raises(UnknownColumnError):
         parse_and_validate(EXAMPLE.replace("region", "Region"))
 
 
 def test_semicolons_are_optional():
     spec = parse_and_validate(EXAMPLE.replace(";", ""))
-    assert spec.server_key_columns == ("region", "privacy_time_unit")
+    assert spec.server_key_columns == KEYS
 
 
 def test_pretty_print_round_trips():
@@ -152,8 +155,8 @@ def test_server_grouping_by_device_id_names_the_column():
 
 def test_server_without_any_sum_is_empty_aggregation():
     text = EXAMPLE.split("\n\n")[0] + (
-        "\n\nSELECT region, privacy_time_unit FROM UserResults "
-        "GROUP BY region, privacy_time_unit"
+        "\n\nSELECT activity, region, direction, privacy_time_unit FROM UserResults "
+        "GROUP BY activity, region, direction, privacy_time_unit"
     )
     with pytest.raises(EmptyServerAggregationError):
         parse_and_validate(text)
@@ -161,14 +164,38 @@ def test_server_without_any_sum_is_empty_aggregation():
 
 def test_duplicate_output_columns_rejected():
     text = """\
-SELECT region, privacy_time_unit, SUM(trip_distance) AS region
-FROM DeviceDataStream GROUP BY region, privacy_time_unit
+SELECT activity, region, direction, privacy_time_unit, SUM(trip_distance) AS region
+FROM DeviceDataStream GROUP BY activity, region, direction, privacy_time_unit
 
-SELECT region, privacy_time_unit, SUM(region) AS t
-FROM UserResults GROUP BY region, privacy_time_unit
+SELECT activity, region, direction, privacy_time_unit, SUM(region) AS t
+FROM UserResults GROUP BY activity, region, direction, privacy_time_unit
 """
     with pytest.raises(QueryValidationError):
         parse_and_validate(text)
+
+
+@pytest.mark.parametrize("stage", ["client", "server"])
+def test_each_statement_groups_by_exactly_the_release_keys(stage):
+    client, server = EXAMPLE.split("\n\n")
+    if stage == "client":
+        client = client.replace("activity, region", "region")
+        server = server.replace("activity, region", "region")
+    else:
+        server = server.replace("activity, region", "region")
+    with pytest.raises(QueryValidationError, match=f"grouping the {stage} statement by exactly"):
+        parse_and_validate(f"{client}\n\n{server}")
+
+
+@pytest.mark.parametrize(
+    "sums", ["SUM(trip_km)", "SUM(n), SUM(n) AS n2, SUM(trip_km)", "SUM(n)"]
+)
+def test_the_server_sums_each_client_column_exactly_once(sums):
+    text = FULL_KEY.replace("SUM(n) AS total_n, SUM(km) AS total_km", sums).replace(
+        "AS km", "AS trip_km"
+    )
+    with pytest.raises(QueryValidationError, match="exactly once"):
+        parse_and_validate(text)
+    assert parse_and_validate(text.replace(sums, "SUM(trip_km), SUM(n)")).server.aggregates
 
 
 def test_alias_may_equal_its_source():

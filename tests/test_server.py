@@ -417,6 +417,29 @@ def test_upload_after_release_is_rejected():
         )
 
 
+@pytest.mark.parametrize(
+    "min_contributions, state", [(1, "released"), (2, "suppressed")]
+)
+def test_a_sealed_session_drops_its_row_key_table(min_contributions, state):
+    server, s = make_server()
+    task = make_task(s, num_windows=1, min_contributions=min_contributions)
+    server.register_task(task, now=START)
+    deadline = START + WEEK + GRACE
+    upload(server, 0, device_histogram(s, 0), START + WEEK + 60)
+    a = server.check_in(1, now=deadline)[0]
+    session = server.sessions[a.session_id]
+    assert len(session.row_keys) == s.num_activities * s.num_regions * s.num_directions
+    server.maintenance(now=deadline + 1)
+    assert session.state == state
+    assert session.row_keys == {}
+    rows = tuple(histogram_to_rows(block_of(s, [device_histogram(s, 1)]), a.window_id, SPEC))
+    with pytest.raises(SessionClosedError):
+        server.ingest_upload(
+            ClientUpdate(a.query_id, a.window_id, a.token, rows), now=deadline + 1
+        )
+    assert events_named(server, "upload_rejected")[-1]["reason"] == "session_closed"
+
+
 # --- checkpoints, roll-ups, expiry --------------------------------------------
 
 

@@ -42,7 +42,8 @@ from helpers import START, active_devices, eager_check_in_allowed, naive_device_
 
 def exact_release(corpus, window):
     """The exact workload's nonzero cells, as a release publishes them."""
-    return IndexedHistogram.from_dense(corpus.schema, exact_workload(corpus, window))
+    workload = exact_workload(corpus, corpus.device_histograms(window))
+    return IndexedHistogram.from_dense(corpus.schema, workload)
 
 FULL_QUERY = """\
 SELECT activity, region, direction, privacy_time_unit,
@@ -389,7 +390,7 @@ def test_per_user_error_equals_the_row_based_formula_bit_for_bit(
     assert release.suppressed_partitions > 0  # some partitions read as 0
     expected = row_based_per_user_mean_error(
         corpus_300.schema,
-        sparse_of(exact_workload(corpus_300, week_one_300)),
+        sparse_of(exact_workload(corpus_300, corpus_300.device_histograms(week_one_300))),
         release.histogram,
         naive_device_counts(corpus_300, week_one_300),
         "2024-W20",

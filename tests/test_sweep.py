@@ -63,9 +63,9 @@ def test_grid_must_be_non_empty():
 
 
 def test_each_variant_is_prepared_once(corpus_300, week_one_300):
-    prepared = prepare_variants(corpus_300, week_one_300, small_sweep())
-    assert set(prepared) == set(VARIANTS)
     block = corpus_300.device_histograms(week_one_300)
+    prepared = prepare_variants(block, corpus_300.schema, small_sweep())
+    assert set(prepared) == set(VARIANTS)
     active = len(devices_of(block))
     for variant, mech in prepared.items():
         assert mech.resolved.variant == variant
@@ -102,7 +102,8 @@ def test_one_calibration_serves_split_and_scaling(
     for module in (fedsum.dp, fedsum.sweep):
         monkeypatch.setattr(module, "calibrate_scales", counted)
     sweep = SweepConfig(epsilons=(2.0,), seeds=(0,), variants=variants)
-    prepared = prepare_variants(corpus_300, week_one_300, sweep)
+    block = corpus_300.device_histograms(week_one_300)
+    prepared = prepare_variants(block, corpus_300.schema, sweep)
     assert len(tables) == calls
     if VARIANT_SPLIT in prepared:
         assert prepared[VARIANT_SPLIT].resolved.clip_table == tables[0]
@@ -166,7 +167,7 @@ def test_every_cell_equals_a_from_scratch_release(corpus_300, week_one_300):
     rows = run_epsilon_sweep(corpus_300, week_one_300, sweep)
     schema = corpus_300.schema
     block = corpus_300.device_histograms(week_one_300)
-    truth = exact_workload(corpus_300, week_one_300)
+    truth = exact_workload(corpus_300, block)
     counts = naive_device_counts(corpus_300, week_one_300)
     floor = default_device_floor(corpus_300.num_devices)
     assert len(rows) == 3 * 3 * 2
