@@ -157,10 +157,6 @@ class AggregationCore:
     def state_digest(self) -> str:
         return blake2b(self.serialize_state(), digest_size=16).hexdigest()
 
-    @property
-    def consumed(self) -> bool:
-        return self._consumed
-
     def _check_live(self) -> None:
         if self._consumed:
             raise CoreConsumedError("aggregation core was already consumed")
@@ -168,10 +164,6 @@ class AggregationCore:
     def _consume(self) -> None:
         self._sum = ExactSum(self._sum.width)
         self._consumed = True
-
-    def __repr__(self) -> str:
-        status = "consumed" if self._consumed else f"{self.contribution_count} contributions"
-        return f"AggregationCore({len(self._sum)} keys, {status})"
 
 
 # --------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .config import ConfigError, ExperimentConfig, parse_config, read_config_dat
 from .dp import resolve_mechanism
 from .outputs import write_run_outputs, write_sweep_outputs
 from .query import (
-    DEFAULT_TRIPS_STREAM,
     ParseError,
     QueryValidationError,
     parse_and_validate,
@@ -206,7 +205,7 @@ def cmd_validate_query(args: argparse.Namespace) -> int:
     else:
         text = args.query
     try:
-        spec = parse_and_validate(text, DEFAULT_TRIPS_STREAM)
+        spec = parse_and_validate(text)
     except (ParseError, QueryValidationError) as exc:
         print(f"invalid query [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -30,10 +30,10 @@ codec is ``histogram_to_rows``, which renders the bounded block's rows
 as the client statement's grouped rows, and its inverse
 ``rows_to_histogram``, which adds rows into one dense array of cell
 sums.  ``row_keys`` lists one window's valid row keys: the server
-refuses an upload under any other key, and the decoder reads its
-partitions from the same table, so every row the server accepted
-decodes.  Outside :mod:`fedsum.aggcore` the codec is the only code that
-knows the row format.
+refuses an upload under any other key, and ``row_partitions`` reads rows
+through the same table, for the decoder and for the server's check of an
+upload's L1 bound, so every row the server accepted decodes.  Outside
+:mod:`fedsum.aggcore` the codec is the only code that knows the row format.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .aggcore import KEY_SEPARATOR
+from .aggcore import KEY_SEPARATOR, MalformedUpdateError
 from .model import (
     METRIC_DISTANCE,
     METRIC_DURATION,
@@ -54,7 +54,7 @@ from .model import (
     TripColumns,
     TripRecord,
 )
-from .query import PRIVACY_TIME_UNIT, QuerySpec
+from .query import METRIC_BY_COLUMN, PRIVACY_TIME_UNIT, QuerySpec
 from .rng import KeyedRng
 from .windows import TimeWindow, WindowAlignment, round_down_window
 
@@ -73,6 +73,7 @@ __all__ = [
     "client_work",
     "histogram_to_rows",
     "row_keys",
+    "row_partitions",
     "rows_to_histogram",
 ]
 
@@ -80,13 +81,6 @@ __all__ = [
 class ClockRegressionError(RuntimeError):
     """The simulated clock moved backwards for a device."""
 
-
-# Map of summable stream columns to metric indices.
-METRIC_BY_COLUMN = {
-    "trip_count": METRIC_NUM_TRIPS,
-    "trip_distance": METRIC_DISTANCE,
-    "trip_duration": METRIC_DURATION,
-}
 
 # Battery charge fraction a device must have to check in, regardless of
 # the configured policy.
@@ -336,8 +330,7 @@ def histogram_to_rows(
         [window_id] * size if column == PRIVACY_TIME_UNIT else map(str, columns[column].tolist())
         for column in spec.client.group_by
     ]
-    metrics = [METRIC_BY_COLUMN[column] for column in spec.metric_columns]
-    values = block.sums[:, metrics].tolist()
+    values = block.sums[:, spec.metrics].tolist()
     rows = [
         (KEY_SEPARATOR.join(key), tuple([v or 0.0 for v in cells]))
         for *key, cells in zip(*keys, values)
@@ -365,6 +358,17 @@ def row_keys(
     return {template.format(a, r, d, window_id): (a, r, d) for a, r, d in np.ndindex(shape)}
 
 
+def row_partitions(
+    rows: Iterable[tuple[str, Sequence[float]]], keys: dict[str, tuple[int, int, int]]
+) -> list[tuple[tuple[int, int, int], Sequence[float]]]:
+    """Each row's partition, read through the window's :func:`row_keys`, with
+    its values; a row under any other key raises ``MalformedUpdateError``."""
+    try:
+        return [(keys[key], values) for key, values in rows]
+    except KeyError as exc:
+        raise MalformedUpdateError(f"{exc.args[0]!r} is not a row key of this window") from None
+
+
 def rows_to_histogram(
     rows: Iterable[tuple[str, Sequence[float]]],
     spec: QuerySpec,
@@ -377,14 +381,9 @@ def rows_to_histogram(
     schema's shape, each nonzero value added to its cell.  ``keys`` is
     the window's :func:`row_keys`; a row under any other key raises.
     """
-    metric_of_slot = [METRIC_BY_COLUMN[c] for c in spec.metric_columns]
     out = np.zeros(schema.shape)
-    for key, values in rows:
-        try:
-            a, r, d = keys[key]
-        except KeyError:
-            raise ValueError(f"{key!r} is not a row key of this window") from None
-        for slot, value in enumerate(values):
+    for (a, r, d), values in row_partitions(rows, keys):
+        for m, value in zip(spec.metrics, values):
             if value != 0.0:
-                out[a, metric_of_slot[slot], r, d] += value
+                out[a, m, r, d] += value
     return out

@@ -25,7 +25,8 @@ one L1 rescale loop over groups of the block's cells.  The simulator's
 uploads run it on a one-device block; :func:`prepare_mechanism` runs it
 on a window's block and sums the bounded rows per cell, so a sweep
 scores exactly the pre-noise sum a deployment would release.  No other
-module scales or clips a device contribution.
+module scales or clips a device contribution; the server refuses an
+upload over the bound (:meth:`ResolvedMechanism.exceeds_bound`).
 
 Noise draws are keyed by (window, coordinate), so a fixed seed yields
 the same draw for the same coordinate no matter which variant asked, in
@@ -46,7 +47,8 @@ and not differentially private.
 A :class:`MechanismConfig` is validated completely when it is built:
 each parameter belongs to its variant, and its per-(activity, metric)
 tables are stored as tuples of floats (:data:`fedsum.model.Table`), every
-entry finite and positive, budget weights summing to 1.
+entry finite and positive, budget weights summing to 1 within 1e-6 (the
+noise scales divide them by their sum, so slices spend exactly epsilon).
 :func:`resolve_mechanism` then only fills calibration gaps and checks
 table shapes against the schema.  Per-release math reads the stored
 tables into ``(A, M)`` arrays: the noise scales, and the descale factors
@@ -62,13 +64,14 @@ bounds and scaling's scale factors are the same calibration.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import blake2b
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -391,32 +394,29 @@ class UnitLaplace:
     """Unit-scale Laplace draws of one (rng, window) over the full domain.
 
     Entry ``(a, m, r, d)`` is ``rng.laplace(1.0, window_id, a, m, r, d)``.
-    An (activity, metric) slice is drawn the first time a release noises
-    it, so slices at scale 0 draw nothing.  Noise at any scale is that
-    scale times the unit draw, bit for bit, so one block serves every
-    variant and budget: a sweep keeps one per seed for the whole grid.
+    The block is drawn whole the first time a release noises with it, so
+    a release at scale 0 draws nothing.  Noise at any scale is that scale
+    times the unit draw, bit for bit, so one block serves every variant
+    and budget: a sweep keeps one per seed for the whole grid.
     """
 
-    __slots__ = ("rng", "window_id", "values", "_drawn")
+    __slots__ = ("rng", "window_id", "shape", "_values")
 
     def __init__(self, rng: KeyedRng, window_id: str, schema: Schema) -> None:
         self.rng = rng
         self.window_id = window_id
-        self.values = np.zeros(schema.shape)
-        self._drawn = np.zeros(schema.shape[:2], dtype=bool)
+        self.shape = schema.shape
+        self._values: np.ndarray | None = None
 
-    def slices(self, needed: np.ndarray) -> np.ndarray:
-        """The block, with every slice of the (A, M) mask ``needed`` drawn."""
-        laplace, window_id = self.rng.laplace, self.window_id
-        _, _, num_regions, num_directions = self.values.shape
-        fresh = np.nonzero(needed & ~self._drawn)
-        for a, m in zip(fresh[0].tolist(), fresh[1].tolist()):
-            self.values[a, m] = [
-                [laplace(1.0, window_id, a, m, r, d) for d in range(num_directions)]
-                for r in range(num_regions)
-            ]
-        self._drawn |= needed
-        return self.values
+    @property
+    def values(self) -> np.ndarray:
+        """The block, drawn on first read."""
+        if self._values is None:
+            laplace, window_id = self.rng.laplace, self.window_id
+            cells = itertools.product(*map(range, self.shape))  # row-major
+            draws = np.array([laplace(1.0, window_id, *c) for c in cells])
+            self._values = draws.reshape(self.shape)
+        return self._values
 
 
 def release_noise(seed: int, window_id: str, schema: Schema) -> UnitLaplace:
@@ -432,17 +432,16 @@ def add_laplace_noise(
     """Add per-coordinate Laplace noise with per-slice scales.
 
     ``values`` is a dense histogram array; the result is a new one.
-    ``scales`` holds one Laplace scale per (activity, metric); a zero
-    scale means no noise and skips the draw.  Covers the *full* index
-    domain, so empty partitions are noised too and the presence of a key
-    reveals nothing.
+    ``scales`` holds one Laplace scale per (activity, metric): all zero
+    (epsilon = inf), which adds no noise and draws nothing, or all
+    positive.  Covers the *full* index domain, so empty partitions are
+    noised too and the presence of a key reveals nothing.
     """
     if not np.all(np.isfinite(scales) & (scales >= 0.0)):
         raise ValueError(f"laplace scales must be finite and >= 0, got {scales}")
-    needed = scales != 0.0
-    if not needed.any():
+    if not scales.any():
         return values.copy()
-    return values + scales[:, :, None, None] * unit.slices(needed)
+    return values + scales[:, :, None, None] * unit.values
 
 
 # --------------------------------------------------------------------------
@@ -503,6 +502,28 @@ class ResolvedMechanism:
             return devices._replace(sums=np.array(cells).reshape(width, size).T.copy())
         return devices._replace(sums=np.array(cells).reshape(size, width))
 
+    def exceeds_bound(
+        self, rows: Iterable[tuple[tuple[int, int, int], Sequence[float]]], metrics: Sequence[int]
+    ) -> bool:
+        """Whether an upload, its rows ``((a, r, d), values)`` with value ``i``
+        of metric ``metrics[i]``, is over the L1 bound the noise is sized for:
+        ``clip`` (none if infinite), or budget split's ``clip_table`` per
+        (activity, metric).  Norms are exactly rounded, as in
+        :meth:`transform_devices`."""
+        try:
+            if self.variant != VARIANT_SPLIT:
+                if self.clip == math.inf:
+                    return False
+                return math.fsum(abs(v) for _, values in rows for v in values) > self.clip
+            slices: dict[tuple[int, int], list[float]] = {}
+            for (a, _, _), values in rows:
+                for m, value in zip(metrics, values):
+                    slices.setdefault((a, m), []).append(abs(value))
+            assert self.clip_table is not None
+            return any(math.fsum(v) > self.clip_table[a][m] for (a, m), v in slices.items())
+        except OverflowError:  # a norm too large for a float is over the bound
+            return True
+
     @cached_property
     def _scale_divisors(self) -> np.ndarray:
         return np.asarray(self.scale_table)
@@ -520,10 +541,10 @@ class ResolvedMechanism:
             return np.zeros(shape)
         if self.variant == VARIANT_SPLIT:
             assert self.clip_table is not None
-            if self.budget_weights is None:
-                weights = np.full(shape, 1.0 / (shape[0] * shape[1]))
-            else:
-                weights = np.asarray(self.budget_weights)
+            weights = np.full(shape, 1.0 / (shape[0] * shape[1]))
+            if self.budget_weights is not None:  # shares of eps: slices spend exactly eps
+                total = math.fsum(w for row in self.budget_weights for w in row)
+                weights = np.asarray(self.budget_weights) / total
             return np.asarray(self.clip_table) / (eps * weights)
         assert self.clip is not None
         return np.full(shape, self.clip / eps)

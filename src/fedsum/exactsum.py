@@ -115,25 +115,10 @@ class ExactSum:
                 for dst, src in zip(mine, theirs):
                     merge_partials(dst, src)
 
-    def copy(self) -> "ExactSum":
-        clone = ExactSum(self.width)
-        clone.merge(self)
-        return clone
-
     def report(self) -> Iterator[tuple[Hashable, tuple[float, ...]]]:
         """Correctly rounded sums per key in sorted key order, made as read."""
         cells = self._cells
         return ((key, tuple(map(round_partials, cells[key]))) for key in sorted(cells))
-
-    def exact_diff(self, other: "ExactSum") -> Iterator[tuple[Hashable, tuple[float, ...]]]:
-        """The report of ``self - other``, over the keys of both."""
-        negated = ExactSum(other.width)
-        negated._cells = {
-            key: [[-x for x in p] for p in cell] for key, cell in other._cells.items()
-        }
-        diff = self.copy()
-        diff.merge(negated)
-        return diff.report()
 
     def __len__(self) -> int:
         return len(self._cells)

@@ -182,26 +182,6 @@ class TripRecord:
     distance_km: float
     duration_s: float
 
-    def validate(self, schema: Schema) -> None:
-        if not (
-            0 <= self.activity < schema.num_activities
-            and 0 <= self.region < schema.num_regions
-            and 0 <= self.direction < schema.num_directions
-        ):
-            raise SchemaMismatchError(
-                f"record indices ({self.activity}, {self.region}, "
-                f"{self.direction}) outside schema {schema.shape}"
-            )
-        if not (
-            math.isfinite(self.distance_km)
-            and math.isfinite(self.duration_s)
-            and self.distance_km >= 0
-            and self.duration_s >= 0
-        ):
-            raise InvalidParameterError(
-                "trip metrics must be finite and non-negative"
-            )
-
 
 @dataclass(frozen=True, slots=True)
 class TripColumns:
@@ -303,9 +283,6 @@ class IndexedHistogram:
         if not isinstance(other, IndexedHistogram):
             return NotImplemented
         return self.schema.shape == other.schema.shape and self._d == other._d
-
-    def __repr__(self) -> str:
-        return f"IndexedHistogram({len(self._d)} entries)"
 
     # -- serialization -----------------------------------------------------
 

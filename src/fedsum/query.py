@@ -2,14 +2,16 @@
 
 An analyst submits one text document containing two SELECT statements
 separated by a blank line.  The first statement runs on each device over
-its local trip stream; the second runs on the server over the per-device
-results.  Only grouped sums are expressible: the server can never receive
-a raw per-device column, and every query must group by the privacy time
-unit column so each release covers exactly one time window.  A release
-is one sum per uploaded cell, so both statements group by exactly the
-release keys (``RELEASE_KEY_COLUMNS``) and the server statement sums
-each client column exactly once.  Every query the validator accepts can
-be run.
+its local trip stream (:data:`DEFAULT_TRIPS_STREAM`, the only one, whose
+summable columns are the keys of :data:`METRIC_BY_COLUMN`); the second
+runs on the server over the per-device results.  Only grouped sums are
+expressible: the server can never receive a raw per-device column, and
+every query must group by the privacy time unit column so each release
+covers exactly one time window.  A release is one sum per uploaded cell,
+so both statements group by exactly the release keys
+(``RELEASE_KEY_COLUMNS``), the client statement sums each stream column
+at most once and the server statement sums each client column exactly
+once.  Every query the validator accepts can be run.
 
 Example::
 
@@ -31,12 +33,15 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .aggcore import AggCoreConfig
+from .model import METRIC_DISTANCE, METRIC_DURATION, METRIC_NUM_TRIPS
 
 __all__ = [
     "PRIVACY_TIME_UNIT",
     "RELEASE_KEY_COLUMNS",
+    "METRIC_BY_COLUMN",
     "StreamSchema",
     "DEFAULT_TRIPS_STREAM",
     "ParseError",
@@ -79,10 +84,18 @@ RELEASE_KEY_COLUMNS = frozenset(
     {"activity", "region", "direction", PRIVACY_TIME_UNIT}
 )
 
+# The stream's summable columns and the metric each one sums: the one
+# table of them, which the client codec reads too.
+METRIC_BY_COLUMN = {
+    "trip_count": METRIC_NUM_TRIPS,
+    "trip_distance": METRIC_DISTANCE,
+    "trip_duration": METRIC_DURATION,
+}
+
 DEFAULT_TRIPS_STREAM = StreamSchema(
     name="DeviceDataStream",
     key_columns=RELEASE_KEY_COLUMNS,
-    numeric_columns=frozenset({"trip_count", "trip_distance", "trip_duration"}),
+    numeric_columns=frozenset(METRIC_BY_COLUMN),
 )
 
 # Table name the server statement must select from: the virtual relation
@@ -234,13 +247,12 @@ class QuerySpec:
     """A validated split query, ready to drive the pipeline.
 
     ``client`` groups the device's stream; ``server`` groups-and-sums the
-    per-device rows.  ``metric_columns`` maps each client SUM source
-    column to its position in the uploaded value vector.
+    per-device rows.  ``metric_columns`` is each uploaded value's client
+    SUM source column and ``metrics`` the metric it sums, in slot order.
     """
 
     client: Statement
     server: Statement
-    stream: StreamSchema = field(default=DEFAULT_TRIPS_STREAM, compare=False)
 
     @property
     def client_key_columns(self) -> tuple[str, ...]:
@@ -257,6 +269,10 @@ class QuerySpec:
     @property
     def metric_columns(self) -> tuple[str, ...]:
         return tuple(a.source for a in self.client.aggregates)
+
+    @cached_property
+    def metrics(self) -> tuple[int, ...]:
+        return tuple(METRIC_BY_COLUMN[column] for column in self.metric_columns)
 
 
 # --------------------------------------------------------------------------
@@ -417,11 +433,7 @@ def _check_statement_shape(stmt: Statement, stage: str) -> None:
             )
 
 
-def validate_split(
-    client: Statement,
-    server: Statement,
-    stream: StreamSchema = DEFAULT_TRIPS_STREAM,
-) -> QuerySpec:
+def validate_split(client: Statement, server: Statement) -> QuerySpec:
     """Apply the split-query rules; the server may only see grouped sums.
 
     The release's rules come last, so a query that breaks an earlier
@@ -430,10 +442,10 @@ def validate_split(
     _check_statement_shape(client, "client")
     _check_statement_shape(server, "server")
 
-    if client.table != stream.name:
+    if client.table != DEFAULT_TRIPS_STREAM.name:
         raise UnknownColumnError(
             f"client statement reads {client.table!r}; expected stream "
-            f"{stream.name!r}"
+            f"{DEFAULT_TRIPS_STREAM.name!r}"
         )
     if server.table != DEVICE_RESULTS_TABLE:
         raise UnknownColumnError(
@@ -449,9 +461,9 @@ def validate_split(
 
     # Client stage references the stream's columns.
     for key in client.group_by:
-        if key not in stream.all_columns:
+        if key not in DEFAULT_TRIPS_STREAM.all_columns:
             raise UnknownColumnError(f"unknown stream column {key!r}")
-        if key not in stream.key_columns:
+        if key not in DEFAULT_TRIPS_STREAM.key_columns:
             raise UnknownColumnError(
                 f"column {key!r} is not a grouping column of the stream"
             )
@@ -460,14 +472,14 @@ def validate_split(
             "client statement computes no SUM column"
         )
     for agg in client.aggregates:
-        if agg.source not in stream.all_columns:
+        if agg.source not in DEFAULT_TRIPS_STREAM.all_columns:
             raise UnknownColumnError(f"unknown stream column {agg.source!r}")
-        if agg.source not in stream.numeric_columns:
+        if agg.source not in DEFAULT_TRIPS_STREAM.numeric_columns:
             raise UnsupportedAggregateError(
                 f"column {agg.source!r} is not numeric; SUM requires a "
                 "numeric column"
             )
-        if agg.alias in stream.key_columns:
+        if agg.alias in DEFAULT_TRIPS_STREAM.key_columns:
             raise QueryValidationError(
                 f"alias {agg.alias!r} shadows a grouping column"
             )
@@ -513,6 +525,11 @@ def validate_split(
                 f"release pipeline requires grouping the {stage} statement by exactly "
                 f"{sorted(RELEASE_KEY_COLUMNS)}; got {sorted(statement.group_by)}"
             )
+    sources = [a.source for a in client.aggregates]
+    if len(set(sources)) != len(sources):
+        raise QueryValidationError(
+            f"the client statement must sum each stream column at most once: {sources}"
+        )
     summed = sorted(a.source for a in server.aggregates)
     if summed != sorted(client_values):
         raise QueryValidationError(
@@ -520,14 +537,12 @@ def validate_split(
             f"exactly once: client columns {sorted(client_values)}, server sums {summed}"
         )
 
-    return QuerySpec(client=client, server=server, stream=stream)
+    return QuerySpec(client=client, server=server)
 
 
-def parse_and_validate(
-    text: str, stream: StreamSchema = DEFAULT_TRIPS_STREAM
-) -> QuerySpec:
+def parse_and_validate(text: str) -> QuerySpec:
     client, server = parse_query(text)
-    return validate_split(client, server, stream)
+    return validate_split(client, server)
 
 
 # --------------------------------------------------------------------------

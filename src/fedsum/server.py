@@ -12,7 +12,9 @@ array of cell sums, and hands that array to the privacy mechanism for
 release.  The release's sparse histogram is built only for its event
 (the released-partition count and digest).  Data that arrives after the
 deadline is discarded, and expired partials are dropped (and logged)
-rather than released.
+rather than released.  An upload under a key that is not the window's,
+or over the L1 bound the mechanism's noise is sized for, is rejected as
+malformed before it touches any state.
 
 Every externally visible action appends a structured event to the
 server's log; events carry digests and counts, never row values.
@@ -21,7 +23,6 @@ server's log; events carry digests and counts, never row values.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Any, Iterator
@@ -32,7 +33,7 @@ from .aggcore import (
     ClientUpdate,
     MalformedUpdateError,
 )
-from .client import row_keys, rows_to_histogram
+from .client import row_keys, row_partitions, rows_to_histogram
 from .dp import NoisedRelease, ResolvedMechanism
 from .model import Schema
 from .query import QuerySpec, parse_and_validate, to_agg_config
@@ -163,21 +164,17 @@ class _Session:
     last_rollup: int = 0
 
 
-def _check_row_keys(rows: Any, keys: dict[str, tuple[int, int, int]]) -> None:
-    """Refuse rows under a key that is not one of the window's row keys.
-
-    One lookup per row.  Rows that are not (key, values) pairs are left
-    for the aggregation core to refuse.
-    """
+def _check_rows(rows: Any, keys: dict, spec: QuerySpec, mechanism: ResolvedMechanism) -> None:
+    """Refuse rows under a key not of the window, or over the L1 bound the release's
+    noise is sized for; rows not (key, finite values) pairs are left to the core."""
     try:
-        for key, _ in rows:
-            if key not in keys:
-                break
-        else:
-            return  # every key is the window's
+        over = mechanism.exceeds_bound(row_partitions(rows, keys), spec.metrics)
+    except MalformedUpdateError:
+        raise
     except (TypeError, ValueError):
         return
-    raise MalformedUpdateError(f"{key!r} is not a row key of this window")
+    if over:
+        raise MalformedUpdateError("the upload is over the task's L1 bound")
 
 
 class FederatedServer:
@@ -402,9 +399,10 @@ class FederatedServer:
             raise SessionClosedError(
                 f"session {key} stopped collecting at {session.deadline}"
             )
+        task = self.tasks[session.query_id]
         shard_index = session.uploads_accepted % len(session.shards)
         try:
-            _check_row_keys(update.rows, session.row_keys)
+            _check_rows(update.rows, session.row_keys, task.spec, task.config.mechanism)
             session.shards[shard_index].accumulate(update.rows)
         except MalformedUpdateError:
             self._log(

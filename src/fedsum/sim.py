@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from .aggcore import ClientUpdate
 from .client import (
     CHECKIN_POLICIES,
-    METRIC_BY_COLUMN,
     TIER_PROFILES,
     DeviceState,
     client_work,
@@ -101,7 +100,6 @@ class SimulationResult:
     query_id: str
     task_windows: list[TimeWindow]
     releases: dict[str, NoisedRelease | SuppressedRelease]
-    downloaded: dict[str, set[int]]
     uploaded: dict[str, set[int]]
     device_tiers: dict[int, str]
     fleet_size: int
@@ -172,7 +170,6 @@ def run_simulation(
         next_wake[device_id] = wake
         calendar.setdefault(first_tick_at_or_after(wake), []).append(device_id)
 
-    downloaded: dict[str, set[int]] = {w.window_id: set() for w in windows}
     uploaded: dict[str, set[int]] = {w.window_id: set() for w in windows}
     windows_by_id = {w.window_id: w for w in windows}
 
@@ -196,8 +193,6 @@ def run_simulation(
                 w.window_id
                 for w in state.eligible_windows(task.query_id, windows)
             }
-            for assignment in assignments:
-                downloaded[assignment.window_id].add(device_id)
             for assignment in assignments:
                 if assignment.window_id not in eligible:
                     continue
@@ -234,7 +229,6 @@ def run_simulation(
         query_id=task.query_id,
         task_windows=windows,
         releases=dict(server.releases),
-        downloaded=downloaded,
         uploaded=uploaded,
         device_tiers=dict(enumerate(corpus.tiers)),
         fleet_size=corpus.num_devices,
@@ -251,7 +245,6 @@ def _evaluate(
 ) -> None:
     """Fill eval and reach rows from the finished run."""
     schema = corpus.schema
-    metrics = [METRIC_BY_COLUMN[c] for c in spec.metric_columns]
     strata: dict[str, set[int]] = {"all": set(result.device_tiers)}
     for device_id, tier in result.device_tiers.items():
         strata.setdefault(tier, set()).add(device_id)
@@ -261,7 +254,7 @@ def _evaluate(
             # The block is freed as the truth is built, before the next pass.
             truth = window_truth(corpus, corpus.device_histograms(window))
             wre = weighted_relative_error(truth, release.values)
-            pume = per_user_mean_error(truth, release.values, metrics)
+            pume = per_user_mean_error(truth, release.values, spec.metrics)
             for metric in sorted(wre):
                 result.eval_rows.append(
                     {

@@ -15,9 +15,7 @@ grid cell noises, thresholds and scores one array against that truth
 (the error gathers the release's ``values`` at the truth's eligible
 cells' flat indices), so the sweep builds no sparse histogram.  Every
 grid cell is bit-identical to running the whole mechanism from scratch
-with the same parameters.  The quantile search
-(:func:`grid_search_clip_quantile`) is one single-variant,
-single-budget sweep per calibration quantile.
+with the same parameters.
 """
 
 from __future__ import annotations
@@ -44,14 +42,12 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "TARGET_MEAN_ERROR",
-    "grid_search_clip_quantile",
     "prepare_variants",
     "run_epsilon_sweep",
     "summarize_sweep",
 ]
 
 DEFAULT_EPSILONS = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
-DEFAULT_QUANTILE_GRID = (0.50, 0.75, 0.90, 0.95, 0.99)
 
 # Deployment utility target: a mechanism is considered usable when its
 # mean weighted relative error is at or below this line.
@@ -193,35 +189,3 @@ def summarize_sweep(rows: list[SweepRow]) -> list[dict]:
             }
         )
     return out
-
-
-def grid_search_clip_quantile(
-    corpus: Corpus,
-    window: TimeWindow,
-    variant: str,
-    epsilon: float,
-    seeds: tuple[int, ...] = tuple(range(10)),
-    quantile_grid: tuple[float, ...] = DEFAULT_QUANTILE_GRID,
-    tau: float = 0.0,
-) -> tuple[float, list[dict]]:
-    """Pick the calibration quantile minimizing mean error at one budget.
-
-    Each quantile is one :func:`run_epsilon_sweep` of the variant at the
-    budget.  Returns the winning quantile and one summary dict per grid
-    point.  The score is the mean over metrics and seeds of the weighted
-    relative error (NaN cells left out); ties break toward the earlier
-    quantile.
-    """
-    table = []
-    best: tuple[float, float] | None = None
-    for q in quantile_grid:
-        rows = run_epsilon_sweep(
-            corpus, window, SweepConfig((epsilon,), seeds, (variant,), q, tau)
-        )
-        errors = [v for row in rows for v in row.errors.values() if not math.isnan(v)]
-        score = math.fsum(errors) / len(errors) if errors else math.inf
-        table.append({"quantile": q, "mean_error": score})
-        if best is None or score < best[1]:
-            best = (q, score)
-    assert best is not None
-    return best[0], table

@@ -47,12 +47,10 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .model import (
-    DEFAULT_METRIC_NAMES,
     DIRECTIONS,
     METRIC_DISTANCE,
     METRIC_DURATION,
@@ -175,9 +173,8 @@ _COLUMN_TYPES = {
 class DeviceRecords:
     """One device's trips as records, in event-time order.
 
-    The record-level view of a device, used only at the edges: building a
-    corpus from records (:meth:`Corpus.from_devices`) and reading one
-    back (:attr:`Corpus.devices`).
+    The record-level view of a device, built only at the edge, when a
+    corpus is read back (:attr:`Corpus.devices`).
     """
 
     device_id: int
@@ -233,46 +230,6 @@ class Corpus:
         keeps none of them.
         """
         return _DeviceRecordsView(self)
-
-    @classmethod
-    def from_devices(
-        cls,
-        config: SyntheticCorpusConfig,
-        schema: Schema,
-        devices: Iterable[DeviceRecords],
-    ) -> "Corpus":
-        """The corpus of the given devices, numbered by position.
-
-        The ``i``-th device gets id ``i``, whatever its ``device_id``.
-        Its records must be valid for ``schema``, in its home region and
-        in event-time order (ties keep their given order), and the schema
-        must hold the three trip metrics, or this raises ``ValueError``.
-        """
-        if schema.num_metrics != len(DEFAULT_METRIC_NAMES):
-            raise ValueError("a trip corpus needs the three trip metrics")
-        columns = {name: array(code) for name, code in _COLUMN_TYPES.items()}
-        tiers, home_regions, offsets = [], array("q"), array("q", [0])
-        for position, device in enumerate(devices):
-            last = None
-            for record in device.records:
-                record.validate(schema)
-                if record.region != device.home_region:
-                    raise ValueError(
-                        f"device {position}: a trip in region {record.region} "
-                        f"is outside its home region {device.home_region}"
-                    )
-                if last is not None and record.event_time < last:
-                    raise ValueError(
-                        f"device {position}: trip at {record.event_time} is "
-                        f"older than the one before it at {last}"
-                    )
-                last = record.event_time
-                for name, column in columns.items():
-                    column.append(getattr(record, name))
-            tiers.append(device.tier)
-            home_regions.append(device.home_region)
-            offsets.append(len(columns["event_time"]))
-        return cls(config, schema, tuple(tiers), home_regions, offsets, **columns)
 
     def _view(self, name: str) -> np.ndarray:
         """One column as a numpy array, without a copy."""

@@ -47,10 +47,6 @@ class TimeWindow:
                 f"window {self.window_id!r} must end after it starts"
             )
 
-    @property
-    def duration(self) -> int:
-        return self.end - self.start
-
 
 def _to_datetime(instant: int) -> datetime:
     return datetime.fromtimestamp(instant, tz=_UTC)

@@ -8,6 +8,7 @@ query rejection cases are written out as literal text.
 from __future__ import annotations
 
 import math
+from array import array
 from datetime import datetime, timezone
 
 from fedsum.model import (
@@ -16,6 +17,7 @@ from fedsum.model import (
     METRIC_NUM_TRIPS,
     TripRecord,
 )
+from fedsum.synth import _COLUMN_TYPES, Corpus
 
 # Monday 2024-05-13 00:00:00 UTC — the default fleet start.
 START = 1_715_558_400
@@ -40,6 +42,24 @@ def trip(
         distance_km=km,
         duration_s=s,
     )
+
+
+def corpus_of(config, schema, devices) -> Corpus:
+    """The corpus of ``DeviceRecords``, the ``i``-th device with id ``i``.
+
+    A device's trips become its rows sorted by event time, ties in the
+    given order.  Nothing is checked: the records are taken as they are.
+    """
+    columns = {name: array(code) for name, code in _COLUMN_TYPES.items()}
+    tiers, home_regions, offsets = [], array("q"), array("q", [0])
+    for device in devices:
+        for record in sorted(device.records, key=lambda r: r.event_time):
+            for name, column in columns.items():
+                column.append(getattr(record, name))
+        tiers.append(device.tier)
+        home_regions.append(device.home_region)
+        offsets.append(len(columns["event_time"]))
+    return Corpus(config, schema, tuple(tiers), home_regions, offsets, **columns)
 
 
 def utc_ts(year, month, day, hour=0, minute=0, second=0) -> int:

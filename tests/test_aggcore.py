@@ -59,7 +59,8 @@ def test_merge_adds_counts():
         right.accumulate(rows_for(device))
     left.merge(right)
     assert left.contribution_count == 13
-    assert right.consumed
+    with pytest.raises(CoreConsumedError):
+        right.report()
 
 
 def test_malformed_update_is_atomic():
@@ -142,7 +143,6 @@ def test_report_consumes_the_core():
     core = AggregationCore(CONFIG)
     core.accumulate(rows_for(0))
     core.report()
-    assert core.consumed
     for operation in (
         lambda: core.report(),
         lambda: core.accumulate(rows_for(1)),

@@ -533,6 +533,28 @@ def test_custom_weights_shift_noise_between_slices(cell_schema):
     assert resolved.noise_scales(cell_schema).tolist() == [[3.0]]
 
 
+def test_budget_split_spends_no_more_than_its_epsilon():
+    """Weights within the 1e-6 tolerance of summing to 1 are read as shares
+    of epsilon: the slices' epsilons (clip over scale) add up to epsilon."""
+    schema = Schema(num_activities=3, num_regions=2, activity_names=("a", "b", "c"))
+    weights = (((1 + 9e-7) / 9,) * 3,) * 3
+    resolved = resolve_mechanism(
+        MechanismConfig(
+            variant=VARIANT_SPLIT,
+            epsilon=2.0,
+            clip_table=((1.0,) * 3,) * 3,
+            budget_weights=weights,
+        ),
+        [],
+        schema,
+    )
+    spent = math.fsum((1.0 / resolved.noise_scales(schema)).ravel().tolist())
+    assert spent <= 2.0 * (1 + 1e-12)
+    assert resolved.finalize(
+        schema, np.zeros(schema.shape), "w0", 0
+    ).metadata["privacy_label"].endswith("epsilon=2.0")
+
+
 def test_joint_noise_scale_is_clip_over_epsilon(small_schema):
     resolved = resolve_mechanism(
         MechanismConfig(variant=VARIANT_JOINT, epsilon=4.0, clip=10.0),

@@ -24,12 +24,13 @@ from fedsum.model import (
     Schema,
     SchemaMismatchError,
 )
-from fedsum.synth import Corpus, DeviceRecords, SyntheticCorpusConfig, generate_corpus
+from fedsum.synth import DeviceRecords, SyntheticCorpusConfig, generate_corpus
 
 from fedsum.windows import WindowAlignment, round_down_window, window_after
 
 from blocks import counts_of, dense_of, exact_sum, histograms_of, sparse_of
 from helpers import (
+    corpus_of,
     naive_device_counts,
     naive_workload,
     sparse_per_user_mean_error,
@@ -52,7 +53,7 @@ def tiny_corpus(schema, records_by_device):
         for device_id, records in enumerate(records_by_device)
     ]
     config = SyntheticCorpusConfig(num_devices=max(len(devices), 1))
-    return Corpus.from_devices(config, schema, devices)
+    return corpus_of(config, schema, devices)
 
 
 # --- exact workload ------------------------------------------------------------
@@ -119,7 +120,7 @@ def test_a_window_truth_holds_the_workload_counts_and_cells_at_the_fleet_floor(
 def test_workload_is_additive_across_subfleets(week_one_300):
     left = generate_corpus(SyntheticCorpusConfig(num_devices=40, num_regions=6, seed=1))
     right = generate_corpus(SyntheticCorpusConfig(num_devices=25, num_regions=6, seed=2))
-    combined = Corpus.from_devices(
+    combined = corpus_of(
         left.config, left.schema, [*left.devices, *right.devices]
     )
     histograms = [

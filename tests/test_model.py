@@ -36,7 +36,6 @@ from fedsum.model import (
 )
 
 from blocks import block_of, dense_of, histograms_of, l1_norm
-from helpers import trip
 
 
 # --- schema ----------------------------------------------------------------
@@ -70,18 +69,6 @@ def test_valid_index_bounds(small_schema):
     assert not small_schema.valid_index((-1, 0, 0, 0))
     with pytest.raises(InvalidParameterError):
         small_schema.check_index((0, 0, 4, 0))
-
-
-def test_trip_record_validate(small_schema):
-    trip(a=2, r=3, d=2).validate(small_schema)
-    with pytest.raises(SchemaMismatchError):
-        trip(a=3).validate(small_schema)
-    with pytest.raises(SchemaMismatchError):
-        trip(d=5).validate(small_schema)
-    with pytest.raises(InvalidParameterError):
-        trip(km=math.nan).validate(small_schema)
-    with pytest.raises(InvalidParameterError):
-        trip(s=-5.0).validate(small_schema)
 
 
 # --- histogram basics -------------------------------------------------------
@@ -496,15 +483,6 @@ def test_exact_sum_merge_matches_sequential(hs, cut_at):
     left.merge(accumulate(hs[cut:]))
     merged = from_rows(schema, left.report())
     assert merged.serialize() == exact_sum(hs, schema).serialize()
-
-
-@given(histograms(), histograms())
-def test_exact_diff_recovers_added_histogram(base, extra):
-    acc = accumulate([base])
-    plus = acc.copy()
-    plus.add(as_rows(extra))
-    assert from_rows(base.schema, plus.exact_diff(acc)) == extra
-    assert from_rows(base.schema, acc.report()) == base
 
 
 def test_rounded_rows_outside_the_schema_are_rejected(small_schema, cell_schema):

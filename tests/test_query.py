@@ -198,6 +198,15 @@ def test_the_server_sums_each_client_column_exactly_once(sums):
     assert parse_and_validate(text.replace(sums, "SUM(trip_km), SUM(n)")).server.aggregates
 
 
+def test_the_client_sums_each_stream_column_at_most_once():
+    # Two aliases of one column would upload its value twice per cell, past
+    # the L1 bound the server checks uploads against.
+    text = FULL_KEY.replace("SUM(trip_distance) AS km", "SUM(trip_count) AS km")
+    with pytest.raises(QueryValidationError, match="at most once"):
+        parse_and_validate(text)
+    assert parse_and_validate(FULL_KEY).metric_columns == ("trip_count", "trip_distance")
+
+
 def test_alias_may_equal_its_source():
     text = EXAMPLE.replace(
         "SUM(trip_distance) AS user_trip_distance",

@@ -5,11 +5,19 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from fedsum.aggcore import KEY_SEPARATOR, ClientUpdate, MalformedUpdateError
 from fedsum.client import histogram_to_rows
-from fedsum.dp import MechanismConfig, VARIANT_JOINT, resolve_mechanism
+from fedsum.dp import (
+    VARIANT_JOINT,
+    VARIANT_SCALED,
+    VARIANT_SPLIT,
+    MechanismConfig,
+    NoisedRelease,
+    resolve_mechanism,
+)
 from fedsum.model import IndexedHistogram, Schema
 from fedsum.query import RELEASE_KEY_COLUMNS, QueryValidationError, parse_and_validate
 from fedsum.server import (
@@ -402,6 +410,82 @@ def test_a_malformed_key_is_rejected_and_the_window_releases_the_rest(case):
     good = [device_histogram(s, d) for d in (0, 1, 2, 4, 5)]
     assert release.histogram == exact_sum(s, good)
     assert events_named(server, "release_suppressed") == []
+
+
+def bounded_mechanism(s, variant=VARIANT_JOINT, **parameters):
+    """A noised mechanism (epsilon 2) with every bound given, not calibrated:
+    by default joint clipping at 10."""
+    parameters = parameters or {"clip": 10.0}
+    return resolve_mechanism(MechanismConfig(variant=variant, epsilon=2.0, **parameters), [], s)
+
+
+BOUNDS = {
+    "joint": (VARIANT_JOINT, {"clip": 10.0}),
+    "scaling": (VARIANT_SCALED, {"clip": 10.0, "scale_table": ((2.0,) * 3,) * 3}),
+    "split": (VARIANT_SPLIT, {"clip_table": ((10.0,) * 3,) * 3}),
+}
+
+# Upload cells, as uploaded (scaled for scaling), and the variants that take them.
+BOUND_CASES = [
+    ({(0, 0, 1, 0): 4.0, (0, 2, 1, 0): 6.0}, {"joint", "scaling", "split"}),
+    ({(2, 1, 3, 0): 10.0}, {"joint", "scaling", "split"}),
+    ({(2, 1, 3, 0): math.nextafter(10.0, math.inf)}, set()),
+    ({(1, 1, 2, 0): 1e6}, set()),
+    ({(0, 1, 1, 0): 1e308, (0, 1, 1, 1): 1e308}, set()),  # a norm past the largest float
+    # Three slices at their bound: within budget split's, over the joint one.
+    ({(0, 0, 1, 0): 10.0, (0, 1, 1, 0): -10.0, (1, 2, 1, 0): 10.0}, {"split"}),
+]
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDS))
+def test_uploads_over_the_l1_bound_are_malformed(case):
+    variant, parameters = BOUNDS[case]
+    server, s = make_server()
+    mechanism = bounded_mechanism(s, variant, **parameters)
+    server.register_task(make_task(s, num_windows=1, mechanism=mechanism), now=START)
+    now = START + WEEK
+    server.check_in(99, now)  # opens the session
+    session = server.sessions["trips/2024-W20"]
+    for device, (cells, takers) in enumerate(BOUND_CASES):
+        accepted = session.uploads_accepted
+        before = [core.serialize_state() for core in session.shards]
+        if case in takers:
+            upload(server, device, IndexedHistogram(s, cells), now)
+            assert session.uploads_accepted == accepted + 1
+            continue
+        with pytest.raises(MalformedUpdateError):
+            upload(server, device, IndexedHistogram(s, cells), now)
+        assert session.uploads_accepted == accepted
+        assert [core.serialize_state() for core in session.shards] == before
+        assert events_named(server, "upload_rejected")[-1]["reason"] == "malformed"
+    takes = sum(case in takers for _, takers in BOUND_CASES)
+    assert len(events_named(server, "upload_rejected")) == len(BOUND_CASES) - takes
+
+
+def test_an_infinite_clip_refuses_no_upload():
+    server, s = make_server()
+    server.register_task(make_task(s, num_windows=1), now=START)  # clip = inf
+    upload(server, 0, IndexedHistogram(s, {(1, 1, 2, 0): 1e300}), START + WEEK)
+    assert events_named(server, "upload_rejected") == []
+
+
+def test_two_huge_uploads_leave_the_release_intact():
+    """Two accepted uploads of 1e308 would overflow the exact sum to
+    [-inf, inf], and the release would raise; over the bound, both are
+    refused and the window releases the rest."""
+    server, s = make_server(num_shards=1)
+    server.register_task(make_task(s, num_windows=1, mechanism=bounded_mechanism(s)), now=START)
+    now = START + WEEK
+    upload(server, 0, IndexedHistogram(s, {(0, 0, 1, 0): 3.0}), now)
+    for device in (1, 2):
+        with pytest.raises(MalformedUpdateError):
+            upload(server, device, IndexedHistogram(s, {(0, 1, 1, 0): 1e308}), now)
+    server.maintenance(now=START + WEEK + GRACE + 1)
+    release = server.releases["trips/2024-W20"]
+    assert isinstance(release, NoisedRelease)
+    assert np.isfinite(release.values).all()
+    assert [e["reason"] for e in events_named(server, "upload_rejected")] == ["malformed"] * 2
+    assert events_named(server, "release")[0]["window_id"] == "2024-W20"
 
 
 def test_upload_after_release_is_rejected():

@@ -234,8 +234,12 @@ def test_uploads_nest_inside_downloads_and_the_fleet(corpus_300):
         FleetConfig(availability="tiered"),
     )
     fleet = set(result.device_tiers)
+    downloaded = {window_id: set() for window_id in result.uploaded}
+    for event in result.server.events:
+        if event["event"] == "assignment":
+            downloaded[event["window_id"]].add(event["device_id"])
     for window_id in result.uploaded:
-        assert result.uploaded[window_id] <= result.downloaded[window_id] <= fleet
+        assert result.uploaded[window_id] <= downloaded[window_id] <= fleet
     assert result.fleet_size == corpus_300.num_devices
 
 

@@ -1,4 +1,4 @@
-"""Budget sweeps: grid mechanics, summaries, and quantile search."""
+"""Budget sweeps: grid mechanics and summaries."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from fedsum.sweep import (
     SweepConfig,
     SweepRow,
     TARGET_MEAN_ERROR,
-    grid_search_clip_quantile,
     prepare_variants,
     run_epsilon_sweep,
     summarize_sweep,
@@ -261,21 +260,3 @@ def test_summary_preserves_grid_order():
         ("b", 1.0, "m1"),
         ("b", 1.0, "m2"),
     ]
-
-
-# --- quantile search -------------------------------------------------------------------
-
-
-def test_noiseless_search_prefers_the_gentlest_clip(corpus_300, week_one_300):
-    """Without noise, clipping is the only error, so 0.99 beats 0.50."""
-    best, table = grid_search_clip_quantile(
-        corpus_300,
-        week_one_300,
-        VARIANT_JOINT,
-        epsilon=math.inf,
-        seeds=(0,),
-        quantile_grid=(0.50, 0.99),
-    )
-    assert best == 0.99
-    assert [point["quantile"] for point in table] == [0.50, 0.99]
-    assert table[1]["mean_error"] < table[0]["mean_error"]

@@ -18,7 +18,6 @@ from fedsum.metrics import exact_workload
 from fedsum.model import DIRECTIONS, Schema
 from fedsum.synth import (
     ActivitySpec,
-    Corpus,
     DEFAULT_ACTIVITIES,
     DeviceRecords,
     SyntheticCorpusConfig,
@@ -28,7 +27,7 @@ from fedsum.synth import (
 from fedsum.windows import TimeWindow, WindowAlignment, round_down_window
 
 from blocks import cell_order, counts_of, devices_of, rows_of, sparse_of
-from helpers import START, WEEK, naive_device_counts, naive_workload, trip
+from helpers import START, WEEK, corpus_of, naive_device_counts, naive_workload, trip
 
 WALKING, FLYING = 0, 7
 
@@ -64,12 +63,14 @@ def test_every_record_is_valid_and_in_range(corpus_300):
     config = corpus_300.config
     for device in corpus_300.devices:
         for record in device.records:
-            record.validate(corpus_300.schema)
+            assert 0 <= record.activity < corpus_300.schema.num_activities
+            assert 0 <= record.direction < corpus_300.schema.num_directions
+            assert 0 <= record.region < corpus_300.schema.num_regions
             assert 0 <= record.event_time - config.start_time < config.num_weeks * WEEK
             assert record.region == device.home_region
             assert record.device_id == device.device_id
-            assert record.distance_km > 0
-            assert record.duration_s > 0
+            assert 0 < record.distance_km < math.inf
+            assert 0 < record.duration_s < math.inf
         times = [r.event_time for r in device.records]
         assert times == sorted(times)
 
@@ -312,7 +313,7 @@ device_streams = st.tuples(
 )
 
 
-def store_of(streams) -> Corpus:
+def store_of(streams):
     """A corpus holding each (home region, trips) stream as one device."""
     devices = []
     for device_id, (home, trips) in enumerate(streams):
@@ -321,7 +322,7 @@ def store_of(streams) -> Corpus:
             for dt, a, d, km, s in sorted(trips, key=lambda row: row[0])
         ]
         devices.append(DeviceRecords(device_id, "low_end", home, records))
-    return Corpus.from_devices(SyntheticCorpusConfig(), WIDE_REGIONS, devices)
+    return corpus_of(SyntheticCorpusConfig(), WIDE_REGIONS, devices)
 
 
 @settings(max_examples=200)
@@ -374,13 +375,3 @@ def test_records_are_built_only_when_read(corpus_300):
     assert [r.event_time for r in device.records] == list(
         corpus_300.event_time[slice(*corpus_300.rows(device.device_id))]
     )
-
-
-def test_from_devices_refuses_what_a_corpus_cannot_hold(cell_schema):
-    config = SyntheticCorpusConfig()
-    with pytest.raises(ValueError, match="home region"):
-        Corpus.from_devices(
-            config, WIDE_REGIONS, [DeviceRecords(0, "low_end", 1, [trip(r=2)])]
-        )
-    with pytest.raises(ValueError, match="three trip metrics"):
-        Corpus.from_devices(config, cell_schema, [])
