@@ -11,13 +11,16 @@ bisection on the event times.  A per-(query, window) memo records what
 the device has contributed and makes contribution exactly-once even
 across retries.
 
-On each wake, ``draw_flags`` decides whether the device may check in.
-It draws lazily, in the order the policy reads them: connectivity, then
-the battery level, then the policy's own flags, and stops at the first
-condition that fails.  Every condition's draw is keyed by (condition,
-device, civil day) alone, so the decision never depends on which draws
-were skipped, and two fleets under different policies see the same
-conditions.
+Once per civil day, ``draw_flags`` decides which devices of the fleet
+may check in that day, as one mask over device ids.  It draws every
+condition of every device (``draw_conditions``: connectivity, the
+battery level, idle, unmetered network, charging), one block per
+condition from the stream ``(seed, "fleet", condition)`` at the day (see
+:mod:`fedsum.rng`), whatever the policy reads.  A device may check in
+when it is connected, its battery is at :data:`BATTERY_FLOOR` or above,
+and each of the policy's flags holds.  So two fleets under different
+policies see the same conditions, and the decision never depends on
+the fleet's size or on which devices wake.
 
 ``client_work`` sums a device's trips, given as columns, into its raw
 window histogram: a one-device block of partition rows
@@ -39,7 +42,7 @@ upload's L1 bound, so every row the server accepted decodes.  Outside
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -55,7 +58,7 @@ from .model import (
     TripRecord,
 )
 from .query import METRIC_BY_COLUMN, PRIVACY_TIME_UNIT, QuerySpec
-from .rng import KeyedRng
+from .rng import BlockRng
 from .windows import TimeWindow, WindowAlignment, round_down_window
 
 if TYPE_CHECKING:
@@ -65,10 +68,14 @@ __all__ = [
     "ClockRegressionError",
     "METRIC_BY_COLUMN",
     "AvailabilityProfile",
+    "FleetProfiles",
     "TIER_PROFILES",
     "CHECKIN_POLICIES",
     "BATTERY_FLOOR",
+    "CONDITIONS",
+    "FLEET_NAMESPACE",
     "DeviceState",
+    "draw_conditions",
     "draw_flags",
     "client_work",
     "histogram_to_rows",
@@ -86,19 +93,23 @@ class ClockRegressionError(RuntimeError):
 # the configured policy.
 BATTERY_FLOOR = 0.30
 
-# Named check-in policies: which constraint flags must hold, in the order
-# they are drawn, in addition to connectivity and the battery floor.
+# Named check-in policies: which constraint flags must hold, in addition
+# to connectivity and the battery floor.
 CHECKIN_POLICIES: dict[str, tuple[str, ...]] = {
     "idle": ("idle",),
     "idle_wifi_charging": ("idle", "unmetered_network", "charging"),
 }
 
-# Each constraint flag's draw key and the profile probability it holds with.
+# Each constraint flag's condition and the profile probability it holds with.
 _FLAG_DRAWS: dict[str, tuple[str, str]] = {
     "idle": ("idle", "p_idle"),
     "unmetered_network": ("unmetered", "p_unmetered"),
     "charging": ("charging", "p_charging"),
 }
+
+# The namespace of every fleet draw, and the conditions drawn each civil day.
+FLEET_NAMESPACE = "fleet"
+CONDITIONS = ("connected", "battery", "idle", "unmetered", "charging")
 
 
 @dataclass(frozen=True)
@@ -150,35 +161,54 @@ TIER_PROFILES: dict[str, AvailabilityProfile] = {
 }
 
 
-def draw_flags(
-    rng: KeyedRng,
-    profile: AvailabilityProfile,
-    policy: str,
-    device_id: int,
-    day: int,
-) -> bool:
-    """Whether the device may check in under ``policy`` on this civil day.
+@dataclass(frozen=True)
+class FleetProfiles:
+    """Every device's availability profile: one array per probability,
+    indexed by device id."""
 
-    Draws the conditions the policy reads, in order: connected, then the
-    battery level against :data:`BATTERY_FLOOR`, then each of the
-    policy's flags; it stops at the first that fails.  Each draw is keyed
-    by what is being decided, never by the policy under test, so two runs
-    that differ only in check-in policy see identical device conditions.
+    p_idle: np.ndarray
+    p_unmetered: np.ndarray
+    p_charging: np.ndarray
+    p_connected: np.ndarray
+    battery_low: np.ndarray
+    battery_high: np.ndarray
+    p_upload_ok: np.ndarray
+
+    @classmethod
+    def of(cls, profiles: Sequence[AvailabilityProfile]) -> FleetProfiles:
+        """The fleet whose device ``i`` has ``profiles[i]``."""
+        columns = ([getattr(p, f.name) for p in profiles] for f in fields(cls))
+        return cls(*(np.array(column, dtype=np.float64) for column in columns))
+
+    def __len__(self) -> int:
+        return len(self.p_connected)
+
+
+def draw_conditions(seed: int, day: int, num_devices: int) -> dict[str, np.ndarray]:
+    """Each condition's uniform for devices ``0 .. num_devices - 1`` on one civil
+    day: the stream ``(seed, FLEET_NAMESPACE, condition)`` at index ``day``."""
+    return {
+        condition: BlockRng(seed, FLEET_NAMESPACE, condition).uniforms(num_devices, day)
+        for condition in CONDITIONS
+    }
+
+
+def draw_flags(seed: int, profiles: FleetProfiles, policy: str, day: int) -> np.ndarray:
+    """Which devices of ``profiles`` may check in under ``policy`` on this civil day.
+
+    A bool mask over device ids.  Every condition is drawn for every
+    device (:func:`draw_conditions`), whatever the policy: a device is
+    allowed when it is connected, its battery level is at
+    :data:`BATTERY_FLOOR` or above, and each of the policy's flags holds.
     """
-    required = CHECKIN_POLICIES[policy]
-    if not rng.uniform("connected", device_id, day) < profile.p_connected:
-        return False
-    battery_span = profile.battery_high - profile.battery_low
-    battery_level = profile.battery_low + battery_span * rng.uniform(
-        "battery", device_id, day
-    )
-    if battery_level < BATTERY_FLOOR:
-        return False
-    for flag in required:
-        key, probability = _FLAG_DRAWS[flag]
-        if not rng.uniform(key, device_id, day) < getattr(profile, probability):
-            return False
-    return True
+    u = draw_conditions(seed, day, len(profiles))
+    battery_span = profiles.battery_high - profiles.battery_low
+    battery_level = profiles.battery_low + battery_span * u["battery"]
+    allowed = (u["connected"] < profiles.p_connected) & (battery_level >= BATTERY_FLOOR)
+    for flag in CHECKIN_POLICIES[policy]:
+        condition, probability = _FLAG_DRAWS[flag]
+        allowed &= u[condition] < getattr(profiles, probability)
+    return allowed
 
 
 @dataclass

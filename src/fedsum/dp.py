@@ -28,21 +28,23 @@ scores exactly the pre-noise sum a deployment would release.  No other
 module scales or clips a device contribution; the server refuses an
 upload over the bound (:meth:`ResolvedMechanism.exceeds_bound`).
 
-Noise draws are keyed by (window, coordinate), so a fixed seed yields
-the same draw for the same coordinate no matter which variant asked, in
-which order, or at what epsilon — releases are reproducible and variant
-comparisons ride on common noise.  A release draws the window's
-unit-scale Laplace block (:class:`UnitLaplace`) and multiplies it by
-each slice's scale, which equals drawing at that scale bit for bit; a
-sweep draws one block per seed and reuses it for every variant and
-budget.  A release is dense from end to end: the summed aggregate goes
-in as one ``(activity, metric, region, direction)`` array (a prepared
-mechanism's pre-noise sum, or the server's decoded report), noise,
-descaling and thresholding run on it, and the release keeps the result.  Its sparse
-:class:`IndexedHistogram` is built on first read, where an artifact or
-an event needs it; a sweep scores the dense array and builds none.  A
-release at epsilon = inf adds no noise, and its metadata labels it exact
-and not differentially private.
+Noise draws are keyed by (seed, window, coordinate), so a fixed seed
+yields the same draw for the same coordinate no matter which variant
+asked, in which order, or at what epsilon — releases are reproducible
+and variant comparisons ride on common noise.  A release draws the
+window's unit-scale Laplace block (:class:`UnitLaplace`: one Philox
+block of uniforms per (activity, metric) slice, see :mod:`fedsum.rng`)
+and multiplies it by each slice's scale, which equals drawing at that
+scale bit for bit; a sweep draws one block per seed and reuses it for
+every variant and budget.  The release metadata names the generator and
+sampler (``noise``).  A release is dense from end to end: the summed
+aggregate goes in as one ``(activity, metric, region, direction)`` array
+(a prepared mechanism's pre-noise sum, or the server's decoded report),
+noise, descaling and thresholding run on it, and the release keeps the
+result.  Its sparse :class:`IndexedHistogram` is built on first read,
+where an artifact or an event needs it; a sweep scores the dense array
+and builds none.  A release at epsilon = inf adds no noise, and its
+metadata labels it exact and not differentially private.
 
 A :class:`MechanismConfig` is validated completely when it is built:
 each parameter belongs to its variant, and its per-(activity, metric)
@@ -85,7 +87,7 @@ from .model import (
     as_table,
     check_table_shape,
 )
-from .rng import KeyedRng
+from .rng import NOISE_SAMPLER, BlockRng, unit_laplace
 
 __all__ = [
     "VARIANTS",
@@ -391,19 +393,22 @@ def apply_threshold(
 
 
 class UnitLaplace:
-    """Unit-scale Laplace draws of one (rng, window) over the full domain.
+    """Unit-scale Laplace draws of one (seed, window) over the full domain.
 
-    Entry ``(a, m, r, d)`` is ``rng.laplace(1.0, window_id, a, m, r, d)``.
+    The block is :func:`fedsum.rng.unit_laplace` of the uniforms of
+    ``BlockRng(seed, NOISE_NAMESPACE, window_id)``: slice ``(a, m)`` is
+    the stream at index ``(a, m)``, its cells ``(r, d)`` in row-major
+    order, so a cell's draw does not depend on the number of regions.
     The block is drawn whole the first time a release noises with it, so
     a release at scale 0 draws nothing.  Noise at any scale is that scale
     times the unit draw, bit for bit, so one block serves every variant
     and budget: a sweep keeps one per seed for the whole grid.
     """
 
-    __slots__ = ("rng", "window_id", "shape", "_values")
+    __slots__ = ("seed", "window_id", "shape", "_values")
 
-    def __init__(self, rng: KeyedRng, window_id: str, schema: Schema) -> None:
-        self.rng = rng
+    def __init__(self, seed: int, window_id: str, schema: Schema) -> None:
+        self.seed = seed
         self.window_id = window_id
         self.shape = schema.shape
         self._values: np.ndarray | None = None
@@ -412,16 +417,18 @@ class UnitLaplace:
     def values(self) -> np.ndarray:
         """The block, drawn on first read."""
         if self._values is None:
-            laplace, window_id = self.rng.laplace, self.window_id
-            cells = itertools.product(*map(range, self.shape))  # row-major
-            draws = np.array([laplace(1.0, window_id, *c) for c in cells])
-            self._values = draws.reshape(self.shape)
+            num_activities, num_metrics, num_regions, num_directions = self.shape
+            rng = BlockRng(self.seed, NOISE_NAMESPACE, self.window_id)
+            cells = num_regions * num_directions
+            slices = itertools.product(range(num_activities), range(num_metrics))
+            uniforms = np.concatenate([rng.uniforms(cells, a, m) for a, m in slices])
+            self._values = unit_laplace(uniforms).reshape(self.shape)
         return self._values
 
 
 def release_noise(seed: int, window_id: str, schema: Schema) -> UnitLaplace:
     """The unit draws that releases of ``window_id`` under ``seed`` use."""
-    return UnitLaplace(KeyedRng(seed, NOISE_NAMESPACE), window_id, schema)
+    return UnitLaplace(seed, window_id, schema)
 
 
 def add_laplace_noise(
@@ -575,13 +582,9 @@ class ResolvedMechanism:
         eps = self.epsilon if epsilon is None else epsilon
         if unit is None:
             unit = release_noise(seed, window_id, schema)
-        elif (unit.rng.seed, unit.rng.namespace, unit.window_id) != (
-            seed,
-            NOISE_NAMESPACE,
-            window_id,
-        ):
+        elif (unit.seed, unit.window_id) != (seed, window_id):
             raise InvalidParameterError(
-                f"unit noise of seed {unit.rng.seed}, window "
+                f"unit noise of seed {unit.seed}, window "
                 f"{unit.window_id!r} cannot noise seed {seed}, window {window_id!r}"
             )
         scales = self.noise_scales(schema, eps)
@@ -600,6 +603,7 @@ class ResolvedMechanism:
             "seed": seed,
             "window_id": window_id,
             "dp": noised,
+            "noise": NOISE_SAMPLER if noised else None,
             "privacy_label": (
                 f"laplace per-device-per-window, epsilon={eps}"
                 if noised

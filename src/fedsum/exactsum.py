@@ -53,12 +53,22 @@ def merge_partials(dst: list[float], src: list[float]) -> None:
 
 
 def round_partials(partials: list[float]) -> float:
-    """Collapse an expansion to the correctly rounded float64 sum."""
+    """Collapse an expansion to the correctly rounded float64 sum.
+
+    An expansion that overflowed while values were added (it then holds
+    an infinity or a NaN, whatever is added after), or whose partials sum
+    beyond the largest float, rounds to NaN: it has no float value.
+    """
     if not partials:
         return 0.0
     if len(partials) == 1:
-        return partials[0]
-    return math.fsum(partials)
+        total = partials[0]
+    else:
+        try:
+            total = math.fsum(partials)
+        except (OverflowError, ValueError):  # an overflowed sum, or -inf + inf
+            return math.nan
+    return total if math.isfinite(total) else math.nan
 
 
 class ExactSum:

@@ -1,18 +1,45 @@
 """Deterministic keyed randomness.
 
-Draws are produced by hashing ``(seed, namespace, index...)`` with
-BLAKE2b rather than by stepping a stateful generator.  Each logical
-random variable names its own index, so a value depends only on the seed
-and on *what* is being drawn — never on how many draws happened before it
-or in what order code visited the coordinates.  Runs with the same seed
-are bit-identical by construction, and two mechanism variants that ask
-for the same coordinate's noise at the same scale receive the same value.
+Two generators share one contract: a value depends only on the seed, a
+namespace and the index of the value drawn, never on how many draws
+happened before it or in what order code visited the coordinates.  Runs
+with the same seed are bit-identical by construction, and two mechanism
+variants that ask for the same coordinate's noise at the same scale
+receive the same value.
+
+:class:`BlockRng` draws every simulated random quantity: the fleet's
+wake hours, each civil day's device conditions, the upload outcomes and
+each release's unit Laplace block.  It gives a whole block in one call
+from numpy's counter-based ``Philox`` (Philox4x64-10; Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011).  Its layout:
+
+* the 128-bit Philox key is BLAKE2b-128 of the encoded ``(seed,
+  namespace, parts...)``, where the parts name the stream (a condition,
+  a window id); it is hashed once, when the generator is built;
+* the counter words 1-3 are the integer index of a block (the civil
+  day for the fleet, ``(activity, metric)`` for release noise), and
+  word 0 counts 4-value Philox blocks along the stream;
+* the position in the stream is the device id, or ``region *
+  num_directions + direction`` for noise.  Position ``p`` is output word
+  ``p % 4`` of Philox applied to counter word 0 = ``p // 4 + 1`` (numpy
+  steps the counter before each block).
+
+So a block of any length is a prefix of a longer one: 300 devices and
+10,000 devices draw the same first 300 values, and a cell's noise does
+not depend on the number of regions.  Each 64-bit output ``x`` becomes
+the uniform ``((x >> 12) + 0.5) * 2**-52``: exact, strictly inside
+(0, 1) and never 1/2.
+
+:class:`KeyedRng` hashes ``(seed, namespace, index...)`` with BLAKE2b
+for each value, one value per call.  The package uses it for
+identifiers only: the server's upload tokens are its ``token_bytes``.
 
 Laplace noise at any finite scale b >= 0 is b times the unit-scale draw
-of the same index, bit for bit: both take the same rounded
+of the same uniform, bit for bit: both take the same rounded
 ln(1 - 2|u - 1/2|), round its product with b once, and carry the same
-sign.  So one block of unit draws serves every scale, and a release
-may draw it once and multiply.
+sign.  So one block of unit draws (:func:`unit_laplace`) serves every
+scale, and a release may draw it once and multiply.  The sampler is the
+float inverse CDF on 52-bit uniforms (:data:`NOISE_SAMPLER`).
 """
 
 from __future__ import annotations
@@ -21,9 +48,15 @@ import math
 import struct
 from hashlib import blake2b
 
-__all__ = ["KeyedRng", "laplace_from_uniform"]
+import numpy as np
+
+__all__ = ["BlockRng", "KeyedRng", "NOISE_SAMPLER", "laplace_from_uniform", "unit_laplace"]
 
 _U64_INV = 2.0 ** -64
+_U52_INV = 2.0 ** -52
+
+# The generator and sampler behind every noise value, as release metadata names them.
+NOISE_SAMPLER = "philox4x64 / inverse-cdf laplace, 52-bit uniforms"
 
 
 def laplace_from_uniform(u: float, scale: float) -> float:
@@ -46,13 +79,28 @@ def laplace_from_uniform(u: float, scale: float) -> float:
     return -scale * math.copysign(1.0, t) * math.log1p(-2.0 * abs(t))
 
 
+def unit_laplace(uniforms: np.ndarray) -> np.ndarray:
+    """``laplace_from_uniform(u, 1.0)`` of each entry of ``uniforms``, bit for bit.
+
+    The logarithm is ``math.log1p`` entry by entry, as in
+    :func:`laplace_from_uniform`, not ``np.log1p``, whose vectorised
+    code differs from the C library's in the last bit on some CPUs: the
+    block is the same on every host.  ``uniforms`` must lie in (0, 1)
+    and not be 1/2, as :class:`BlockRng`'s do.
+    """
+    t = uniforms.ravel() - 0.5
+    logs = np.array(list(map(math.log1p, (-2.0 * np.abs(t)).tolist())))
+    # -sgn(t) * ln(1 - 2|t|): the log is <= 0, so this is its magnitude with t's sign.
+    return np.copysign(logs, t).reshape(uniforms.shape)
+
+
 _INT_PART = struct.Struct("<q")
 _LEN_PREFIX = struct.Struct("<I")
 
-# Bound on a generator's cache of encoded ``str`` index parts.  Draws reuse
-# a few strings ("idle", "upload-ok", window ids) millions of times; the
-# cache is emptied whenever it reaches the bound, so arbitrary strings
-# cannot grow it.
+# Bound on a generator's cache of encoded ``str`` index parts.  Indices
+# reuse a few strings (``"upload-token"``, session ids) thousands of
+# times; the cache is emptied whenever it reaches the bound, so arbitrary
+# strings cannot grow it.
 _STR_PARTS_MAX = 4096
 
 
@@ -129,3 +177,27 @@ class KeyedRng:
         parts = self._digest(index)
         return blake2b(parts, key=self._key, digest_size=16).digest()
 
+
+class BlockRng:
+    """Counter-based blocks of uniforms: one Philox key per (seed, namespace, parts).
+
+    See the module docstring for the key, counter and position layout.
+    """
+
+    __slots__ = ("_key",)
+
+    def __init__(self, seed: int, namespace: str, *parts: int | str) -> None:
+        material = b"".join(map(_encode_part, (seed, namespace, *parts)))
+        digest = blake2b(material, digest_size=16).digest()
+        self._key = np.frombuffer(digest, dtype="<u8").astype(np.uint64)
+
+    def uniforms(self, size: int, *index: int) -> np.ndarray:
+        """Positions ``0 .. size - 1`` of the stream at ``index`` (up to three
+        integers in [0, 2**64), the counter words 1-3; missing words are 0),
+        as float64 in (0, 1)."""
+        if len(index) > 3 or not all(0 <= i < 2**64 for i in index):
+            raise ValueError(f"a block index is up to 3 integers in [0, 2**64), got {index}")
+        counter = np.zeros(4, dtype=np.uint64)
+        counter[1 : 1 + len(index)] = index
+        bits = np.random.Philox(counter=counter, key=self._key).random_raw(size)
+        return ((bits >> np.uint64(12)).astype(np.float64) + 0.5) * _U52_INV

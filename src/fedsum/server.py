@@ -14,7 +14,10 @@ release.  The release's sparse histogram is built only for its event
 deadline is discarded, and expired partials are dropped (and logged)
 rather than released.  An upload under a key that is not the window's,
 or over the L1 bound the mechanism's noise is sized for, is rejected as
-malformed before it touches any state.
+malformed before it touches any state.  A window whose exact sum
+overflows a float (finite uploads under a bound too large to stop them,
+such as an exact task's infinite one) is sealed as suppressed, with
+reason ``overflow``, instead of released.
 
 Every externally visible action appends a structured event to the
 server's log; events carry digests and counts, never row values.
@@ -26,6 +29,8 @@ import json
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Any, Iterator
+
+import numpy as np
 
 from .aggcore import (
     AggCoreConfig,
@@ -177,6 +182,11 @@ def _check_rows(rows: Any, keys: dict, spec: QuerySpec, mechanism: ResolvedMecha
         raise MalformedUpdateError("the upload is over the task's L1 bound")
 
 
+# ``json.dumps(event, sort_keys=True)``, with one encoder for every event
+# instead of a new one per call.
+_encode_event = json.JSONEncoder(sort_keys=True).encode
+
+
 class FederatedServer:
     """In-process simulation of the aggregation service."""
 
@@ -208,7 +218,7 @@ class FederatedServer:
 
     def event_log_lines(self) -> Iterator[str]:
         """Each event as one line of canonical JSON, made as it is read."""
-        return (json.dumps(e, sort_keys=True) for e in self.events)
+        return map(_encode_event, self.events)
 
     # -- task registration -------------------------------------------------
 
@@ -531,9 +541,10 @@ class FederatedServer:
         shards checkpoint, live partials merge into the final aggregate,
         and the contribution gate decides between a noised release of its
         dense cell sums (``rows_to_histogram`` of the merged report) and an
-        explicit suppression marker.  The session's row-key table is
-        dropped either way.  Late uploads after this point are rejected
-        with :class:`SessionClosedError`.
+        explicit suppression marker.  A window with a cell whose exact sum
+        overflows a float is suppressed too, with reason ``overflow``.
+        The session's row-key table is dropped either way.  Late uploads
+        after this point are rejected with :class:`SessionClosedError`.
         """
         key = self._session_key(task.config.query_id, window.window_id)
         session = self.sessions.get(key)
@@ -547,25 +558,29 @@ class FederatedServer:
                 final_core.merge(partial.core)
             session.partials = []
         count = final_core.contribution_count if final_core else 0
-        if count < max(task.config.min_contributions, 1):
+        aggregate = None
+        if count >= max(task.config.min_contributions, 1):
+            assert final_core is not None and session is not None
+            aggregate = rows_to_histogram(
+                final_core.report().items(), task.spec, self.schema, session.row_keys
+            )
+        if session is not None:
+            session.row_keys.clear()  # a sealed session decodes no more rows
+        # A cell whose exact sum overflowed a float reads NaN: no value to release.
+        if aggregate is None or not np.isfinite(aggregate).all():
+            reason = "insufficient_contributions" if aggregate is None else "overflow"
             if session is not None:
                 session.state = "suppressed"
-                session.row_keys.clear()
-            self.releases[key] = SuppressedRelease(window_id=window.window_id)
+            self.releases[key] = SuppressedRelease(window.window_id, reason)
             self._log(
                 now,
                 "release_suppressed",
                 session_id=key,
                 window_id=window.window_id,
                 contributions=count,
+                reason=reason,
             )
             return
-        assert final_core is not None and session is not None
-        report = final_core.report()
-        aggregate = rows_to_histogram(
-            report.items(), task.spec, self.schema, session.row_keys
-        )
-        session.row_keys.clear()  # a sealed session decodes no more rows
         release = task.config.mechanism.finalize(
             self.schema, aggregate, window.window_id, self.noise_seed
         )

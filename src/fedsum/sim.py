@@ -4,26 +4,32 @@ Advances a simulated clock in fixed ticks over the task horizon.  Each
 device has a stable (per-device) wake hour and wakes at the first tick
 at or after its next wake time, so at most once per tick and, with ticks
 of an hour or less, once per civil day at that hour.  A wake calendar
-maps each tick to the devices due then: a tick visits only those, in
-device-id order, and each wake files the device under the tick of its
-next wake.  The server's maintenance still runs on every tick.
+maps each tick to the devices due then, as arrays of device ids: a tick
+visits only those, in device-id order, and files them under the tick of
+their next wake.  The server's maintenance still runs on every tick.
 
-Awake, a device advances its clock: its own new trips arrive in its
-cache, a row range of the corpus columns (see :mod:`fedsum.client`),
-its low watermark moves and expired trips leave.  It then draws its
-conditions (``client.draw_flags``: lazily, in the order the policy
-reads them, stopping at the first that fails).  If the check-in policy
-allows, it checks in, receives session-bound tokens, and uploads a
-bounded histogram for every complete window it has not contributed to
-yet: the mechanism's ``transform_devices`` of the one-device block of
-the window's trips (``client_work``), the same transform a sweep runs
-on a whole window's block, whose rows the upload encodes.  The server side
-(sessions, checkpoints, releases) runs through
-:class:`fedsum.server.FederatedServer`.
+Once per civil day the fleet's conditions are drawn for every device
+(``client.draw_flags``, one mask over device ids), and a tick's Python
+loop visits only the due devices the mask allows.  Such a device
+advances its clock: its own new trips arrive in its cache, a row range
+of the corpus columns (see :mod:`fedsum.client`), its low watermark
+moves and expired trips leave.  A device that does not check in defers
+its advance to its next check-in, which leaves the same state.  It then
+checks in, receives session-bound tokens, and uploads a bounded
+histogram for every complete window it has not contributed to yet,
+unless that day's upload fails: the mechanism's ``transform_devices`` of
+the one-device block of the window's trips (``client_work``), the same
+transform a sweep runs on a whole window's block, whose rows the upload
+encodes.  The server side (sessions, checkpoints, releases) runs
+through :class:`fedsum.server.FederatedServer`.
 
-Condition draws are keyed by (condition, device, day) alone, so fleets
-under different check-in policies experience identical conditions and
-coverage comparisons are apples-to-apples.
+Every fleet draw is a block from ``BlockRng(seed, "fleet", ...)`` at
+the device's position (see :mod:`fedsum.rng`): the wake hours
+(``"wake-hour"``), each day's conditions, and each (day, window)'s
+upload outcomes (``"upload-ok"``, window id).  None depends on the
+check-in policy, so fleets under different policies experience
+identical conditions and coverage comparisons are apples-to-apples.
+The arrays of a day are dropped when the day ends.
 
 Evaluation makes one pass over each released window's trip columns
 (``Corpus.device_histograms``) and builds the window's truth from its
@@ -38,11 +44,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .aggcore import ClientUpdate
 from .client import (
     CHECKIN_POLICIES,
+    FLEET_NAMESPACE,
     TIER_PROFILES,
     DeviceState,
+    FleetProfiles,
     client_work,
     draw_flags,
     histogram_to_rows,
@@ -57,7 +67,7 @@ from .server import (
     SuppressedRelease,
     TaskConfig,
 )
-from .rng import KeyedRng
+from .rng import BlockRng
 from .synth import Corpus
 from .windows import TimeWindow
 
@@ -121,11 +131,6 @@ def build_device_upload(
     return mechanism.transform_devices(client_work(trips, schema), schema)
 
 
-def _next_wake(wake: int, now: int) -> int:
-    """The first daily recurrence of wake time ``wake`` after ``now``."""
-    return wake + ((now - wake) // DAY + 1) * DAY
-
-
 def run_simulation(
     corpus: Corpus,
     task: TaskConfig,
@@ -145,74 +150,85 @@ def run_simulation(
     start = corpus.config.start_time
     tick = fleet.tick_seconds
 
-    def first_tick_at_or_after(instant: int) -> int:
-        return start if instant <= start else start - (start - instant) // tick * tick
-
-    fleet_rng = KeyedRng(seed, "fleet")
-    devices: dict[int, DeviceState] = {}
+    num_devices = corpus.num_devices
+    if fleet.availability == "always_on":
+        profiles = [TIER_PROFILES["always_on"]] * num_devices
+    else:
+        profiles = [TIER_PROFILES[tier] for tier in corpus.tiers]
+    fleet_profiles = FleetProfiles.of(profiles)
+    devices = [
+        DeviceState(device_id, profile, corpus, low_watermark=start, last_seen_now=start)
+        for device_id, profile in enumerate(profiles)
+    ]
     # Each device's next wake time; it wakes at the first tick at or after it.
-    next_wake: dict[int, int] = {}
-    # The wake calendar: tick -> ids of the devices that wake at that tick.
-    calendar: dict[int, list[int]] = {}
-    start_day = start - start % DAY
-    for device_id, tier in enumerate(corpus.tiers):
-        profile = (
-            TIER_PROFILES["always_on"]
-            if fleet.availability == "always_on"
-            else TIER_PROFILES[tier]
-        )
-        state = DeviceState(device_id=device_id, profile=profile, corpus=corpus)
-        state.low_watermark = corpus.config.start_time
-        state.last_seen_now = corpus.config.start_time
-        devices[device_id] = state
-        wake_hour = fleet_rng.randrange(24, "wake-hour", device_id)
-        wake = start_day + wake_hour * HOUR
-        next_wake[device_id] = wake
-        calendar.setdefault(first_tick_at_or_after(wake), []).append(device_id)
+    wake_hours = BlockRng(seed, FLEET_NAMESPACE, "wake-hour").uniforms(num_devices) * 24
+    next_wake = start - start % DAY + wake_hours.astype(np.int64) * HOUR
+    # The wake calendar: tick -> arrays of the ids of the devices that wake then.
+    calendar: dict[int, list[np.ndarray]] = {}
+
+    def file_wakes(ids: np.ndarray) -> None:
+        """File devices ``ids`` under the first tick at or after their next wake."""
+        wakes = next_wake[ids]
+        ticks = np.where(wakes <= start, start, start - (start - wakes) // tick * tick)
+        for due_tick in set(ticks.tolist()):
+            calendar.setdefault(due_tick, []).append(ids[ticks == due_tick])
+
+    file_wakes(np.arange(num_devices))
+    upload_rngs = {
+        w.window_id: BlockRng(seed, FLEET_NAMESPACE, "upload-ok", w.window_id) for w in windows
+    }
 
     uploaded: dict[str, set[int]] = {w.window_id: set() for w in windows}
     windows_by_id = {w.window_id: w for w in windows}
 
+    day = None
     horizon_end = windows[-1].end + task.grace_period + 2 * tick
     for now in range(start, horizon_end + 1, tick):
         server.maintenance(now)
         due = calendar.pop(now, None)
         if due is None:
             continue
-        day = now // DAY
-        for device_id in sorted(due):
-            wake = _next_wake(next_wake[device_id], now)
-            next_wake[device_id] = wake
-            calendar.setdefault(first_tick_at_or_after(wake), []).append(device_id)
-            state = devices[device_id]
+        due = np.sort(np.concatenate(due))
+        wakes = next_wake[due]
+        next_wake[due] = wakes + ((now - wakes) // DAY + 1) * DAY
+        file_wakes(due)
+        if now // DAY != day:  # one civil day's draws, dropped when it ends
+            day = now // DAY
+            allowed = draw_flags(seed, fleet_profiles, fleet.policy, day)
+            upload_ok: dict[str, np.ndarray] = {}
+        # Only the devices that check in advance their clocks: the cache's
+        # bisections and the low watermark are monotone, so a deferred
+        # advance leaves the same state.
+        for index in due[allowed[due]].tolist():
+            state = devices[index]
+            # The events keep the ids they log: one int object per device,
+            # not a new one per check-in.
+            device_id = state.device_id
             state.advance_watermarks(now, task.window_alignment, fleet.cache_ttl)
-            if not draw_flags(fleet_rng, state.profile, fleet.policy, device_id, day):
-                continue
             assignments = server.check_in(device_id, now)
             eligible = {
                 w.window_id
                 for w in state.eligible_windows(task.query_id, windows)
             }
             for assignment in assignments:
-                if assignment.window_id not in eligible:
+                window_id = assignment.window_id
+                if window_id not in eligible:
                     continue
-                window = windows_by_id[assignment.window_id]
+                window = windows_by_id[window_id]
                 trips = state.visible_records(window)
                 if not trips:
                     continue
-                upload_ok = (
-                    fleet_rng.uniform(
-                        "upload-ok", device_id, day, assignment.window_id
-                    )
-                    < state.profile.p_upload_ok
-                )
-                if not upload_ok:
+                ok = upload_ok.get(window_id)
+                if ok is None:
+                    draws = upload_rngs[window_id].uniforms(num_devices, day)
+                    ok = upload_ok[window_id] = draws < fleet_profiles.p_upload_ok
+                if not ok[device_id]:
                     continue
                 block = build_device_upload(trips, mechanism, schema)
-                rows = histogram_to_rows(block, window.window_id, spec)
+                rows = histogram_to_rows(block, window_id, spec)
                 update = ClientUpdate(
                     query_id=task.query_id,
-                    window_id=window.window_id,
+                    window_id=window_id,
                     token=assignment.token,
                     rows=tuple(rows),
                 )
@@ -220,8 +236,8 @@ def run_simulation(
                     server.ingest_upload(update, now)
                 except SessionClosedError:
                     continue
-                state.mark_contributed(task.query_id, window.window_id)
-                uploaded[window.window_id].add(device_id)
+                state.mark_contributed(task.query_id, window_id)
+                uploaded[window_id].add(device_id)
     server.maintenance(horizon_end + tick)
 
     result = SimulationResult(

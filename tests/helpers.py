@@ -8,8 +8,12 @@ query rejection cases are written out as literal text.
 from __future__ import annotations
 
 import math
+import struct
 from array import array
 from datetime import datetime, timezone
+from hashlib import blake2b
+
+import numpy as np
 
 from fedsum.model import (
     METRIC_DISTANCE,
@@ -514,18 +518,79 @@ POLICY_FLAGS = {
 BATTERY_FLOOR = 0.30
 
 
-def eager_check_in_allowed(rng, profile, policy, device_id, day) -> bool:
-    """A device-day's check-in verdict from all five condition draws."""
+def eager_check_in_allowed(u, profile, policy) -> bool:
+    """A device-day's check-in verdict from its five condition uniforms
+    ``u`` (condition name -> the device's uniform that day)."""
     flags = {
-        "idle": rng.uniform("idle", device_id, day) < profile.p_idle,
-        "unmetered_network": rng.uniform("unmetered", device_id, day)
-        < profile.p_unmetered,
-        "charging": rng.uniform("charging", device_id, day) < profile.p_charging,
+        "idle": u["idle"] < profile.p_idle,
+        "unmetered_network": u["unmetered"] < profile.p_unmetered,
+        "charging": u["charging"] < profile.p_charging,
     }
-    connected = rng.uniform("connected", device_id, day) < profile.p_connected
-    battery = profile.battery_low + (
-        profile.battery_high - profile.battery_low
-    ) * rng.uniform("battery", device_id, day)
+    connected = u["connected"] < profile.p_connected
+    battery = profile.battery_low + (profile.battery_high - profile.battery_low) * u["battery"]
     if not connected or battery < BATTERY_FLOOR:
         return False
     return all(flags[name] for name in POLICY_FLAGS[policy])
+
+
+# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+# 3", SC 2011), written out over numpy arrays: the round multipliers and the
+# key schedule's Weyl increments.
+PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products ``m * x``, by 32-bit halves."""
+    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x0, x1 = x & _LOW32, x >> _SHIFT32
+    t = m0 * x0
+    u = m1 * x0 + (t >> _SHIFT32)
+    v = m0 * x1 + (u & _LOW32)
+    return m1 * x1 + (u >> _SHIFT32) + (v >> _SHIFT32), x * np.uint64(m)
+
+
+def philox4x64(counter, key):
+    """Philox4x64-10 of 4 counter words under 2 key words (uint64 arrays)."""
+    c, k = list(counter), list(key)
+    for round_index in range(10):
+        if round_index:
+            k = [k[0] + np.uint64(PHILOX_W[0]), k[1] + np.uint64(PHILOX_W[1])]
+        hi0, lo0 = _mulhilo(PHILOX_M[0], c[0])
+        hi1, lo1 = _mulhilo(PHILOX_M[1], c[2])
+        c = [hi1 ^ c[1] ^ k[0], lo1, hi0 ^ c[3] ^ k[1], lo0]
+    return c
+
+
+def block_key(seed: int, namespace: str, *parts) -> tuple[int, int]:
+    """A stream's Philox key as the ``rng`` docstring gives it: BLAKE2b-128
+    of the encoded ``(seed, namespace, parts...)``, as two LE words."""
+    material = b""
+    for part in (seed, namespace, *parts):
+        if isinstance(part, int):
+            material += b"i" + struct.pack("<q", part)
+        else:
+            data = part.encode("utf-8")
+            material += b"s" + struct.pack("<I", len(data)) + data
+    digest = blake2b(material, digest_size=16).digest()
+    return struct.unpack("<QQ", digest)
+
+
+def reference_uniforms(keys, index, positions) -> np.ndarray:
+    """The uniform at each position of each key's stream at ``index``.
+
+    ``keys`` is an ``(n, 2)`` array of key words and ``positions`` an
+    array that broadcasts with ``n``.  Position ``p`` is output word
+    ``p % 4`` of Philox at counter ``(p // 4 + 1, *index)``, mapped to
+    ``((x >> 12) + 0.5) * 2**-52``.
+    """
+    keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
+    positions, k0, k1 = np.broadcast_arrays(
+        np.asarray(positions, dtype=np.uint64), keys[:, 0], keys[:, 1]
+    )
+    words = [positions // np.uint64(4) + np.uint64(1)]
+    words += [np.full(positions.shape, i, dtype=np.uint64) for i in (*index, 0, 0, 0)[:3]]
+    out = philox4x64(words, (k0, k1))
+    word = np.choose((positions % np.uint64(4)).astype(np.intp), out)
+    return ((word >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52

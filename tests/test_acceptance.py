@@ -33,7 +33,7 @@ from fedsum.dp import (
 from fedsum.metrics import exact_workload
 from fedsum.model import IndexedHistogram, Schema
 from fedsum.query import parse_and_validate
-from fedsum.rng import KeyedRng, laplace_from_uniform
+from fedsum.rng import BlockRng, laplace_from_uniform, unit_laplace
 from fedsum.server import (
     FederatedServer,
     InvalidTokenError,
@@ -49,7 +49,7 @@ from fedsum.synth import SyntheticCorpusConfig, generate_corpus
 from fedsum.windows import WindowAlignment, round_down_window
 
 from blocks import block_of, concat, devices_of, renumbered, rows_of, sparse_of
-from helpers import START, WEEK, malformed_query_cases
+from helpers import START, WEEK, block_key, malformed_query_cases, reference_uniforms
 
 FULL_QUERY = """\
 SELECT activity, region, direction, privacy_time_unit,
@@ -291,26 +291,25 @@ def test_ac03_output_ratio_bounded_by_exp_epsilon_on_adjacent_inputs(
     cell = (0, 0, 0, 0)
 
     # Noise draws are keyed, so one released coordinate can be reproduced
-    # without building the whole release.  Prove equivalence first, then
-    # use the direct draw for the million-sample scan.
+    # without building the whole release: the cell's uniform is position 0
+    # of the stream (seed, NOISE_NAMESPACE, window) at index (0, 0).  Prove
+    # equivalence first, then draw it for every seed at once with the
+    # written-out Philox for the million-sample scan.
+    def direct_draws(seeds):
+        keys = [block_key(seed, NOISE_NAMESPACE, window_id) for seed in seeds]
+        return unit_laplace(reference_uniforms(keys, (0, 0), 0))
+
     shifts = (with_device.prenoise[cell], without_device.prenoise[cell])
     assert shifts == (1.0, 0.0)
     for prepared, shift in zip((with_device, without_device), shifts):
+        direct = shift + direct_draws(range(10))
         for seed in range(10):
             full = prepared.release(window_id, seed).histogram[cell]
-            direct = shift + KeyedRng(seed, NOISE_NAMESPACE).laplace(
-                1.0, window_id, *cell
-            )
-            assert full == direct
+            assert full == direct[seed]
 
     n = 500_000
     def sample(shift, seeds):
-        out = np.empty(len(seeds))
-        for i, seed in enumerate(seeds):
-            out[i] = shift + KeyedRng(seed, NOISE_NAMESPACE).laplace(
-                1.0, window_id, 0, 0, 0, 0
-            )
-        return out
+        return shift + direct_draws(seeds)
 
     xs1 = sample(1.0, range(n))
     xs2 = sample(0.0, range(n, 2 * n))
@@ -342,12 +341,8 @@ def test_ac03_output_ratio_bounded_by_exp_epsilon_on_adjacent_inputs(
 
 
 def test_ac04_noise_moments_match_the_target_distribution():
-    rng = KeyedRng(12, "moments-check")
-    draws = np.fromiter(
-        (rng.laplace(1.0, i) for i in range(1_000_000)),
-        dtype=np.float64,
-        count=1_000_000,
-    )
+    # The shipped sampler: a unit Laplace block of one stream's uniforms.
+    draws = unit_laplace(BlockRng(12, "moments-check").uniforms(1_000_000))
     assert abs(float(draws.mean())) < 0.01
     assert abs(float(draws.var()) - 2.0) < 0.05
     assert abs(laplace_from_uniform(0.75, 1.0) - math.log(2.0)) < 1e-12

@@ -12,10 +12,13 @@ from hypothesis import strategies as st
 from fedsum.client import (
     BATTERY_FLOOR,
     CHECKIN_POLICIES,
+    CONDITIONS,
     ClockRegressionError,
     DeviceState,
+    FleetProfiles,
     TIER_PROFILES,
     client_work,
+    draw_conditions,
     draw_flags,
     histogram_to_rows,
     row_keys,
@@ -30,7 +33,6 @@ from fedsum.dp import (
 )
 from fedsum.model import IndexedHistogram, Schema
 from fedsum.query import QueryValidationError, parse_and_validate
-from fedsum.rng import KeyedRng
 from fedsum.synth import DeviceRecords, SyntheticCorpusConfig
 from fedsum.windows import WindowAlignment, round_down_window, window_after
 
@@ -485,99 +487,76 @@ def test_visible_records_filter_by_window():
 # --- constraint flags and policies ----------------------------------------------
 
 
-class CountingRng(KeyedRng):
-    """A generator that records the first part of every draw's index."""
-
-    __slots__ = ("keys",)
-
-    def __init__(self, seed, namespace):
-        super().__init__(seed, namespace)
-        self.keys = []
-
-    def uniform(self, *index):
-        self.keys.append(index[0])
-        return super().uniform(*index)
-
-
 def profile_with(**changes):
     return dataclasses.replace(TIER_PROFILES["always_on"], **changes)
 
 
+def fleet_of(profile, size=8):
+    return FleetProfiles.of([profile] * size)
+
+
 def test_policies_require_connectivity_and_battery():
-    rng = KeyedRng(0, "fleet")
     for policy in CHECKIN_POLICIES:
         for day in range(10):
-            assert draw_flags(rng, profile_with(), policy, 1, day)
-            assert not draw_flags(rng, profile_with(p_connected=0.0), policy, 1, day)
+            assert draw_flags(0, fleet_of(profile_with()), policy, day).all()
+            assert not draw_flags(0, fleet_of(profile_with(p_connected=0.0)), policy, day).any()
             low = BATTERY_FLOOR - 0.01
             drained = profile_with(battery_low=low, battery_high=low)
-            assert not draw_flags(rng, drained, policy, 1, day)
+            assert not draw_flags(0, fleet_of(drained), policy, day).any()
             at_floor = profile_with(battery_low=BATTERY_FLOOR, battery_high=BATTERY_FLOOR)
-            assert draw_flags(rng, at_floor, policy, 1, day)
+            assert draw_flags(0, fleet_of(at_floor), policy, day).all()
 
 
 def test_relaxed_policy_ignores_wifi_and_charging():
-    rng = KeyedRng(0, "fleet")
-    relaxed_only = profile_with(p_unmetered=0.0, p_charging=0.0)
-    assert draw_flags(rng, relaxed_only, "idle", 1, 3)
-    assert not draw_flags(rng, relaxed_only, "idle_wifi_charging", 1, 3)
-    assert not draw_flags(rng, profile_with(p_idle=0.0), "idle", 1, 3)
+    relaxed_only = fleet_of(profile_with(p_unmetered=0.0, p_charging=0.0))
+    assert draw_flags(0, relaxed_only, "idle", 3).all()
+    assert not draw_flags(0, relaxed_only, "idle_wifi_charging", 3).any()
+    assert not draw_flags(0, fleet_of(profile_with(p_idle=0.0)), "idle", 3).any()
 
 
 @given(
-    st.sampled_from(["high_end", "low_end"]),
-    st.integers(min_value=0, max_value=10**6),
+    st.lists(st.sampled_from(["high_end", "low_end"]), min_size=1, max_size=64),
     st.integers(min_value=0, max_value=10**5),
 )
-def test_strict_policy_implies_relaxed_policy(tier, device_id, day):
-    rng = KeyedRng(7, "fleet")
-    profile = TIER_PROFILES[tier]
-    if draw_flags(rng, profile, "idle_wifi_charging", device_id, day):
-        assert draw_flags(rng, profile, "idle", device_id, day)
+def test_strict_policy_implies_relaxed_policy(tiers, day):
+    fleet = FleetProfiles.of([TIER_PROFILES[tier] for tier in tiers])
+    strict = draw_flags(7, fleet, "idle_wifi_charging", day)
+    relaxed = draw_flags(7, fleet, "idle", day)
+    assert not (strict & ~relaxed).any()
 
 
 def test_flag_draws_are_deterministic_and_policy_free():
-    profile = TIER_PROFILES["low_end"]
-    for policy in CHECKIN_POLICIES:
-        for device_id in range(40):
-            for day in range(5):
-                lazy = draw_flags(KeyedRng(5, "fleet"), profile, policy, device_id, day)
-                again = draw_flags(KeyedRng(5, "fleet"), profile, policy, device_id, day)
-                eager = eager_check_in_allowed(
-                    KeyedRng(5, "fleet"), profile, policy, device_id, day
-                )
-                assert lazy == again == eager
+    # Every policy reads the same condition arrays, drawn whatever it reads.
+    profiles = [TIER_PROFILES["low_end"], TIER_PROFILES["high_end"]] * 20
+    fleet = FleetProfiles.of(profiles)
+    for day in range(5):
+        u = draw_conditions(5, day, len(profiles))
+        assert sorted(u) == sorted(CONDITIONS)
+        for policy in CHECKIN_POLICIES:
+            mask = draw_flags(5, fleet, policy, day)
+            assert mask.tolist() == draw_flags(5, fleet, policy, day).tolist()
+            eager = [
+                eager_check_in_allowed({c: u[c][i] for c in u}, profile, policy)
+                for i, profile in enumerate(profiles)
+            ]
+            assert mask.tolist() == eager
+    relaxed, strict = (draw_flags(5, fleet, policy, 0) for policy in ("idle", "idle_wifi_charging"))
+    assert relaxed.sum() > strict.sum() > 0  # the policies differ on these arrays
 
 
-def test_condition_draws_stop_at_the_first_failing_flag():
-    order = ["connected", "battery", "idle", "unmetered", "charging"]
-    assert CHECKIN_POLICIES["idle_wifi_charging"] == (
-        "idle",
-        "unmetered_network",
-        "charging",
-    )
-    cases = [
-        (profile_with(p_connected=0.0), order[:1], False),
-        (profile_with(battery_low=0.0, battery_high=0.0), order[:2], False),
-        (profile_with(p_idle=0.0), order[:3], False),
-        (profile_with(p_unmetered=0.0), order[:4], False),
-        (profile_with(p_charging=0.0), order, False),
-        (profile_with(), order, True),
-    ]
-    for profile, drawn, allowed in cases:
-        rng = CountingRng(2, "fleet")
-        assert draw_flags(rng, profile, "idle_wifi_charging", 4, 9) is allowed
-        assert rng.keys == drawn
-    rng = CountingRng(2, "fleet")
-    assert draw_flags(rng, profile_with(p_charging=0.0), "idle", 4, 9)
-    assert rng.keys == order[:3]
+def test_condition_arrays_depend_on_neither_the_policy_nor_the_fleet_size():
+    small, large = draw_conditions(2, 19_860, 300), draw_conditions(2, 19_860, 10_000)
+    for condition in CONDITIONS:
+        assert small[condition].tolist() == large[condition][:300].tolist()
+        other_day = draw_conditions(2, 19_861, 300)[condition]
+        assert small[condition].tolist() != other_day.tolist()
+    assert small["idle"].tolist() != small["charging"].tolist()
 
 
 def test_always_on_profile_is_never_blocked():
-    rng = KeyedRng(0, "fleet")
-    profile = TIER_PROFILES["always_on"]
+    fleet = fleet_of(TIER_PROFILES["always_on"], size=100)
     for day in range(20):
-        assert draw_flags(rng, profile, "idle_wifi_charging", 1, day)
+        assert draw_flags(0, fleet, "idle_wifi_charging", day).all()
 
 
 def test_tier_profiles_express_the_availability_gap():

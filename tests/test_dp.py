@@ -34,7 +34,7 @@ from fedsum.model import (
     Schema,
     SchemaMismatchError,
 )
-from fedsum.rng import KeyedRng
+from fedsum.rng import BlockRng, laplace_from_uniform
 
 from blocks import block_of, dense_of, devices_of, exact_sum, histograms_of, rows_of
 
@@ -299,20 +299,23 @@ def test_noise_draws_are_shared_across_epsilons(cell_schema):
 def reference_release(resolved, aggregate, window_id, seed, epsilon):
     """(histogram, suppressed) built one coordinate at a time.
 
-    Noise is drawn at each slice's scale with ``KeyedRng.laplace``, then
-    multiplied by the slice's entry of the scale table (the identity for
-    the variants that do not scale) and thresholded by a loop over the
-    stored entries.
+    Each coordinate's uniform is position ``r * D + d`` of the stream
+    ``(seed, "release-noise", window_id)`` at index ``(a, m)``, drawn on
+    its own as the last of a block that long.  Its noise is drawn at the
+    slice's scale with ``laplace_from_uniform``, then multiplied by the
+    slice's entry of the scale table (the identity for the variants that
+    do not scale) and thresholded by a loop over the stored entries.
     """
     schema = aggregate.schema
-    rng = KeyedRng(seed, "release-noise")
+    rng = BlockRng(seed, "release-noise", window_id)
     scales = resolved.noise_scales(schema, epsilon)
     table = resolved.scale_table
     noised = IndexedHistogram(schema)
+    num_directions = schema.shape[3]
     for a, m, r, d in itertools.product(*map(range, schema.shape)):
-        value = aggregate[(a, m, r, d)] + rng.laplace(
-            scales[a][m], window_id, a, m, r, d
-        )
+        position = r * num_directions + d
+        u = rng.uniforms(position + 1, a, m)[position]
+        value = aggregate[(a, m, r, d)] + laplace_from_uniform(u, scales[a][m])
         noised[(a, m, r, d)] = value * table[a][m]
     if resolved.tau == 0.0 and not resolved.strict_tau:
         return noised, 0
@@ -377,13 +380,13 @@ def test_release_equals_the_coordinate_by_coordinate_reference(
 
 def test_a_noise_free_release_draws_nothing(small_schema, monkeypatch):
     draws = []
-    uniform = KeyedRng.uniform
+    uniforms = BlockRng.uniforms
 
-    def counted(self, *index):
-        draws.append(index)
-        return uniform(self, *index)
+    def counted(self, size, *index):
+        draws.extend([index] * size)
+        return uniforms(self, size, *index)
 
-    monkeypatch.setattr(KeyedRng, "uniform", counted)
+    monkeypatch.setattr(BlockRng, "uniforms", counted)
     config = MechanismConfig(variant=VARIANT_JOINT, epsilon=math.inf, clip=1.0)
     prepared = prepare_mechanism(config, linear_devices(small_schema, 5), small_schema)
     prepared.release("w0", 3)
@@ -611,6 +614,15 @@ def test_only_a_noised_release_is_labelled_dp(cell_schema):
     assert noised.metadata["privacy_label"] == (
         "laplace per-device-per-window, epsilon=2.0"
     )
+
+
+def test_release_metadata_names_the_noise_generator_and_sampler(cell_schema):
+    # A later change of generator or sampler must show in the metadata.
+    config = MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, clip=1.0)
+    prepared = prepare_mechanism(config, linear_devices(cell_schema, 5), cell_schema)
+    noised = prepared.release("w0", 0)
+    assert noised.metadata["noise"] == "philox4x64 / inverse-cdf laplace, 52-bit uniforms"
+    assert prepared.release("w0", 0, epsilon=math.inf).metadata["noise"] is None
 
 
 @pytest.mark.parametrize(

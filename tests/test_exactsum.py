@@ -30,6 +30,20 @@ def test_empty_rounds_to_zero():
     assert round_partials([]) == 0.0
 
 
+def test_a_sum_too_large_for_a_float_rounds_to_nan():
+    # Adding overflows a partial ([-inf, inf], then NaN partials), and a
+    # merge's exact sum can exceed the largest float; neither may raise.
+    for count in (2, 3):
+        assert math.isnan(round_partials(expansion([1e308] * count)))
+    assert math.isnan(round_partials([1e308, 1e308]))  # beyond the largest float
+    # An overflowed expansion stays NaN, whatever is added after.
+    assert math.isnan(round_partials(expansion([1e308, 1e308, -1e308])))
+    sums = ExactSum(2)
+    sums.add([("k", (1e308, 1.0)), ("k", (1e308, 2.0))])
+    ((key, (big, small)),) = sums.report()
+    assert key == "k" and math.isnan(big) and small == 3.0
+
+
 def test_single_value_round_trip():
     assert round_partials(expansion([3.5])) == 3.5
 

@@ -16,30 +16,30 @@ from fedsum.cli import EXIT_OK, main
 
 RUN_ARTIFACTS = {
     "releases/2024-W20.csv": (
-        "c82053b1d52ac504ca5bca3ab1239f7de6113a8c303df81f1f68ff69d39fe144"
+        "25bbc2ab2477b7f9bf443805adac84771f36866d1b7f41c376ab7d6618c89c62"
     ),
     "releases/2024-W21.csv": (
-        "ef2f71cab2b994651b30f5006174b676d39414b0f28b60a6fa562defec5cfe2d"
+        "0c0ed24ab93003718df1fbe98ee68b452de0830fa9781a2977c9ef85b97fc5cf"
     ),
     "eval.csv": (
-        "33b28abe32483aa9fd8c79b66103549d7c07c26ab03ea54293e445c07cee7144"
+        "106679fb64373a742bae3823bbc754d2256adde24422a625db62c8ddfcd3e6fd"
     ),
     "reach.csv": (
-        "e5ba32fb8ba64f57f09f73f101b78011177851d269b3cc89ca12a19bc77be01f"
+        "d8585c0d643f75664632efe6f4d889b5c479588c4464e4291bb1980687ecf88c"
     ),
     "events.jsonl": (
-        "2680ca4efc6744c0d8cd5321ae2ec29a95fb28e813d3609ee1ab50496f583c90"
+        "02332fa4a8a142141b5cf7a218565e9d7b5ac1076180c763185c2d12d6a2d762"
     ),
     "resolved_config.yaml": (
         "35c24cc68003f8d0e8b4404e5927497cc4bebc7f4803205c2b598d7cf575d906"
     ),
     "run_summary.json": (
-        "b62a74bf7b975aa3c8f1e40f43ccd9d67124108c01cfe1dc6ada64fc1370933f"
+        "3178cef683acea25df533b8ed1550e1ff0d3f0f8edc729aa76eec43d5c7b6d74"
     ),
 }
 SWEEP_RESULTS = {
     "results.csv": (
-        "27dffd3482e94abdeee655416f7bbea3f12e9471de8084145fb5987643d5ca65"
+        "aa8c7fba4efa482b0493d6c5515e7dbe9032569e955f8d7d59b0b4fd5ae872de"
     ),
     "sweep_config.yaml": (
         "0cf7d315784713983f33d7073efd2a9039abf62115357413ef711fd26891de0b"

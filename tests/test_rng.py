@@ -6,12 +6,15 @@ import math
 import struct
 from hashlib import blake2b
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fedsum import rng as rng_module
-from fedsum.rng import KeyedRng, laplace_from_uniform
+from fedsum.rng import BlockRng, KeyedRng, laplace_from_uniform, unit_laplace
+
+from helpers import block_key, reference_uniforms
 
 
 def test_median_uniform_maps_to_zero():
@@ -205,3 +208,82 @@ def test_string_part_cache_stays_bounded():
         part = f"part-{i}"
         assert rng._digest((part,)) == plain_digest(rng, (part,))
         assert len(rng._str_parts) <= bound
+
+
+# --- the block generator ------------------------------------------------------
+
+
+def test_block_uniforms_are_pinned():
+    # Guards the Philox stream, the key derivation and the uniform mapping.
+    got = BlockRng(1, "fleet", "connected").uniforms(6, 19_858)
+    assert [u.hex() for u in got.tolist()] == [
+        "0x1.1a638661ea008p-4",
+        "0x1.fdcb4f18e729fp-1",
+        "0x1.106c090c9f055p-1",
+        "0x1.22034f1855821p-1",
+        "0x1.e61ac2529668dp-1",
+        "0x1.ff6da38863b0dp-1",
+    ]
+
+
+@pytest.mark.parametrize(
+    "seed, namespace, parts, index",
+    [
+        (1, "fleet", ("connected",), (19_858,)),
+        (0, "release-noise", ("2024-W20",), (2, 1)),
+        (-7, "", (), ()),
+        (2**63 - 1, "ns", (5, "é"), (2**64 - 1, 0, 3)),
+    ],
+)
+def test_block_uniforms_equal_the_written_out_philox(seed, namespace, parts, index):
+    got = BlockRng(seed, namespace, *parts).uniforms(13, *index)
+    expected = reference_uniforms([block_key(seed, namespace, *parts)], index, np.arange(13))
+    assert got.tolist() == expected.tolist()
+
+
+def test_a_block_is_a_prefix_of_every_longer_block():
+    rng = BlockRng(4, "fleet", "idle")
+    longest = rng.uniforms(10_000, 19_860)
+    for size in (0, 1, 3, 4, 5, 8, 9, 300):
+        assert rng.uniforms(size, 19_860).tolist() == longest[:size].tolist()
+
+
+def test_streams_differ_by_seed_namespace_part_and_index():
+    base = BlockRng(4, "fleet", "upload-ok", "2024-W20").uniforms(64, 19_860)
+    others = [
+        BlockRng(5, "fleet", "upload-ok", "2024-W20").uniforms(64, 19_860),
+        BlockRng(4, "other", "upload-ok", "2024-W20").uniforms(64, 19_860),
+        BlockRng(4, "fleet", "upload-ok", "2024-W21").uniforms(64, 19_860),
+        BlockRng(4, "fleet", "charging", "2024-W20").uniforms(64, 19_860),
+        BlockRng(4, "fleet", "upload-ok", "2024-W20").uniforms(64, 19_861),
+        BlockRng(4, "fleet", "upload-ok", "2024-W20").uniforms(64, 19_860, 0),
+        BlockRng(4, "fleet", "upload-ok", "2024-W20").uniforms(64),
+    ]
+    for other in others[:-2]:
+        assert not np.isin(other, base).any()
+    # Trailing zero words name the same counter.
+    assert others[-2].tolist() == base.tolist()
+    assert others[-1].tolist() != base.tolist()
+
+
+def test_block_uniforms_lie_strictly_inside_the_unit_interval():
+    u = BlockRng(0, "ns").uniforms(200_000, 1)
+    assert (u > 0.0).all() and (u < 1.0).all() and (u != 0.5).all()
+    # Each is an odd multiple of 2**-53: exact, and never 1/2.
+    assert (np.modf(u * 2.0**52)[0] == 0.5).all()
+
+
+def test_block_indices_are_up_to_three_words():
+    rng = BlockRng(0, "ns")
+    for bad in ((-1,), (2**64,), (0, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            rng.uniforms(4, *bad)
+
+
+def test_unit_laplace_is_the_scalar_transform_bit_for_bit():
+    u = BlockRng(3, "release-noise", "2024-W20").uniforms(4_050, 0, 1)
+    u = np.concatenate([u, [2.0**-53, 0.25, 0.75, 1.0 - 2.0**-53]])
+    expected = [laplace_from_uniform(x, 1.0) for x in u.tolist()]
+    assert [v.hex() for v in unit_laplace(u).tolist()] == [v.hex() for v in expected]
+    block = u[:6].reshape(2, 3)
+    assert unit_laplace(block).shape == (2, 3)

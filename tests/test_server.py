@@ -470,9 +470,9 @@ def test_an_infinite_clip_refuses_no_upload():
 
 
 def test_two_huge_uploads_leave_the_release_intact():
-    """Two accepted uploads of 1e308 would overflow the exact sum to
-    [-inf, inf], and the release would raise; over the bound, both are
-    refused and the window releases the rest."""
+    """Two accepted uploads of 1e308 would overflow the exact sum, and the
+    window would be suppressed; over the bound, both are refused and the
+    window releases the rest."""
     server, s = make_server(num_shards=1)
     server.register_task(make_task(s, num_windows=1, mechanism=bounded_mechanism(s)), now=START)
     now = START + WEEK
@@ -486,6 +486,36 @@ def test_two_huge_uploads_leave_the_release_intact():
     assert np.isfinite(release.values).all()
     assert [e["reason"] for e in events_named(server, "upload_rejected")] == ["malformed"] * 2
     assert events_named(server, "release")[0]["window_id"] == "2024-W20"
+
+
+@pytest.mark.parametrize(
+    "config, huge",
+    [
+        ({"num_shards": 1}, 2),  # the second upload overflows its shard
+        ({"num_shards": 2}, 2),  # each shard holds one; their merge overflows
+        ({"num_shards": 1, "checkpoint_batch": 1, "rollup_interval": 3600}, 3),
+    ],
+    ids=["one_shard", "merged_shards", "checkpoints_and_rollups"],
+)
+def test_an_exact_window_whose_sum_overflows_is_suppressed(config, huge):
+    """An infinite clip refuses no finite upload, so uploads of 1e308 are
+    accepted; the window whose exact sum overflows is sealed as suppressed,
+    with its reason logged, and the run goes on."""
+    server, s = make_server(**config)
+    server.register_task(make_task(s), now=START)  # clip = inf
+    upload(server, 0, device_histogram(s, 0), START + WEEK)
+    for device in range(1, 1 + huge):
+        upload(server, device, IndexedHistogram(s, {(0, 1, 1, 0): 1e308}), START + WEEK + 60)
+    server.maintenance(now=START + WEEK + 3600)
+    server.maintenance(now=START + WEEK + GRACE + 1)
+    assert server.releases["trips/2024-W20"] == SuppressedRelease("2024-W20", "overflow")
+    (event,) = events_named(server, "release_suppressed")
+    assert (event["reason"], event["contributions"]) == ("overflow", 1 + huge)
+    assert server.sessions["trips/2024-W20"].state == "suppressed"
+    upload(server, 0, device_histogram(s, 0), START + 2 * WEEK)
+    server.maintenance(now=START + 2 * WEEK + GRACE + 1)
+    release = server.releases["trips/2024-W21"]
+    assert release.histogram == exact_sum(s, [device_histogram(s, 0)])
 
 
 def test_upload_after_release_is_rejected():
@@ -671,3 +701,16 @@ def test_event_log_lines_are_canonical_json():
         entry = json.loads(line)
         assert list(entry) == sorted(entry)
         assert {"t", "event"} <= set(entry)
+
+
+def test_event_log_lines_are_the_bytes_of_json_dumps():
+    server, s = make_server()
+    server.register_task(make_task(s, num_windows=1, min_contributions=2), now=START)
+    upload(server, 1, device_histogram(s, 1), now=START + WEEK)
+    server.maintenance(now=START + WEEK + GRACE + 1)  # suppressed: one upload
+    server.events.append(
+        {"t": 1, "event": "x", "b": [0.1, -0.0, 1e308, math.nan, math.inf], "a": {"é": None}}
+    )
+    assert list(server.event_log_lines()) == [
+        json.dumps(event, sort_keys=True) for event in server.events
+    ]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import math
 
+import numpy as np
 import pytest
 
 from fedsum.dp import (
@@ -25,7 +26,7 @@ from fedsum.client import (
 from fedsum.metrics import exact_workload
 from fedsum.model import IndexedHistogram, TripRecord
 from fedsum.query import parse_and_validate
-from fedsum.rng import KeyedRng
+from fedsum.rng import BlockRng
 from fedsum.server import (
     FederatedServer,
     SessionClosedError,
@@ -200,11 +201,11 @@ def test_hourly_ticks_wake_each_device_daily_at_its_own_hour(corpus_300):
     start = corpus_300.config.start_time
     assert start % 86_400 == 0
     last = max(e["t"] for e in result.server.events if e["event"] == "check_in")
-    fleet_rng = KeyedRng(4, "fleet")
+    hours = BlockRng(4, "fleet", "wake-hour").uniforms(corpus_300.num_devices) * 24
     times = check_in_times(result)
     assert set(times) == {d.device_id for d in corpus_300.devices}
     for device_id, seen in times.items():
-        hour = fleet_rng.randrange(24, "wake-hour", device_id)
+        hour = int(hours[device_id])
         expected = range(start + hour * 3600, last + 1, 86_400)
         assert seen == list(expected)[: len(seen)]
         assert len(expected) - len(seen) <= 1
@@ -434,14 +435,25 @@ def polled_simulation(corpus, task, fleet, seed):
     """The simulator's device loop as a per-tick poll of the whole fleet.
 
     Every tick compares every device's next wake time with the clock, in
-    device-id order; conditions come from ``eager_check_in_allowed``.  Each
-    device caches its records in a list, expires them by a scan, and finds
-    a window's records by a scan of the cache.  Returns the server.
+    device-id order, and every waking device advances its clock.  Its
+    conditions come from ``eager_check_in_allowed`` on its uniforms of
+    the day's fleet streams.  Each device caches its records in a list,
+    expires them by a scan, and finds a window's records by a scan of the
+    cache.  Returns the server.
     """
     server = FederatedServer(corpus.schema, None, seed=seed)
     registered = server.register_task(task, now=corpus.config.start_time)
     windows, spec = registered.windows, registered.spec
-    rng = KeyedRng(seed, "fleet")
+    size = corpus.num_devices
+    hours = BlockRng(seed, "fleet", "wake-hour").uniforms(size) * 24
+    streams: dict[tuple, np.ndarray] = {}
+
+    def uniform(device_id, day, *parts):
+        """The device's uniform of the fleet stream ``parts`` on ``day``."""
+        if (day, *parts) not in streams:
+            streams[day, *parts] = BlockRng(seed, "fleet", *parts).uniforms(size, day)
+        return streams[day, *parts][device_id]
+
     start = corpus.config.start_time
     start_day = start - start % 86_400
     states, caches, feed, next_wake = {}, {}, {}, {}
@@ -456,8 +468,7 @@ def polled_simulation(corpus, task, fleet, seed):
         caches[dev.device_id] = []
         feed[dev.device_id] = 0
         sources[dev.device_id] = dev.records
-        hour = rng.randrange(24, "wake-hour", dev.device_id)
-        next_wake[dev.device_id] = start_day + hour * 3600
+        next_wake[dev.device_id] = start_day + int(hours[dev.device_id]) * 3600
     horizon_end = windows[-1].end + task.grace_period + 2 * fleet.tick_seconds
     for now in range(start, horizon_end + 1, fleet.tick_seconds):
         server.maintenance(now)
@@ -477,7 +488,11 @@ def polled_simulation(corpus, task, fleet, seed):
                 r for r in caches[device_id] if now - r.event_time <= fleet.cache_ttl
             ]
             state.advance_watermarks(now, task.window_alignment, fleet.cache_ttl)
-            if not eager_check_in_allowed(rng, state.profile, fleet.policy, device_id, day):
+            conditions = {
+                c: uniform(device_id, day, c)
+                for c in ("connected", "battery", "idle", "unmetered", "charging")
+            }
+            if not eager_check_in_allowed(conditions, state.profile, fleet.policy):
                 continue
             assignments = server.check_in(device_id, now)
             eligible = {w.window_id for w in state.eligible_windows(task.query_id, windows)}
@@ -490,7 +505,7 @@ def polled_simulation(corpus, task, fleet, seed):
                 ]
                 if not records:
                     continue
-                ok = rng.uniform("upload-ok", device_id, day, assignment.window_id)
+                ok = uniform(device_id, day, "upload-ok", assignment.window_id)
                 if not ok < state.profile.p_upload_ok:
                     continue
                 block = build_device_upload(records, task.mechanism, corpus.schema)
