@@ -11,7 +11,10 @@ The sums live in the package's one exact accumulator
 (:class:`fedsum.exactsum.ExactSum`), so any way of sharding updates across
 cores and merging the partial cores yields a bit-identical final state.
 Malformed updates are rejected atomically: the state and count are
-untouched unless every row validates.
+untouched unless every row validates.  Validation tests a finite float
+with one comparison and looks closely only at other values.  The wire
+format packs each row's values with one precompiled ``struct.Struct``
+per row width.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from hashlib import blake2b
+from typing import Any, Sequence
 
 from .exactsum import ExactSum
 
@@ -31,6 +36,7 @@ __all__ = [
     "AggregationCore",
     "encode_payload",
     "decode_payload",
+    "check_rows",
     "KEY_SEPARATOR",
 ]
 
@@ -71,7 +77,43 @@ class ClientUpdate:
     rows: tuple[tuple[str, tuple[float, ...]], ...]
 
     def encode(self) -> bytes:
-        return encode_payload(list(self.rows))
+        return encode_payload(self.rows)
+
+
+def _finite_number(value: Any) -> bool:
+    """Whether ``value`` is an int or a float, not a bool, of finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def check_rows(rows: Any, width: int) -> None:
+    """Refuse an update that is not a list or tuple of ``(key, values)``
+    pairs, each a string key and a list or tuple of ``width`` finite ints
+    or floats, not bools: the first thing that is not raises
+    ``MalformedUpdateError``."""
+    if not isinstance(rows, (list, tuple)):
+        raise MalformedUpdateError(f"rows must be a list or tuple, got {rows!r}")
+    for row in rows:
+        try:
+            key, values = row
+        except (TypeError, ValueError):
+            raise MalformedUpdateError(f"row is not a (key, values) pair: {row!r}") from None
+        if not isinstance(key, str):
+            raise MalformedUpdateError(f"key must be a string, got {type(key).__name__}")
+        if not isinstance(values, (list, tuple)) or len(values) != width:
+            raise MalformedUpdateError(
+                f"row for key {key!r} must carry {width} values; got {values!r}"
+            )
+        for v in values:
+            # A finite float passes the first test; anything else is looked at closely.
+            if (type(v) is not float or v - v != 0.0) and not _finite_number(v):
+                raise MalformedUpdateError(
+                    f"non-finite or non-numeric value {v!r} for key {key!r}"
+                )
 
 
 class AggregationCore:
@@ -90,25 +132,7 @@ class AggregationCore:
     def accumulate(self, rows: Rows) -> None:
         """Add one device update (validated atomically, count +1)."""
         self._check_live()
-        if not isinstance(rows, (list, tuple)):
-            raise MalformedUpdateError(f"rows must be a list or tuple, got {rows!r}")
-        ncols = self._sum.width
-        for row in rows:
-            try:
-                key, values = row
-            except (TypeError, ValueError):
-                raise MalformedUpdateError(f"row is not a (key, values) pair: {row!r}")
-            if not isinstance(key, str):
-                raise MalformedUpdateError(f"key must be a string, got {type(key).__name__}")
-            if not isinstance(values, (list, tuple)) or len(values) != ncols:
-                raise MalformedUpdateError(
-                    f"row for key {key!r} must carry {ncols} values; got {values!r}"
-                )
-            for v in values:
-                if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                    raise MalformedUpdateError(
-                        f"non-finite or non-numeric value {v!r} for key {key!r}"
-                    )
+        check_rows(rows, self._sum.width)
         self._sum.add(rows)
         self.contribution_count += 1
 
@@ -150,7 +174,7 @@ class AggregationCore:
             kb = key.encode("utf-8")
             out += struct.pack("<I", len(kb))
             out += kb
-            out += struct.pack(f"<{len(values)}d", *values)
+            out += _float64s(len(values)).pack(*values)
         out += struct.pack("<q", self.contribution_count)
         return bytes(out)
 
@@ -202,18 +226,25 @@ def _read_varint(data: bytes, offset: int) -> tuple[int, int]:
             raise MalformedUpdateError("varint too long in payload")
 
 
-def encode_payload(rows: Rows) -> bytes:
+@lru_cache(maxsize=None)
+def _float64s(count: int) -> struct.Struct:
+    """The packer of ``count`` little-endian float64s."""
+    return struct.Struct(f"<{count}d")
+
+
+def encode_payload(rows: Sequence[tuple[str, Sequence[float]]]) -> bytes:
     """Serialize rows; every row must have the same number of values."""
     out = bytearray()
     _write_varint(out, len(rows))
     ncols = len(rows[0][1]) if rows else 0
+    pack = _float64s(ncols).pack
     for key, values in rows:
         if len(values) != ncols:
             raise MalformedUpdateError("ragged rows in payload")
         kb = key.encode("utf-8")
         _write_varint(out, len(kb))
         out += kb
-        out += struct.pack(f"<{len(values)}d", *values)
+        out += pack(*values)
     return bytes(out)
 
 
@@ -230,7 +261,7 @@ def decode_payload(data: bytes, num_value_columns: int) -> Rows:
         except UnicodeDecodeError as exc:
             raise MalformedUpdateError(f"invalid UTF-8 in key: {exc}") from None
         offset += klen
-        values = struct.unpack_from(f"<{num_value_columns}d", data, offset)
+        values = _float64s(num_value_columns).unpack_from(data, offset)
         offset += width
         rows.append((key, values))
     if offset != len(data):

@@ -24,18 +24,23 @@ the fleet's size or on which devices wake.
 
 ``client_work`` sums a device's trips, given as columns, into its raw
 window histogram: a one-device block of partition rows
-(:class:`fedsum.model.DeviceSubtotals`); a list of
+(:class:`fedsum.model.DeviceSubtotals`), made by the kernel that makes
+a window's block (``DeviceSubtotals.of_trips``); a list of
 :class:`fedsum.model.TripRecord` is first transposed into columns.
 Bounding that block before it leaves the device (scaling and clipping)
 is the mechanism's job: :meth:`fedsum.dp.ResolvedMechanism.transform_devices`,
-the same transform a sweep runs on a whole window's block.  The upload
-codec is ``histogram_to_rows``, which renders the bounded block's rows
-as the client statement's grouped rows, and its inverse
-``rows_to_histogram``, which adds rows into one dense array of cell
-sums.  ``row_keys`` lists one window's valid row keys: the server
-refuses an upload under any other key, and ``row_partitions`` reads rows
-through the same table, for the decoder and for the server's check of an
-upload's L1 bound, so every row the server accepted decodes.  Outside
+the same transform a sweep runs on a whole window's block.
+
+The upload codec has one encoder, ``encode_rows``: a device's
+partitions become the client statement's grouped rows, all-zero rows
+dropped, zeros written ``+0.0``, sorted by key.  ``histogram_to_rows``
+runs it on a one-device block; the simulator runs it on a device's row
+range of its window's block, keyed through the window's key table
+(``row_key_table``).  Its inverse ``rows_to_histogram`` adds rows into
+one dense array of cell sums.  ``row_keys`` maps one window's valid row
+keys to their partitions, the inverse of the key table: the server
+refuses an upload under any other key and the decoder reads rows through
+the same map, so every row the server accepted decodes.  Outside
 :mod:`fedsum.aggcore` the codec is the only code that knows the row format.
 """
 
@@ -43,15 +48,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .aggcore import KEY_SEPARATOR, MalformedUpdateError
+from .aggcore import KEY_SEPARATOR, MalformedUpdateError, Rows
 from .model import (
-    METRIC_DISTANCE,
-    METRIC_DURATION,
-    METRIC_NUM_TRIPS,
     DeviceSubtotals,
     Schema,
     TripColumns,
@@ -78,9 +81,10 @@ __all__ = [
     "draw_conditions",
     "draw_flags",
     "client_work",
+    "encode_rows",
     "histogram_to_rows",
+    "row_key_table",
     "row_keys",
-    "row_partitions",
     "rows_to_histogram",
 ]
 
@@ -296,78 +300,79 @@ def client_work(
 ) -> DeviceSubtotals:
     """A device's raw (unscaled, unclipped) histogram of its trips.
 
-    A one-device block (:class:`fedsum.model.DeviceSubtotals`, device 0)
-    with a row per (activity, region, direction) partition: every trip
-    contributes 1 to its num-trips cell and its distance and duration to
-    theirs, summed in trip order; the partition's first trip made its
-    cells.  Each partition is checked against the schema once.  Records
-    are transposed into columns first.
+    A one-device block (device 0) made by the kernel a window's block is
+    made by (:meth:`fedsum.model.DeviceSubtotals.of_trips`): a row per
+    (activity, region, direction) partition, every trip contributing 1
+    to its num-trips cell and its distance and duration to theirs,
+    summed in trip order; ``made_at`` is the position of the partition's
+    first trip.  A trip outside the schema raises.  Records are
+    transposed into columns first.
     """
     if not isinstance(trips, TripColumns):
         trips = TripColumns.from_records(trips)
-    num_activities, num_metrics, num_regions, num_directions = schema.shape
-    # partition -> its cells' sums, then the position of its first trip
-    partitions: dict[tuple[int, int, int], list] = {}
-    columns = (trips.activity, trips.region, trips.direction)
-    for position, (a, r, d, distance, duration) in enumerate(
-        zip(*columns, trips.distance_km, trips.duration_s)
-    ):
-        row = partitions.get((a, r, d))
-        if row is None:
-            if not (
-                0 <= a < num_activities
-                and 0 <= r < num_regions
-                and 0 <= d < num_directions
-                and METRIC_DURATION < num_metrics
-            ):
-                schema.check_index((a, METRIC_DURATION, r, d))  # raises
-            row = partitions[a, r, d] = [0.0] * num_metrics + [position]
-        row[METRIC_NUM_TRIPS] += 1.0
-        row[METRIC_DISTANCE] += distance
-        row[METRIC_DURATION] += duration
-    flat = [v for key in sorted(partitions) for v in (*key, *partitions[key])]
-    rows = np.array(flat, dtype=np.float64).reshape(len(partitions), 4 + num_metrics)
-    activity, region, direction = rows[:, :3].T.astype(np.int64)
-    return DeviceSubtotals(
-        np.zeros(len(partitions), dtype=np.int64),
-        activity,
-        region,
-        direction,
-        rows[:, 3:-1],
-        rows[:, -1].astype(np.int64),
+    return DeviceSubtotals.of_trips(
+        schema,
+        np.zeros(len(trips), dtype=np.int64),
+        trips.activity,
+        trips.region,
+        trips.direction,
+        trips.distance_km,
+        trips.duration_s,
     )
+
+
+def _key_template(spec: QuerySpec) -> str:
+    """The row key of partition ``(a, r, d)`` in window ``w`` is
+    ``template.format(a, r, d, w)``: the client statement's group-by
+    columns, in order, joined by ``KEY_SEPARATOR``."""
+    slot = {"activity": "{0}", "region": "{1}", "direction": "{2}", PRIVACY_TIME_UNIT: "{3}"}
+    return KEY_SEPARATOR.join(slot[column] for column in spec.client.group_by)
+
+
+def encode_rows(keys: Iterable[str], cells: Iterable[Sequence[float]]) -> Rows:
+    """The upload rows of one device's partitions, the upload's one encoder.
+
+    Row ``k`` is ``keys[k]`` with the partition's values ``cells[k]``, a
+    zero written as ``+0.0``.  A row whose values are all zero is
+    dropped, and rows are sorted by key.
+    """
+    rows = [
+        (key, tuple([v or 0.0 for v in values]))
+        for key, values in zip(keys, cells)
+        if any(values)
+    ]
+    rows.sort()
+    return rows
 
 
 def histogram_to_rows(
     block: DeviceSubtotals,
     window_id: str,
     spec: QuerySpec,
-) -> list[tuple[str, tuple[float, ...]]]:
+) -> Rows:
     """Encode one device's bounded window block as upload rows for the query.
 
     One row per partition of the one-device ``block``, keyed by the
-    client statement's group-by columns; its values are the partition's
-    cells in ``spec.metric_columns`` order, a zero written as ``+0.0``.
-    A row whose selected values are all zero is dropped, and rows are
-    sorted by key.  The keys are the client statement's group-by
-    columns, which validation holds to exactly ``RELEASE_KEY_COLUMNS``.
+    client statement's group-by columns, which validation holds to
+    exactly ``RELEASE_KEY_COLUMNS``; its values are the partition's
+    cells in ``spec.metric_columns`` order (:func:`encode_rows`).
     """
     size = len(block.device)
     if size and block.device[0] != block.device[-1]:
         raise ValueError("upload rows encode one device's block")
-    columns = {"activity": block.activity, "region": block.region, "direction": block.direction}
-    keys = [
-        [window_id] * size if column == PRIVACY_TIME_UNIT else map(str, columns[column].tolist())
-        for column in spec.client.group_by
-    ]
-    values = block.sums[:, spec.metrics].tolist()
-    rows = [
-        (KEY_SEPARATOR.join(key), tuple([v or 0.0 for v in cells]))
-        for *key, cells in zip(*keys, values)
-        if any(cells)
-    ]
-    rows.sort()
-    return rows
+    columns = (block.activity.tolist(), block.region.tolist(), block.direction.tolist())
+    keys = map(_key_template(spec).format, *columns, repeat(window_id))
+    return encode_rows(keys, block.sums[:, spec.metrics].tolist())
+
+
+def row_key_table(spec: QuerySpec, schema: Schema, window_id: str) -> list[str]:
+    """Every row key of ``window_id``, at its partition's flat index
+    ``(a * num_regions + r) * num_directions + d``: the inverse of
+    :func:`row_keys`, from which the simulator's window blocks key
+    their rows."""
+    template = _key_template(spec)
+    shape = (schema.num_activities, schema.num_regions, schema.num_directions)
+    return [template.format(a, r, d, window_id) for a, r, d in np.ndindex(shape)]
 
 
 def row_keys(
@@ -381,22 +386,8 @@ def row_keys(
     the encoder writes, an index outside the schema, another window's
     id) is not a row key.
     """
-    # The key of partition (a, r, d) is template.format(a, r, d, window_id).
-    slot = {"activity": "{0}", "region": "{1}", "direction": "{2}", PRIVACY_TIME_UNIT: "{3}"}
-    template = KEY_SEPARATOR.join(slot[column] for column in spec.client.group_by)
     shape = (schema.num_activities, schema.num_regions, schema.num_directions)
-    return {template.format(a, r, d, window_id): (a, r, d) for a, r, d in np.ndindex(shape)}
-
-
-def row_partitions(
-    rows: Iterable[tuple[str, Sequence[float]]], keys: dict[str, tuple[int, int, int]]
-) -> list[tuple[tuple[int, int, int], Sequence[float]]]:
-    """Each row's partition, read through the window's :func:`row_keys`, with
-    its values; a row under any other key raises ``MalformedUpdateError``."""
-    try:
-        return [(keys[key], values) for key, values in rows]
-    except KeyError as exc:
-        raise MalformedUpdateError(f"{exc.args[0]!r} is not a row key of this window") from None
+    return dict(zip(row_key_table(spec, schema, window_id), np.ndindex(shape)))
 
 
 def rows_to_histogram(
@@ -409,10 +400,15 @@ def rows_to_histogram(
 
     The inverse of :func:`histogram_to_rows`: a float64 array of the
     schema's shape, each nonzero value added to its cell.  ``keys`` is
-    the window's :func:`row_keys`; a row under any other key raises.
+    the window's :func:`row_keys`; a row under any other key raises
+    ``MalformedUpdateError``.
     """
     out = np.zeros(schema.shape)
-    for (a, r, d), values in row_partitions(rows, keys):
+    for key, values in rows:
+        partition = keys.get(key)
+        if partition is None:
+            raise MalformedUpdateError(f"{key!r} is not a row key of this window")
+        a, r, d = partition
         for m, value in zip(spec.metrics, values):
             if value != 0.0:
                 out[a, m, r, d] += value

@@ -21,12 +21,15 @@ add calibrated Laplace noise:
 Each device bounds its own contribution before it uploads, and one
 method does it for every variant: :meth:`ResolvedMechanism.transform_devices`
 of a block of raw device histograms (:class:`fedsum.model.DeviceSubtotals`),
-one L1 rescale loop over groups of the block's cells.  The simulator's
-uploads run it on a one-device block; :func:`prepare_mechanism` runs it
-on a window's block and sums the bounded rows per cell, so a sweep
+one L1 rescale loop over groups of the block's cells, each group with
+its bound in :attr:`ResolvedMechanism.l1_bounds`.  Each device is
+bounded on its own, so the simulator runs it once on a window's block
+and slices every upload from the result; :func:`prepare_mechanism` runs
+it on a window's block and sums the bounded rows per cell, so a sweep
 scores exactly the pre-noise sum a deployment would release.  No other
 module scales or clips a device contribution; the server refuses an
-upload over the bound (:meth:`ResolvedMechanism.exceeds_bound`).
+upload whose norm in any group is over that group's bound
+(:meth:`ResolvedMechanism.exceeds_bound`).
 
 Noise draws are keyed by (seed, window, coordinate), so a fixed seed
 yields the same draw for the same coordinate no matter which variant
@@ -73,7 +76,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import blake2b
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -493,43 +496,50 @@ class ResolvedMechanism:
         """
         if self.variant == VARIANT_SCALED:
             devices = _scaled(devices, self._scale_divisors, schema)
-        per_slice = self.variant == VARIANT_SPLIT
-        if per_slice:
+        if self.per_slice:
             assert self.clip_table is not None
             check_table_shape(self.clip_table, schema)
-            bounds = [bound for row in self.clip_table for bound in row]
-        else:
-            assert self.clip is not None
-            bounds = [self.clip]
-        cells, edges, index = _cell_groups(devices, per_slice)
-        if not _clip_l1(cells, edges, index, bounds):
+        cells, edges, index = _cell_groups(devices, self.per_slice)
+        if not _clip_l1(cells, edges, index, self.l1_bounds):
             return devices
         size, width = devices.sums.shape
-        if per_slice:  # the cells are metric-major
+        if self.per_slice:  # the cells are metric-major
             return devices._replace(sums=np.array(cells).reshape(width, size).T.copy())
         return devices._replace(sums=np.array(cells).reshape(size, width))
 
-    def exceeds_bound(
-        self, rows: Iterable[tuple[tuple[int, int, int], Sequence[float]]], metrics: Sequence[int]
-    ) -> bool:
-        """Whether an upload, its rows ``((a, r, d), values)`` with value ``i``
-        of metric ``metrics[i]``, is over the L1 bound the noise is sized for:
-        ``clip`` (none if infinite), or budget split's ``clip_table`` per
-        (activity, metric).  Norms are exactly rounded, as in
-        :meth:`transform_devices`."""
-        try:
-            if self.variant != VARIANT_SPLIT:
-                if self.clip == math.inf:
-                    return False
-                return math.fsum(abs(v) for _, values in rows for v in values) > self.clip
-            slices: dict[tuple[int, int], list[float]] = {}
-            for (a, _, _), values in rows:
-                for m, value in zip(metrics, values):
-                    slices.setdefault((a, m), []).append(abs(value))
+    @property
+    def per_slice(self) -> bool:
+        """Whether the L1 bound is per (device, activity, metric) slice
+        (budget split) rather than per device."""
+        return self.variant == VARIANT_SPLIT
+
+    @cached_property
+    def l1_bounds(self) -> list[float]:
+        """Each clip group's L1 bound: ``[clip]`` per device, or budget
+        split's ``clip_table`` row-major, slice ``(a, m)`` at ``a * M + m``."""
+        if self.per_slice:
             assert self.clip_table is not None
-            return any(math.fsum(v) > self.clip_table[a][m] for (a, m), v in slices.items())
-        except OverflowError:  # a norm too large for a float is over the bound
+            return [bound for row in self.clip_table for bound in row]
+        assert self.clip is not None
+        return [self.clip]
+
+    def exceeds_bound(self, magnitudes: dict[int, list[float]]) -> bool:
+        """Whether an upload is over the L1 bound the noise is sized for.
+
+        ``magnitudes`` holds the absolute values of the upload's cells per
+        clip group, keyed as :attr:`l1_bounds` is indexed.  Norms are
+        exactly rounded, as in :meth:`transform_devices`; an infinite
+        bound refuses nothing, and a norm too large for a float is over a
+        finite one.
+        """
+        bounds = self.l1_bounds
+        try:
+            for group, values in magnitudes.items():
+                if bounds[group] < math.inf and math.fsum(values) > bounds[group]:
+                    return True
+        except OverflowError:
             return True
+        return False
 
     @cached_property
     def _scale_divisors(self) -> np.ndarray:

@@ -306,7 +306,7 @@ class DeviceSubtotals(NamedTuple):
     in which device ``device[k]`` has a trip; rows are sorted by device,
     then partition.  ``sums[k, m]`` is the device's metric-``m`` cell of
     that partition, zero for a cell the device does not hold.  Raw, it is
-    what ``client.client_work`` adds up: 1 per trip for num-trips, the
+    what :meth:`of_trips` adds up: 1 per trip for num-trips, the
     distance or the duration for the others, in event-time order.
     ``made_at[k]`` is the position, among the block's trips in input
     order, of the partition's first trip: a device made its cells in the
@@ -320,6 +320,62 @@ class DeviceSubtotals(NamedTuple):
     direction: np.ndarray
     sums: np.ndarray
     made_at: np.ndarray
+
+    @classmethod
+    def of_trips(
+        cls,
+        schema: Schema,
+        device: Sequence[int],
+        activity: Sequence[int],
+        region: Sequence[int],
+        direction: Sequence[int],
+        distance_km: Sequence[float],
+        duration_s: Sequence[float],
+    ) -> "DeviceSubtotals":
+        """The raw block of trips given as parallel columns, trip ``i`` on
+        device ``device[i]``.
+
+        A stable sort of the trips' (device, partition) groups and one
+        ``np.bincount`` per metric add each group's trips in input order,
+        so a device's sums are those a loop over its trips in that order
+        makes, and ``made_at`` is the position of each group's first trip.
+        The first trip outside the schema raises, naming its duration cell.
+        """
+        num_activities, num_metrics, num_regions, num_directions = schema.shape
+        index = np.asarray((activity, region, direction), dtype=np.int64)
+        bounds = np.array([[num_activities], [num_regions], [num_directions]], dtype=np.uint64)
+        # As unsigned, a negative index is past every bound.
+        if index.shape[1] and (
+            METRIC_DURATION >= num_metrics or not (index.view(np.uint64) < bounds).all()
+        ):
+            for a, r, d in index.T.tolist():
+                schema.check_index((a, METRIC_DURATION, r, d))  # the first trip outside raises
+        group = np.array([num_regions * num_directions, num_directions, 1]) @ index
+        del index
+        partitions = num_activities * num_regions * num_directions
+        group += np.asarray(device, dtype=np.int64) * partitions  # (device, partition)
+        order = group.argsort(kind="stable")
+        ordered = group[order]
+        del group  # a window's trips: each per-trip array is freed once read
+        first = np.empty(len(order), dtype=bool)  # where a group starts, in sorted order
+        first[:1] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+        groups = ordered[first]
+        del ordered
+        rank = first.cumsum()
+        rank -= 1
+        inverse = np.empty_like(order)  # each trip's group
+        inverse[order] = rank
+        made_at = order[first]
+        del order, first, rank
+        sums = np.zeros((len(groups), num_metrics))
+        sums[:, METRIC_NUM_TRIPS] = np.bincount(inverse, minlength=len(groups))
+        for metric, values in ((METRIC_DISTANCE, distance_km), (METRIC_DURATION, duration_s)):
+            sums[:, metric] = np.bincount(inverse, weights=values, minlength=len(groups))
+        del inverse
+        device, partition = np.divmod(groups, partitions)
+        activity, place = np.divmod(partition, num_regions * num_directions)
+        return cls(device, activity, *np.divmod(place, num_directions), sums, made_at)
 
     def cell_sums(self, schema: Schema) -> np.ndarray:
         """Each cell summed over the block's rows, exactly rounded.

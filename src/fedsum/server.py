@@ -12,12 +12,15 @@ array of cell sums, and hands that array to the privacy mechanism for
 release.  The release's sparse histogram is built only for its event
 (the released-partition count and digest).  Data that arrives after the
 deadline is discarded, and expired partials are dropped (and logged)
-rather than released.  An upload under a key that is not the window's,
-or over the L1 bound the mechanism's noise is sized for, is rejected as
-malformed before it touches any state.  A window whose exact sum
-overflows a float (finite uploads under a bound too large to stop them,
-such as an exact task's infinite one) is sealed as suppressed, with
-reason ``overflow``, instead of released.
+rather than released.  Each upload is checked before it touches any
+state: every row must be a (key, values) pair under one of the window's
+row keys, with one finite number per metric, and the check gathers the
+magnitudes whose L1 norms the mechanism compares with the bound its
+noise is sized for.  An upload that fails any of this is rejected as
+malformed; one that passes is summed by a shard core.  A
+window whose exact sum overflows a float (finite uploads under a bound
+too large to stop them, such as an exact task's infinite one) is sealed
+as suppressed, with reason ``overflow``, instead of released.
 
 Every externally visible action appends a structured event to the
 server's log; events carry digests and counts, never row values.
@@ -28,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Any, Iterator
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -37,8 +40,9 @@ from .aggcore import (
     AggregationCore,
     ClientUpdate,
     MalformedUpdateError,
+    check_rows,
 )
-from .client import row_keys, row_partitions, rows_to_histogram
+from .client import row_keys, rows_to_histogram
 from .dp import NoisedRelease, ResolvedMechanism
 from .model import Schema
 from .query import QuerySpec, parse_and_validate, to_agg_config
@@ -169,17 +173,34 @@ class _Session:
     last_rollup: int = 0
 
 
-def _check_rows(rows: Any, keys: dict, spec: QuerySpec, mechanism: ResolvedMechanism) -> None:
-    """Refuse rows under a key not of the window, or over the L1 bound the release's
-    noise is sized for; rows not (key, finite values) pairs are left to the core."""
-    try:
-        over = mechanism.exceeds_bound(row_partitions(rows, keys), spec.metrics)
-    except MalformedUpdateError:
-        raise
-    except (TypeError, ValueError):
-        return
-    if over:
-        raise MalformedUpdateError("the upload is over the task's L1 bound")
+def _read_upload(
+    rows: Any,
+    keys: dict[str, tuple[int, int, int]],
+    metrics: Sequence[int],
+    num_metrics: int,
+    per_slice: bool,
+) -> dict[int, list[float]]:
+    """Check an upload's rows, and gather the magnitudes its L1 norms add up.
+
+    Every row must pass ``aggcore.check_rows`` for the metrics of
+    ``metrics`` and be under one of the window's row keys (``keys``, from
+    ``client.row_keys``); anything else raises ``MalformedUpdateError``.
+    Each value's ``|v|`` joins its clip group, indexed as
+    ``ResolvedMechanism.l1_bounds`` is: group 0, or with ``per_slice``
+    the slice ``(a, m)`` at ``a * num_metrics + m``.
+    """
+    check_rows(rows, len(metrics))
+    partitions = [keys.get(key) for key, _ in rows]
+    if None in partitions:
+        key = rows[partitions.index(None)][0]
+        raise MalformedUpdateError(f"{key!r} is not a row key of this window")
+    if not per_slice:
+        return {0: [abs(v) for _, values in rows for v in values]}
+    groups: dict[int, list[float]] = {}
+    for (a, _, _), (_, values) in zip(partitions, rows):
+        for m, v in zip(metrics, values):
+            groups.setdefault(a * num_metrics + m, []).append(abs(v))
+    return groups
 
 
 # ``json.dumps(event, sort_keys=True)``, with one encoder for every event
@@ -410,9 +431,18 @@ class FederatedServer:
                 f"session {key} stopped collecting at {session.deadline}"
             )
         task = self.tasks[session.query_id]
+        mechanism = task.config.mechanism
         shard_index = session.uploads_accepted % len(session.shards)
         try:
-            _check_rows(update.rows, session.row_keys, task.spec, task.config.mechanism)
+            magnitudes = _read_upload(
+                update.rows,
+                session.row_keys,
+                task.spec.metrics,
+                self.schema.num_metrics,
+                mechanism.per_slice,
+            )
+            if mechanism.exceeds_bound(magnitudes):
+                raise MalformedUpdateError("the upload is over the task's L1 bound")
             session.shards[shard_index].accumulate(update.rows)
         except MalformedUpdateError:
             self._log(

@@ -16,12 +16,22 @@ of the corpus columns (see :mod:`fedsum.client`), its low watermark
 moves and expired trips leave.  A device that does not check in defers
 its advance to its next check-in, which leaves the same state.  It then
 checks in, receives session-bound tokens, and uploads a bounded
-histogram for every complete window it has not contributed to yet,
-unless that day's upload fails: the mechanism's ``transform_devices`` of
-the one-device block of the window's trips (``client_work``), the same
-transform a sweep runs on a whole window's block, whose rows the upload
-encodes.  The server side (sessions, checkpoints, releases) runs
-through :class:`fedsum.server.FederatedServer`.
+histogram for every complete window it has not contributed to yet and
+holds a trip of, unless that day's upload fails.
+
+The uploads of a window are bounded once, not once per device.  While
+the window collects, the loop holds one :class:`WindowUploads` block:
+the mechanism's ``transform_devices`` of the window's raw block from
+:func:`cache_cut` on, which is what every checked-in device's cache
+holds of the window at that tick.  It is built on the window's first
+upload, rebuilt only when the cut moves (a cache TTL shorter than the
+window plus its grace), and dropped at the window's deadline.  A
+device's upload is its row range, encoded by ``client.encode_rows``.
+Because the transform bounds each device on its own and the raw block
+sums a device's trips as ``client_work`` does, the rows equal
+:func:`build_device_upload` of the device's visible trips, bit for bit.
+The server side (sessions, checkpoints, releases) runs through
+:class:`fedsum.server.FederatedServer`.
 
 Every fleet draw is a block from ``BlockRng(seed, "fleet", ...)`` at
 the device's position (see :mod:`fedsum.rng`): the wake hours
@@ -46,7 +56,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggcore import ClientUpdate
+from .aggcore import ClientUpdate, Rows
 from .client import (
     CHECKIN_POLICIES,
     FLEET_NAMESPACE,
@@ -55,11 +65,13 @@ from .client import (
     FleetProfiles,
     client_work,
     draw_flags,
-    histogram_to_rows,
+    encode_rows,
+    row_key_table,
 )
 from .dp import NoisedRelease, ResolvedMechanism
 from .metrics import per_user_mean_error, weighted_relative_error, window_truth
 from .model import DeviceSubtotals, Schema, TripColumns, TripRecord
+from .query import QuerySpec
 from .server import (
     FederatedServer,
     ServerConfig,
@@ -71,7 +83,14 @@ from .rng import BlockRng
 from .synth import Corpus
 from .windows import TimeWindow
 
-__all__ = ["FleetConfig", "SimulationResult", "build_device_upload", "run_simulation"]
+__all__ = [
+    "FleetConfig",
+    "SimulationResult",
+    "WindowUploads",
+    "build_device_upload",
+    "cache_cut",
+    "run_simulation",
+]
 
 HOUR = 3600
 DAY = 86_400
@@ -126,9 +145,69 @@ def build_device_upload(
 
     The trips' raw one-device block, bounded by the mechanism's device
     transform (scale, then clip) exactly as a sweep bounds a window's
-    block; ``histogram_to_rows`` encodes it.
+    block; ``histogram_to_rows`` encodes it.  The simulator slices the
+    same rows out of a :class:`WindowUploads` block instead.
     """
     return mechanism.transform_devices(client_work(trips, schema), schema)
+
+
+def cache_cut(window: TimeWindow, now: int, ttl: int) -> int:
+    """The first instant of ``window`` that a device cache holds at ``now``:
+    trips younger than ``ttl`` stay cached, and the window's trips from its
+    start on are in it."""
+    return max(window.start, now - ttl)
+
+
+class WindowUploads:
+    """Every device's upload to one window, sliced from one bounded block.
+
+    The block is the mechanism's ``transform_devices`` of the window's
+    raw block from ``cut`` on (``Corpus.device_histograms``): the trips
+    a checked-in device's cache holds of the window while
+    :func:`cache_cut` is ``cut``.  Each device is bounded on its own and
+    the kernel sums a device's trips as ``client_work`` does, so a
+    device's rows are ``build_device_upload`` of its visible trips, bit
+    for bit.  Only arrays are kept: each row's partition and selected
+    metric values, and each device's row offsets.  A device's upload is
+    its row range, encoded by ``client.encode_rows`` under the window's
+    key table (``client.row_key_table``).  With ``cut`` at or past the
+    window's end, no device holds a trip.
+    """
+
+    __slots__ = ("cut", "_keys", "_offsets", "_partition", "_values")
+
+    def __init__(
+        self,
+        corpus: Corpus,
+        window: TimeWindow,
+        cut: int,
+        mechanism: ResolvedMechanism,
+        spec: QuerySpec,
+    ) -> None:
+        schema = corpus.schema
+        self.cut = cut
+        self._keys = row_key_table(spec, schema, window.window_id)
+        if cut < window.end:
+            raw = corpus.device_histograms(TimeWindow(cut, window.end, window.window_id))
+        else:  # every trip of the window has expired
+            raw = DeviceSubtotals.of_trips(schema, *[()] * 6)
+        block = mechanism.transform_devices(raw, schema)
+        _, _, num_regions, num_directions = schema.shape
+        self._partition = (block.activity * num_regions + block.region) * num_directions + (
+            block.direction
+        )
+        self._values = block.sums[:, spec.metrics]
+        self._offsets = np.searchsorted(block.device, np.arange(corpus.num_devices + 1))
+
+    def holds(self, device_id: int) -> bool:
+        """Whether the device has a trip in the block."""
+        return self._offsets[device_id] < self._offsets[device_id + 1]
+
+    def rows(self, device_id: int) -> Rows:
+        """The device's upload rows."""
+        lo, hi = self._offsets[device_id], self._offsets[device_id + 1]
+        keys = map(self._keys.__getitem__, self._partition[lo:hi].tolist())
+        return encode_rows(keys, self._values[lo:hi].tolist())
 
 
 def run_simulation(
@@ -180,11 +259,16 @@ def run_simulation(
 
     uploaded: dict[str, set[int]] = {w.window_id: set() for w in windows}
     windows_by_id = {w.window_id: w for w in windows}
+    deadlines = {w.window_id: w.end + task.grace_period for w in windows}
+    # Each collecting window's uploads, dropped when its session seals.
+    blocks: dict[str, WindowUploads] = {}
 
     day = None
     horizon_end = windows[-1].end + task.grace_period + 2 * tick
     for now in range(start, horizon_end + 1, tick):
         server.maintenance(now)
+        for window_id in [w for w in blocks if now > deadlines[w]]:
+            del blocks[window_id]
         due = calendar.pop(now, None)
         if due is None:
             continue
@@ -215,8 +299,13 @@ def run_simulation(
                 if window_id not in eligible:
                     continue
                 window = windows_by_id[window_id]
-                trips = state.visible_records(window)
-                if not trips:
+                cut = cache_cut(window, now, fleet.cache_ttl)
+                block = blocks.get(window_id)
+                if block is None or block.cut != cut:
+                    block = blocks[window_id] = WindowUploads(
+                        corpus, window, cut, mechanism, spec
+                    )
+                if not block.holds(device_id):
                     continue
                 ok = upload_ok.get(window_id)
                 if ok is None:
@@ -224,13 +313,11 @@ def run_simulation(
                     ok = upload_ok[window_id] = draws < fleet_profiles.p_upload_ok
                 if not ok[device_id]:
                     continue
-                block = build_device_upload(trips, mechanism, schema)
-                rows = histogram_to_rows(block, window_id, spec)
                 update = ClientUpdate(
                     query_id=task.query_id,
                     window_id=window_id,
                     token=assignment.token,
-                    rows=tuple(rows),
+                    rows=tuple(block.rows(device_id)),
                 )
                 try:
                     server.ingest_upload(update, now)
@@ -238,6 +325,7 @@ def run_simulation(
                     continue
                 state.mark_contributed(task.query_id, window_id)
                 uploaded[window_id].add(device_id)
+    block = None  # the last window's block is not held through the evaluation
     server.maintenance(horizon_end + tick)
 
     result = SimulationResult(

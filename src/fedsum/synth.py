@@ -26,8 +26,8 @@ and tier and home region are per device.  The simulator's device caches
 are row ranges of these columns.  One pass over a window's rows
 (:meth:`Corpus.device_histograms`, one ``np.bincount`` per metric) gives
 every device's raw window histogram as one block of partition rows
-(:class:`fedsum.model.DeviceSubtotals`), bit for bit the sums
-``client.client_work`` makes in event order.  Calibration, the sweep's
+(:class:`fedsum.model.DeviceSubtotals`); ``client.client_work`` runs the
+same kernel on one device's trips, so the sums are bit for bit its own.  Calibration, the sweep's
 pre-noise sums and the window's truth (``metrics.window_truth``: the
 exact workload and :meth:`Corpus.device_counts`) all read that block,
 and take it as an argument.  :class:`TripRecord` objects are built only
@@ -52,9 +52,6 @@ import numpy as np
 
 from .model import (
     DIRECTIONS,
-    METRIC_DISTANCE,
-    METRIC_DURATION,
-    METRIC_NUM_TRIPS,
     DeviceSubtotals,
     Schema,
     TripColumns,
@@ -240,36 +237,21 @@ class Corpus:
         """Every device's raw (unscaled, unclipped) histogram for a window.
 
         One block of partition rows, a device's partitions being its
-        (activity, direction) pairs in its home region.  One
-        ``np.bincount`` per metric, indexed by (device, partition), adds
-        each device's trips in event-time order, so its rows equal
+        (activity, direction) pairs in its home region: the window's rows
+        through :meth:`DeviceSubtotals.of_trips`, the kernel ``client_work``
+        runs on one device's trips, so a device's rows equal
         ``client_work`` of its trips in the window bit for bit, ``made_at``
         order included.  A device without a trip in the window has no rows.
         """
-        num_activities, num_metrics, _, num_directions = self.schema.shape
         times = self._view("event_time")
         rows = np.flatnonzero((times >= window.start) & (times < window.end))
         device = np.searchsorted(self._view("offsets"), rows, side="right") - 1
-        group = (
-            device * num_activities + self._view("activity")[rows]
-        ) * num_directions + self._view("direction")[rows]
-        keys, first, inverse = np.unique(group, return_index=True, return_inverse=True)
-        sums = np.empty((len(keys), num_metrics))
-        sums[:, METRIC_NUM_TRIPS] = np.bincount(inverse, minlength=len(keys))
-        for metric, name in (
-            (METRIC_DISTANCE, "distance_km"),
-            (METRIC_DURATION, "duration_s"),
-        ):
-            values = self._view(name)[rows]
-            sums[:, metric] = np.bincount(inverse, weights=values, minlength=len(keys))
-        device = keys // (num_activities * num_directions)
-        return DeviceSubtotals(
-            device=device,
-            activity=keys // num_directions % num_activities,
-            region=self._view("home_regions")[device],
-            direction=keys % num_directions,
-            sums=sums,
-            made_at=first,
+        names = ("activity", "direction", "distance_km", "duration_s")
+        activity, direction, distance_km, duration_s = (self._view(n)[rows] for n in names)
+        del rows
+        region = self._view("home_regions")[device]
+        return DeviceSubtotals.of_trips(
+            self.schema, device, activity, region, direction, distance_km, duration_s
         )
 
     def device_counts(self, block: DeviceSubtotals) -> np.ndarray:

@@ -462,6 +462,75 @@ def test_uploads_over_the_l1_bound_are_malformed(case):
     assert len(events_named(server, "upload_rejected")) == len(BOUND_CASES) - takes
 
 
+# Each defect rewrites a valid upload's rows, ((key, values), ...) with
+# every value inside both bounds of BOUNDS below, into rows the one-pass
+# check must refuse.
+DEFECTS = {
+    "wrong_key": lambda rows: ((rows[0][0].replace("2024-W20", "2024-W21"), rows[0][1]),),
+    "wrong_width": lambda rows: ((rows[0][0], rows[0][1][:2]),),
+    "nan_value": lambda rows: ((rows[0][0], (math.nan, 0.0, 0.0)),),
+    "infinite_value": lambda rows: ((rows[0][0], (0.0, -math.inf, 0.0)),),
+    "bool_value": lambda rows: ((rows[0][0], (True, 0.0, 0.0)),),
+    "over_bound": lambda rows: ((rows[0][0], (0.0, 0.0, 11.0)),),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+@pytest.mark.parametrize("case", ["joint", "split"])
+def test_one_pass_refuses_each_defect_and_leaves_the_cores_alone(case, defect):
+    variant, parameters = BOUNDS[case]
+    server, s = make_server(num_shards=1)
+    mechanism = bounded_mechanism(s, variant, **parameters)
+    server.register_task(make_task(s, num_windows=1, mechanism=mechanism), now=START)
+    now = START + WEEK
+    upload(server, 0, IndexedHistogram(s, {(1, 0, 2, 0): 1.0, (1, 2, 2, 0): 4.0}), now)
+    session = server.sessions["trips/2024-W20"]
+    before = [core.serialize_state() for core in session.shards]
+    a = server.check_in(1, now)[0]
+    rows = histogram_to_rows(
+        block_of(s, [{(0, 0, 1, 0): 1.0, (0, 1, 1, 0): 2.0}]), a.window_id, SPEC
+    )
+    with pytest.raises(MalformedUpdateError):
+        server.ingest_upload(
+            ClientUpdate(a.query_id, a.window_id, a.token, DEFECTS[defect](rows)), now
+        )
+    assert session.uploads_accepted == 1
+    assert [core.serialize_state() for core in session.shards] == before
+    (rejected,) = events_named(server, "upload_rejected")
+    assert rejected["reason"] == "malformed"
+    # The same rows, as they were, are accepted.
+    b = server.check_in(2, now)[0]
+    server.ingest_upload(ClientUpdate(b.query_id, b.window_id, b.token, tuple(rows)), now)
+    assert session.uploads_accepted == 2
+
+
+def test_budget_split_holds_each_slice_to_its_own_bound():
+    server, s = make_server()
+    table = tuple(tuple(float(1 + 3 * a + m) for m in range(3)) for a in range(3))
+    mechanism = bounded_mechanism(s, VARIANT_SPLIT, clip_table=table)
+    server.register_task(make_task(s, num_windows=1, mechanism=mechanism), now=START)
+    now = START + WEEK
+    # Every slice of activities 1 and 2 at its own bound, half in each of two regions.
+    at_bound = {(a, m, r, 0): table[a][m] / 2 for a in (1, 2) for m in range(3) for r in (0, 1)}
+    upload(server, 0, IndexedHistogram(s, at_bound), now)
+    with pytest.raises(MalformedUpdateError):
+        upload(server, 1, IndexedHistogram(s, {(2, 0, 1, 0): math.nextafter(7.0, math.inf)}), now)
+    assert server.sessions["trips/2024-W20"].uploads_accepted == 1
+
+
+def test_an_int_too_large_for_a_float_is_malformed():
+    # With no bound to check, the value reaches the finiteness test.
+    server, s = make_server()
+    server.register_task(make_task(s, num_windows=1), now=START)  # clip = inf
+    a = server.check_in(0, START + WEEK)[0]
+    rows = histogram_to_rows(block_of(s, [{(0, 0, 1, 0): 1.0}]), a.window_id, SPEC)
+    ((key, values),) = rows
+    bad = ClientUpdate(a.query_id, a.window_id, a.token, ((key, (10**400, *values[1:])),))
+    with pytest.raises(MalformedUpdateError):
+        server.ingest_upload(bad, START + WEEK)
+    assert events_named(server, "upload_rejected")[0]["reason"] == "malformed"
+
+
 def test_an_infinite_clip_refuses_no_upload():
     server, s = make_server()
     server.register_task(make_task(s, num_windows=1), now=START)  # clip = inf

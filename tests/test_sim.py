@@ -12,6 +12,8 @@ from fedsum.dp import (
     MechanismConfig,
     NoisedRelease,
     VARIANT_JOINT,
+    VARIANT_SCALED,
+    VARIANT_SPLIT,
     VARIANTS,
     prepare_mechanism,
     resolve_mechanism,
@@ -21,6 +23,7 @@ from fedsum.client import (
     CHECKIN_POLICIES,
     TIER_PROFILES,
     DeviceState,
+    client_work,
     histogram_to_rows,
 )
 from fedsum.metrics import exact_workload
@@ -33,7 +36,13 @@ from fedsum.server import (
     SuppressedRelease,
     TaskConfig,
 )
-from fedsum.sim import FleetConfig, build_device_upload, run_simulation
+from fedsum.sim import (
+    FleetConfig,
+    WindowUploads,
+    build_device_upload,
+    cache_cut,
+    run_simulation,
+)
 from fedsum.synth import SyntheticCorpusConfig, generate_corpus
 from fedsum.windows import WindowAlignment
 
@@ -154,14 +163,15 @@ def test_no_trip_record_exists_during_the_simulation(monkeypatch):
         raise AssertionError("a TripRecord was built during the simulation")
 
     during = []
+    rows = WindowUploads.rows
 
-    def counting_upload(*args, **kwargs):
+    def counting_rows(self, device_id):
         if not during:
             during.append(live_trip_records())
-        return build_device_upload(*args, **kwargs)
+        return rows(self, device_id)
 
     monkeypatch.setattr(TripRecord, "__init__", no_record)
-    monkeypatch.setattr("fedsum.sim.build_device_upload", counting_upload)
+    monkeypatch.setattr(WindowUploads, "rows", counting_rows)
     result = run_simulation(
         corpus, make_task(corpus.schema), FleetConfig(availability="always_on")
     )
@@ -374,6 +384,62 @@ def test_uploads_are_the_rows_of_the_bounded_window_block(
     ]
 
 
+def hex_rows(rows):
+    return [(key, [value.hex() for value in values]) for key, values in rows]
+
+
+# (clock after the window's end, cache TTL): the cache holds the whole
+# window, the window's last three days, or none of it.
+CACHES = {
+    "full": (86_400, 28 * 86_400),
+    "ttl_truncated": (86_400, 4 * 86_400),
+    "expired": (2 * 86_400, 86_400),
+}
+
+
+@pytest.mark.parametrize("cache", sorted(CACHES))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_window_block_rows_are_each_devices_own_upload(
+    corpus_300, week_one_300, variant, cache
+):
+    """Every device's rows of the window block are the rows it would encode
+    from the trips its cache holds, bit for bit."""
+    schema, window = corpus_300.schema, week_one_300
+    resolved = resolve_mechanism(
+        MechanismConfig(variant=variant, epsilon=math.inf, quantile=0.5),
+        corpus_300.device_histograms(window),
+        schema,
+    )
+    spec = parse_and_validate(FULL_QUERY)
+    after, ttl = CACHES[cache]
+    now = window.end + after
+    block = WindowUploads(corpus_300, window, cache_cut(window, now, ttl), resolved, spec)
+    holders = bounded = 0
+    for dev in corpus_300.devices:
+        state = DeviceState(
+            dev.device_id, TIER_PROFILES[dev.tier], corpus_300, window.start, last_seen_now=window.start
+        )
+        state.advance_watermarks(now, WindowAlignment.WEEK, ttl)
+        trips = state.visible_records(window)
+        assert block.holds(dev.device_id) == bool(len(trips))
+        if not len(trips):
+            continue
+        holders += 1
+        upload = build_device_upload(trips, resolved, schema)
+        expected = histogram_to_rows(upload, window.window_id, spec)
+        assert hex_rows(block.rows(dev.device_id)) == hex_rows(expected), dev.device_id
+        raw = histogram_to_rows(client_work(trips, schema), window.window_id, spec)
+        bounded += hex_rows(raw) != hex_rows(expected)
+    active = len(active_devices(corpus_300, window))
+    if cache == "full":
+        assert holders == active
+    elif cache == "ttl_truncated":
+        assert 0 < holders < active
+    else:
+        assert holders == 0
+    assert bounded > 0 or holders == 0  # the transform binds
+
+
 @pytest.mark.parametrize(
     "query",
     [FULL_QUERY, TRIPS_AND_DURATION_QUERY],
@@ -524,6 +590,19 @@ def polled_simulation(corpus, task, fleet, seed):
     return server
 
 
+def assert_run_matches_the_poll(corpus, task, fleet):
+    result = run_simulation(corpus, task, fleet, seed=6)
+    reference = polled_simulation(corpus, task, fleet, seed=6)
+    lines = list(result.server.event_log_lines())
+    assert sum('"upload_accepted"' in line for line in lines) > 0
+    assert lines == list(reference.event_log_lines())
+    assert result.releases.keys() == reference.releases.keys()
+    for key, release in reference.releases.items():
+        assert isinstance(release, NoisedRelease)
+        got = result.releases[key].histogram.serialize()
+        assert got == release.histogram.serialize()
+
+
 @pytest.mark.parametrize("policy", sorted(CHECKIN_POLICIES))
 @pytest.mark.parametrize("tick_seconds", [900, 3600, 5 * 3600, 2 * 86_400])
 def test_wake_calendar_and_lazy_draws_match_the_per_tick_poll(
@@ -533,13 +612,17 @@ def test_wake_calendar_and_lazy_draws_match_the_per_tick_poll(
     fleet = FleetConfig(
         policy=policy, tick_seconds=tick_seconds, cache_ttl=5 * 86_400
     )
-    result = run_simulation(corpus_300, task, fleet, seed=6)
-    reference = polled_simulation(corpus_300, task, fleet, seed=6)
-    lines = list(result.server.event_log_lines())
-    assert sum('"upload_accepted"' in line for line in lines) > 0
-    assert lines == list(reference.event_log_lines())
-    assert result.releases.keys() == reference.releases.keys()
-    for key, release in reference.releases.items():
-        assert isinstance(release, NoisedRelease)
-        got = result.releases[key].histogram.serialize()
-        assert got == release.histogram.serialize()
+    assert_run_matches_the_poll(corpus_300, task, fleet)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_SCALED, VARIANT_SPLIT])
+def test_scaled_and_split_uploads_match_the_per_tick_poll(corpus_300, week_one_300, variant):
+    # Calibrated at the median, so the transform binds for half the fleet.
+    mechanism = resolve_mechanism(
+        MechanismConfig(variant=variant, epsilon=2.0, quantile=0.5),
+        corpus_300.device_histograms(week_one_300),
+        corpus_300.schema,
+    )
+    task = make_task(corpus_300.schema, mechanism=mechanism)
+    fleet = FleetConfig(policy="idle", tick_seconds=3600, cache_ttl=5 * 86_400)
+    assert_run_matches_the_poll(corpus_300, task, fleet)
