@@ -10,11 +10,12 @@ window has enough contributions to release is the server's decision.
 The sums live in the package's one exact accumulator
 (:class:`fedsum.exactsum.ExactSum`), so any way of sharding updates across
 cores and merging the partial cores yields a bit-identical final state.
-Malformed updates are rejected atomically: the state and count are
-untouched unless every row validates.  Validation tests a finite float
-with one comparison and looks closely only at other values.  The wire
-format packs each row's values with one precompiled ``struct.Struct``
-per row width.
+A core sums rows that its caller has checked.  :func:`check_rows` is
+the check of an update's shape and values; the server runs it once per
+upload, before any core sees the rows, so a refused update leaves every
+core untouched.  It tests a finite float with one comparison and looks
+closely only at other values.  The wire format packs each row's values
+with one precompiled ``struct.Struct`` per row width.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ class AggregationCore:
     # -- operations ----------------------------------------------------
 
     def accumulate(self, rows: Rows) -> None:
-        """Add one device update (validated atomically, count +1)."""
+        """Add one device update whose rows the caller has checked
+        (:func:`check_rows`), count +1."""
         self._check_live()
-        check_rows(rows, self._sum.width)
         self._sum.add(rows)
         self.contribution_count += 1
 

@@ -1,15 +1,18 @@
 """Device-side behavior: local caching, windowing, and bounded uploads.
 
-Each simulated device keeps a short-lived cache of its own trips and a
-low watermark: the start of the current civil window (data after it is
-still accumulating).  The cache is a row range ``[lo, hi)`` of the
-device's rows in the corpus columns, which are in event-time order; no
-trip is copied into it.  As the device's clock advances, trips up to the
-clock arrive (``hi`` moves), trips older than the time-to-live expire
-(``lo`` moves), and a window's trips are a sub-range: each is one
-bisection on the event times.  A per-(query, window) memo records what
-the device has contributed and makes contribution exactly-once even
-across retries.
+:class:`DeviceState` is the per-device reference model: one device's
+short-lived cache of its own trips and its low watermark, the start of
+the current civil window (data after it is still accumulating).  The
+cache is a row range ``[lo, hi)`` of the device's rows in the corpus
+columns, which are in event-time order; no trip is copied into it.  As
+the device's clock advances, trips up to the clock arrive (``hi``
+moves), trips older than the time-to-live expire (``lo`` moves), and a
+window's trips are a sub-range: each is one bisection on the event
+times.  A per-(query, window) memo records what the device has
+contributed and makes contribution exactly-once even across retries.
+The simulator (:mod:`fedsum.sim`) builds no such object: it holds the
+same facts once for the whole fleet, and the tests compare its run with
+a per-tick poll of these models.
 
 Once per civil day, ``draw_flags`` decides which devices of the fleet
 may check in that day, as one mask over device ids.  It draws every
@@ -217,7 +220,8 @@ def draw_flags(seed: int, profiles: FleetProfiles, policy: str, day: int) -> np.
 
 @dataclass
 class DeviceState:
-    """One device's cache, low watermark, and contribution memo.
+    """One device's cache, low watermark, and contribution memo: the
+    per-device reference model, which the simulator does not build.
 
     The cache is the row range ``[lo, hi)`` of ``corpus``'s trip columns,
     inside the device's own rows, which end at ``end``.  It starts empty,

@@ -102,7 +102,6 @@ __all__ = [
     "apply_threshold",
     "add_laplace_noise",
     "UnitLaplace",
-    "release_noise",
     "ResolvedMechanism",
     "PreparedMechanism",
     "resolve_mechanism",
@@ -429,11 +428,6 @@ class UnitLaplace:
         return self._values
 
 
-def release_noise(seed: int, window_id: str, schema: Schema) -> UnitLaplace:
-    """The unit draws that releases of ``window_id`` under ``seed`` use."""
-    return UnitLaplace(seed, window_id, schema)
-
-
 def add_laplace_noise(
     values: np.ndarray,
     scales: np.ndarray,
@@ -523,18 +517,34 @@ class ResolvedMechanism:
         assert self.clip is not None
         return [self.clip]
 
-    def exceeds_bound(self, magnitudes: dict[int, list[float]]) -> bool:
+    def exceeds_bound(
+        self,
+        activities: Sequence[int],
+        rows: Sequence[tuple[str, Sequence[float]]],
+        metrics: Sequence[int],
+    ) -> bool:
         """Whether an upload is over the L1 bound the noise is sized for.
 
-        ``magnitudes`` holds the absolute values of the upload's cells per
-        clip group, keyed as :attr:`l1_bounds` is indexed.  Norms are
-        exactly rounded, as in :meth:`transform_devices`; an infinite
-        bound refuses nothing, and a norm too large for a float is over a
-        finite one.
+        ``rows`` are the upload's checked rows, ``activities`` each row's
+        activity and ``metrics`` each value column's metric.  Each
+        value's ``|v|`` joins its clip group, indexed as :attr:`l1_bounds`
+        is: group 0, or with :attr:`per_slice` the slice ``(a, m)`` at
+        ``a * M + m``.  Norms are exactly rounded, as in
+        :meth:`transform_devices`; an infinite bound refuses nothing, and
+        a norm too large for a float is over a finite one.
         """
         bounds = self.l1_bounds
+        if self.per_slice:
+            assert self.clip_table is not None
+            num_metrics = len(self.clip_table[0])
+            groups: dict[int, list[float]] = {}
+            for a, (_, values) in zip(activities, rows):
+                for m, v in zip(metrics, values):
+                    groups.setdefault(a * num_metrics + m, []).append(abs(v))
+        else:
+            groups = {0: [abs(v) for _, values in rows for v in values]}
         try:
-            for group, values in magnitudes.items():
+            for group, values in groups.items():
                 if bounds[group] < math.inf and math.fsum(values) > bounds[group]:
                     return True
         except OverflowError:
@@ -581,7 +591,7 @@ class ResolvedMechanism:
         cells; the release keeps its dense result.  Descaling multiplies
         by ``scale_table``, which leaves the values of the non-scaling
         variants unchanged (``x * 1.0 == x``).  ``unit`` may hand in
-        :func:`release_noise` of ``(seed, window_id)`` from an earlier
+        the :class:`UnitLaplace` of ``(seed, window_id)`` from an earlier
         release, so that releases sharing a seed draw it once; by
         default it is drawn here.  A release whose noise scales are all 0
         (epsilon = inf) is the exact aggregate, and its metadata says so:
@@ -591,7 +601,7 @@ class ResolvedMechanism:
             raise SchemaMismatchError(f"aggregate shape {aggregate.shape} is not {schema.shape}")
         eps = self.epsilon if epsilon is None else epsilon
         if unit is None:
-            unit = release_noise(seed, window_id, schema)
+            unit = UnitLaplace(seed, window_id, schema)
         elif (unit.seed, unit.window_id) != (seed, window_id):
             raise InvalidParameterError(
                 f"unit noise of seed {unit.seed}, window "

@@ -12,15 +12,16 @@ array of cell sums, and hands that array to the privacy mechanism for
 release.  The release's sparse histogram is built only for its event
 (the released-partition count and digest).  Data that arrives after the
 deadline is discarded, and expired partials are dropped (and logged)
-rather than released.  Each upload is checked before it touches any
-state: every row must be a (key, values) pair under one of the window's
-row keys, with one finite number per metric, and the check gathers the
-magnitudes whose L1 norms the mechanism compares with the bound its
-noise is sized for.  An upload that fails any of this is rejected as
-malformed; one that passes is summed by a shard core.  A
-window whose exact sum overflows a float (finite uploads under a bound
-too large to stop them, such as an exact task's infinite one) is sealed
-as suppressed, with reason ``overflow``, instead of released.
+rather than released.  Each upload is checked once, here, before it
+touches any state: every row must be a (key, values) pair under one of
+the window's row keys, with one finite number per metric, and the
+mechanism compares the upload's L1 norms with the bound its noise is
+sized for (``ResolvedMechanism.exceeds_bound``, which forms the clip
+groups).  An upload that fails any of this is rejected as malformed; a
+shard core sums one that passes without checking it again.  A window
+whose exact sum overflows a float (finite uploads under a bound too
+large to stop them, such as an exact task's infinite one) is sealed as
+suppressed, with reason ``overflow``, instead of released.
 
 Every externally visible action appends a structured event to the
 server's log; events carry digests and counts, never row values.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -174,33 +175,21 @@ class _Session:
 
 
 def _read_upload(
-    rows: Any,
-    keys: dict[str, tuple[int, int, int]],
-    metrics: Sequence[int],
-    num_metrics: int,
-    per_slice: bool,
-) -> dict[int, list[float]]:
-    """Check an upload's rows, and gather the magnitudes its L1 norms add up.
+    rows: Any, keys: dict[str, tuple[int, int, int]], width: int
+) -> list[int]:
+    """Check an upload's rows, and return each row's activity.
 
-    Every row must pass ``aggcore.check_rows`` for the metrics of
-    ``metrics`` and be under one of the window's row keys (``keys``, from
-    ``client.row_keys``); anything else raises ``MalformedUpdateError``.
-    Each value's ``|v|`` joins its clip group, indexed as
-    ``ResolvedMechanism.l1_bounds`` is: group 0, or with ``per_slice``
-    the slice ``(a, m)`` at ``a * num_metrics + m``.
+    The upload's one check: every row must pass ``aggcore.check_rows``
+    for ``width`` values and be under one of the window's row keys
+    (``keys``, from ``client.row_keys``); anything else raises
+    ``MalformedUpdateError``.
     """
-    check_rows(rows, len(metrics))
+    check_rows(rows, width)
     partitions = [keys.get(key) for key, _ in rows]
     if None in partitions:
         key = rows[partitions.index(None)][0]
         raise MalformedUpdateError(f"{key!r} is not a row key of this window")
-    if not per_slice:
-        return {0: [abs(v) for _, values in rows for v in values]}
-    groups: dict[int, list[float]] = {}
-    for (a, _, _), (_, values) in zip(partitions, rows):
-        for m, v in zip(metrics, values):
-            groups.setdefault(a * num_metrics + m, []).append(abs(v))
-    return groups
+    return [a for a, _, _ in partitions]
 
 
 # ``json.dumps(event, sort_keys=True)``, with one encoder for every event
@@ -365,11 +354,7 @@ class FederatedServer:
                     now,
                     len(session.tokens),
                 ).hex()
-                session.tokens[token] = {
-                    "device_id": device_id,
-                    "consumed": False,
-                    "minted_at": now,
-                }
+                session.tokens[token] = {"device_id": device_id, "consumed": False}
                 assignments.append(
                     Assignment(
                         query_id=task.config.query_id,
@@ -434,14 +419,9 @@ class FederatedServer:
         mechanism = task.config.mechanism
         shard_index = session.uploads_accepted % len(session.shards)
         try:
-            magnitudes = _read_upload(
-                update.rows,
-                session.row_keys,
-                task.spec.metrics,
-                self.schema.num_metrics,
-                mechanism.per_slice,
-            )
-            if mechanism.exceeds_bound(magnitudes):
+            metrics = task.spec.metrics
+            activities = _read_upload(update.rows, session.row_keys, len(metrics))
+            if mechanism.exceeds_bound(activities, update.rows, metrics):
                 raise MalformedUpdateError("the upload is over the task's L1 bound")
             session.shards[shard_index].accumulate(update.rows)
         except MalformedUpdateError:

@@ -10,14 +10,17 @@ their next wake.  The server's maintenance still runs on every tick.
 
 Once per civil day the fleet's conditions are drawn for every device
 (``client.draw_flags``, one mask over device ids), and a tick's Python
-loop visits only the due devices the mask allows.  Such a device
-advances its clock: its own new trips arrive in its cache, a row range
-of the corpus columns (see :mod:`fedsum.client`), its low watermark
-moves and expired trips leave.  A device that does not check in defers
-its advance to its next check-in, which leaves the same state.  It then
-checks in, receives session-bound tokens, and uploads a bounded
-histogram for every complete window it has not contributed to yet and
-holds a trip of, unless that day's upload fails.
+loop visits only the due devices the mask allows.  The loop builds no
+per-device object.  A device's cache holds what :func:`cache_cut`
+leaves of a window at the tick.  Its watermark needs no state: the
+server assigns only windows that have ended, and window ends are
+alignment boundaries, so every assigned window ended at or before the
+start of the current one.  The exactly-once memo is ``uploaded``, the
+devices whose upload each window accepted.  A device that checks in
+receives session-bound tokens and uploads a bounded histogram for every
+assigned window it has not contributed to yet and holds a trip of,
+unless that day's upload fails.  :class:`fedsum.client.DeviceState` is
+the per-device reference model that the tests compare this loop with.
 
 The uploads of a window are bounded once, not once per device.  While
 the window collects, the loop holds one :class:`WindowUploads` block:
@@ -61,7 +64,6 @@ from .client import (
     CHECKIN_POLICIES,
     FLEET_NAMESPACE,
     TIER_PROFILES,
-    DeviceState,
     FleetProfiles,
     client_work,
     draw_flags,
@@ -130,7 +132,6 @@ class SimulationResult:
     task_windows: list[TimeWindow]
     releases: dict[str, NoisedRelease | SuppressedRelease]
     uploaded: dict[str, set[int]]
-    device_tiers: dict[int, str]
     fleet_size: int
     eval_rows: list[dict] = field(default_factory=list)
     reach_rows: list[dict] = field(default_factory=list)
@@ -235,10 +236,9 @@ def run_simulation(
     else:
         profiles = [TIER_PROFILES[tier] for tier in corpus.tiers]
     fleet_profiles = FleetProfiles.of(profiles)
-    devices = [
-        DeviceState(device_id, profile, corpus, low_watermark=start, last_seen_now=start)
-        for device_id, profile in enumerate(profiles)
-    ]
+    # The events keep the ids they log: one int object per device, not a
+    # new one per check-in.
+    device_ids = list(range(num_devices))
     # Each device's next wake time; it wakes at the first tick at or after it.
     wake_hours = BlockRng(seed, FLEET_NAMESPACE, "wake-hour").uniforms(num_devices) * 24
     next_wake = start - start % DAY + wake_hours.astype(np.int64) * HOUR
@@ -280,23 +280,11 @@ def run_simulation(
             day = now // DAY
             allowed = draw_flags(seed, fleet_profiles, fleet.policy, day)
             upload_ok: dict[str, np.ndarray] = {}
-        # Only the devices that check in advance their clocks: the cache's
-        # bisections and the low watermark are monotone, so a deferred
-        # advance leaves the same state.
         for index in due[allowed[due]].tolist():
-            state = devices[index]
-            # The events keep the ids they log: one int object per device,
-            # not a new one per check-in.
-            device_id = state.device_id
-            state.advance_watermarks(now, task.window_alignment, fleet.cache_ttl)
-            assignments = server.check_in(device_id, now)
-            eligible = {
-                w.window_id
-                for w in state.eligible_windows(task.query_id, windows)
-            }
-            for assignment in assignments:
+            device_id = device_ids[index]
+            for assignment in server.check_in(device_id, now):
                 window_id = assignment.window_id
-                if window_id not in eligible:
+                if device_id in uploaded[window_id]:
                     continue
                 window = windows_by_id[window_id]
                 cut = cache_cut(window, now, fleet.cache_ttl)
@@ -323,7 +311,6 @@ def run_simulation(
                     server.ingest_upload(update, now)
                 except SessionClosedError:
                     continue
-                state.mark_contributed(task.query_id, window_id)
                 uploaded[window_id].add(device_id)
     block = None  # the last window's block is not held through the evaluation
     server.maintenance(horizon_end + tick)
@@ -334,7 +321,6 @@ def run_simulation(
         task_windows=windows,
         releases=dict(server.releases),
         uploaded=uploaded,
-        device_tiers=dict(enumerate(corpus.tiers)),
         fleet_size=corpus.num_devices,
     )
     _evaluate(result, corpus, spec, fleet.policy)
@@ -349,8 +335,8 @@ def _evaluate(
 ) -> None:
     """Fill eval and reach rows from the finished run."""
     schema = corpus.schema
-    strata: dict[str, set[int]] = {"all": set(result.device_tiers)}
-    for device_id, tier in result.device_tiers.items():
+    strata: dict[str, set[int]] = {"all": set(range(corpus.num_devices))}
+    for device_id, tier in enumerate(corpus.tiers):
         strata.setdefault(tier, set()).add(device_id)
     for window in result.task_windows:
         release = result.releases.get(f"{result.query_id}/{window.window_id}")

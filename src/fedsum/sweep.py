@@ -29,9 +29,9 @@ from .dp import (
     VARIANTS,
     MechanismConfig,
     PreparedMechanism,
+    UnitLaplace,
     calibrate_scales,
     prepare_mechanism,
-    release_noise,
 )
 from .metrics import weighted_relative_error, window_truth
 from .model import DeviceSubtotals, Schema
@@ -126,7 +126,7 @@ def run_epsilon_sweep(
     truth = window_truth(corpus, block)
     del block  # freed before the grid
     noise = {
-        seed: release_noise(seed, window.window_id, corpus.schema)
+        seed: UnitLaplace(seed, window.window_id, corpus.schema)
         for seed in sweep.seeds
     }
     names = corpus.schema.metric_names

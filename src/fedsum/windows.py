@@ -63,8 +63,9 @@ def round_down_window(instant: int, alignment: WindowAlignment) -> TimeWindow:
     Day and week windows have fixed spans (24h, 7d); month windows span
     the calendar month.  The mapping is idempotent: every instant inside
     the returned window rounds down to the same window.  Results are
-    cached per (instant, alignment): a simulation asks for the same
-    clock tick once per waking device.
+    cached per (instant, alignment): the per-device reference model
+    (``client.DeviceState``) asks for the same clock tick once per
+    waking device.
     """
     dt = _to_datetime(instant)
     if alignment is WindowAlignment.DAY:

@@ -20,12 +20,12 @@ from fedsum.dp import (
     VARIANT_SCALED,
     VARIANT_SPLIT,
     VARIANTS,
+    UnitLaplace,
     apply_threshold,
     calibrate_clip,
     calibrate_scales,
     nearest_rank_quantile,
     prepare_mechanism,
-    release_noise,
     resolve_mechanism,
 )
 from fedsum.model import (
@@ -362,7 +362,7 @@ def test_release_equals_the_coordinate_by_coordinate_reference(
     suppressed_total = 0
     prenoise = IndexedHistogram.from_dense(small_schema, prepared.prenoise)
     for seed in (0, 5):
-        unit = release_noise(seed, "w7", small_schema)
+        unit = UnitLaplace(seed, "w7", small_schema)
         for epsilon in epsilons:
             expected, suppressed = reference_release(
                 resolved, prenoise, "w7", seed, epsilon
@@ -398,11 +398,11 @@ def test_a_noise_free_release_draws_nothing(small_schema, monkeypatch):
 def test_unit_noise_must_match_the_seed_and_window(cell_schema):
     config = MechanismConfig(variant=VARIANT_JOINT, epsilon=1.0, clip=1.0)
     prepared = prepare_mechanism(config, [], cell_schema)
-    prepared.release("w0", 3, unit=release_noise(3, "w0", cell_schema))
+    prepared.release("w0", 3, unit=UnitLaplace(3, "w0", cell_schema))
     for seed, window_id in ((4, "w0"), (3, "w1")):
         with pytest.raises(InvalidParameterError):
             prepared.release(
-                "w0", 3, unit=release_noise(seed, window_id, cell_schema)
+                "w0", 3, unit=UnitLaplace(seed, window_id, cell_schema)
             )
 
 

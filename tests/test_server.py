@@ -472,6 +472,8 @@ DEFECTS = {
     "infinite_value": lambda rows: ((rows[0][0], (0.0, -math.inf, 0.0)),),
     "bool_value": lambda rows: ((rows[0][0], (True, 0.0, 0.0)),),
     "over_bound": lambda rows: ((rows[0][0], (0.0, 0.0, 11.0)),),
+    # Earlier rows valid, the last one short: nothing of the upload is summed.
+    "short_last_row": lambda rows: (rows[0], ("1" + rows[0][0][1:], rows[0][1][:2])),
 }
 
 

@@ -75,6 +75,8 @@ def make_task(
     min_contributions=1,
     mechanism=None,
     query_text=FULL_QUERY,
+    alignment=WindowAlignment.WEEK,
+    num_windows=1,
 ):
     if mechanism is None:
         mechanism = resolve_mechanism(
@@ -85,9 +87,9 @@ def make_task(
     return TaskConfig(
         query_id="trips",
         query_text=query_text,
-        window_alignment=WindowAlignment.WEEK,
+        window_alignment=alignment,
         first_window_start=START,
-        num_windows=1,
+        num_windows=num_windows,
         grace_period=2 * 86_400,
         min_contributions=min_contributions,
         mechanism=mechanism,
@@ -179,6 +181,23 @@ def test_no_trip_record_exists_during_the_simulation(monkeypatch):
     assert result.uploaded["2024-W20"] and result.eval_rows
 
 
+def test_the_run_builds_no_device_state(monkeypatch):
+    # The exactly-once memo is ``uploaded`` and the server assigns only
+    # ended windows, so the loop needs no per-device object.
+    corpus = generate_corpus(
+        SyntheticCorpusConfig(num_devices=60, num_regions=4, num_weeks=1, seed=2)
+    )
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("a DeviceState was built during the simulation")
+
+    monkeypatch.setattr(DeviceState, "__init__", no_state)
+    result = run_simulation(
+        corpus, make_task(corpus.schema), FleetConfig(availability="always_on")
+    )
+    assert result.uploaded["2024-W20"] and result.eval_rows
+
+
 def test_a_run_builds_one_sparse_histogram_per_released_window(corpus_300, monkeypatch):
     # Uploads encode blocks, the server sums into a dense array and
     # evaluation scores dense values: only each release's artifact view
@@ -244,7 +263,7 @@ def test_uploads_nest_inside_downloads_and_the_fleet(corpus_300):
         make_task(corpus_300.schema),
         FleetConfig(availability="tiered"),
     )
-    fleet = set(result.device_tiers)
+    fleet = set(range(corpus_300.num_devices))
     downloaded = {window_id: set() for window_id in result.uploaded}
     for event in result.server.events:
         if event["event"] == "assignment":
@@ -591,6 +610,7 @@ def polled_simulation(corpus, task, fleet, seed):
 
 
 def assert_run_matches_the_poll(corpus, task, fleet):
+    """Returns the run's result."""
     result = run_simulation(corpus, task, fleet, seed=6)
     reference = polled_simulation(corpus, task, fleet, seed=6)
     lines = list(result.server.event_log_lines())
@@ -601,6 +621,7 @@ def assert_run_matches_the_poll(corpus, task, fleet):
         assert isinstance(release, NoisedRelease)
         got = result.releases[key].histogram.serialize()
         assert got == release.histogram.serialize()
+    return result
 
 
 @pytest.mark.parametrize("policy", sorted(CHECKIN_POLICIES))
@@ -626,3 +647,38 @@ def test_scaled_and_split_uploads_match_the_per_tick_poll(corpus_300, week_one_3
     task = make_task(corpus_300.schema, mechanism=mechanism)
     fleet = FleetConfig(policy="idle", tick_seconds=3600, cache_ttl=5 * 86_400)
     assert_run_matches_the_poll(corpus_300, task, fleet)
+
+
+def most_assignments_at_one_check_in(result):
+    counts: dict[tuple[int, int], int] = {}
+    for event in result.server.events:
+        if event["event"] == "assignment":
+            key = (event["t"], event["device_id"])
+            counts[key] = counts.get(key, 0) + 1
+    return max(counts.values())
+
+
+# (alignment, windows, corpus weeks, sessions open at once): daily windows
+# with the two-day grace keep up to three sessions open at one tick, so the
+# memo is read for several windows per check-in; two weekly windows follow
+# each other.
+SEVERAL_WINDOWS = {
+    "daily": (WindowAlignment.DAY, 7, 1, 3),
+    "two_weeks": (WindowAlignment.WEEK, 2, 2, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEVERAL_WINDOWS))
+def test_several_windows_match_the_per_tick_poll(case):
+    alignment, num_windows, num_weeks, open_at_once = SEVERAL_WINDOWS[case]
+    corpus = generate_corpus(
+        SyntheticCorpusConfig(num_devices=120, num_regions=5, num_weeks=num_weeks, seed=21)
+    )
+    task = make_task(
+        corpus.schema, epsilon=2.0, clip=1000.0, alignment=alignment, num_windows=num_windows
+    )
+    fleet = FleetConfig(policy="idle", tick_seconds=3600, cache_ttl=5 * 86_400)
+    result = assert_run_matches_the_poll(corpus, task, fleet)
+    assert len(result.releases) == num_windows
+    assert all(result.uploaded.values())
+    assert most_assignments_at_one_check_in(result) == open_at_once
