@@ -20,15 +20,20 @@ add calibrated Laplace noise:
 
 Each device bounds its own contribution before it uploads, and one
 method does it for every variant: :meth:`ResolvedMechanism.transform_devices`
-of a block of raw device histograms (:class:`fedsum.model.DeviceSubtotals`),
-one L1 rescale loop over groups of the block's cells, each group with
-its bound in :attr:`ResolvedMechanism.l1_bounds`.  Each device is
-bounded on its own, so the simulator runs it once on a window's block
-and slices every upload from the result; :func:`prepare_mechanism` runs
-it on a window's block and sums the bounded rows per cell, so a sweep
-scores exactly the pre-noise sum a deployment would release.  No other
-module scales or clips a device contribution; the server refuses an
-upload whose norm in any group is over that group's bound
+of a block of raw device histograms (:class:`fedsum.model.DeviceSubtotals`)
+bounds the L1 norm of each group of the block's cells by the group's
+entry in :attr:`ResolvedMechanism.l1_bounds`.  Array passes take every
+group's float norm; a group whose float norm, widened by a proven
+rounding margin, is within its bound is left as it is, and only the
+others (and every group of a one-device block) go through one exact
+rescale loop with ``math.fsum`` norms, so the result is bit for bit that
+of the loop over every group.  Each device is bounded on its own, so
+the simulator runs it once on a window's block and slices every upload
+from the result; :func:`prepare_mechanism` runs it on a window's block
+and sums the bounded rows per cell, so a sweep scores exactly the
+pre-noise sum a deployment would release.  No other module scales or
+clips a device contribution; the server refuses an upload whose norm in
+any group is over that group's bound
 (:meth:`ResolvedMechanism.exceeds_bound`).
 
 Noise draws are keyed by (seed, window, coordinate), so a fixed seed
@@ -64,7 +69,9 @@ Calibration uses the nearest-rank empirical quantile of the proxy
 block's nonzero per-device (or per-(device, slice)) L1 norms; scale
 calibration falls back to 1.0 for a slice nobody touched, and a proxy
 with no active device cannot be calibrated.  Budget split's slice clip
-bounds and scaling's scale factors are the same calibration.
+bounds and scaling's scale factors are the same calibration.  The joint
+clip bound is selected from the devices' float norm intervals, so only
+the few devices that may hold the quantile's rank are summed exactly.
 """
 
 from __future__ import annotations
@@ -76,7 +83,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import blake2b
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -229,15 +236,19 @@ class NoisedRelease:
 # Calibration
 
 
-def nearest_rank_quantile(values: Sequence[float], q: float) -> float:
-    """ceil(q*n)-th order statistic (1-indexed) of ``values``."""
-    if not values:
+def _rank(count: int, q: float) -> int:
+    """The 1-indexed nearest rank ``ceil(q * count)`` in a sample of ``count``."""
+    if not count:
         raise InvalidParameterError("quantile of empty sample")
     if not 0 < q <= 1:
         raise InvalidParameterError("quantile must be in (0, 1]")
-    ordered = sorted(values)
-    rank = math.ceil(q * len(ordered))
-    return ordered[rank - 1]
+    return math.ceil(q * count)
+
+
+def nearest_rank_quantile(values: Sequence[float], q: float) -> float:
+    """ceil(q*n)-th order statistic (1-indexed) of ``values``."""
+    rank = _rank(len(values), q)
+    return sorted(values)[rank - 1]
 
 
 def calibrate_scales(
@@ -282,30 +293,58 @@ def calibrate_scales(
 
 
 def calibrate_clip(devices: DeviceSubtotals, q: float = 0.95) -> float:
-    """Joint clip bound: q-quantile of nonzero per-device L1 norms."""
-    cells, edges, _ = _cell_groups(devices, per_slice=False)
-    norms = [
-        norm
-        for lo, hi in zip(edges, edges[1:])
-        if (norm := math.fsum(map(abs, cells[lo:hi]))) > 0.0
-    ]
-    if not norms:
+    """Joint clip bound: q-quantile of nonzero per-device L1 norms.
+
+    The bound is :func:`nearest_rank_quantile` at ``q`` of every active
+    device's exactly rounded norm, selected from intervals so that only
+    the devices that may hold its rank ``k`` are summed exactly.  Each
+    device's float norm gives an interval that holds its exact norm
+    (:func:`_norm_ranges`).  With ``L`` and ``H`` the ``k``-th smallest
+    lower and upper ends, the rank-``k`` norm is in ``[L, H]``, a device
+    whose upper end is below ``L`` is below it, and one whose lower end
+    is above ``H`` is above it.  So the bound is the norm of rank ``k -
+    below`` among the devices whose interval meets ``[L, H]``.  A device
+    whose interval reaches infinity is summed exactly too, and a norm too
+    large for a float raises :class:`InvalidParameterError` naming its
+    device.
+    """
+    cells, edges, _, owner = _cell_groups(devices, per_slice=False)
+    lower, upper = _norm_ranges(cells, edges)
+    active = upper > 0.0  # all cells zero, or a NaN norm, is no data
+    if not active.any():
         raise InvalidParameterError(
             "cannot calibrate a clip bound: no device has any data"
         )
-    return nearest_rank_quantile(norms, q)
+    lower, upper = lower[active], upper[active]
+    rank = _rank(len(upper), q)
+    low = np.partition(lower, rank - 1)[rank - 1]
+    high = np.partition(upper, rank - 1)[rank - 1]
+    below = int(np.count_nonzero(upper < low))
+    candidates = (upper >= low) & (lower <= high) | (upper == math.inf)
+    norms = [
+        _exact_norm(cells[edges[k] : edges[k + 1]].tolist(), owner[k])
+        for k in np.flatnonzero(active)[candidates].tolist()
+    ]
+    return sorted(norms)[rank - below - 1]
 
 
 # --------------------------------------------------------------------------
-# The device transform: one L1 rescale loop over groups of a block's cells
+# The device transform: clip groups decided in float where a float can,
+# the rest by one exact L1 rescale loop
+
+
+# The unit roundoff of float64: a rounded result is within a relative
+# 2**-53 of the exact one, outside the subnormal range.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 def _cell_groups(
     devices: DeviceSubtotals, per_slice: bool
-) -> tuple[list[float], list[int], list[int]]:
-    """The block's cells as one flat list in which each group a clip bounds
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The block's cells as one flat array in which each group a clip bounds
     is a run: the cells, the runs' edges (group ``k`` is
-    ``cells[edges[k]:edges[k + 1]]``) and each group's slice index.
+    ``cells[edges[k]:edges[k + 1]]``), each group's slice index and its
+    device.
 
     Per device (index 0) the cells are row-major.  Per (device, activity,
     metric) (index ``activity * M + metric``) they are metric-major, one
@@ -313,44 +352,114 @@ def _cell_groups(
     run in each column.  Within a group, cells keep the block's row order.
     """
     size, width = devices.sums.shape  # a row per partition, a cell per metric
-    cells = (devices.sums.T if per_slice else devices.sums).ravel().tolist()
-    if size and devices.device[0] == devices.device[-1]:  # one device: an upload
-        if not per_slice:
-            return cells, [0, size * width], [0]
-        key = devices.activity.tolist()
-        starts = [i for i in range(size) if not i or key[i] != key[i - 1]]
-    else:
-        change = devices.device[1:] != devices.device[:-1]
-        if per_slice:
-            change |= devices.activity[1:] != devices.activity[:-1]
-        starts = np.flatnonzero(np.concatenate(([size > 0], change))).tolist()
+    cells = (devices.sums.T if per_slice else devices.sums).ravel()
+    change = devices.device[1:] != devices.device[:-1]
+    if per_slice:
+        change |= devices.activity[1:] != devices.activity[:-1]
+    starts = np.flatnonzero(np.concatenate(([size > 0], change)))
+    owner = devices.device[starts]
     if not per_slice:
-        return cells, [lo * width for lo in starts] + [size * width], [0] * len(starts)
-    activity = devices.activity[starts].tolist()
+        edges = np.append(starts * width, size * width)
+        return cells, edges, np.zeros(len(starts), dtype=np.int64), owner
+    metric = np.arange(width)[:, None]
+    edges = np.append((metric * size + starts).ravel(), size * width)
+    index = (devices.activity[starts] * width + metric).ravel()
+    return cells, edges, index, np.tile(owner, width)
+
+
+def _upload_groups(
+    devices: DeviceSubtotals, per_slice: bool
+) -> tuple[list[float], list[int], list[int]]:
+    """A one-device block's cells, edges and slice indexes as
+    :func:`_cell_groups` lays them out, as lists from a scan of its few
+    rows: an upload's whole clip costs less than numpy's per-call
+    overhead would add."""
+    size, width = devices.sums.shape
+    cells = (devices.sums.T if per_slice else devices.sums).ravel().tolist()
+    if not per_slice:
+        return cells, [0, size * width], [0]
+    key = devices.activity.tolist()
+    starts = [i for i in range(size) if not i or key[i] != key[i - 1]]
     edges = [m * size + lo for m in range(width) for lo in starts]
-    index = [a * width + m for m in range(width) for a in activity]
+    index = [key[lo] * width + m for m in range(width) for lo in starts]
     return cells, edges + [size * width], index
 
 
+def _norm_ranges(cells: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Floats ``lower <= s <= upper`` around each group's exact L1 norm ``s``.
+
+    ``t``, the float norm, adds the group's ``n`` values ``|v|`` in some
+    order (``np.add.reduceat``); the ends are ``t * (1 - 4 n u)`` and
+    ``t * (1 + 4 n u)``, rounded, with ``u = 2**-53``.
+
+    Proof, for ``n <= 2**49``.  Each float addition of nonnegative values
+    rounds with a relative error of at most ``u``, or none when its result
+    is subnormal, so whatever the order ``t = s (1 + e)`` with ``|e| <= g
+    = k u / (1 - k u)`` and ``k = n - 1`` (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., section 4.2).  Hence ``t (1 - k u)
+    = t / (1 + g) <= s <= t / (1 - g) <= t (1 + 2 k u)``.  The factor
+    ``1 + 4 n u`` rounds down by at most ``u`` and the product by a
+    relative ``u``, so ``upper >= t (1 + 4 n u - 2 u - 4 n u**2) >= t (1 +
+    2 k u)``; likewise ``lower <= t (1 - 4 n u + 2 u) <= t (1 - k u)``.
+    A subnormal product needs ``t < 2**-1021``; then no partial sum
+    exceeds ``t``, each is a multiple of ``2**-1074`` below ``2**53 *
+    2**-1074``, so every addition was exact, ``s == t``, and the rounded
+    product stays on its factor's side of ``t``.  ``math.fsum``'s exactly
+    rounded norm lies between the ends too, since they are floats.
+
+    A float norm that overflowed gives ``lower = 0`` and ``upper = inf``;
+    a NaN cell makes ``upper`` NaN.
+    """
+    margin = 4.0 * _UNIT_ROUNDOFF * np.diff(edges)
+    with np.errstate(over="ignore"):  # an overflow is the infinite end
+        norms = np.add.reduceat(np.abs(cells), edges[:-1])
+        upper = norms * (1.0 + margin)
+    return np.where(norms < math.inf, norms * (1.0 - margin), 0.0), upper
+
+
+def _exact_norm(entries: list[float], device: int) -> float:
+    """The exactly rounded sum of ``|v|`` over ``entries``, one group of
+    ``device``; a norm too large for a float raises."""
+    try:
+        return math.fsum(map(abs, entries))
+    except OverflowError:
+        raise _norm_overflow(device) from None
+
+
+def _norm_overflow(device: int) -> InvalidParameterError:
+    return InvalidParameterError(f"device {device}'s L1 norm is too large for a float")
+
+
 def _clip_l1(
-    cells: list[float], edges: list[int], index: list[int], bounds: list[float]
+    cells: list[float],
+    edges: list[int],
+    index: list[int],
+    owner: Iterable[int],
+    bounds: list[float],
 ) -> bool:
     """Rescale each group of ``cells`` in place to an L1 norm within its bound.
 
-    Group ``k`` is ``cells[edges[k]:edges[k + 1]]`` and its bound is
-    ``bounds[index[k]]``; the norm is the exactly rounded sum of ``|v|``.
-    A group inside its bound is left as it is, so clipping is idempotent.
+    Group ``k`` is ``cells[edges[k]:edges[k + 1]]`` of device ``owner[k]``
+    and its bound is ``bounds[index[k]]``; the norm is the exactly rounded
+    sum of ``|v|``.  A group inside its bound is left as it is, so
+    clipping is idempotent, and an infinite bound clips nothing.
     Otherwise its cells are multiplied by ``bound / norm``, again while
     rounding leaves the norm above the bound, with the factor nudged
     below one should it round to 1.0.  Cells that underflow become zero,
-    which is no entry.  Returns whether any cell changed.
+    which is no entry.  A norm too large for a float raises
+    :class:`InvalidParameterError`.  Returns whether any cell changed.
     """
     if not min(bounds) > 0.0:
         raise InvalidParameterError(f"clip bounds must be positive, got {bounds}")
     changed = False
-    for lo, hi, slice_index in zip(edges, edges[1:], index):
+    for lo, hi, slice_index, device in zip(edges, edges[1:], index, owner):
         bound, entries = bounds[slice_index], cells[lo:hi]
-        norm = math.fsum(map(abs, entries))
+        try:
+            norm = math.fsum(map(abs, entries))
+        except OverflowError:
+            if bound == math.inf:
+                continue
+            raise _norm_overflow(device) from None
         if not norm > bound:
             continue
         while norm > bound:
@@ -362,6 +471,33 @@ def _clip_l1(
         cells[lo:hi] = entries
         changed = True
     return changed
+
+
+def _clipped_block(
+    devices: DeviceSubtotals, per_slice: bool, bounds: list[float]
+) -> np.ndarray | None:
+    """The cells of a block of several devices, laid out by
+    :func:`_cell_groups`, each group clipped to its bound as
+    :func:`_clip_l1` clips it, or ``None`` if no cell changed.
+
+    A group whose float norm's upper end (:func:`_norm_ranges`) is at or
+    below its bound has an exact norm there too, and is left as it is.
+    Only the other groups (over their bound, near it, or of a non-finite
+    norm) go through :func:`_clip_l1`, gathered into one list, and are
+    written back into a copy of the cells.
+    """
+    cells, group_edges, group_index, group_owner = _cell_groups(devices, per_slice)
+    undecided = ~(_norm_ranges(cells, group_edges)[1] <= np.asarray(bounds)[group_index])
+    sizes = np.diff(group_edges)
+    take = np.repeat(undecided, sizes)
+    entries = cells[take].tolist()
+    edges = [0, *np.cumsum(sizes[undecided]).tolist()]
+    index, owner = group_index[undecided].tolist(), group_owner[undecided].tolist()
+    if not _clip_l1(entries, edges, index, owner, bounds):
+        return None
+    clipped = cells.copy()
+    clipped[take] = entries
+    return clipped
 
 
 def _scaled(
@@ -487,19 +623,32 @@ class ResolvedMechanism:
         other variants clip each device to ``clip``, after scaling divides
         every cell by its slice factor.  Each device is bounded on its
         own, so a one-device block gives that device's rows of a window.
+        Of a block of several devices, only the groups that a float norm
+        cannot certify inside their bound reach the exact loop
+        (:func:`_clipped_block`); a one-device block (an upload) sends
+        every group to it, which costs less than the array passes.  The
+        block itself is returned when no cell changed.
         """
         if self.variant == VARIANT_SCALED:
             devices = _scaled(devices, self._scale_divisors, schema)
-        if self.per_slice:
+        per_slice = self.per_slice
+        if per_slice:
             assert self.clip_table is not None
             check_table_shape(self.clip_table, schema)
-        cells, edges, index = _cell_groups(devices, self.per_slice)
-        if not _clip_l1(cells, edges, index, self.l1_bounds):
-            return devices
+        bounds, device = self.l1_bounds, devices.device
+        if len(device) and (first := device[0]) == device[-1]:
+            cells, edges, index = _upload_groups(devices, per_slice)
+            if not _clip_l1(cells, edges, index, itertools.repeat(first), bounds):
+                return devices
+            clipped = np.array(cells)
+        else:
+            clipped = _clipped_block(devices, per_slice, bounds)
+            if clipped is None:
+                return devices
         size, width = devices.sums.shape
-        if self.per_slice:  # the cells are metric-major
-            return devices._replace(sums=np.array(cells).reshape(width, size).T.copy())
-        return devices._replace(sums=np.array(cells).reshape(size, width))
+        if per_slice:  # the cells are metric-major
+            return devices._replace(sums=clipped.reshape(width, size).T.copy())
+        return devices._replace(sums=clipped.reshape(size, width))
 
     @property
     def per_slice(self) -> bool:

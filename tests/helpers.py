@@ -175,6 +175,44 @@ def reference_upload_rows(block, window_id, spec):
     return [(key, tuple(rows[key])) for key in sorted(rows)]
 
 
+def reference_bounded_sums(block, clip=None, clip_table=None, scale_table=None):
+    """A block's cells bounded as the device transform bounds them, by a
+    plain loop that sums every clip group with ``math.fsum``.
+
+    ``scale_table[a][m]``, if given, first divides each cell.  A group is
+    a device's cells bounded by ``clip``, or with ``clip_table`` the
+    device's cells of one (activity, metric) bounded by ``clip_table[a][m]``.
+    A group over its bound is multiplied by ``bound / norm`` until its
+    norm is within the bound, the factor nudged below one should it round
+    to 1.0.  Returns the bounded cells as a new array.
+    """
+    rows = block.sums.tolist()
+    activity = block.activity.tolist()
+    if scale_table is not None:
+        rows = [
+            [v / scale_table[a][m] for m, v in enumerate(row)]
+            for a, row in zip(activity, rows)
+        ]
+    groups: dict = {}
+    for k, (device, a) in enumerate(zip(block.device.tolist(), activity)):
+        for m in range(len(rows[k])):
+            key = device if clip_table is None else (device, a, m)
+            groups.setdefault(key, []).append((k, m))
+    for key, positions in groups.items():
+        bound = clip if clip_table is None else clip_table[key[1]][key[2]]
+        values = [rows[k][m] for k, m in positions]
+        norm = math.fsum(abs(v) for v in values)
+        while norm > bound:
+            factor = bound / norm
+            if factor >= 1.0:
+                factor = math.nextafter(1.0, 0.0)
+            values = [v * factor for v in values]
+            norm = math.fsum(abs(v) for v in values)
+        for (k, m), value in zip(positions, values):
+            rows[k][m] = value
+    return np.array(rows, dtype=np.float64).reshape(block.sums.shape)
+
+
 def sparse_scored_cells(truth, device_counts, device_floor, shape):
     """The eligible cells of the weighted relative error, from dicts.
 

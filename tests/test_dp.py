@@ -12,6 +12,8 @@ from hashlib import blake2b
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedsum import dp
 from fedsum.dp import (
@@ -37,6 +39,7 @@ from fedsum.model import (
 from fedsum.rng import BlockRng, laplace_from_uniform
 
 from blocks import block_of, dense_of, devices_of, exact_sum, histograms_of, rows_of
+from helpers import reference_bounded_sums
 
 
 def hist(schema, entries):
@@ -159,10 +162,12 @@ def scanned_cell_groups(devices, per_slice):
     ]
 
 
-def positioned_cell_groups(devices, per_slice):
-    """``dp._cell_groups`` as (row-major cell positions, slice index) per group."""
+def positioned_cell_groups(layout, devices, per_slice):
+    """A layout of the clip groups, ``(cells, edges, index, ...)`` as
+    ``dp._cell_groups`` or ``dp._upload_groups`` makes it, as (row-major
+    cell positions, slice index) per group."""
+    cells, edges, index = (np.asarray(part).tolist() for part in layout[:3])
     size, width = devices.sums.shape
-    cells, edges, index = dp._cell_groups(devices, per_slice)
     if per_slice:  # metric-major: position p is row p % size, metric p // size
         position = [p % size * width + p // size for p in range(size * width)]
     else:
@@ -178,10 +183,267 @@ def test_clip_groups_equal_a_scan_of_the_row_keys(corpus_300, week_one_300, per_
     uploads = [rows_of(window, window.device == d) for d in devices_of(window)[:50]]
     assert max(len(np.unique(u.activity)) for u in uploads) > 1
     for block in (window, rows_of(window, window.device < 0), *uploads):
+        width = block.sums.shape[1]
         positions = list(range(block.sums.size))
-        assert sorted(positioned_cell_groups(block, per_slice)) == sorted(
+        scanned = sorted(
             (positions[group], i) for group, i in scanned_cell_groups(block, per_slice)
         )  # the groups are disjoint, so their order does not matter
+        layout = dp._cell_groups(block, per_slice)
+        grouped = positioned_cell_groups(layout, block, per_slice)
+        assert sorted(grouped) == scanned
+        device = block.device.tolist()
+        assert layout[3].tolist() == [device[group[0] // width] for group, _ in grouped]
+        if len(devices_of(block)) == 1:
+            upload = dp._upload_groups(block, per_slice)
+            assert sorted(positioned_cell_groups(upload, block, per_slice)) == scanned
+
+
+# --- the device transform and clip calibration against exact loops -----------
+
+CLIP_SCHEMA = Schema(
+    num_activities=2,
+    num_metrics=3,
+    num_regions=2,
+    metric_names=("num_trips", "distance_km", "duration_s"),
+    activity_names=("walk", "ride"),
+)
+
+# 2**53 + 1 rounds back to 2**53: a float sum that adds 1.0 to 2**53
+# loses it, while the exactly rounded norm keeps every 1.0.
+BIG = 2.0**53
+
+cell_values = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([BIG, -BIG, 1.0, -1.0, 0.1, 5e-324]),
+)
+cell_indexes = st.tuples(
+    st.integers(0, 1), st.integers(0, 2), st.integers(0, 1), st.integers(0, 2)
+)
+
+
+@st.composite
+def device_blocks(draw, min_devices, max_devices):
+    """A block of ``min_devices`` to ``max_devices`` devices of up to 8 cells."""
+    num_devices = draw(st.integers(min_devices, max_devices))
+    cells = st.dictionaries(cell_indexes, cell_values, max_size=8)
+    return block_of(CLIP_SCHEMA, [draw(cells) for _ in range(num_devices)])
+
+
+def group_norms(block, sums, per_slice):
+    """Each clip group's exactly rounded L1 norm, read off ``sums``."""
+    groups: dict = {}
+    rows = zip(block.device.tolist(), block.activity.tolist(), sums.tolist())
+    for device, a, values in rows:
+        for m, v in enumerate(values):
+            groups.setdefault((device, a, m) if per_slice else device, []).append(abs(v))
+    return {key: math.fsum(values) for key, values in groups.items()}
+
+
+def bounds_near(data, norms):
+    """A clip bound: a norm of ``norms``, a float next to one, or any."""
+    anywhere = st.floats(min_value=1e-3, max_value=1e7)
+    positive = sorted(n for n in norms if n > 0.0)
+    if not positive:
+        return data.draw(anywhere)
+    near = st.sampled_from(positive).flatmap(
+        lambda n: st.sampled_from(
+            [b for b in (n, math.nextafter(n, 0.0), math.nextafter(n, math.inf)) if b > 0.0]
+        )
+    )
+    return data.draw(st.one_of(anywhere, near))
+
+
+def drawn_parameters(data, variant, block):
+    """Explicit parameters of ``variant``, bounds drawn near the block's norms."""
+    num_activities, num_metrics = CLIP_SCHEMA.shape[:2]
+    if variant == VARIANT_SPLIT:
+        norms = group_norms(block, block.sums, per_slice=True)
+        slice_norms = {
+            (a, m): [n for (_, i, j), n in norms.items() if (i, j) == (a, m)]
+            for a in range(num_activities)
+            for m in range(num_metrics)
+        }
+        table = [
+            [bounds_near(data, slice_norms[a, m]) for m in range(num_metrics)]
+            for a in range(num_activities)
+        ]
+        return {"clip_table": table}
+    params = {}
+    sums = block.sums
+    if variant == VARIANT_SCALED:
+        factors = st.floats(min_value=0.1, max_value=10.0)
+        row = st.lists(factors, min_size=num_metrics, max_size=num_metrics)
+        table = st.lists(row, min_size=num_activities, max_size=num_activities)
+        params["scale_table"] = data.draw(table)
+        sums = reference_bounded_sums(block, clip=math.inf, **params)
+    params["clip"] = bounds_near(data, group_norms(block, sums, per_slice=False).values())
+    return params
+
+
+def hexes(values):
+    """Every float of an array, bit for bit."""
+    return [v.hex() for v in values.ravel().tolist()]
+
+
+def bounded_hexes(variant, block, params):
+    resolved = resolve_mechanism(
+        MechanismConfig(variant=variant, epsilon=1.0, **params), [], CLIP_SCHEMA
+    )
+    return hexes(resolved.transform_devices(block, CLIP_SCHEMA).sums)
+
+
+@pytest.mark.parametrize(
+    "devices", [(0, 0), (1, 1), (2, 6)], ids=["empty", "one_device", "many_devices"]
+)
+@pytest.mark.parametrize("variant", VARIANTS)
+@given(data=st.data())
+def test_transform_equals_the_per_group_loop_bit_for_bit(variant, devices, data):
+    block = data.draw(device_blocks(*devices))
+    params = drawn_parameters(data, variant, block)
+    expected = hexes(reference_bounded_sums(block, **params))
+    assert bounded_hexes(variant, block, params) == expected
+
+
+def hidden_excess_block(per_slice):
+    """Devices 0-2 each hold the cells ``2**53, 1, 1`` in one group, in
+    three orders, and device 3 holds a single 1.0.
+
+    Each group's exact norm is ``2**53 + 2``; a float sum that adds a 1.0
+    to ``2**53`` before the other 1.0 reads ``2**53``, as a left-to-right
+    or a right-to-left sum does for two of the three orders.  Per device
+    the group is one row's three metrics; per slice it is metric 0 of
+    three rows.
+    """
+    orders = [(BIG, 1.0, 1.0), (1.0, BIG, 1.0), (1.0, 1.0, BIG)]
+    if per_slice:
+        devices = [{(0, 0, 0, d): v for d, v in enumerate(order)} for order in orders]
+    else:
+        devices = [{(0, m, 0, 0): v for m, v in enumerate(order)} for order in orders]
+    return block_of(CLIP_SCHEMA, [*devices, {(1, 0, 1, 0): 1.0}])
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_transform_clips_a_group_whose_float_norm_hides_its_excess(variant):
+    per_slice = variant == VARIANT_SPLIT
+    block = hidden_excess_block(per_slice)
+    if per_slice:
+        params = {"clip_table": [[BIG, 1e30, 1e30], [1e30, 1e30, 1e30]]}
+    else:
+        params = {"clip": BIG}
+        if variant == VARIANT_SCALED:
+            params["scale_table"] = [[1.0] * 3] * 2
+    norms = group_norms(block, block.sums, per_slice).values()
+    assert {n for n in norms if n} == {BIG + 2.0, 1.0}
+    bounded = bounded_hexes(variant, block, params)
+    assert bounded == hexes(reference_bounded_sums(block, **params))
+    sums = np.array([float.fromhex(h) for h in bounded]).reshape(block.sums.shape)
+    for device in range(4):
+        rows = block.device == device
+        assert np.array_equal(block.sums[rows], sums[rows]) == (device == 3)  # 0-2 clip
+        assert max(group_norms(rows_of(block, rows), sums[rows], per_slice).values()) <= BIG
+
+
+def exact_device_norms(block):
+    """Every active device's exactly rounded L1 norm (``math.fsum``)."""
+    return [n for n in group_norms(block, block.sums, per_slice=False).values() if n > 0.0]
+
+
+def ones_and_big(position):
+    """Cells 1.0, 1.0, 1.0, 1.0 and 2**53 over two rows, 2**53 at
+    ``position`` in row-major order: an exact norm of 2**53 + 4."""
+    values = [1.0] * 5
+    values[position] = BIG
+    cells = [(0, m, 0, d) for d in range(2) for m in range(3)]
+    return dict(zip(cells, values))
+
+
+CALIBRATION_CASES = {
+    "ties_at_the_rank": [{(0, 0, 0, 0): 5.0}] * 4 + [{(0, 0, 0, 0): 1.0}, {(1, 2, 1, 2): 9.0}],
+    "one_device": [{(0, 0, 0, 0): 3.0, (1, 1, 0, 2): -4.0}],
+    # The first five norms are above the sixth's 2**53 + 2, but a float
+    # sum that adds a 1.0 to 2**53 before the other ones reads less, and
+    # with 2**53 in each position, some device's float norm does that.
+    "float_order_is_not_exact_order": [
+        *(ones_and_big(position) for position in range(5)),
+        {(0, 0, 0, 0): BIG + 2.0},
+        {(0, 0, 0, 0): BIG},
+        {},
+        {(1, 1, 1, 1): 0.5},
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CALIBRATION_CASES))
+def test_clip_calibration_is_the_nearest_rank_of_the_exact_norms(case):
+    block = block_of(CLIP_SCHEMA, CALIBRATION_CASES[case])
+    norms = exact_device_norms(block)
+    quantiles = [1e-12, 0.5, 0.95, 1.0] + [k / len(norms) for k in range(1, len(norms) + 1)]
+    for q in quantiles:
+        assert calibrate_clip(block, q) == nearest_rank_quantile(norms, q)
+
+
+@given(block=device_blocks(1, 12), q=st.floats(min_value=1e-12, max_value=1.0))
+def test_clip_calibration_equals_a_sort_of_every_exact_norm(block, q):
+    norms = exact_device_norms(block)
+    if not norms:
+        with pytest.raises(InvalidParameterError, match="no device has any data"):
+            calibrate_clip(block, q)
+    else:
+        assert calibrate_clip(block, q) == nearest_rank_quantile(norms, q)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_the_server_admits_every_device_bounded_upload(corpus_300, week_one_300, variant):
+    """Each device's rows of the window's bounded block pass the server's
+    L1 check: the server never refuses what the device transform made."""
+    schema = corpus_300.schema
+    window = corpus_300.device_histograms(week_one_300)
+    config = MechanismConfig(variant=variant, epsilon=1.0, quantile=0.95)
+    resolved = resolve_mechanism(config, window, schema)
+    bounded = resolved.transform_devices(window, schema)
+    metrics = list(range(schema.num_metrics))
+    scaled = window.sums / np.asarray(resolved.scale_table)[window.activity]
+    assert not np.array_equal(bounded.sums, scaled)  # some devices clipped
+    for device in devices_of(bounded):
+        upload = rows_of(bounded, bounded.device == device)
+        rows = [(str(k), tuple(values)) for k, values in enumerate(upload.sums.tolist())]
+        assert not resolved.exceeds_bound(upload.activity.tolist(), rows, metrics)
+
+
+# Two cells of one (activity, metric) slice whose norm, 2e308, is too
+# large for a float.
+OVERFLOWING = {(0, 0, 0, 0): 1e308, (0, 0, 0, 1): 1e308}
+
+
+@pytest.mark.parametrize("others", [0, 2], ids=["one_device", "many_devices"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_norm_too_large_for_a_float_is_refused_naming_its_device(variant, others):
+    block = block_of(CLIP_SCHEMA, [{(1, 0, 0, 0): 1.0}] * others + [OVERFLOWING])
+    params = {"clip_table": [[1.0] * 3] * 2} if variant == VARIANT_SPLIT else {"clip": 1.0}
+    if variant == VARIANT_SCALED:
+        params["scale_table"] = [[1.0] * 3] * 2
+    with pytest.raises(InvalidParameterError, match=f"device {others}'s L1 norm"):
+        bounded_hexes(variant, block, params)
+
+
+@pytest.mark.parametrize("others", [0, 2], ids=["one_device", "many_devices"])
+@pytest.mark.parametrize("variant", [VARIANT_JOINT, VARIANT_SCALED])
+def test_an_infinite_bound_leaves_even_a_norm_too_large_for_a_float(variant, others):
+    block = block_of(CLIP_SCHEMA, [{(1, 0, 0, 0): 1.0}] * others + [OVERFLOWING])
+    params = {"clip": math.inf}
+    if variant == VARIANT_SCALED:
+        params["scale_table"] = [[1.0] * 3] * 2
+    resolved = resolve_mechanism(
+        MechanismConfig(variant=variant, epsilon=math.inf, **params), [], CLIP_SCHEMA
+    )
+    assert np.array_equal(resolved.transform_devices(block, CLIP_SCHEMA).sums, block.sums)
+
+
+@pytest.mark.parametrize("q", [1e-12, 1.0])
+def test_clip_calibration_refuses_a_norm_too_large_for_a_float(q):
+    block = block_of(CLIP_SCHEMA, [{(1, 0, 0, 0): 1.0}] * 3 + [OVERFLOWING])
+    with pytest.raises(InvalidParameterError, match="device 3's L1 norm"):
+        calibrate_clip(block, q)
 
 
 # --- thresholding -------------------------------------------------------------

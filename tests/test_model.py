@@ -271,7 +271,7 @@ def histograms(draw, max_entries=12):
 @given(histograms(), st.floats(min_value=1e-3, max_value=1e7))
 def test_clip_norm_never_exceeds_bound(h, bound):
     clipped = clip(h, bound)
-    assert l1_norm(clipped) <= bound + 1e-9
+    assert l1_norm(clipped) <= bound
 
 
 @given(histograms(), st.floats(min_value=1e-3, max_value=1e7))
