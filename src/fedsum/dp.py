@@ -68,7 +68,8 @@ variants that do not scale, so every release descales the same way.
 Calibration uses the nearest-rank empirical quantile of the proxy
 block's nonzero per-device (or per-(device, slice)) L1 norms; scale
 calibration falls back to 1.0 for a slice nobody touched, and a proxy
-with no active device cannot be calibrated.  Budget split's slice clip
+with no active device, or with a cell or norm that is not finite, cannot
+be calibrated.  Budget split's slice clip
 bounds and scaling's scale factors are the same calibration.  The joint
 clip bound is selected from the devices' float norm intervals, so only
 the few devices that may hold the quantile's rank are summed exactly.
@@ -103,7 +104,6 @@ __all__ = [
     "VARIANTS",
     "MechanismConfig",
     "NoisedRelease",
-    "nearest_rank_quantile",
     "calibrate_scales",
     "calibrate_clip",
     "apply_threshold",
@@ -236,19 +236,12 @@ class NoisedRelease:
 # Calibration
 
 
-def _rank(count: int, q: float) -> int:
-    """The 1-indexed nearest rank ``ceil(q * count)`` in a sample of ``count``."""
-    if not count:
-        raise InvalidParameterError("quantile of empty sample")
+def _rank(count: int | np.ndarray, q: float) -> np.ndarray:
+    """The 1-indexed nearest rank ``ceil(q * count)`` in a sample of
+    ``count`` (or in each sample of an array of counts)."""
     if not 0 < q <= 1:
         raise InvalidParameterError("quantile must be in (0, 1]")
-    return math.ceil(q * count)
-
-
-def nearest_rank_quantile(values: Sequence[float], q: float) -> float:
-    """ceil(q*n)-th order statistic (1-indexed) of ``values``."""
-    rank = _rank(len(values), q)
-    return sorted(values)[rank - 1]
+    return np.ceil(q * np.asarray(count)).astype(np.int64)
 
 
 def calibrate_scales(
@@ -257,29 +250,49 @@ def calibrate_scales(
     """Per-slice scale factors: the q-quantile of active devices' norms.
 
     A device's norm in an (activity, metric) slice adds ``|v|`` over its
-    cells of the slice in the order it made them (``made_at``).  A slice
-    with no active device falls back to 1.0 (logged); a block with no
-    active device at all raises :class:`InvalidParameterError`.
+    cells of the slice in the order it made them (``made_at``), and a
+    slice's factor is the nearest-rank quantile (the ``ceil(q * n)``-th
+    smallest) of its ``n`` nonzero norms.  The block's rows are sorted by
+    device, then activity, so each (device, activity) is a run of rows.
+    One stable sort by ``made_at`` and one ``np.bincount`` over (run,
+    metric) give every norm, each adding its cells in made order; one
+    stable sort by slice then lays each slice's norms out together, and
+    ``np.partition`` picks its rank.  A slice with no active device falls
+    back to 1.0 (logged); a block with no active device at all raises
+    :class:`InvalidParameterError`, and so does a norm that is not
+    finite, naming its device.
     """
     num_activities, num_metrics = schema.shape[:2]
-    row, metric = np.nonzero(devices.sums)
-    made = np.argsort(devices.made_at[row], kind="stable")  # then by metric
-    row, metric = row[made], metric[made]
-    partition = devices.device[row] * num_activities + devices.activity[row]
-    keys, inverse = np.unique(partition * num_metrics + metric, return_inverse=True)
-    # bincount adds each group's weights one at a time, in cell order.
-    norms = np.bincount(inverse, weights=np.abs(devices.sums[row, metric]))
+    first = np.ones(len(devices.device), dtype=bool)  # where a run starts
+    first[1:] = (devices.device[1:] != devices.device[:-1]) | (
+        devices.activity[1:] != devices.activity[:-1]
+    )
+    starts = np.flatnonzero(first)
+    run = first.cumsum() - 1  # each row's (device, activity) run
+    made = np.argsort(devices.made_at, kind="stable")
+    cell = (run[made, None] * num_metrics + np.arange(num_metrics)).ravel()
+    norms = np.bincount(
+        cell, weights=np.abs(devices.sums[made]).ravel(), minlength=len(starts) * num_metrics
+    )
+    if not np.isfinite(norms).all():
+        bad_run, metric = divmod(int(np.flatnonzero(~np.isfinite(norms))[0]), num_metrics)
+        owner = int(devices.device[starts[bad_run]])
+        cells = devices.sums[run == bad_run, metric]
+        raise _norm_overflow(owner) if np.isfinite(cells).all() else _non_finite(owner)
     active = norms > 0.0
     if not active.any():
         raise InvalidParameterError(
             "cannot calibrate per-slice tables: no device has any data"
         )
-    slices, norms = keys[active] % (num_activities * num_metrics), norms[active]
-    table = [1.0] * (num_activities * num_metrics)
-    for index in range(len(table)):
-        slice_norms = norms[slices == index].tolist()
-        if slice_norms:
-            table[index] = nearest_rank_quantile(slice_norms, q)
+    slices = devices.activity[starts][:, None] * num_metrics + np.arange(num_metrics)
+    slices, norms = slices.ravel()[active], norms[active]
+    counts = np.bincount(slices, minlength=num_activities * num_metrics)
+    by_slice = norms[np.argsort(slices, kind="stable")]
+    table, lo = [1.0] * len(counts), 0
+    for index, (count, rank) in enumerate(zip(counts.tolist(), _rank(counts, q).tolist())):
+        if count:
+            table[index] = float(np.partition(by_slice[lo : lo + count], rank - 1)[rank - 1])
+            lo += count
         else:
             logger.warning(
                 "no device active in slice (activity=%d, metric=%d); "
@@ -295,32 +308,33 @@ def calibrate_scales(
 def calibrate_clip(devices: DeviceSubtotals, q: float = 0.95) -> float:
     """Joint clip bound: q-quantile of nonzero per-device L1 norms.
 
-    The bound is :func:`nearest_rank_quantile` at ``q`` of every active
-    device's exactly rounded norm, selected from intervals so that only
-    the devices that may hold its rank ``k`` are summed exactly.  Each
-    device's float norm gives an interval that holds its exact norm
-    (:func:`_norm_ranges`).  With ``L`` and ``H`` the ``k``-th smallest
-    lower and upper ends, the rank-``k`` norm is in ``[L, H]``, a device
-    whose upper end is below ``L`` is below it, and one whose lower end
-    is above ``H`` is above it.  So the bound is the norm of rank ``k -
-    below`` among the devices whose interval meets ``[L, H]``.  A device
-    whose interval reaches infinity is summed exactly too, and a norm too
-    large for a float raises :class:`InvalidParameterError` naming its
-    device.
+    The bound is the nearest-rank quantile at ``q`` (the ``k = ceil(q *
+    n)``-th smallest) of the ``n`` active devices' exactly rounded norms,
+    selected from intervals so that only the devices that may hold its
+    rank ``k`` are summed exactly.  Each device's float norm gives an
+    interval that holds its exact norm (:func:`_norm_ranges`).  With
+    ``L`` and ``H`` the ``k``-th smallest lower and upper ends, the
+    rank-``k`` norm is in ``[L, H]``, a device whose upper end is below
+    ``L`` is below it, and one whose lower end is above ``H`` is above it.
+    So the bound is the norm of rank ``k - below`` among the devices whose
+    interval meets ``[L, H]``.  A device whose interval reaches infinity,
+    or whose float norm is NaN, is summed exactly too, and a norm too
+    large for a float or a cell that is not finite raises
+    :class:`InvalidParameterError` naming its device.
     """
     cells, edges, _, owner = _cell_groups(devices, per_slice=False)
     lower, upper = _norm_ranges(cells, edges)
-    active = upper > 0.0  # all cells zero, or a NaN norm, is no data
+    active = ~(upper <= 0.0)  # all cells zero is no data; a NaN norm is refused below
     if not active.any():
         raise InvalidParameterError(
             "cannot calibrate a clip bound: no device has any data"
         )
     lower, upper = lower[active], upper[active]
-    rank = _rank(len(upper), q)
+    rank = int(_rank(len(upper), q))
     low = np.partition(lower, rank - 1)[rank - 1]
     high = np.partition(upper, rank - 1)[rank - 1]
     below = int(np.count_nonzero(upper < low))
-    candidates = (upper >= low) & (lower <= high) | (upper == math.inf)
+    candidates = (upper >= low) & (lower <= high) | ~(upper < math.inf)
     norms = [
         _exact_norm(cells[edges[k] : edges[k + 1]].tolist(), owner[k])
         for k in np.flatnonzero(active)[candidates].tolist()
@@ -419,15 +433,23 @@ def _norm_ranges(cells: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.n
 
 def _exact_norm(entries: list[float], device: int) -> float:
     """The exactly rounded sum of ``|v|`` over ``entries``, one group of
-    ``device``; a norm too large for a float raises."""
+    ``device``; a norm too large for a float, or a cell that is not
+    finite, raises."""
     try:
-        return math.fsum(map(abs, entries))
+        norm = math.fsum(map(abs, entries))
     except OverflowError:
         raise _norm_overflow(device) from None
+    if not norm < math.inf:
+        raise _non_finite(device)
+    return norm
 
 
 def _norm_overflow(device: int) -> InvalidParameterError:
     return InvalidParameterError(f"device {device}'s L1 norm is too large for a float")
+
+
+def _non_finite(device: int) -> InvalidParameterError:
+    return InvalidParameterError(f"device {device} holds a cell that is not finite")
 
 
 def _clip_l1(
@@ -446,21 +468,19 @@ def _clip_l1(
     Otherwise its cells are multiplied by ``bound / norm``, again while
     rounding leaves the norm above the bound, with the factor nudged
     below one should it round to 1.0.  Cells that underflow become zero,
-    which is no entry.  A norm too large for a float raises
-    :class:`InvalidParameterError`.  Returns whether any cell changed.
+    which is no entry.  A norm too large for a float, or a cell that is
+    not finite, raises :class:`InvalidParameterError` naming the device,
+    unless the bound is infinite.  Returns whether any cell changed.
     """
     if not min(bounds) > 0.0:
         raise InvalidParameterError(f"clip bounds must be positive, got {bounds}")
     changed = False
     for lo, hi, slice_index, device in zip(edges, edges[1:], index, owner):
         bound, entries = bounds[slice_index], cells[lo:hi]
-        try:
-            norm = math.fsum(map(abs, entries))
-        except OverflowError:
-            if bound == math.inf:
-                continue
-            raise _norm_overflow(device) from None
-        if not norm > bound:
+        if bound == math.inf:
+            continue
+        norm = _exact_norm(entries, device)
+        if norm <= bound:
             continue
         while norm > bound:
             factor = bound / norm

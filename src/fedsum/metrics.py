@@ -46,7 +46,8 @@ def exact_workload(corpus: Corpus, block: DeviceSubtotals) -> np.ndarray:
 
     ``block`` (``corpus.device_histograms(window)``) holds each device's
     trips summed in event order; each cell's device subtotals are then
-    summed exactly (:meth:`DeviceSubtotals.cell_sums`).  That is the
+    summed exactly, in one array pass over every cell that rounds each as
+    ``math.fsum`` does (:meth:`DeviceSubtotals.cell_sums`).  That is the
     two-level structure the live pipeline computes, so an unbounded,
     noiseless release matches this oracle bit for bit.
     """

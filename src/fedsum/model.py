@@ -7,9 +7,10 @@ bounded rows are what it uploads.  The device transform
 (:meth:`fedsum.dp.ResolvedMechanism.transform_devices`) bounds a block;
 :meth:`DeviceSubtotals.cell_sums` sums its rows per cell, exactly, into
 one dense float64 array indexed by ``(activity, metric, region,
-direction)``.  Such an array is a window's cell sums at every layer: the
-ground truth, the pre-noise sum, the server's summed aggregate, a
-release's values and every score.
+direction)``, every cell in one array pass that falls back to
+``math.fsum`` only where it cannot certify the rounding.  Such an array
+is a window's cell sums at every layer: the ground truth, the pre-noise
+sum, the server's summed aggregate, a release's values and every score.
 
 The other type is the sparse histogram, :class:`IndexedHistogram`: a
 release's nonzero entries, as its artifacts and events read and
@@ -35,6 +36,8 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+from .exactsum import group_fsum
 
 __all__ = [
     "DIRECTIONS",
@@ -380,27 +383,22 @@ class DeviceSubtotals(NamedTuple):
     def cell_sums(self, schema: Schema) -> np.ndarray:
         """Each cell summed over the block's rows, exactly rounded.
 
-        A float64 array of the schema's shape: one ``math.fsum`` per cell
-        some row holds, which rounds as :class:`fedsum.exactsum.ExactSum`
-        does.  Only nonzero totals are written, so an empty cell is
-        ``+0.0``.  Of a window's block these are its grouped sums: the
+        A float64 array of the schema's shape.  Every cell is the
+        ``math.fsum`` of its rows' values in row order, which rounds as
+        :class:`fedsum.exactsum.ExactSum` does, taken for all cells and
+        metrics in one :func:`fedsum.exactsum.group_fsum` call; an empty
+        cell is ``+0.0``.  The groups run metric by metric, then by
+        partition, so a cell ``math.fsum`` refuses raises as a loop in that
+        order would.  Of a window's block these are its grouped sums: the
         ground truth, or the pre-noise sum once the block is bounded.
         """
         num_activities, num_metrics, num_regions, num_directions = schema.shape
+        partitions = num_activities * num_regions * num_directions
         partition = (
             self.activity * num_regions + self.region
         ) * num_directions + self.direction
-        order = np.argsort(partition, kind="stable")
-        starts = np.flatnonzero(np.diff(partition[order], prepend=-1))
-        bounds = [*starts.tolist(), len(order)]
-        # Each partition's activity and (region, direction) place.
-        activity, place = np.divmod(partition[order[starts]], num_regions * num_directions)
-        out = np.zeros((num_activities, num_metrics, num_regions * num_directions))
-        for m in range(num_metrics):
-            column = self.sums[order, m].tolist()  # one metric's floats at a time
-            totals = np.array(
-                [math.fsum(column[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-            )
-            nonzero = totals != 0.0
-            out[activity[nonzero], m, place[nonzero]] = totals[nonzero]
-        return out.reshape(schema.shape)
+        group = np.arange(num_metrics)[:, None] * partitions + partition
+        totals = group_fsum(self.sums.T.ravel(), group.ravel(), num_metrics * partitions)
+        totals[totals == 0.0] = 0.0  # no -0.0
+        by_metric = totals.reshape(num_metrics, num_activities, num_regions, num_directions)
+        return np.ascontiguousarray(by_metric.transpose(1, 0, 2, 3))

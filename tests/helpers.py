@@ -19,6 +19,7 @@ from fedsum.model import (
     METRIC_DISTANCE,
     METRIC_DURATION,
     METRIC_NUM_TRIPS,
+    InvalidParameterError,
     TripRecord,
 )
 from fedsum.synth import _COLUMN_TYPES, Corpus
@@ -211,6 +212,53 @@ def reference_bounded_sums(block, clip=None, clip_table=None, scale_table=None):
         for (k, m), value in zip(positions, values):
             rows[k][m] = value
     return np.array(rows, dtype=np.float64).reshape(block.sums.shape)
+
+
+def nearest_rank_quantile(values, q: float) -> float:
+    """The ``ceil(q * n)``-th smallest (1-indexed) of ``n`` values."""
+    if not values:
+        raise InvalidParameterError("quantile of empty sample")
+    if not 0 < q <= 1:
+        raise InvalidParameterError("quantile must be in (0, 1]")
+    return sorted(values)[math.ceil(q * len(values)) - 1]
+
+
+def reference_cell_sums(block) -> dict[tuple[int, int, int, int], float]:
+    """Every cell some row of the block holds: ``math.fsum`` of its values
+    over the rows, in row order."""
+    columns: dict[tuple[int, int, int, int], list[float]] = {}
+    partitions = zip(block.activity.tolist(), block.region.tolist(), block.direction.tolist())
+    for (a, r, d), values in zip(partitions, block.sums.tolist()):
+        for m, value in enumerate(values):
+            columns.setdefault((a, m, r, d), []).append(value)
+    return {cell: math.fsum(values) for cell, values in columns.items()}
+
+
+def reference_scales(block, schema, q: float) -> tuple[tuple[float, ...], ...]:
+    """Per-slice calibration by plain loops.
+
+    Each (device, activity, metric)'s norm adds ``|v|`` left to right
+    over the device's cells in the order it made them (``made_at``); a
+    slice's entry is :func:`nearest_rank_quantile` of its nonzero norms,
+    or 1.0 if it has none.
+    """
+    norms: dict[tuple[int, int, int], float] = {}
+    made = sorted(range(len(block.device)), key=lambda k: int(block.made_at[k]))
+    for k in made:
+        device, a = int(block.device[k]), int(block.activity[k])
+        for m, value in enumerate(block.sums[k].tolist()):
+            norms[(device, a, m)] = norms.get((device, a, m), 0.0) + abs(value)
+    per_slice: dict[tuple[int, int], list[float]] = {}
+    for (_, a, m), norm in norms.items():
+        if norm > 0.0:
+            per_slice.setdefault((a, m), []).append(norm)
+    return tuple(
+        tuple(
+            nearest_rank_quantile(per_slice[(a, m)], q) if (a, m) in per_slice else 1.0
+            for m in range(schema.num_metrics)
+        )
+        for a in range(schema.num_activities)
+    )
 
 
 def sparse_scored_cells(truth, device_counts, device_floor, shape):

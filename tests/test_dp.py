@@ -26,7 +26,6 @@ from fedsum.dp import (
     apply_threshold,
     calibrate_clip,
     calibrate_scales,
-    nearest_rank_quantile,
     prepare_mechanism,
     resolve_mechanism,
 )
@@ -38,8 +37,13 @@ from fedsum.model import (
 )
 from fedsum.rng import BlockRng, laplace_from_uniform
 
-from blocks import block_of, dense_of, devices_of, exact_sum, histograms_of, rows_of
-from helpers import reference_bounded_sums
+from blocks import block_of, dense_of, devices_of, exact_sum, histograms_of, rows_of, sparse_of
+from helpers import (
+    nearest_rank_quantile,
+    reference_bounded_sums,
+    reference_cell_sums,
+    reference_scales,
+)
 
 
 def hist(schema, entries):
@@ -392,6 +396,109 @@ def test_clip_calibration_equals_a_sort_of_every_exact_norm(block, q):
         assert calibrate_clip(block, q) == nearest_rank_quantile(norms, q)
 
 
+# Hand-written blocks for the slice calibration.
+SCALE_CASES = {
+    "ties_at_the_rank": [{(0, 0, 0, 0): 5.0}] * 4
+    + [{(0, 0, 0, 0): 1.0}, {(1, 2, 1, 2): 9.0, (1, 2, 0, 0): -9.0}, {(1, 2, 0, 1): 18.0}],
+    "empty_slices": [{(0, 1, 0, 0): 2.0}, {}, {(1, 0, 1, 1): 0.0, (1, 0, 0, 0): -0.0}],
+    # Made in the order (0.1, 0.2, 0.3) and (0.3, 0.2, 0.1): the norms
+    # differ in the last bit, and one device holds two slices of a run.
+    "made_order": [
+        {(0, 1, 1, 2): 0.1, (0, 1, 0, 0): 0.2, (0, 1, 0, 1): 0.3, (0, 2, 1, 0): 4.0},
+        {(0, 1, 1, 2): 0.3, (0, 1, 0, 0): 0.2, (0, 1, 0, 1): 0.1, (1, 1, 0, 0): 7.0},
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALE_CASES))
+def test_scale_calibration_equals_the_reference_loop(case, caplog):
+    block = block_of(CLIP_SCHEMA, SCALE_CASES[case])
+    for q in (1e-12, 0.3, 0.5, 0.95, 1.0):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="fedsum.dp"):
+            table = calibrate_scales(block, CLIP_SCHEMA, q)
+        assert table == reference_scales(block, CLIP_SCHEMA, q)
+        untouched = {
+            (a, m)
+            for a in range(2)
+            for m in range(3)
+            if not np.any(block.sums[block.activity == a, m])
+        }
+        assert {(a, m) for a, m in untouched if table[a][m] == 1.0} == untouched
+        warned = {(int(r.args[0]), int(r.args[1])) for r in caplog.records}
+        assert warned == untouched
+
+
+@given(block=device_blocks(0, 12), q=st.floats(min_value=1e-12, max_value=1.0))
+def test_scale_calibration_equals_a_loop_over_the_made_cells(block, q):
+    if not np.any(block.sums):
+        with pytest.raises(InvalidParameterError, match="no device has any data"):
+            calibrate_scales(block, CLIP_SCHEMA, q)
+    else:
+        assert calibrate_scales(block, CLIP_SCHEMA, q) == reference_scales(block, CLIP_SCHEMA, q)
+
+
+def test_scale_calibration_of_a_corpus_week_equals_the_reference(corpus_300, week_one_300):
+    schema = corpus_300.schema
+    window = corpus_300.device_histograms(week_one_300)
+    for q in (0.5, 0.95, 1.0):
+        assert calibrate_scales(window, schema, q) == reference_scales(window, schema, q)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_tables_and_cell_sums_of_a_corpus_week_equal_the_references(
+    corpus_300, week_one_300, variant
+):
+    schema = corpus_300.schema
+    window = corpus_300.device_histograms(week_one_300)
+    resolved = resolve_mechanism(
+        MechanismConfig(variant=variant, epsilon=1.0, quantile=0.9), window, schema
+    )
+    if variant == VARIANT_SPLIT:
+        assert resolved.clip_table == reference_scales(window, schema, 0.9)
+    if variant == VARIANT_SCALED:
+        assert resolved.scale_table == reference_scales(window, schema, 0.9)
+    bounded = resolved.transform_devices(window, schema)
+    assert not np.array_equal(bounded.sums, window.sums)  # some devices clipped
+    for block in (window, bounded):
+        expected = {cell: v.hex() for cell, v in reference_cell_sums(block).items() if v}
+        assert {cell: v.hex() for cell, v in sparse_of(block.cell_sums(schema)).items()} == expected
+
+
+def hex_cells(block):
+    """The block's nonzero cell sums as hex strings, per cell."""
+    return {cell: v.hex() for cell, v in sparse_of(block.cell_sums(CLIP_SCHEMA)).items()}
+
+
+def reference_hex_cells(block):
+    return {cell: v.hex() for cell, v in reference_cell_sums(block).items() if v}
+
+
+@given(block=device_blocks(0, 12))
+def test_cell_sums_equal_a_per_cell_fsum(block):
+    assert hex_cells(block) == reference_hex_cells(block)
+
+
+def test_cell_sums_break_ties_and_cancel_as_fsum_does():
+    tie = [{(0, 1, 0, 0): 1.0}, {(0, 1, 0, 0): 2.0**-53}]
+    broken = [*tie, {(0, 1, 0, 0): 2.0**-106}]
+    cancelled = [{(1, 2, 1, 1): 1e16}, {(1, 2, 1, 1): 1.0}, {(1, 2, 1, 1): -1e16}]
+    for devices in (tie, broken, cancelled, [*broken, *cancelled]):
+        block = block_of(CLIP_SCHEMA, devices)
+        assert hex_cells(block) == reference_hex_cells(block)
+    above_one = math.nextafter(1.0, 2.0).hex()
+    assert hex_cells(block_of(CLIP_SCHEMA, broken)) == {(0, 1, 0, 0): above_one}
+
+
+def test_cell_sums_of_cells_that_are_not_finite_are_fsum_s():
+    cells = [{(0, 0, 0, 0): math.inf, (1, 1, 1, 1): math.nan}, {(0, 0, 0, 0): 1.0}]
+    sums = block_of(CLIP_SCHEMA, cells).cell_sums(CLIP_SCHEMA)
+    assert sums[0, 0, 0, 0] == math.inf and math.isnan(sums[1, 1, 1, 1])
+    for cells, error in (([math.inf, -math.inf], ValueError), ([1e308, 1e308], OverflowError)):
+        with pytest.raises(error):
+            block_of(CLIP_SCHEMA, [{(0, 0, 0, 0): v} for v in cells]).cell_sums(CLIP_SCHEMA)
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_the_server_admits_every_device_bounded_upload(corpus_300, week_one_300, variant):
     """Each device's rows of the window's bounded block pass the server's
@@ -444,6 +551,64 @@ def test_clip_calibration_refuses_a_norm_too_large_for_a_float(q):
     block = block_of(CLIP_SCHEMA, [{(1, 0, 0, 0): 1.0}] * 3 + [OVERFLOWING])
     with pytest.raises(InvalidParameterError, match="device 3's L1 norm"):
         calibrate_clip(block, q)
+
+
+# Cells that are not finite, in one (activity, metric) slice.
+NON_FINITE = {
+    "inf_cell": {(0, 0, 0, 0): math.inf, (0, 0, 0, 1): 1.0},
+    "nan_cell": {(0, 0, 0, 0): math.nan, (0, 0, 0, 1): 1.0},
+}
+
+
+@pytest.mark.parametrize("cell", sorted(NON_FINITE))
+@pytest.mark.parametrize("others", [0, 2], ids=["one_device", "many_devices"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_cell_that_is_not_finite_is_refused_naming_its_device(variant, others, cell):
+    block = block_of(CLIP_SCHEMA, [{(1, 0, 0, 0): 1.0}] * others + [NON_FINITE[cell]])
+    params = {"clip_table": [[1.0] * 3] * 2} if variant == VARIANT_SPLIT else {"clip": 1.0}
+    if variant == VARIANT_SCALED:
+        params["scale_table"] = [[1.0] * 3] * 2
+    message = f"device {others} holds a cell that is not finite"
+    with pytest.raises(InvalidParameterError, match=message):
+        bounded_hexes(variant, block, params)
+
+
+@pytest.mark.parametrize("cell", sorted(NON_FINITE))
+@pytest.mark.parametrize("others", [0, 2], ids=["one_device", "many_devices"])
+@pytest.mark.parametrize("variant", [VARIANT_JOINT, VARIANT_SCALED])
+def test_an_infinite_bound_leaves_a_cell_that_is_not_finite(variant, others, cell):
+    block = block_of(CLIP_SCHEMA, [{(1, 0, 0, 0): 1.0}] * others + [NON_FINITE[cell]])
+    params = {"clip": math.inf}
+    if variant == VARIANT_SCALED:
+        params["scale_table"] = [[1.0] * 3] * 2
+    resolved = resolve_mechanism(
+        MechanismConfig(variant=variant, epsilon=math.inf, **params), [], CLIP_SCHEMA
+    )
+    bounded = resolved.transform_devices(block, CLIP_SCHEMA)
+    assert np.array_equal(bounded.sums, block.sums, equal_nan=True)
+
+
+@pytest.mark.parametrize("cell", sorted(NON_FINITE))
+@pytest.mark.parametrize("others", [0, 3], ids=["one_device", "many_devices"])
+@pytest.mark.parametrize("q", [1e-12, 1.0])
+def test_clip_calibration_refuses_a_cell_that_is_not_finite(q, others, cell):
+    block = block_of(CLIP_SCHEMA, [{(1, 0, 0, 0): 1.0}] * others + [NON_FINITE[cell]])
+    with pytest.raises(InvalidParameterError, match=f"device {others} holds a cell"):
+        calibrate_clip(block, q)
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (OVERFLOWING, "device 3's L1 norm"),
+        *((cells, "device 3 holds a cell") for cells in NON_FINITE.values()),
+    ],
+    ids=["norm_too_large", *NON_FINITE],
+)
+def test_scale_calibration_refuses_a_norm_that_is_not_finite(cells, message):
+    block = block_of(CLIP_SCHEMA, [{(1, 0, 0, 0): 1.0}] * 3 + [cells])
+    with pytest.raises(InvalidParameterError, match=message):
+        calibrate_scales(block, CLIP_SCHEMA, 0.5)
 
 
 # --- thresholding -------------------------------------------------------------

@@ -1,16 +1,18 @@
-"""Error-free accumulation: expansions behave like exact real sums, and the
-grouped accumulator built on them sums per key and column exactly."""
+"""Error-free accumulation: expansions behave like exact real sums, the
+grouped accumulator built on them sums per key and column exactly, and
+the array kernel's grouped sums are math.fsum's, bit for bit."""
 
 from __future__ import annotations
 
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedsum.exactsum import ExactSum, add_partial, merge_partials, round_partials
+from fedsum.exactsum import ExactSum, add_partial, group_fsum, merge_partials, round_partials
 
 # Bounded so that no intermediate or final sum can overflow float64.
 bounded_floats = st.floats(
@@ -178,3 +180,130 @@ def test_merge_leaves_the_other_sum_unchanged():
 def test_sums_of_different_widths_do_not_combine():
     with pytest.raises(ValueError):
         ExactSum(1).merge(ExactSum(2))
+
+
+# --- group_fsum: grouped one-shot sums in array passes -------------------------------
+
+
+def fsum_per_group(values, group, num_groups):
+    """``math.fsum`` of each group's values in input order, as hex strings;
+    or the type of the first exception, in group order."""
+    columns: list[list[float]] = [[] for _ in range(num_groups)]
+    for g, v in zip(group, values):
+        columns[g].append(v)
+    try:
+        return [math.fsum(column).hex() for column in columns]
+    except (OverflowError, ValueError) as error:
+        return type(error)
+
+
+def kernel_per_group(values, group, num_groups):
+    try:
+        sums = group_fsum(
+            np.array(values, dtype=np.float64), np.array(group, dtype=np.intp), num_groups
+        )
+    except (OverflowError, ValueError) as error:
+        return type(error)
+    return [v.hex() for v in sums.tolist()]
+
+
+# Exact ties and their breakers, cancellation, subnormals and the
+# neighbourhood of the kernel's 2**1000 limit.
+TRICKY = [
+    1.0, -1.0, 2.0**-53, -(2.0**-53), 2.0**-106, 2.0**-54, 1e16, -1e16, 0.1, 3.0,
+    5e-324, -5e-324, 2.0**-1022, 2.0**-1000, 0.0, -0.0, 1e300, 2.0**1000, -(2.0**1000),
+]
+group_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(TRICKY),
+    st.floats(min_value=-1e6, max_value=1e6).map(lambda v: v * 2.0 ** -60),
+)
+grouped_values = st.lists(st.tuples(st.integers(0, 5), group_values), max_size=60)
+
+
+@given(grouped_values)
+def test_group_sums_are_fsum_per_group(rows):
+    group, values = [g for g, _ in rows], [v for _, v in rows]
+    assert kernel_per_group(values, group, 7) == fsum_per_group(values, group, 7)
+
+
+special_values = st.sampled_from([math.inf, -math.inf, math.nan, 1.0, 1e308, -1e308])
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), special_values), max_size=12))
+def test_groups_that_are_not_finite_fail_as_fsum_does(rows):
+    group, values = [g for g, _ in rows], [v for _, v in rows]
+    assert kernel_per_group(values, group, 4) == fsum_per_group(values, group, 4)
+
+
+CASES = {
+    "tie_to_even": ([1.0, 2.0**-53], 1.0),
+    "tie_broken_above": ([1.0, 2.0**-53, 2.0**-106], math.nextafter(1.0, 2.0)),
+    "tie_broken_below": ([1.0, -(2.0**-54), -(2.0**-108)], math.nextafter(1.0, 0.0)),
+    "cancellation": ([1e16, 1.0, -1e16], 1.0),
+    "subnormals": ([5e-324, 5e-324, -(2.0**-1022), 2.0**-1022], 1e-323),
+    "one_row": ([0.1], 0.1),
+    "negative_zeros": ([-0.0, -0.0], math.fsum([-0.0, -0.0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_hand_written_groups(case):
+    values, expected = CASES[case]
+    group = np.zeros(len(values), dtype=np.intp)
+    assert group_fsum(np.array(values), group, 1)[0].hex() == expected.hex()
+
+
+def test_empty_groups_and_no_values_sum_to_zero():
+    assert group_fsum(np.zeros(0), np.zeros(0, dtype=np.intp), 3).tolist() == [0.0] * 3
+    sums = group_fsum(np.array([2.5, 0.5]), np.array([3, 3]), 5)
+    assert [v.hex() for v in sums.tolist()] == [0.0.hex()] * 3 + [3.0.hex(), 0.0.hex()]
+
+
+def counted_fsum(monkeypatch):
+    """Count the kernel's calls of ``math.fsum``."""
+    calls = []
+    fsum = math.fsum
+
+    def counting(values):
+        calls.append(1)
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting)
+    return calls
+
+
+def test_an_undecided_tie_falls_back_to_fsum(monkeypatch):
+    values = np.array([1.0, 2.0**-53, 2.0**-106, 0.25])
+    group = np.array([0, 0, 0, 1])
+    calls = counted_fsum(monkeypatch)
+    sums = group_fsum(values, group, 2)
+    assert len(calls) == 1  # only the tie's group
+    assert sums.tolist() == [math.nextafter(1.0, 2.0), 0.25]
+
+
+def test_a_remainder_far_from_a_tie_is_certified_without_fsum(monkeypatch):
+    # Two splits leave 2**-130 over; the sum is far from a rounding boundary.
+    values = np.array([1.0, 2.0**-60, 2.0**-130, -3.0, 2.0**-70])
+    group = np.array([0, 0, 0, 1, 1])
+    expected = fsum_per_group(values.tolist(), group.tolist(), 2)
+    calls = counted_fsum(monkeypatch)
+    assert kernel_per_group(values, group, 2) == expected
+    assert calls == []
+
+
+def test_large_groups_of_ordinary_values_need_no_fsum(monkeypatch):
+    rng = np.random.default_rng(21)
+    values = np.concatenate(
+        [
+            rng.standard_normal(10_000) * 1e3,
+            rng.exponential(5.0, 10_000),
+            rng.integers(0, 9, 10_000) * 1.0,
+        ]
+    )
+    group = np.repeat([0, 1, 2], 10_000)
+    rng.shuffle(group)
+    expected = fsum_per_group(values.tolist(), group.tolist(), 3)
+    calls = counted_fsum(monkeypatch)
+    assert kernel_per_group(values, group, 3) == expected
+    assert calls == []
