@@ -111,16 +111,14 @@ class ExperimentConfig:
     sweep: SweepConfig = field(default_factory=SweepConfig)
 
     def __post_init__(self) -> None:
-        # Seeds are keyed as 64-bit integers; the run and corpus seeds are
-        # also non-negative.
-        seeds = [("run.seed", self.seed, 0), ("corpus.seed", self.corpus.seed, 0)]
+        # Seeds are keyed as 64-bit integers; the run seed is also
+        # non-negative, as the corpus's own config checks its seed.
+        seeds = [("run.seed", self.seed, 0)]
         if self.mechanism_seed is not None:
             seeds.append(("mechanism.seed", self.mechanism_seed, -(2**63)))
         seeds += [("sweep.seeds", seed, -(2**63)) for seed in self.sweep.seeds]
         for where, seed, low in seeds:
-            if not low <= seed < 2**63:
-                span = "[0, 2**63)" if low == 0 else "[-2**63, 2**63)"
-                raise ConfigError(f"{where}: expected a seed in {span}, got {seed}")
+            _check_seed(seed, where, low)
         start, alignment = self.corpus.start_time, self.task.alignment
         try:
             first_window = round_down_window(start, alignment)
@@ -207,6 +205,20 @@ def _list(item: Callable[[Any, str], Any]) -> Callable[[Any, str], tuple]:
     return read
 
 
+def _check_seed(seed: int, where: str, low: int) -> None:
+    if not low <= seed < 2**63:
+        span = "[0, 2**63)" if low == 0 else "[-2**63, 2**63)"
+        raise ConfigError(f"{where}: expected a seed in {span}, got {seed}")
+
+
+def _seed(value: Any, where: str) -> int:
+    """A run or corpus seed, checked when read: the corpus seed follows the
+    run seed, and the corpus refuses a bad one before the run could name it."""
+    seed = _int(value, where)
+    _check_seed(seed, where, 0)
+    return seed
+
+
 def _seeds(value: Any, where: str) -> tuple[int, ...]:
     """A list of seeds, or a count ``n`` meaning seeds ``0..n-1``."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -244,7 +256,7 @@ class _Key(NamedTuple):
 # default is ``ExperimentConfig()``'s.
 _KEYS: dict[str, dict[str, _Key]] = {
     "run": {
-        "seed": _Key("seed", _int),
+        "seed": _Key("seed", _seed),
         "out": _Key("out_dir", _str),
     },
     "corpus": {
@@ -252,7 +264,7 @@ _KEYS: dict[str, dict[str, _Key]] = {
         "num_regions": _Key("corpus.num_regions", _int),
         "num_weeks": _Key("corpus.num_weeks", _int),
         "start_time": _Key("corpus.start_time", _int),
-        "seed": _Key("corpus.seed", _int),
+        "seed": _Key("corpus.seed", _seed),
     },
     "fleet": {
         "policy": _Key("fleet.policy", _str),

@@ -7,28 +7,33 @@ with the same seed are bit-identical by construction, and two mechanism
 variants that ask for the same coordinate's noise at the same scale
 receive the same value.
 
-:class:`BlockRng` draws every simulated random quantity: the fleet's
-wake hours, each civil day's device conditions, the upload outcomes and
-each release's unit Laplace block.  It gives a whole block in one call
-from numpy's counter-based ``Philox`` (Philox4x64-10; Salmon et al.,
+:class:`BlockRng` draws every simulated random quantity: the synthetic
+corpus (:func:`fedsum.synth.generate_corpus`), the fleet's wake hours,
+each civil day's device conditions, the upload outcomes and each
+release's unit Laplace block.  It gives a whole block in one call from
+numpy's counter-based ``Philox`` (Philox4x64-10; Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  Its layout:
 
 * the 128-bit Philox key is BLAKE2b-128 of the encoded ``(seed,
   namespace, parts...)``, where the parts name the stream (a condition,
   a window id); it is hashed once, when the generator is built;
 * the counter words 1-3 are the integer index of a block (the civil
-  day for the fleet, ``(activity, metric)`` for release noise), and
-  word 0 counts 4-value Philox blocks along the stream;
-* the position in the stream is the device id, or ``region *
-  num_directions + direction`` for noise.  Position ``p`` is output word
-  ``p % 4`` of Philox applied to counter word 0 = ``p // 4 + 1`` (numpy
-  steps the counter before each block).
+  day for the fleet, ``(activity, week)`` for the corpus, ``(activity,
+  metric)`` for release noise), and word 0 counts 4-value Philox blocks
+  along the stream;
+* the position in the stream is the device id, a trip's rank in its
+  corpus block, or ``region * num_directions + direction`` for noise.
+  Position ``p`` is output word ``p % 4`` of Philox applied to counter
+  word 0 = ``p // 4 + 1`` (numpy steps the counter before each block).
 
 So a block of any length is a prefix of a longer one: 300 devices and
 10,000 devices draw the same first 300 values, and a cell's noise does
 not depend on the number of regions.  Each 64-bit output ``x`` becomes
 the uniform ``((x >> 12) + 0.5) * 2**-52``: exact, strictly inside
-(0, 1) and never 1/2.
+(0, 1) and never 1/2.  :meth:`BlockRng.generator` hands the same stream
+to a numpy ``Generator`` instead, for the corpus's Poisson and lognormal
+draws; those take a variable number of outputs per value, so a value's
+position there is its rank among the values drawn.
 
 :class:`KeyedRng` hashes ``(seed, namespace, index...)`` with BLAKE2b
 for each value, one value per call.  The package uses it for
@@ -191,13 +196,29 @@ class BlockRng:
         digest = blake2b(material, digest_size=16).digest()
         self._key = np.frombuffer(digest, dtype="<u8").astype(np.uint64)
 
-    def uniforms(self, size: int, *index: int) -> np.ndarray:
-        """Positions ``0 .. size - 1`` of the stream at ``index`` (up to three
-        integers in [0, 2**64), the counter words 1-3; missing words are 0),
-        as float64 in (0, 1)."""
+    def _philox(self, index: tuple[int, ...]) -> np.random.Philox:
+        """The stream at ``index``: up to three integers in [0, 2**64), the
+        counter words 1-3; missing words are 0."""
         if len(index) > 3 or not all(0 <= i < 2**64 for i in index):
             raise ValueError(f"a block index is up to 3 integers in [0, 2**64), got {index}")
         counter = np.zeros(4, dtype=np.uint64)
         counter[1 : 1 + len(index)] = index
-        bits = np.random.Philox(counter=counter, key=self._key).random_raw(size)
-        return ((bits >> np.uint64(12)).astype(np.float64) + 0.5) * _U52_INV
+        return np.random.Philox(counter=counter, key=self._key)
+
+    def uniforms(self, size: int, *index: int) -> np.ndarray:
+        """Positions ``0 .. size - 1`` of the stream at ``index`` as float64 in (0, 1)."""
+        bits = self._philox(index).random_raw(size)
+        bits >>= np.uint64(12)
+        uniforms = bits.astype(np.float64)
+        del bits  # in place from here: a block holds two arrays at most
+        uniforms += 0.5
+        uniforms *= _U52_INV
+        return uniforms
+
+    def generator(self, *index: int) -> np.random.Generator:
+        """A numpy ``Generator`` reading the stream at ``index`` from its start.
+
+        Its array methods draw element after element, so the first ``n``
+        values of a block of any length ``>= n`` are the same.
+        """
+        return np.random.Generator(self._philox(index))

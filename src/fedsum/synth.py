@@ -3,20 +3,41 @@
 Builds a deterministic fleet of devices with heterogeneous travel
 behavior: common short activities (walking, driving) through rare
 long-haul ones (flying), heavy-tailed per-device rates, and a skewed
-home-region distribution.  Every device draws from its own generator
-seeded by ``(corpus_seed, device_id)``, so the corpus is byte-for-byte
-reproducible and unchanged by generation order or fleet slicing.
+home-region distribution.  The whole fleet draws each quantity in one
+block from its own counter-based stream, ``rng.BlockRng(corpus_seed,
+"corpus", quantity)``, so the corpus is bit-for-bit reproducible and
+every device's values are independent of the rest of the fleet.
 
-Each device's generator is drawn in a fixed order, which
-``tests/test_synth.py`` pins by digest: its tier, then its home region;
-then per activity, in roster order, a participation draw and, if it
-takes part, its rate multiplier; then per week a Poisson trip count
-followed by that week's trips, each drawing its event time, direction,
-distance and duration jitter in that order.  A categorical draw (home
-region, direction) is one uniform looked up in a CDF computed once per
-corpus, exactly as ``Generator.choice`` would draw it.  Trips are then
-sorted stably by event time.  A change to this order changes the
-corpus and must be documented here.
+The streams and their layout, in the order they are drawn:
+
+* per device, at position ``device_id``: ``"tier"`` (high end if the
+  uniform is below ``high_end_share``) and ``"home-region"``;
+* per activity ``a`` (counter ``a``), at position ``device_id``:
+  ``"participation"`` (a uniform; the device takes part if it is below
+  the activity's share) and ``"rate"``, the device's rate multiplier,
+  a lognormal drawn for every device;
+* per activity and week (counter ``(a, week)``), at position
+  ``device_id``: ``"count"``, the device's Poisson trip count (mean 0
+  if it does not take part);
+* per activity and week, at the trip's rank in the block, where the
+  block holds the week's trips of that activity device after device:
+  ``"time"`` (a uniform over the week, floored to a second),
+  ``"direction"``, ``"distance"`` (lognormal) and ``"jitter"``
+  (lognormal; the duration is ``distance / speed * 3600 * jitter``).
+
+Uniforms and categorical draws read :meth:`BlockRng.uniforms`; a
+categorical value (home region, direction) is
+``searchsorted(choice_cdf(p), u, side="right")``.  Poisson counts and
+lognormals are numpy ``Generator`` array methods on the same stream
+(:meth:`BlockRng.generator`), which compute every value with the same
+per-element C code (libm ``exp``) as a scalar call, on every host.
+Every value sits at a position fixed by its device and (activity,
+week), so a 300-device corpus is exactly the first 300 devices of a
+1,000-device one, and a 1-week corpus exactly the first week of a
+2-week one.  Trips are then sorted stably by (device, event time): ties
+keep their generation order, activity, then week, then trip.  A change
+to these streams or this order changes the corpus and must be
+documented here.
 
 The :class:`Corpus` stores no object per trip.  The fleet's trips are
 five parallel unboxed columns (``event_time``, ``activity``,
@@ -44,7 +65,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -57,6 +77,7 @@ from .model import (
     TripColumns,
     TripRecord,
 )
+from .rng import BlockRng
 from .windows import TimeWindow
 
 __all__ = [
@@ -90,6 +111,22 @@ class ActivitySpec:
     distance_log_mean: float
     distance_log_sigma: float
     speed_kmh: float
+
+    def __post_init__(self) -> None:
+        _require(self, (
+            ("participation", 0.0 <= self.participation <= 1.0, "in [0, 1]"),
+            ("weekly_rate", 0.0 <= self.weekly_rate < math.inf, "finite and >= 0"),
+            ("distance_log_mean", math.isfinite(self.distance_log_mean), "finite"),
+            ("distance_log_sigma", 0.0 <= self.distance_log_sigma < math.inf, "finite and >= 0"),
+            ("speed_kmh", 0.0 < self.speed_kmh < math.inf, "finite and > 0"),
+        ))
+
+
+def _require(config: object, checks: tuple[tuple[str, bool, str], ...]) -> None:
+    """Fail on the first ``(field, holds, what it must be)`` that does not hold."""
+    for field, holds, what in checks:
+        if not holds:
+            raise ValueError(f"{field} must be {what}, got {getattr(config, field)!r}")
 
 
 def _spec(name, participation, rate, typical_km, sigma, speed) -> ActivitySpec:
@@ -135,6 +172,17 @@ class SyntheticCorpusConfig:
     def __post_init__(self) -> None:
         if self.num_devices < 1 or self.num_regions < 1 or self.num_weeks < 1:
             raise ValueError("corpus dimensions must be positive")
+        _require(self, (
+            # Every stream is keyed by the seed as a signed 64-bit integer.
+            ("seed", 0 <= self.seed < 2**63, "in [0, 2**63)"),
+            ("high_end_share", 0.0 <= self.high_end_share <= 1.0, "in [0, 1]"),
+            ("rate_sigma", 0.0 <= self.rate_sigma < math.inf, "finite and >= 0"),
+            (
+                "duration_jitter_sigma",
+                0.0 <= self.duration_jitter_sigma < math.inf,
+                "finite and >= 0",
+            ),
+        ))
         mix = self.direction_mix
         if len(mix) != len(DIRECTIONS) or not all(0 <= p < math.inf for p in mix):
             raise ValueError(
@@ -305,67 +353,111 @@ def _zipf_probabilities(n: int, exponent: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def choice_cdf(p: np.ndarray) -> list[float]:
+def choice_cdf(p: np.ndarray) -> np.ndarray:
     """The CDF that ``Generator.choice`` draws from, computed as it does.
 
-    ``bisect_right(choice_cdf(p), gen.random())`` draws what
-    ``gen.choice(len(p), p=p)`` draws, from the same single double of
-    ``gen``'s stream, without re-checking ``p`` on every draw.
+    ``np.searchsorted(choice_cdf(p), u, side="right")`` maps uniforms to
+    what ``gen.choice(len(p), p=p)`` draws from the same doubles, without
+    re-checking ``p`` on every draw.
     """
     if not (np.isfinite(p).all() and (p >= 0).all()):
         raise ValueError(f"probabilities must be finite and non-negative: {p}")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return cdf.tolist()
+    return cdf
+
+
+def _column(typecode: str, size: int) -> tuple[array, np.ndarray]:
+    """A zeroed ``array.array`` of ``size`` entries and a writable numpy view of it."""
+    column = array(typecode, [0]) * size
+    return column, np.frombuffer(column, dtype=typecode)
 
 
 def generate_corpus(config: SyntheticCorpusConfig) -> Corpus:
-    """Generate the full fleet deterministically from the config seed."""
+    """Generate the full fleet deterministically from the config seed.
+
+    Draws each quantity for the whole fleet in blocks, in the order and
+    layout of the module docstring.  The trips' event times come first,
+    so their sorted order is known before the other columns are drawn,
+    and each column is written once, straight into its final rows.
+    """
     schema = config.schema()
+    num_devices, activities = config.num_devices, config.activities
     region_cdf = choice_cdf(
         _zipf_probabilities(config.num_regions, config.region_zipf_exponent)
     )
     direction_cdf = choice_cdf(np.asarray(config.direction_mix, dtype=np.float64))
-    rate_mean_correction = -0.5 * config.rate_sigma ** 2
-    columns = {name: array(code) for name, code in _COLUMN_TYPES.items()}
-    add_time = columns["event_time"].append
-    add_activity = columns["activity"].append
-    add_direction = columns["direction"].append
-    add_distance = columns["distance_km"].append
-    add_duration = columns["duration_s"].append
-    tiers, home_regions, offsets = [], array("q"), array("q", [0])
-    for device_id in range(config.num_devices):
-        gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([config.seed, device_id]))
+
+    def stream(quantity: str) -> BlockRng:
+        return BlockRng(config.seed, "corpus", quantity)
+
+    high_end = stream("tier").uniforms(num_devices) < config.high_end_share
+    tiers = tuple("high_end" if high else "low_end" for high in high_end.tolist())
+    home_regions, view = _column("q", num_devices)
+    homes = stream("home-region").uniforms(num_devices)
+    view[:] = np.searchsorted(region_cdf, homes, side="right")
+
+    # Per (activity, week) block: the trip counts, then the trips' devices
+    # and event times, in generation order.
+    participation, rate, count, time = map(stream, ("participation", "rate", "count", "time"))
+    device_ids = np.arange(num_devices)
+    per_device = np.zeros(num_devices, dtype=np.int64)
+    blocks, devices, times = [], [], []
+    for a, spec in enumerate(activities):
+        takes_part = participation.uniforms(num_devices, a) < spec.participation
+        multiplier = rate.generator(a).lognormal(
+            -0.5 * config.rate_sigma ** 2, config.rate_sigma, num_devices
         )
-        random, lognormal = gen.random, gen.lognormal
-        tiers.append("high_end" if random() < config.high_end_share else "low_end")
-        home_regions.append(bisect_right(region_cdf, random()))
-        for activity_index, spec in enumerate(config.activities):
-            if random() >= spec.participation:
-                continue
-            mean_trips = spec.weekly_rate * lognormal(
-                rate_mean_correction, config.rate_sigma
-            )
-            for week in range(config.num_weeks):
-                week_start = config.start_time + week * SECONDS_PER_WEEK
-                for _ in range(gen.poisson(mean_trips)):
-                    add_time(week_start + int(random() * SECONDS_PER_WEEK))
-                    add_activity(activity_index)
-                    add_direction(bisect_right(direction_cdf, random()))
-                    distance = lognormal(
-                        spec.distance_log_mean, spec.distance_log_sigma
-                    )
-                    jitter = lognormal(0.0, config.duration_jitter_sigma)
-                    add_distance(distance)
-                    add_duration(distance / spec.speed_kmh * 3600.0 * jitter)
-        offsets.append(len(columns["event_time"]))
-    # Stable sort by (device, event time): ties keep their generation order.
-    device = np.repeat(
-        np.arange(config.num_devices), np.diff(np.frombuffer(offsets, dtype=np.int64))
-    )
-    order = np.lexsort((np.frombuffer(columns["event_time"], dtype=np.int64), device))
-    for name, column in columns.items():
-        sorted_column = np.frombuffer(column, dtype=column.typecode)[order]
-        columns[name] = array(column.typecode, sorted_column.tobytes())
-    return Corpus(config, schema, tuple(tiers), home_regions, offsets, **columns)
+        mean_trips = np.where(takes_part, spec.weekly_rate * multiplier, 0.0)
+        for week in range(config.num_weeks):
+            counts = count.generator(a, week).poisson(mean_trips)
+            per_device += counts
+            size = int(counts.sum())
+            blocks.append((a, week, size))
+            devices.append(np.repeat(device_ids, counts))
+            week_start = config.start_time + week * SECONDS_PER_WEEK
+            offsets_in_week = time.uniforms(size, a, week) * SECONDS_PER_WEEK
+            times.append(offsets_in_week.astype(np.int64) + week_start)
+    offsets, view = _column("q", num_devices + 1)
+    np.cumsum(per_device, out=view[1:])
+    num_trips = int(view[-1])
+
+    # One stable sort by (device, event time) gives every trip's row.
+    times = np.concatenate(times)
+    devices = np.concatenate(devices)
+    order = np.lexsort((times, devices))
+    del devices
+    # Each trip's row, kept while the other columns are drawn: 4 bytes a
+    # trip while they fit, against the columns' 29.
+    row_type = np.int32 if num_trips <= np.iinfo(np.int32).max else np.int64
+    row_of = np.empty(num_trips, dtype=row_type)
+    row_of[order] = np.arange(num_trips, dtype=row_type)
+    event_time, view = _column("q", num_trips)
+    np.take(times, order, out=view, mode="clip")  # "raise" would buffer a copy
+    del times, order
+
+    # The other columns, block by block, each value written to its row.
+    columns, views = {"event_time": event_time}, []
+    for name in ("activity", "direction", "distance_km", "duration_s"):
+        columns[name], view = _column(_COLUMN_TYPES[name], num_trips)
+        views.append(view)
+    activity, direction, distance_km, duration_s = views
+    draw_direction, distance, jitter = map(stream, ("direction", "distance", "jitter"))
+    start = 0
+    for a, week, size in blocks:
+        spec = activities[a]
+        rows = row_of[start : start + size].astype(np.intp)
+        start += size
+        activity[rows] = a
+        direction[rows] = np.searchsorted(
+            direction_cdf, draw_direction.uniforms(size, a, week), side="right"
+        )
+        km = distance.generator(a, week).lognormal(
+            spec.distance_log_mean, spec.distance_log_sigma, size
+        )
+        distance_km[rows] = km
+        km /= spec.speed_kmh
+        km *= 3600.0
+        km *= jitter.generator(a, week).lognormal(0.0, config.duration_jitter_sigma, size)
+        duration_s[rows] = km
+    return Corpus(config, schema, tiers, home_regions, offsets, **columns)

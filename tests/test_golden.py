@@ -16,30 +16,30 @@ from fedsum.cli import EXIT_OK, main
 
 RUN_ARTIFACTS = {
     "releases/2024-W20.csv": (
-        "25bbc2ab2477b7f9bf443805adac84771f36866d1b7f41c376ab7d6618c89c62"
+        "363bd9a7c922ffc191123028074fd88761c844c3db93c578518ee318946fef19"
     ),
     "releases/2024-W21.csv": (
-        "0c0ed24ab93003718df1fbe98ee68b452de0830fa9781a2977c9ef85b97fc5cf"
+        "f5f93c79f5c7b2e728a64fa9c9508b4d1d7bb37d087557c2fb2a0931c6493ab7"
     ),
     "eval.csv": (
-        "106679fb64373a742bae3823bbc754d2256adde24422a625db62c8ddfcd3e6fd"
+        "7464d30f9940ba7ea6e1e49ec9d2c7da906f45af68fbfb09bbc52991100ca50f"
     ),
     "reach.csv": (
-        "d8585c0d643f75664632efe6f4d889b5c479588c4464e4291bb1980687ecf88c"
+        "3eeea3858448d19f8c1fd88f7ca71411e2ccbffcda5d4dae5e6b43494adbc361"
     ),
     "events.jsonl": (
-        "02332fa4a8a142141b5cf7a218565e9d7b5ac1076180c763185c2d12d6a2d762"
+        "671f8dfe74969216a8e5b5724799a3601e91a2d6fb53431b2ba30f8ce5e3460f"
     ),
     "resolved_config.yaml": (
-        "35c24cc68003f8d0e8b4404e5927497cc4bebc7f4803205c2b598d7cf575d906"
+        "4e76162b7d56d8a63c7be1fcf4124b50d3e0a9d3d26d032c31a9ea2e6e28ea24"
     ),
     "run_summary.json": (
-        "3178cef683acea25df533b8ed1550e1ff0d3f0f8edc729aa76eec43d5c7b6d74"
+        "6b4614d00eb51635cc85a51dd5292c53b051bdf27e686ee1af05ada55ef6eb48"
     ),
 }
 SWEEP_RESULTS = {
     "results.csv": (
-        "aa8c7fba4efa482b0493d6c5515e7dbe9032569e955f8d7d59b0b4fd5ae872de"
+        "43951e5e6809362ee44521608b8131e532673a2f8bbce5fca6d1af56647d36ce"
     ),
     "sweep_config.yaml": (
         "0cf7d315784713983f33d7073efd2a9039abf62115357413ef711fd26891de0b"

@@ -6,7 +6,7 @@ import gc
 import hashlib
 import math
 import statistics
-from bisect import bisect_right
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,17 +185,24 @@ def per_device(block):
 
 
 def test_histograms_cover_exactly_the_active_devices(corpus_300, week_one_300):
-    block = corpus_300.device_histograms(week_one_300)
-    active = [
-        d for d in corpus_300.devices if in_window(d.records, week_one_300)
+    # Two devices idle in the window by construction, between the fleet's:
+    # one with no trip at all, one whose only trip is just after the window
+    # (``corpus_of`` numbers the devices by position).
+    fleet = list(corpus_300.devices)
+    fleet[100:100] = [
+        DeviceRecords(-1, "low_end", 0, []),
+        DeviceRecords(-1, "high_end", 0, [trip(t=week_one_300.end)]),
     ]
+    corpus = corpus_of(corpus_300.config, corpus_300.schema, fleet)
+    block = corpus.device_histograms(week_one_300)
+    active = [d for d in corpus.devices if in_window(d.records, week_one_300)]
     assert devices_of(block) == [d.device_id for d in active]
-    assert len(active) < corpus_300.num_devices
+    assert not {100, 101} & set(devices_of(block))
     rows, order = per_device(block)
     # Equal row by row, bit for bit, and made in the same order, which
     # calibration's slice norms add in.
     for device, cells in zip(active, order):
-        expected = client_work(in_window(device.records, week_one_300), corpus_300.schema)
+        expected = client_work(in_window(device.records, week_one_300), corpus.schema)
         assert rows[device.device_id] == rows_bits(expected)
         assert cells == cell_order(expected)[0]
 
@@ -239,8 +246,8 @@ def test_cdf_lookup_draws_what_generator_choice_draws(seed, weights):
     cdf = choice_cdf(p)
     looked_up = np.random.Generator(np.random.PCG64(seed))
     chosen = np.random.Generator(np.random.PCG64(seed))
-    for _ in range(50):
-        assert bisect_right(cdf, looked_up.random()) == chosen.choice(len(p), p=p)
+    drawn = np.searchsorted(cdf, looked_up.random(50), side="right")
+    assert drawn.tolist() == [chosen.choice(len(p), p=p) for _ in range(50)]
     assert looked_up.bit_generator.state == chosen.bit_generator.state
 
 
@@ -263,7 +270,7 @@ def corpus_digest(corpus) -> str:
     [
         (
             SyntheticCorpusConfig(num_devices=200, seed=5),
-            "d0179467e9785e3a5a4ad38f20af7d13",
+            "3c59b370453cc3a81e9e28094fd0c406",
         ),
         (
             SyntheticCorpusConfig(
@@ -272,15 +279,171 @@ def corpus_digest(corpus) -> str:
                 num_regions=7,
                 direction_mix=(0.25, 0.0, 0.75),
             ),
-            "57f2c5d1ad97db9e52cfc3e1f48b99e1",
+            "a4378265d603107e7b77aa43df46a6fa",
         ),
     ],
     ids=["default", "custom_mix_and_regions"],
 )
 def test_corpus_is_pinned_bit_for_bit(config, digest):
-    # Recorded from the per-trip ``Generator.choice`` generator; any
-    # change to the draw order in the module docstring moves them.
+    # Recorded from the fleet-wide block generator; any change to the
+    # streams or the draw order in the module docstring moves them.  What
+    # the pins mean is checked below: prefixes and distributions.
     assert corpus_digest(generate_corpus(config)) == digest
+
+
+def fleet_bits(corpus, num_devices=None, num_weeks=None):
+    """Each of the first devices' tier, home region and records, floats by
+    ``float.hex``; records from the first ``num_weeks`` weeks only."""
+    end = math.inf if num_weeks is None else corpus.config.start_time + num_weeks * WEEK
+    return [
+        (
+            device.tier,
+            device.home_region,
+            [
+                (r.event_time, r.activity, r.direction, r.distance_km.hex(), r.duration_s.hex())
+                for r in device.records
+                if r.event_time < end
+            ],
+        )
+        for device in list(corpus.devices)[:num_devices]
+    ]
+
+
+def test_a_smaller_fleet_is_a_prefix_of_a_larger_one():
+    small, large = (
+        generate_corpus(SyntheticCorpusConfig(num_devices=n, num_regions=9, seed=21))
+        for n in (300, 1000)
+    )
+    assert fleet_bits(small) == fleet_bits(large, num_devices=300)
+
+
+def test_a_shorter_corpus_is_a_prefix_of_a_longer_one():
+    short, long = (
+        generate_corpus(SyntheticCorpusConfig(num_devices=300, num_weeks=weeks, seed=22))
+        for weeks in (1, 2)
+    )
+    assert fleet_bits(short) == fleet_bits(long, num_weeks=1)
+    assert len(long.event_time) > len(short.event_time) > 0
+
+
+def per_device_trips(corpus, activity):
+    """Each device's number of trips of one activity, over the whole corpus."""
+    offsets = np.frombuffer(corpus.offsets, dtype=np.int64)
+    device = np.repeat(np.arange(corpus.num_devices), np.diff(offsets))
+    of_activity = np.frombuffer(corpus.activity, dtype=np.intc) == activity
+    return np.bincount(device[of_activity], minlength=corpus.num_devices)
+
+
+def test_trip_rates_match_participation_times_weekly_rate(corpus_10k):
+    # The rate multiplier is lognormal with mean 1, so a device-week holds
+    # participation * weekly_rate trips of an activity on average.  Devices
+    # are independent; a device's weeks share its rate, so the standard
+    # error is taken over per-device totals.
+    weeks = corpus_10k.config.num_weeks
+    for activity, spec in enumerate(corpus_10k.config.activities):
+        totals = per_device_trips(corpus_10k, activity)
+        mean = totals.mean() / weeks
+        standard_error = totals.std(ddof=1) / math.sqrt(len(totals)) / weeks
+        expected = spec.participation * spec.weekly_rate
+        assert abs(mean - expected) < 5 * standard_error, (spec.name, mean, expected)
+
+
+def test_duration_jitter_is_lognormal_around_the_activity_speed(corpus_10k):
+    speed = np.array([spec.speed_kmh for spec in corpus_10k.config.activities])
+    activity = np.frombuffer(corpus_10k.activity, dtype=np.intc)
+    distance = np.frombuffer(corpus_10k.distance_km, dtype=np.float64)
+    duration = np.frombuffer(corpus_10k.duration_s, dtype=np.float64)
+    log_jitter = np.log(duration * speed[activity] / (3600.0 * distance))
+    sigma, n = corpus_10k.config.duration_jitter_sigma, len(log_jitter)
+    assert abs(log_jitter.mean()) < 5 * sigma / math.sqrt(n)
+    assert abs(log_jitter.std() - sigma) < 5 * sigma / math.sqrt(2 * n)
+
+
+def test_event_times_are_uniform_over_the_week(corpus_10k):
+    since_start = (
+        np.frombuffer(corpus_10k.event_time, dtype=np.int64) - corpus_10k.config.start_time
+    )
+    assert 0 <= since_start.min() and since_start.max() < corpus_10k.config.num_weeks * WEEK
+    days = np.bincount(since_start % WEEK // 86_400, minlength=7)
+    assert len(days) == 7
+    n, p = len(since_start), 1 / 7
+    assert np.all(np.abs(days - n * p) < 5 * math.sqrt(n * p * (1 - p))), days
+
+
+def column_bytes(corpus) -> int:
+    columns = (
+        corpus.home_regions, corpus.offsets, corpus.event_time, corpus.activity,
+        corpus.direction, corpus.distance_km, corpus.duration_s,
+    )
+    return sum(len(column) * column.itemsize for column in columns)
+
+
+@pytest.mark.parametrize("num_devices", [10_000, 30_000])
+def test_generation_peaks_below_one_and_a_half_corpora(num_devices):
+    # Each column is written once, into its final rows: the peak is the
+    # returned columns plus each trip's row and one block's temporaries.
+    config = SyntheticCorpusConfig(num_devices=num_devices, seed=4)
+    tracemalloc.start()
+    try:
+        corpus = generate_corpus(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * column_bytes(corpus)
+
+
+ACTIVITY = dict(
+    name="a",
+    participation=0.5,
+    weekly_rate=2.0,
+    distance_log_mean=0.0,
+    distance_log_sigma=0.5,
+    speed_kmh=10.0,
+)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("participation", -0.1), ("participation", 1.5), ("participation", math.nan),
+        ("weekly_rate", -1.0), ("weekly_rate", math.inf), ("weekly_rate", math.nan),
+        ("distance_log_mean", math.inf), ("distance_log_mean", math.nan),
+        ("distance_log_sigma", -0.5), ("distance_log_sigma", math.inf),
+        ("speed_kmh", 0.0), ("speed_kmh", -4.0), ("speed_kmh", math.inf),
+        ("speed_kmh", math.nan),
+    ],
+)
+def test_bad_activity_fails_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        ActivitySpec(**{**ACTIVITY, field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("seed", -1), ("seed", 2**63),
+        ("high_end_share", -0.1), ("high_end_share", 1.01), ("high_end_share", math.nan),
+        ("rate_sigma", -0.1), ("rate_sigma", math.inf), ("rate_sigma", math.nan),
+        ("duration_jitter_sigma", -0.1), ("duration_jitter_sigma", math.inf),
+        ("duration_jitter_sigma", math.nan),
+    ],
+)
+def test_bad_corpus_parameter_fails_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        SyntheticCorpusConfig(**{field: value})
+
+
+def test_parameters_at_their_bounds_generate():
+    still = ActivitySpec(**{**ACTIVITY, "participation": 1.0, "distance_log_sigma": 0.0})
+    corpus = generate_corpus(
+        SyntheticCorpusConfig(
+            num_devices=20, num_regions=2, seed=2**63 - 1, activities=(still,),
+            high_end_share=1.0, rate_sigma=0.0, duration_jitter_sigma=0.0,
+        )
+    )
+    assert set(corpus.tiers) == {"high_end"}
+    assert set(corpus.distance_km) == {1.0}
+    assert set(corpus.duration_s) == {360.0}
 
 
 # --- the columnar store --------------------------------------------------------
