@@ -233,18 +233,37 @@ def _float64s(count: int) -> struct.Struct:
     return struct.Struct(f"<{count}d")
 
 
+# Row key -> its varint length and UTF-8 bytes.  A run encodes a few
+# hundred keys thousands of times; the cache is emptied whenever it
+# reaches the bound, so arbitrary keys cannot grow it.
+_KEY_PREFIXES_MAX = 4096
+_key_prefixes: dict[str, bytes] = {}
+
+
+def _key_prefix(key: str) -> bytes:
+    kb = key.encode("utf-8")
+    out = bytearray()
+    _write_varint(out, len(kb))
+    return bytes(out + kb)
+
+
 def encode_payload(rows: Sequence[tuple[str, Sequence[float]]]) -> bytes:
     """Serialize rows; every row must have the same number of values."""
     out = bytearray()
     _write_varint(out, len(rows))
     ncols = len(rows[0][1]) if rows else 0
     pack = _float64s(ncols).pack
+    prefixes = _key_prefixes
     for key, values in rows:
         if len(values) != ncols:
             raise MalformedUpdateError("ragged rows in payload")
-        kb = key.encode("utf-8")
-        _write_varint(out, len(kb))
-        out += kb
+        prefix = prefixes.get(key)
+        if prefix is None:
+            prefix = _key_prefix(key)
+            if len(prefixes) >= _KEY_PREFIXES_MAX:
+                prefixes.clear()
+            prefixes[key] = prefix
+        out += prefix
         out += pack(*values)
     return bytes(out)
 

@@ -703,15 +703,20 @@ class ResolvedMechanism:
         a norm too large for a float is over a finite one.
         """
         bounds = self.l1_bounds
-        if self.per_slice:
-            assert self.clip_table is not None
-            num_metrics = len(self.clip_table[0])
-            groups: dict[int, list[float]] = {}
-            for a, (_, values) in zip(activities, rows):
-                for m, v in zip(metrics, values):
-                    groups.setdefault(a * num_metrics + m, []).append(abs(v))
-        else:
-            groups = {0: [abs(v) for _, values in rows for v in values]}
+        if not self.per_slice:
+            if not bounds[0] < math.inf:
+                return False
+            try:
+                norm = math.fsum(map(abs, itertools.chain.from_iterable(v for _, v in rows)))
+            except OverflowError:
+                return True
+            return norm > bounds[0]
+        assert self.clip_table is not None
+        num_metrics = len(self.clip_table[0])
+        groups: dict[int, list[float]] = {}
+        for a, (_, values) in zip(activities, rows):
+            for m, v in zip(metrics, values):
+                groups.setdefault(a * num_metrics + m, []).append(abs(v))
         try:
             for group, values in groups.items():
                 if bounds[group] < math.inf and math.fsum(values) > bounds[group]:

@@ -24,7 +24,9 @@ large to stop them, such as an exact task's infinite one) is sealed as
 suppressed, with reason ``overflow``, instead of released.
 
 Every externally visible action appends a structured event to the
-server's log; events carry digests and counts, never row values.
+server's log; events carry digests and counts, never row values.  Each
+line of the log, as :meth:`FederatedServer.event_log_lines` renders it,
+is ``json.dumps(event, sort_keys=True)``, byte for byte.
 """
 
 from __future__ import annotations
@@ -32,6 +34,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from hashlib import blake2b
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any, Iterator
 
 import numpy as np
@@ -192,9 +196,61 @@ def _read_upload(
     return [a for a, _, _ in partitions]
 
 
-# ``json.dumps(event, sort_keys=True)``, with one encoder for every event
-# instead of a new one per call.
-_encode_event = json.JSONEncoder(sort_keys=True).encode
+# Renders what a line format cannot: a value that is not an int or a str,
+# and a whole event whose shape has no format.
+_encode_json = json.JSONEncoder(sort_keys=True).encode
+
+# Event shape (its keys, then the type of each value) -> line format, or
+# None where the shape renders through ``_encode_json``.  A run logs fewer
+# than a dozen shapes; the cache is emptied whenever it reaches the bound,
+# so arbitrary events cannot grow it.
+_LINE_FORMATS_MAX = 1024
+_line_formats: dict[tuple, tuple | None] = {}
+
+
+def _line_format(keys: tuple, kinds: tuple) -> tuple | None:
+    """The line format of events with these keys and value types.
+
+    A ``%`` format of the sorted fields: an int value goes in as ``%d``,
+    a str as ``encode_basestring_ascii`` of it, anything else as
+    ``_encode_json`` of it, each exactly as the encoder writes it inside
+    the event.  Returns the format, a getter of the values in sorted key
+    order, and the (slot, converter) of each value that is not an int;
+    None for a shape with a key that is not a str, or fewer than two keys.
+    """
+    if len(keys) < 2 or any(type(key) is not str for key in keys):
+        return None
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    fields: list[str] = []
+    converters = []
+    for slot, i in enumerate(order):
+        kind = kinds[i]
+        name = encode_basestring_ascii(keys[i]).replace("%", "%%")
+        fields.append(f"{name}: %d" if kind is int else f"{name}: %s")
+        if kind is not int:
+            converters.append((slot, encode_basestring_ascii if kind is str else _encode_json))
+    getter = itemgetter(*[keys[i] for i in order])
+    return "{" + ", ".join(fields) + "}", getter, tuple(converters)
+
+
+def _render_event(event: dict) -> str:
+    """``json.dumps(event, sort_keys=True)``, from its shape's line format."""
+    shape = (*event, *map(type, event.values()))
+    try:
+        line = _line_formats[shape]
+    except KeyError:
+        size = len(event)
+        line = _line_format(shape[:size], shape[size:])
+        if len(_line_formats) >= _LINE_FORMATS_MAX:
+            _line_formats.clear()
+        _line_formats[shape] = line
+    if line is None:
+        return _encode_json(event)
+    fmt, getter, converters = line
+    values = [*getter(event)]
+    for slot, convert in converters:
+        values[slot] = convert(values[slot])
+    return fmt % tuple(values)
 
 
 class FederatedServer:
@@ -218,17 +274,18 @@ class FederatedServer:
         self.sessions: dict[str, _Session] = {}
         self.releases: dict[str, NoisedRelease | SuppressedRelease] = {}
         self.events: list[dict] = []
+        # (now, the (task, window) pairs open for contribution at now), for
+        # check_in; dropped when a task registers.
+        self._open_windows: tuple[int, list[tuple[RegisteredTask, TimeWindow]]] | None = None
 
     # -- logging ---------------------------------------------------------
 
     def _log(self, now: int, event: str, **fields: Any) -> None:
-        entry = {"t": now, "event": event}
-        entry.update(fields)
-        self.events.append(entry)
+        self.events.append({"t": now, "event": event, **fields})
 
     def event_log_lines(self) -> Iterator[str]:
-        """Each event as one line of canonical JSON, made as it is read."""
-        return map(_encode_event, self.events)
+        """Each event as ``json.dumps(event, sort_keys=True)``, made as it is read."""
+        return map(_render_event, self.events)
 
     # -- task registration -------------------------------------------------
 
@@ -272,6 +329,7 @@ class FederatedServer:
             windows=windows,
         )
         self.tasks[task.query_id] = registered
+        self._open_windows = None
         self._log(
             now,
             "task_registered",
@@ -338,39 +396,51 @@ class FederatedServer:
         """
         assignments: list[Assignment] = []
         self._log(now, "check_in", device_id=device_id)
-        for task in self.tasks.values():
-            for window in task.windows:
-                if window.end > now or now > window.end + task.config.grace_period:
-                    continue
-                session = self._get_or_create_session(task, window, now)
-                if session.state != "collecting":
-                    continue
-                # The mint counter keeps tokens unique even when one
-                # device checks in twice at the same instant.
-                token = self._rng.token_bytes(
-                    "upload-token",
-                    session.session_id,
-                    device_id,
-                    now,
-                    len(session.tokens),
-                ).hex()
-                session.tokens[token] = {"device_id": device_id, "consumed": False}
-                assignments.append(
-                    Assignment(
-                        query_id=task.config.query_id,
-                        window_id=window.window_id,
-                        session_id=session.session_id,
-                        token=token,
-                    )
-                )
-                self._log(
-                    now,
-                    "assignment",
-                    device_id=device_id,
-                    session_id=session.session_id,
+        for task, window in self._windows_open_at(now):
+            session = self._get_or_create_session(task, window, now)
+            if session.state != "collecting":
+                continue
+            # The mint counter keeps tokens unique even when one
+            # device checks in twice at the same instant.
+            token = self._rng.token_bytes(
+                "upload-token",
+                session.session_id,
+                device_id,
+                now,
+                len(session.tokens),
+            ).hex()
+            session.tokens[token] = {"device_id": device_id, "consumed": False}
+            assignments.append(
+                Assignment(
+                    query_id=task.config.query_id,
                     window_id=window.window_id,
+                    session_id=session.session_id,
+                    token=token,
                 )
+            )
+            self._log(
+                now,
+                "assignment",
+                device_id=device_id,
+                session_id=session.session_id,
+                window_id=window.window_id,
+            )
         return assignments
+
+    def _windows_open_at(self, now: int) -> list[tuple[RegisteredTask, TimeWindow]]:
+        """Every (task, window) open for contribution at ``now``, in task
+        and window order; worked out once per ``now`` and task set."""
+        cached = self._open_windows
+        if cached is not None and cached[0] == now:
+            return cached[1]
+        open_windows = [
+            (task, window)
+            for task in self.tasks.values()
+            for window in task.windows
+            if window.end <= now <= window.end + task.config.grace_period
+        ]
+        self._open_windows = (now, open_windows)
+        return open_windows
 
     # -- uploads ---------------------------------------------------------------
 

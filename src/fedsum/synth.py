@@ -319,7 +319,8 @@ class Corpus:
 
 
 class _DeviceRecordsView(Sequence):
-    """The devices of a corpus as :class:`DeviceRecords`, built on access."""
+    """The devices of a corpus as :class:`DeviceRecords`, built on access;
+    a slice gives a list of them."""
 
     __slots__ = ("_corpus",)
 
@@ -329,9 +330,11 @@ class _DeviceRecordsView(Sequence):
     def __len__(self) -> int:
         return self._corpus.num_devices
 
-    def __getitem__(self, device_id: int) -> DeviceRecords:
+    def __getitem__(self, index: int | slice) -> DeviceRecords | list[DeviceRecords]:
         corpus = self._corpus
-        device_id = range(corpus.num_devices)[device_id]
+        if isinstance(index, slice):
+            return [self[i] for i in range(corpus.num_devices)[index]]
+        device_id = range(corpus.num_devices)[index]
         region = corpus.home_regions[device_id]
         lo, hi = corpus.rows(device_id)
         records = [

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsum.aggcore import KEY_SEPARATOR, ClientUpdate, MalformedUpdateError
 from fedsum.client import histogram_to_rows
@@ -258,6 +260,36 @@ def test_windows_open_at_their_end_and_close_after_grace():
     assert len(server.check_in(1, now=end)) == 1
     assert len(server.check_in(1, now=end + GRACE)) == 1
     assert server.check_in(1, now=end + GRACE + 1) == []
+
+
+def test_check_ins_take_their_windows_from_the_tick_they_happen_in():
+    server, s = make_server()
+    server.register_task(make_task(s, num_windows=1), now=START)
+    end = START + WEEK
+    # Outside every window: the check-in is logged, and nothing else happens.
+    assert server.check_in(1, now=end - 1) == []
+    assert [e["event"] for e in server.events[1:]] == ["check_in"]
+    assert server.sessions == {}
+    # Open from the window's end through its release deadline, both inclusive.
+    for now in (end, end + GRACE):
+        mark = len(server.events)
+        (a,) = server.check_in(1, now=now)
+        assert a.window_id == "2024-W20"
+        kinds = [e["event"] for e in server.events[mark:]]
+        assert kinds == ["check_in"] + ["session_created"] * (now == end) + ["assignment"]
+    # A task registered between two check-ins at one instant is seen by the second.
+    server.register_task(
+        make_task(s, query_id="late", num_windows=1, grace_period=GRACE + 1), now=START
+    )
+    assert [a.query_id for a in server.check_in(2, now=end + GRACE)] == ["trips", "late"]
+    # Sealing needs the clock past the deadline, so the sealed session is met
+    # again only by a check-in back at the deadline; it grants no token.
+    server.maintenance(now=end + GRACE + 1)
+    assert server.sessions["trips/2024-W20"].state == "suppressed"
+    mark = len(server.events)
+    assert [a.query_id for a in server.check_in(3, now=end + GRACE)] == ["late"]
+    assert [e["event"] for e in server.events[mark:]] == ["check_in", "assignment"]
+    assert server.events[-1]["session_id"] == "late/2024-W20"
 
 
 def test_every_check_in_mints_a_fresh_token():
@@ -782,6 +814,109 @@ def test_event_log_lines_are_the_bytes_of_json_dumps():
     server.events.append(
         {"t": 1, "event": "x", "b": [0.1, -0.0, 1e308, math.nan, math.inf], "a": {"é": None}}
     )
+    assert list(server.event_log_lines()) == [
+        json.dumps(event, sort_keys=True) for event in server.events
+    ]
+
+
+JSON_TEXT = st.text(
+    st.sampled_from('"\\%/\x00\x1f\x7f\t\né€\u2028\ud800😀') | st.characters(),
+    max_size=8,
+)
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXT, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=6)
+        | st.dictionaries(st.integers() | st.floats(allow_nan=False), JSON_VALUES, max_size=3),
+        max_size=6,
+    )
+)
+def test_any_event_renders_as_json_dumps_renders_it(events):
+    server, _ = make_server()
+    server.events.extend(events)
+    assert list(server.event_log_lines()) == [
+        json.dumps(event, sort_keys=True) for event in events
+    ]
+
+
+def test_one_key_set_renders_each_value_type_it_meets():
+    server, _ = make_server()
+    for value in (7, True, 7.5, "%d", None, -0.0, math.nan, [1], {"%s": 2}, 8):
+        server.events.append({"t": 1, "event": "x", "100%": value})
+    assert list(server.event_log_lines()) == [
+        json.dumps(event, sort_keys=True) for event in server.events
+    ]
+    # A key that is not a str, or one the keys cannot be sorted with, goes
+    # through the encoder and fails as json.dumps does.
+    server.events[:] = [{1: "a", 2: "b"}, {"t": 1, 2: "b"}]
+    with pytest.raises(TypeError):
+        json.dumps(server.events[1], sort_keys=True)
+    lines = server.event_log_lines()
+    assert next(lines) == '{"1": "a", "2": "b"}'
+    with pytest.raises(TypeError):
+        next(lines)
+
+
+def test_every_event_a_small_run_logs_renders_as_json_dumps():
+    server, s = make_server(
+        num_shards=1, checkpoint_batch=2, rollup_interval=3600, partial_ttl_level0=1800
+    )
+    server.register_task(make_task(s, num_windows=2), now=START)
+    end = START + WEEK
+    for device in range(2):
+        upload(server, device, device_histogram(s, device), now=end)
+    a = server.check_in(9, now=end)[0]
+    rows = tuple(histogram_to_rows(block_of(s, [device_histogram(s, 9)]), a.window_id, SPEC))
+    with pytest.raises(InvalidTokenError):
+        server.ingest_upload(ClientUpdate(a.query_id, a.window_id, "feed", rows), now=end)
+    server.ingest_upload(ClientUpdate(a.query_id, a.window_id, a.token, rows), now=end)
+    with pytest.raises(TokenReplayError):
+        server.ingest_upload(ClientUpdate(a.query_id, a.window_id, a.token, rows), now=end)
+    a = server.check_in(10, now=end)[0]
+    with pytest.raises(MalformedUpdateError):
+        server.ingest_upload(
+            ClientUpdate(a.query_id, a.window_id, a.token, MALFORMED_ROWS["wrong_width"]), end
+        )
+    for device in range(3, 5):
+        upload(server, device, device_histogram(s, device), now=end + 2000)
+    server.maintenance(now=end + 3600)  # the first partial expires, the second rolls up
+    a = server.check_in(11, now=end + GRACE)[0]
+    with pytest.raises(SessionClosedError):
+        server.ingest_upload(
+            ClientUpdate(a.query_id, a.window_id, a.token, rows), now=end + GRACE + 1
+        )
+    server.maintenance(now=end + WEEK + GRACE + 1)  # W20 releases; W21 had no upload
+    kinds = {e["event"] for e in server.events}
+    assert kinds == {
+        "task_registered",
+        "session_created",
+        "check_in",
+        "assignment",
+        "upload_accepted",
+        "upload_rejected",
+        "checkpoint",
+        "partial_expired",
+        "rollup",
+        "release",
+        "release_suppressed",
+    }
+    assert {e["reason"] for e in events_named(server, "upload_rejected")} == {
+        "invalid_token",
+        "token_replay",
+        "session_closed",
+        "malformed",
+    }
     assert list(server.event_log_lines()) == [
         json.dumps(event, sort_keys=True) for event in server.events
     ]

@@ -305,8 +305,29 @@ def fleet_bits(corpus, num_devices=None, num_weeks=None):
                 if r.event_time < end
             ],
         )
-        for device in list(corpus.devices)[:num_devices]
+        for device in corpus.devices[:num_devices]
     ]
+
+
+def test_the_device_view_slices_as_a_list_does(corpus_300):
+    devices = corpus_300.devices
+    fleet = list(devices)
+    for index in (
+        slice(None, 5),
+        slice(295, None),
+        slice(-3, None),
+        slice(10, 40, 7),
+        slice(None, None, -50),
+        slice(290, 400),
+        slice(400, 500),
+    ):
+        part = devices[index]
+        assert type(part) is list
+        assert part == fleet[index]
+    assert [d.device_id for d in devices[-2:]] == [298, 299]
+    assert devices[-1] == fleet[-1]
+    with pytest.raises(IndexError):
+        devices[300]
 
 
 def test_a_smaller_fleet_is_a_prefix_of_a_larger_one():
