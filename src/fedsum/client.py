@@ -25,11 +25,11 @@ and each of the policy's flags holds.  So two fleets under different
 policies see the same conditions, and the decision never depends on
 the fleet's size or on which devices wake.
 
-``client_work`` sums a device's trips, given as columns, into its raw
-window histogram: a one-device block of partition rows
-(:class:`fedsum.model.DeviceSubtotals`), made by the kernel that makes
-a window's block (``DeviceSubtotals.of_trips``); a list of
-:class:`fedsum.model.TripRecord` is first transposed into columns.
+``client_work`` sums a device's trip records
+(:class:`fedsum.model.TripRecord`) into its raw window histogram: a
+one-device block of partition rows (:class:`fedsum.model.DeviceSubtotals`),
+made by the kernel that makes a window's block
+(``DeviceSubtotals.of_trips``).
 Bounding that block before it leaves the device (scaling and clipping)
 is the mechanism's job: :meth:`fedsum.dp.ResolvedMechanism.transform_devices`,
 the same transform a sweep runs on a whole window's block.
@@ -57,12 +57,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .aggcore import KEY_SEPARATOR, MalformedUpdateError, Rows
-from .model import (
-    DeviceSubtotals,
-    Schema,
-    TripColumns,
-    TripRecord,
-)
+from .model import DeviceSubtotals, Schema, TripRecord
 from .query import METRIC_BY_COLUMN, PRIVACY_TIME_UNIT, QuerySpec
 from .rng import BlockRng
 from .windows import TimeWindow, WindowAlignment, round_down_window
@@ -268,12 +263,12 @@ class DeviceState:
         """Drop cached trips whose age exceeds the cache time-to-live."""
         self.lo = bisect_left(self.corpus.event_time, now - ttl, self.lo, self.hi)
 
-    def visible_records(self, window: TimeWindow) -> TripColumns:
+    def visible_records(self, window: TimeWindow) -> list[TripRecord]:
         """Cached trips inside one complete, not-yet-current window."""
         times = self.corpus.event_time
         lo = bisect_left(times, window.start, self.lo, self.hi)
         hi = bisect_left(times, window.end, lo, self.hi)
-        return self.corpus.trips(self.device_id, lo, hi)
+        return self.corpus.records(self.device_id, lo, hi)
 
     def eligible_windows(
         self, query_id: str, candidate_windows: Sequence[TimeWindow]
@@ -299,30 +294,20 @@ class DeviceState:
 # Upload blocks and rows
 
 
-def client_work(
-    trips: TripColumns | Iterable[TripRecord], schema: Schema
-) -> DeviceSubtotals:
+def client_work(records: Iterable[TripRecord], schema: Schema) -> DeviceSubtotals:
     """A device's raw (unscaled, unclipped) histogram of its trips.
 
     A one-device block (device 0) made by the kernel a window's block is
-    made by (:meth:`fedsum.model.DeviceSubtotals.of_trips`): a row per
-    (activity, region, direction) partition, every trip contributing 1
-    to its num-trips cell and its distance and duration to theirs,
-    summed in trip order; ``made_at`` is the position of the partition's
-    first trip.  A trip outside the schema raises.  Records are
-    transposed into columns first.
+    made by (:meth:`fedsum.model.DeviceSubtotals.of_trips`), from the
+    records transposed into columns: a row per (activity, region,
+    direction) partition, every trip contributing 1 to its num-trips
+    cell and its distance and duration to theirs, summed in trip order;
+    ``made_at`` is the position of the partition's first trip.  A trip
+    outside the schema raises.
     """
-    if not isinstance(trips, TripColumns):
-        trips = TripColumns.from_records(trips)
-    return DeviceSubtotals.of_trips(
-        schema,
-        np.zeros(len(trips), dtype=np.int64),
-        trips.activity,
-        trips.region,
-        trips.direction,
-        trips.distance_km,
-        trips.duration_s,
-    )
+    rows = [(r.activity, r.region, r.direction, r.distance_km, r.duration_s) for r in records]
+    columns = zip(*rows) if rows else [()] * 5
+    return DeviceSubtotals.of_trips(schema, np.zeros(len(rows), dtype=np.int64), *columns)
 
 
 def _key_template(spec: QuerySpec) -> str:
@@ -371,7 +356,7 @@ def histogram_to_rows(
 
 def row_key_table(spec: QuerySpec, schema: Schema, window_id: str) -> list[str]:
     """Every row key of ``window_id``, at its partition's flat index
-    ``(a * num_regions + r) * num_directions + d``: the inverse of
+    (:meth:`fedsum.model.DeviceSubtotals.partitions`): the inverse of
     :func:`row_keys`, from which the simulator's window blocks key
     their rows."""
     template = _key_template(spec)

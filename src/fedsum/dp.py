@@ -25,16 +25,15 @@ bounds the L1 norm of each group of the block's cells by the group's
 entry in :attr:`ResolvedMechanism.l1_bounds`.  Array passes take every
 group's float norm; a group whose float norm, widened by a proven
 rounding margin, is within its bound is left as it is, and only the
-others (and every group of a one-device block) go through one exact
-rescale loop with ``math.fsum`` norms, so the result is bit for bit that
-of the loop over every group.  Each device is bounded on its own, so
-the simulator runs it once on a window's block and slices every upload
-from the result; :func:`prepare_mechanism` runs it on a window's block
-and sums the bounded rows per cell, so a sweep scores exactly the
-pre-noise sum a deployment would release.  No other module scales or
-clips a device contribution; the server refuses an upload whose norm in
-any group is over that group's bound
-(:meth:`ResolvedMechanism.exceeds_bound`).
+others go through one exact rescale loop with ``math.fsum`` norms, so
+the result is bit for bit that of the loop over every group.  Each
+device is bounded on its own, so the simulator runs it once on a
+window's block and slices every upload from the result;
+:func:`prepare_mechanism` runs it on a window's block and sums the
+bounded rows per cell, so a sweep scores exactly the pre-noise sum a
+deployment would release.  No other module scales or clips a device
+contribution; the server refuses an upload whose norm in any group is
+over that group's bound (:meth:`ResolvedMechanism.exceeds_bound`).
 
 Noise draws are keyed by (seed, window, coordinate), so a fixed seed
 yields the same draw for the same coordinate no matter which variant
@@ -84,7 +83,7 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import blake2b
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -381,24 +380,6 @@ def _cell_groups(
     return cells, edges, index, np.tile(owner, width)
 
 
-def _upload_groups(
-    devices: DeviceSubtotals, per_slice: bool
-) -> tuple[list[float], list[int], list[int]]:
-    """A one-device block's cells, edges and slice indexes as
-    :func:`_cell_groups` lays them out, as lists from a scan of its few
-    rows: an upload's whole clip costs less than numpy's per-call
-    overhead would add."""
-    size, width = devices.sums.shape
-    cells = (devices.sums.T if per_slice else devices.sums).ravel().tolist()
-    if not per_slice:
-        return cells, [0, size * width], [0]
-    key = devices.activity.tolist()
-    starts = [i for i in range(size) if not i or key[i] != key[i - 1]]
-    edges = [m * size + lo for m in range(width) for lo in starts]
-    index = [key[lo] * width + m for m in range(width) for lo in starts]
-    return cells, edges + [size * width], index
-
-
 def _norm_ranges(cells: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Floats ``lower <= s <= upper`` around each group's exact L1 norm ``s``.
 
@@ -456,7 +437,7 @@ def _clip_l1(
     cells: list[float],
     edges: list[int],
     index: list[int],
-    owner: Iterable[int],
+    owner: list[int],
     bounds: list[float],
 ) -> bool:
     """Rescale each group of ``cells`` in place to an L1 norm within its bound.
@@ -496,9 +477,9 @@ def _clip_l1(
 def _clipped_block(
     devices: DeviceSubtotals, per_slice: bool, bounds: list[float]
 ) -> np.ndarray | None:
-    """The cells of a block of several devices, laid out by
-    :func:`_cell_groups`, each group clipped to its bound as
-    :func:`_clip_l1` clips it, or ``None`` if no cell changed.
+    """The cells of a block of devices, laid out by :func:`_cell_groups`,
+    each group clipped to its bound as :func:`_clip_l1` clips it, or
+    ``None`` if no cell changed.
 
     A group whose float norm's upper end (:func:`_norm_ranges`) is at or
     below its bound has an exact norm there too, and is left as it is.
@@ -643,11 +624,10 @@ class ResolvedMechanism:
         other variants clip each device to ``clip``, after scaling divides
         every cell by its slice factor.  Each device is bounded on its
         own, so a one-device block gives that device's rows of a window.
-        Of a block of several devices, only the groups that a float norm
-        cannot certify inside their bound reach the exact loop
-        (:func:`_clipped_block`); a one-device block (an upload) sends
-        every group to it, which costs less than the array passes.  The
-        block itself is returned when no cell changed.
+        Only the groups that a float norm cannot certify inside their
+        bound reach the exact loop (:func:`_clipped_block`).  When the
+        clip changes no cell, the block it clipped is returned itself:
+        ``devices``, or for the scaling variant its scaled block.
         """
         if self.variant == VARIANT_SCALED:
             devices = _scaled(devices, self._scale_divisors, schema)
@@ -655,16 +635,9 @@ class ResolvedMechanism:
         if per_slice:
             assert self.clip_table is not None
             check_table_shape(self.clip_table, schema)
-        bounds, device = self.l1_bounds, devices.device
-        if len(device) and (first := device[0]) == device[-1]:
-            cells, edges, index = _upload_groups(devices, per_slice)
-            if not _clip_l1(cells, edges, index, itertools.repeat(first), bounds):
-                return devices
-            clipped = np.array(cells)
-        else:
-            clipped = _clipped_block(devices, per_slice, bounds)
-            if clipped is None:
-                return devices
+        clipped = _clipped_block(devices, per_slice, self.l1_bounds)
+        if clipped is None:
+            return devices
         size, width = devices.sums.shape
         if per_slice:  # the cells are metric-major
             return devices._replace(sums=clipped.reshape(width, size).T.copy())

@@ -3,8 +3,11 @@
 The pipeline speaks two value types.  A :class:`DeviceSubtotals` block
 holds raw or bounded per-device histograms as partition rows: a window
 of the fleet, or one device's window before it leaves the device, whose
-bounded rows are what it uploads.  The device transform
-(:meth:`fedsum.dp.ResolvedMechanism.transform_devices`) bounds a block;
+bounded rows are what it uploads.  A row's partition has one flat
+index, :meth:`DeviceSubtotals.partitions`, which the cell sums, the
+device counts and the simulator's upload keys read.  The device
+transform (:meth:`fedsum.dp.ResolvedMechanism.transform_devices`)
+bounds a block, of one device or of a fleet;
 :meth:`DeviceSubtotals.cell_sums` sums its rows per cell, exactly, into
 one dense float64 array indexed by ``(activity, metric, region,
 direction)``, every cell in one array pass that falls back to
@@ -50,7 +53,6 @@ __all__ = [
     "SchemaMismatchError",
     "Schema",
     "TripRecord",
-    "TripColumns",
     "DeviceSubtotals",
     "IndexedHistogram",
     "Table",
@@ -124,13 +126,11 @@ class Schema:
             self.num_directions,
         )
 
-    def valid_index(self, index: tuple[int, int, int, int]) -> bool:
+    def check_index(self, index: tuple[int, int, int, int]) -> None:
+        """Refuse an index outside the schema's shape."""
         a, m, r, d = index
         sa, sm, sr, sd = self.shape
-        return 0 <= a < sa and 0 <= m < sm and 0 <= r < sr and 0 <= d < sd
-
-    def check_index(self, index: tuple[int, int, int, int]) -> None:
-        if not self.valid_index(index):
+        if not (0 <= a < sa and 0 <= m < sm and 0 <= r < sr and 0 <= d < sd):
             raise InvalidParameterError(
                 f"index {index} outside schema shape {self.shape}"
             )
@@ -173,8 +173,9 @@ class TripRecord:
     ``event_time`` is UTC seconds since the epoch.  ``direction`` indexes
     :data:`DIRECTIONS`.  The three reported metrics derive from a record
     as: num_trips = 1, distance = ``distance_km``, duration =
-    ``duration_s``.  The corpus stores trips as columns; records are built
-    from them only at the edges (``Corpus.devices``).
+    ``duration_s``.  The corpus stores trips as columns and builds
+    records from them only at the edge (``Corpus.records``), for
+    ``client.client_work`` and for readers of a device's trips.
     """
 
     device_id: int
@@ -184,36 +185,6 @@ class TripRecord:
     direction: int
     distance_km: float
     duration_s: float
-
-
-@dataclass(frozen=True, slots=True)
-class TripColumns:
-    """Trips as parallel columns, row ``i`` of each column being trip ``i``.
-
-    This is what a device sums into its window histogram.  The simulator
-    hands in slices of the corpus columns; a list of :class:`TripRecord`
-    is transposed into columns by :meth:`from_records`.  ``len`` is the
-    number of trips.
-    """
-
-    activity: Sequence[int]
-    region: Sequence[int]
-    direction: Sequence[int]
-    distance_km: Sequence[float]
-    duration_s: Sequence[float]
-
-    def __len__(self) -> int:
-        return len(self.activity)
-
-    @classmethod
-    def from_records(cls, records: Iterable[TripRecord]) -> "TripColumns":
-        rows = [
-            (r.activity, r.region, r.direction, r.distance_km, r.duration_s)
-            for r in records
-        ]
-        if not rows:
-            return cls((), (), (), (), ())
-        return cls(*zip(*rows))
 
 
 Index = tuple[int, int, int, int]
@@ -380,6 +351,14 @@ class DeviceSubtotals(NamedTuple):
         activity, place = np.divmod(partition, num_regions * num_directions)
         return cls(device, activity, *np.divmod(place, num_directions), sums, made_at)
 
+    def partitions(self, schema: Schema) -> np.ndarray:
+        """Each row's flat partition index ``(a * R + r) * D + d``, with
+        ``R`` and ``D`` the schema's region and direction counts: the
+        partition's position in ``(activity, region, direction)``
+        row-major order."""
+        _, _, num_regions, num_directions = schema.shape
+        return (self.activity * num_regions + self.region) * num_directions + self.direction
+
     def cell_sums(self, schema: Schema) -> np.ndarray:
         """Each cell summed over the block's rows, exactly rounded.
 
@@ -394,10 +373,7 @@ class DeviceSubtotals(NamedTuple):
         """
         num_activities, num_metrics, num_regions, num_directions = schema.shape
         partitions = num_activities * num_regions * num_directions
-        partition = (
-            self.activity * num_regions + self.region
-        ) * num_directions + self.direction
-        group = np.arange(num_metrics)[:, None] * partitions + partition
+        group = np.arange(num_metrics)[:, None] * partitions + self.partitions(schema)
         totals = group_fsum(self.sums.T.ravel(), group.ravel(), num_metrics * partitions)
         totals[totals == 0.0] = 0.0  # no -0.0
         by_metric = totals.reshape(num_metrics, num_activities, num_regions, num_directions)

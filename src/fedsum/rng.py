@@ -165,12 +165,6 @@ class KeyedRng:
         # largest double below one instead.
         return u if u < 1.0 else math.nextafter(1.0, 0.0)
 
-    def laplace(self, scale: float, *index: int | str) -> float:
-        """Laplace(0, scale) draw for this index; scale 0 gives 0.0."""
-        if scale == 0.0:
-            return 0.0
-        return laplace_from_uniform(self.uniform(*index), scale)
-
     def randrange(self, n: int, *index: int | str) -> int:
         """Integer in [0, n) for this index."""
         if n <= 0:

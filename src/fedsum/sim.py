@@ -72,7 +72,7 @@ from .client import (
 )
 from .dp import NoisedRelease, ResolvedMechanism
 from .metrics import per_user_mean_error, weighted_relative_error, window_truth
-from .model import DeviceSubtotals, Schema, TripColumns, TripRecord
+from .model import DeviceSubtotals, Schema, TripRecord
 from .query import QuerySpec
 from .server import (
     FederatedServer,
@@ -138,18 +138,18 @@ class SimulationResult:
 
 
 def build_device_upload(
-    trips: TripColumns | list[TripRecord],
+    records: list[TripRecord],
     mechanism: ResolvedMechanism,
     schema: Schema,
 ) -> DeviceSubtotals:
     """One device's bounded window block, whose rows it uploads.
 
-    The trips' raw one-device block, bounded by the mechanism's device
-    transform (scale, then clip) exactly as a sweep bounds a window's
-    block; ``histogram_to_rows`` encodes it.  The simulator slices the
+    The raw one-device block of the device's trip records, bounded by
+    the mechanism's device transform (scale, then clip) exactly as a
+    sweep bounds a window's block; ``histogram_to_rows`` encodes it.  The simulator slices the
     same rows out of a :class:`WindowUploads` block instead.
     """
-    return mechanism.transform_devices(client_work(trips, schema), schema)
+    return mechanism.transform_devices(client_work(records, schema), schema)
 
 
 def cache_cut(window: TimeWindow, now: int, ttl: int) -> int:
@@ -193,10 +193,7 @@ class WindowUploads:
         else:  # every trip of the window has expired
             raw = DeviceSubtotals.of_trips(schema, *[()] * 6)
         block = mechanism.transform_devices(raw, schema)
-        _, _, num_regions, num_directions = schema.shape
-        self._partition = (block.activity * num_regions + block.region) * num_directions + (
-            block.direction
-        )
+        self._partition = block.partitions(schema)
         self._values = block.sums[:, spec.metrics]
         self._offsets = np.searchsorted(block.device, np.arange(corpus.num_devices + 1))
 

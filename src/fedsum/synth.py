@@ -48,11 +48,13 @@ are row ranges of these columns.  One pass over a window's rows
 (:meth:`Corpus.device_histograms`, one ``np.bincount`` per metric) gives
 every device's raw window histogram as one block of partition rows
 (:class:`fedsum.model.DeviceSubtotals`); ``client.client_work`` runs the
-same kernel on one device's trips, so the sums are bit for bit its own.  Calibration, the sweep's
-pre-noise sums and the window's truth (``metrics.window_truth``: the
-exact workload and :meth:`Corpus.device_counts`) all read that block,
-and take it as an argument.  :class:`TripRecord` objects are built only
-at the edge, by :attr:`Corpus.devices`.
+same kernel on one device's trip records, so the sums are bit for bit
+its own.  Calibration, the sweep's pre-noise sums and the window's truth
+(``metrics.window_truth``: the exact workload and
+:meth:`Corpus.device_counts`) all read that block, and take it as an
+argument.  :class:`TripRecord` objects are built only at the edge, by
+:meth:`Corpus.records`, which :attr:`Corpus.devices` and a device
+cache's ``visible_records`` read.
 
 The magnitude spread across activities and metrics is the point: trip
 counts are O(1), distances O(1)-O(1000) km, durations O(100)-O(10000) s.
@@ -70,13 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
-    DIRECTIONS,
-    DeviceSubtotals,
-    Schema,
-    TripColumns,
-    TripRecord,
-)
+from .model import DIRECTIONS, DeviceSubtotals, Schema, TripRecord
 from .rng import BlockRng
 from .windows import TimeWindow
 
@@ -218,8 +214,8 @@ _COLUMN_TYPES = {
 class DeviceRecords:
     """One device's trips as records, in event-time order.
 
-    The record-level view of a device, built only at the edge, when a
-    corpus is read back (:attr:`Corpus.devices`).
+    The record-level view of a device, built on access by
+    :attr:`Corpus.devices` from :meth:`Corpus.records`.
     """
 
     device_id: int
@@ -257,15 +253,19 @@ class Corpus:
         """The device's row range ``[lo, hi)`` in the trip columns."""
         return self.offsets[device_id], self.offsets[device_id + 1]
 
-    def trips(self, device_id: int, lo: int, hi: int) -> TripColumns:
-        """Rows ``[lo, hi)`` of one device's trips, as ``client_work`` reads them."""
-        return TripColumns(
-            self.activity[lo:hi],
-            [self.home_regions[device_id]] * (hi - lo),
-            self.direction[lo:hi],
-            self.distance_km[lo:hi],
-            self.duration_s[lo:hi],
-        )
+    def records(self, device_id: int, lo: int, hi: int) -> list[TripRecord]:
+        """Rows ``[lo, hi)``, inside the device's own rows, as records."""
+        region = self.home_regions[device_id]
+        return [
+            TripRecord(device_id, t, a, region, d, km, s)
+            for t, a, d, km, s in zip(
+                self.event_time[lo:hi],
+                self.activity[lo:hi],
+                self.direction[lo:hi],
+                self.distance_km[lo:hi],
+                self.duration_s[lo:hi],
+            )
+        ]
 
     @property
     def devices(self) -> Sequence[DeviceRecords]:
@@ -311,10 +311,9 @@ class Corpus:
         ``np.bincount`` over the rows' partitions.
         """
         num_activities, _, num_regions, num_directions = self.schema.shape
-        partition = (
-            block.activity * num_regions + block.region
-        ) * num_directions + block.direction
-        counts = np.bincount(partition, minlength=num_activities * num_regions * num_directions)
+        counts = np.bincount(
+            block.partitions(self.schema), minlength=num_activities * num_regions * num_directions
+        )
         return counts.reshape(num_activities, num_regions, num_directions)
 
 
@@ -335,18 +334,8 @@ class _DeviceRecordsView(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(corpus.num_devices)[index]]
         device_id = range(corpus.num_devices)[index]
+        records = corpus.records(device_id, *corpus.rows(device_id))
         region = corpus.home_regions[device_id]
-        lo, hi = corpus.rows(device_id)
-        records = [
-            TripRecord(device_id, t, a, region, d, km, s)
-            for t, a, d, km, s in zip(
-                corpus.event_time[lo:hi],
-                corpus.activity[lo:hi],
-                corpus.direction[lo:hi],
-                corpus.distance_km[lo:hi],
-                corpus.duration_s[lo:hi],
-            )
-        ]
         return DeviceRecords(device_id, corpus.tiers[device_id], region, records)
 
 

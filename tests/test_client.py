@@ -478,10 +478,10 @@ def test_visible_records_filter_by_window():
     first, last = trip(t=START, km=1.0), trip(t=START + WEEK - 1, km=2.0)
     outside = trip(t=START + WEEK, km=3.0)
     dev = device([first, last, outside])
-    assert list(dev.visible_records(week(0)).distance_km) == [1.0, 2.0]
-    assert list(dev.visible_records(week(1)).distance_km) == [3.0]
+    assert dev.visible_records(week(0)) == [first, last]
+    assert dev.visible_records(week(1)) == [outside]
     dev.advance_watermarks(START + 5, WindowAlignment.WEEK, ttl=4)  # `first` expires
-    assert list(dev.visible_records(week(0)).distance_km) == [2.0]
+    assert dev.visible_records(week(0)) == [last]
 
 
 # --- constraint flags and policies ----------------------------------------------

@@ -168,7 +168,7 @@ def scanned_cell_groups(devices, per_slice):
 
 def positioned_cell_groups(layout, devices, per_slice):
     """A layout of the clip groups, ``(cells, edges, index, ...)`` as
-    ``dp._cell_groups`` or ``dp._upload_groups`` makes it, as (row-major
+    ``dp._cell_groups`` makes it, as (row-major
     cell positions, slice index) per group."""
     cells, edges, index = (np.asarray(part).tolist() for part in layout[:3])
     size, width = devices.sums.shape
@@ -197,9 +197,6 @@ def test_clip_groups_equal_a_scan_of_the_row_keys(corpus_300, week_one_300, per_
         assert sorted(grouped) == scanned
         device = block.device.tolist()
         assert layout[3].tolist() == [device[group[0] // width] for group, _ in grouped]
-        if len(devices_of(block)) == 1:
-            upload = dp._upload_groups(block, per_slice)
-            assert sorted(positioned_cell_groups(upload, block, per_slice)) == scanned
 
 
 # --- the device transform and clip calibration against exact loops -----------
@@ -306,6 +303,51 @@ def test_transform_equals_the_per_group_loop_bit_for_bit(variant, devices, data)
     params = drawn_parameters(data, variant, block)
     expected = hexes(reference_bounded_sums(block, **params))
     assert bounded_hexes(variant, block, params) == expected
+
+
+# Under a bound of 4 per group, the first two devices are inside it and
+# the third is over it, in one group per variant.
+BOUNDED_DEVICES = [
+    {(0, 0, 0, 0): 1.0, (1, 2, 1, 2): 0.5},
+    {(1, 1, 0, 1): 0.25, (1, 1, 1, 0): 2.0},
+    {(0, 0, 0, 0): 3.0, (0, 0, 1, 1): 2.0},  # norm 5, all in slice (0, 0)
+]
+
+
+def bound_parameters(variant, bound):
+    """Explicit parameters that bound every clip group by ``bound``."""
+    if variant == VARIANT_SPLIT:
+        return {"clip_table": [[bound] * 3] * 2}
+    if variant == VARIANT_SCALED:  # the cells are halved before the clip
+        return {"scale_table": [[2.0] * 3] * 2, "clip": bound / 2.0}
+    return {"clip": bound}
+
+
+@pytest.mark.parametrize("devices", [1, 2, 3], ids=["one_device", "inside", "one_over"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_transform_returns_the_block_it_clips_when_no_cell_changes(
+    variant, devices, monkeypatch
+):
+    block = block_of(CLIP_SCHEMA, BOUNDED_DEVICES[:devices])
+    resolved = resolve_mechanism(
+        MechanismConfig(variant=variant, epsilon=1.0, **bound_parameters(variant, 4.0)),
+        [],
+        CLIP_SCHEMA,
+    )
+    scaled = []
+
+    def recorded_scaled(*args):
+        scaled.append(scale(*args))
+        return scaled[-1]
+
+    scale = dp._scaled
+    monkeypatch.setattr(dp, "_scaled", recorded_scaled)
+    bounded = resolved.transform_devices(block, CLIP_SCHEMA)
+    clipped = scaled[0] if variant == VARIANT_SCALED else block
+    assert (bounded is clipped) == (devices < 3)
+    over = block.device == 2
+    assert np.array_equal(bounded.sums[~over], clipped.sums[~over])
+    assert over.any() == (not np.array_equal(bounded.sums[over], clipped.sums[over]))
 
 
 def hidden_excess_block(per_slice):

@@ -61,14 +61,12 @@ def test_schema_rejects_non_positive_axes():
         Schema(num_activities=0, activity_names=())
 
 
-def test_valid_index_bounds(small_schema):
-    assert small_schema.valid_index((0, 0, 0, 0))
-    assert small_schema.valid_index((2, 2, 3, 2))
-    assert not small_schema.valid_index((3, 0, 0, 0))
-    assert not small_schema.valid_index((0, 0, 0, 3))
-    assert not small_schema.valid_index((-1, 0, 0, 0))
-    with pytest.raises(InvalidParameterError):
-        small_schema.check_index((0, 0, 4, 0))
+def test_check_index_bounds(small_schema):
+    small_schema.check_index((0, 0, 0, 0))
+    small_schema.check_index((2, 2, 3, 2))
+    for outside in ((3, 0, 0, 0), (0, 0, 0, 3), (-1, 0, 0, 0), (0, 0, 4, 0)):
+        with pytest.raises(InvalidParameterError):
+            small_schema.check_index(outside)
 
 
 # --- histogram basics -------------------------------------------------------

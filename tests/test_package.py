@@ -111,3 +111,31 @@ def test_only_metrics_decides_what_a_release_is_scored_on():
         text = path.read_text(encoding="utf-8")
         offenders += [(path.name, n) for n in needles if n in text]
     assert offenders == []
+
+
+# The one module that builds trip records: the corpus, at its edge.
+TRIP_RECORD_MODULE = "synth.py"
+
+
+def test_only_synth_builds_trip_records():
+    offenders = []
+    for path in sorted(Path(fedsum.__file__).parent.glob("*.py")):
+        if path.name == TRIP_RECORD_MODULE:
+            continue
+        if "TripRecord(" in path.read_text(encoding="utf-8"):
+            offenders.append(path.name)
+    assert offenders == []
+
+
+# The one module that lays partitions out flat: DeviceSubtotals.partitions.
+PARTITION_MODULE = "model.py"
+
+
+def test_only_model_writes_the_flat_partition_index():
+    offenders = []
+    for path in sorted(Path(fedsum.__file__).parent.glob("*.py")):
+        if path.name == PARTITION_MODULE:
+            continue
+        if "* num_regions +" in path.read_text(encoding="utf-8"):
+            offenders.append(path.name)
+    assert offenders == []

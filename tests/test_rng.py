@@ -30,7 +30,7 @@ def test_quartile_maps_to_log_two():
 def test_zero_scale_collapses_to_exact_zero():
     assert laplace_from_uniform(0.123, 0.0) == 0.0
     rng = KeyedRng(0, "release-noise")
-    assert rng.laplace(0.0, "w", 1, 2, 3) == 0.0
+    assert laplace_from_uniform(rng.uniform("w", 1, 2, 3), 0.0) == 0.0
 
 
 def test_uniform_domain_is_open():
@@ -59,7 +59,9 @@ def test_same_key_same_draw():
     a = KeyedRng(42, "ns")
     b = KeyedRng(42, "ns")
     assert a.uniform("x", 1) == b.uniform("x", 1)
-    assert a.laplace(2.0, "w", 7) == b.laplace(2.0, "w", 7)
+    assert laplace_from_uniform(a.uniform("w", 7), 2.0) == laplace_from_uniform(
+        b.uniform("w", 7), 2.0
+    )
     assert a.token_bytes("t", 5) == b.token_bytes("t", 5)
 
 
@@ -112,7 +114,7 @@ def test_the_largest_digest_stays_below_one():
     u = rng.uniform("u", 1)
     assert u < 1.0
     assert u == math.nextafter(1.0, 0.0)
-    assert math.isfinite(rng.laplace(1.0, "w", 1))
+    assert math.isfinite(laplace_from_uniform(rng.uniform("w", 1), 1.0))
     assert rng.randrange(24, "wake-hour", 1) == 23
     for n in (1, 2, 3, 24, 1000, 2**40 + 1):
         assert rng.randrange(n, "slot", 1) < n
@@ -131,7 +133,7 @@ def test_only_draws_that_round_to_one_are_moved(x):
 def test_empirical_moments_track_the_distribution():
     rng = KeyedRng(12, "moments")
     n = 200_000
-    draws = [rng.laplace(1.0, i) for i in range(n)]
+    draws = [laplace_from_uniform(rng.uniform(i), 1.0) for i in range(n)]
     mean = math.fsum(draws) / n
     var = math.fsum((x - mean) ** 2 for x in draws) / n
     # Var = 2b^2 = 2; MC standard errors ~ sqrt(2/n) and ~ sqrt(20/n).
@@ -143,8 +145,8 @@ def test_empirical_moments_track_the_distribution():
 
 def test_scale_parameter_scales_linearly():
     rng = KeyedRng(5, "ns")
-    base = [rng.laplace(1.0, "w", i) for i in range(100)]
-    threex = [rng.laplace(3.0, "w", i) for i in range(100)]
+    base = [laplace_from_uniform(rng.uniform("w", i), 1.0) for i in range(100)]
+    threex = [laplace_from_uniform(rng.uniform("w", i), 3.0) for i in range(100)]
     for b, t in zip(base, threex):
         assert t == pytest.approx(3.0 * b, rel=1e-12)
 

@@ -154,7 +154,7 @@ def test_window_slicing_honors_half_open_bounds(corpus_300):
                 r for r in device.records if window.start <= r.event_time < window.end
             ]
             trips = state.visible_records(window)
-            assert list(trips.distance_km) == [r.distance_km for r in inside]
+            assert trips == inside
             total += len(trips)
     assert total == sum(len(d.records) for d in corpus_300.devices)
 
