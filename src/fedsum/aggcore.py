@@ -1,15 +1,16 @@
 """Ephemeral grouped-sum aggregation core.
 
-A core holds the running grouped sums for one aggregation session: a map
-from string group key to one float64 accumulator per value column, plus a
-count of contributing updates.  Cores support exactly three operations —
-accumulate, merge, report — and report consumes the core, so per-device
-rows live only transiently while a window is collecting.  Whether a
-window has enough contributions to release is the server's decision.
-
-The sums live in the package's one exact accumulator
-(:class:`fedsum.exactsum.ExactSum`), so any way of sharding updates across
-cores and merging the partial cores yields a bit-identical final state.
+A core holds the running grouped sums for one aggregation session, per
+string group key one exact sum per value column
+(:class:`fedsum.exactsum.ExactSum`), plus a count of contributing
+updates.  Cores support exactly three operations — accumulate, merge,
+report — and report consumes the core.  An update's rows wait in a core
+only until its next fold: at merge, at report, once 2**16 values wait,
+and at ``serialize_state``, so every checkpoint, roll-up and seal leaves
+each cell's exact terms and no device's rows.  Any way of sharding
+updates across cores and merging them yields a bit-identical state; a
+cell whose exact sum rounds beyond the floats reads NaN, whatever the
+sharding.  Whether a window may be released is the server's decision.
 A core sums rows that its caller has checked.  :func:`check_rows` is
 the check of an update's shape and values; the server runs it once per
 upload, before any core sees the rows, so a refused update leaves every

@@ -1,153 +1,163 @@
 """Error-free accumulation of float64 values: the package's one exact sum.
 
-Running sums are kept as lists of non-overlapping partials (Shewchuk's
-expansion representation, the same scheme ``math.fsum`` uses internally).
-The partials represent the *exact* real-valued sum of everything added so
-far, so accumulation is associative and commutative: any grouping of the
-same inputs yields the same exact value, and rounding that value to a
-single float64 at the end is deterministic.  This is what makes merged
-aggregates reproducible regardless of how work was batched or which order
-partial results arrived in.  :class:`ExactSum` is the package's only
-running exact accumulator: shard cores and partials key it by string,
-and the server decodes a session's rounded report into one dense array
-of cell sums.  A device block's one-shot sums (the prepared pre-noise
-aggregate and a window truth's workload, ``metrics.exact_workload``)
-round the same way in array passes, every cell at once
-(:func:`group_fsum`, called by
-:meth:`fedsum.model.DeviceSubtotals.cell_sums`): each group's result is
-``math.fsum``'s, and ``math.fsum`` itself runs only for the groups that
-the passes cannot certify.
+One algorithm sums exactly: Rump, Ogita and Oishi's error-free split
+(:func:`_extract`, proved in :func:`group_fsum`) cuts each value into a
+part on its group's power-of-two grid and a float remainder, so that
+``np.bincount`` adds a group's grid parts without error.
+:func:`group_fsum` gives one-shot grouped sums, ``math.fsum``'s bit for
+bit, every group at once (:meth:`fedsum.model.DeviceSubtotals.cell_sums`).
+:class:`ExactSum`, the shard cores' running sum, stages rows until a fold
+splits them and the terms held into each cell's exact terms, which
+``report`` rounds with :func:`group_fsum`: any order, batching, sharding
+or merge tree of the same rows reports the same bits.  A cell reads NaN
+iff its exact sum rounds beyond the floats; a cell whose float sum of
+``|x|`` exceeds ``2**1000`` (infinite L1 bound only) is kept as a Fraction.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["ExactSum", "add_partial", "merge_partials", "round_partials", "group_fsum"]
+__all__ = ["ExactSum", "group_fsum"]
 
 Row = tuple[Hashable, Sequence[float]]
 
-
-def add_partial(partials: list[float], x: float) -> None:
-    """Add ``x`` into an expansion in place, preserving the exact sum.
-
-    ``partials`` remains a list of non-overlapping floats sorted by
-    increasing magnitude whose exact sum equals the old exact sum plus
-    ``x``.  Typical lists stay 1-3 elements long for well-scaled data.
-    """
-    i = 0
-    for y in partials:
-        if abs(x) < abs(y):
-            x, y = y, x
-        hi = x + y
-        lo = y - (hi - x)
-        if lo:
-            partials[i] = lo
-            i += 1
-        x = hi
-    partials[i:] = [x]
-
-
-def merge_partials(dst: list[float], src: list[float]) -> None:
-    """Fold another expansion into ``dst`` in place (exact)."""
-    for x in src:
-        add_partial(dst, x)
-
-
-def round_partials(partials: list[float]) -> float:
-    """Collapse an expansion to the correctly rounded float64 sum.
-
-    An expansion that overflowed while values were added (it then holds
-    an infinity or a NaN, whatever is added after), or whose partials sum
-    beyond the largest float, rounds to NaN: it has no float value.
-    """
-    if not partials:
-        return 0.0
-    if len(partials) == 1:
-        total = partials[0]
-    else:
-        try:
-            total = math.fsum(partials)
-        except (OverflowError, ValueError):  # an overflowed sum, or -inf + inf
-            return math.nan
-    return total if math.isfinite(total) else math.nan
-
-
-class ExactSum:
-    """Grouped exact sums: per key, one expansion per value column.
-
-    Keys are hashable and mutually orderable.  Rows are ``(key, values)``
-    with ``width`` numbers each; callers validate them.
-    """
-
-    __slots__ = ("width", "_cells")
-
-    def __init__(self, width: int) -> None:
-        self.width = width
-        self._cells: dict[Hashable, list[list[float]]] = {}
-
-    def add(self, rows: Iterable[Row]) -> None:
-        """Add every row of one update."""
-        cells = self._cells
-        for key, values in rows:
-            cell = cells.get(key)
-            if cell is None:
-                cells[key] = [[float(v)] for v in values]
-                continue
-            i = 0
-            for v in values:
-                partials = cell[i]
-                i += 1
-                if len(partials) == 1:
-                    # Two-sum, inlined for the common one-partial case.
-                    x = float(v)
-                    y = partials[0]
-                    if abs(x) < abs(y):
-                        x, y = y, x
-                    hi = x + y
-                    lo = y - (hi - x)
-                    if lo:
-                        partials[0] = lo
-                        partials.append(hi)
-                    else:
-                        partials[0] = hi
-                else:
-                    add_partial(partials, float(v))
-
-    def merge(self, other: "ExactSum") -> None:
-        """Fold ``other`` into this sum; ``other`` is left unchanged."""
-        if other.width != self.width:
-            raise ValueError(f"cannot merge width {other.width} into width {self.width}")
-        cells = self._cells
-        for key, theirs in other._cells.items():
-            mine = cells.get(key)
-            if mine is None:
-                cells[key] = [list(p) for p in theirs]
-            else:
-                for dst, src in zip(mine, theirs):
-                    merge_partials(dst, src)
-
-    def report(self) -> Iterator[tuple[Hashable, tuple[float, ...]]]:
-        """Correctly rounded sums per key in sorted key order, made as read."""
-        cells = self._cells
-        return ((key, tuple(map(round_partials, cells[key]))) for key in sorted(cells))
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-
-# --------------------------------------------------------------------------
-# One-shot grouped sums in array passes
-
-# A group whose float sum of |x| is above this, or not finite, goes to
-# ``math.fsum``: it may overflow, and fsum's exception must come out.
+# A group whose float sum of |x| is not at most this may overflow: unsplit.
 _SPLIT_MAX = 2.0**1000
 # The unit roundoff and the smallest subnormal of float64.
 _UNIT_ROUNDOFF = 2.0**-53
 _TINY = 2.0**-1074
+# An ExactSum folds once this many staged values wait; not a setting.
+_STAGE_MAX = 2**16
+
+
+def _abs_sums(values: np.ndarray, group: np.ndarray, num_groups: int) -> np.ndarray:
+    """Each group's float sum of ``|x|``."""
+    return np.bincount(group, weights=np.abs(values), minlength=num_groups)
+
+
+def _extract(
+    values: np.ndarray, group: np.ndarray, norm: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(q, r)``: every value split as ``x = q + r`` exactly on the grid
+    of its group's float sum of ``|x|``, ``norm`` (see :func:`group_fsum`)."""
+    sigma = np.ldexp(1.0, np.frexp(norm)[1] + 2)[group]
+    high = sigma + values
+    high -= sigma
+    return high, values - high
+
+
+class ExactSum:
+    """Grouped exact sums: per key, one exact sum per value column.
+
+    Keys are hashable and mutually orderable.  Rows are ``(key, values)``
+    with ``width`` numbers each; callers validate them.  Cell ``i * width
+    + j`` is column ``j`` of the ``i``-th key seen.  Rows wait, a key id
+    each and one flat list of values, until the next fold: at ``report``,
+    at ``merge``, and before more than ``_STAGE_MAX`` values would wait.
+    """
+
+    __slots__ = ("width", "_ids", "_row_ids", "_staged", "_cells", "_terms", "_plain", "_wide")
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self._ids: dict[Hashable, int] = {}  # key -> id, in first-sight order
+        self._row_ids: list[int] = []
+        self._staged: list[float] = []
+        self._cells = np.zeros(0, dtype=np.intp)  # each term's cell
+        self._terms = np.zeros(0)
+        self._plain = np.zeros(0, dtype=bool)  # cells given a value other than -0.0
+        self._wide: dict[int, Fraction] = {}  # cells not split: exact sums
+
+    def add(self, rows: Iterable[Row]) -> None:
+        """Stage every row of one update (its values are copied)."""
+        ids, row_ids, staged = self._ids, self._row_ids, self._staged
+        room = _STAGE_MAX - self.width
+        for key, values in rows:
+            if len(staged) > room:
+                self._fold()
+            i = ids.get(key)
+            if i is None:
+                i = ids[key] = len(ids)
+            row_ids.append(i)
+            staged += values
+
+    def merge(self, other: "ExactSum") -> None:
+        """Fold ``other`` into this sum; ``other``'s value is left unchanged."""
+        if other.width != self.width:
+            raise ValueError(f"cannot merge width {other.width} into width {self.width}")
+        if other._row_ids:
+            other._fold()
+        ids, width = self._ids, self.width
+        remap = np.array([ids.setdefault(key, len(ids)) for key in other._ids], dtype=np.intp)
+        cells = (remap[:, None] * width + np.arange(width)).ravel()
+        self._plain = np.pad(self._plain, (0, len(ids) * width - len(self._plain)))
+        self._plain[cells] |= other._plain
+        self._cells = np.concatenate([self._cells, cells[other._cells]])
+        self._terms = np.concatenate([self._terms, other._terms])
+        for cell, total in other._wide.items():
+            self._wide[int(cells[cell])] = self._wide.get(int(cells[cell]), 0) + total
+        self._fold()
+
+    def report(self) -> Iterator[tuple[Hashable, tuple[float, ...]]]:
+        """Correctly rounded sums per key in sorted key order: a cell of
+        only -0.0 reads -0.0, one whose sum is beyond the floats NaN."""
+        if self._row_ids:
+            self._fold()
+        sums = group_fsum(self._terms, self._cells, len(self._plain))
+        sums[~self._plain] = -0.0
+        for cell, total in self._wide.items():
+            try:
+                sums[cell] = float(total)
+            except OverflowError:
+                sums[cell] = math.nan
+        rows = list(zip(*sums.reshape(-1, self.width).T.tolist()))
+        return ((key, rows[self._ids[key]]) for key in sorted(self._ids))
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def _fold(self) -> None:
+        """Split the staged values and the terms held into each cell's exact
+        terms, one per level (a cell too wide to split into its Fraction):
+        ``|r| <= 2**-53 sigma <= 2**-50 norm`` (group_fsum), so ``n`` values
+        leave no remainder after about ``2100 / (50 - log2 n)`` levels."""
+        width, num_cells = self.width, len(self._ids) * self.width
+        staged = np.fromiter(self._staged, np.float64, len(self._staged))
+        staged_cells = np.fromiter(self._row_ids, np.intp, len(self._row_ids))
+        staged_cells = (staged_cells[:, None] * width + np.arange(width)).ravel()
+        self._staged.clear()
+        self._row_ids.clear()
+        self._plain = np.pad(self._plain, (0, num_cells - len(self._plain)))
+        self._plain[staged_cells[(staged != 0.0) | ~np.signbit(staged)]] = True
+        values = np.concatenate([self._terms, staged])
+        cells = np.concatenate([self._cells, staged_cells])
+        with np.errstate(over="ignore"):
+            norm = _abs_sums(values, cells, num_cells)
+        wide = ~(norm <= _SPLIT_MAX)
+        wide[list(self._wide)] = True
+        if wide.any():
+            moved = wide[cells]
+            for cell, value in zip(cells[moved].tolist(), values[moved].tolist()):
+                self._wide[cell] = self._wide.get(cell, 0) + Fraction(value)
+            values, cells = values[~moved], cells[~moved]
+            norm[wide] = 0.0
+        terms, term_cells = [self._terms[:0]], [self._cells[:0]]
+        while len(values):  # one level of the split
+            high, low = _extract(values, cells, norm)
+            total = np.bincount(cells, weights=high, minlength=num_cells)
+            kept = np.flatnonzero(total)
+            terms.append(total[kept])
+            term_cells.append(kept)
+            left = np.flatnonzero(low)
+            values, cells = low[left], cells[left]
+            norm = _abs_sums(values, cells, num_cells)
+        self._terms = np.concatenate(terms)
+        self._cells = np.concatenate(term_cells)
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,18 +166,6 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = a + b
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
-
-
-def _extract(
-    values: np.ndarray, group: np.ndarray, num_groups: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(norm, q, r)``: each group's float sum of ``|x|``, and every value
-    split as ``x = q + r`` on its group's grid (see :func:`group_fsum`)."""
-    norm = np.bincount(group, weights=np.abs(values), minlength=num_groups)
-    sigma = np.ldexp(1.0, np.frexp(norm)[1] + 2)[group]
-    high = sigma + values
-    high -= sigma
-    return norm, high, values - high
 
 
 def group_fsum(values: np.ndarray, group: np.ndarray, num_groups: int) -> np.ndarray:
@@ -234,9 +232,10 @@ def group_fsum(values: np.ndarray, group: np.ndarray, num_groups: int) -> np.nda
     if not len(values):  # np.bincount would return integers
         return np.zeros(num_groups)
     with np.errstate(over="ignore", invalid="ignore"):  # in groups fsum sums
-        norm, q, r = _extract(values, group, num_groups)
+        norm = _abs_sums(values, group, num_groups)
+        q, r = _extract(values, group, norm)
         total = np.bincount(group, weights=q, minlength=num_groups)
-        _, q, r = _extract(r, group, num_groups)
+        q, r = _extract(r, group, _abs_sums(r, group, num_groups))
         total2 = np.bincount(group, weights=q, minlength=num_groups)
         del q
         out = total + total2

@@ -363,10 +363,10 @@ class DeviceSubtotals(NamedTuple):
         """Each cell summed over the block's rows, exactly rounded.
 
         A float64 array of the schema's shape.  Every cell is the
-        ``math.fsum`` of its rows' values in row order, which rounds as
-        :class:`fedsum.exactsum.ExactSum` does, taken for all cells and
-        metrics in one :func:`fedsum.exactsum.group_fsum` call; an empty
-        cell is ``+0.0``.  The groups run metric by metric, then by
+        ``math.fsum`` of its rows' values in row order, taken for all cells
+        and metrics in one :func:`fedsum.exactsum.group_fsum` call (the
+        package's one exact split, which ``ExactSum`` folds with too); a
+        cell that sums to zero is ``+0.0``.  The groups run metric by metric, then by
         partition, so a cell ``math.fsum`` refuses raises as a loop in that
         order would.  Of a window's block these are its grouped sums: the
         ground truth, or the pre-noise sum once the block is bounded.

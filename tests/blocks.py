@@ -14,8 +14,9 @@ import math
 
 import numpy as np
 
-from fedsum.exactsum import ExactSum
 from fedsum.model import DeviceSubtotals, IndexedHistogram
+
+from helpers import ExpansionSum
 
 
 def block_of(schema, histograms) -> DeviceSubtotals:
@@ -103,8 +104,9 @@ def renumbered(block: DeviceSubtotals, device: int) -> DeviceSubtotals:
 
 
 def exact_sum(schema, histograms) -> IndexedHistogram:
-    """The histograms summed exactly and rounded once per cell (ExactSum)."""
-    total = ExactSum(1)
+    """The histograms summed exactly and rounded once per cell (the
+    expansion oracle, ``helpers.ExpansionSum``)."""
+    total = ExpansionSum(1)
     for h in histograms:
         total.add((index, (value,)) for index, value in h.items())
     return IndexedHistogram(

@@ -95,6 +95,91 @@ def naive_grouped_sums(updates):
     return out
 
 
+# --- Shewchuk expansions: the exact-sum oracle ------------------------------------
+#
+# A running sum kept as a list of non-overlapping partials (the scheme
+# ``math.fsum`` uses internally), one Python step per value.  Its exact
+# value is order-free; an expansion that overflows while values are added
+# stays NaN, whatever is added after, so only bounded values compare.
+
+
+def add_partial(partials: list[float], x: float) -> None:
+    """Add ``x`` into an expansion in place, preserving the exact sum.
+
+    ``partials`` remains a list of non-overlapping floats sorted by
+    increasing magnitude whose exact sum equals the old exact sum plus
+    ``x``.
+    """
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    partials[i:] = [x]
+
+
+def merge_partials(dst: list[float], src: list[float]) -> None:
+    """Fold another expansion into ``dst`` in place (exact)."""
+    for x in src:
+        add_partial(dst, x)
+
+
+def round_partials(partials: list[float]) -> float:
+    """Collapse an expansion to the correctly rounded float64 sum; one that
+    overflowed, or whose partials sum beyond the largest float, is NaN."""
+    if not partials:
+        return 0.0
+    if len(partials) == 1:
+        total = partials[0]
+    else:
+        try:
+            total = math.fsum(partials)
+        except (OverflowError, ValueError):  # an overflowed sum, or -inf + inf
+            return math.nan
+    return total if math.isfinite(total) else math.nan
+
+
+class ExpansionSum:
+    """``fedsum.exactsum.ExactSum``'s interface over one expansion per key
+    and column, each row added value by value."""
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self._cells: dict = {}
+
+    def add(self, rows) -> None:
+        for key, values in rows:
+            cell = self._cells.get(key)
+            if cell is None:
+                self._cells[key] = [[float(v)] for v in values]
+            else:
+                for partials, v in zip(cell, values):
+                    add_partial(partials, float(v))
+
+    def merge(self, other: "ExpansionSum") -> None:
+        if other.width != self.width:
+            raise ValueError(f"cannot merge width {other.width} into width {self.width}")
+        for key, theirs in other._cells.items():
+            mine = self._cells.get(key)
+            if mine is None:
+                self._cells[key] = [list(p) for p in theirs]
+            else:
+                for dst, src in zip(mine, theirs):
+                    merge_partials(dst, src)
+
+    def report(self):
+        cells = self._cells
+        return ((key, tuple(map(round_partials, cells[key]))) for key in sorted(cells))
+
+    def __len__(self) -> int:
+        return len(self._cells)
+
+
 def active_devices(corpus, window) -> set[int]:
     """Ids of the devices holding a record inside ``window``."""
     return {

@@ -1,24 +1,34 @@
-"""Error-free accumulation: expansions behave like exact real sums, the
-grouped accumulator built on them sums per key and column exactly, and
-the array kernel's grouped sums are math.fsum's, bit for bit."""
+"""Error-free accumulation: the expansion oracle behaves like an exact real
+sum, the grouped accumulator reports what the oracle reports however its
+rows are sharded, merged and folded, and the array kernel's grouped sums
+are math.fsum's, bit for bit."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedsum.exactsum import ExactSum, add_partial, group_fsum, merge_partials, round_partials
+from fedsum import exactsum
+from fedsum.aggcore import AggCoreConfig, AggregationCore
+from fedsum.exactsum import ExactSum, group_fsum
+
+from helpers import ExpansionSum, add_partial, merge_partials, round_partials
 
 # Bounded so that no intermediate or final sum can overflow float64.
 bounded_floats = st.floats(
     min_value=-1e290, max_value=1e290, allow_nan=False, allow_infinity=False
 )
 float_lists = st.lists(bounded_floats, max_size=80)
+
+
+# --- the oracle: Shewchuk expansions (tests/helpers.py) ------------------------------
 
 
 def expansion(values):
@@ -32,18 +42,15 @@ def test_empty_rounds_to_zero():
     assert round_partials([]) == 0.0
 
 
-def test_a_sum_too_large_for_a_float_rounds_to_nan():
+def test_an_overflowed_expansion_stays_nan_whatever_is_added_after():
     # Adding overflows a partial ([-inf, inf], then NaN partials), and a
     # merge's exact sum can exceed the largest float; neither may raise.
     for count in (2, 3):
         assert math.isnan(round_partials(expansion([1e308] * count)))
     assert math.isnan(round_partials([1e308, 1e308]))  # beyond the largest float
-    # An overflowed expansion stays NaN, whatever is added after.
+    # The oracle's overflow depends on order: only bounded values compare.
     assert math.isnan(round_partials(expansion([1e308, 1e308, -1e308])))
-    sums = ExactSum(2)
-    sums.add([("k", (1e308, 1.0)), ("k", (1e308, 2.0))])
-    ((key, (big, small)),) = sums.report()
-    assert key == "k" and math.isnan(big) and small == 3.0
+    assert round_partials(expansion([1e308, -1e308, 1e308])) == 1e308
 
 
 def test_single_value_round_trip():
@@ -180,6 +187,154 @@ def test_merge_leaves_the_other_sum_unchanged():
 def test_sums_of_different_widths_do_not_combine():
     with pytest.raises(ValueError):
         ExactSum(1).merge(ExactSum(2))
+
+
+# Every cell of ExactSum against the oracle: ties and their breakers,
+# cancellation, subnormals, signed zeros and ints beyond 2**53 and 2**63
+# (each rounded as ``float`` rounds it), all bounded so that the oracle
+# cannot overflow.
+ROW_VALUES = [
+    1.0, -1.0, 2.0**-53, 2.0**-106, -(2.0**-54), 1e16, -1e16, 0.1, 5e-324, -5e-324,
+    2.0**-1022, 0.0, -0.0, 2**53 + 1, -(2**53) - 1, 2**63 + 1, 2**64 + 3, -(2**70) - 1,
+]
+row_values = st.one_of(
+    bounded_floats,
+    st.sampled_from(ROW_VALUES),
+    st.integers(-(2**80), 2**80),
+    st.floats(min_value=-1e6, max_value=1e6).map(lambda v: v * 2.0**-60),
+)
+row_streams = st.lists(
+    st.tuples(st.sampled_from("abcd"), st.tuples(row_values, row_values)), max_size=40
+)
+CORE = AggCoreConfig(key_columns=("k",), value_columns=("x", "y"))
+
+
+def hexes(report):
+    return [(key, tuple(v.hex() for v in values)) for key, values in report]
+
+
+def oracle_core(updates):
+    """A core that sums with the oracle, update by update."""
+    core = AggregationCore(CORE)
+    core._sum = ExpansionSum(len(CORE.value_columns))
+    for rows in updates:
+        core.accumulate(rows)
+    return core
+
+
+@given(row_streams, st.data())
+def test_any_sharding_merge_tree_and_fold_points_report_the_oracle_bits(rows, plan):
+    cuts = sorted(plan.draw(st.lists(st.integers(0, len(rows)), max_size=8)))
+    updates = [rows[lo:hi] for lo, hi in zip([0, *cuts], [*cuts, len(rows)])]
+    bound = plan.draw(st.sampled_from([2, 3, 5, 8, exactsum._STAGE_MAX]))
+    cores = [AggregationCore(CORE) for _ in range(plan.draw(st.integers(1, 4)))]
+    with mock.patch.object(exactsum, "_STAGE_MAX", bound):
+        for update in updates:
+            core = cores[plan.draw(st.integers(0, len(cores) - 1))]
+            core.accumulate(update)
+            if plan.draw(st.booleans()):
+                core.serialize_state()  # a checkpoint's fold
+        while len(cores) > 1:
+            other = cores.pop(plan.draw(st.integers(0, len(cores) - 1)))
+            cores[plan.draw(st.integers(0, len(cores) - 1))].merge(other)
+        (core,) = cores
+        oracle = oracle_core(updates)
+        assert hexes(core._sum.report()) == hexes(oracle._sum.report())
+        assert core.serialize_state() == oracle.serialize_state()
+
+
+def test_a_key_whose_sums_cancel_stays_and_only_negative_zeros_read_negative_zero():
+    total = ExactSum(1)
+    total.add([("a", (-0.0,)), ("b", (-0.0,)), ("c", (1.0,)), ("d", (-0.0,))])
+    total.add([("a", (-0.0,)), ("b", (0.0,)), ("c", (-1.0,))])
+    other = ExactSum(1)
+    other.add([("d", (-0.0,)), ("e", (-0.0,))])
+    total.merge(other)
+    zero, negative = 0.0.hex(), (-0.0).hex()
+    assert hexes(total.report()) == [
+        ("a", (negative,)), ("b", (zero,)), ("c", (zero,)), ("d", (negative,)), ("e", (negative,))
+    ]
+
+
+LARGEST = 1.7976931348623157e308  # 2**1024 - 2**971: the half-way point is 2**970 above
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([1e308, 1e308, -1e308], 1e308),
+        ([1e308, 1e308], math.nan),
+        ([1e308] * 3, math.nan),
+        ([1e308, 1e308, -1e308, -1e308, 0.5], 0.5),
+        ([LARGEST, 2.0**969], LARGEST),  # below the half-way point
+        ([LARGEST, 2.0**970], math.nan),  # the half-way point rounds to even, 2**1024
+    ],
+)
+def test_a_cell_reads_nan_iff_its_exact_sum_rounds_beyond_the_floats(values, expected):
+    """In every order, every split into two shards, folded before the
+    merge or not: the exact sum alone decides."""
+    for order in set(itertools.permutations(values)):
+        for owner in itertools.product(range(2), repeat=len(values)):
+            for fold in (False, True):
+                shards = [ExactSum(2), ExactSum(2)]
+                for shard, value in zip(owner, order):
+                    shards[shard].add([("k", (value, 1.0))])
+                    if fold:
+                        list(shards[shard].report())
+                shards[owner[0]].merge(shards[1 - owner[0]])
+                ((key, (big, count)),) = shards[owner[0]].report()
+                assert count == len(values)
+                assert big.hex() == expected.hex() or math.isnan(big) and math.isnan(expected)
+
+
+def counting_folds():
+    """Patch ExactSum's fold to record how many values wait at each fold."""
+    waiting = []
+    fold = ExactSum._fold
+
+    def counting(self):
+        waiting.append(len(self._staged))
+        fold(self)
+
+    return waiting, mock.patch.object(ExactSum, "_fold", counting)
+
+
+def test_ac13s_loop_never_stages_more_values_than_the_bound():
+    config = AggCoreConfig(("region", "privacy_time_unit"), ("n", "km", "sec"))
+    rows = tuple((f"cell{i:03d}\x1f2024-W20", (1.0, 2.5, 60.0)) for i in range(100))
+    core = AggregationCore(config)
+    waiting, patch = counting_folds()
+    with patch:
+        for _ in range(2_000):
+            core.accumulate(rows)
+            assert len(core._sum._staged) <= exactsum._STAGE_MAX
+    assert len(waiting) >= 2_000 * 300 // exactsum._STAGE_MAX
+    assert max(waiting) <= exactsum._STAGE_MAX
+    assert core.report()["cell042\x1f2024-W20"] == (2_000.0, 5_000.0, 120_000.0)
+
+
+def test_a_callers_rows_are_copied_when_staged():
+    values = [1.0, 2.0]
+    rows = [("k", values)]
+    core = AggregationCore(CORE)
+    core.accumulate(rows)
+    values[0] = 1e300
+    rows.append(("j", [5.0, 5.0]))
+    assert core.report() == {"k": (1.0, 2.0)}
+
+
+def test_terms_stay_few_per_cell_through_many_folds():
+    """Values spread over 1,800 binades leave remainders at every level;
+    a cell still holds one term per level of the split."""
+    rng = random.Random(3)
+    total, values = ExactSum(1), []
+    with mock.patch.object(exactsum, "_STAGE_MAX", 64):
+        for _ in range(100):
+            batch = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randrange(-900, 900) for _ in range(50)]
+            total.add(("k", (v,)) for v in batch)
+            values += batch
+            assert len(total._terms) <= 40
+    assert list(total.report()) == [("k", (math.fsum(values),))]
 
 
 # --- group_fsum: grouped one-shot sums in array passes -------------------------------

@@ -689,6 +689,31 @@ def test_rollup_folds_level0_partials_into_one():
     assert len(events_named(server, "rollup")) == 1
 
 
+def held_state(core):
+    """A core's staged values and the most exact terms any one cell holds."""
+    sums = core._sum
+    return len(sums._staged), int(np.bincount(sums._cells).max(initial=0))
+
+
+def test_checkpointed_and_rolled_up_partials_hold_only_folded_terms():
+    """A partial keeps no device's rows, only each cell's exact terms: one
+    per level of the split, two for these well-scaled values."""
+    server, s = make_server(num_shards=1, checkpoint_batch=2, rollup_interval=3600)
+    server.register_task(make_task(s), now=START)
+    for device in range(6):
+        upload(server, device, device_histogram(s, device), now=START + WEEK)
+    session = server.sessions["trips/2024-W20"]
+    assert [p.level for p in session.partials] == [0, 0, 0]
+    for partial in session.partials:
+        staged, terms = held_state(partial.core)
+        assert staged == 0 and 1 <= terms <= 2
+    server.maintenance(now=START + WEEK + 3600)
+    (rolled,) = session.partials
+    assert rolled.level == 1 and rolled.core.contribution_count == 6
+    staged, terms = held_state(rolled.core)
+    assert staged == 0 and 1 <= terms <= 2
+
+
 def test_expired_partials_drop_their_contributions():
     server, s = make_server(
         num_shards=1,
