@@ -34,17 +34,16 @@ Bounding that block before it leaves the device (scaling and clipping)
 is the mechanism's job: :meth:`fedsum.dp.ResolvedMechanism.transform_devices`,
 the same transform a sweep runs on a whole window's block.
 
-The upload codec has one encoder, ``encode_rows``: a device's
-partitions become the client statement's grouped rows, all-zero rows
-dropped, zeros written ``+0.0``, sorted by key.  ``histogram_to_rows``
-runs it on a one-device block; the simulator runs it on a device's row
-range of its window's block, keyed through the window's key table
-(``row_key_table``).  Its inverse ``rows_to_histogram`` adds rows into
-one dense array of cell sums.  ``row_keys`` maps one window's valid row
-keys to their partitions, the inverse of the key table: the server
-refuses an upload under any other key and the decoder reads rows through
-the same map, so every row the server accepted decodes.  Outside
-:mod:`fedsum.aggcore` the codec is the only code that knows the row format.
+A device uploads its rows of its window's bounded block as bytes, one
+fixed-width record a row (:class:`fedsum.aggcore.Wire`), cut for every device
+of a window at once (:class:`fedsum.sim.WindowUploads`).  ``row_keys``
+names a window's partitions: the client statement's grouped-row keys,
+each mapped to its flat index.  ``histogram_to_rows`` writes one
+device's block as named rows instead (all-zero rows dropped, zeros
+written ``+0.0``, sorted by key), which the server writes into the same
+bytes through ``row_keys``; ``rows_to_histogram`` adds named rows (a
+core's report) into dense cell sums.  Outside :mod:`fedsum.aggcore`
+these are the only code that knows the row key format.
 """
 
 from __future__ import annotations
@@ -52,11 +51,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .aggcore import KEY_SEPARATOR, MalformedUpdateError, Rows
+from .aggcore import KEY_SEPARATOR, MalformedUpdateError
 from .model import DeviceSubtotals, Schema, TripRecord
 from .query import METRIC_BY_COLUMN, PRIVACY_TIME_UNIT, QuerySpec
 from .rng import BlockRng
@@ -79,9 +78,7 @@ __all__ = [
     "draw_conditions",
     "draw_flags",
     "client_work",
-    "encode_rows",
     "histogram_to_rows",
-    "row_key_table",
     "row_keys",
     "rows_to_histogram",
 ]
@@ -318,56 +315,36 @@ def _key_template(spec: QuerySpec) -> str:
     return KEY_SEPARATOR.join(slot[column] for column in spec.client.group_by)
 
 
-def encode_rows(keys: Iterable[str], cells: Iterable[Sequence[float]]) -> Rows:
-    """The upload rows of one device's partitions, the upload's one encoder.
-
-    Row ``k`` is ``keys[k]`` with the partition's values ``cells[k]``, a
-    zero written as ``+0.0``.  A row whose values are all zero is
-    dropped, and rows are sorted by key.
-    """
-    rows = [
-        (key, tuple([v or 0.0 for v in values]))
-        for key, values in zip(keys, cells)
-        if any(values)
-    ]
-    rows.sort()
-    return rows
-
-
 def histogram_to_rows(
     block: DeviceSubtotals,
     window_id: str,
     spec: QuerySpec,
-) -> Rows:
+) -> list[tuple[str, tuple[float, ...]]]:
     """Encode one device's bounded window block as upload rows for the query.
 
     One row per partition of the one-device ``block``, keyed by the
     client statement's group-by columns, which validation holds to
     exactly ``RELEASE_KEY_COLUMNS``; its values are the partition's
-    cells in ``spec.metric_columns`` order (:func:`encode_rows`).
+    cells in ``spec.metric_columns`` order, a zero written as ``+0.0``.
+    A row whose values are all zero is dropped, and rows are sorted by key.
     """
     size = len(block.device)
     if size and block.device[0] != block.device[-1]:
         raise ValueError("upload rows encode one device's block")
     columns = (block.activity.tolist(), block.region.tolist(), block.direction.tolist())
     keys = map(_key_template(spec).format, *columns, repeat(window_id))
-    return encode_rows(keys, block.sums[:, spec.metrics].tolist())
+    rows = [
+        (key, tuple([v or 0.0 for v in values]))
+        for key, values in zip(keys, block.sums[:, spec.metrics].tolist())
+        if any(values)
+    ]
+    rows.sort()
+    return rows
 
 
-def row_key_table(spec: QuerySpec, schema: Schema, window_id: str) -> list[str]:
-    """Every row key of ``window_id``, at its partition's flat index
-    (:meth:`fedsum.model.DeviceSubtotals.partitions`): the inverse of
-    :func:`row_keys`, from which the simulator's window blocks key
-    their rows."""
-    template = _key_template(spec)
-    shape = (schema.num_activities, schema.num_regions, schema.num_directions)
-    return [template.format(a, r, d, window_id) for a, r, d in np.ndindex(shape)]
-
-
-def row_keys(
-    spec: QuerySpec, schema: Schema, window_id: str
-) -> dict[str, tuple[int, int, int]]:
-    """Every row key of ``window_id``, mapped to its partition.
+def row_keys(spec: QuerySpec, schema: Schema, window_id: str) -> dict[str, int]:
+    """Every row key of ``window_id``, mapped to its partition's flat index
+    (:meth:`fedsum.model.DeviceSubtotals.partitions`), in index order.
 
     The keys are exactly those :func:`histogram_to_rows` can write for
     the window: one per ``(activity, region, direction)`` of ``schema``.
@@ -375,15 +352,17 @@ def row_keys(
     the encoder writes, an index outside the schema, another window's
     id) is not a row key.
     """
+    template = _key_template(spec)
     shape = (schema.num_activities, schema.num_regions, schema.num_directions)
-    return dict(zip(row_key_table(spec, schema, window_id), np.ndindex(shape)))
+    keys = [template.format(a, r, d, window_id) for a, r, d in np.ndindex(shape)]
+    return dict(zip(keys, range(len(keys))))
 
 
 def rows_to_histogram(
     rows: Iterable[tuple[str, Sequence[float]]],
     spec: QuerySpec,
     schema: Schema,
-    keys: dict[str, tuple[int, int, int]],
+    keys: Mapping[str, int],
 ) -> np.ndarray:
     """Decode one window's grouped rows (upload or report) into dense cell sums.
 
@@ -393,11 +372,13 @@ def rows_to_histogram(
     ``MalformedUpdateError``.
     """
     out = np.zeros(schema.shape)
+    _, _, num_regions, num_directions = schema.shape
     for key, values in rows:
-        partition = keys.get(key)
-        if partition is None:
+        index = keys.get(key)
+        if index is None:
             raise MalformedUpdateError(f"{key!r} is not a row key of this window")
-        a, r, d = partition
+        a, rest = divmod(index, num_regions * num_directions)
+        r, d = divmod(rest, num_directions)
         for m, value in zip(spec.metrics, values):
             if value != 0.0:
                 out[a, m, r, d] += value

@@ -80,6 +80,7 @@ import itertools
 import logging
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from hashlib import blake2b
@@ -661,41 +662,38 @@ class ResolvedMechanism:
 
     def exceeds_bound(
         self,
-        activities: Sequence[int],
-        rows: Sequence[tuple[str, Sequence[float]]],
+        norm: float,
+        partitions: Sequence[int],
+        values: Sequence[float],
         metrics: Sequence[int],
+        schema: Schema,
     ) -> bool:
         """Whether an upload is over the L1 bound the noise is sized for.
 
-        ``rows`` are the upload's checked rows, ``activities`` each row's
-        activity and ``metrics`` each value column's metric.  Each
-        value's ``|v|`` joins its clip group, indexed as :attr:`l1_bounds`
-        is: group 0, or with :attr:`per_slice` the slice ``(a, m)`` at
-        ``a * M + m``.  Norms are exactly rounded, as in
-        :meth:`transform_devices`; an infinite bound refuses nothing, and
-        a norm too large for a float is over a finite one.
+        ``partitions`` are its rows' flat partition indexes, increasing,
+        ``values`` their values, one per metric of ``metrics`` per row,
+        and ``norm`` the (finite) float sum of every ``|v|``.  Each
+        ``|v|`` joins its clip group, indexed as :attr:`l1_bounds` is:
+        group 0, or with :attr:`per_slice` the slice ``(a, m)`` at ``a *
+        M + m``, a row's activity being its partition ``// (R * D)``, so
+        a slice is one strided run of ``values``.  Norms are exactly
+        rounded, as in :meth:`transform_devices`.
         """
         bounds = self.l1_bounds
         if not self.per_slice:
-            if not bounds[0] < math.inf:
-                return False
-            try:
-                norm = math.fsum(map(abs, itertools.chain.from_iterable(v for _, v in rows)))
-            except OverflowError:
-                return True
             return norm > bounds[0]
-        assert self.clip_table is not None
-        num_metrics = len(self.clip_table[0])
-        groups: dict[int, list[float]] = {}
-        for a, (_, values) in zip(activities, rows):
-            for m, v in zip(metrics, values):
-                groups.setdefault(a * num_metrics + m, []).append(abs(v))
-        try:
-            for group, values in groups.items():
-                if bounds[group] < math.inf and math.fsum(values) > bounds[group]:
+        _, num_metrics, num_regions, num_directions = schema.shape
+        per_activity = num_regions * num_directions
+        width = len(metrics)
+        lo = 0
+        while lo < len(partitions):
+            activity = partitions[lo] // per_activity
+            hi = bisect_left(partitions, (activity + 1) * per_activity, lo)
+            for j, m in enumerate(metrics):
+                run = values[lo * width + j : hi * width : width]
+                if math.fsum(map(abs, run)) > bounds[activity * num_metrics + m]:
                     return True
-        except OverflowError:
-            return True
+            lo = hi
         return False
 
     @cached_property

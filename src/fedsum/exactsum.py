@@ -18,13 +18,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = ["ExactSum", "group_fsum"]
-
-Row = tuple[Hashable, Sequence[float]]
 
 # A group whose float sum of |x| is not at most this may overflow: unsplit.
 _SPLIT_MAX = 2.0**1000
@@ -54,48 +52,47 @@ def _extract(
 class ExactSum:
     """Grouped exact sums: per key, one exact sum per value column.
 
-    Keys are hashable and mutually orderable.  Rows are ``(key, values)``
-    with ``width`` numbers each; callers validate them.  Cell ``i * width
-    + j`` is column ``j`` of the ``i``-th key seen.  Rows wait, a key id
-    each and one flat list of values, until the next fold: at ``report``,
-    at ``merge``, and before more than ``_STAGE_MAX`` values would wait.
+    Keys are ids, ints from 0; cell ``k * width + j`` is column ``j`` of
+    key ``k``.  An update is its rows' keys and their values, ``width``
+    per row in one flat sequence; callers validate them.  Rows wait, the
+    keys in one list and the values in another, until the next fold: at
+    ``report``, at ``merge``, and before more than ``_STAGE_MAX`` values
+    would wait.  A key is present once a row of it is added, whatever
+    its sums come to.
     """
 
-    __slots__ = ("width", "_ids", "_row_ids", "_staged", "_cells", "_terms", "_plain", "_wide")
+    __slots__ = ("width", "_row_ids", "_staged", "_present", "_cells", "_terms", "_plain", "_wide")
 
     def __init__(self, width: int) -> None:
         self.width = width
-        self._ids: dict[Hashable, int] = {}  # key -> id, in first-sight order
         self._row_ids: list[int] = []
         self._staged: list[float] = []
+        self._present = np.zeros(0, dtype=bool)  # keys given a row
         self._cells = np.zeros(0, dtype=np.intp)  # each term's cell
         self._terms = np.zeros(0)
         self._plain = np.zeros(0, dtype=bool)  # cells given a value other than -0.0
         self._wide: dict[int, Fraction] = {}  # cells not split: exact sums
 
-    def add(self, rows: Iterable[Row]) -> None:
-        """Stage every row of one update (its values are copied)."""
-        ids, row_ids, staged = self._ids, self._row_ids, self._staged
-        room = _STAGE_MAX - self.width
-        for key, values in rows:
-            if len(staged) > room:
-                self._fold()
-            i = ids.get(key)
-            if i is None:
-                i = ids[key] = len(ids)
-            row_ids.append(i)
-            staged += values
+    def add(self, keys: Sequence[int], values: Sequence[float]) -> None:
+        """Stage one update: key ``keys[i]`` with ``values[i * width :
+        (i + 1) * width]`` (both are copied)."""
+        if len(self._staged) > _STAGE_MAX - len(values):
+            self._fold()
+        self._row_ids += keys
+        self._staged += values
 
-    def merge(self, other: "ExactSum") -> None:
-        """Fold ``other`` into this sum; ``other``'s value is left unchanged."""
+    def merge(self, other: "ExactSum", remap: Sequence[int] | None = None) -> None:
+        """Fold ``other`` into this sum, its key ``k`` as key ``remap[k]``
+        (as key ``k`` without ``remap``); ``other``'s value is left unchanged."""
         if other.width != self.width:
             raise ValueError(f"cannot merge width {other.width} into width {self.width}")
         if other._row_ids:
             other._fold()
-        ids, width = self._ids, self.width
-        remap = np.array([ids.setdefault(key, len(ids)) for key in other._ids], dtype=np.intp)
-        cells = (remap[:, None] * width + np.arange(width)).ravel()
-        self._plain = np.pad(self._plain, (0, len(ids) * width - len(self._plain)))
+        width, count = self.width, len(other._present)
+        ids = np.arange(count) if remap is None else np.asarray(remap, dtype=np.intp)[:count]
+        self._grow(int(ids.max(initial=-1)) + 1)
+        self._present[ids[other._present]] = True
+        cells = (ids[:, None] * width + np.arange(width)).ravel()
         self._plain[cells] |= other._plain
         self._cells = np.concatenate([self._cells, cells[other._cells]])
         self._terms = np.concatenate([self._terms, other._terms])
@@ -103,8 +100,9 @@ class ExactSum:
             self._wide[int(cells[cell])] = self._wide.get(int(cells[cell]), 0) + total
         self._fold()
 
-    def report(self) -> Iterator[tuple[Hashable, tuple[float, ...]]]:
-        """Correctly rounded sums per key in sorted key order: a cell of
+    def report(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(sums, present)``: each key's correctly rounded sums, one row of
+        ``width`` per key id, and whether the key is present.  A cell of
         only -0.0 reads -0.0, one whose sum is beyond the floats NaN."""
         if self._row_ids:
             self._fold()
@@ -115,24 +113,28 @@ class ExactSum:
                 sums[cell] = float(total)
             except OverflowError:
                 sums[cell] = math.nan
-        rows = list(zip(*sums.reshape(-1, self.width).T.tolist()))
-        return ((key, rows[self._ids[key]]) for key in sorted(self._ids))
+        return sums.reshape(-1, self.width), self._present.copy()
 
-    def __len__(self) -> int:
-        return len(self._ids)
+    def _grow(self, num_keys: int) -> None:
+        """Make room for keys below ``num_keys``."""
+        if num_keys > len(self._present):
+            self._present = np.pad(self._present, (0, num_keys - len(self._present)))
+            self._plain = np.pad(self._plain, (0, num_keys * self.width - len(self._plain)))
 
     def _fold(self) -> None:
         """Split the staged values and the terms held into each cell's exact
         terms, one per level (a cell too wide to split into its Fraction):
         ``|r| <= 2**-53 sigma <= 2**-50 norm`` (group_fsum), so ``n`` values
         leave no remainder after about ``2100 / (50 - log2 n)`` levels."""
-        width, num_cells = self.width, len(self._ids) * self.width
+        width = self.width
         staged = np.fromiter(self._staged, np.float64, len(self._staged))
-        staged_cells = np.fromiter(self._row_ids, np.intp, len(self._row_ids))
-        staged_cells = (staged_cells[:, None] * width + np.arange(width)).ravel()
+        staged_ids = np.fromiter(self._row_ids, np.intp, len(self._row_ids))
         self._staged.clear()
         self._row_ids.clear()
-        self._plain = np.pad(self._plain, (0, num_cells - len(self._plain)))
+        self._grow(int(staged_ids.max(initial=-1)) + 1)
+        self._present[staged_ids] = True
+        num_cells = len(self._plain)
+        staged_cells = (staged_ids[:, None] * width + np.arange(width)).ravel()
         self._plain[staged_cells[(staged != 0.0) | ~np.signbit(staged)]] = True
         values = np.concatenate([self._terms, staged])
         cells = np.concatenate([self._cells, staged_cells])

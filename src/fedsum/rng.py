@@ -36,8 +36,9 @@ draws; those take a variable number of outputs per value, so a value's
 position there is its rank among the values drawn.
 
 :class:`KeyedRng` hashes ``(seed, namespace, index...)`` with BLAKE2b
-for each value, one value per call.  The package uses it for
-identifiers only: the server's upload tokens are its ``token_bytes``.
+for each value, one value per call; nothing in the package draws from
+it.  The server's upload tokens come from a :class:`TokenMint`: one
+keyed BLAKE2b-128 of the server's mint counter each.
 
 Laplace noise at any finite scale b >= 0 is b times the unit-scale draw
 of the same uniform, bit for bit: both take the same rounded
@@ -55,7 +56,14 @@ from hashlib import blake2b
 
 import numpy as np
 
-__all__ = ["BlockRng", "KeyedRng", "NOISE_SAMPLER", "laplace_from_uniform", "unit_laplace"]
+__all__ = [
+    "BlockRng",
+    "KeyedRng",
+    "NOISE_SAMPLER",
+    "TokenMint",
+    "laplace_from_uniform",
+    "unit_laplace",
+]
 
 _U64_INV = 2.0 ** -64
 _U52_INV = 2.0 ** -52
@@ -102,12 +110,6 @@ def unit_laplace(uniforms: np.ndarray) -> np.ndarray:
 _INT_PART = struct.Struct("<q")
 _LEN_PREFIX = struct.Struct("<I")
 
-# Bound on a generator's cache of encoded ``str`` index parts.  Indices
-# reuse a few strings (``"upload-token"``, session ids) thousands of
-# times; the cache is emptied whenever it reaches the bound, so arbitrary
-# strings cannot grow it.
-_STR_PARTS_MAX = 4096
-
 
 def _encode_part(part: object) -> bytes:
     """One index part's bytes: ``i`` + LE int64, or ``s`` + LE u32 length + UTF-8."""
@@ -124,7 +126,7 @@ def _encode_part(part: object) -> bytes:
 class KeyedRng:
     """Counter-based generator: one named stream per (seed, namespace)."""
 
-    __slots__ = ("seed", "namespace", "_key", "_keyed", "_str_parts")
+    __slots__ = ("seed", "namespace", "_key", "_keyed")
 
     def __init__(self, seed: int, namespace: str = "") -> None:
         self.seed = seed
@@ -133,28 +135,11 @@ class KeyedRng:
         self._key = blake2b(material, digest_size=16).digest()
         # Keying BLAKE2b costs a compression; every draw copies this state.
         self._keyed = blake2b(key=self._key, digest_size=8)
-        self._str_parts: dict[str, bytes] = {}
 
     def _digest(self, index: tuple) -> bytes:
         """``blake2b(encoded parts, key=_key, digest_size=8)`` of one index."""
-        cache = self._str_parts
-        parts = []
-        for part in index:
-            kind = type(part)
-            if kind is int:
-                parts.append(b"i" + _INT_PART.pack(part))
-            elif kind is str:
-                data = cache.get(part)
-                if data is None:
-                    data = _encode_part(part)
-                    if len(cache) >= _STR_PARTS_MAX:
-                        cache.clear()
-                    cache[part] = data
-                parts.append(data)
-            else:  # subclasses, bools and other types take the checked path
-                parts.append(_encode_part(part))
         h = self._keyed.copy()
-        h.update(b"".join(parts))
+        h.update(b"".join(map(_encode_part, index)))
         return h.digest()
 
     def uniform(self, *index: int | str) -> float:
@@ -171,10 +156,27 @@ class KeyedRng:
             raise ValueError("randrange bound must be positive")
         return int(self.uniform(*index) * n)
 
-    def token_bytes(self, *index: int | str) -> bytes:
-        """16 deterministic bytes for this index (opaque identifiers)."""
-        parts = self._digest(index)
-        return blake2b(parts, key=self._key, digest_size=16).digest()
+
+class TokenMint:
+    """Opaque 128-bit identifiers: the ``n``-th token is one keyed
+    BLAKE2b-128 of ``n``, under the BLAKE2b-128 of the encoded ``(seed,
+    namespace)``: distinct, barring a collision, and unguessable without
+    the key."""
+
+    __slots__ = ("minted", "_keyed")
+
+    def __init__(self, seed: int, namespace: str) -> None:
+        key = blake2b(b"".join(map(_encode_part, (seed, namespace))), digest_size=16).digest()
+        # Keying BLAKE2b costs a compression; every token copies this state.
+        self._keyed = blake2b(key=key, digest_size=16)
+        self.minted = 0
+
+    def __call__(self) -> str:
+        """The next token, as 32 hex digits."""
+        h = self._keyed.copy()
+        h.update(self.minted.to_bytes(8, "little"))
+        self.minted += 1
+        return h.hexdigest()
 
 
 class BlockRng:

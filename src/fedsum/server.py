@@ -12,13 +12,15 @@ array of cell sums, and hands that array to the privacy mechanism for
 release.  The release's sparse histogram is built only for its event
 (the released-partition count and digest).  Data that arrives after the
 deadline is discarded, and expired partials are dropped (and logged)
-rather than released.  Each upload is checked once, here, before it
-touches any state: every row must be a (key, values) pair under one of
-the window's row keys, with one finite number per metric, and the
-mechanism compares the upload's L1 norms with the bound its noise is
-sized for (``ResolvedMechanism.exceeds_bound``, which forms the clip
-groups).  An upload that fails any of this is rejected as malformed; a
-shard core sums one that passes without checking it again.  A window
+rather than released.  Each upload is read once, here, before it
+touches any state: its payload bytes (``aggcore.decode_payload``; rows
+are first written into bytes through the session's row keys) must be
+whole records under strictly increasing partition indexes of the
+window, with a finite L1 norm, and the mechanism compares the upload's
+L1 norms with the bound its noise is sized for
+(``ResolvedMechanism.exceeds_bound``).  An upload that fails any of this
+is rejected as malformed; a shard core sums one that passes as it is
+read.  The accepted upload's logged digest hashes those bytes.  A window
 whose exact sum overflows a float (finite uploads under a bound too
 large to stop them, such as an exact task's infinite one) is sealed as
 suppressed, with reason ``overflow``, instead of released.
@@ -44,14 +46,17 @@ from .aggcore import (
     AggCoreConfig,
     AggregationCore,
     ClientUpdate,
+    KeyTable,
     MalformedUpdateError,
-    check_rows,
+    Wire,
+    decode_payload,
+    encode_payload,
 )
 from .client import row_keys, rows_to_histogram
 from .dp import NoisedRelease, ResolvedMechanism
 from .model import Schema
 from .query import QuerySpec, parse_and_validate, to_agg_config
-from .rng import KeyedRng
+from .rng import TokenMint
 from .windows import TimeWindow, WindowAlignment, round_down_window, window_after
 
 __all__ = [
@@ -170,30 +175,13 @@ class _Session:
     shards: list[AggregationCore] = field(default_factory=list)
     partials: list[PartialAggregate] = field(default_factory=list)
     tokens: dict[str, dict] = field(default_factory=dict)
-    # The window's valid row keys (client.row_keys), built once per session
-    # and dropped when it seals.
-    row_keys: dict[str, tuple[int, int, int]] = field(default_factory=dict)
+    # The window's row keys at their flat partition indexes, which key the
+    # session's cores, and its upload record; dropped when the session seals.
+    keys: KeyTable | None = None
+    wire: Wire | None = None
     uploads_accepted: int = 0
     checkpoints_made: int = 0
     last_rollup: int = 0
-
-
-def _read_upload(
-    rows: Any, keys: dict[str, tuple[int, int, int]], width: int
-) -> list[int]:
-    """Check an upload's rows, and return each row's activity.
-
-    The upload's one check: every row must pass ``aggcore.check_rows``
-    for ``width`` values and be under one of the window's row keys
-    (``keys``, from ``client.row_keys``); anything else raises
-    ``MalformedUpdateError``.
-    """
-    check_rows(rows, width)
-    partitions = [keys.get(key) for key, _ in rows]
-    if None in partitions:
-        key = rows[partitions.index(None)][0]
-        raise MalformedUpdateError(f"{key!r} is not a row key of this window")
-    return [a for a, _, _ in partitions]
 
 
 # Renders what a line format cannot: a value that is not an int or a str,
@@ -269,7 +257,7 @@ class FederatedServer:
         # Release-noise draws may be seeded independently of server-side
         # identifiers (tokens, placement); default: one shared seed.
         self.noise_seed = seed if noise_seed is None else noise_seed
-        self._rng = KeyedRng(seed, "server")
+        self._mint_token = TokenMint(seed, "upload-token")
         self.tasks: dict[str, RegisteredTask] = {}
         self.sessions: dict[str, _Session] = {}
         self.releases: dict[str, NoisedRelease | SuppressedRelease] = {}
@@ -360,6 +348,7 @@ class FederatedServer:
         session = self.sessions.get(key)
         if session is None:
             node = self._place_session()
+            keys = KeyTable(row_keys(task.spec, self.schema, window.window_id))
             session = _Session(
                 session_id=key,
                 query_id=task.config.query_id,
@@ -367,11 +356,12 @@ class FederatedServer:
                 node=node,
                 deadline=window.end + task.config.grace_period,
                 shards=[
-                    AggregationCore(task.core_config)
+                    AggregationCore(task.core_config, keys)
                     for _ in range(self.config.num_shards)
                 ],
                 last_rollup=now,
-                row_keys=row_keys(task.spec, self.schema, window.window_id),
+                keys=keys,
+                wire=Wire(len(keys.names), len(task.spec.metrics)),
             )
             self.sessions[key] = session
             self._log(
@@ -400,15 +390,9 @@ class FederatedServer:
             session = self._get_or_create_session(task, window, now)
             if session.state != "collecting":
                 continue
-            # The mint counter keeps tokens unique even when one
-            # device checks in twice at the same instant.
-            token = self._rng.token_bytes(
-                "upload-token",
-                session.session_id,
-                device_id,
-                now,
-                len(session.tokens),
-            ).hex()
+            # One keyed hash of the server's mint counter: tokens are unique
+            # across sessions and check-ins, even two at the same instant.
+            token = self._mint_token()
             session.tokens[token] = {"device_id": device_id, "consumed": False}
             assignments.append(
                 Assignment(
@@ -486,14 +470,16 @@ class FederatedServer:
                 f"session {key} stopped collecting at {session.deadline}"
             )
         task = self.tasks[session.query_id]
-        mechanism = task.config.mechanism
         shard_index = session.uploads_accepted % len(session.shards)
         try:
-            metrics = task.spec.metrics
-            activities = _read_upload(update.rows, session.row_keys, len(metrics))
-            if mechanism.exceeds_bound(activities, update.rows, metrics):
+            payload = update.payload
+            if type(payload) is not bytes:  # rows: the adapter writes their bytes
+                payload = encode_payload(payload, session.keys.ids, session.wire)
+            keys, values, norm = decode_payload(payload, session.wire)
+            mechanism, metrics = task.config.mechanism, task.spec.metrics
+            if mechanism.exceeds_bound(norm, keys, values, metrics, self.schema):
                 raise MalformedUpdateError("the upload is over the task's L1 bound")
-            session.shards[shard_index].accumulate(update.rows)
+            session.shards[shard_index].accumulate(keys, values)
         except MalformedUpdateError:
             self._log(
                 now,
@@ -510,7 +496,7 @@ class FederatedServer:
             session_id=key,
             device_id=record["device_id"],
             window_id=update.window_id,
-            payload_digest=blake2b(update.encode(), digest_size=8).hexdigest(),
+            payload_digest=blake2b(payload, digest_size=8).hexdigest(),
         )
         if (
             session.shards[shard_index].contribution_count
@@ -527,7 +513,7 @@ class FederatedServer:
         core = session.shards[shard_index]
         if core.contribution_count == 0:
             return
-        session.shards[shard_index] = AggregationCore(task.core_config)
+        session.shards[shard_index] = AggregationCore(task.core_config, session.keys)
         partial = PartialAggregate(
             partial_id=f"{session.session_id}#p{session.checkpoints_made}",
             level=0,
@@ -571,7 +557,9 @@ class FederatedServer:
             session.last_rollup = now
             return
         existing = [p for p in session.partials if p.level == 1]
-        target_core = existing[0].core if existing else AggregationCore(task.core_config)
+        target_core = (
+            existing[0].core if existing else AggregationCore(task.core_config, session.keys)
+        )
         for partial in level0:
             target_core.merge(partial.core)
         rolled = PartialAggregate(
@@ -623,7 +611,7 @@ class FederatedServer:
         dense cell sums (``rows_to_histogram`` of the merged report) and an
         explicit suppression marker.  A window with a cell whose exact sum
         overflows a float is suppressed too, with reason ``overflow``.
-        The session's row-key table is dropped either way.  Late uploads
+        The session's cores and key table are dropped either way.  Late uploads
         after this point are rejected with :class:`SessionClosedError`.
         """
         key = self._session_key(task.config.query_id, window.window_id)
@@ -633,7 +621,7 @@ class FederatedServer:
             self._expire_partials(session, now)
             for shard_index in range(len(session.shards)):
                 self._checkpoint_shard(session, shard_index, now)
-            final_core = AggregationCore(task.core_config)
+            final_core = AggregationCore(task.core_config, session.keys)
             for partial in session.partials:
                 final_core.merge(partial.core)
             session.partials = []
@@ -642,10 +630,10 @@ class FederatedServer:
         if count >= max(task.config.min_contributions, 1):
             assert final_core is not None and session is not None
             aggregate = rows_to_histogram(
-                final_core.report().items(), task.spec, self.schema, session.row_keys
+                final_core.report().items(), task.spec, self.schema, session.keys.ids
             )
-        if session is not None:
-            session.row_keys.clear()  # a sealed session decodes no more rows
+        if session is not None:  # a sealed session reads no more uploads
+            session.shards, session.keys, session.wire = [], None, None
         # A cell whose exact sum overflowed a float reads NaN: no value to release.
         if aggregate is None or not np.isfinite(aggregate).all():
             reason = "insufficient_contributions" if aggregate is None else "overflow"

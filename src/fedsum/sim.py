@@ -28,11 +28,13 @@ the mechanism's ``transform_devices`` of the window's raw block from
 :func:`cache_cut` on, which is what every checked-in device's cache
 holds of the window at that tick.  It is built on the window's first
 upload, rebuilt only when the cut moves (a cache TTL shorter than the
-window plus its grace), and dropped at the window's deadline.  A
-device's upload is its row range, encoded by ``client.encode_rows``.
-Because the transform bounds each device on its own and the raw block
-sums a device's trips as ``client_work`` does, the rows equal
-:func:`build_device_upload` of the device's visible trips, bit for bit.
+window plus its grace), and dropped at the window's deadline.  When it
+is built it writes every device's payload bytes at once, so a device's
+upload is one slice of them.  Because the transform bounds each device
+on its own and the raw block sums a device's trips as ``client_work``
+does, the rows equal :func:`build_device_upload` of the device's
+visible trips, bit for bit.  A device whose rows are all zero uploads
+nothing.
 The server side (sessions, checkpoints, releases) runs through
 :class:`fedsum.server.FederatedServer`.
 
@@ -59,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggcore import ClientUpdate, Rows
+from .aggcore import ClientUpdate, Wire
 from .client import (
     CHECKIN_POLICIES,
     FLEET_NAMESPACE,
@@ -67,8 +69,6 @@ from .client import (
     FleetProfiles,
     client_work,
     draw_flags,
-    encode_rows,
-    row_key_table,
 )
 from .dp import NoisedRelease, ResolvedMechanism
 from .metrics import per_user_mean_error, weighted_relative_error, window_truth
@@ -146,8 +146,8 @@ def build_device_upload(
 
     The raw one-device block of the device's trip records, bounded by
     the mechanism's device transform (scale, then clip) exactly as a
-    sweep bounds a window's block; ``histogram_to_rows`` encodes it.  The simulator slices the
-    same rows out of a :class:`WindowUploads` block instead.
+    sweep bounds a window's block; ``histogram_to_rows`` encodes it.  The
+    simulator cuts the same rows' bytes out of a :class:`WindowUploads` block.
     """
     return mechanism.transform_devices(client_work(records, schema), schema)
 
@@ -160,22 +160,21 @@ def cache_cut(window: TimeWindow, now: int, ttl: int) -> int:
 
 
 class WindowUploads:
-    """Every device's upload to one window, sliced from one bounded block.
+    """Every device's upload to one window, cut from one bounded block.
 
     The block is the mechanism's ``transform_devices`` of the window's
     raw block from ``cut`` on (``Corpus.device_histograms``): the trips
     a checked-in device's cache holds of the window while
-    :func:`cache_cut` is ``cut``.  Each device is bounded on its own and
-    the kernel sums a device's trips as ``client_work`` does, so a
-    device's rows are ``build_device_upload`` of its visible trips, bit
-    for bit.  Only arrays are kept: each row's partition and selected
-    metric values, and each device's row offsets.  A device's upload is
-    its row range, encoded by ``client.encode_rows`` under the window's
-    key table (``client.row_key_table``).  With ``cut`` at or past the
-    window's end, no device holds a trip.
+    :func:`cache_cut` is ``cut``, so a device's rows are
+    ``build_device_upload`` of its visible trips, bit for bit.  Every
+    device's payload is written at once, in array passes: each row's
+    flat partition index and metric values as a record of
+    :class:`fedsum.aggcore.Wire`, all-zero rows dropped, ``-0.0`` written
+    ``+0.0``, a device's rows in partition order.  Only the records and
+    each device's byte offsets are kept.
     """
 
-    __slots__ = ("cut", "_keys", "_offsets", "_partition", "_values")
+    __slots__ = ("cut", "_payloads", "_offsets")
 
     def __init__(
         self,
@@ -187,25 +186,30 @@ class WindowUploads:
     ) -> None:
         schema = corpus.schema
         self.cut = cut
-        self._keys = row_key_table(spec, schema, window.window_id)
         if cut < window.end:
             raw = corpus.device_histograms(TimeWindow(cut, window.end, window.window_id))
         else:  # every trip of the window has expired
             raw = DeviceSubtotals.of_trips(schema, *[()] * 6)
         block = mechanism.transform_devices(raw, schema)
-        self._partition = block.partitions(schema)
-        self._values = block.sums[:, spec.metrics]
-        self._offsets = np.searchsorted(block.device, np.arange(corpus.num_devices + 1))
+        values, partition = block.sums[:, spec.metrics], block.partitions(schema)
+        rows = np.flatnonzero(values.any(axis=1))
+        rows = rows[np.lexsort((partition[rows], block.device[rows]))]
+        _, _, num_regions, num_directions = schema.shape
+        wire = Wire(schema.num_activities * num_regions * num_directions, len(spec.metrics))
+        records = np.empty(len(rows), dtype=wire.dtype)
+        records["key"] = partition[rows]
+        records["values"] = values[rows] + 0.0  # -0.0 + 0.0 is +0.0
+        self._payloads = records.tobytes()
+        ends = np.searchsorted(block.device[rows], np.arange(corpus.num_devices + 1))
+        self._offsets = (ends * wire.size).tolist()
 
     def holds(self, device_id: int) -> bool:
-        """Whether the device has a trip in the block."""
+        """Whether the device has a row to upload."""
         return self._offsets[device_id] < self._offsets[device_id + 1]
 
-    def rows(self, device_id: int) -> Rows:
-        """The device's upload rows."""
-        lo, hi = self._offsets[device_id], self._offsets[device_id + 1]
-        keys = map(self._keys.__getitem__, self._partition[lo:hi].tolist())
-        return encode_rows(keys, self._values[lo:hi].tolist())
+    def payload(self, device_id: int) -> bytes:
+        """The device's upload payload."""
+        return self._payloads[self._offsets[device_id] : self._offsets[device_id + 1]]
 
 
 def run_simulation(
@@ -302,7 +306,7 @@ def run_simulation(
                     query_id=task.query_id,
                     window_id=window_id,
                     token=assignment.token,
-                    rows=tuple(block.rows(device_id)),
+                    payload=block.payload(device_id),
                 )
                 try:
                     server.ingest_upload(update, now)

@@ -106,12 +106,13 @@ def renumbered(block: DeviceSubtotals, device: int) -> DeviceSubtotals:
 def exact_sum(schema, histograms) -> IndexedHistogram:
     """The histograms summed exactly and rounded once per cell (the
     expansion oracle, ``helpers.ExpansionSum``)."""
-    total = ExpansionSum(1)
+    total, ids = ExpansionSum(1), {}
     for h in histograms:
-        total.add((index, (value,)) for index, value in h.items())
-    return IndexedHistogram(
-        schema, ((index, value) for index, (value,) in total.report())
-    )
+        entries = list(h.items())
+        keys = [ids.setdefault(index, len(ids)) for index, _ in entries]
+        total.add(keys, [v for _, v in entries])
+    sums, _ = total.report()
+    return IndexedHistogram(schema, ((index, float(sums[k, 0])) for index, k in ids.items()))
 
 
 def dense_of(schema, cells) -> np.ndarray:

@@ -146,25 +146,28 @@ def round_partials(partials: list[float]) -> float:
 
 class ExpansionSum:
     """``fedsum.exactsum.ExactSum``'s interface over one expansion per key
-    and column, each row added value by value."""
+    id and column, each row added value by value."""
 
     def __init__(self, width: int) -> None:
         self.width = width
-        self._cells: dict = {}
+        self._cells: dict[int, list[list[float]]] = {}
 
-    def add(self, rows) -> None:
-        for key, values in rows:
+    def add(self, keys, values) -> None:
+        width = self.width
+        for i, key in enumerate(keys):
+            row = values[i * width : (i + 1) * width]
             cell = self._cells.get(key)
             if cell is None:
-                self._cells[key] = [[float(v)] for v in values]
+                self._cells[key] = [[float(v)] for v in row]
             else:
-                for partials, v in zip(cell, values):
+                for partials, v in zip(cell, row):
                     add_partial(partials, float(v))
 
-    def merge(self, other: "ExpansionSum") -> None:
+    def merge(self, other: "ExpansionSum", remap=None) -> None:
         if other.width != self.width:
             raise ValueError(f"cannot merge width {other.width} into width {self.width}")
         for key, theirs in other._cells.items():
+            key = key if remap is None else remap[key]
             mine = self._cells.get(key)
             if mine is None:
                 self._cells[key] = [list(p) for p in theirs]
@@ -173,11 +176,82 @@ class ExpansionSum:
                     merge_partials(dst, src)
 
     def report(self):
-        cells = self._cells
-        return ((key, tuple(map(round_partials, cells[key]))) for key in sorted(cells))
+        size = max(self._cells, default=-1) + 1
+        sums, present = np.zeros((size, self.width)), np.zeros(size, dtype=bool)
+        for key, cell in self._cells.items():
+            sums[key] = [round_partials(partials) for partials in cell]
+            present[key] = True
+        return sums, present
 
-    def __len__(self) -> int:
-        return len(self._cells)
+
+def reference_serialize_state(core) -> bytes:
+    """``AggregationCore.serialize_state`` as it was written key by key,
+    three calls per key: the key count; per key in sorted name order its
+    length-prefixed UTF-8 name and its sums; the contribution count.  Read
+    from the core's running sum, which a report would consume."""
+    sums, present = core._sum.report()
+    rows = sorted((core.keys.names[k], sums[k].tolist()) for k in np.flatnonzero(present))
+    out = bytearray(struct.pack("<I", len(rows)))
+    for key, values in rows:
+        kb = key.encode("utf-8")
+        out += struct.pack("<I", len(kb))
+        out += kb
+        out += struct.pack(f"<{len(values)}d", *values)
+    out += struct.pack("<q", core.contribution_count)
+    return bytes(out)
+
+
+def _finite_number(value) -> bool:
+    """Whether ``value`` is an int or a float, not a bool, of finite float value."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def reference_upload_check(rows, keys, width, mechanism, metrics, schema) -> bool:
+    """Whether an upload given as rows passed the server's check before
+    uploads were bytes: ``aggcore.check_rows`` (a list or tuple of
+    ``(key, values)`` pairs, each a str key and a list or tuple of
+    ``width`` finite ints or floats, not bools), every key one of the
+    window's row keys (``keys``: name -> flat index), and the mechanism's
+    L1 bound as ``exceeds_bound`` took it, row by row."""
+    if not isinstance(rows, (list, tuple)):
+        return False
+    for row in rows:
+        try:
+            key, values = row
+        except (TypeError, ValueError):
+            return False
+        if not isinstance(key, str) or not isinstance(values, (list, tuple)):
+            return False
+        if len(values) != width or not all(map(_finite_number, values)):
+            return False
+    if any(key not in keys for key, _ in rows):
+        return False
+    bounds = mechanism.l1_bounds
+    if not mechanism.per_slice:
+        if not bounds[0] < math.inf:
+            return True
+        try:
+            return not math.fsum(abs(v) for _, values in rows for v in values) > bounds[0]
+        except OverflowError:
+            return False
+    _, num_metrics, num_regions, num_directions = schema.shape
+    groups: dict[int, list[float]] = {}
+    for key, values in rows:
+        activity = keys[key] // (num_regions * num_directions)
+        for m, v in zip(metrics, values):
+            groups.setdefault(activity * num_metrics + m, []).append(abs(v))
+    try:
+        return not any(
+            bounds[group] < math.inf and math.fsum(values) > bounds[group]
+            for group, values in groups.items()
+        )
+    except OverflowError:
+        return False
 
 
 def active_devices(corpus, window) -> set[int]:

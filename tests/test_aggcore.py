@@ -3,24 +3,27 @@
 from __future__ import annotations
 
 import random
+import struct
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsum import exactsum
 from fedsum.aggcore import (
     AggCoreConfig,
     AggregationCore,
-    ClientUpdate,
     CoreConsumedError,
     KEY_SEPARATOR,
+    KeyTable,
     MalformedUpdateError,
-    check_rows,
+    Wire,
     decode_payload,
     encode_payload,
 )
 
-from helpers import naive_grouped_sums
+from helpers import naive_grouped_sums, reference_serialize_state
 
 CONFIG = AggCoreConfig(
     key_columns=("region", "privacy_time_unit"),
@@ -81,8 +84,18 @@ def test_merge_adds_counts():
     ],
 )
 def test_bad_rows_are_rejected(rows):
+    keys = {"k": 0}
     with pytest.raises(MalformedUpdateError):
-        check_rows(rows, 2)
+        decode_payload(encode_payload(rows, keys, Wire(1, 2)), Wire(1, 2))
+
+
+def test_key_ids_and_rows_accumulate_alike():
+    table = KeyTable(["b", "a"])
+    by_id, by_row = AggregationCore(CONFIG, table), AggregationCore(CONFIG)
+    by_id.accumulate((0, 1), (1.0, 2.0, 3.0, 4.0))
+    by_row.accumulate([("b", (1.0, 2.0)), ("a", (3.0, 4.0))])
+    assert by_id.serialize_state() == by_row.serialize_state()
+    assert by_id.report() == by_row.report() == {"a": (3.0, 4.0), "b": (1.0, 2.0)}
 
 
 # --- merge ----------------------------------------------------------------------
@@ -197,28 +210,87 @@ def test_any_merge_tree_yields_identical_state(tree_seed):
     assert shards[0].serialize_state() == reference.serialize_state()
 
 
+# --- serialize_state against the key-by-key oracle -----------------------------------
+
+# Names whose sorted order is not their id order, of more UTF-8 bytes than
+# characters: "p10" sorts before "p2", and "é" after every ASCII name.
+ORACLE_NAMES = [f"p{i}" for i in range(40)] + ["é", "Z", "a\x1fb", ""]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_serialize_state_writes_the_key_by_key_bytes(seed, shared):
+    """Over random updates, merge trees and fold points, the one-array
+    write serializes what the old key-by-key loop wrote (tests/helpers.py),
+    for cores that share a session's table (key ids) and for cores that
+    each grow their own (key, values) rows' table."""
+    rnd = random.Random(seed)
+    table = KeyTable(ORACLE_NAMES) if shared else None
+    values = [0.0, -0.0, 1.0, -2.5, 1e-300, 3e200, 0.1]
+    updates = []
+    for _ in range(rnd.randrange(1, 60)):
+        ids = sorted(rnd.sample(range(len(ORACLE_NAMES)), rnd.randint(1, 5)))
+        flat = [rnd.choice(values) * rnd.randint(-3, 3) for _ in range(2 * len(ids))]
+        updates.append((ids, flat))
+    cores = [AggregationCore(CONFIG, table) for _ in range(rnd.randint(1, 5))]
+
+    def check(core):
+        assert core.serialize_state() == reference_serialize_state(core)
+
+    def named(ids, flat):
+        return [(ORACLE_NAMES[k], flat[2 * i : 2 * i + 2]) for i, k in enumerate(ids)]
+
+    with mock.patch.object(exactsum, "_STAGE_MAX", rnd.choice([4, 16, exactsum._STAGE_MAX])):
+        for ids, flat in updates:
+            core = rnd.choice(cores)
+            if shared:
+                core.accumulate(ids, flat)
+            else:
+                core.accumulate(named(ids, flat))
+            if rnd.random() < 0.2:
+                check(core)  # a checkpoint's fold
+        while len(cores) > 1:
+            src = cores.pop(rnd.randrange(len(cores)))
+            dst = rnd.choice(cores)
+            dst.merge(src)
+            check(dst)
+    check(cores[0])
+    sequential = AggregationCore(CONFIG)
+    for ids, flat in updates:
+        sequential.accumulate(named(ids, flat))
+    assert sequential.serialize_state() == cores[0].serialize_state()
+
+
 # --- payload wire format --------------------------------------------------------------
+
+WIRE = Wire(4, 2)
+KEYS = {"a" + KEY_SEPARATOR + "w": 2, "b" + KEY_SEPARATOR + "w": 0, "c": 1, "d": 3}
 
 
 def test_payload_round_trip():
     rows = [("a" + KEY_SEPARATOR + "w", (1.5, -2.0)), ("b" + KEY_SEPARATOR + "w", (0.25, 1e300))]
-    data = encode_payload(rows)
-    assert decode_payload(data, 2) == [(k, tuple(v)) for k, v in rows]
+    data = encode_payload(rows, KEYS, WIRE)
+    assert data == struct.pack("<H2dH2d", 0, 0.25, 1e300, 2, 1.5, -2.0)
+    assert decode_payload(data, WIRE) == ((0, 2), (0.25, 1e300, 1.5, -2.0), 1e300 + 3.75)
 
 
-def test_client_update_encodes_its_rows():
-    rows = (("k", (3.0, 4.0)),)
-    update = ClientUpdate(query_id="q", window_id="w", token="t", rows=rows)
-    assert update.encode() == encode_payload(list(rows))
+def test_records_widen_past_two_byte_key_indexes():
+    assert (Wire(2**16, 3).size, Wire(2**16 + 1, 3).size) == (26, 28)
+    wide = Wire(2**20, 1)
+    data = struct.pack("<IdId", 5, 1.0, 2**20 - 1, -2.0)
+    assert decode_payload(data, wide) == ((5, 2**20 - 1), (1.0, -2.0), 3.0)
+    assert encode_payload([("k", (1.0,))], {"k": 2**19}, wide) == struct.pack("<Id", 2**19, 1.0)
 
 
-def test_empty_payload_round_trips():
-    assert decode_payload(encode_payload([]), 2) == []
+def test_an_empty_payload_is_refused():
+    assert encode_payload([], KEYS, WIRE) == b""
+    with pytest.raises(MalformedUpdateError):
+        decode_payload(b"", WIRE)
 
 
 def test_ragged_rows_cannot_be_encoded():
     with pytest.raises(MalformedUpdateError):
-        encode_payload([("a", (1.0, 2.0)), ("b", (1.0,))])
+        encode_payload([("c", (1.0, 2.0)), ("d", (1.0,))], KEYS, WIRE)
 
 
 @pytest.mark.parametrize(
@@ -226,34 +298,39 @@ def test_ragged_rows_cannot_be_encoded():
     [
         lambda data: data[:-1],            # truncated trailing float
         lambda data: data + b"\x00",       # trailing bytes
-        lambda data: b"\xff" * 12,          # varint runs off the end
+        lambda data: b"\xff" * 12,          # not a whole record
+        lambda data: data * 2,             # a key twice
+        lambda data: b"\x04" + data[1:],   # a key index out of range
     ],
 )
 def test_corrupted_payloads_are_rejected(mutate):
-    data = encode_payload([("key", (1.0, 2.0))])
+    data = encode_payload([("c", (1.0, 2.0))], KEYS, WIRE)
     with pytest.raises(MalformedUpdateError):
-        decode_payload(mutate(data), 2)
+        decode_payload(mutate(data), WIRE)
 
 
-def test_invalid_utf8_key_is_rejected():
-    data = bytearray(encode_payload([("kk", (1.0,))]))
-    data[2] = 0xFF  # first key byte
+def test_a_row_under_no_key_cannot_be_encoded():
     with pytest.raises(MalformedUpdateError):
-        decode_payload(bytes(data), 1)
+        encode_payload([("c", (1.0, 2.0)), ("e", (1.0, 2.0))], KEYS, WIRE)
 
 
 @given(
-    st.lists(
+    st.dictionaries(
+        st.sampled_from(sorted(KEYS)),
         st.tuples(
-            st.text(max_size=8),
-            st.tuples(
-                st.floats(allow_nan=False, allow_infinity=False, width=64),
-                st.floats(allow_nan=False, allow_infinity=False, width=64),
-            ),
+            st.floats(min_value=-1e306, max_value=1e306, width=64),
+            st.floats(min_value=-1e306, max_value=1e306, width=64),
         ),
-        max_size=10,
-    )
+        max_size=4,
+    ),
+    st.randoms(use_true_random=False),
 )
-def test_arbitrary_rows_survive_the_wire(rows):
-    decoded = decode_payload(encode_payload(rows), 2)
-    assert decoded == [(k, tuple(v)) for k, v in rows]
+def test_arbitrary_rows_survive_the_wire(cells, rng):
+    rows = list(cells.items())
+    rng.shuffle(rows)
+    if not rows:
+        return
+    keys, values, _ = decode_payload(encode_payload(rows, KEYS, WIRE), WIRE)
+    assert [(k, values[2 * i : 2 * i + 2]) for i, k in enumerate(keys)] == sorted(
+        (KEYS[key], tuple(v)) for key, v in rows
+    )

@@ -555,8 +555,11 @@ def test_the_server_admits_every_device_bounded_upload(corpus_300, week_one_300,
     assert not np.array_equal(bounded.sums, scaled)  # some devices clipped
     for device in devices_of(bounded):
         upload = rows_of(bounded, bounded.device == device)
-        rows = [(str(k), tuple(values)) for k, values in enumerate(upload.sums.tolist())]
-        assert not resolved.exceeds_bound(upload.activity.tolist(), rows, metrics)
+        order = np.argsort(upload.partitions(schema))
+        values = upload.sums[order].ravel().tolist()
+        norm = math.fsum(map(abs, values))
+        partitions = upload.partitions(schema)[order].tolist()
+        assert not resolved.exceeds_bound(norm, partitions, values, metrics, schema)
 
 
 # Two cells of one (activity, metric) slice whose norm, 2e308, is too

@@ -133,9 +133,23 @@ keyed_rows = st.lists(
 )
 
 
+KEYS = "abcde"
+
+
+def add(total, rows):
+    """Stage ``(key, values)`` rows, key ``KEYS[k]`` as id ``k``."""
+    total.add([KEYS.index(key) for key, _ in rows], [v for _, values in rows for v in values])
+
+
+def reported(total):
+    """Each present key's ``(key, sums)``, in key order."""
+    sums, present = total.report()
+    return [(KEYS[k], tuple(sums[k].tolist())) for k in np.flatnonzero(present)]
+
+
 def grouped(rows):
     total = ExactSum(2)
-    total.add(rows)
+    add(total, rows)
     return total
 
 
@@ -154,15 +168,15 @@ def reference(rows):
 
 @given(keyed_rows)
 def test_rows_sum_per_key_and_column(rows):
-    assert list(grouped(rows).report()) == reference(rows)
+    assert reported(grouped(rows)) == reference(rows)
 
 
 def test_report_is_rounded_once_and_sorted_by_key():
     total = ExactSum(1)
-    total.add([("b", (1e16,)), ("a", (0.5,))])
-    total.add([("b", (1.0,)), ("b", (-1e16,))])
-    assert list(total.report()) == [("a", (0.5,)), ("b", (1.0,))]
-    assert len(total) == 2
+    add(total, [("b", (1e16,)), ("a", (0.5,))])
+    add(total, [("b", (1.0,)), ("b", (-1e16,))])
+    assert reported(total) == [("a", (0.5,)), ("b", (1.0,))]
+    assert total.report()[1].tolist() == [True, True]
 
 
 @given(keyed_rows, st.integers(0, 40), st.randoms(use_true_random=False))
@@ -173,15 +187,21 @@ def test_merge_in_any_order_matches_sequential(rows, cut_at, rng):
     merged = ExactSum(2)
     for part in parts:
         merged.merge(part)
-    assert list(merged.report()) == list(grouped(rows).report())
+    assert reported(merged) == reported(grouped(rows))
 
 
 def test_merge_leaves_the_other_sum_unchanged():
     left, right = grouped([("a", (1.0, 2.0))]), grouped([("a", (0.25, 1e-20))])
     left.merge(right)
-    left.add([("a", (1.0, 1.0))])
-    assert list(right.report()) == [("a", (0.25, 1e-20))]
-    assert list(left.report()) == [("a", (2.25, 3.0))]
+    add(left, [("a", (1.0, 1.0))])
+    assert reported(right) == [("a", (0.25, 1e-20))]
+    assert reported(left) == [("a", (2.25, 3.0))]
+
+
+def test_a_merge_maps_the_other_sums_keys():
+    left, right = grouped([("a", (1.0, 2.0))]), grouped([("a", (0.5, 0.5)), ("b", (4.0, 0.0))])
+    left.merge(right, remap=[4, 0])  # right's a is left's e, its b left's a
+    assert reported(left) == [("a", (5.0, 2.0)), ("e", (0.5, 0.5))]
 
 
 def test_sums_of_different_widths_do_not_combine():
@@ -209,8 +229,14 @@ row_streams = st.lists(
 CORE = AggCoreConfig(key_columns=("k",), value_columns=("x", "y"))
 
 
-def hexes(report):
-    return [(key, tuple(v.hex() for v in values)) for key, values in report]
+def hexes(core):
+    """Each present key's name and sums as hex, by name, from the core's
+    running sum (which a report would consume)."""
+    sums, present = core._sum.report()
+    return sorted(
+        (core.keys.names[k], tuple(v.hex() for v in sums[k].tolist()))
+        for k in np.flatnonzero(present)
+    )
 
 
 def oracle_core(updates):
@@ -239,19 +265,19 @@ def test_any_sharding_merge_tree_and_fold_points_report_the_oracle_bits(rows, pl
             cores[plan.draw(st.integers(0, len(cores) - 1))].merge(other)
         (core,) = cores
         oracle = oracle_core(updates)
-        assert hexes(core._sum.report()) == hexes(oracle._sum.report())
+        assert hexes(core) == hexes(oracle)
         assert core.serialize_state() == oracle.serialize_state()
 
 
 def test_a_key_whose_sums_cancel_stays_and_only_negative_zeros_read_negative_zero():
     total = ExactSum(1)
-    total.add([("a", (-0.0,)), ("b", (-0.0,)), ("c", (1.0,)), ("d", (-0.0,))])
-    total.add([("a", (-0.0,)), ("b", (0.0,)), ("c", (-1.0,))])
+    add(total, [("a", (-0.0,)), ("b", (-0.0,)), ("c", (1.0,)), ("d", (-0.0,))])
+    add(total, [("a", (-0.0,)), ("b", (0.0,)), ("c", (-1.0,))])
     other = ExactSum(1)
-    other.add([("d", (-0.0,)), ("e", (-0.0,))])
+    add(other, [("d", (-0.0,)), ("e", (-0.0,))])
     total.merge(other)
     zero, negative = 0.0.hex(), (-0.0).hex()
-    assert hexes(total.report()) == [
+    assert [(key, tuple(v.hex() for v in values)) for key, values in reported(total)] == [
         ("a", (negative,)), ("b", (zero,)), ("c", (zero,)), ("d", (negative,)), ("e", (negative,))
     ]
 
@@ -278,11 +304,11 @@ def test_a_cell_reads_nan_iff_its_exact_sum_rounds_beyond_the_floats(values, exp
             for fold in (False, True):
                 shards = [ExactSum(2), ExactSum(2)]
                 for shard, value in zip(owner, order):
-                    shards[shard].add([("k", (value, 1.0))])
+                    add(shards[shard], [("a", (value, 1.0))])
                     if fold:
-                        list(shards[shard].report())
+                        shards[shard].report()
                 shards[owner[0]].merge(shards[1 - owner[0]])
-                ((key, (big, count)),) = shards[owner[0]].report()
+                ((key, (big, count)),) = reported(shards[owner[0]])
                 assert count == len(values)
                 assert big.hex() == expected.hex() or math.isnan(big) and math.isnan(expected)
 
@@ -331,10 +357,10 @@ def test_terms_stay_few_per_cell_through_many_folds():
     with mock.patch.object(exactsum, "_STAGE_MAX", 64):
         for _ in range(100):
             batch = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randrange(-900, 900) for _ in range(50)]
-            total.add(("k", (v,)) for v in batch)
+            total.add([0] * len(batch), batch)
             values += batch
             assert len(total._terms) <= 40
-    assert list(total.report()) == [("k", (math.fsum(values),))]
+    assert reported(total) == [("a", (math.fsum(values),))]
 
 
 # --- group_fsum: grouped one-shot sums in array passes -------------------------------

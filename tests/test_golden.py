@@ -28,7 +28,7 @@ RUN_ARTIFACTS = {
         "3eeea3858448d19f8c1fd88f7ca71411e2ccbffcda5d4dae5e6b43494adbc361"
     ),
     "events.jsonl": (
-        "671f8dfe74969216a8e5b5724799a3601e91a2d6fb53431b2ba30f8ce5e3460f"
+        "822dfb8973247a5f96e4067cedd1f88049193da0f8af7e7458883797691d7172"
     ),
     "resolved_config.yaml": (
         "4e76162b7d56d8a63c7be1fcf4124b50d3e0a9d3d26d032c31a9ea2e6e28ea24"

@@ -428,26 +428,28 @@ def test_scale_table_shape_must_match_schema(small_schema):
 # --- addition and exact sums ---------------------------------------------------
 
 
-def as_rows(h):
-    """The histogram's entries as the one-column rows of an exact sum."""
-    return [(index, (value,)) for index, value in h.items()]
-
-
-def from_rows(schema, rows):
-    """The histogram of one-column rows; every index is checked."""
-    return IndexedHistogram(schema, ((index, value) for index, (value,) in rows))
-
-
-def accumulate(histograms):
+def accumulate(histograms, ids):
+    """An exact sum of the histograms' entries, each index keyed by its id
+    in ``ids`` (new indexes join it)."""
     acc = ExactSum(1)
     for h in histograms:
-        acc.add(as_rows(h))
+        entries = list(h.items())
+        acc.add([ids.setdefault(index, len(ids)) for index, _ in entries], [v for _, v in entries])
     return acc
+
+
+def rounded(schema, acc, ids):
+    """The histogram of an exact sum's present keys; every index is checked."""
+    sums, present = acc.report()
+    return IndexedHistogram(
+        schema, ((index, float(sums[k, 0])) for index, k in ids.items() if present[k])
+    )
 
 
 def exact_sum(histograms, schema):
     """Histogram addition as the pipeline does it: summed exactly, rounded once."""
-    return from_rows(schema, accumulate(histograms).report())
+    ids = {}
+    return rounded(schema, accumulate(histograms, ids), ids)
 
 
 def test_hist_add_identity_and_accumulation(small_schema):
@@ -477,9 +479,10 @@ def test_hist_sum_is_order_invariant(hs, rng):
 def test_exact_sum_merge_matches_sequential(hs, cut_at):
     schema = hs[0].schema
     cut = min(cut_at, len(hs))
-    left = accumulate(hs[:cut])
-    left.merge(accumulate(hs[cut:]))
-    merged = from_rows(schema, left.report())
+    ids = {}
+    left = accumulate(hs[:cut], ids)
+    left.merge(accumulate(hs[cut:], ids))
+    merged = rounded(schema, left, ids)
     assert merged.serialize() == exact_sum(hs, schema).serialize()
 
 

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fedsum import rng as rng_module
-from fedsum.rng import BlockRng, KeyedRng, laplace_from_uniform, unit_laplace
+from fedsum.rng import BlockRng, KeyedRng, TokenMint, laplace_from_uniform, unit_laplace
 
 from helpers import block_key, reference_uniforms
 
@@ -62,7 +61,8 @@ def test_same_key_same_draw():
     assert laplace_from_uniform(a.uniform("w", 7), 2.0) == laplace_from_uniform(
         b.uniform("w", 7), 2.0
     )
-    assert a.token_bytes("t", 5) == b.token_bytes("t", 5)
+    mints = TokenMint(42, "ns"), TokenMint(42, "ns")
+    assert [mints[0]() for _ in range(3)] == [mints[1]() for _ in range(3)]
 
 
 def test_distinct_namespaces_and_indices_decorrelate():
@@ -92,11 +92,15 @@ def test_randrange_covers_its_domain():
     assert seen == {0, 1, 2, 3, 4}
 
 
-def test_token_bytes_are_128_bit_and_distinct():
-    rng = KeyedRng(1, "tokens")
-    tokens = {rng.token_bytes("t", i) for i in range(64)}
-    assert len(tokens) == 64
-    assert all(len(t) == 16 for t in tokens)
+def test_minted_tokens_are_128_bit_distinct_and_keyed():
+    mint = TokenMint(1, "tokens")
+    tokens = {mint() for _ in range(64)}
+    assert len(tokens) == 64 and mint.minted == 64
+    assert all(len(bytes.fromhex(t)) == 16 for t in tokens)
+    unkeyed = {blake2b(n.to_bytes(8, "little"), digest_size=16).hexdigest() for n in range(64)}
+    assert not tokens & unkeyed
+    for other in (TokenMint(2, "tokens"), TokenMint(1, "other")):
+        assert not tokens & {other() for _ in range(64)}
 
 
 def fixed_digest_rng(x):
@@ -191,7 +195,6 @@ def test_digest_equals_the_plain_keyed_hash(seed, namespace, index):
     rng = KeyedRng(seed, namespace)
     expected = plain_digest(rng, tuple(index))
     assert rng._digest(tuple(index)) == expected
-    assert rng._digest(tuple(index)) == expected  # again, from the cache
 
 
 def test_subclass_parts_hash_as_their_values():
@@ -201,15 +204,6 @@ def test_subclass_parts_hash_as_their_values():
         rng.uniform("idle", True)
     with pytest.raises(TypeError):
         rng.uniform(1.5)
-
-
-def test_string_part_cache_stays_bounded():
-    rng = KeyedRng(0, "ns")
-    bound = rng_module._STR_PARTS_MAX
-    for i in range(bound * 2 + 3):
-        part = f"part-{i}"
-        assert rng._digest((part,)) == plain_digest(rng, (part,))
-        assert len(rng._str_parts) <= bound
 
 
 # --- the block generator ------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsum.aggcore import KEY_SEPARATOR, ClientUpdate, MalformedUpdateError
-from fedsum.client import histogram_to_rows
+from fedsum.client import histogram_to_rows, row_keys
 from fedsum.dp import (
     VARIANT_JOINT,
     VARIANT_SCALED,
@@ -36,7 +37,7 @@ from fedsum.server import (
 from fedsum.windows import WindowAlignment
 
 from blocks import block_of, exact_sum
-from helpers import START, WEEK
+from helpers import START, WEEK, reference_upload_check
 
 FULL_QUERY = """\
 SELECT activity, region, direction, privacy_time_unit,
@@ -301,6 +302,28 @@ def test_every_check_in_mints_a_fresh_token():
     assert first.session_id == second.session_id == "trips/2024-W20"
 
 
+def test_tokens_are_unique_at_one_instant_and_across_sessions():
+    """One device checking in twice at one instant, into three open
+    sessions, gets six distinct 128-bit tokens, each held by its session
+    for that device until it is used."""
+    server, s = make_server()
+    server.register_task(make_task(s, num_windows=3, grace_period=3 * WEEK), now=START)
+    now = START + 3 * WEEK
+    assignments = server.check_in(7, now) + server.check_in(7, now)
+    tokens = [a.token for a in assignments]
+    assert len(set(tokens)) == len(tokens) == 6
+    assert all(len(bytes.fromhex(token)) == 16 for token in tokens)
+    assert len({a.session_id for a in assignments}) == 3
+    for a in assignments:
+        assert server.sessions[a.session_id].tokens[a.token] == {"device_id": 7, "consumed": False}
+    # The same seed mints the same tokens; another seed, others.
+    again, other = FederatedServer(s, seed=0), FederatedServer(s, seed=1)
+    for twin in (again, other):
+        twin.register_task(make_task(s, num_windows=3, grace_period=3 * WEEK), now=START)
+    assert [a.token for a in again.check_in(7, now) + again.check_in(7, now)] == tokens
+    assert not set(tokens) & {a.token for a in other.check_in(7, now)}
+
+
 def test_overlapping_windows_get_separate_sessions():
     server, s = make_server()
     server.register_task(
@@ -538,6 +561,145 @@ def test_one_pass_refuses_each_defect_and_leaves_the_cores_alone(case, defect):
     assert session.uploads_accepted == 2
 
 
+# The wire of ``schema()``'s sessions: a 2-byte partition index of 36, then
+# the three metrics.
+NUM_PARTITIONS = 36
+RECORD = struct.Struct("<H3d")
+
+# Each defect rewrites a valid payload's sorted (index, values) rows, every
+# value in [0, 0.1], into bytes the reader must refuse; the mechanism is
+# joint clipping at 10 unless the case names another.
+BYTE_DEFECTS = {
+    "truncated": lambda data, rows, k: data[: len(data) - 1 - k % (RECORD.size - 1)],
+    "ragged_length": lambda data, rows, k: data + bytes(1 + k % (RECORD.size - 1)),
+    "repeated_index": lambda data, rows, k: records([rows[0], *rows]),
+    "falling_index": lambda data, rows, k: records(
+        [(rows[0][0] + 1, rows[0][1]), (rows[0][0], rows[0][1])]
+    ),
+    "index_out_of_range": lambda data, rows, k: records(
+        [*rows[:-1], (NUM_PARTITIONS + k % (2**16 - NUM_PARTITIONS), rows[-1][1])]
+    ),
+    "nan": lambda data, rows, k: records([(rows[0][0], (0.0, math.nan, 0.0)), *rows[1:]]),
+    "infinity": lambda data, rows, k: records([(rows[0][0], (math.inf, 0.0, 0.0)), *rows[1:]]),
+    "minus_infinity": lambda data, rows, k: records(
+        [*rows[:-1], (rows[-1][0], (0.0, 0.0, -math.inf))]
+    ),
+    "norm_overflows_a_finite_bound": lambda data, rows, k: records(
+        [(rows[0][0], (1e308, -1e308, 0.0)), *rows[1:]]
+    ),
+    "norm_overflows_an_infinite_bound": lambda data, rows, k: records(
+        [(rows[0][0], (1e308, -1e308, 0.0)), *rows[1:]]
+    ),
+    "empty": lambda data, rows, k: b"",
+    "slice_over_its_bound": lambda data, rows, k: records(
+        [(rows[0][0], (1.5, 0.0, 0.0)), *rows[1:]]
+    ),
+}
+BYTE_DEFECT_MECHANISMS = {
+    "norm_overflows_an_infinite_bound": lambda s: exact_mechanism(s),
+    # Budget split at 1 per slice: the joint norm, at most 3, is not what binds.
+    "slice_over_its_bound": lambda s: bounded_mechanism(s, VARIANT_SPLIT, clip_table=((1.0,) * 3,) * 3),
+}
+
+
+def records(rows) -> bytes:
+    """The payload of ``(flat index, values)`` rows, in the given order."""
+    return b"".join(RECORD.pack(index, *values) for index, values in rows)
+
+
+valid_rows = st.lists(
+    st.tuples(
+        st.integers(0, NUM_PARTITIONS - 2),
+        st.tuples(*[st.floats(0.0, 0.1)] * 3),
+    ),
+    min_size=1,
+    max_size=5,
+    unique_by=lambda row: row[0],
+).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(valid_rows, st.sampled_from(sorted(BYTE_DEFECTS)), st.integers(0, 2**16))
+def test_malformed_bytes_are_refused_leave_the_cores_and_burn_the_token(rows, defect, k):
+    server, s = make_server(num_shards=2)
+    mechanism = BYTE_DEFECT_MECHANISMS.get(defect, bounded_mechanism)(s)
+    server.register_task(make_task(s, num_windows=1, mechanism=mechanism), now=START)
+    now = START + WEEK
+    good = server.check_in(0, now)[0]
+    server.ingest_upload(ClientUpdate(good.query_id, good.window_id, good.token, records(rows)), now)
+    session = server.sessions[good.session_id]
+    assert session.wire.size == RECORD.size
+    before = [core.serialize_state() for core in session.shards]
+    a = server.check_in(1, now)[0]
+    bad = ClientUpdate(a.query_id, a.window_id, a.token, BYTE_DEFECTS[defect](records(rows), rows, k))
+    with pytest.raises(MalformedUpdateError):
+        server.ingest_upload(bad, now)
+    assert session.uploads_accepted == 1
+    assert [core.serialize_state() for core in session.shards] == before
+    assert session.tokens[a.token]["consumed"]
+    with pytest.raises(TokenReplayError):
+        server.ingest_upload(bad, now)
+    assert [e["reason"] for e in events_named(server, "upload_rejected")] == [
+        "malformed",
+        "token_replay",
+    ]
+
+
+ORACLE_MECHANISMS = {
+    "joint": lambda s: bounded_mechanism(s),
+    "split": lambda s: bounded_mechanism(s, VARIANT_SPLIT, clip_table=((3.0,) * 3,) * 3),
+    "exact": lambda s: exact_mechanism(s),
+}
+WINDOW_KEYS = sorted(row_keys(SPEC, schema(), "2024-W20"))
+clean_values = st.one_of(st.floats(-6.0, 6.0), st.sampled_from([0.0, -0.0, 3]))
+oracle_values = st.one_of(
+    clean_values,
+    st.sampled_from([1e308, -1e308, math.nan, math.inf, -math.inf]),
+    st.sampled_from([True, False, 10**400, "1", None]),
+)
+# Half the uploads are rows of finite numbers under the window's keys.
+oracle_rows = st.one_of(
+    st.lists(st.tuples(st.sampled_from(WINDOW_KEYS), st.tuples(*[clean_values] * 3)), max_size=4),
+    st.lists(
+        st.tuples(
+            st.one_of(st.sampled_from(WINDOW_KEYS), st.sampled_from(["", "2024-W20", "0\x1f0"])),
+            st.one_of(
+                st.tuples(*[oracle_values] * 3),
+                st.lists(oracle_values, min_size=2, max_size=4),
+            ),
+        ),
+        max_size=4,
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_rows, st.sampled_from(sorted(ORACLE_MECHANISMS)))
+def test_the_byte_reader_accepts_what_the_row_check_accepted(rows, case):
+    """Rows, through the adapter and the one reader, are accepted exactly
+    when the old row check, row-key table and L1 bound accepted them,
+    but for what the reader refuses on purpose: an empty upload, a key
+    twice, and values whose ``|x|`` sum is beyond the floats."""
+    server, s = make_server()
+    mechanism = ORACLE_MECHANISMS[case](s)
+    server.register_task(make_task(s, num_windows=1, mechanism=mechanism), now=START)
+    a = server.check_in(0, START + WEEK)[0]
+    try:
+        server.ingest_upload(ClientUpdate(a.query_id, a.window_id, a.token, tuple(rows)), START + WEEK)
+        accepted = True
+    except MalformedUpdateError:
+        accepted = False
+    keys = row_keys(SPEC, s, "2024-W20")
+    expected = reference_upload_check(rows, keys, 3, mechanism, SPEC.metrics, s)
+    if expected:
+        try:
+            finite = math.fsum(abs(v) for _, values in rows for v in values) < math.inf
+        except OverflowError:
+            finite = False
+        expected = finite and len(rows) > 0 and len({key for key, _ in rows}) == len(rows)
+    assert accepted == expected
+
+
 def test_budget_split_holds_each_slice_to_its_own_bound():
     server, s = make_server()
     table = tuple(tuple(float(1 + 3 * a + m) for m in range(3)) for a in range(3))
@@ -637,7 +799,7 @@ def test_upload_after_release_is_rejected():
 @pytest.mark.parametrize(
     "min_contributions, state", [(1, "released"), (2, "suppressed")]
 )
-def test_a_sealed_session_drops_its_row_key_table(min_contributions, state):
+def test_a_sealed_session_drops_its_key_table_and_cores(min_contributions, state):
     server, s = make_server()
     task = make_task(s, num_windows=1, min_contributions=min_contributions)
     server.register_task(task, now=START)
@@ -645,10 +807,10 @@ def test_a_sealed_session_drops_its_row_key_table(min_contributions, state):
     upload(server, 0, device_histogram(s, 0), START + WEEK + 60)
     a = server.check_in(1, now=deadline)[0]
     session = server.sessions[a.session_id]
-    assert len(session.row_keys) == s.num_activities * s.num_regions * s.num_directions
+    assert len(session.keys.names) == s.num_activities * s.num_regions * s.num_directions
     server.maintenance(now=deadline + 1)
     assert session.state == state
-    assert session.row_keys == {}
+    assert (session.keys, session.wire, session.shards) == (None, None, [])
     rows = tuple(histogram_to_rows(block_of(s, [device_histogram(s, 1)]), a.window_id, SPEC))
     with pytest.raises(SessionClosedError):
         server.ingest_upload(

@@ -18,13 +18,14 @@ from fedsum.dp import (
     prepare_mechanism,
     resolve_mechanism,
 )
-from fedsum.aggcore import ClientUpdate
+from fedsum.aggcore import ClientUpdate, Wire, encode_payload
 from fedsum.client import (
     CHECKIN_POLICIES,
     TIER_PROFILES,
     DeviceState,
     client_work,
     histogram_to_rows,
+    row_keys,
 )
 from fedsum.metrics import exact_workload
 from fedsum.model import IndexedHistogram, TripRecord
@@ -32,6 +33,7 @@ from fedsum.query import parse_and_validate
 from fedsum.rng import BlockRng
 from fedsum.server import (
     FederatedServer,
+    ServerConfig,
     SessionClosedError,
     SuppressedRelease,
     TaskConfig,
@@ -165,15 +167,15 @@ def test_no_trip_record_exists_during_the_simulation(monkeypatch):
         raise AssertionError("a TripRecord was built during the simulation")
 
     during = []
-    rows = WindowUploads.rows
+    payload = WindowUploads.payload
 
-    def counting_rows(self, device_id):
+    def counting_payload(self, device_id):
         if not during:
             during.append(live_trip_records())
-        return rows(self, device_id)
+        return payload(self, device_id)
 
     monkeypatch.setattr(TripRecord, "__init__", no_record)
-    monkeypatch.setattr(WindowUploads, "rows", counting_rows)
+    monkeypatch.setattr(WindowUploads, "payload", counting_payload)
     result = run_simulation(
         corpus, make_task(corpus.schema), FleetConfig(availability="always_on")
     )
@@ -421,8 +423,8 @@ CACHES = {
 def test_window_block_rows_are_each_devices_own_upload(
     corpus_300, week_one_300, variant, cache
 ):
-    """Every device's rows of the window block are the rows it would encode
-    from the trips its cache holds, bit for bit."""
+    """Every device's payload cut from the window block is the bytes of the
+    rows it would encode from the trips its cache holds, bit for bit."""
     schema, window = corpus_300.schema, week_one_300
     resolved = resolve_mechanism(
         MechanismConfig(variant=variant, epsilon=math.inf, quantile=0.5),
@@ -433,6 +435,8 @@ def test_window_block_rows_are_each_devices_own_upload(
     after, ttl = CACHES[cache]
     now = window.end + after
     block = WindowUploads(corpus_300, window, cache_cut(window, now, ttl), resolved, spec)
+    keys = row_keys(spec, schema, window.window_id)
+    wire = Wire(len(keys), len(spec.metrics))
     holders = bounded = 0
     for dev in corpus_300.devices:
         state = DeviceState(
@@ -446,7 +450,7 @@ def test_window_block_rows_are_each_devices_own_upload(
         holders += 1
         upload = build_device_upload(trips, resolved, schema)
         expected = histogram_to_rows(upload, window.window_id, spec)
-        assert hex_rows(block.rows(dev.device_id)) == hex_rows(expected), dev.device_id
+        assert block.payload(dev.device_id) == encode_payload(expected, keys, wire), dev.device_id
         raw = histogram_to_rows(client_work(trips, schema), window.window_id, spec)
         bounded += hex_rows(raw) != hex_rows(expected)
     active = len(active_devices(corpus_300, window))
@@ -514,6 +518,93 @@ def test_insufficient_fleets_release_a_marker_and_skip_eval(corpus_300):
 
 
 # --- equivalence with the per-tick poll ----------------------------------------
+
+
+def test_window_payloads_drop_zero_rows_and_write_negative_zero_as_zero(
+    corpus_300, week_one_300, monkeypatch
+):
+    """Bounded rows of only zeros are not uploaded, and a -0.0 among a
+    row's values goes out as +0.0, as ``histogram_to_rows`` writes them."""
+    schema, window = corpus_300.schema, week_one_300
+    resolved = make_task(schema).mechanism
+    transform = type(resolved).transform_devices
+
+    def signed(self, raw, schema):
+        block = transform(self, raw, schema)
+        sums = block.sums.copy()
+        sums[0::3] = -0.0  # all-zero rows
+        sums[1::3, 1] = -0.0  # one negative zero in a nonzero row
+        return block._replace(sums=sums)
+
+    monkeypatch.setattr(type(resolved), "transform_devices", signed)
+    spec = parse_and_validate(FULL_QUERY)
+    block = WindowUploads(corpus_300, window, window.start, resolved, spec)
+    keys = row_keys(spec, schema, window.window_id)
+    wire = Wire(len(keys), len(spec.metrics))
+    bounded = signed(resolved, corpus_300.device_histograms(window), schema)
+    records = 0
+    for device in devices_of(bounded):
+        rows = histogram_to_rows(rows_of(bounded, bounded.device == device), window.window_id, spec)
+        assert block.holds(device) == bool(rows)
+        if rows:
+            assert block.payload(device) == encode_payload(rows, keys, wire)
+            records += len(rows)
+    assert 0 < records < len(bounded.device)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_rows_through_the_adapter_and_window_bytes_ingest_alike(
+    corpus_300, week_one_300, variant
+):
+    """The same devices replayed into two servers, one through each device's
+    ``histogram_to_rows`` pairs and one through the window block's bytes:
+    the same payload digests, checkpoint and roll-up state digests, and
+    releases."""
+    schema, window = corpus_300.schema, week_one_300
+    resolved = resolve_mechanism(
+        MechanismConfig(variant=variant, epsilon=1.0, quantile=0.9),
+        corpus_300.device_histograms(window),
+        schema,
+    )
+    task = make_task(schema, mechanism=resolved)
+    spec = parse_and_validate(task.query_text)
+    config = ServerConfig(num_shards=2, checkpoint_batch=7, rollup_interval=3600)
+    by_rows, by_bytes = (FederatedServer(schema, config, seed=4) for _ in range(2))
+    for server in (by_rows, by_bytes):
+        server.register_task(task, now=START)
+    block = WindowUploads(corpus_300, window, window.start, resolved, spec)
+    uploads = 0
+    for dev in corpus_300.devices:
+        trips = [r for r in dev.records if window.start <= r.event_time < window.end]
+        if not block.holds(dev.device_id):
+            assert not trips
+            continue
+        now = window.end + 60 * dev.device_id
+        upload = build_device_upload(trips, resolved, schema)
+        rows = histogram_to_rows(upload, window.window_id, spec)
+        for server, payload in ((by_rows, tuple(rows)), (by_bytes, block.payload(dev.device_id))):
+            server.maintenance(now)
+            (a,) = server.check_in(dev.device_id, now)
+            server.ingest_upload(ClientUpdate(a.query_id, a.window_id, a.token, payload), now)
+        uploads += 1
+    for server in (by_rows, by_bytes):
+        server.maintenance(window.end + task.grace_period + 1)
+    digests = [
+        [
+            (e["event"], e.get("payload_digest"), e.get("state_digest"), e.get("histogram_digest"))
+            for e in server.events
+            if e["event"] in ("upload_accepted", "checkpoint", "rollup", "release")
+        ]
+        for server in (by_rows, by_bytes)
+    ]
+    assert digests[0] == digests[1]
+    kinds = [kind for kind, *_ in digests[0]]
+    assert kinds.count("upload_accepted") == uploads > 100
+    assert {"checkpoint", "rollup", "release"} <= set(kinds)
+    (release,) = by_rows.releases.values()
+    (same,) = by_bytes.releases.values()
+    assert release.histogram.serialize() == same.histogram.serialize()
+    assert np.array_equal(release.values, same.values)
 
 
 def polled_simulation(corpus, task, fleet, seed):
@@ -598,7 +689,7 @@ def polled_simulation(corpus, task, fleet, seed):
                     query_id=task.query_id,
                     window_id=window.window_id,
                     token=assignment.token,
-                    rows=tuple(histogram_to_rows(block, window.window_id, spec)),
+                    payload=tuple(histogram_to_rows(block, window.window_id, spec)),
                 )
                 try:
                     server.ingest_upload(update, now)
