@@ -174,7 +174,7 @@ class AggregationCore:
         insertion-independent (sorted) order.
         """
         self._check_live()
-        ids, sums = self._present_rows()
+        ids, sums = self.present_rows()
         names = map(self.keys.names.__getitem__, ids.tolist())
         result = dict(zip(names, map(tuple, sums.tolist())))
         self._consume()
@@ -189,7 +189,7 @@ class AggregationCore:
         the contribution count.  Cores that accumulated the same multiset
         of updates serialize identically regardless of merge structure."""
         self._check_live()
-        ids, sums = self._present_rows()
+        ids, sums = self.present_rows()
         heads = list(map(self.keys.heads.__getitem__, ids.tolist()))
         row = 8 * sums.shape[1]
         ends = np.cumsum(np.fromiter(map(len, heads), np.intp, len(heads)) + row)
@@ -204,7 +204,7 @@ class AggregationCore:
     def state_digest(self) -> str:
         return blake2b(self.serialize_state(), digest_size=16).hexdigest()
 
-    def _present_rows(self) -> tuple[np.ndarray, np.ndarray]:
+    def present_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The present keys' ids in name order, and their rows of sums."""
         sums, present = self._sum.report()
         order = self.keys.order()

@@ -6,38 +6,45 @@ session on the least-loaded backend node: uploads accumulate into shard
 cores, full shards checkpoint into level-0 partial aggregates, periodic
 roll-ups fold those into a level-1 partial, and when the simulated clock
 passes the window's end plus the grace period the session seals, merges
-every live partial, gates on the minimum contribution count, decodes the
-merged report into one dense ``(activity, metric, region, direction)``
-array of cell sums, and hands that array to the privacy mechanism for
-release.  The release's sparse histogram is built only for its event
-(the released-partition count and digest).  Data that arrives after the
-deadline is discarded, and expired partials are dropped (and logged)
-rather than released.  Each upload is read once, here, before it
-touches any state: its payload bytes (``aggcore.decode_payload``; rows
-are first written into bytes through the session's row keys) must be
-whole records under strictly increasing partition indexes of the
-window, with a finite L1 norm, and the mechanism compares the upload's
-L1 norms with the bound its noise is sized for
-(``ResolvedMechanism.exceeds_bound``).  An upload that fails any of this
+every live partial, gates on the minimum contribution count, puts the
+merged core's sums, keyed by flat partition index, into one dense
+``(activity, metric, region, direction)`` array of cell sums, and hands
+that array to the privacy mechanism for release.  The release's sparse
+histogram is built only for its event (the released-partition count and
+digest).  Data that arrives after the deadline is discarded, and expired
+partials are dropped (and logged) rather than released.  Each upload is
+read once, here, before it touches any state: its payload bytes
+(``aggcore.decode_payload``; rows are first written into bytes through
+the session's row keys) must be whole records under strictly increasing
+partition indexes of the window, with a finite L1 norm, and the
+mechanism compares the upload's L1 norms with the bound its noise is
+sized for (``ResolvedMechanism.exceeds_bound``).  An upload that fails any of this
 is rejected as malformed; a shard core sums one that passes as it is
 read.  The accepted upload's logged digest hashes those bytes.  A window
 whose exact sum overflows a float (finite uploads under a bound too
 large to stop them, such as an exact task's infinite one) is sealed as
 suppressed, with reason ``overflow``, instead of released.
 
-Every externally visible action appends a structured event to the
-server's log; events carry digests and counts, never row values.  Each
-line of the log, as :meth:`FederatedServer.event_log_lines` renders it,
-is ``json.dumps(event, sort_keys=True)``, byte for byte.
+Every externally visible action logs a structured event; events carry
+digests and counts, never row values.  The log holds each event as one
+tuple, a row: the id of its shape (a kind and its fields' names and
+types, each shape declared once below), then its values.
+:meth:`FederatedServer.event_log_lines` renders each row through its
+shape's line format as ``json.dumps(event, sort_keys=True)``, byte for
+byte.  ``FederatedServer.events`` is a read-only sequence view of the
+log that builds an event's dict only when it is read.  Every clock value and
+device id the entry points take must be an exact ``int`` (not a
+``bool`` or a numpy integer), else ``TypeError`` is raised before
+anything is logged, so every int field renders through ``%d``.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Any, Iterator
 
 import numpy as np
@@ -52,7 +59,7 @@ from .aggcore import (
     decode_payload,
     encode_payload,
 )
-from .client import row_keys, rows_to_histogram
+from .client import row_keys
 from .dp import NoisedRelease, ResolvedMechanism
 from .model import Schema
 from .query import QuerySpec, parse_and_validate, to_agg_config
@@ -71,6 +78,12 @@ __all__ = [
     "FederatedServer",
     "SuppressedRelease",
 ]
+
+
+def _check_int(name: str, value: Any) -> None:
+    """Refuse a clock value, device id or task setting that is not an exact ``int``."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, not {type(value).__name__} {value!r}")
 
 
 class InvalidTokenError(PermissionError):
@@ -109,6 +122,8 @@ class TaskConfig:
     approved_by: str
 
     def __post_init__(self) -> None:
+        for name in ("first_window_start", "num_windows", "grace_period", "min_contributions"):
+            _check_int(name, getattr(self, name))
         if self.num_windows < 1:
             raise ValueError("a task needs at least one window")
         if self.grace_period < 0:
@@ -184,61 +199,117 @@ class _Session:
     last_rollup: int = 0
 
 
-# Renders what a line format cannot: a value that is not an int or a str,
-# and a whole event whose shape has no format.
+# Renders task_registered's windows, the one field neither an int nor a str.
 _encode_json = json.JSONEncoder(sort_keys=True).encode
 
-# Event shape (its keys, then the type of each value) -> line format, or
-# None where the shape renders through ``_encode_json``.  A run logs fewer
-# than a dozen shapes; the cache is emptied whenever it reaches the bound,
-# so arbitrary events cannot grow it.
-_LINE_FORMATS_MAX = 1024
-_line_formats: dict[tuple, tuple | None] = {}
 
+class _Shape:
+    """One shape of logged event: its kind and its fields, name -> type, in
+    sorted name order, the order in which a row holds their values.
 
-def _line_format(keys: tuple, kinds: tuple) -> tuple | None:
-    """The line format of events with these keys and value types.
-
-    A ``%`` format of the sorted fields: an int value goes in as ``%d``,
-    a str as ``encode_basestring_ascii`` of it, anything else as
-    ``_encode_json`` of it, each exactly as the encoder writes it inside
-    the event.  Returns the format, a getter of the values in sorted key
-    order, and the (slot, converter) of each value that is not an int;
-    None for a shape with a key that is not a str, or fewer than two keys.
+    Its line format is ``json.dumps`` of the event with sorted keys: an
+    int value goes in as ``%d``, a str as ``encode_basestring_ascii`` of
+    it, and a list as ``_encode_json`` of it (``converters`` holds the
+    slot and converter of each value that is not an int).
     """
-    if len(keys) < 2 or any(type(key) is not str for key in keys):
-        return None
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    fields: list[str] = []
-    converters = []
-    for slot, i in enumerate(order):
-        kind = kinds[i]
-        name = encode_basestring_ascii(keys[i]).replace("%", "%%")
-        fields.append(f"{name}: %d" if kind is int else f"{name}: %s")
-        if kind is not int:
-            converters.append((slot, encode_basestring_ascii if kind is str else _encode_json))
-    getter = itemgetter(*[keys[i] for i in order])
-    return "{" + ", ".join(fields) + "}", getter, tuple(converters)
+
+    __slots__ = ("kind", "names", "fmt", "converters")
+
+    def __init__(self, kind: str, **types: type) -> None:
+        if [*types] != sorted(types) or "event" in types:
+            raise ValueError(f"the fields of {kind!r} must be sorted and not name 'event'")
+        self.kind, self.names = kind, tuple(types)
+        slots = {name: "%d" if typ is int else "%s" for name, typ in types.items()}
+        slots["event"] = encode_basestring_ascii(kind).replace("%", "%%")
+        self.fmt = "{" + ", ".join(f'"{name}": {slots[name]}' for name in sorted(slots)) + "}"
+        self.converters = tuple(
+            (i, encode_basestring_ascii if typ is str else _encode_json)
+            for i, typ in enumerate(types.values())
+            if typ is not int
+        )
 
 
-def _render_event(event: dict) -> str:
-    """``json.dumps(event, sort_keys=True)``, from its shape's line format."""
-    shape = (*event, *map(type, event.values()))
-    try:
-        line = _line_formats[shape]
-    except KeyError:
-        size = len(event)
-        line = _line_format(shape[:size], shape[size:])
-        if len(_line_formats) >= _LINE_FORMATS_MAX:
-            _line_formats.clear()
-        _line_formats[shape] = line
-    if line is None:
-        return _encode_json(event)
-    fmt, getter, converters = line
-    values = [*getter(event)]
-    for slot, convert in converters:
-        values[slot] = convert(values[slot])
-    return fmt % tuple(values)
+# Every declared shape, by id.  A logged row is a shape's id (an int, so
+# that the collector can stop tracking the row), then its values.
+_SHAPES: list[_Shape] = []
+
+
+def _shape(kind: str, **types: type) -> int:
+    """Declare one event shape; returns its id."""
+    _SHAPES.append(_Shape(kind, **types))
+    return len(_SHAPES) - 1
+
+
+_TASK_REGISTERED = _shape(
+    "task_registered", approved_by=str, query_id=str, submitted_by=str, t=int, windows=list
+)
+_SESSION_CREATED = _shape(
+    "session_created", deadline=int, node=int, session_id=str, t=int, window_id=str
+)
+_CHECK_IN = _shape("check_in", device_id=int, t=int)
+_ASSIGNMENT = _shape("assignment", device_id=int, session_id=str, t=int, window_id=str)
+_NO_TOKEN = _shape("upload_rejected", reason=str, session_id=str, t=int)
+_REJECTED = _shape("upload_rejected", device_id=int, reason=str, session_id=str, t=int)
+_ACCEPTED = _shape(
+    "upload_accepted", device_id=int, payload_digest=str, session_id=str, t=int, window_id=str
+)
+_CHECKPOINT = _shape(
+    "checkpoint",
+    contributions=int, level=int, partial_id=str, session_id=str, state_digest=str, t=int,
+)
+_PARTIAL_EXPIRED = _shape(
+    "partial_expired", contributions_lost=int, level=int, partial_id=str, session_id=str, t=int
+)
+_ROLLUP = _shape(
+    "rollup",
+    contributions=int, level=int, partial_id=str, session_id=str, state_digest=str, t=int,
+)
+_RELEASE_SUPPRESSED = _shape(
+    "release_suppressed", contributions=int, reason=str, session_id=str, t=int, window_id=str
+)
+_RELEASE = _shape(
+    "release",
+    histogram_digest=str, released_partitions=int, session_id=str,
+    suppressed_partitions=int, t=int, window_id=str,
+)
+
+
+def _render(row: tuple) -> str:
+    """``json.dumps(event, sort_keys=True)`` of one logged row's event."""
+    shape, values = _SHAPES[row[0]], row[1:]
+    if shape.converters:
+        values = [*values]
+        for i, convert in shape.converters:
+            values[i] = convert(values[i])
+        values = tuple(values)
+    return shape.fmt % values
+
+
+def _event(row: tuple) -> dict[str, Any]:
+    """The event of one logged row, as a dict."""
+    shape = _SHAPES[row[0]]
+    return dict(zip(shape.names, row[1:]), event=shape.kind)
+
+
+class _EventView(Sequence):
+    """The server's logged rows, read as events: a read-only sequence whose
+    items are dicts, each built only when it is read."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: list[tuple]) -> None:
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return [*map(_event, self._rows[index])]
+        return _event(self._rows[index])
+
+    def __iter__(self) -> Iterator[dict[str, Any]]:
+        return map(_event, self._rows)
 
 
 class FederatedServer:
@@ -261,19 +332,19 @@ class FederatedServer:
         self.tasks: dict[str, RegisteredTask] = {}
         self.sessions: dict[str, _Session] = {}
         self.releases: dict[str, NoisedRelease | SuppressedRelease] = {}
-        self.events: list[dict] = []
+        # Each logged event as one row: its shape's id, then its values.
+        self._rows: list[tuple] = []
+        self._log = self._rows.append
+        self.events: Sequence[dict[str, Any]] = _EventView(self._rows)
         # (now, the (task, window) pairs open for contribution at now), for
         # check_in; dropped when a task registers.
         self._open_windows: tuple[int, list[tuple[RegisteredTask, TimeWindow]]] | None = None
 
     # -- logging ---------------------------------------------------------
 
-    def _log(self, now: int, event: str, **fields: Any) -> None:
-        self.events.append({"t": now, "event": event, **fields})
-
     def event_log_lines(self) -> Iterator[str]:
         """Each event as ``json.dumps(event, sort_keys=True)``, made as it is read."""
-        return map(_render_event, self.events)
+        return map(_render, self._rows)
 
     # -- task registration -------------------------------------------------
 
@@ -284,6 +355,7 @@ class FederatedServer:
         split query (whose rules make the release one sum per uploaded
         cell), and must not reach back into time before registration.
         """
+        _check_int("now", now)
         if task.query_id in self.tasks:
             raise ValueError(f"task {task.query_id!r} already registered")
         if not task.submitted_by or not task.approved_by:
@@ -318,14 +390,10 @@ class FederatedServer:
         )
         self.tasks[task.query_id] = registered
         self._open_windows = None
-        self._log(
-            now,
-            "task_registered",
-            query_id=task.query_id,
-            windows=[w.window_id for w in windows],
-            submitted_by=task.submitted_by,
-            approved_by=task.approved_by,
-        )
+        self._log((
+            _TASK_REGISTERED, task.approved_by, task.query_id, task.submitted_by, now,
+            [w.window_id for w in windows],
+        ))
         return registered
 
     # -- sessions ----------------------------------------------------------
@@ -364,14 +432,7 @@ class FederatedServer:
                 wire=Wire(len(keys.names), len(task.spec.metrics)),
             )
             self.sessions[key] = session
-            self._log(
-                now,
-                "session_created",
-                session_id=key,
-                window_id=window.window_id,
-                node=node,
-                deadline=session.deadline,
-            )
+            self._log((_SESSION_CREATED, session.deadline, node, key, now, window.window_id))
         return session
 
     # -- check-in ------------------------------------------------------------
@@ -384,8 +445,11 @@ class FederatedServer:
         does not know which windows the device still has data for; the
         device filters assignments against its own memo.
         """
+        if type(device_id) is not int or type(now) is not int:
+            _check_int("device_id", device_id)
+            _check_int("now", now)
         assignments: list[Assignment] = []
-        self._log(now, "check_in", device_id=device_id)
+        self._log((_CHECK_IN, device_id, now))
         for task, window in self._windows_open_at(now):
             session = self._get_or_create_session(task, window, now)
             if session.state != "collecting":
@@ -402,13 +466,7 @@ class FederatedServer:
                     token=token,
                 )
             )
-            self._log(
-                now,
-                "assignment",
-                device_id=device_id,
-                session_id=session.session_id,
-                window_id=window.window_id,
-            )
+            self._log((_ASSIGNMENT, device_id, session.session_id, now, window.window_id))
         return assignments
 
     def _windows_open_at(self, now: int) -> list[tuple[RegisteredTask, TimeWindow]]:
@@ -435,37 +493,21 @@ class FederatedServer:
         uploads.  Tokens are strictly single-use: the first attempt
         consumes the token whether or not the payload is accepted.
         """
+        _check_int("now", now)
         key = self._session_key(update.query_id, update.window_id)
         session = self.sessions.get(key)
         record = session.tokens.get(update.token) if session else None
         if session is None or record is None:
-            self._log(
-                now,
-                "upload_rejected",
-                session_id=key,
-                reason="invalid_token",
-            )
+            self._log((_NO_TOKEN, "invalid_token", key, now))
             raise InvalidTokenError(
                 f"no token {update.token[:8]}... for session {key}"
             )
         if record["consumed"]:
-            self._log(
-                now,
-                "upload_rejected",
-                session_id=key,
-                device_id=record["device_id"],
-                reason="token_replay",
-            )
+            self._log((_REJECTED, record["device_id"], "token_replay", key, now))
             raise TokenReplayError("upload token already used")
         record["consumed"] = True
         if session.state != "collecting" or now > session.deadline:
-            self._log(
-                now,
-                "upload_rejected",
-                session_id=key,
-                device_id=record["device_id"],
-                reason="session_closed",
-            )
+            self._log((_REJECTED, record["device_id"], "session_closed", key, now))
             raise SessionClosedError(
                 f"session {key} stopped collecting at {session.deadline}"
             )
@@ -481,23 +523,11 @@ class FederatedServer:
                 raise MalformedUpdateError("the upload is over the task's L1 bound")
             session.shards[shard_index].accumulate(keys, values)
         except MalformedUpdateError:
-            self._log(
-                now,
-                "upload_rejected",
-                session_id=key,
-                device_id=record["device_id"],
-                reason="malformed",
-            )
+            self._log((_REJECTED, record["device_id"], "malformed", key, now))
             raise
         session.uploads_accepted += 1
-        self._log(
-            now,
-            "upload_accepted",
-            session_id=key,
-            device_id=record["device_id"],
-            window_id=update.window_id,
-            payload_digest=blake2b(payload, digest_size=8).hexdigest(),
-        )
+        digest = blake2b(payload, digest_size=8).hexdigest()
+        self._log((_ACCEPTED, record["device_id"], digest, key, now, update.window_id))
         if (
             session.shards[shard_index].contribution_count
             >= self.config.checkpoint_batch
@@ -523,28 +553,19 @@ class FederatedServer:
         )
         session.checkpoints_made += 1
         session.partials.append(partial)
-        self._log(
-            now,
-            "checkpoint",
-            session_id=session.session_id,
-            partial_id=partial.partial_id,
-            level=0,
-            contributions=core.contribution_count,
-            state_digest=core.state_digest(),
-        )
+        self._log((
+            _CHECKPOINT, core.contribution_count, 0, partial.partial_id,
+            session.session_id, core.state_digest(), now,
+        ))
 
     def _expire_partials(self, session: _Session, now: int) -> None:
         live: list[PartialAggregate] = []
         for partial in session.partials:
             if now > partial.expires_at:
-                self._log(
-                    now,
-                    "partial_expired",
-                    session_id=session.session_id,
-                    partial_id=partial.partial_id,
-                    level=partial.level,
-                    contributions_lost=partial.core.contribution_count,
-                )
+                self._log((
+                    _PARTIAL_EXPIRED, partial.core.contribution_count, partial.level,
+                    partial.partial_id, session.session_id, now,
+                ))
             else:
                 live.append(partial)
         session.partials = live
@@ -572,18 +593,14 @@ class FederatedServer:
         session.checkpoints_made += 1
         session.partials = [rolled]
         session.last_rollup = now
-        self._log(
-            now,
-            "rollup",
-            session_id=session.session_id,
-            partial_id=rolled.partial_id,
-            level=1,
-            contributions=target_core.contribution_count,
-            state_digest=target_core.state_digest(),
-        )
+        self._log((
+            _ROLLUP, target_core.contribution_count, 1, rolled.partial_id,
+            session.session_id, target_core.state_digest(), now,
+        ))
 
     def maintenance(self, now: int) -> None:
         """Periodic housekeeping: expiry, roll-ups, and due releases."""
+        _check_int("now", now)
         for session in list(self.sessions.values()):
             if session.state != "collecting":
                 continue
@@ -608,7 +625,7 @@ class FederatedServer:
         Runs strictly after ``window.end + grace_period``.  All in-flight
         shards checkpoint, live partials merge into the final aggregate,
         and the contribution gate decides between a noised release of its
-        dense cell sums (``rows_to_histogram`` of the merged report) and an
+        dense cell sums (the merged core's sums put in place) and an
         explicit suppression marker.  A window with a cell whose exact sum
         overflows a float is suppressed too, with reason ``overflow``.
         The session's cores and key table are dropped either way.  Late uploads
@@ -628,10 +645,14 @@ class FederatedServer:
         count = final_core.contribution_count if final_core else 0
         aggregate = None
         if count >= max(task.config.min_contributions, 1):
-            assert final_core is not None and session is not None
-            aggregate = rows_to_histogram(
-                final_core.report().items(), task.spec, self.schema, session.keys.ids
-            )
+            assert final_core is not None
+            # Key ids are flat (activity, region, direction) indexes; a -0.0
+            # sum goes in as the 0.0 its cell holds.
+            ids, sums = final_core.present_rows()
+            num_activities, _, num_regions, num_directions = self.schema.shape
+            a, r, d = np.unravel_index(ids, (num_activities, num_regions, num_directions))
+            aggregate = np.zeros(self.schema.shape)
+            aggregate[a[:, None], task.spec.metrics, r[:, None], d[:, None]] = sums + 0.0
         if session is not None:  # a sealed session reads no more uploads
             session.shards, session.keys, session.wire = [], None, None
         # A cell whose exact sum overflowed a float reads NaN: no value to release.
@@ -640,28 +661,15 @@ class FederatedServer:
             if session is not None:
                 session.state = "suppressed"
             self.releases[key] = SuppressedRelease(window.window_id, reason)
-            self._log(
-                now,
-                "release_suppressed",
-                session_id=key,
-                window_id=window.window_id,
-                contributions=count,
-                reason=reason,
-            )
+            self._log((_RELEASE_SUPPRESSED, count, reason, key, now, window.window_id))
             return
         release = task.config.mechanism.finalize(
             self.schema, aggregate, window.window_id, self.noise_seed
         )
         session.state = "released"
         self.releases[key] = release
-        self._log(
-            now,
-            "release",
-            session_id=key,
-            window_id=window.window_id,
-            released_partitions=len(release.histogram),
-            suppressed_partitions=release.suppressed_partitions,
-            histogram_digest=blake2b(
-                release.histogram.serialize(), digest_size=8
-            ).hexdigest(),
-        )
+        digest = blake2b(release.histogram.serialize(), digest_size=8).hexdigest()
+        self._log((
+            _RELEASE, digest, len(release.histogram), key,
+            release.suppressed_partitions, now, window.window_id,
+        ))

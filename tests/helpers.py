@@ -22,6 +22,7 @@ from fedsum.model import (
     InvalidParameterError,
     TripRecord,
 )
+from fedsum.server import _SHAPES
 from fedsum.synth import _COLUMN_TYPES, Corpus
 
 # Monday 2024-05-13 00:00:00 UTC — the default fleet start.
@@ -839,3 +840,62 @@ def reference_uniforms(keys, index, positions) -> np.ndarray:
     out = philox4x64(words, (k0, k1))
     word = np.choose((positions % np.uint64(4)).astype(np.intp), out)
     return ((word >> np.uint64(12)).astype(np.float64) + 0.5) * 2.0**-52
+
+
+# Each event kind's fields as the server's call sites name them, in the
+# order they give them; ``upload_rejected`` without and with a device id.
+LOGGED_FIELDS = {
+    "task_registered": [("query_id", "windows", "submitted_by", "approved_by")],
+    "session_created": [("session_id", "window_id", "node", "deadline")],
+    "check_in": [("device_id",)],
+    "assignment": [("device_id", "session_id", "window_id")],
+    "upload_rejected": [("session_id", "reason"), ("session_id", "device_id", "reason")],
+    "upload_accepted": [("session_id", "device_id", "window_id", "payload_digest")],
+    "checkpoint": [("session_id", "partial_id", "level", "contributions", "state_digest")],
+    "partial_expired": [("session_id", "partial_id", "level", "contributions_lost")],
+    "rollup": [("session_id", "partial_id", "level", "contributions", "state_digest")],
+    "release_suppressed": [("session_id", "window_id", "contributions", "reason")],
+    "release": [
+        (
+            "session_id",
+            "window_id",
+            "released_partitions",
+            "suppressed_partitions",
+            "histogram_digest",
+        )
+    ],
+}
+
+
+class DictLog:
+    """A server's event log as a list of dicts, each built as the server's
+    ``_log`` built it when it kept dicts: ``{"t": now, "event": kind, **fields}``.
+
+    Only each row's kind is read from the server's shape table; the field
+    names and their order are those of ``LOGGED_FIELDS``."""
+
+    def __init__(self) -> None:
+        self.events: list[dict] = []
+
+    def _log(self, now, event, **fields) -> None:
+        self.events.append({"t": now, "event": event, **fields})
+
+    def record(self, row: tuple) -> None:
+        """Log the event of one row the server logged: its shape's id, then
+        the values of ``t`` and its fields in the sorted order of their names."""
+        kind = _SHAPES[row[0]].kind
+        fields = next(f for f in LOGGED_FIELDS[kind] if len(f) + 2 == len(row))
+        named = dict(zip(sorted(("t", *fields)), row[1:]))
+        self._log(named["t"], kind, **{name: named[name] for name in fields})
+
+
+def dict_log(server) -> DictLog:
+    """The oracle log of every event ``server`` logs from now on."""
+    oracle, log = DictLog(), server._log
+
+    def both(row):
+        log(row)
+        oracle.record(row)
+
+    server._log = both
+    return oracle

@@ -11,14 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fedsum import server as server_module
 from fedsum.aggcore import KEY_SEPARATOR, ClientUpdate, MalformedUpdateError
-from fedsum.client import histogram_to_rows, row_keys
+from fedsum.client import histogram_to_rows, row_keys, rows_to_histogram
 from fedsum.dp import (
     VARIANT_JOINT,
     VARIANT_SCALED,
     VARIANT_SPLIT,
     MechanismConfig,
     NoisedRelease,
+    ResolvedMechanism,
     resolve_mechanism,
 )
 from fedsum.model import IndexedHistogram, Schema
@@ -37,7 +39,7 @@ from fedsum.server import (
 from fedsum.windows import WindowAlignment
 
 from blocks import block_of, exact_sum
-from helpers import START, WEEK, reference_upload_check
+from helpers import START, WEEK, dict_log, reference_upload_check
 
 FULL_QUERY = """\
 SELECT activity, region, direction, privacy_time_unit,
@@ -958,6 +960,39 @@ def test_released_sessions_stop_handing_out_tokens():
     assert server.check_in(2, now=START + WEEK + GRACE + 2) == []
 
 
+def test_the_released_array_is_the_rows_summed_with_negative_zero_as_zero(monkeypatch):
+    server, s = make_server()
+    server.register_task(make_task(s, num_windows=1), now=START)
+    released = []
+    finalize = ResolvedMechanism.finalize
+
+    def seen(self, schema, aggregate, *args):
+        released.append(aggregate.copy())
+        return finalize(self, schema, aggregate, *args)
+
+    monkeypatch.setattr(ResolvedMechanism, "finalize", seen)
+    end = START + WEEK
+    keys = list(row_keys(SPEC, s, "2024-W20"))
+    uploads = [
+        ((keys[7], (-0.0, 2.5, -1.0)), (keys[30], (1.0, -0.0, 0.0))),
+        ((keys[7], (-0.0, -2.5, 3.0)), (keys[11], (0.5, 0.25, -0.0))),
+    ]
+    for device, rows in enumerate(uploads):
+        a = server.check_in(device, now=end)[0]
+        server.ingest_upload(ClientUpdate(a.query_id, a.window_id, a.token, rows), now=end)
+    server.maintenance(now=end + GRACE + 1)
+    # The string-keyed decode, adding each nonzero value to its cell.
+    expected = rows_to_histogram(
+        [(keys[7], (-0.0, 0.0, 2.0)), (keys[30], (1.0, -0.0, 0.0)), (keys[11], (0.5, 0.25, -0.0))],
+        SPEC,
+        s,
+        row_keys(SPEC, s, "2024-W20"),
+    )
+    (aggregate,) = released
+    assert aggregate.tobytes() == expected.tobytes()
+    assert not np.signbit(aggregate[aggregate == 0.0]).any()
+
+
 # --- checkpoints -------------------------------------------------------------------
 
 
@@ -993,99 +1028,87 @@ def test_event_log_lines_are_canonical_json():
         assert {"t", "event"} <= set(entry)
 
 
-def test_event_log_lines_are_the_bytes_of_json_dumps():
-    server, s = make_server()
-    server.register_task(make_task(s, num_windows=1, min_contributions=2), now=START)
-    upload(server, 1, device_histogram(s, 1), now=START + WEEK)
-    server.maintenance(now=START + WEEK + GRACE + 1)  # suppressed: one upload
-    server.events.append(
-        {"t": 1, "event": "x", "b": [0.1, -0.0, 1e308, math.nan, math.inf], "a": {"é": None}}
-    )
-    assert list(server.event_log_lines()) == [
-        json.dumps(event, sort_keys=True) for event in server.events
-    ]
-
-
-JSON_TEXT = st.text(
-    st.sampled_from('"\\%/\x00\x1f\x7f\t\né€\u2028\ud800😀') | st.characters(),
-    max_size=8,
-)
-JSON_VALUES = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | JSON_TEXT,
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(JSON_TEXT, inner, max_size=3),
-    max_leaves=6,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(
-        st.dictionaries(JSON_TEXT, JSON_VALUES, max_size=6)
-        | st.dictionaries(st.integers() | st.floats(allow_nan=False), JSON_VALUES, max_size=3),
-        max_size=6,
-    )
-)
-def test_any_event_renders_as_json_dumps_renders_it(events):
-    server, _ = make_server()
-    server.events.extend(events)
-    assert list(server.event_log_lines()) == [
-        json.dumps(event, sort_keys=True) for event in events
-    ]
-
-
-def test_one_key_set_renders_each_value_type_it_meets():
-    server, _ = make_server()
-    for value in (7, True, 7.5, "%d", None, -0.0, math.nan, [1], {"%s": 2}, 8):
-        server.events.append({"t": 1, "event": "x", "100%": value})
-    assert list(server.event_log_lines()) == [
-        json.dumps(event, sort_keys=True) for event in server.events
-    ]
-    # A key that is not a str, or one the keys cannot be sorted with, goes
-    # through the encoder and fails as json.dumps does.
-    server.events[:] = [{1: "a", 2: "b"}, {"t": 1, 2: "b"}]
-    with pytest.raises(TypeError):
-        json.dumps(server.events[1], sort_keys=True)
-    lines = server.event_log_lines()
-    assert next(lines) == '{"1": "a", "2": "b"}'
-    with pytest.raises(TypeError):
-        next(lines)
-
-
-def test_every_event_a_small_run_logs_renders_as_json_dumps():
-    server, s = make_server(
-        num_shards=1, checkpoint_batch=2, rollup_interval=3600, partial_ttl_level0=1800
-    )
-    server.register_task(make_task(s, num_windows=2), now=START)
+def log_every_shape(server, s, ids):
+    """Drive ``server``'s two-window task (one shard, checkpoints every 2
+    uploads, hourly roll-ups, level-0 partials that live 30 min) through
+    every shape of event the server logs; ``ids[i]`` is the i-th device's id."""
     end = START + WEEK
-    for device in range(2):
-        upload(server, device, device_histogram(s, device), now=end)
-    a = server.check_in(9, now=end)[0]
+    for i in range(2):
+        upload(server, ids[i], device_histogram(s, i), now=end)
+    a = server.check_in(ids[2], now=end)[0]
     rows = tuple(histogram_to_rows(block_of(s, [device_histogram(s, 9)]), a.window_id, SPEC))
     with pytest.raises(InvalidTokenError):
         server.ingest_upload(ClientUpdate(a.query_id, a.window_id, "feed", rows), now=end)
     server.ingest_upload(ClientUpdate(a.query_id, a.window_id, a.token, rows), now=end)
     with pytest.raises(TokenReplayError):
         server.ingest_upload(ClientUpdate(a.query_id, a.window_id, a.token, rows), now=end)
-    a = server.check_in(10, now=end)[0]
+    a = server.check_in(ids[3], now=end)[0]
     with pytest.raises(MalformedUpdateError):
         server.ingest_upload(
             ClientUpdate(a.query_id, a.window_id, a.token, MALFORMED_ROWS["wrong_width"]), end
         )
-    for device in range(3, 5):
-        upload(server, device, device_histogram(s, device), now=end + 2000)
+    for i in (4, 5):
+        upload(server, ids[i], device_histogram(s, i), now=end + 2000)
     server.maintenance(now=end + 3600)  # the first partial expires, the second rolls up
-    a = server.check_in(11, now=end + GRACE)[0]
+    a = server.check_in(ids[6], now=end + GRACE)[0]
     with pytest.raises(SessionClosedError):
         server.ingest_upload(
             ClientUpdate(a.query_id, a.window_id, a.token, rows), now=end + GRACE + 1
         )
     server.maintenance(now=end + WEEK + GRACE + 1)  # W20 releases; W21 had no upload
-    kinds = {e["event"] for e in server.events}
-    assert kinds == {
+
+
+def every_shape_server():
+    return make_server(
+        num_shards=1, checkpoint_batch=2, rollup_interval=3600, partial_ttl_level0=1800
+    )
+
+
+LOG_TEXT = st.text(
+    st.sampled_from('"\\%/\x00\x1f\x7f\t\né€\u2028\ud800\udc00😀%s%d') | st.characters(),
+    max_size=8,
+)
+LOG_INTS = st.integers() | st.sampled_from(
+    [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, -(10**30)]
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    query_id=LOG_TEXT,
+    people=st.lists(LOG_TEXT.filter(bool), min_size=2, max_size=2, unique=True),
+    ids=st.lists(LOG_INTS, min_size=7, max_size=7),
+    late=st.integers(min_value=0) | st.just(2**64),
+)
+def test_every_logged_shape_renders_as_json_dumps_renders_its_event(query_id, people, ids, late):
+    # Adversarial text flows from the task into its session and partial ids;
+    # device ids and a last clock value reach and pass int64.
+    server, s = every_shape_server()
+    task = make_task(s, query_id=query_id, submitted_by=people[0], approved_by=people[1])
+    server.register_task(task, now=START)
+    log_every_shape(server, s, ids)
+    server.check_in(ids[0], now=START + 3 * WEEK + late)
+    assert {row[0] for row in server._rows} == set(range(len(server_module._SHAPES)))
+    lines = list(server.event_log_lines())
+    assert lines == [json.dumps(server.events[i], sort_keys=True) for i in range(len(lines))]
+
+
+def test_a_shape_takes_its_fields_in_sorted_order():
+    shape = server_module._Shape("x%", a=int, b=str, c=list)
+    assert shape.fmt == '{"a": %d, "b": %s, "c": %s, "event": "x%%"}'
+    with pytest.raises(ValueError):
+        server_module._Shape("x", t=int, device_id=int)
+    with pytest.raises(ValueError):
+        server_module._Shape("x", event=str)
+
+
+def test_every_event_a_small_run_logs_renders_as_json_dumps():
+    server, s = every_shape_server()
+    oracle = dict_log(server)
+    server.register_task(make_task(s), now=START)
+    log_every_shape(server, s, range(7))
+    events = oracle.events
+    assert {e["event"] for e in events} == {
         "task_registered",
         "session_created",
         "check_in",
@@ -1098,12 +1121,94 @@ def test_every_event_a_small_run_logs_renders_as_json_dumps():
         "release",
         "release_suppressed",
     }
-    assert {e["reason"] for e in events_named(server, "upload_rejected")} == {
+    assert {e["reason"] for e in events if e["event"] == "upload_rejected"} == {
         "invalid_token",
         "token_replay",
         "session_closed",
         "malformed",
     }
+    view = server.events
+    assert len(view) == len(events)
+    assert list(view) == view[:] == events
+    assert [view[i] for i in range(-len(view), len(view))] == events + events
+    assert view[2:-3] == events[2:-3] and view[::-2] == events[::-2]
     assert list(server.event_log_lines()) == [
-        json.dumps(event, sort_keys=True) for event in server.events
+        json.dumps(event, sort_keys=True) for event in events
     ]
+    with pytest.raises(IndexError):
+        view[len(view)]
+    with pytest.raises((AttributeError, TypeError)):
+        view.append({"t": 1, "event": "x"})  # type: ignore[attr-defined]
+    with pytest.raises(TypeError):
+        view[0] = {"t": 1, "event": "x"}  # type: ignore[index]
+
+
+# --- entry-point types ------------------------------------------------------------
+
+# Each stands for a clock value or device id that is not an exact int.
+NOT_INTS = {
+    "bool": lambda n: True,
+    "numpy_int": np.int64,
+    "float": float,
+    "numpy_float": np.float64,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_INTS))
+def test_register_task_refuses_a_clock_that_is_not_an_int(kind):
+    server, s = make_server()
+    with pytest.raises(TypeError, match="now"):
+        server.register_task(make_task(s), now=NOT_INTS[kind](START))
+    assert server.tasks == {} and len(server.events) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_INTS))
+def test_check_in_refuses_a_device_id_or_clock_that_is_not_an_int(kind):
+    server, s = make_server()
+    server.register_task(make_task(s), now=START)
+    end = START + WEEK
+    with pytest.raises(TypeError, match="device_id"):
+        server.check_in(NOT_INTS[kind](3), now=end)
+    with pytest.raises(TypeError, match="now"):
+        server.check_in(3, now=NOT_INTS[kind](end))
+    assert len(server.events) == 1 and server.sessions == {}
+    assert len(server.check_in(3, now=end)) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_INTS))
+def test_ingest_upload_refuses_a_clock_that_is_not_an_int(kind):
+    server, s = make_server()
+    server.register_task(make_task(s), now=START)
+    end = START + WEEK
+    a = server.check_in(1, now=end)[0]
+    rows = tuple(histogram_to_rows(block_of(s, [device_histogram(s, 1)]), a.window_id, SPEC))
+    update = ClientUpdate(a.query_id, a.window_id, a.token, rows)
+    mark = len(server.events)
+    with pytest.raises(TypeError, match="now"):
+        server.ingest_upload(update, now=NOT_INTS[kind](end))
+    assert len(server.events) == mark
+    server.ingest_upload(update, now=end)  # the token was not spent
+    assert server.events[-1]["event"] == "upload_accepted"
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_INTS))
+def test_maintenance_refuses_a_clock_that_is_not_an_int(kind):
+    server, s = make_server()
+    server.register_task(make_task(s, num_windows=1), now=START)
+    late = START + WEEK + GRACE + 1
+    with pytest.raises(TypeError, match="now"):
+        server.maintenance(NOT_INTS[kind](late))
+    assert len(server.events) == 1 and server.releases == {}
+    server.maintenance(late)
+    assert server.releases["trips/2024-W20"].reason == "insufficient_contributions"
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_INTS))
+@pytest.mark.parametrize(
+    "name", ["first_window_start", "num_windows", "grace_period", "min_contributions"]
+)
+def test_a_task_refuses_a_window_setting_that_is_not_an_int(name, kind):
+    s = schema()
+    value = getattr(make_task(s), name)
+    with pytest.raises(TypeError, match=name):
+        make_task(s, **{name: NOT_INTS[kind](value)})

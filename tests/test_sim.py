@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import gc
+import json
 import math
 
 import numpy as np
 import pytest
 
+from fedsum import server as server_module
 from fedsum.dp import (
     MechanismConfig,
     NoisedRelease,
@@ -29,6 +31,7 @@ from fedsum.client import (
 )
 from fedsum.metrics import exact_workload
 from fedsum.model import IndexedHistogram, TripRecord
+from fedsum.outputs import write_run_outputs
 from fedsum.query import parse_and_validate
 from fedsum.rng import BlockRng
 from fedsum.server import (
@@ -220,6 +223,27 @@ def test_a_run_builds_one_sparse_histogram_per_released_window(corpus_300, monke
     released = [r for r in result.releases.values() if isinstance(r, NoisedRelease)]
     assert released and result.eval_rows
     assert len(built) == len(released)
+
+
+def test_the_summary_counts_the_logged_lines_without_building_an_event(
+    corpus_300, tmp_path, monkeypatch
+):
+    built = []
+    event = server_module._event
+
+    def counted_event(row):
+        built.append(row)
+        return event(row)
+
+    monkeypatch.setattr(server_module, "_event", counted_event)
+    task = make_task(corpus_300.schema)
+    result = run_simulation(corpus_300, task, FleetConfig(availability="always_on"))
+    summary = write_run_outputs(result, corpus_300.schema, str(tmp_path), {}, task.mechanism)
+    lines = (tmp_path / "events.jsonl").read_text(encoding="utf-8").splitlines()
+    written = json.loads((tmp_path / "run_summary.json").read_text(encoding="utf-8"))
+    assert written["events"] == summary["events"] == len(lines) > 0
+    assert built == []
+    assert result.server.events[0]["event"] == "task_registered" and len(built) == 1
 
 
 def test_hourly_ticks_wake_each_device_daily_at_its_own_hour(corpus_300):
