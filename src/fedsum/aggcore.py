@@ -3,16 +3,17 @@
 A core holds the running grouped sums for one aggregation session, per
 group key one exact sum per value column
 (:class:`fedsum.exactsum.ExactSum`), plus a count of contributing
-updates.  Cores support exactly three operations — accumulate, merge,
-report — and report consumes the core.  An update's rows wait in a core
-only until its next fold: at merge, at report, once 2**16 values wait,
-and at ``serialize_state``, so every checkpoint, roll-up and seal leaves
-each cell's exact terms and no device's rows.  Any way of sharding
-updates across cores and merging them yields a bit-identical state; a
-cell whose exact sum rounds beyond the floats reads NaN, whatever the
-sharding.  A core's keys are ids that its :class:`KeyTable` names; a
-session's cores share one table, the window's row keys at their flat
-partition indexes, so an upload's key indexes go into a core as they are.
+updates.  A core accumulates updates, merges another core in (which
+consumes that core) and reads out its sums (``present_rows``).  An
+update's rows wait in a core only until its next fold: at merge, at a
+read, once 2**16 values wait, and at ``serialize_state``, so every
+checkpoint, roll-up and seal leaves each cell's exact terms and no
+device's rows.  Any way of sharding updates across cores and merging
+them yields a bit-identical state; a cell whose exact sum rounds beyond
+the floats reads NaN, whatever the sharding.  A core's keys are ids
+that its :class:`KeyTable` names; a session's cores share one table,
+the window's row keys at their flat partition indexes, so an upload's
+key indexes go into a core as they are.
 
 An upload travels as fixed-width records (:class:`Wire`), read by
 :func:`decode_payload`, the one reader, with C-level builtins only; the
@@ -61,7 +62,7 @@ class MalformedUpdateError(ValueError):
 
 
 class CoreConsumedError(RuntimeError):
-    """An operation was attempted on a core that was already reported."""
+    """An operation was attempted on a core that was already merged into another."""
 
 
 @dataclass(frozen=True)
@@ -167,19 +168,6 @@ class AggregationCore:
         self.contribution_count += other.contribution_count
         other._consume()
 
-    def report(self) -> dict[str, tuple[float, ...]]:
-        """Final grouped sums; consumes the core.
-
-        Values are the correctly rounded exact sums, keyed in
-        insertion-independent (sorted) order.
-        """
-        self._check_live()
-        ids, sums = self.present_rows()
-        names = map(self.keys.names.__getitem__, ids.tolist())
-        result = dict(zip(names, map(tuple, sums.tolist())))
-        self._consume()
-        return result
-
     # -- snapshots -------------------------------------------------------
 
     def serialize_state(self) -> bytes:
@@ -188,7 +176,6 @@ class AggregationCore:
         correctly rounded float64s, all put in place by one array write;
         the contribution count.  Cores that accumulated the same multiset
         of updates serialize identically regardless of merge structure."""
-        self._check_live()
         ids, sums = self.present_rows()
         heads = list(map(self.keys.heads.__getitem__, ids.tolist()))
         row = 8 * sums.shape[1]
@@ -206,6 +193,7 @@ class AggregationCore:
 
     def present_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The present keys' ids in name order, and their rows of sums."""
+        self._check_live()
         sums, present = self._sum.report()
         order = self.keys.order()
         present = np.pad(present, (0, len(order) - len(present)))

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+from itertools import islice
 
 import yaml
 
@@ -107,8 +108,9 @@ def write_run_outputs(
             window_status[window.window_id] = "pending"
 
     with open(os.path.join(out_dir, "events.jsonl"), "w", encoding="utf-8") as fh:
-        for line in result.server.event_log_lines():
-            fh.write(line + "\n")
+        lines = result.server.event_log_lines()
+        while chunk := list(islice(lines, 4096)):  # one write per 4096 lines
+            fh.write("\n".join(chunk) + "\n")
 
     _write_csv(
         os.path.join(out_dir, "reach.csv"),

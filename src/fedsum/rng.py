@@ -37,8 +37,9 @@ position there is its rank among the values drawn.
 
 :class:`KeyedRng` hashes ``(seed, namespace, index...)`` with BLAKE2b
 for each value, one value per call; nothing in the package draws from
-it.  The server's upload tokens come from a :class:`TokenMint`: one
-keyed BLAKE2b-128 of the server's mint counter each.
+it.  The server's upload tokens come from a :class:`TokenMint`: four
+from each keyed BLAKE2b-512 of a counter, taken as many at once as a
+check-in needs.
 
 Laplace noise at any finite scale b >= 0 is b times the unit-scale draw
 of the same uniform, bit for bit: both take the same rounded
@@ -158,25 +159,34 @@ class KeyedRng:
 
 
 class TokenMint:
-    """Opaque 128-bit identifiers: the ``n``-th token is one keyed
-    BLAKE2b-128 of ``n``, under the BLAKE2b-128 of the encoded ``(seed,
-    namespace)``: distinct, barring a collision, and unguessable without
-    the key."""
+    """Opaque 128-bit identifiers: token ``n`` is 16-byte quarter ``n % 4``
+    of one keyed BLAKE2b-512 of ``n // 4``, under the BLAKE2b-128 of the
+    encoded ``(seed, namespace)``: distinct, barring a collision, and
+    unguessable without the key.  A token depends only on its index, not
+    on how the tokens before it were taken."""
 
-    __slots__ = ("minted", "_keyed")
+    __slots__ = ("minted", "_keyed", "_spare")
 
     def __init__(self, seed: int, namespace: str) -> None:
         key = blake2b(b"".join(map(_encode_part, (seed, namespace))), digest_size=16).digest()
-        # Keying BLAKE2b costs a compression; every token copies this state.
-        self._keyed = blake2b(key=key, digest_size=16)
+        # Keying BLAKE2b costs a compression; every hash copies this state.
+        self._keyed = blake2b(key=key, digest_size=64)
         self.minted = 0
+        # The last hash's tokens not taken yet; minted + len(_spare) is 0 mod 4.
+        self._spare: list[str] = []
 
-    def __call__(self) -> str:
-        """The next token, as 32 hex digits."""
-        h = self._keyed.copy()
-        h.update(self.minted.to_bytes(8, "little"))
-        self.minted += 1
-        return h.hexdigest()
+    def take(self, n: int) -> list[str]:
+        """The next ``n`` tokens, each as 32 hex digits."""
+        spare = self._spare
+        while len(spare) < n:
+            h = self._keyed.copy()
+            h.update(((self.minted + len(spare)) // 4).to_bytes(8, "little"))
+            digits = h.hexdigest()
+            spare += digits[:32], digits[32:64], digits[64:96], digits[96:]
+        tokens = spare[:n]
+        del spare[:n]
+        self.minted += n
+        return tokens
 
 
 class BlockRng:

@@ -23,7 +23,8 @@ is rejected as malformed; a shard core sums one that passes as it is
 read.  The accepted upload's logged digest hashes those bytes.  A window
 whose exact sum overflows a float (finite uploads under a bound too
 large to stop them, such as an exact task's infinite one) is sealed as
-suppressed, with reason ``overflow``, instead of released.
+suppressed, with reason ``overflow``, instead of released.  Devices
+check in a batch at a time (:meth:`FederatedServer.check_in_many`).
 
 Every externally visible action logs a structured event; events carry
 digests and counts, never row values.  The log holds each event as one
@@ -44,8 +45,9 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from hashlib import blake2b
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 import numpy as np
 
@@ -78,6 +80,9 @@ __all__ = [
     "FederatedServer",
     "SuppressedRelease",
 ]
+
+
+_INT = frozenset([int])
 
 
 def _check_int(name: str, value: Any) -> None:
@@ -132,8 +137,7 @@ class TaskConfig:
             raise ValueError("min contributions must be >= 0")
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Permission for one device to upload to one session, once."""
 
     query_id: str
@@ -328,7 +332,7 @@ class FederatedServer:
         # Release-noise draws may be seeded independently of server-side
         # identifiers (tokens, placement); default: one shared seed.
         self.noise_seed = seed if noise_seed is None else noise_seed
-        self._mint_token = TokenMint(seed, "upload-token")
+        self._mint = TokenMint(seed, "upload-token")
         self.tasks: dict[str, RegisteredTask] = {}
         self.sessions: dict[str, _Session] = {}
         self.releases: dict[str, NoisedRelease | SuppressedRelease] = {}
@@ -337,7 +341,7 @@ class FederatedServer:
         self._log = self._rows.append
         self.events: Sequence[dict[str, Any]] = _EventView(self._rows)
         # (now, the (task, window) pairs open for contribution at now), for
-        # check_in; dropped when a task registers.
+        # check_in_many; dropped when a task registers.
         self._open_windows: tuple[int, list[tuple[RegisteredTask, TimeWindow]]] | None = None
 
     # -- logging ---------------------------------------------------------
@@ -438,36 +442,67 @@ class FederatedServer:
     # -- check-in ------------------------------------------------------------
 
     def check_in(self, device_id: int, now: int) -> list[Assignment]:
-        """Hand out session-bound single-use tokens for open windows.
-
-        A window is open for contribution from its end (devices can only
-        hold a complete window) until its release deadline.  The server
-        does not know which windows the device still has data for; the
-        device filters assignments against its own memo.
-        """
+        """One device's check-in: :meth:`check_in_many`'s grant of it alone."""
         if type(device_id) is not int or type(now) is not int:
             _check_int("device_id", device_id)
             _check_int("now", now)
-        assignments: list[Assignment] = []
-        self._log((_CHECK_IN, device_id, now))
-        for task, window in self._windows_open_at(now):
-            session = self._get_or_create_session(task, window, now)
+        return self._grant(device_id, now, self._windows_open_at(now), [], 0, 1)
+
+    def check_in_many(
+        self, device_ids: Sequence[int], now: int
+    ) -> Iterator[tuple[int, list[Assignment]]]:
+        """Check devices in at ``now``, in order, and hand each session-bound
+        single-use tokens for the windows open then.
+
+        A window is open for contribution from its end (devices can only
+        hold a complete window) until its release deadline.  The server
+        does not know which windows a device still has data for; the
+        device filters assignments against its own memo.  With no window
+        open, every check-in is logged at once and the iterator is empty.
+        Otherwise it logs a device's check-in and assignments, then yields
+        ``(device_id, grants)``, a device at a time; a session's tokens
+        for every device come from the mint at once, at its first grant.
+        """
+        if type(now) is not int or not _INT.issuperset(map(type, device_ids)):
+            for device_id in device_ids:
+                _check_int("device_id", device_id)
+            _check_int("now", now)
+        open_windows = self._windows_open_at(now)
+        if not open_windows:
+            self._rows.extend(zip(repeat(_CHECK_IN), device_ids, repeat(now)))
+            return iter(())
+        sessions: list[tuple[_Session, list[str]]] = []
+        return (
+            (device_id, self._grant(device_id, now, open_windows, sessions, k, len(device_ids)))
+            for k, device_id in enumerate(device_ids)
+        )
+
+    def _grant(
+        self, device_id: int, now: int, open_windows: list, sessions: list, k: int, count: int
+    ) -> list[Assignment]:
+        """Log the ``k``-th of ``count`` check-ins at ``now`` and its
+        assignments, for the (task, window) pairs ``open_windows``; returns
+        its grants.  ``sessions`` holds, per open window from the first
+        check-in's grant of it on, its session and the ``count`` tokens
+        minted for it then."""
+        log = self._log
+        log((_CHECK_IN, device_id, now))
+        grants: list[Assignment] = []
+        for i, (task, window) in enumerate(open_windows):
+            if i == len(sessions):
+                session = self._get_or_create_session(task, window, now)
+                collecting = session.state == "collecting"
+                sessions.append((session, self._mint.take(count if collecting else 0)))
+            session, tokens = sessions[i]
             if session.state != "collecting":
                 continue
-            # One keyed hash of the server's mint counter: tokens are unique
-            # across sessions and check-ins, even two at the same instant.
-            token = self._mint_token()
+            token = tokens[k]
             session.tokens[token] = {"device_id": device_id, "consumed": False}
-            assignments.append(
-                Assignment(
-                    query_id=task.config.query_id,
-                    window_id=window.window_id,
-                    session_id=session.session_id,
-                    token=token,
-                )
+            grants.append(
+                Assignment(task.config.query_id, window.window_id, session.session_id, token)
             )
-            self._log((_ASSIGNMENT, device_id, session.session_id, now, window.window_id))
-        return assignments
+            log((_ASSIGNMENT, device_id, session.session_id, now, window.window_id))
+        return grants
 
     def _windows_open_at(self, now: int) -> list[tuple[RegisteredTask, TimeWindow]]:
         """Every (task, window) open for contribution at ``now``, in task

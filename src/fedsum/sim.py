@@ -9,9 +9,11 @@ visits only those, in device-id order, and files them under the tick of
 their next wake.  The server's maintenance still runs on every tick.
 
 Once per civil day the fleet's conditions are drawn for every device
-(``client.draw_flags``, one mask over device ids), and a tick's Python
-loop visits only the due devices the mask allows.  The loop builds no
-per-device object.  A device's cache holds what :func:`cache_cut`
+(``client.draw_flags``, one mask over device ids), and the due devices
+the mask allows check in with one server call per tick
+(:meth:`fedsum.server.FederatedServer.check_in_many`), which hands back
+their grants a device at a time, each device uploading before the next
+checks in.  A device's cache holds what :func:`cache_cut`
 leaves of a window at the tick.  Its watermark needs no state: the
 server assigns only windows that have ended, and window ends are
 alignment boundaries, so every assigned window ended at or before the
@@ -19,8 +21,10 @@ start of the current one.  The exactly-once memo is ``uploaded``, the
 devices whose upload each window accepted.  A device that checks in
 receives session-bound tokens and uploads a bounded histogram for every
 assigned window it has not contributed to yet and holds a trip of,
-unless that day's upload fails.  :class:`fedsum.client.DeviceState` is
-the per-device reference model that the tests compare this loop with.
+unless that day's upload fails.  Holding a row and uploading that day
+are one byte mask per window and tick, made at the window's first
+grant.  :class:`fedsum.client.DeviceState` is the per-device reference
+model that the tests compare this loop with.
 
 The uploads of a window are bounded once, not once per device.  While
 the window collects, the loop holds one :class:`WindowUploads` block:
@@ -170,11 +174,12 @@ class WindowUploads:
     device's payload is written at once, in array passes: each row's
     flat partition index and metric values as a record of
     :class:`fedsum.aggcore.Wire`, all-zero rows dropped, ``-0.0`` written
-    ``+0.0``, a device's rows in partition order.  Only the records and
-    each device's byte offsets are kept.
+    ``+0.0``, a device's rows in partition order.  Only the records,
+    each device's byte offsets and ``holders``, whether each device has
+    a row to upload, are kept.
     """
 
-    __slots__ = ("cut", "_payloads", "_offsets")
+    __slots__ = ("cut", "holders", "_payloads", "_offsets")
 
     def __init__(
         self,
@@ -201,11 +206,8 @@ class WindowUploads:
         records["values"] = values[rows] + 0.0  # -0.0 + 0.0 is +0.0
         self._payloads = records.tobytes()
         ends = np.searchsorted(block.device[rows], np.arange(corpus.num_devices + 1))
+        self.holders = ends[1:] > ends[:-1]
         self._offsets = (ends * wire.size).tolist()
-
-    def holds(self, device_id: int) -> bool:
-        """Whether the device has a row to upload."""
-        return self._offsets[device_id] < self._offsets[device_id + 1]
 
     def payload(self, device_id: int) -> bytes:
         """The device's upload payload."""
@@ -264,6 +266,20 @@ def run_simulation(
     # Each collecting window's uploads, dropped when its session seals.
     blocks: dict[str, WindowUploads] = {}
 
+    def uploaders(window_id: str, now: int, upload_ok: dict[str, np.ndarray]) -> bytes:
+        """One byte per device, 1 where the device holds a row of the
+        window's block at ``now`` and its upload succeeds today."""
+        window = windows_by_id[window_id]
+        cut = cache_cut(window, now, fleet.cache_ttl)
+        block = blocks.get(window_id)
+        if block is None or block.cut != cut:
+            block = blocks[window_id] = WindowUploads(corpus, window, cut, mechanism, spec)
+        ok = upload_ok.get(window_id)
+        if ok is None:
+            draws = upload_rngs[window_id].uniforms(num_devices, now // DAY)
+            ok = upload_ok[window_id] = draws < fleet_profiles.p_upload_ok
+        return (block.holders & ok).tobytes()
+
     day = None
     horizon_end = windows[-1].end + task.grace_period + 2 * tick
     for now in range(start, horizon_end + 1, tick):
@@ -281,39 +297,28 @@ def run_simulation(
             day = now // DAY
             allowed = draw_flags(seed, fleet_profiles, fleet.policy, day)
             upload_ok: dict[str, np.ndarray] = {}
-        for index in due[allowed[due]].tolist():
-            device_id = device_ids[index]
-            for assignment in server.check_in(device_id, now):
+        ids = list(map(device_ids.__getitem__, due[allowed[due]].tolist()))
+        # Each window's uploaders at this tick, worked out at its first grant.
+        can_upload: dict[str, bytes] = {}
+        for device_id, grants in server.check_in_many(ids, now):
+            for assignment in grants:
                 window_id = assignment.window_id
-                if device_id in uploaded[window_id]:
-                    continue
-                window = windows_by_id[window_id]
-                cut = cache_cut(window, now, fleet.cache_ttl)
-                block = blocks.get(window_id)
-                if block is None or block.cut != cut:
-                    block = blocks[window_id] = WindowUploads(
-                        corpus, window, cut, mechanism, spec
-                    )
-                if not block.holds(device_id):
-                    continue
-                ok = upload_ok.get(window_id)
-                if ok is None:
-                    draws = upload_rngs[window_id].uniforms(num_devices, day)
-                    ok = upload_ok[window_id] = draws < fleet_profiles.p_upload_ok
-                if not ok[device_id]:
+                can = can_upload.get(window_id)
+                if can is None:
+                    can = can_upload[window_id] = uploaders(window_id, now, upload_ok)
+                if not can[device_id] or device_id in uploaded[window_id]:
                     continue
                 update = ClientUpdate(
                     query_id=task.query_id,
                     window_id=window_id,
                     token=assignment.token,
-                    payload=block.payload(device_id),
+                    payload=blocks[window_id].payload(device_id),
                 )
                 try:
                     server.ingest_upload(update, now)
                 except SessionClosedError:
                     continue
                 uploaded[window_id].add(device_id)
-    block = None  # the last window's block is not held through the evaluation
     server.maintenance(horizon_end + tick)
 
     result = SimulationResult(

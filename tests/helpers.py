@@ -81,6 +81,12 @@ def iso_week_id(ts: int) -> str:
     return f"{year}-W{week:02d}"
 
 
+def named_sums(core):
+    """A core's ``present_rows`` as ``{key name: sums}``, in name order."""
+    ids, sums = core.present_rows()
+    return dict(zip(map(core.keys.names.__getitem__, ids.tolist()), map(tuple, sums.tolist())))
+
+
 def naive_grouped_sums(updates):
     """Brute-force group-by-sum over update row lists (dict + fsum)."""
     by_key: dict[str, list[tuple[float, ...]]] = {}
@@ -189,7 +195,7 @@ def reference_serialize_state(core) -> bytes:
     """``AggregationCore.serialize_state`` as it was written key by key,
     three calls per key: the key count; per key in sorted name order its
     length-prefixed UTF-8 name and its sums; the contribution count.  Read
-    from the core's running sum, which a report would consume."""
+    from the core's running sum."""
     sums, present = core._sum.report()
     rows = sorted((core.keys.names[k], sums[k].tolist()) for k in np.flatnonzero(present))
     out = bytearray(struct.pack("<I", len(rows)))

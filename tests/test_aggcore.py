@@ -23,7 +23,7 @@ from fedsum.aggcore import (
     encode_payload,
 )
 
-from helpers import naive_grouped_sums, reference_serialize_state
+from helpers import named_sums, naive_grouped_sums, reference_serialize_state
 
 CONFIG = AggCoreConfig(
     key_columns=("region", "privacy_time_unit"),
@@ -64,7 +64,7 @@ def test_merge_adds_counts():
     left.merge(right)
     assert left.contribution_count == 13
     with pytest.raises(CoreConsumedError):
-        right.report()
+        AggregationCore(CONFIG).merge(right)
 
 
 @pytest.mark.parametrize(
@@ -95,7 +95,7 @@ def test_key_ids_and_rows_accumulate_alike():
     by_id.accumulate((0, 1), (1.0, 2.0, 3.0, 4.0))
     by_row.accumulate([("b", (1.0, 2.0)), ("a", (3.0, 4.0))])
     assert by_id.serialize_state() == by_row.serialize_state()
-    assert by_id.report() == by_row.report() == {"a": (3.0, 4.0), "b": (1.0, 2.0)}
+    assert named_sums(by_id) == named_sums(by_row) == {"a": (3.0, 4.0), "b": (1.0, 2.0)}
 
 
 # --- merge ----------------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_disjoint_merge_is_a_union():
     left.accumulate([("a", (1.0, 2.0))])
     right.accumulate([("b", (3.0, 4.0))])
     left.merge(right)
-    assert left.report() == {"a": (1.0, 2.0), "b": (3.0, 4.0)}
+    assert named_sums(left) == {"a": (1.0, 2.0), "b": (3.0, 4.0)}
 
 
 def test_merge_requires_matching_configs():
@@ -137,18 +137,19 @@ def test_split_accumulation_matches_sequential():
     assert left.serialize_state() == sequential.serialize_state()
 
 
-# --- report ------------------------------------------------------------------------
+# --- present rows and consumption ---------------------------------------------------
 
 
-def test_report_consumes_the_core():
+def test_a_merged_core_is_consumed():
     core = AggregationCore(CONFIG)
     core.accumulate(rows_for(0))
-    core.report()
+    AggregationCore(CONFIG).merge(core)
     for operation in (
-        lambda: core.report(),
+        lambda: core.present_rows(),
         lambda: core.accumulate(rows_for(1)),
         lambda: core.serialize_state(),
         lambda: core.merge(AggregationCore(CONFIG)),
+        lambda: AggregationCore(CONFIG).merge(core),
     ):
         with pytest.raises(CoreConsumedError):
             operation()
@@ -164,14 +165,15 @@ def test_merge_consumes_the_source_core():
         left.merge(right)
 
 
-def test_report_keys_are_sorted():
+def test_present_rows_are_in_key_name_order():
     core = AggregationCore(AggCoreConfig(("k",), ("v",)))
     for key in ("zulu", "alpha", "mike"):
         core.accumulate([(key, (1.0,))])
-    assert list(core.report()) == ["alpha", "mike", "zulu"]
+    ids, _ = core.present_rows()
+    assert [core.keys.names[k] for k in ids.tolist()] == ["alpha", "mike", "zulu"]
 
 
-def test_report_matches_a_brute_force_oracle():
+def test_present_rows_match_a_brute_force_oracle():
     rng = random.Random(4)
     updates = [
         [
@@ -183,7 +185,7 @@ def test_report_matches_a_brute_force_oracle():
     core = AggregationCore(CONFIG)
     for rows in updates:
         core.accumulate(rows)
-    assert core.report() == naive_grouped_sums(updates)
+    assert named_sums(core) == naive_grouped_sums(updates)
 
 
 # --- merge-tree invariance ----------------------------------------------------------

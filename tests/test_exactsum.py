@@ -19,7 +19,7 @@ from fedsum import exactsum
 from fedsum.aggcore import AggCoreConfig, AggregationCore
 from fedsum.exactsum import ExactSum, group_fsum
 
-from helpers import ExpansionSum, add_partial, merge_partials, round_partials
+from helpers import ExpansionSum, add_partial, merge_partials, named_sums, round_partials
 
 # Bounded so that no intermediate or final sum can overflow float64.
 bounded_floats = st.floats(
@@ -336,7 +336,7 @@ def test_ac13s_loop_never_stages_more_values_than_the_bound():
             assert len(core._sum._staged) <= exactsum._STAGE_MAX
     assert len(waiting) >= 2_000 * 300 // exactsum._STAGE_MAX
     assert max(waiting) <= exactsum._STAGE_MAX
-    assert core.report()["cell042\x1f2024-W20"] == (2_000.0, 5_000.0, 120_000.0)
+    assert named_sums(core)["cell042\x1f2024-W20"] == (2_000.0, 5_000.0, 120_000.0)
 
 
 def test_a_callers_rows_are_copied_when_staged():
@@ -346,7 +346,7 @@ def test_a_callers_rows_are_copied_when_staged():
     core.accumulate(rows)
     values[0] = 1e300
     rows.append(("j", [5.0, 5.0]))
-    assert core.report() == {"k": (1.0, 2.0)}
+    assert named_sums(core) == {"k": (1.0, 2.0)}
 
 
 def test_terms_stay_few_per_cell_through_many_folds():

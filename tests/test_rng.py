@@ -62,7 +62,7 @@ def test_same_key_same_draw():
         b.uniform("w", 7), 2.0
     )
     mints = TokenMint(42, "ns"), TokenMint(42, "ns")
-    assert [mints[0]() for _ in range(3)] == [mints[1]() for _ in range(3)]
+    assert mints[0].take(3) == mints[1].take(3)
 
 
 def test_distinct_namespaces_and_indices_decorrelate():
@@ -94,13 +94,40 @@ def test_randrange_covers_its_domain():
 
 def test_minted_tokens_are_128_bit_distinct_and_keyed():
     mint = TokenMint(1, "tokens")
-    tokens = {mint() for _ in range(64)}
+    taken = mint.take(64)
+    tokens = set(taken)
     assert len(tokens) == 64 and mint.minted == 64
     assert all(len(bytes.fromhex(t)) == 16 for t in tokens)
-    unkeyed = {blake2b(n.to_bytes(8, "little"), digest_size=16).hexdigest() for n in range(64)}
-    assert not tokens & unkeyed
+
+    def quarters(**key):
+        """Tokens 0-63: token n as quarter n % 4 of BLAKE2b-512 of n // 4."""
+        digests = [blake2b(n.to_bytes(8, "little"), **key).hexdigest() for n in range(16)]
+        return [d[i : i + 32] for d in digests for i in range(0, 128, 32)]
+
+    material = b"i" + struct.pack("<q", 1) + b"s" + struct.pack("<I", 6) + b"tokens"
+    assert taken == quarters(key=blake2b(material, digest_size=16).digest())
+    assert not tokens & set(quarters())
     for other in (TokenMint(2, "tokens"), TokenMint(1, "other")):
-        assert not tokens & {other() for _ in range(64)}
+        assert not tokens & set(other.take(64))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=9), max_size=12))
+def test_a_token_depends_only_on_its_index(batches):
+    mint, whole = TokenMint(3, "tokens"), TokenMint(3, "tokens")
+    taken = [token for n in batches for token in mint.take(n)]
+    assert mint.minted == len(taken) == sum(batches)
+    assert taken == whole.take(len(taken))
+    assert all(len(t) == 32 and len(bytes.fromhex(t)) == 16 for t in taken)
+
+
+def test_tokens_are_distinct_across_batches_and_calls():
+    mint = TokenMint(5, "tokens")
+    batches = [mint.take(n) for n in (1, 3, 0, 4, 5, 1, 200, 2)]
+    tokens = [token for batch in batches for token in batch]
+    assert [len(batch) for batch in batches] == [1, 3, 0, 4, 5, 1, 200, 2]
+    assert len(set(tokens)) == len(tokens) == mint.minted == 216
+    for other in (TokenMint(6, "tokens"), TokenMint(5, "other")):
+        assert not set(tokens) & set(other.take(216))
 
 
 def fixed_digest_rng(x):

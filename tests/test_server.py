@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsum import server as server_module
@@ -324,6 +324,58 @@ def test_tokens_are_unique_at_one_instant_and_across_sessions():
         twin.register_task(make_task(s, num_windows=3, grace_period=3 * WEEK), now=START)
     assert [a.token for a in again.check_in(7, now) + again.check_in(7, now)] == tokens
     assert not set(tokens) & {a.token for a in other.check_in(7, now)}
+
+
+# Each case of a batched check-in, and how many sessions grant a token in it.
+CHECK_IN_CASES = {"no_window": 0, "one_window": 1, "daily": 3, "suppressed": 1}
+
+
+def check_in_case(case):
+    """A server set up for ``case``, and the clock its check-ins come at:
+    no window open; one; three daily windows; or a suppressed session
+    (met again by a clock back at its deadline) beside a collecting one."""
+    server, s = make_server()
+    end = START + WEEK
+    if case == "daily":
+        task = make_task(s, window_alignment=WindowAlignment.DAY, num_windows=7)
+        server.register_task(task, now=START)
+        return server, START + 3 * 86_400
+    server.register_task(make_task(s, num_windows=1), now=START)
+    if case == "no_window":
+        return server, end - 1
+    if case == "suppressed":
+        late = make_task(s, query_id="late", num_windows=1, grace_period=GRACE + 1)
+        server.register_task(late, now=START)
+        server.check_in(0, now=end)
+        server.maintenance(now=end + GRACE + 1)
+        assert server.sessions["trips/2024-W20"].state == "suppressed"
+        return server, end + GRACE
+    return server, end
+
+
+def granted_sessions(grants):
+    """Each device's grants as (query, window, session), token values aside."""
+    return [(i, [(a.query_id, a.window_id, a.session_id) for a in g]) for i, g in grants if g]
+
+
+@settings(max_examples=20, deadline=None)
+@given(ids=st.lists(st.integers(min_value=0, max_value=2**40), max_size=6))
+@example(ids=[])
+@pytest.mark.parametrize("case", sorted(CHECK_IN_CASES))
+def test_batched_check_ins_match_per_device_check_ins(case, ids):
+    (one, now), (many, _) = check_in_case(case), check_in_case(case)
+    singly = [(i, one.check_in(i, now)) for i in ids]
+    batched = list(many.check_in_many(ids, now))
+    assert list(many.event_log_lines()) == list(one.event_log_lines())
+    assert [i for i, _ in batched] == ([] if case == "no_window" else ids)
+    assert all(len(grants) == CHECK_IN_CASES[case] for _, grants in batched)
+    assert granted_sessions(batched) == granted_sessions(singly)
+    tokens = [a.token for _, g in batched for a in g]
+    assert len(set(tokens)) == len(tokens)
+    assert many._mint.minted == one._mint.minted  # one token per grant
+    for i, grants in batched:
+        for a in grants:
+            assert many.sessions[a.session_id].tokens[a.token] == {"device_id": i, "consumed": False}
 
 
 def test_overlapping_windows_get_separate_sessions():
@@ -1173,6 +1225,23 @@ def test_check_in_refuses_a_device_id_or_clock_that_is_not_an_int(kind):
         server.check_in(3, now=NOT_INTS[kind](end))
     assert len(server.events) == 1 and server.sessions == {}
     assert len(server.check_in(3, now=end)) == 1
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_INTS))
+@pytest.mark.parametrize("offset", [-1, 0], ids=["no_window", "open_window"])
+def test_check_in_many_refuses_a_device_id_or_clock_that_is_not_an_int(offset, kind):
+    server, s = make_server()
+    server.register_task(make_task(s), now=START)
+    now = START + WEEK + offset
+    with pytest.raises(TypeError, match="device_id"):
+        server.check_in_many([1, NOT_INTS[kind](3), 2], now)
+    with pytest.raises(TypeError, match="now"):
+        server.check_in_many([1, 2], NOT_INTS[kind](now))
+    with pytest.raises(TypeError, match="now"):
+        server.check_in_many([], NOT_INTS[kind](now))
+    assert len(server.events) == 1 and server.sessions == {} and server._mint.minted == 0
+    assert len(list(server.check_in_many([1, 2], now))) == (0 if offset else 2)
+    assert len(server.events) == 3 + (0 if offset else 3)
 
 
 @pytest.mark.parametrize("kind", sorted(NOT_INTS))

@@ -468,7 +468,7 @@ def test_window_block_rows_are_each_devices_own_upload(
         )
         state.advance_watermarks(now, WindowAlignment.WEEK, ttl)
         trips = state.visible_records(window)
-        assert block.holds(dev.device_id) == bool(len(trips))
+        assert block.holders[dev.device_id] == bool(len(trips))
         if not len(trips):
             continue
         holders += 1
@@ -569,7 +569,7 @@ def test_window_payloads_drop_zero_rows_and_write_negative_zero_as_zero(
     records = 0
     for device in devices_of(bounded):
         rows = histogram_to_rows(rows_of(bounded, bounded.device == device), window.window_id, spec)
-        assert block.holds(device) == bool(rows)
+        assert block.holders[device] == bool(rows)
         if rows:
             assert block.payload(device) == encode_payload(rows, keys, wire)
             records += len(rows)
@@ -600,7 +600,7 @@ def test_rows_through_the_adapter_and_window_bytes_ingest_alike(
     uploads = 0
     for dev in corpus_300.devices:
         trips = [r for r in dev.records if window.start <= r.event_time < window.end]
-        if not block.holds(dev.device_id):
+        if not block.holders[dev.device_id]:
             assert not trips
             continue
         now = window.end + 60 * dev.device_id
