@@ -341,7 +341,7 @@ class FederatedServer:
         self._log = self._rows.append
         self.events: Sequence[dict[str, Any]] = _EventView(self._rows)
         # (now, the (task, window) pairs open for contribution at now), for
-        # check_in_many; dropped when a task registers.
+        # check_in_many; dropped when a task registers or a window releases.
         self._open_windows: tuple[int, list[tuple[RegisteredTask, TimeWindow]]] | None = None
 
     # -- logging ---------------------------------------------------------
@@ -455,9 +455,10 @@ class FederatedServer:
         single-use tokens for the windows open then.
 
         A window is open for contribution from its end (devices can only
-        hold a complete window) until its release deadline.  The server
-        does not know which windows a device still has data for; the
-        device filters assignments against its own memo.  With no window
+        hold a complete window) until its release deadline, and not once
+        its release has run.  The server does not know which windows a
+        device still has data for; the device filters assignments against
+        its own memo.  With no window
         open, every check-in is logged at once and the iterator is empty.
         Otherwise it logs a device's check-in and assignments, then yields
         ``(device_id, grants)``, a device at a time; a session's tokens
@@ -506,7 +507,9 @@ class FederatedServer:
 
     def _windows_open_at(self, now: int) -> list[tuple[RegisteredTask, TimeWindow]]:
         """Every (task, window) open for contribution at ``now``, in task
-        and window order; worked out once per ``now`` and task set."""
+        and window order; worked out once per ``now``, task set and set of
+        releases.  A window whose release ran (a clock back at its
+        deadline) is not open: it would grant tokens no upload can use."""
         cached = self._open_windows
         if cached is not None and cached[0] == now:
             return cached[1]
@@ -515,6 +518,7 @@ class FederatedServer:
             for task in self.tasks.values()
             for window in task.windows
             if window.end <= now <= window.end + task.config.grace_period
+            and self._session_key(task.config.query_id, window.window_id) not in self.releases
         ]
         self._open_windows = (now, open_windows)
         return open_windows
@@ -668,6 +672,7 @@ class FederatedServer:
         """
         key = self._session_key(task.config.query_id, window.window_id)
         session = self.sessions.get(key)
+        self._open_windows = None  # the window closes for check-ins at any clock
         final_core: AggregationCore | None = None
         if session is not None:
             self._expire_partials(session, now)

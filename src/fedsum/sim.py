@@ -50,12 +50,18 @@ check-in policy, so fleets under different policies experience
 identical conditions and coverage comparisons are apples-to-apples.
 The arrays of a day are dropped when the day ends.
 
-Evaluation makes one pass over each released window's trip columns
-(``Corpus.device_histograms``) and builds the window's truth from its
-block (``metrics.window_truth``: the dense ground truth, the
-per-partition device counts and the eligible cells); both errors score
-the release's dense values against it.  No trip record is built:
-neither the corpus nor any device cache holds one.
+Each window's truth (``metrics.window_truth``: the dense ground truth,
+the per-partition device counts and the eligible cells) is built once,
+when the window's first :class:`WindowUploads` block is built: from that
+block's raw block when it holds the whole window (the caches still hold
+the window's first trips then, as under the default TTL), else from one
+pass of its own over the window's trip columns
+(``Corpus.device_histograms``); a re-cut block never rebuilds it.  The
+run keeps only the truths, small dense arrays, and the raw blocks are
+freed; evaluation makes no pass over the trips and scores each
+release's dense values against its window's truth with both errors.  No
+trip record is built: neither the corpus nor any device cache holds
+one.
 """
 
 from __future__ import annotations
@@ -75,7 +81,7 @@ from .client import (
     draw_flags,
 )
 from .dp import NoisedRelease, ResolvedMechanism
-from .metrics import per_user_mean_error, weighted_relative_error, window_truth
+from .metrics import WindowTruth, per_user_mean_error, weighted_relative_error, window_truth
 from .model import DeviceSubtotals, Schema, TripRecord
 from .query import QuerySpec
 from .server import (
@@ -176,10 +182,14 @@ class WindowUploads:
     :class:`fedsum.aggcore.Wire`, all-zero rows dropped, ``-0.0`` written
     ``+0.0``, a device's rows in partition order.  Only the records,
     each device's byte offsets and ``holders``, whether each device has
-    a row to upload, are kept.
+    a row to upload, are kept, with ``truth``: the window's
+    :func:`fedsum.metrics.window_truth`, built from the raw block when
+    ``cut`` is the window's start (the raw block is then the whole
+    window), else ``None``.  A window's cut only moves forward, so at most
+    one of its blocks builds the truth.
     """
 
-    __slots__ = ("cut", "holders", "_payloads", "_offsets")
+    __slots__ = ("cut", "holders", "truth", "_payloads", "_offsets")
 
     def __init__(
         self,
@@ -195,6 +205,7 @@ class WindowUploads:
             raw = corpus.device_histograms(TimeWindow(cut, window.end, window.window_id))
         else:  # every trip of the window has expired
             raw = DeviceSubtotals.of_trips(schema, *[()] * 6)
+        self.truth = window_truth(corpus, raw) if cut == window.start else None
         block = mechanism.transform_devices(raw, schema)
         values, partition = block.sums[:, spec.metrics], block.partitions(schema)
         rows = np.flatnonzero(values.any(axis=1))
@@ -265,6 +276,8 @@ def run_simulation(
     deadlines = {w.window_id: w.end + task.grace_period for w in windows}
     # Each collecting window's uploads, dropped when its session seals.
     blocks: dict[str, WindowUploads] = {}
+    # Each window's truth, built with its first block and kept for evaluation.
+    truths: dict[str, WindowTruth] = {}
 
     def uploaders(window_id: str, now: int, upload_ok: dict[str, np.ndarray]) -> bytes:
         """One byte per device, 1 where the device holds a row of the
@@ -274,6 +287,12 @@ def run_simulation(
         block = blocks.get(window_id)
         if block is None or block.cut != cut:
             block = blocks[window_id] = WindowUploads(corpus, window, cut, mechanism, spec)
+            if window_id not in truths:
+                truths[window_id] = (
+                    block.truth
+                    if block.truth is not None
+                    else window_truth(corpus, corpus.device_histograms(window))
+                )
         ok = upload_ok.get(window_id)
         if ok is None:
             draws = upload_rngs[window_id].uniforms(num_devices, now // DAY)
@@ -329,7 +348,7 @@ def run_simulation(
         uploaded=uploaded,
         fleet_size=corpus.num_devices,
     )
-    _evaluate(result, corpus, spec, fleet.policy)
+    _evaluate(result, corpus, spec, fleet.policy, truths)
     return result
 
 
@@ -338,8 +357,11 @@ def _evaluate(
     corpus: Corpus,
     spec,
     policy: str,
+    truths: dict[str, WindowTruth],
 ) -> None:
-    """Fill eval and reach rows from the finished run."""
+    """Fill eval and reach rows from the finished run; ``truths`` holds the
+    truth of every window that built an upload block, as every window
+    with a release did."""
     schema = corpus.schema
     strata: dict[str, set[int]] = {"all": set(range(corpus.num_devices))}
     for device_id, tier in enumerate(corpus.tiers):
@@ -347,8 +369,7 @@ def _evaluate(
     for window in result.task_windows:
         release = result.releases.get(f"{result.query_id}/{window.window_id}")
         if isinstance(release, NoisedRelease):
-            # The block is freed as the truth is built, before the next pass.
-            truth = window_truth(corpus, corpus.device_histograms(window))
+            truth = truths[window.window_id]
             wre = weighted_relative_error(truth, release.values)
             pume = per_user_mean_error(truth, release.values, spec.metrics)
             for metric in sorted(wre):

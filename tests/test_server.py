@@ -295,6 +295,36 @@ def test_check_ins_take_their_windows_from_the_tick_they_happen_in():
     assert server.events[-1]["session_id"] == "late/2024-W20"
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["cold", "cached_before_release"])
+@pytest.mark.parametrize("entry", ["check_in", "check_in_many"])
+def test_a_released_window_opens_no_session_and_grants_no_token(entry, cached):
+    """A window whose release ran stays closed to a check-in back at its
+    deadline, though no session of it existed: none is created and no token
+    granted, also when the windows open at that clock were worked out
+    before the release.  Another task's window open then still grants."""
+    server, s = make_server()
+    server.register_task(make_task(s, num_windows=1), now=START)
+    late = make_task(s, query_id="late", num_windows=1, grace_period=GRACE + 1)
+    server.register_task(late, now=START)
+    deadline = START + WEEK + GRACE
+    if cached:
+        assert list(server.check_in_many([], deadline)) == []
+    server.maintenance(now=deadline + 1)
+    assert server.releases["trips/2024-W20"] == SuppressedRelease(
+        "2024-W20", "insufficient_contributions"
+    )
+    mark = len(server.events)
+    if entry == "check_in":
+        grants = server.check_in(1, now=deadline)
+    else:
+        ((_, grants),) = server.check_in_many([1], deadline)
+    assert [a.session_id for a in grants] == ["late/2024-W20"]
+    assert list(server.sessions) == ["late/2024-W20"]
+    assert [e.get("session_id") for e in server.events[mark:]] == [
+        None, "late/2024-W20", "late/2024-W20"
+    ]
+
+
 def test_every_check_in_mints_a_fresh_token():
     server, s = make_server()
     server.register_task(make_task(s, num_windows=1), now=START)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fedsum import server as server_module
+from fedsum import sim as sim_module
 from fedsum.dp import (
     MechanismConfig,
     NoisedRelease,
@@ -29,7 +30,12 @@ from fedsum.client import (
     histogram_to_rows,
     row_keys,
 )
-from fedsum.metrics import exact_workload
+from fedsum.metrics import (
+    exact_workload,
+    per_user_mean_error,
+    weighted_relative_error,
+    window_truth,
+)
 from fedsum.model import IndexedHistogram, TripRecord
 from fedsum.outputs import write_run_outputs
 from fedsum.query import parse_and_validate
@@ -159,8 +165,8 @@ def live_trip_records() -> int:
 
 
 def test_no_trip_record_exists_during_the_simulation(monkeypatch):
-    # Device caches are row ranges of the corpus columns and evaluation
-    # reads the columns too, so the run neither builds nor holds a record.
+    # Device caches are row ranges of the corpus columns and each window's
+    # truth reads the columns too, so the run neither builds nor holds a record.
     before = live_trip_records()  # whatever other tests left behind
     corpus = generate_corpus(
         SyntheticCorpusConfig(num_devices=60, num_regions=4, num_weeks=1, seed=2)
@@ -345,6 +351,99 @@ def test_reach_rows_stratify_the_fleet(corpus_300):
         assert 0.0 <= row["h"] <= 1.0
     all_row = result.reach_rows[0]
     assert all_row["h"] == len(result.uploaded["2024-W20"]) / result.fleet_size
+
+
+@pytest.fixture(scope="module")
+def corpus_two_weeks():
+    return generate_corpus(
+        SyntheticCorpusConfig(num_devices=120, num_regions=4, num_weeks=2, seed=5)
+    )
+
+
+def traced_run(corpus, fleet, monkeypatch):
+    """Run a noised two-window task; returns the result, the windows of the
+    ``Corpus.device_histograms`` calls outside evaluation and inside it,
+    the window id of each ``WindowUploads`` built and the row count of
+    each block a truth was built from."""
+    passes: dict[str, list] = {"run": [], "evaluation": []}
+    phase, blocks, truths = ["run"], [], []
+    histograms, uploads_init = type(corpus).device_histograms, WindowUploads.__init__
+    evaluate, truth_of = sim_module._evaluate, sim_module.window_truth
+
+    def counted_histograms(self, window):
+        passes[phase[0]].append((window.start, window.end))
+        return histograms(self, window)
+
+    def counted_uploads(self, corpus, window, *args):
+        blocks.append(window.window_id)
+        uploads_init(self, corpus, window, *args)
+
+    def counted_truth(corpus, block):
+        truths.append(len(block.device))
+        return truth_of(corpus, block)
+
+    def traced_evaluate(*args):
+        phase[0] = "evaluation"
+        evaluate(*args)
+
+    monkeypatch.setattr(type(corpus), "device_histograms", counted_histograms)
+    monkeypatch.setattr(WindowUploads, "__init__", counted_uploads)
+    monkeypatch.setattr(sim_module, "window_truth", counted_truth)
+    monkeypatch.setattr(sim_module, "_evaluate", traced_evaluate)
+    task = make_task(corpus.schema, epsilon=2.0, clip=1000.0, num_windows=2)
+    result = run_simulation(corpus, task, fleet)
+    monkeypatch.undo()
+    return result, passes["run"], passes["evaluation"], blocks, truths
+
+
+def test_a_default_ttl_run_reads_each_windows_trips_once(corpus_two_weeks, monkeypatch):
+    # Each window's truth comes from the raw block of its first upload
+    # block, so the run makes one trip pass per window and evaluation none.
+    result, passes, in_evaluation, blocks, truths = traced_run(
+        corpus_two_weeks, FleetConfig(availability="always_on"), monkeypatch
+    )
+    windows = result.task_windows
+    assert [r["window_id"] for r in result.eval_rows] == ["2024-W20"] * 3 + ["2024-W21"] * 3
+    assert blocks == [w.window_id for w in windows]
+    assert passes == [(w.start, w.end) for w in windows]
+    assert in_evaluation == []
+    assert truths == [len(corpus_two_weeks.device_histograms(w).device) for w in windows]
+
+
+def test_a_short_ttl_run_scores_against_the_whole_windows_truth(
+    corpus_two_weeks, monkeypatch
+):
+    # Five days of cache: every block is cut after its window's start and
+    # re-cut as the clock moves, yet each window's truth is built once, from
+    # a pass over the whole window.
+    corpus = corpus_two_weeks
+    result, passes, in_evaluation, blocks, truths = traced_run(
+        corpus, FleetConfig(availability="always_on", cache_ttl=5 * 86_400), monkeypatch
+    )
+    windows = result.task_windows
+    assert all(blocks.count(w.window_id) > 1 for w in windows)
+    assert truths == [len(corpus.device_histograms(w).device) for w in windows]
+    assert in_evaluation == []
+    whole = [(w.start, w.end) for w in windows]
+    assert [p for p in passes if p in whole] == whole
+    expected = []
+    for window in windows:
+        release = result.releases[f"trips/{window.window_id}"]
+        assert isinstance(release, NoisedRelease)
+        truth = window_truth(corpus, corpus.device_histograms(window))
+        wre = weighted_relative_error(truth, release.values)
+        pume = per_user_mean_error(truth, release.values, parse_and_validate(FULL_QUERY).metrics)
+        expected += [
+            {
+                "window_id": window.window_id,
+                "metric": corpus.schema.metric_names[metric],
+                "weighted_relative_error": wre[metric],
+                "per_user_mean_error": pume,
+            }
+            for metric in sorted(wre)
+        ]
+    assert result.eval_rows == expected
+    assert all(row["weighted_relative_error"] > 0.0 for row in expected)
 
 
 TRIPS_AND_DURATION_QUERY = """\
